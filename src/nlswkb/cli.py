@@ -87,7 +87,10 @@ def main(argv=None) -> int:
     try:
         result = run_experiment(config)
     except NlswkbError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        # solver failures carry the simulation time they stopped at
+        when = getattr(exc, "time", None)
+        at = f" at t={when:g}" if when is not None else ""
+        print(f"error: {type(exc).__name__}{at}: {exc}", file=sys.stderr)
         return 2
 
     out_dir = args.output or config.output_dir or f"runs/{args.command}"

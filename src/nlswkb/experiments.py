@@ -27,6 +27,17 @@ CONVERGE_TARGETS = ("supercritical_leading", "supercritical_corrector",
                     "critical", "subcritical", "skew_free")
 SINGLE_SOLVERS = ("rays", "wkb", "grenier", "nls")
 _MAX_WORKERS = 4
+# drivers whose solver steps at a fixed dt: the default when time.rule is not
+# "fixed", keyed by (kind, solver) for single runs and (kind, target) else
+_FIXED_STEP_DEFAULTS = {
+    ("single", "rays"): 1e-3,
+    ("single", "grenier"): 2e-3,
+    ("converge", "supercritical_leading"): 2e-3,
+    ("converge", "supercritical_corrector"): 2e-3,
+    ("converge", "skew_free"): 2.5e-3,
+}
+_SKEW_FREE_TIMES = (0.05, 0.1, 0.2, 0.3)
+_ODE_POWERS = (0.6, 0.45, 0.3, 0.2)
 
 
 # ---------------------------------------------------------------------------
@@ -59,13 +70,10 @@ class FieldSpecConfig:
         if self.shape == "constant":
             vals = np.full(grid.shape, complex(self.amplitude))
         else:
-            center = (self.center,) * grid.dim
             vals = gaussian_field(grid, width=self.width, amplitude=self.amplitude,
-                                  center=center, role=role).values.astype(complex)
+                                  center=self.center, role=role).values.astype(complex)
             if self.chirp != 0.0:
-                arg = np.zeros(grid.shape)
-                for c, coord in zip(center, grid.nodes):
-                    arg = arg + (coord - c) ** 2
+                arg = (grid.nodes[0] - self.center) ** 2
                 vals = vals * np.exp(1j * self.chirp * arg)
         if self.imaginary:
             vals = 1j * vals
@@ -223,6 +231,21 @@ class ExperimentConfig:
         if self.dt_rule == "fixed":
             return float(self.dt)
         return eps / self.dt_factor
+
+    def stepping_dt(self, eps: float) -> float:
+        """The dt the driver passes to its time-stepping solver at this eps.
+
+        That solver is the ray integrator for single rays runs, the
+        phase-amplitude march for single grenier runs and the kappa = 0
+        convergence targets, and the split-step NLS solve for every other
+        driver.  The first group ignores eps and takes time.dt only under
+        the "fixed" rule; the NLS drivers follow `resolve_dt`.
+        """
+        key = (self.kind, self.solver if self.kind == "single" else self.target)
+        default = _FIXED_STEP_DEFAULTS.get(key)
+        if default is None:
+            return self.resolve_dt(eps)
+        return self.dt if self.dt_rule == "fixed" else default
 
     # -- serialization -----------------------------------------------------
 
@@ -493,7 +516,7 @@ def run_convergence(config: ExperimentConfig) -> ExperimentResult:
 
 def _run_supercritical_convergence(config: ExperimentConfig) -> ExperimentResult:
     t = config.t_final
-    dt = config.dt if config.dt_rule == "fixed" else 2e-3
+    dt = config.stepping_dt(config.eps[0])
     orders = config.sobolev_orders
     corrector_mode = config.target == "supercritical_corrector"
 
@@ -581,10 +604,10 @@ def _run_supercritical_convergence(config: ExperimentConfig) -> ExperimentResult
 
 
 def _run_skew_free_convergence(config: ExperimentConfig) -> ExperimentResult:
-    times = list(config.schedule) if config.schedule else [0.05, 0.1, 0.2, 0.3]
+    times = list(config.schedule or _SKEW_FREE_TIMES)
     if any(b <= a for a, b in zip(times, times[1:])):
         raise ConfigError("schedule must be strictly increasing")
-    dt = config.dt if config.dt_rule == "fixed" else 2.5e-3
+    dt = config.stepping_dt(config.eps[0])
     for tt in times:
         steps = tt / dt
         if abs(steps - round(steps)) > 1e-9:
@@ -645,7 +668,7 @@ def _run_profile_convergence(config: ExperimentConfig) -> ExperimentResult:
 
     def one(eps):
         problem = config.problem(eps, with_a1=False)
-        dt = config.resolve_dt(eps)
+        dt = config.stepping_dt(eps)
         try:
             sol = nls.solve_nls(problem, t, dt=dt)
         except ResolutionError as exc:
@@ -729,7 +752,7 @@ def run_instability(config: ExperimentConfig) -> ExperimentResult:
             base = SemiclassicalProblem(eps=eps, kappa=0.0, a0=a0)
             pert = SemiclassicalProblem(eps=eps, kappa=0.0, a0=a_tilde)
             outputs = [t_eps * (j + 1) / n_outputs for j in range(n_outputs)]
-            dt = config.resolve_dt(eps)
+            dt = config.stepping_dt(eps)
             try:
                 sol_u = nls.solve_nls(base, t_eps, dt=dt, output_times=outputs)
                 sol_v = nls.solve_nls(pert, t_eps, dt=dt, output_times=outputs)
@@ -838,7 +861,7 @@ def run_norm_growth(config: ExperimentConfig) -> ExperimentResult:
 
     def one(eps):
         problem = config.problem(eps, with_a1=False)
-        sol = nls.solve_nls(problem, t, dt=config.resolve_dt(eps))
+        sol = nls.solve_nls(problem, t, dt=config.stepping_dt(eps))
         state = sol.final()
         norms = {m: sobolev_norm(state, m, homogeneous=True)
                  for m in config.m_orders}
@@ -884,7 +907,7 @@ def run_ode_window(config: ExperimentConfig) -> ExperimentResult:
     config.validate()
     if config.kind != "odewindow":
         raise ConfigError("config kind must be odewindow")
-    powers = list(config.schedule) if config.schedule else [0.6, 0.45, 0.3, 0.2]
+    powers = list(config.schedule or _ODE_POWERS)
     if any(b >= a for a, b in zip(powers, powers[1:])):
         raise ConfigError("schedule lists decreasing eps-powers (increasing times)")
     grid = config.grid()
@@ -895,7 +918,7 @@ def run_ode_window(config: ExperimentConfig) -> ExperimentResult:
     def one(eps):
         times = [eps**p for p in powers]
         problem = config.problem(eps, with_a1=False)
-        sol = nls.solve_nls(problem, times[-1], dt=config.resolve_dt(eps),
+        sol = nls.solve_nls(problem, times[-1], dt=config.stepping_dt(eps),
                             output_times=times)
         errors = []
         for tt in times:
@@ -939,9 +962,8 @@ def run_single(config: ExperimentConfig) -> ExperimentResult:
     dumps = []
 
     if config.solver == "rays":
-        dt = config.dt if config.dt_rule == "fixed" else 1e-3
         bundle = rays.integrate_flow(problem, problem.a0.grid,
-                                     config.t_final, dt=dt)
+                                     config.t_final, dt=config.stepping_dt(eps))
         residual = rays.hamilton_jacobi_residual(bundle, problem.a0.grid)
         consistency = rays.jacobian_consistency(bundle, config.t_final)
         verdicts = [
@@ -963,7 +985,7 @@ def run_single(config: ExperimentConfig) -> ExperimentResult:
         t = config.t_final
         bundle = rays.integrate_flow(problem, problem.a0.grid, t, dt=t / 64)
         approx = wkb.build_approximant(problem, bundle, t)
-        sol = nls.solve_nls(problem, t, dt=config.resolve_dt(eps))
+        sol = nls.solve_nls(problem, t, dt=config.stepping_dt(eps))
         err = l2_linf_norm(sol.final() - approx.assemble())
         verdicts = []
         body = {"eps": eps, "t": t, "error_L2Linf": err,
@@ -976,9 +998,9 @@ def run_single(config: ExperimentConfig) -> ExperimentResult:
         return _finish("single", config, body, verdicts, rows, dumps)
 
     if config.solver == "grenier":
-        dt = config.dt if config.dt_rule == "fixed" else 2e-3
         traj = phase_amplitude.solve_phase_amplitude(
-            problem, config.t_final, dt, variant=config.variant)
+            problem, config.t_final, config.stepping_dt(eps),
+            variant=config.variant)
         drift = traj.mass_drift()
         tol = 1e-8 if config.variant != "full" else 1e-6
         verdicts = [_verdict("mass_conservation", drift <= tol,
@@ -996,7 +1018,7 @@ def run_single(config: ExperimentConfig) -> ExperimentResult:
         return _finish("single", config, body, verdicts, rows, dumps)
 
     # nls
-    sol = nls.solve_nls(problem, config.t_final, dt=config.resolve_dt(eps))
+    sol = nls.solve_nls(problem, config.t_final, dt=config.stepping_dt(eps))
     verdicts = [
         _verdict("mass_conservation", sol.mass_drift() <= 1e-10,
                  f"relative drift {sol.mass_drift():.3e} <= 1e-10"),
@@ -1027,9 +1049,7 @@ def dry_run_plan(config: ExperimentConfig) -> dict:
     config.validate()
     plan = []
     for eps in config.eps:
-        dt = (config.resolve_dt(eps) if config.kind != "converge"
-              or config.target in ("critical", "subcritical")
-              else (config.dt if config.dt_rule == "fixed" else 2e-3))
+        dt = config.stepping_dt(eps)
         entry = {"eps": eps, "dt": dt, "grid_size": config.grid_size}
         if config.kind == "instability":
             delta = eps ** config.alpha
@@ -1037,10 +1057,11 @@ def dry_run_plan(config: ExperimentConfig) -> dict:
             entry["t_eps"] = config.time_factor * eps / delta
             entry["steps"] = int(np.ceil(entry["t_eps"] / dt))
         elif config.kind == "odewindow":
-            powers = (list(config.schedule) if config.schedule
-                      else [0.6, 0.45, 0.3, 0.2])
-            entry["times"] = [eps**p for p in powers]
+            entry["times"] = [eps**p for p in config.schedule or _ODE_POWERS]
             entry["steps"] = int(np.ceil(entry["times"][-1] / dt))
+        elif config.target == "skew_free":
+            times = config.schedule or _SKEW_FREE_TIMES
+            entry["steps"] = int(np.ceil(times[-1] / dt))
         else:
             entry["steps"] = int(np.ceil(config.t_final / dt))
         plan.append(entry)

@@ -14,7 +14,7 @@ derivatives are skew-symmetric (the Nyquist mode is zeroed there).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,15 +47,8 @@ class _Field:
         object.__setattr__(self, "values", _frozen(vals))
 
     @classmethod
-    def from_function(cls, grid: PeriodicGrid, fn, role: str = ""):
-        return cls(grid, fn(*grid.nodes), role=role)
-
-    @classmethod
     def zeros(cls, grid: PeriodicGrid, role: str = ""):
         return cls(grid, np.zeros(grid.shape, dtype=cls._dtype), role=role)
-
-    def with_values(self, values: np.ndarray, role: str | None = None):
-        return replace(self, values=values, role=self.role if role is None else role)
 
     def __add__(self, other):
         return self._combine(other, lambda a, b: a + b)
@@ -90,21 +83,6 @@ class ComplexField(_Field):
 
     def abs2(self, role: str = "") -> RealField:
         return RealField(self.grid, np.abs(self.values) ** 2, role=role)
-
-    def conj(self) -> "ComplexField":
-        return ComplexField(self.grid, np.conj(self.values), role=self.role)
-
-    def real_part(self, role: str = "") -> RealField:
-        return RealField(self.grid, self.values.real, role=role)
-
-    def imag_part(self, role: str = "") -> RealField:
-        return RealField(self.grid, self.values.imag, role=role)
-
-
-def as_complex(f: _Field) -> ComplexField:
-    if isinstance(f, ComplexField):
-        return f
-    return ComplexField(f.grid, f.values.astype(np.complex128), role=f.role)
 
 
 # ---------------------------------------------------------------------------
@@ -141,21 +119,11 @@ def laplacian_values(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
     return out if np.iscomplexobj(values) else out.real
 
 
-def dealias_values(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
-    spec = np.fft.fftn(values)
-    out = np.fft.ifftn(spec * grid.dealias_mask)
-    return out if np.iscomplexobj(values) else out.real
-
-
 def spectral_derivative(f: _Field, axis: int = 0, order: int = 1):
     out = derivative_values(f.grid, f.values, axis=axis, order=order)
     if isinstance(f, RealField):
         return RealField(f.grid, out)
     return ComplexField(f.grid, out)
-
-
-def spectral_gradient(f: _Field):
-    return tuple(spectral_derivative(f, axis=a, order=1) for a in range(f.grid.dim))
 
 
 def laplacian(f: _Field):
@@ -231,26 +199,17 @@ def _axis_eval_matrix(grid: PeriodicGrid, axis: int, coords: np.ndarray) -> np.n
 def band_limited_interpolate(f: _Field, points: np.ndarray) -> np.ndarray:
     """Evaluate the band-limited interpolant at arbitrary points in the box.
 
-    `points`: shape (M,) in 1D or (M, 2) in 2D.  Points must lie inside the
-    closed box; evaluation reproduces grid samples at the nodes and is exact
-    for resolved Fourier modes.  Returns complex or real values matching the
+    `points`: shape (M,) or (M, 1).  Points must lie inside the closed box;
+    evaluation reproduces grid samples at the nodes and is exact for
+    resolved Fourier modes.  Returns complex or real values matching the
     field kind.
     """
     grid = f.grid
-    pts = np.asarray(points, dtype=float)
-    if grid.dim == 1:
-        pts = pts.reshape(-1, 1)
-    elif pts.ndim != 2 or pts.shape[1] != 2:
-        raise FieldError("2-d interpolation expects points of shape (M, 2)")
+    pts = np.asarray(points, dtype=float).reshape(-1)
     if not np.all(grid.contains(pts)):
         raise FieldError("interpolation points outside the periodic box")
     spec = np.fft.fftn(f.values) / np.prod(grid.sizes)
-    if grid.dim == 1:
-        out = _axis_eval_matrix(grid, 0, pts[:, 0]) @ spec
-    else:
-        ex = _axis_eval_matrix(grid, 0, pts[:, 0])
-        ey = _axis_eval_matrix(grid, 1, pts[:, 1])
-        out = np.einsum("mj,jk,mk->m", ex, spec, ey)
+    out = _axis_eval_matrix(grid, 0, pts) @ spec
     return out if isinstance(f, ComplexField) else out.real
 
 

@@ -1,8 +1,10 @@
-"""Uniform periodic grids on centered boxes.
+"""Uniform periodic grids on a centered line.
 
-A grid covers the box [-L_i/2, L_i/2) along each axis with N_i equispaced
-nodes, N_i a power of two.  Nodes sit at x_j = -L/2 + j*h with h = L/N, so
-the left edge is a node and the right edge wraps around.
+A grid covers [-L/2, L/2) with N equispaced nodes, N a power of two.  Nodes
+sit at x_j = -L/2 + j*h with h = L/N, so the left edge is a node and the
+right edge wraps around.  The package is one-dimensional: the constructor
+rejects any other dimension.  Lengths and sizes stay one-element tuples so
+the per-axis accessors read the same as the spectral formulas they serve.
 """
 from __future__ import annotations
 
@@ -24,10 +26,10 @@ class PeriodicGrid:
     sizes: tuple[int, ...]
 
     def __post_init__(self):
-        if not 1 <= len(self.lengths) <= 2:
-            raise GridError(f"dimension must be 1 or 2, got {len(self.lengths)}")
-        if len(self.lengths) != len(self.sizes):
-            raise GridError("lengths and sizes must have equal dimension")
+        if len(self.lengths) != 1 or len(self.sizes) != 1:
+            raise GridError(
+                f"grids are one-dimensional, got {len(self.lengths)} lengths "
+                f"and {len(self.sizes)} sizes")
         for L in self.lengths:
             if not (np.isfinite(L) and L > 0):
                 raise GridError(f"box length must be positive and finite, got {L}")
@@ -40,10 +42,6 @@ class PeriodicGrid:
     @classmethod
     def line(cls, length: float, size: int) -> "PeriodicGrid":
         return cls((length,), (size,))
-
-    @classmethod
-    def box(cls, lengths, sizes) -> "PeriodicGrid":
-        return cls(tuple(lengths), tuple(sizes))
 
     @property
     def dim(self) -> int:
@@ -72,11 +70,8 @@ class PeriodicGrid:
 
     @cached_property
     def nodes(self) -> tuple[np.ndarray, ...]:
-        """Meshgrid node coordinates, one array of shape `self.shape` per axis."""
-        axes = [self.axis_nodes(a) for a in range(self.dim)]
-        if self.dim == 1:
-            return (axes[0],)
-        return tuple(np.meshgrid(*axes, indexing="ij"))
+        """Node coordinates as a one-element tuple; callers take `nodes[0]`."""
+        return (self.axis_nodes(0),)
 
     def axis_wavenumbers(self, axis: int) -> np.ndarray:
         """Angular wavenumbers 2*pi*fftfreq in FFT ordering."""
@@ -84,48 +79,23 @@ class PeriodicGrid:
         return 2 * np.pi * np.fft.fftfreq(n, d=L / n)
 
     @cached_property
-    def wavenumber_mesh(self) -> tuple[np.ndarray, ...]:
-        axes = [self.axis_wavenumbers(a) for a in range(self.dim)]
-        if self.dim == 1:
-            return (axes[0],)
-        return tuple(np.meshgrid(*axes, indexing="ij"))
-
-    @cached_property
     def wavenumber_sq(self) -> np.ndarray:
         """|k|^2 on the FFT-ordered spectral grid."""
-        out = np.zeros(self.shape)
-        for karr in self.wavenumber_mesh:
-            out = out + karr**2
-        return out
+        return self.axis_wavenumbers(0) ** 2
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
-        """Two-thirds rule mask: keep |k_i| <= (2/3) * k_i,max per axis."""
-        mask = np.ones(self.shape, dtype=bool)
-        for a in range(self.dim):
-            k = self.axis_wavenumbers(a)
-            kmax = np.abs(k).max()
-            keep = np.abs(k) <= (2.0 / 3.0) * kmax
-            shape = [1] * self.dim
-            shape[a] = self.sizes[a]
-            mask &= keep.reshape(shape)
-        return mask
+        """Two-thirds rule mask: keep |k| <= (2/3) * k_max."""
+        k = np.abs(self.axis_wavenumbers(0))
+        return k <= (2.0 / 3.0) * k.max()
 
     def contains(self, points: np.ndarray) -> np.ndarray:
-        """True for points inside the closed box [-L/2, L/2] per axis."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        ok = np.ones(pts.shape[0], dtype=bool)
-        for a in range(self.dim):
-            half = self.lengths[a] / 2
-            ok &= (pts[:, a] >= -half) & (pts[:, a] <= half)
-        return ok
+        """True for points inside the closed box [-L/2, L/2]."""
+        pts = np.asarray(points, dtype=float).reshape(-1)
+        half = self.lengths[0] / 2
+        return (pts >= -half) & (pts <= half)
 
     def wrap(self, points: np.ndarray) -> np.ndarray:
         """Map arbitrary coordinates into the box by periodicity."""
-        pts = np.asarray(points, dtype=float)
-        out = np.array(pts, copy=True)
-        flat = out.reshape(-1, self.dim) if self.dim > 1 else out.reshape(-1, 1)
-        for a in range(self.dim):
-            L = self.lengths[a]
-            flat[:, a] = np.mod(flat[:, a] + L / 2, L) - L / 2
-        return out
+        L = self.lengths[0]
+        return np.mod(np.asarray(points, dtype=float) + L / 2, L) - L / 2

@@ -100,8 +100,6 @@ def solve_nls(problem: SemiclassicalProblem, t_final: float, dt: float | None = 
         dt = problem.eps / 50.0
     if dt <= 0:
         raise ConfigError("dt must be positive")
-    if not problem.potential.is_time_independent:
-        raise ConfigError("time-dependent potentials are not supported here")
 
     grid = problem.grid
     eps = problem.eps

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, FieldError, ResolutionError
+from .errors import ConfigError, DivergenceError, ResolutionError
 from .fields import (ComplexField, RealField, derivative_values, gradient_values,
                      laplacian_values)
 from .grids import PeriodicGrid
@@ -62,16 +62,11 @@ class GrenierState:
         return self.a.abs2(role="density")
 
     def consistency_errors(self) -> dict[str, float]:
-        """Gradient and (2-d) curl defects of the stored velocity."""
+        """Gradient defect of the stored velocity."""
         grads = gradient_values(self.grid, self.phi.values)
         grad_err = max(float(np.abs(g - vf.values).max())
                        for g, vf in zip(grads, self.v))
-        out = {"gradient": grad_err}
-        if self.grid.dim == 2:
-            curl = (derivative_values(self.grid, self.v[1].values, axis=0)
-                    - derivative_values(self.grid, self.v[0].values, axis=1))
-            out["curl"] = float(np.abs(curl).max())
-        return out
+        return {"gradient": grad_err}
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,19 +113,8 @@ class CorrectorTrajectory:
     states: tuple[CorrectorState, ...]
     dt: float
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([s.time for s in self.states])
-
     def final(self) -> CorrectorState:
         return self.states[-1]
-
-    def state_at(self, t: float) -> CorrectorState:
-        times = self.times
-        idx = int(np.argmin(np.abs(times - t)))
-        if abs(times[idx] - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError(f"t={t} not stored (nearest {times[idx]})")
-        return self.states[idx]
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,17 @@
 """External potentials and initial phases with pointwise evaluators.
 
-Ray tracing needs V, grad V and the Hessian of V at arbitrary points, not
-just on the grid, so each kind carries closed-form or interpolated
-evaluators.  Supported potential kinds:
+Ray tracing needs V, grad V and the Hessian of V at arbitrary points on
+the line, not just on the grid, so each kind carries closed-form
+evaluators.  Points are (M, 1) arrays; gradients come back as (M, 1) and
+Hessians as (M, 1, 1), the layout the ray bundle stores.  Supported
+potential kinds:
 
 * ``zero``
-* ``harmonic``: V = 1/2 sum_i omega_i^2 x_i^2 (sub-quadratic growth, the
-  only unbounded kind admitted)
-* ``bounded_periodic``: either closed-form callables or a sampled field on
-  the box, differentiated spectrally
+* ``harmonic``: V = omega^2 x^2 / 2 (sub-quadratic growth, the only
+  unbounded kind admitted)
+* ``bounded_periodic``: closed-form callables, e.g. ``cosine``
 
-Initial phase kinds mirror this: ``zero``, ``quadratic`` (phi0 =
-1/2 y^T Q y) and ``sampled``.
+Initial phase kinds are ``zero`` and ``quadratic`` (phi0 = q y^2 / 2).
 """
 from __future__ import annotations
 
@@ -20,31 +20,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FieldError
-from .fields import RealField, interpolate_periodic, spectral_derivative
+from .fields import RealField
 from .grids import PeriodicGrid
 
 POTENTIAL_KINDS = ("zero", "harmonic", "bounded_periodic")
-PHASE_KINDS = ("zero", "quadratic", "sampled")
+PHASE_KINDS = ("zero", "quadratic")
 
 
-def _as_points(points: np.ndarray, dim: int) -> np.ndarray:
+def _as_points(points: np.ndarray) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
-    if dim == 1 and pts.ndim == 1:
+    if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
-    if pts.ndim != 2 or pts.shape[1] != dim:
-        raise FieldError(f"points must have shape (M, {dim})")
+    if pts.ndim != 2 or pts.shape[1] != 1:
+        raise FieldError("points must have shape (M,) or (M, 1)")
     return pts
-
-
-def _interp_stack(fields, points):
-    return np.stack([interpolate_periodic(f, points) for f in fields], axis=-1)
 
 
 @dataclass(frozen=True)
 class PotentialSpec:
     kind: str
-    omega: tuple[float, ...] | None = None
-    samples: RealField | None = None
+    omega: float | None = None
     callables: tuple | None = None  # (value, gradient, hessian), each f(t, pts)
 
     @classmethod
@@ -52,22 +47,12 @@ class PotentialSpec:
         return cls("zero")
 
     @classmethod
-    def harmonic(cls, omega) -> "PotentialSpec":
-        om = tuple(float(w) for w in np.atleast_1d(omega))
-        return cls("harmonic", omega=om)
-
-    @classmethod
-    def from_field(cls, samples: RealField) -> "PotentialSpec":
-        return cls("bounded_periodic", samples=samples)
-
-    @classmethod
-    def bounded_periodic(cls, value, gradient, hessian) -> "PotentialSpec":
-        """Closed-form bounded potential; each callable takes (t, points)."""
-        return cls("bounded_periodic", callables=(value, gradient, hessian))
+    def harmonic(cls, omega: float) -> "PotentialSpec":
+        return cls("harmonic", omega=float(omega))
 
     @classmethod
     def cosine(cls, amplitude: float, length: float, cycles: int = 1) -> "PotentialSpec":
-        """V(x) = A cos(2 pi m x / L): the stock bounded-periodic fixture (1-d)."""
+        """V(x) = A cos(2 pi m x / L): the stock bounded-periodic fixture."""
         kv = 2 * np.pi * cycles / length
 
         def value(t, pts):
@@ -84,105 +69,55 @@ class PotentialSpec:
     def __post_init__(self):
         if self.kind not in POTENTIAL_KINDS:
             raise FieldError(f"unknown potential kind {self.kind!r}")
-        if self.kind == "harmonic" and not self.omega:
-            raise FieldError("harmonic potential needs frequencies")
-        if self.kind == "bounded_periodic" and self.samples is None and self.callables is None:
-            raise FieldError("bounded_periodic potential needs samples or callables")
+        if self.kind == "harmonic" and self.omega is None:
+            raise FieldError("harmonic potential needs a frequency")
+        if self.kind == "bounded_periodic" and self.callables is None:
+            raise FieldError("bounded_periodic potential needs callables")
 
     # -- evaluators ---------------------------------------------------------
 
-    def value(self, t: float, points: np.ndarray, dim: int | None = None) -> np.ndarray:
-        pts = _as_points(points, dim or self._dim())
+    def value(self, t: float, points: np.ndarray) -> np.ndarray:
+        pts = _as_points(points)
         if self.kind == "zero":
             return np.zeros(pts.shape[0])
         if self.kind == "harmonic":
-            om = np.asarray(self._omega_for(pts.shape[1]))
-            return 0.5 * np.sum((om * pts) ** 2, axis=1)
-        if self.callables is not None:
-            return np.asarray(self.callables[0](t, pts), dtype=float)
-        return interpolate_periodic(self.samples, pts)
+            return 0.5 * (self.omega * pts[:, 0]) ** 2
+        return np.asarray(self.callables[0](t, pts), dtype=float)
 
-    def gradient(self, t: float, points: np.ndarray, dim: int | None = None) -> np.ndarray:
-        pts = _as_points(points, dim or self._dim())
+    def gradient(self, t: float, points: np.ndarray) -> np.ndarray:
+        pts = _as_points(points)
         if self.kind == "zero":
             return np.zeros_like(pts)
         if self.kind == "harmonic":
-            om = np.asarray(self._omega_for(pts.shape[1]))
-            return om**2 * pts
-        if self.callables is not None:
-            return np.asarray(self.callables[1](t, pts), dtype=float)
-        grads = [spectral_derivative(self.samples, axis=a) for a in range(pts.shape[1])]
-        return _interp_stack(grads, pts)
+            return self.omega**2 * pts
+        return np.asarray(self.callables[1](t, pts), dtype=float)
 
-    def hessian(self, t: float, points: np.ndarray, dim: int | None = None) -> np.ndarray:
-        pts = _as_points(points, dim or self._dim())
-        d = pts.shape[1]
+    def hessian(self, t: float, points: np.ndarray) -> np.ndarray:
+        pts = _as_points(points)
         if self.kind == "zero":
-            return np.zeros((pts.shape[0], d, d))
+            return np.zeros((pts.shape[0], 1, 1))
         if self.kind == "harmonic":
-            om = np.asarray(self._omega_for(d))
-            out = np.zeros((pts.shape[0], d, d))
-            for a in range(d):
-                out[:, a, a] = om[a] ** 2
-            return out
-        if self.callables is not None:
-            return np.asarray(self.callables[2](t, pts), dtype=float)
-        out = np.empty((pts.shape[0], d, d))
-        for a in range(d):
-            for b in range(a, d):
-                if a == b:
-                    f = spectral_derivative(self.samples, axis=a, order=2)
-                else:
-                    f = spectral_derivative(spectral_derivative(self.samples, axis=a), axis=b)
-                vals = interpolate_periodic(f, pts)
-                out[:, a, b] = vals
-                out[:, b, a] = vals
-        return out
+            return np.full((pts.shape[0], 1, 1), self.omega**2)
+        return np.asarray(self.callables[2](t, pts), dtype=float)
 
     def sample_on(self, grid: PeriodicGrid, t: float = 0.0, role: str = "potential") -> RealField:
         if self.kind == "zero":
             return RealField.zeros(grid, role=role)
-        if self.kind == "bounded_periodic" and self.samples is not None:
-            if self.samples.grid == grid:
-                return self.samples
-        pts = np.stack([c.ravel() for c in grid.nodes], axis=-1)
-        vals = self.value(t, pts, dim=grid.dim).reshape(grid.shape)
-        return RealField(grid, vals, role=role)
+        return RealField(grid, self.value(t, grid.nodes[0]), role=role)
 
     def subquadratic_bound(self, grid: PeriodicGrid, t: float = 0.0) -> float:
         """Max Hessian magnitude over the box; must be finite (admissibility)."""
-        pts = np.stack([c.ravel() for c in grid.nodes], axis=-1)
-        hess = self.hessian(t, pts, dim=grid.dim)
+        hess = self.hessian(t, grid.nodes[0])
         bound = float(np.abs(hess).max()) if hess.size else 0.0
         if not np.isfinite(bound):
             raise FieldError("potential Hessian is not bounded on the box")
         return bound
 
-    def is_time_independent(self) -> bool:
-        # built-in kinds never depend on t; closed-form callables are assumed
-        # autonomous unless the caller wraps them otherwise
-        return True
-
-    def _dim(self) -> int:
-        if self.kind == "harmonic":
-            return len(self.omega)
-        if self.samples is not None:
-            return self.samples.grid.dim
-        return 1
-
-    def _omega_for(self, dim: int) -> tuple[float, ...]:
-        if len(self.omega) == dim:
-            return self.omega
-        if len(self.omega) == 1:
-            return self.omega * dim
-        raise FieldError(f"harmonic frequencies {self.omega} do not match dim {dim}")
-
 
 @dataclass(frozen=True, eq=False)
 class InitialPhaseSpec:
     kind: str
-    curvature: np.ndarray | None = None  # Q, shape (dim, dim); phi0 = y^T Q y / 2
-    samples: RealField | None = None
+    curvature: np.ndarray | None = None  # q as a (1, 1) array; phi0 = q y^2 / 2
 
     @classmethod
     def zero(cls) -> "InitialPhaseSpec":
@@ -191,87 +126,43 @@ class InitialPhaseSpec:
     @classmethod
     def quadratic(cls, curvature) -> "InitialPhaseSpec":
         q = np.atleast_2d(np.asarray(curvature, dtype=float))
-        if q.shape[0] != q.shape[1]:
-            raise FieldError("quadratic phase curvature must be square")
-        q = 0.5 * (q + q.T)
+        if q.shape != (1, 1):
+            raise FieldError("quadratic phase curvature must be a single number")
         q.setflags(write=False)
         return cls("quadratic", curvature=q)
-
-    @classmethod
-    def from_field(cls, samples: RealField) -> "InitialPhaseSpec":
-        return cls("sampled", samples=samples)
 
     def __post_init__(self):
         if self.kind not in PHASE_KINDS:
             raise FieldError(f"unknown phase kind {self.kind!r}")
         if self.kind == "quadratic" and self.curvature is None:
-            raise FieldError("quadratic phase needs a curvature matrix")
-        if self.kind == "sampled" and self.samples is None:
-            raise FieldError("sampled phase needs a field")
+            raise FieldError("quadratic phase needs a curvature")
 
-    def value(self, points: np.ndarray, dim: int | None = None) -> np.ndarray:
-        pts = _as_points(points, dim or self._dim())
+    def value(self, points: np.ndarray) -> np.ndarray:
+        pts = _as_points(points)
         if self.kind == "zero":
             return np.zeros(pts.shape[0])
-        if self.kind == "quadratic":
-            q = self._q_for(pts.shape[1])
-            return 0.5 * np.einsum("ma,ab,mb->m", pts, q, pts)
-        return interpolate_periodic(self.samples, pts)
+        return 0.5 * np.einsum("ma,ab,mb->m", pts, self.curvature, pts)
 
-    def gradient(self, points: np.ndarray, dim: int | None = None) -> np.ndarray:
-        pts = _as_points(points, dim or self._dim())
+    def gradient(self, points: np.ndarray) -> np.ndarray:
+        pts = _as_points(points)
         if self.kind == "zero":
             return np.zeros_like(pts)
-        if self.kind == "quadratic":
-            return pts @ self._q_for(pts.shape[1]).T
-        grads = [spectral_derivative(self.samples, axis=a) for a in range(pts.shape[1])]
-        return _interp_stack(grads, pts)
+        return pts @ self.curvature.T
 
-    def hessian(self, points: np.ndarray, dim: int | None = None) -> np.ndarray:
-        pts = _as_points(points, dim or self._dim())
-        d = pts.shape[1]
+    def hessian(self, points: np.ndarray) -> np.ndarray:
+        pts = _as_points(points)
         if self.kind == "zero":
-            return np.zeros((pts.shape[0], d, d))
-        if self.kind == "quadratic":
-            return np.broadcast_to(self._q_for(d), (pts.shape[0], d, d)).copy()
-        out = np.empty((pts.shape[0], d, d))
-        for a in range(d):
-            for b in range(a, d):
-                if a == b:
-                    f = spectral_derivative(self.samples, axis=a, order=2)
-                else:
-                    f = spectral_derivative(spectral_derivative(self.samples, axis=a), axis=b)
-                vals = interpolate_periodic(f, pts)
-                out[:, a, b] = vals
-                out[:, b, a] = vals
-        return out
+            return np.zeros((pts.shape[0], 1, 1))
+        return np.broadcast_to(self.curvature, (pts.shape[0], 1, 1)).copy()
 
     def sample_on(self, grid: PeriodicGrid, role: str = "initial-phase") -> RealField:
         if self.kind == "zero":
             return RealField.zeros(grid, role=role)
-        if self.kind == "sampled" and self.samples.grid == grid:
-            return self.samples
-        pts = np.stack([c.ravel() for c in grid.nodes], axis=-1)
-        return RealField(grid, self.value(pts, dim=grid.dim).reshape(grid.shape), role=role)
+        return RealField(grid, self.value(grid.nodes[0]), role=role)
 
     def is_periodic_compatible(self) -> bool:
         """True when the phase extends periodically (labels may wrap)."""
         return self.kind != "quadratic"
-
-    def _dim(self) -> int:
-        if self.kind == "quadratic":
-            return self.curvature.shape[0]
-        if self.samples is not None:
-            return self.samples.grid.dim
-        return 1
-
-    def _q_for(self, dim: int) -> np.ndarray:
-        q = self.curvature
-        if q.shape[0] == dim:
-            return q
-        if q.shape[0] == 1:
-            return np.eye(dim) * q[0, 0]
-        raise FieldError(f"curvature shape {q.shape} does not match dim {dim}")
 
 
 def potential_is_periodic_compatible(potential: PotentialSpec) -> bool:

@@ -3,14 +3,14 @@
 The equation solved throughout the package is
 
     i eps d_t u + (eps^2/2) Lap u = V u + eps^kappa |u|^2 u,
-    u(0, x) = (a0 + eps a1 + eps^2 a2)(x) exp(i phi0(x) / eps),
+    u(0, x) = (a0 + eps a1)(x) exp(i phi0(x) / eps),
 
 with kappa in {0, 1, 2} selecting the coupling regime.  Fractional kappa in
 (0, 1) is rejected: those regimes need different machinery.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,16 +23,13 @@ SUPPORTED_KAPPA = (0.0, 1.0, 2.0)
 
 
 def gaussian_field(grid: PeriodicGrid, width: float = 1.0, amplitude: float = 1.0,
-                   center=0.0, role: str = "") -> ComplexField:
-    """amplitude * exp(-sum_i ((x_i - c_i)/width)^2), the stock data profile.
+                   center: float = 0.0, role: str = "") -> ComplexField:
+    """amplitude * exp(-((x - center)/width)^2), the stock data profile.
 
     Schwartz-class, so periodization error on boxes with L >= 16*width is
     below double precision.
     """
-    centers = np.broadcast_to(np.atleast_1d(np.asarray(center, dtype=float)), (grid.dim,))
-    arg = np.zeros(grid.shape)
-    for c, coord in zip(centers, grid.nodes):
-        arg = arg + ((coord - c) / width) ** 2
+    arg = ((grid.nodes[0] - float(center)) / width) ** 2
     return ComplexField(grid, amplitude * np.exp(-arg), role=role)
 
 
@@ -42,7 +39,6 @@ class SemiclassicalProblem:
     kappa: float
     a0: ComplexField
     a1: ComplexField | None = None
-    a2: ComplexField | None = None
     potential: PotentialSpec = PotentialSpec.zero()
     phase: InitialPhaseSpec = InitialPhaseSpec.zero()
 
@@ -54,9 +50,8 @@ class SemiclassicalProblem:
                 f"kappa must be one of {SUPPORTED_KAPPA} (fractional orders in (0,1) "
                 f"are out of scope), got {self.kappa}"
             )
-        for extra in (self.a1, self.a2):
-            if extra is not None and extra.grid != self.a0.grid:
-                raise ConfigError("amplitude corrections must share the a0 grid")
+        if self.a1 is not None and self.a1.grid != self.a0.grid:
+            raise ConfigError("the amplitude correction must share the a0 grid")
         object.__setattr__(self, "eps", float(self.eps))
         object.__setattr__(self, "kappa", float(self.kappa))
 
@@ -64,16 +59,11 @@ class SemiclassicalProblem:
     def grid(self) -> PeriodicGrid:
         return self.a0.grid
 
-    def with_eps(self, eps: float) -> "SemiclassicalProblem":
-        return replace(self, eps=eps)
-
     def initial_amplitude(self) -> ComplexField:
-        """a0 + eps a1 + eps^2 a2 with whatever corrections are present."""
+        """a0 + eps a1, or a0 alone without a correction."""
         vals = self.a0.values.copy()
         if self.a1 is not None:
             vals = vals + self.eps * self.a1.values
-        if self.a2 is not None:
-            vals = vals + self.eps**2 * self.a2.values
         return ComplexField(self.grid, vals, role="initial-amplitude")
 
     def initial_phase_field(self) -> RealField:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CausticError, DivergenceError, InversionError
-from .fields import RealField
+from .fields import RealField, gradient_values, interpolate_periodic
 from .grids import PeriodicGrid
 from .potentials import map_is_affine, potential_is_periodic_compatible
 from .problem import SemiclassicalProblem
@@ -38,32 +38,20 @@ from .problem import SemiclassicalProblem
 DEFAULT_CAUSTIC_THRESHOLD = 0.1
 
 
-def _det(m: np.ndarray) -> np.ndarray:
-    """Determinant over trailing (dim, dim) axes, closed form for dim <= 2."""
-    d = m.shape[-1]
-    if d == 1:
-        return m[..., 0, 0]
-    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-
-
 @dataclass(frozen=True, eq=False)
 class RayBundle:
     markers: PeriodicGrid
-    y: np.ndarray        # (Nm, dim) labels
+    y: np.ndarray        # (Nm, 1) labels; the trailing axes have size 1
     times: np.ndarray    # (M+1,)
-    x: np.ndarray        # (M+1, Nm, dim)
-    xi: np.ndarray       # (M+1, Nm, dim)
-    mvar: np.ndarray     # (M+1, Nm, dim, dim)  grad_y x
-    xivar: np.ndarray    # (M+1, Nm, dim, dim)  grad_y xi
-    jac: np.ndarray      # (M+1, Nm)  det mvar
+    x: np.ndarray        # (M+1, Nm, 1)
+    xi: np.ndarray       # (M+1, Nm, 1)
+    mvar: np.ndarray     # (M+1, Nm, 1, 1)  grad_y x
+    xivar: np.ndarray    # (M+1, Nm, 1, 1)  grad_y xi
+    jac: np.ndarray      # (M+1, Nm)  mvar[..., 0, 0], the 1x1 determinant
     action: np.ndarray   # (M+1, Nm)
     problem: SemiclassicalProblem
     caustic_threshold: float
     t_caustic: float | None
-
-    @property
-    def dim(self) -> int:
-        return self.y.shape[1]
 
     @property
     def dt(self) -> float:
@@ -89,11 +77,11 @@ class RayBundle:
         return map_is_affine(self.problem.potential, self.problem.phase)
 
 
-def _ray_rhs(potential, t, x, xi, mv, xiv, s, dim):
+def _ray_rhs(potential, t, x, xi, mv, xiv, s):
     # s rides along: the action rate depends on (x, xi) only
-    grad = potential.gradient(t, x, dim=dim)
-    hess = potential.hessian(t, x, dim=dim)
-    val = potential.value(t, x, dim=dim)
+    grad = potential.gradient(t, x)
+    hess = potential.hessian(t, x)
+    val = potential.value(t, x)
     dx = xi
     dxi = -grad
     dmv = xiv
@@ -127,13 +115,13 @@ def integrate_ray_state(potential, x0, xi0, mv0, xiv0, s0, t0, t_final, dt):
 
     for n in range(n_steps):
         t = times[n]
-        k1 = _ray_rhs(potential, t, *state, dim)
+        k1 = _ray_rhs(potential, t, *state)
         s2 = tuple(v + 0.5 * h * k for v, k in zip(state, k1))
-        k2 = _ray_rhs(potential, t + 0.5 * h, *s2, dim)
+        k2 = _ray_rhs(potential, t + 0.5 * h, *s2)
         s3 = tuple(v + 0.5 * h * k for v, k in zip(state, k2))
-        k3 = _ray_rhs(potential, t + 0.5 * h, *s3, dim)
+        k3 = _ray_rhs(potential, t + 0.5 * h, *s3)
         s4 = tuple(v + h * k for v, k in zip(state, k3))
-        k4 = _ray_rhs(potential, t + h, *s4, dim)
+        k4 = _ray_rhs(potential, t + h, *s4)
         state = tuple(
             v + (h / 6.0) * (a + 2 * b + 2 * c + d)
             for v, a, b, c, d in zip(state, k1, k2, k3, k4)
@@ -155,20 +143,19 @@ def integrate_flow(problem: SemiclassicalProblem, markers: PeriodicGrid,
     potential, phase = problem.potential, problem.phase
     potential.subquadratic_bound(markers)  # admissibility: finite Hessian on the box
 
-    y = np.stack([c.ravel() for c in markers.nodes], axis=-1)
-    dim = markers.dim
+    y = markers.nodes[0][:, None].copy()
     nm = y.shape[0]
 
     x0 = y.copy()
-    xi0 = phase.gradient(y, dim=dim)
-    mv0 = np.broadcast_to(np.eye(dim), (nm, dim, dim)).copy()
-    xiv0 = phase.hessian(y, dim=dim)
-    s0 = phase.value(y, dim=dim)
+    xi0 = phase.gradient(y)
+    mv0 = np.ones((nm, 1, 1))
+    xiv0 = phase.hessian(y)
+    s0 = phase.value(y)
 
     times, xs, xis, mvs, xivs, ss = integrate_ray_state(
         potential, x0, xi0, mv0, xiv0, s0, 0.0, t_final, dt)
 
-    jac = _det(mvs)
+    jac = mvs[..., 0, 0]
     t_caustic = _first_crossing(times, jac.min(axis=1), caustic_threshold)
     return RayBundle(markers=markers, y=y, times=times, x=xs, xi=xis, mvar=mvs,
                      xivar=xivs, jac=jac, action=ss, problem=problem,
@@ -206,7 +193,7 @@ def _guard_caustic(bundle: RayBundle, t: float):
 
 
 # ---------------------------------------------------------------------------
-# cubic Hermite machinery on the 1-d marker line
+# cubic Hermite machinery on the marker line
 
 
 def _hermite_eval(u, h, f0, f1, d0, d1):
@@ -222,8 +209,8 @@ def _hermite_deriv(u, h, f0, f1, d0, d1):
 
 
 class _Line1D:
-    """Stored 1-d ray map at one time node, extended by one wrap cell when
-    the configuration is periodic-compatible."""
+    """Stored ray map at one time node, extended by one wrap cell when the
+    configuration is periodic-compatible."""
 
     def __init__(self, bundle: RayBundle, it: int):
         self.bundle = bundle
@@ -299,186 +286,66 @@ class RayLabels:
     """Result of inverting the ray map on an Eulerian grid."""
     grid: PeriodicGrid
     time: float
-    values: np.ndarray  # (*grid.shape, dim)
+    values: np.ndarray  # (*grid.shape, 1)
 
     def points(self) -> np.ndarray:
         return self.values.reshape(-1, self.values.shape[-1])
 
 
-def _affine_map(bundle: RayBundle, it: int):
-    """Exact affine representation x = A y + b of the stored map."""
-    a = bundle.mvar[it, 0]
-    spread = np.abs(bundle.mvar[it] - a).max()
-    if spread > 1e-9 * max(1.0, np.abs(a).max()):
-        raise InversionError("map flagged affine but variational matrix varies")
-    b = bundle.x[it, 0] - a @ bundle.y[0]
-    return a, b
-
-
 def invert_flow(bundle: RayBundle, t: float, x_grid: PeriodicGrid) -> RayLabels:
     """Labels y(t, x) on the Eulerian grid, with |x(t, y) - x| <= 1e-10.
 
-    Pre-caustic only.  In 1-d the stored map is bracketed and solved by
-    safeguarded Newton on its Hermite interpolant; labels may leave the
-    marker box only for periodic-compatible configurations (wrapped) or
-    raise otherwise.  In 2-d, affine maps are solved exactly and periodic-
-    compatible maps by Newton on the trigonometric interpolant.
+    Pre-caustic only.  The stored map is bracketed and solved by safeguarded
+    Newton on its Hermite interpolant; labels may leave the marker box only
+    for periodic-compatible configurations (wrapped) or raise otherwise.
     """
     _guard_caustic(bundle, t)
     it = bundle.time_index(t)
-    targets = np.stack([c.ravel() for c in x_grid.nodes], axis=-1)
-    if bundle.dim == 1:
-        line = _Line1D(bundle, it)
-        labels, _, _ = line.invert(targets[:, 0])
-        out = labels.reshape(*x_grid.shape, 1)
-    elif bundle.is_affine():
-        a, b = _affine_map(bundle, it)
-        labels = np.linalg.solve(a, (targets - b).T).T
-        out = labels.reshape(*x_grid.shape, 2)
-    elif bundle.is_periodic_compatible():
-        labels = _invert_periodic_2d(bundle, it, targets)
-        out = labels.reshape(*x_grid.shape, 2)
-    else:
-        raise InversionError(
-            "2-d inversion needs an affine or periodic-compatible configuration")
-    return RayLabels(grid=x_grid, time=float(bundle.times[it]), values=out)
+    labels, _, _ = _Line1D(bundle, it).invert(x_grid.nodes[0])
+    return RayLabels(grid=x_grid, time=float(bundle.times[it]),
+                     values=labels.reshape(*x_grid.shape, 1))
 
 
 def _marker_field(bundle: RayBundle, series: np.ndarray) -> RealField:
     return RealField(bundle.markers, series.reshape(bundle.markers.shape))
 
 
-def _invert_periodic_2d(bundle: RayBundle, it: int, targets: np.ndarray,
-                        max_iter: int = 60) -> np.ndarray:
-    from .fields import interpolate_periodic
-
-    disp = [_marker_field(bundle, bundle.x[it, :, a] - bundle.y[:, a]) for a in range(2)]
-    mcols = [[_marker_field(bundle, bundle.mvar[it, :, a, b]) for b in range(2)]
-             for a in range(2)]
-    y = targets.copy()
-    scale = max(1.0, float(np.abs(targets).max()))
-    for _ in range(max_iter):
-        xy = y + np.stack([interpolate_periodic(d, y) for d in disp], axis=-1)
-        res = xy - targets
-        if np.abs(res).max() <= 1e-12 * scale:
-            break
-        jac = np.empty((y.shape[0], 2, 2))
-        for a in range(2):
-            for b in range(2):
-                jac[:, a, b] = interpolate_periodic(mcols[a][b], y)
-        y = y - np.linalg.solve(jac, res[:, :, None])[:, :, 0]
-    worst = float(np.abs(res).max())
-    if worst > 1e-10 * scale:
-        raise InversionError(
-            f"2-d Newton inversion stalled (worst residual {worst:.3e})",
-            worst_residual=worst)
-    return y
-
-
-def _action_at_labels(bundle: RayBundle, it: int, x_grid: PeriodicGrid) -> np.ndarray:
-    targets = np.stack([c.ravel() for c in x_grid.nodes], axis=-1)
-    if bundle.dim == 1:
-        line = _Line1D(bundle, it)
-        labels, cells, u = line.invert(targets[:, 0])
-        # grad_y S = xi . M along the marker line
-        slope = bundle.xi[it, :, 0] * bundle.mvar[it, :, 0, 0]
-        svals = line.eval_series(bundle.action[it], slope, cells, u)
-        return svals.reshape(x_grid.shape)
-    if bundle.is_affine():
-        a, b = _affine_map(bundle, it)
-        labels = np.linalg.solve(a, (targets - b).T).T
-        coeffs = _fit_quadratic(bundle.y, bundle.action[it])
-        return _eval_quadratic(coeffs, labels).reshape(x_grid.shape)
-    from .fields import interpolate_periodic
-    labels = _invert_periodic_2d(bundle, it, targets)
-    sf = _marker_field(bundle, bundle.action[it])
-    return interpolate_periodic(sf, labels).reshape(x_grid.shape)
-
-
-def _fit_quadratic(y: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Exact quadratic polynomial through (y, values); affine flows only."""
-    cols = [np.ones(y.shape[0]), y[:, 0], y[:, 1],
-            y[:, 0] ** 2, y[:, 0] * y[:, 1], y[:, 1] ** 2]
-    basis = np.stack(cols, axis=-1)
-    coeffs, *_ = np.linalg.lstsq(basis, values, rcond=None)
-    if np.abs(basis @ coeffs - values).max() > 1e-8 * max(1.0, np.abs(values).max()):
-        raise InversionError("action is not quadratic on an affine flow")
-    return coeffs
-
-
-def _eval_quadratic(coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    return (coeffs[0] + coeffs[1] * pts[:, 0] + coeffs[2] * pts[:, 1]
-            + coeffs[3] * pts[:, 0] ** 2 + coeffs[4] * pts[:, 0] * pts[:, 1]
-            + coeffs[5] * pts[:, 1] ** 2)
-
-
 def eikonal_phase(bundle: RayBundle, t: float, x_grid: PeriodicGrid) -> RealField:
     """Eulerian phase phi(t, x) = S(t, y(t, x)), pre-caustic."""
     _guard_caustic(bundle, t)
     it = bundle.time_index(t)
-    vals = _action_at_labels(bundle, it, x_grid)
-    return RealField(x_grid, vals, role="eikonal-phase")
+    line = _Line1D(bundle, it)
+    _, cells, u = line.invert(x_grid.nodes[0])
+    # grad_y S = xi . M along the marker line
+    slope = bundle.xi[it, :, 0] * bundle.mvar[it, :, 0, 0]
+    svals = line.eval_series(bundle.action[it], slope, cells, u)
+    return RealField(x_grid, svals.reshape(x_grid.shape), role="eikonal-phase")
 
 
 def momentum_field(bundle: RayBundle, t: float, x_grid: PeriodicGrid) -> np.ndarray:
     """Transported momentum xi(t, y(t, x)): the Eulerian phase gradient.
 
-    Returns an array of shape (*x_grid.shape, dim).
+    Returns an array of shape (*x_grid.shape, 1).
     """
     _guard_caustic(bundle, t)
     it = bundle.time_index(t)
-    targets = np.stack([c.ravel() for c in x_grid.nodes], axis=-1)
-    if bundle.dim == 1:
-        line = _Line1D(bundle, it)
-        labels, cells, u = line.invert(targets[:, 0])
-        vals = line.eval_series(bundle.xi[it, :, 0], bundle.xivar[it, :, 0, 0], cells, u)
-        return vals.reshape(*x_grid.shape, 1)
-    from .fields import interpolate_periodic
-    out = np.empty((targets.shape[0], 2))
-    if bundle.is_affine():
-        a, b = _affine_map(bundle, it)
-        labels = np.linalg.solve(a, (targets - b).T).T
-        for axis in range(2):
-            coeffs = _fit_linear(bundle.y, bundle.xi[it, :, axis])
-            out[:, axis] = _eval_quadratic(coeffs, labels)
-    else:
-        labels = _invert_periodic_2d(bundle, it, targets)
-        for axis in range(2):
-            xf = _marker_field(bundle, bundle.xi[it, :, axis])
-            out[:, axis] = interpolate_periodic(xf, labels)
-    return out.reshape(*x_grid.shape, 2)
-
-
-def _fit_linear(y: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Affine fit returned in the quadratic-coefficient layout."""
-    cols = [np.ones(y.shape[0]), y[:, 0], y[:, 1]]
-    basis = np.stack(cols, axis=-1)
-    coeffs, *_ = np.linalg.lstsq(basis, values, rcond=None)
-    if np.abs(basis @ coeffs - values).max() > 1e-8 * max(1.0, np.abs(values).max()):
-        raise InversionError("momentum is not affine on an affine flow")
-    return np.concatenate([coeffs, np.zeros(3)])
+    line = _Line1D(bundle, it)
+    _, cells, u = line.invert(x_grid.nodes[0])
+    vals = line.eval_series(bundle.xi[it, :, 0], bundle.xivar[it, :, 0, 0], cells, u)
+    return vals.reshape(*x_grid.shape, 1)
 
 
 def jacobian_at_labels(bundle: RayBundle, t: float, x_grid: PeriodicGrid) -> np.ndarray:
     """J(t, y(t, x)) on the Eulerian grid."""
     _guard_caustic(bundle, t)
     it = bundle.time_index(t)
-    targets = np.stack([c.ravel() for c in x_grid.nodes], axis=-1)
-    if bundle.dim == 1:
-        line = _Line1D(bundle, it)
-        labels, _, _ = line.invert(targets[:, 0])
-        jvals = _interp_marker_series_1d(bundle, bundle.jac[it], labels)
-        return jvals.reshape(x_grid.shape)
-    if bundle.is_affine():
-        return np.full(x_grid.shape, float(bundle.jac[it, 0]))
-    from .fields import interpolate_periodic
-    labels = _invert_periodic_2d(bundle, it, targets)
-    jf = _marker_field(bundle, bundle.jac[it])
-    return interpolate_periodic(jf, labels).reshape(x_grid.shape)
+    labels, _, _ = _Line1D(bundle, it).invert(x_grid.nodes[0])
+    jvals = _interp_marker_series_1d(bundle, bundle.jac[it], labels)
+    return jvals.reshape(x_grid.shape)
 
 
 def _interp_marker_series_1d(bundle, series, labels) -> np.ndarray:
-    """Per-marker scalar series evaluated at off-marker labels (1-d).
+    """Per-marker scalar series evaluated at off-marker labels.
 
     Affine maps have label-independent series (returned as constant);
     periodic-compatible maps interpolate trigonometrically; the remaining
@@ -490,7 +357,6 @@ def _interp_marker_series_1d(bundle, series, labels) -> np.ndarray:
             raise InversionError("series expected constant on an affine flow")
         return np.full(labels.shape, float(series[0]))
     if bundle.is_periodic_compatible():
-        from .fields import interpolate_periodic
         return interpolate_periodic(_marker_field(bundle, series), labels)
     from scipy.interpolate import CubicSpline
     spline = CubicSpline(bundle.y[:, 0], series)
@@ -502,29 +368,19 @@ def _interp_marker_series_1d(bundle, series, labels) -> np.ndarray:
 
 
 def jacobian_consistency(bundle: RayBundle, t: float) -> float:
-    """Max relative gap between det(grad_y x) and finite differences of x.
+    """Max relative gap between J = d_y x and finite differences of x.
 
     Periodic-compatible displacements difference with wraparound; otherwise
     edges use one-sided second-order stencils.
     """
     it = bundle.time_index(t)
-    shape = bundle.markers.shape
-    dim = bundle.dim
-    fd = np.empty((np.prod(shape), dim, dim))
-    for a in range(dim):
-        xa = bundle.x[it, :, a].reshape(shape)
-        for b in range(dim):
-            h = bundle.markers.spacings[b]
-            if bundle.is_periodic_compatible():
-                ident = bundle.y[:, a].reshape(shape) if a == b else 0.0
-                d = xa - ident  # difference the periodic displacement
-                der = (np.roll(d, -1, axis=b) - np.roll(d, 1, axis=b)) / (2 * h)
-                if a == b:
-                    der = der + 1.0
-            else:
-                der = np.gradient(xa, h, axis=b, edge_order=2)
-            fd[:, a, b] = der.ravel()
-    jac_fd = _det(fd)
+    h = bundle.markers.spacings[0]
+    x = bundle.x[it, :, 0]
+    if bundle.is_periodic_compatible():
+        d = x - bundle.y[:, 0]  # difference the periodic displacement
+        jac_fd = (np.roll(d, -1) - np.roll(d, 1)) / (2 * h) + 1.0
+    else:
+        jac_fd = np.gradient(x, h, edge_order=2)
     ref = np.abs(bundle.jac[it]).max()
     return float(np.abs(jac_fd - bundle.jac[it]).max() / max(ref, 1e-30))
 
@@ -562,7 +418,6 @@ def hamilton_jacobi_residual(bundle: RayBundle, x_grid: PeriodicGrid,
             cache[i] = eikonal_phase(bundle, float(bundle.times[i]), x_grid).values
         return cache[i]
 
-    pts = np.stack([c.ravel() for c in x_grid.nodes], axis=-1)
     worst = 0.0
     for i in idx:
         dphi_dt = (-phi(i + 2) + 8 * phi(i + 1) - 8 * phi(i - 1) + phi(i - 2)) / (12 * h)
@@ -570,11 +425,9 @@ def hamilton_jacobi_residual(bundle: RayBundle, x_grid: PeriodicGrid,
             mom = momentum_field(bundle, float(bundle.times[i]), x_grid)
             grad_sq = np.sum(mom**2, axis=-1)
         else:
-            from .fields import gradient_values
             grads = gradient_values(x_grid, phi(i))
             grad_sq = sum(g**2 for g in grads)
-        vvals = bundle.problem.potential.value(
-            float(bundle.times[i]), pts, dim=x_grid.dim).reshape(x_grid.shape)
+        vvals = bundle.problem.potential.value(float(bundle.times[i]), x_grid.nodes[0])
         res = np.abs(dphi_dt + 0.5 * grad_sq + vvals).max()
         worst = max(worst, float(res))
     return worst

@@ -102,17 +102,6 @@ def phase_sum(coeffs: TaylorCoefficients, t: float, order: int | None = None) ->
     return RealField(coeffs.grid, total, role="taylor-phase")
 
 
-def amplitude_sum(coeffs: TaylorCoefficients, t: float, order: int | None = None) -> ComplexField:
-    """a0 + sum_{j<=order} t^(2j) A_j."""
-    k = coeffs.order if order is None else order
-    if not 1 <= k <= coeffs.order:
-        raise FieldError(f"order {k} outside computed range [1, {coeffs.order}]")
-    total = coeffs.a0.values.copy()
-    for j in range(1, k + 1):
-        total = total + t ** (2 * j) * coeffs.amplitudes[j - 1].values
-    return ComplexField(coeffs.grid, total, role="taylor-amplitude")
-
-
 def assemble_uK(coeffs: TaylorCoefficients, eps: float, t: float,
                 order: int | None = None) -> ComplexField:
     """u_K = a0 exp(i sum_{j<=K} t^(2j-1) Phi_j / eps)."""

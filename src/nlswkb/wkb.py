@@ -84,38 +84,11 @@ def self_modulation_phase(bundle: RayBundle, a0: ComplexField, t: float,
     weights = _simpson_weights(it)
     integral = bundle.dt * np.tensordot(weights, 1.0 / jslab, axes=(0, 0))
 
-    if bundle.dim == 1:
-        line = _Line1D(bundle, it)
-        targets = x_grid.nodes[0]
-        labels, _, _ = line.invert(targets)
-        ivals = _interp_marker_series_1d(bundle, integral, labels)
-        labels_pts = labels
-    else:
-        lab = invert_flow(bundle, t, x_grid)
-        labels_pts = lab.points()
-        from .rays import _marker_field
-        if bundle.is_affine():
-            spread = np.abs(integral - integral[0]).max()
-            if spread > 1e-8 * max(1.0, abs(integral[0])):
-                raise FieldError("modulation integral expected label-free on affine flow")
-            ivals = np.full(labels_pts.shape[0], integral[0])
-        else:
-            ivals = interpolate_periodic(_marker_field(bundle, integral), labels_pts)
-    amag = np.abs(interpolate_periodic(a0, labels_pts)) ** 2
+    labels, _, _ = _Line1D(bundle, it).invert(x_grid.nodes[0])
+    ivals = _interp_marker_series_1d(bundle, integral, labels)
+    amag = np.abs(interpolate_periodic(a0, labels)) ** 2
     g = -(amag * ivals).reshape(x_grid.shape)
     return RealField(x_grid, g, role="self-modulation")
-
-
-def assemble_regime(a: ComplexField, g: RealField, phi_eik: RealField,
-                    eps: float, kappa: float) -> ComplexField:
-    """u = a exp(i eps^(kappa-1) G) exp(i phi/eps) for kappa in {1, 2}."""
-    if kappa not in (1, 1.0, 2, 2.0):
-        raise FieldError("assemble_regime covers kappa in {1, 2}; the strongly "
-                         "coupled regime goes through the phase-amplitude solver")
-    if not (a.grid == g.grid == phi_eik.grid):
-        raise FieldError("component fields must share one grid")
-    phase = eps ** (kappa - 1) * g.values + phi_eik.values / eps
-    return ComplexField(a.grid, a.values * np.exp(1j * phase), role="wkb-state")
 
 
 def extract_amplitude(u: ComplexField, phi_eik: RealField, eps: float) -> ComplexField:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nlswkb import nls, phase_amplitude, rays
 from nlswkb.cli import main
 from nlswkb.errors import ConfigError
 from nlswkb.experiments import (apply_overrides, config_from_dict,
@@ -183,7 +184,56 @@ class TestOverrides:
             apply_overrides({}, ["no-equals-sign"])
 
 
+class _SolverReached(Exception):
+    """Raised by a patched solver entry point to stop the driver."""
+
+    def __init__(self, eps, dt):
+        super().__init__(f"solver reached at eps={eps} with dt={dt}")
+        self.eps, self.dt = eps, dt
+
+
+def _solver_entry(cfg):
+    """(module, function name, position of dt) of the driver's time stepper."""
+    if (cfg.kind, cfg.solver) == ("single", "rays"):
+        return rays, "integrate_flow", 3
+    if ((cfg.kind, cfg.solver) == ("single", "grenier")
+            or cfg.target in ("supercritical_leading",
+                              "supercritical_corrector", "skew_free")):
+        return phase_amplitude, "solve_phase_amplitude", 2
+    return nls, "solve_nls", 2
+
+
+def _shipped_raw(name, overrides=()):
+    with open(CONFIG_DIR / name, encoding="utf-8") as fh:
+        return apply_overrides(json.load(fh), list(overrides))
+
+
 class TestDryRunPlan:
+    @pytest.mark.parametrize("name, overrides", [
+        *[(p.name, ()) for p in sorted(CONFIG_DIR.glob("*.json"))],
+        ("skewfree.json", ("time.rule=eps_over",)),
+        ("grenier.json", ("time.rule=eps_over",)),
+    ])
+    def test_planned_dt_is_the_dt_the_driver_runs(self, name, overrides,
+                                                   monkeypatch):
+        cfg = config_from_dict(_shipped_raw(name, overrides))
+        planned = {e["eps"]: e["dt"] for e in dry_run_plan(cfg)["plan"]}
+        module, fn, pos = _solver_entry(cfg)
+
+        def stop(problem, *args, **kwargs):
+            dt = kwargs["dt"] if "dt" in kwargs else args[pos - 1]
+            raise _SolverReached(problem.eps, dt)
+
+        monkeypatch.setattr(module, fn, stop)
+        with pytest.raises(_SolverReached) as caught:
+            run_experiment(cfg)
+        assert caught.value.dt == planned[caught.value.eps]
+
+    def test_skew_free_steps_run_to_the_last_schedule_time(self):
+        raw = _shipped_raw("skewfree.json", ("time.schedule=[0.05, 0.1]",))
+        entry = dry_run_plan(config_from_dict(raw))["plan"][0]
+        assert entry["steps"] == round(0.1 / entry["dt"])
+
     def test_single_plan_counts_steps(self):
         plan = dry_run_plan(config_from_dict(cheap_nls_raw()))
         assert plan["kind"] == "single"
@@ -271,6 +321,15 @@ class TestCli:
         plan = json.loads(capsys.readouterr().out)
         assert plan["plan"][0]["steps"] == 50
         assert not (tmp_path / "runs").exists()
+
+    def test_runtime_error_exit_names_the_failure_time(self, tmp_path, capsys):
+        # 64 nodes cannot hold the eps = 0.01 oscillation of configs/nls.json
+        code = main(["nls", "--config", str(CONFIG_DIR / "nls.json"),
+                     "--set", "grid.size=64", "--output", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "ResolutionError at t=0.2:" in err
+        assert not (tmp_path / "out").exists()
 
     def test_set_override_reaches_the_plan(self, tmp_path, capsys):
         code = main(["nls", "--config", self.write(tmp_path, cheap_nls_raw()),

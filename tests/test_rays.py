@@ -186,3 +186,25 @@ class TestInversionGuards:
         bundle = rays.integrate_flow(problem, markers, 0.6, dt=1e-3)
         with pytest.raises(InversionError):
             rays.eikonal_phase(bundle, 0.5, eval_grid)
+
+
+class TestMarkerSeriesInterpolation:
+    """Off-marker evaluation on non-affine flows: the cosine potential makes
+    the map periodic-compatible (trigonometric branch) unless a quadratic
+    phase breaks periodicity (cubic-spline branch)."""
+
+    @pytest.mark.parametrize("phase, periodic", [
+        (InitialPhaseSpec.zero(), True),
+        (InitialPhaseSpec.quadratic(0.2), False),
+    ], ids=["trigonometric", "spline"])
+    def test_reproduces_series_at_marker_labels(self, phase, periodic):
+        problem, markers = make_problem(PotentialSpec.cosine(0.5, 32.0, 1),
+                                        phase, 32.0, 256)
+        bundle = rays.integrate_flow(problem, markers, 0.3, dt=1e-3)
+        assert not bundle.is_affine()
+        assert bundle.is_periodic_compatible() is periodic
+        it = bundle.time_index(0.3)
+        for series in (bundle.jac[it], bundle.action[it]):
+            assert np.ptp(series) > 1e-3  # a constant series would prove nothing
+            got = rays._interp_marker_series_1d(bundle, series, bundle.y[:, 0])
+            assert np.max(np.abs(got - series)) <= 1e-12 * max(1.0, np.abs(series).max())

@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 from nlswkb.errors import FieldError, GridError
 from nlswkb.fields import (ComplexField, RealField, band_limited_interpolate,
                            interpolate_periodic, l2_linf_norm, laplacian,
-                           lp_norm, sobolev_norm, spectral_derivative,
-                           spectral_gradient)
+                           lp_norm, sobolev_norm, spectral_derivative)
 from nlswkb.grids import PeriodicGrid
 
 
@@ -37,14 +36,6 @@ class TestDerivativeOracles:
         lap = laplacian(f)
         d2 = spectral_derivative(f, axis=0, order=2)
         assert np.max(np.abs(lap.values - d2.values)) <= 1e-12
-
-    def test_gradient_of_product_of_gaussians_2d(self):
-        grid = PeriodicGrid.box((32.0, 32.0), (128, 128))
-        xx, yy = grid.nodes
-        f = RealField(grid, np.exp(-xx ** 2 - yy ** 2))
-        gx, gy = spectral_gradient(f)
-        assert np.max(np.abs(gx.values + 2 * xx * f.values)) <= 1e-8
-        assert np.max(np.abs(gy.values + 2 * yy * f.values)) <= 1e-8
 
 
 class TestNormOracles:
@@ -98,6 +89,10 @@ class TestGridValidation:
     def test_length_must_be_positive(self):
         with pytest.raises(GridError):
             PeriodicGrid.line(-1.0, 64)
+
+    def test_two_dimensional_grid_rejected(self):
+        with pytest.raises(GridError):
+            PeriodicGrid((32.0, 32.0), (64, 64))
 
     def test_field_shape_must_match_grid(self):
         grid = PeriodicGrid.line(32.0, 64)

@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 
 from nlswkb.errors import FieldError
-from nlswkb.fields import ComplexField, RealField
 from nlswkb.grids import PeriodicGrid
 from nlswkb.potentials import InitialPhaseSpec, PotentialSpec
 from nlswkb.problem import SemiclassicalProblem, gaussian_field
@@ -131,11 +130,14 @@ class TestAssembly:
         slow = approx.amplitude.values * np.exp(1j * approx.slow_phase.values)
         assert np.max(np.abs(back.values - slow)) <= 1e-12
 
-    def test_strong_coupling_rejected(self, eval_grid):
-        a = ComplexField.zeros(eval_grid)
-        g = RealField.zeros(eval_grid)
+    def test_build_approximant_rejects_strong_coupling(self, flat_case):
+        # kappa = 0 goes through the phase-amplitude solver, not the rays
+        problem, bundle = flat_case
+        strong = SemiclassicalProblem(eps=problem.eps, kappa=0.0, a0=problem.a0,
+                                      potential=problem.potential,
+                                      phase=problem.phase)
         with pytest.raises(FieldError):
-            wkb.assemble_regime(a, g, g, eps=0.1, kappa=0.0)
+            wkb.build_approximant(strong, bundle, 0.3)
 
 
 class TestSeparationProfile:
