@@ -87,10 +87,13 @@ def main(argv=None) -> int:
     try:
         result = run_experiment(config)
     except NlswkbError as exc:
-        # solver failures carry the simulation time they stopped at
+        # solver failures carry the simulation time they stopped at and the
+        # eps of the solve
         when = getattr(exc, "time", None)
+        eps = getattr(exc, "eps", None)
         at = f" at t={when:g}" if when is not None else ""
-        print(f"error: {type(exc).__name__}{at}: {exc}", file=sys.stderr)
+        which = f" eps={eps:g}:" if eps is not None else ""
+        print(f"error: {type(exc).__name__}{at}:{which} {exc}", file=sys.stderr)
         return 2
 
     out_dir = args.output or config.output_dir or f"runs/{args.command}"

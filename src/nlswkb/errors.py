@@ -25,20 +25,23 @@ class InversionError(NlswkbError):
         self.worst_residual = worst_residual
 
 
-class ResolutionError(NlswkbError):
+class _SolverError(NlswkbError):
+    """A time integration stopped: carries the simulation time it reached
+    and the eps of the solve."""
+
+    def __init__(self, message: str, time: float | None = None,
+                 eps: float | None = None):
+        super().__init__(message)
+        self.time = time
+        self.eps = eps
+
+
+class ResolutionError(_SolverError):
     """Spectral tail grew beyond the trusted fraction of the band."""
 
-    def __init__(self, message: str, time: float | None = None):
-        super().__init__(message)
-        self.time = time
 
-
-class DivergenceError(NlswkbError):
+class DivergenceError(_SolverError):
     """Non-finite values appeared during time integration."""
-
-    def __init__(self, message: str, time: float | None = None):
-        super().__init__(message)
-        self.time = time
 
 
 class ConfigError(NlswkbError):

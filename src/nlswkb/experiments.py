@@ -5,11 +5,11 @@ Every driver consumes an ExperimentConfig (usually parsed from JSON),
 returns an ExperimentResult holding a JSON-ready report, plot-ready CSV
 rows, and optional field dumps, and never touches the filesystem itself;
 artifact writing lives in the reporting module so a failed run leaves no
-partial output behind.
+partial output behind.  Sweeps run their eps values serially, in config
+order.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -26,7 +26,6 @@ KINDS = ("converge", "instability", "normgrowth", "odewindow", "single")
 CONVERGE_TARGETS = ("supercritical_leading", "supercritical_corrector",
                     "critical", "subcritical", "skew_free")
 SINGLE_SOLVERS = ("rays", "wkb", "grenier", "nls")
-_MAX_WORKERS = 4
 # drivers whose solver steps at a fixed dt: the default when time.rule is not
 # "fixed", keyed by (kind, solver) for single runs and (kind, target) else
 _FIXED_STEP_DEFAULTS = {
@@ -38,6 +37,7 @@ _FIXED_STEP_DEFAULTS = {
 }
 _SKEW_FREE_TIMES = (0.05, 0.1, 0.2, 0.3)
 _ODE_POWERS = (0.6, 0.45, 0.3, 0.2)
+_INSTABILITY_OUTPUTS = 8
 
 
 # ---------------------------------------------------------------------------
@@ -455,15 +455,6 @@ def _finish(kind: str, config: ExperimentConfig, body: dict,
     return ExperimentResult(report=report, csv_rows=rows, field_dumps=dumps)
 
 
-def _map_eps(fn, eps_list):
-    """Fan per-eps work out to a small thread pool; results come back in
-    input order so downstream fits and reports stay deterministic."""
-    if len(eps_list) == 1:
-        return [fn(eps_list[0])]
-    with ThreadPoolExecutor(max_workers=min(_MAX_WORKERS, len(eps_list))) as pool:
-        return list(pool.map(fn, eps_list))
-
-
 def flow_exponents(n: int, s: float, k: float) -> dict:
     """Growth exponent of compensated Sobolev norms under the oscillatory
     rescaling: e(n, s, k) = s - k - k(n/2 - 1 - s), computed in the factored
@@ -554,7 +545,7 @@ def _run_supercritical_convergence(config: ExperimentConfig) -> ExperimentResult
                                 "phi": sobolev_norm(dphi, s)}
         return row
 
-    rows = _map_eps(one, list(config.eps))
+    rows = [one(eps) for eps in config.eps]
     resolved = [r for r in rows if r["resolved"]]
     eps_used = [r["eps"] for r in resolved]
 
@@ -630,7 +621,7 @@ def _run_skew_free_convergence(config: ExperimentConfig) -> ExperimentResult:
             row["errors"][tt] = {s: sobolev_norm(gap, s) for s in orders}
         return row
 
-    rows = _map_eps(one, list(config.eps))
+    rows = [one(eps) for eps in config.eps]
     eps_used = [r["eps"] for r in rows]
     t_ref = times[-1]
 
@@ -687,7 +678,7 @@ def _run_profile_convergence(config: ExperimentConfig) -> ExperimentResult:
             row["modulation_size"] = l2_linf_norm(shift)
         return row
 
-    rows = _map_eps(one, list(config.eps))
+    rows = [one(eps) for eps in config.eps]
     resolved = [r for r in rows if r["resolved"]]
     errors = [r["error"] for r in resolved]
     a0_field = config.a0.build(config.grid(), role="initial-amplitude")
@@ -724,12 +715,18 @@ def _run_profile_convergence(config: ExperimentConfig) -> ExperimentResult:
 # instability driver
 
 
+def _instability_outputs(t_eps: float) -> list[float]:
+    """Output times of both instability solves: _INSTABILITY_OUTPUTS equal
+    segments ending at t_eps."""
+    n = _INSTABILITY_OUTPUTS
+    return [t_eps * (j + 1) / n for j in range(n)]
+
+
 def run_instability(config: ExperimentConfig) -> ExperimentResult:
     config.validate()
     if config.kind != "instability":
         raise ConfigError("config kind must be instability")
     c = config.time_factor
-    n_outputs = 8
 
     def one(eps):
         delta = eps ** config.alpha
@@ -751,7 +748,7 @@ def run_instability(config: ExperimentConfig) -> ExperimentResult:
             a_tilde = ComplexField(grid, tilde_vals, role="perturbed-amplitude")
             base = SemiclassicalProblem(eps=eps, kappa=0.0, a0=a0)
             pert = SemiclassicalProblem(eps=eps, kappa=0.0, a0=a_tilde)
-            outputs = [t_eps * (j + 1) / n_outputs for j in range(n_outputs)]
+            outputs = _instability_outputs(t_eps)
             dt = config.stepping_dt(eps)
             try:
                 sol_u = nls.solve_nls(base, t_eps, dt=dt, output_times=outputs)
@@ -761,7 +758,7 @@ def run_instability(config: ExperimentConfig) -> ExperimentResult:
                 if attempt > config.max_resolution_doublings:
                     raise ResolutionError(
                         f"instability run at eps={eps} still under-resolved "
-                        f"at N={size}: {exc}") from exc
+                        f"at N={size}: {exc}", time=exc.time, eps=eps) from exc
                 size *= 2
                 continue
             break
@@ -777,7 +774,7 @@ def run_instability(config: ExperimentConfig) -> ExperimentResult:
         ratios = {s: sup_sep / distances[s] for s in distances}
 
         # analytic prediction, compared where the phase argument is O(1)
-        cal_idx = max(0, int(round(n_outputs / (2 * c))) - 1)
+        cal_idx = max(0, int(round(_INSTABILITY_OUTPUTS / (2 * c))) - 1)
         t_cal = outputs[cal_idx]
         pred = wkb.separation_profile(a0, a_tilde, delta, eps, t_cal)
         pred_norm = lp_norm(pred, 2)
@@ -793,7 +790,7 @@ def run_instability(config: ExperimentConfig) -> ExperimentResult:
                 "prediction_norm": pred_norm, "prediction_agreement": agreement,
                 "mass_drift": max(sol_u.mass_drift(), sol_v.mass_drift())}
 
-    rows = _map_eps(one, list(config.eps))
+    rows = [one(eps) for eps in config.eps]
     eps_list = [r["eps"] for r in rows]
     finals = [r["separation_final"] for r in rows]
     verdicts = []
@@ -869,7 +866,7 @@ def run_norm_growth(config: ExperimentConfig) -> ExperimentResult:
                 "compensated": {m: eps**m * norms[m] for m in norms},
                 "mass": lp_norm(state, 2), "mass_drift": sol.mass_drift()}
 
-    rows = _map_eps(one, list(config.eps))
+    rows = [one(eps) for eps in config.eps]
     verdicts = []
     spreads = {}
     for m in config.m_orders:
@@ -927,7 +924,7 @@ def run_ode_window(config: ExperimentConfig) -> ExperimentResult:
         return {"eps": eps, "times": times, "errors": errors,
                 "mass_drift": sol.mass_drift()}
 
-    rows = _map_eps(one, list(config.eps))
+    rows = [one(eps) for eps in config.eps]
     verdicts = []
     for r in rows:
         first_three = r["errors"][:3]
@@ -1055,10 +1052,11 @@ def dry_run_plan(config: ExperimentConfig) -> dict:
             delta = eps ** config.alpha
             entry["delta"] = delta
             entry["t_eps"] = config.time_factor * eps / delta
-            entry["steps"] = int(np.ceil(entry["t_eps"] / dt))
+            outputs = _instability_outputs(entry["t_eps"])
+            entry["steps"] = sum(nls.segment_steps(outputs, dt))
         elif config.kind == "odewindow":
             entry["times"] = [eps**p for p in config.schedule or _ODE_POWERS]
-            entry["steps"] = int(np.ceil(entry["times"][-1] / dt))
+            entry["steps"] = sum(nls.segment_steps(entry["times"], dt))
         elif config.target == "skew_free":
             times = config.schedule or _SKEW_FREE_TIMES
             entry["steps"] = int(np.ceil(times[-1] / dt))

@@ -96,27 +96,36 @@ def derivative_values(grid: PeriodicGrid, values: np.ndarray, axis: int = 0,
         raise FieldError(f"axis {axis} out of range for dim {grid.dim}")
     if order < 1:
         raise FieldError(f"derivative order must be >= 1, got {order}")
-    k = grid.axis_wavenumbers(axis)
-    mult = (1j * k) ** order
-    if order % 2 == 1:
-        # even-sized axes carry an unpaired Nyquist mode; its odd derivative
-        # has no consistent sign, so it is dropped
-        mult[grid.sizes[axis] // 2] = 0.0
-    shape = [1] * grid.dim
-    shape[axis] = grid.sizes[axis]
-    spec = np.fft.fft(values, axis=axis)
-    out = np.fft.ifft(spec * mult.reshape(shape), axis=axis)
+    if order == 1:
+        mult = grid.ik
+    else:
+        mult = (1j * grid.axis_wavenumbers(axis)) ** order
+        if order % 2 == 1:
+            # even-sized axes carry an unpaired Nyquist mode; its odd
+            # derivative has no consistent sign, so it is dropped
+            mult[grid.sizes[axis] // 2] = 0.0
+    out = np.fft.ifft(np.fft.fft(values) * mult)
     return out if np.iscomplexobj(values) else out.real
 
 
 def gradient_values(grid: PeriodicGrid, values: np.ndarray) -> list[np.ndarray]:
-    return [derivative_values(grid, values, axis=a, order=1) for a in range(grid.dim)]
+    return [derivative_values(grid, values, order=1)]
 
 
 def laplacian_values(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
-    spec = np.fft.fftn(values)
-    out = np.fft.ifftn(-grid.wavenumber_sq * spec)
+    out = np.fft.ifft(-grid.wavenumber_sq * np.fft.fft(values))
     return out if np.iscomplexobj(values) else out.real
+
+
+def gradient_and_laplacian_values(grid: PeriodicGrid, values: np.ndarray
+                                  ) -> tuple[list[np.ndarray], np.ndarray]:
+    """gradient_values and laplacian_values from one forward transform."""
+    spec = np.fft.fft(values)
+    grad = np.fft.ifft(spec * grid.ik)
+    lap = np.fft.ifft(-grid.wavenumber_sq * spec)
+    if not np.iscomplexobj(values):
+        grad, lap = grad.real, lap.real
+    return [grad], lap
 
 
 def spectral_derivative(f: _Field, axis: int = 0, order: int = 1):
@@ -185,17 +194,6 @@ def l2_linf_norm(f: _Field) -> float:
 # trigonometric interpolation
 
 
-def _axis_eval_matrix(grid: PeriodicGrid, axis: int, coords: np.ndarray) -> np.ndarray:
-    """exp(i k (x + L/2)) per FFT mode, Nyquist column as a cosine."""
-    L = grid.lengths[axis]
-    k = grid.axis_wavenumbers(axis)
-    shifted = coords + L / 2
-    mat = np.exp(1j * np.outer(shifted, k))
-    ny = grid.sizes[axis] // 2
-    mat[:, ny] = np.cos(np.abs(k[ny]) * shifted)
-    return mat
-
-
 def band_limited_interpolate(f: _Field, points: np.ndarray) -> np.ndarray:
     """Evaluate the band-limited interpolant at arbitrary points in the box.
 
@@ -203,13 +201,32 @@ def band_limited_interpolate(f: _Field, points: np.ndarray) -> np.ndarray:
     evaluation reproduces grid samples at the nodes and is exact for
     resolved Fourier modes.  Returns complex or real values matching the
     field kind.
+
+    With z = exp(i dk (x + L/2)) the interpolant is z^(-N/2) times a
+    polynomial of degree N in z whose coefficients are the spectrum from
+    mode -N/2 to N/2, the Nyquist coefficient split evenly between its two
+    ends (the cosine convention).  Horner's rule evaluates it in O(M)
+    memory.
     """
     grid = f.grid
     pts = np.asarray(points, dtype=float).reshape(-1)
     if not np.all(grid.contains(pts)):
         raise FieldError("interpolation points outside the periodic box")
-    spec = np.fft.fftn(f.values) / np.prod(grid.sizes)
-    out = _axis_eval_matrix(grid, 0, pts) @ spec
+    n = grid.sizes[0]
+    ny = n // 2
+    spec = np.fft.fft(f.values) / n
+    # coefficients of z^j for j = N/2, N/2 - 1, ..., -N/2 (Horner order)
+    coeffs = np.empty(n + 1, dtype=complex)
+    coeffs[0] = coeffs[n] = 0.5 * spec[ny]
+    coeffs[1:ny + 1] = spec[ny - 1::-1]
+    coeffs[ny + 1:n] = spec[:ny:-1]
+    angle = (2.0 * np.pi / grid.lengths[0]) * (pts + grid.lengths[0] / 2)
+    z = np.exp(1j * angle)
+    out = np.full(pts.shape, coeffs[0])
+    for c in coeffs[1:].tolist():
+        out *= z
+        out += c
+    out *= np.exp(-1j * ny * angle)
     return out if isinstance(f, ComplexField) else out.real
 
 

@@ -84,6 +84,15 @@ class PeriodicGrid:
         return self.axis_wavenumbers(0) ** 2
 
     @cached_property
+    def ik(self) -> np.ndarray:
+        """First-derivative multiplier i*k, its unpaired Nyquist entry zeroed
+        so odd derivatives of real samples stay real and skew-symmetric."""
+        mult = 1j * self.axis_wavenumbers(0)
+        mult[self.sizes[0] // 2] = 0.0
+        mult.setflags(write=False)
+        return mult
+
+    @cached_property
     def dealias_mask(self) -> np.ndarray:
         """Two-thirds rule mask: keep |k| <= (2/3) * k_max."""
         k = np.abs(self.axis_wavenumbers(0))

@@ -1,6 +1,9 @@
 """Config schema, fits, exponent algebra, artifacts, and the CLI contract."""
 import json
+import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -250,6 +253,34 @@ class TestDryRunPlan:
         assert entry["t_eps"] == pytest.approx(2.0 * 0.01 / 0.1)
 
 
+def _executed_nls_steps(sol):
+    # the solver's rule, read back from its output: each output segment is
+    # split into max(1, ceil(seg/dt - 1e-12)) equal steps
+    times = [float(t) for t in sol.times]
+    return sum(max(1, math.ceil((b - a) / sol.dt - 1e-12))
+               for a, b in zip(times, times[1:]))
+
+
+class TestPlannedSteps:
+    @pytest.mark.parametrize("name", ["instability.json", "odewindow.json"])
+    def test_planned_steps_are_the_steps_run(self, name, monkeypatch):
+        cfg = config_from_dict(_shipped_raw(name))
+        planned = {e["eps"]: e["steps"] for e in dry_run_plan(cfg)["plan"]}
+        executed = []
+        solve = nls.solve_nls
+
+        def recording(problem, *args, **kwargs):
+            sol = solve(problem, *args, **kwargs)
+            executed.append((problem.eps, _executed_nls_steps(sol)))
+            return sol
+
+        monkeypatch.setattr(nls, "solve_nls", recording)
+        run_experiment(cfg)
+        assert {eps for eps, _ in executed} == set(planned)
+        assert all(steps == planned[eps] for eps, steps in executed), (
+            executed, planned)
+
+
 class TestArtifacts:
     def test_reports_are_byte_deterministic(self, tmp_path):
         cfg = config_from_dict(cheap_nls_raw())
@@ -330,6 +361,33 @@ class TestCli:
         err = capsys.readouterr().err
         assert "ResolutionError at t=0.2:" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, name, size, message", [
+        ("nls", "nls.json", 64,
+         "ResolutionError at t=0.2: eps=0.01: spectral tail fraction"),
+        ("grenier", "grenier.json", 32,
+         "ResolutionError at t=0.002: eps=0.01: amplitude spectrum tail"),
+    ])
+    def test_runtime_error_exit_names_the_eps(self, tmp_path, capsys, command,
+                                              name, size, message):
+        code = main([command, "--config", str(CONFIG_DIR / name),
+                     "--set", f"grid.size={size}",
+                     "--output", str(tmp_path / "out")])
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_cli_import_loads_no_scipy(self):
+        # scipy costs about 0.4 s of start-up; the CLI loads it only when a
+        # run needs it
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        probe = ("import sys, nlswkb.cli; "
+                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
     def test_set_override_reaches_the_plan(self, tmp_path, capsys):
         code = main(["nls", "--config", self.write(tmp_path, cheap_nls_raw()),

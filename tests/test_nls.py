@@ -5,7 +5,8 @@ import pytest
 from nlswkb.errors import ConfigError, ResolutionError
 from nlswkb.fields import ComplexField, lp_norm
 from nlswkb.grids import PeriodicGrid
-from nlswkb.nls import nls_energy, solve_nls, step_convergence_audit
+from nlswkb.nls import (nls_energy, segment_steps, solve_nls,
+                        step_convergence_audit)
 from nlswkb.potentials import InitialPhaseSpec, PotentialSpec
 from nlswkb.problem import SemiclassicalProblem, gaussian_field
 
@@ -121,6 +122,69 @@ class TestStepping:
     def test_nonpositive_horizon_rejected(self):
         with pytest.raises(ConfigError):
             solve_nls(make_problem(), -0.1)
+
+
+def strang_reference(problem, outputs, dt):
+    """Plain Strang splitting, four FFTs per step: kinetic half-step,
+    potential-plus-nonlinear phase, kinetic half-step."""
+    eps, kappa = problem.eps, problem.kappa
+    ksq = problem.grid.wavenumber_sq
+    vvals = problem.potential_field().values
+    u = problem.initial_state().values.copy()
+    states = []
+    t_cur = 0.0
+    for t_next in outputs:
+        n = max(1, int(np.ceil((t_next - t_cur) / dt - 1e-12)))
+        h = (t_next - t_cur) / n
+        half = np.exp(-0.25j * eps * ksq * h)
+        for _ in range(n):
+            u = np.fft.ifft(np.fft.fft(u) * half)
+            u = u * np.exp(-1j * (h / eps) * (vvals + eps**kappa * np.abs(u) ** 2))
+            u = np.fft.ifft(np.fft.fft(u) * half)
+        states.append(u.copy())
+        t_cur = t_next
+    return states
+
+
+class TestFusedStepper:
+    @pytest.mark.parametrize("kappa", [0.0, 1.0])
+    @pytest.mark.parametrize("n_outputs", [1, 8])
+    def test_matches_the_four_fft_strang_loop(self, kappa, n_outputs):
+        problem = make_problem(eps=0.05, kappa=kappa, size=512,
+                               potential=PotentialSpec.cosine(0.5, 32.0))
+        t_final, dt = 0.1, 2e-3
+        outputs = [t_final * (j + 1) / n_outputs for j in range(n_outputs)]
+        sol = solve_nls(problem, t_final, dt=dt, output_times=outputs)
+        expected = strang_reference(problem, outputs, dt)
+        assert len(sol.states) == n_outputs + 1
+        for state, ref in zip(sol.states[1:], expected):
+            gap = np.linalg.norm(state.values - ref) / np.linalg.norm(ref)
+            assert gap <= 1e-10
+
+    def test_initial_state_untouched_and_states_distinct(self):
+        problem = make_problem(eps=0.05, size=256)
+        start = problem.initial_state()
+        before = start.values.copy()
+        sol = solve_nls(problem, 0.1, dt=1e-3, output_times=[0.05, 0.1],
+                        initial_state=start)
+        assert np.array_equal(start.values, before)
+        arrays = [s.values for s in sol.states] + [start.values]
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
+        assert np.array_equal(sol.states[0].values, before)
+
+    def test_segment_steps_rule(self):
+        assert segment_steps([0.5], 0.1) == [5]
+        assert segment_steps([0.05, 0.1, 0.3], 0.02) == [3, 3, 10]
+        assert segment_steps([1e-4], 0.1) == [1]
+
+    def test_errors_carry_eps_and_time(self):
+        problem = make_problem(eps=0.01, kappa=0.0, size=128)
+        with pytest.raises(ResolutionError) as caught:
+            solve_nls(problem, 0.2)
+        assert caught.value.eps == 0.01
+        assert caught.value.time == pytest.approx(0.2)
 
 
 class TestResolutionAlarm:

@@ -1,12 +1,16 @@
 """Spectral derivative, norm, and interpolation oracles on periodic grids."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nlswkb.errors import FieldError, GridError
 from nlswkb.fields import (ComplexField, RealField, band_limited_interpolate,
+                           gradient_and_laplacian_values, gradient_values,
                            interpolate_periodic, l2_linf_norm, laplacian,
-                           lp_norm, sobolev_norm, spectral_derivative)
+                           laplacian_values, lp_norm, sobolev_norm,
+                           spectral_derivative)
 from nlswkb.grids import PeriodicGrid
 
 
@@ -79,6 +83,75 @@ class TestInterpolation:
         left = interpolate_periodic(f, np.array([[-16.0]]))
         right = interpolate_periodic(f, np.array([[16.0]]))
         assert abs(left[0] - right[0]) <= 1e-12
+
+
+def dense_interpolant(f, pts):
+    """sum_k fhat_k exp(i k (x + L/2)) over the FFT modes, the Nyquist
+    mode taken as a cosine."""
+    grid = f.grid
+    n = grid.sizes[0]
+    k = grid.axis_wavenumbers(0)
+    shifted = pts + grid.lengths[0] / 2
+    mat = np.exp(1j * np.outer(shifted, k))
+    mat[:, n // 2] = np.cos(abs(k[n // 2]) * shifted)
+    return mat @ (np.fft.fft(f.values) / n)
+
+
+class TestHornerInterpolation:
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_matches_the_dense_mode_sum(self, complex_field):
+        rng = np.random.default_rng(7)
+        grid = PeriodicGrid.line(32.0, 64)
+        vals = rng.standard_normal(64)     # white noise: Nyquist content
+        if complex_field:
+            vals = vals + 1j * rng.standard_normal(64)
+            f = ComplexField(grid, vals)
+        else:
+            f = RealField(grid, vals)
+        assert abs(np.fft.fft(f.values)[32]) > 1.0
+        pts = rng.uniform(-16.0, 16.0, 200)
+        pts[:3] = (-16.0, 16.0, grid.nodes[0][5])
+        got = band_limited_interpolate(f, pts)
+        want = dense_interpolant(f, pts)
+        if not complex_field:
+            assert not np.iscomplexobj(got)
+            want = want.real
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_memory_stays_linear_in_the_point_count(self):
+        # the dense M x N matrix would take 8192^2 * 16 B = 1 GiB here
+        n = 8192
+        grid = PeriodicGrid.line(32.0, n)
+        f = ComplexField(grid, np.exp(-grid.nodes[0] ** 2) + 0j)
+        pts = np.linspace(-15.0, 15.0, n)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            got = band_limited_interpolate(f, pts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert np.max(np.abs(got - np.exp(-pts ** 2))) <= 1e-10
+
+
+class TestSharedTransform:
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_gradient_and_laplacian_are_bit_identical(self, complex_field):
+        grid, x, f = gaussian_line()
+        vals = f.values * (np.exp(1j * x) if complex_field else 1.0)
+        grad, lap = gradient_and_laplacian_values(grid, vals)
+        assert np.array_equal(grad[0], gradient_values(grid, vals)[0])
+        assert np.array_equal(lap, laplacian_values(grid, vals))
+        assert np.iscomplexobj(lap) == complex_field
+
+    def test_cached_first_derivative_multiplier(self):
+        grid = PeriodicGrid.line(32.0, 64)
+        k = grid.axis_wavenumbers(0)
+        expected = (1j * k) ** 1
+        expected[32] = 0.0
+        assert np.array_equal(grid.ik, expected)
+        assert grid.ik is grid.ik and not grid.ik.flags.writeable
 
 
 class TestGridValidation:
