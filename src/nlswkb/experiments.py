@@ -241,11 +241,20 @@ class ExperimentConfig:
         driver.  The first group ignores eps and takes time.dt only under
         the "fixed" rule; the NLS drivers follow `resolve_dt`.
         """
-        key = (self.kind, self.solver if self.kind == "single" else self.target)
-        default = _FIXED_STEP_DEFAULTS.get(key)
-        if default is None:
+        if self.solves_nls:
             return self.resolve_dt(eps)
+        default = _FIXED_STEP_DEFAULTS[self._step_key]
         return self.dt if self.dt_rule == "fixed" else default
+
+    @property
+    def _step_key(self) -> tuple[str, str]:
+        return (self.kind, self.solver if self.kind == "single" else self.target)
+
+    @property
+    def solves_nls(self) -> bool:
+        """True when the driver's time-stepping solver is the split-step NLS
+        solve (see stepping_dt)."""
+        return self._step_key not in _FIXED_STEP_DEFAULTS
 
     # -- serialization -----------------------------------------------------
 
@@ -757,8 +766,8 @@ def run_instability(config: ExperimentConfig) -> ExperimentResult:
                 attempt += 1
                 if attempt > config.max_resolution_doublings:
                     raise ResolutionError(
-                        f"instability run at eps={eps} still under-resolved "
-                        f"at N={size}: {exc}", time=exc.time, eps=eps) from exc
+                        f"instability run still under-resolved at N={size}: "
+                        f"{exc}", time=exc.time, eps=eps) from exc
                 size *= 2
                 continue
             break
@@ -1060,6 +1069,8 @@ def dry_run_plan(config: ExperimentConfig) -> dict:
         elif config.target == "skew_free":
             times = config.schedule or _SKEW_FREE_TIMES
             entry["steps"] = int(np.ceil(times[-1] / dt))
+        elif config.solves_nls:
+            entry["steps"] = sum(nls.segment_steps([config.t_final], dt))
         else:
             entry["steps"] = int(np.ceil(config.t_final / dt))
         plan.append(entry)

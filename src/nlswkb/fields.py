@@ -96,15 +96,7 @@ def derivative_values(grid: PeriodicGrid, values: np.ndarray, axis: int = 0,
         raise FieldError(f"axis {axis} out of range for dim {grid.dim}")
     if order < 1:
         raise FieldError(f"derivative order must be >= 1, got {order}")
-    if order == 1:
-        mult = grid.ik
-    else:
-        mult = (1j * grid.axis_wavenumbers(axis)) ** order
-        if order % 2 == 1:
-            # even-sized axes carry an unpaired Nyquist mode; its odd
-            # derivative has no consistent sign, so it is dropped
-            mult[grid.sizes[axis] // 2] = 0.0
-    out = np.fft.ifft(np.fft.fft(values) * mult)
+    out = np.fft.ifft(np.fft.fft(values) * grid.derivative_multiplier(order))
     return out if np.iscomplexobj(values) else out.real
 
 

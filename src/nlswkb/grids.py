@@ -83,12 +83,20 @@ class PeriodicGrid:
         """|k|^2 on the FFT-ordered spectral grid."""
         return self.axis_wavenumbers(0) ** 2
 
+    def derivative_multiplier(self, order: int) -> np.ndarray:
+        """(i k)^order in FFT ordering.  An even-sized axis carries an
+        unpaired Nyquist mode whose odd derivative has no consistent sign,
+        so for odd orders it is dropped: odd derivatives of real samples
+        stay real and skew-symmetric."""
+        mult = (1j * self.axis_wavenumbers(0)) ** order
+        if order % 2 == 1:
+            mult[self.sizes[0] // 2] = 0.0
+        return mult
+
     @cached_property
     def ik(self) -> np.ndarray:
-        """First-derivative multiplier i*k, its unpaired Nyquist entry zeroed
-        so odd derivatives of real samples stay real and skew-symmetric."""
-        mult = 1j * self.axis_wavenumbers(0)
-        mult[self.sizes[0] // 2] = 0.0
+        """The first-derivative multiplier, cached and read-only."""
+        mult = self.derivative_multiplier(1)
         mult.setflags(write=False)
         return mult
 

@@ -339,7 +339,8 @@ def solve_corrector(limit: GrenierTrajectory, a1: ComplexField | None = None,
         phi1 = phi1 + (h / 6) * (k1p + 2 * k2p + 2 * k3p + k4p)
         a1v = a1v + (h / 6) * (k1a + 2 * k2a + 2 * k3a + k4a)
         if not (np.all(np.isfinite(phi1)) and np.all(np.isfinite(a1v))):
-            raise DivergenceError("corrector solve hit non-finite values", time=t + h)
+            raise DivergenceError("corrector solve hit non-finite values",
+                                  time=t + h, eps=limit.problem.eps)
         if (i + 1) % store_every == 0 or i == len(coeffs.times) - 2:
             states.append(CorrectorState(
                 float(coeffs.times[i + 1]),

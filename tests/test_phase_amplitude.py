@@ -2,8 +2,8 @@
 import numpy as np
 import pytest
 
-from nlswkb.errors import ConfigError, ResolutionError
-from nlswkb.fields import sobolev_norm
+from nlswkb.errors import ConfigError, DivergenceError, ResolutionError
+from nlswkb.fields import ComplexField, sobolev_norm
 from nlswkb.grids import PeriodicGrid
 from nlswkb.phase_amplitude import (assemble_supercritical, euler_residual,
                                     solve_corrector, solve_phase_amplitude)
@@ -148,6 +148,18 @@ class TestCorrector:
         err_corr = float(np.sqrt(limit.grid.cell_volume *
                                  np.sum(np.abs(fs.a.values - corrected) ** 2)))
         assert err_corr <= 0.05 * err_limit
+
+    def test_divergence_carries_eps_and_time(self):
+        # a1 data at the float ceiling overflows in the first RK4 step
+        problem = flat_problem(eps=0.02, size=256)
+        limit = solve_phase_amplitude(problem, 0.02, 2e-3, variant="limit")
+        sign = (-1.0) ** np.arange(limit.grid.sizes[0])
+        huge = ComplexField(limit.grid, 1e307 * sign + 0j)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DivergenceError) as info:
+            solve_corrector(limit, a1=huge)
+        assert info.value.eps == 0.02
+        assert info.value.time == pytest.approx(2e-3)
 
     def test_requires_limit_trajectory(self):
         traj = solve_phase_amplitude(flat_problem(), 0.1, 2e-3, variant="full")
