@@ -35,6 +35,11 @@ _FIXED_STEP_DEFAULTS = {
     ("converge", "supercritical_corrector"): 2e-3,
     ("converge", "skew_free"): 2.5e-3,
 }
+# drivers that integrate rays next to an NLS solve step them to t_final in
+# this many steps, whatever the eps
+_RAY_STEPS = 64
+_RAY_DRIVERS = (("single", "wkb"), ("converge", "critical"),
+                ("converge", "subcritical"))
 _SKEW_FREE_TIMES = (0.05, 0.1, 0.2, 0.3)
 _ODE_POWERS = (0.6, 0.45, 0.3, 0.2)
 _INSTABILITY_OUTPUTS = 8
@@ -245,6 +250,17 @@ class ExperimentConfig:
             return self.resolve_dt(eps)
         default = _FIXED_STEP_DEFAULTS[self._step_key]
         return self.dt if self.dt_rule == "fixed" else default
+
+    @property
+    def ray_dt(self) -> float | None:
+        """The dt of the driver's ray integration, or None when it integrates
+        no rays: stepping_dt for single rays runs, t_final / _RAY_STEPS for
+        the drivers that compare an NLS solve with a WKB approximant."""
+        if self._step_key == ("single", "rays"):
+            return self.stepping_dt(self.eps[0])
+        if self._step_key in _RAY_DRIVERS:
+            return self.t_final / _RAY_STEPS
+        return None
 
     @property
     def _step_key(self) -> tuple[str, str]:
@@ -530,14 +546,15 @@ def _run_supercritical_convergence(config: ExperimentConfig) -> ExperimentResult
         corr = phase_amplitude.solve_corrector(limit, a1).final()
     lim = limit.final()
 
-    def one(eps):
-        problem = config.problem(eps)
-        try:
-            traj = phase_amplitude.solve_phase_amplitude(
-                problem, t, dt, variant="full",
-                store_every=max(1, int(round(t / dt))))
-        except ResolutionError as exc:
-            return {"eps": eps, "resolved": False, "detail": str(exc)}
+    outcomes = phase_amplitude.solve_phase_amplitude_sweep(
+        [config.problem(eps) for eps in config.eps], t, dt, variant="full",
+        store_every=max(1, int(round(t / dt))))
+
+    def one(eps, traj):
+        if isinstance(traj, ResolutionError):
+            return {"eps": eps, "resolved": False, "detail": str(traj)}
+        if isinstance(traj, Exception):
+            raise traj
         st = traj.final()
         row = {"eps": eps, "resolved": True, "mass_drift": traj.mass_drift(),
                "errors": {}}
@@ -554,7 +571,7 @@ def _run_supercritical_convergence(config: ExperimentConfig) -> ExperimentResult
                                 "phi": sobolev_norm(dphi, s)}
         return row
 
-    rows = [one(eps) for eps in config.eps]
+    rows = [one(eps, traj) for eps, traj in zip(config.eps, outcomes)]
     resolved = [r for r in rows if r["resolved"]]
     eps_used = [r["eps"] for r in resolved]
 
@@ -614,13 +631,17 @@ def _run_skew_free_convergence(config: ExperimentConfig) -> ExperimentResult:
             raise ConfigError(f"dt {dt} does not divide schedule time {tt}")
     orders = config.sobolev_orders
 
-    def one(eps):
-        problem = config.problem(eps, with_a1=False)
-        n_first = int(round(times[0] / dt))
-        full = phase_amplitude.solve_phase_amplitude(
-            problem, times[-1], dt, variant="full", store_every=n_first)
-        free = phase_amplitude.solve_phase_amplitude(
-            problem, times[-1], dt, variant="skew_free", store_every=n_first)
+    problems = [config.problem(eps, with_a1=False) for eps in config.eps]
+    n_first = int(round(times[0] / dt))
+    fulls = phase_amplitude.solve_phase_amplitude_sweep(
+        problems, times[-1], dt, variant="full", store_every=n_first)
+    frees = phase_amplitude.solve_phase_amplitude_sweep(
+        problems, times[-1], dt, variant="skew_free", store_every=n_first)
+
+    def one(eps, full, free):
+        for traj in (full, free):
+            if isinstance(traj, Exception):
+                raise traj
         row = {"eps": eps, "errors": {}}
         for tt in times:
             sf = full.state_at(tt)
@@ -630,7 +651,7 @@ def _run_skew_free_convergence(config: ExperimentConfig) -> ExperimentResult:
             row["errors"][tt] = {s: sobolev_norm(gap, s) for s in orders}
         return row
 
-    rows = [one(eps) for eps in config.eps]
+    rows = [one(*row) for row in zip(config.eps, fulls, frees)]
     eps_used = [r["eps"] for r in rows]
     t_ref = times[-1]
 
@@ -673,7 +694,8 @@ def _run_profile_convergence(config: ExperimentConfig) -> ExperimentResult:
             sol = nls.solve_nls(problem, t, dt=dt)
         except ResolutionError as exc:
             return {"eps": eps, "resolved": False, "detail": str(exc)}
-        bundle = rays.integrate_flow(problem, problem.a0.grid, t, dt=t / 64)
+        bundle = rays.integrate_flow(problem, problem.a0.grid, t,
+                                     dt=config.ray_dt)
         approx = wkb.build_approximant(problem, bundle, t,
                                        include_modulation=critical)
         diff = sol.final() - approx.assemble()
@@ -989,7 +1011,8 @@ def run_single(config: ExperimentConfig) -> ExperimentResult:
 
     if config.solver == "wkb":
         t = config.t_final
-        bundle = rays.integrate_flow(problem, problem.a0.grid, t, dt=t / 64)
+        bundle = rays.integrate_flow(problem, problem.a0.grid, t,
+                                     dt=config.ray_dt)
         approx = wkb.build_approximant(problem, bundle, t)
         sol = nls.solve_nls(problem, t, dt=config.stepping_dt(eps))
         err = l2_linf_norm(sol.final() - approx.assemble())
@@ -1073,6 +1096,8 @@ def dry_run_plan(config: ExperimentConfig) -> dict:
             entry["steps"] = sum(nls.segment_steps([config.t_final], dt))
         else:
             entry["steps"] = int(np.ceil(config.t_final / dt))
+        if config.ray_dt is not None:
+            entry["ray_dt"] = config.ray_dt
         plan.append(entry)
     return {"kind": config.kind, "target": config.target,
             "solver": config.solver, "config": config.to_dict(), "plan": plan}

@@ -109,17 +109,6 @@ def laplacian_values(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
     return out if np.iscomplexobj(values) else out.real
 
 
-def gradient_and_laplacian_values(grid: PeriodicGrid, values: np.ndarray
-                                  ) -> tuple[list[np.ndarray], np.ndarray]:
-    """gradient_values and laplacian_values from one forward transform."""
-    spec = np.fft.fft(values)
-    grad = np.fft.ifft(spec * grid.ik)
-    lap = np.fft.ifft(-grid.wavenumber_sq * spec)
-    if not np.iscomplexobj(values):
-        grad, lap = grad.real, lap.real
-    return [grad], lap
-
-
 def spectral_derivative(f: _Field, axis: int = 0, order: int = 1):
     out = derivative_values(f.grid, f.values, axis=axis, order=order)
     if isinstance(f, RealField):

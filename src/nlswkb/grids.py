@@ -84,27 +84,43 @@ class PeriodicGrid:
         return self.axis_wavenumbers(0) ** 2
 
     def derivative_multiplier(self, order: int) -> np.ndarray:
-        """(i k)^order in FFT ordering.  An even-sized axis carries an
-        unpaired Nyquist mode whose odd derivative has no consistent sign,
-        so for odd orders it is dropped: odd derivatives of real samples
-        stay real and skew-symmetric."""
-        mult = (1j * self.axis_wavenumbers(0)) ** order
-        if order % 2 == 1:
-            mult[self.sizes[0] // 2] = 0.0
+        """(i k)^order in FFT ordering, cached per order and read-only.  An
+        even-sized axis carries an unpaired Nyquist mode whose odd
+        derivative has no consistent sign, so for odd orders it is dropped:
+        odd derivatives of real samples stay real and skew-symmetric."""
+        mult = self._multipliers.get(order)
+        if mult is None:
+            mult = (1j * self.axis_wavenumbers(0)) ** order
+            if order % 2 == 1:
+                mult[self.sizes[0] // 2] = 0.0
+            mult.setflags(write=False)
+            self._multipliers[order] = mult
         return mult
 
     @cached_property
+    def _multipliers(self) -> dict[int, np.ndarray]:
+        return {}
+
+    @property
     def ik(self) -> np.ndarray:
         """The first-derivative multiplier, cached and read-only."""
-        mult = self.derivative_multiplier(1)
-        mult.setflags(write=False)
-        return mult
+        return self.derivative_multiplier(1)
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
         """Two-thirds rule mask: keep |k| <= (2/3) * k_max."""
         k = np.abs(self.axis_wavenumbers(0))
         return k <= (2.0 / 3.0) * k.max()
+
+    @cached_property
+    def kept_band_top(self) -> np.ndarray:
+        """Top third of the dealiased band: (4/9) k_max < |k| <= (2/3) k_max,
+        the modes the phase-amplitude tail monitor watches."""
+        k = np.abs(self.axis_wavenumbers(0))
+        kept = (2.0 / 3.0) * k.max()
+        band = (k > (2.0 / 3.0) * kept) & self.dealias_mask
+        band.setflags(write=False)
+        return band
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         """True for points inside the closed box [-L/2, L/2]."""

@@ -20,6 +20,11 @@ variants are solved here:
   a0; its (rho, v) = (|a|^2, grad phi) marginal solves the compressible
   Euler system with pressure law grad rho.
 
+The march holds phi and a in Fourier space (rfft and fft along the last
+axis) and takes every eps of a sweep as a row of one array: the skew step
+is a multiply by a per-row phase, and one transport right-hand side costs
+six transforms for all rows together.
+
 The corrector solve linearizes the system around the limit trajectory and
 carries the i/2 Lap a source plus the first data correction a1; pairing the
 limit with eps * corrector reproduces the full solve to O(eps^2).
@@ -32,7 +37,7 @@ import numpy as np
 
 from .errors import ConfigError, DivergenceError, ResolutionError
 from .fields import (ComplexField, RealField, derivative_values,
-                     gradient_and_laplacian_values, gradient_values)
+                     gradient_values)
 from .grids import PeriodicGrid
 from .problem import SemiclassicalProblem
 
@@ -46,13 +51,6 @@ class GrenierState:
     phi: RealField
     a: ComplexField
     v: tuple[RealField, ...]
-
-    @classmethod
-    def from_phi(cls, time: float, phi: RealField, a: ComplexField) -> "GrenierState":
-        grads = gradient_values(phi.grid, phi.values)
-        v = tuple(RealField(phi.grid, g, role=f"velocity-{ax}")
-                  for ax, g in enumerate(grads))
-        return cls(time=time, phi=phi, a=a, v=v)
 
     @property
     def grid(self) -> PeriodicGrid:
@@ -118,51 +116,71 @@ class CorrectorTrajectory:
 
 
 # ---------------------------------------------------------------------------
-# transport right-hand side
+# spectral transport right-hand side and the batched march
 
 
-class _Transport:
-    """Dealiased pseudo-spectral RHS of the coupled transport system."""
+class _Spectral:
+    """Multipliers of the spectral state: phi_hat = rfft(phi) over the
+    N/2 + 1 non-negative modes, a_hat = fft(a) over all N, along the last
+    axis so that a stack of solves marches as rows of one array."""
+
+    def __init__(self, grid: PeriodicGrid):
+        self.n = n = grid.sizes[0]
+        half = n // 2 + 1
+        self.ik = grid.ik
+        self.lap = -grid.wavenumber_sq
+        self.mask = grid.dealias_mask
+        self.ik_half = self.ik[:half]
+        self.lap_half = self.lap[:half]
+        self.mask_half = self.mask[:half]
+
+    def phase_derivatives(self, phi_hat: np.ndarray):
+        """grad phi and Lap phi at the nodes."""
+        return (np.fft.irfft(phi_hat * self.ik_half, self.n),
+                np.fft.irfft(phi_hat * self.lap_half, self.n))
+
+    def amplitude_and_gradient(self, a_hat: np.ndarray):
+        """a and grad a at the nodes."""
+        return np.fft.ifft(a_hat), np.fft.ifft(a_hat * self.ik)
+
+
+class _Transport(_Spectral):
+    """Dealiased pseudo-spectral RHS of the coupled transport system, from
+    spectral state to spectral rate in six transforms whatever the number
+    of rows."""
 
     def __init__(self, grid: PeriodicGrid, vvals: np.ndarray):
-        self.grid = grid
+        super().__init__(grid)
         self.v = vvals
-        self.mask = grid.dealias_mask
 
-    def _dealias(self, arr: np.ndarray) -> np.ndarray:
-        out = np.fft.ifftn(np.fft.fftn(arr) * self.mask)
-        return out if np.iscomplexobj(arr) else out.real
-
-    def __call__(self, phi: np.ndarray, a: np.ndarray):
-        grid = self.grid
-        gphi, lphi = gradient_and_laplacian_values(grid, phi)
-        ga = gradient_values(grid, a)
-        grad_sq = sum(g * g for g in gphi)
-        adv = sum(gp * gax for gp, gax in zip(gphi, ga))
-        dphi = -0.5 * grad_sq - self.v - np.abs(a) ** 2
-        da = -adv - 0.5 * a * lphi
-        return self._dealias(dphi), self._dealias(da)
+    def __call__(self, phi_hat: np.ndarray, a_hat: np.ndarray):
+        gphi, lphi = self.phase_derivatives(phi_hat)
+        a, ga = self.amplitude_and_gradient(a_hat)
+        dphi = -0.5 * gphi * gphi - self.v - (a.real ** 2 + a.imag ** 2)
+        da = -(gphi * ga) - 0.5 * a * lphi
+        return (np.fft.rfft(dphi) * self.mask_half,
+                np.fft.fft(da) * self.mask)
 
 
 def _rk4(rhs, phi, a, h):
-    k1p, k1a = rhs(phi, a)
-    k2p, k2a = rhs(phi + 0.5 * h * k1p, a + 0.5 * h * k1a)
-    k3p, k3a = rhs(phi + 0.5 * h * k2p, a + 0.5 * h * k2a)
-    k4p, k4a = rhs(phi + h * k3p, a + h * k3a)
-    return (phi + (h / 6) * (k1p + 2 * k2p + 2 * k3p + k4p),
-            a + (h / 6) * (k1a + 2 * k2a + 2 * k3a + k4a))
+    """One classical RK4 step.  The weighted stage sum k1 + 2 k2 + 2 k3 + k4
+    accumulates, in that order, in the arrays of the first stage."""
+    k_phi, k_a = rhs(phi, a)
+    sum_phi, sum_a = k_phi, k_a
+    for c, w in ((0.5, 2), (0.5, 2), (1.0, 1)):
+        k_phi, k_a = rhs(phi + c * h * k_phi, a + c * h * k_a)
+        sum_phi += w * k_phi
+        sum_a += w * k_a
+    return phi + (h / 6) * sum_phi, a + (h / 6) * sum_a
 
 
-def _kept_band_tail(grid: PeriodicGrid, spec: np.ndarray) -> float:
-    """Energy fraction in the top third of the retained (dealiased) band."""
-    total = np.sum(np.abs(spec) ** 2)
-    if total == 0:
-        return 0.0
-    k = np.abs(grid.axis_wavenumbers(0))
-    kept = (2.0 / 3.0) * k.max()
-    band = (k > (2.0 / 3.0) * kept) & grid.dealias_mask
-    tail = np.sum((np.abs(spec) ** 2)[band])
-    return float(tail / total)
+def _kept_band_tail(grid: PeriodicGrid, spec: np.ndarray) -> np.ndarray:
+    """Energy fraction in the top third of the retained (dealiased) band,
+    one value per row of `spec`."""
+    power = spec.real ** 2 + spec.imag ** 2
+    total = power.sum(axis=-1)
+    tail = power[..., grid.kept_band_top].sum(axis=-1)
+    return np.divide(tail, total, out=np.zeros_like(total), where=total != 0)
 
 
 def solve_phase_amplitude(problem: SemiclassicalProblem, t_final: float, dt: float,
@@ -174,62 +192,118 @@ def solve_phase_amplitude(problem: SemiclassicalProblem, t_final: float, dt: flo
     negative t_final integrates backward.  States are stored every
     `store_every` steps (the final state always).  A ResolutionError is
     raised when the amplitude spectrum fills the top of the retained band,
-    a DivergenceError on non-finite values.
+    a DivergenceError on non-finite values.  This is the one-row call of
+    solve_phase_amplitude_sweep.
+    """
+    out = solve_phase_amplitude_sweep([problem], t_final, dt, variant=variant,
+                                      store_every=store_every,
+                                      tail_tol=tail_tol)[0]
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
+def solve_phase_amplitude_sweep(problems: list[SemiclassicalProblem],
+                                t_final: float, dt: float,
+                                variant: str = "full", store_every: int = 1,
+                                tail_tol: float = 1e-8
+                                ) -> list[GrenierTrajectory | ResolutionError
+                                          | DivergenceError]:
+    """solve_phase_amplitude for every problem at once, in one march.
+
+    The problems share one grid, one dt and one t_final, so their spectral
+    states are the rows of one array and every transform covers all rows.
+    Returns one outcome per problem, in order: its trajectory, or the
+    ResolutionError or DivergenceError its own solve would raise, with its
+    eps and time.  A row that fails leaves the stack; the others march on
+    unchanged.
     """
     if variant not in VARIANTS:
         raise ConfigError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    if problem.potential.kind == "harmonic":
-        raise ConfigError(
-            "the phase-amplitude solver runs on bounded potentials only; "
-            "harmonic confinement goes through the ray decomposition")
-    grid = problem.grid
-    vvals = problem.potential_field().values
+    grid = problems[0].grid
+    for problem in problems:
+        if problem.potential.kind == "harmonic":
+            raise ConfigError(
+                "the phase-amplitude solver runs on bounded potentials only; "
+                "harmonic confinement goes through the ray decomposition")
+        if problem.grid != grid:
+            raise ConfigError("the problems of a sweep must share one grid")
 
+    vvals = np.array([p.potential_field().values for p in problems])
     if variant == "limit":
-        a = problem.a0.values.astype(complex)
+        a = np.array([p.a0.values for p in problems], dtype=complex)
     else:
-        a = problem.initial_amplitude().values.copy()
-    phi = problem.initial_phase_field().values.astype(float)
+        a = np.array([p.initial_amplitude().values for p in problems])
+    phi = np.array([p.initial_phase_field().values for p in problems],
+                   dtype=float)
 
     n_steps = max(1, int(round(abs(t_final) / dt)))
     h = t_final / n_steps
-    eps = problem.eps
-    rhs = _Transport(grid, vvals)
+    phi_hat = np.fft.rfft(phi)
+    a_hat = np.fft.fft(a)
+    eps = np.array([[p.eps] for p in problems])
     skew_phase = np.exp(-0.5j * eps * grid.wavenumber_sq * h)
-
-    states = [GrenierState.from_phi(0.0, RealField(grid, phi, role="phase"),
-                                    ComplexField(grid, a, role="amplitude"))]
+    rhs = _Transport(grid, vvals)
     cell = grid.cell_volume
-    mass = [cell * float(np.sum(np.abs(a) ** 2))]
-    tails = [_kept_band_tail(grid, np.fft.fftn(a))]
+    rows = list(range(len(problems)))     # problem index of each stack row
+    states = [[] for _ in problems]
+    mass = [[] for _ in problems]
+    tails = [[] for _ in problems]
+    outcomes = [None] * len(problems)
 
+    def store(t, phi, a, tail):
+        velocity = np.fft.irfft(phi_hat * rhs.ik_half, rhs.n)
+        for r, i in enumerate(rows):
+            states[i].append(GrenierState(
+                t, RealField(grid, phi[r], role="phase"),
+                ComplexField(grid, a[r], role="amplitude"),
+                (RealField(grid, velocity[r], role="velocity-0"),)))
+            mass[i].append(cell * float(np.sum(np.abs(a[r]) ** 2)))
+            tails[i].append(float(tail[r]))
+
+    def drop(failed, error):
+        # the outcome of each failed stack row r is error(r, its eps)
+        nonlocal phi_hat, a_hat, skew_phase, rows
+        for r in np.flatnonzero(failed):
+            outcomes[rows[r]] = error(r, problems[rows[r]].eps)
+        keep = ~failed
+        phi_hat, a_hat = phi_hat[keep], a_hat[keep]
+        skew_phase, rhs.v = skew_phase[keep], rhs.v[keep]
+        rows = [i for i, k in zip(rows, keep) if k]
+
+    store(0.0, phi, a, _kept_band_tail(grid, a_hat))
     for n in range(n_steps):
         if variant == "full":
-            phi, a = _rk4(rhs, phi, a, 0.5 * h)
-            a = np.fft.ifftn(np.fft.fftn(a) * skew_phase)
-            phi, a = _rk4(rhs, phi, a, 0.5 * h)
+            phi_hat, a_hat = _rk4(rhs, phi_hat, a_hat, 0.5 * h)
+            a_hat *= skew_phase
+            phi_hat, a_hat = _rk4(rhs, phi_hat, a_hat, 0.5 * h)
         else:
-            phi, a = _rk4(rhs, phi, a, h)
+            phi_hat, a_hat = _rk4(rhs, phi_hat, a_hat, h)
         t = (n + 1) * h
-        if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(a))):
-            raise DivergenceError("phase-amplitude solve hit non-finite values",
-                                  time=t, eps=eps)
+        finite = (np.isfinite(phi_hat).all(axis=-1)
+                  & np.isfinite(a_hat).all(axis=-1))
+        if not finite.all():
+            drop(~finite, lambda r, eps: DivergenceError(
+                "phase-amplitude solve hit non-finite values",
+                time=t, eps=eps))
         if (n + 1) % store_every == 0 or n == n_steps - 1:
-            spec = np.fft.fftn(a)
-            tail = _kept_band_tail(grid, spec)
-            if tail > tail_tol:
-                raise ResolutionError(
-                    f"amplitude spectrum tail fraction {tail:.3e} exceeds "
-                    f"{tail_tol:.1e}", time=t, eps=eps)
-            states.append(GrenierState.from_phi(
-                t, RealField(grid, phi.copy(), role="phase"),
-                ComplexField(grid, a.copy(), role="amplitude")))
-            mass.append(cell * float(np.sum(np.abs(a) ** 2)))
-            tails.append(tail)
+            tail = _kept_band_tail(grid, a_hat)
+            unresolved = tail > tail_tol
+            if unresolved.any():
+                drop(unresolved, lambda r, eps: ResolutionError(
+                    f"amplitude spectrum tail fraction {tail[r]:.3e} exceeds "
+                    f"{tail_tol:.1e}", time=t, eps=eps))
+                tail = tail[~unresolved]
+            store(t, np.fft.irfft(phi_hat, rhs.n), np.fft.ifft(a_hat), tail)
+        if not rows:
+            break
 
-    return GrenierTrajectory(variant=variant, problem=problem, dt=h,
-                             states=tuple(states), mass=np.array(mass),
-                             tail_fraction=np.array(tails))
+    for i in rows:
+        outcomes[i] = GrenierTrajectory(
+            variant=variant, problem=problems[i], dt=h,
+            states=tuple(states[i]), mass=np.array(mass[i]),
+            tail_fraction=np.array(tails[i]))
+    return outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -237,11 +311,14 @@ def solve_phase_amplitude(problem: SemiclassicalProblem, t_final: float, dt: flo
 
 
 class _HermiteCoeffs:
-    """Cubic Hermite time interpolation of the limit trajectory.
+    """Cubic Hermite time interpolation of the limit trajectory, in the
+    spectral state of the march.
 
     Uses stored states and their exact PDE time derivatives, so the
     interpolation error is O(h^4) and does not degrade the RK4 marching of
-    the corrector.
+    the corrector.  The corrector walks the nodes in time order, so each
+    node's spectral state and rate is computed once and only the two
+    nodes of the current interval are held.
     """
 
     def __init__(self, limit: GrenierTrajectory):
@@ -254,34 +331,36 @@ class _HermiteCoeffs:
             raise ConfigError("limit trajectory must be stored on a uniform time grid")
         self.h = float(gaps[0])
         self.times = times
-        vvals = limit.problem.potential_field().values
-        rhs = _Transport(self.grid, vvals)
-        self.phi = [s.phi.values for s in limit.states]
-        self.a = [s.a.values for s in limit.states]
-        self.dphi = []
-        self.da = []
-        for p, amp in zip(self.phi, self.a):
-            dp, da = rhs(p, amp)
-            self.dphi.append(dp)
-            self.da.append(da)
+        self.states = limit.states
+        self.rhs = _Transport(self.grid, limit.problem.potential_field().values)
+        self.nodes = {}
+
+    def node(self, i: int):
+        """(phi_hat, a_hat, dphi_hat, da_hat) at stored state i."""
+        if i not in self.nodes:
+            st = self.states[i]
+            phi_hat, a_hat = np.fft.rfft(st.phi.values), np.fft.fft(st.a.values)
+            self.nodes = {j: n for j, n in self.nodes.items() if j == i - 1}
+            self.nodes[i] = (phi_hat, a_hat, *self.rhs(phi_hat, a_hat))
+        return self.nodes[i]
 
     def __call__(self, t: float):
         pos = (t - self.times[0]) / self.h
         i = int(np.clip(np.floor(pos + 1e-12), 0, len(self.times) - 2))
         u = pos - i
         if abs(u) < 1e-12:
-            return self.phi[i], self.a[i]
+            return self.node(i)[:2]
         if abs(u - 1) < 1e-12:
-            return self.phi[i + 1], self.a[i + 1]
+            return self.node(i + 1)[:2]
+        phi0, a0, dphi0, da0 = self.node(i)
+        phi1, a1, dphi1, da1 = self.node(i + 1)
         h = self.h
         h00 = 2 * u**3 - 3 * u**2 + 1
         h10 = u**3 - 2 * u**2 + u
         h01 = -2 * u**3 + 3 * u**2
         h11 = u**3 - u**2
-        phi = (h00 * self.phi[i] + h10 * h * self.dphi[i]
-               + h01 * self.phi[i + 1] + h11 * h * self.dphi[i + 1])
-        a = (h00 * self.a[i] + h10 * h * self.da[i]
-             + h01 * self.a[i + 1] + h11 * h * self.da[i + 1])
+        phi = h00 * phi0 + h10 * h * dphi0 + h01 * phi1 + h11 * h * dphi1
+        a = h00 * a0 + h10 * h * da0 + h01 * a1 + h11 * h * da1
         return phi, a
 
 
@@ -294,8 +373,10 @@ def solve_corrector(limit: GrenierTrajectory, a1: ComplexField | None = None,
                + a1 Lap phi / 2 + a Lap phi1 / 2 = (i/2) Lap a,   a1(0) = a1_data.
 
     Marches RK4 on the stored time grid of `limit`, with the coefficient
-    pair (phi, a) Hermite-interpolated at the stage times.  With real a0
-    and a1_data = 0, a1 stays purely imaginary and phi1 stays zero.
+    pair (phi, a) Hermite-interpolated at the stage times.  Coefficients
+    and corrector live in the spectral state of the phase-amplitude march;
+    the (i/2) Lap a source is a spectral multiply.  With real a0 and
+    a1_data = 0, a1 stays purely imaginary and phi1 stays zero.
     """
     if limit.variant != "limit":
         raise ConfigError("corrector must be driven by a variant='limit' trajectory")
@@ -304,48 +385,47 @@ def solve_corrector(limit: GrenierTrajectory, a1: ComplexField | None = None,
         raise ConfigError("a1 data lives on a different grid than the trajectory")
     coeffs = _HermiteCoeffs(limit)
     h = coeffs.h
-    mask = grid.dealias_mask
+    sp = _Spectral(grid)
 
-    def dealias(arr):
-        out = np.fft.ifftn(np.fft.fftn(arr) * mask)
-        return out if np.iscomplexobj(arr) else out.real
-
-    def rhs(t, phi1, a1v):
-        phi, a = coeffs(t)
-        gphi, lphi = gradient_and_laplacian_values(grid, phi)
-        ga, la = gradient_and_laplacian_values(grid, a)
-        gphi1, lphi1 = gradient_and_laplacian_values(grid, phi1)
-        ga1 = gradient_values(grid, a1v)
-        dphi1 = -(sum(gp * g1 for gp, g1 in zip(gphi, gphi1))
-                  + 2.0 * (np.conj(a) * a1v).real)
-        da1 = -(sum(gp * g1 for gp, g1 in zip(gphi, ga1))
-                + sum(g1 * g for g1, g in zip(gphi1, ga))
-                + 0.5 * a1v * lphi + 0.5 * a * lphi1) + 0.5j * la
-        return dealias(dphi1), dealias(da1)
+    def rhs(t, phi1_hat, a1_hat):
+        phi_hat, a_hat = coeffs(t)
+        gphi, lphi = sp.phase_derivatives(phi_hat)
+        a, ga = sp.amplitude_and_gradient(a_hat)
+        gphi1, lphi1 = sp.phase_derivatives(phi1_hat)
+        a1v, ga1 = sp.amplitude_and_gradient(a1_hat)
+        dphi1 = -(gphi * gphi1 + 2.0 * (np.conj(a) * a1v).real)
+        da1 = -(gphi * ga1 + gphi1 * ga + 0.5 * a1v * lphi + 0.5 * a * lphi1)
+        return (np.fft.rfft(dphi1) * sp.mask_half,
+                (np.fft.fft(da1) + 0.5j * sp.lap * a_hat) * sp.mask)
 
     phi1 = np.zeros(grid.shape)
     a1v = (a1.values.copy() if a1 is not None
            else np.zeros(grid.shape, dtype=complex))
+    phi1_hat, a1_hat = np.fft.rfft(phi1), np.fft.fft(a1v)
     states = [CorrectorState(float(coeffs.times[0]),
                              RealField(grid, phi1, role="phase-corrector"),
                              ComplexField(grid, a1v, role="amplitude-corrector"))]
 
     for i in range(len(coeffs.times) - 1):
         t = float(coeffs.times[i])
-        k1p, k1a = rhs(t, phi1, a1v)
-        k2p, k2a = rhs(t + 0.5 * h, phi1 + 0.5 * h * k1p, a1v + 0.5 * h * k1a)
-        k3p, k3a = rhs(t + 0.5 * h, phi1 + 0.5 * h * k2p, a1v + 0.5 * h * k2a)
-        k4p, k4a = rhs(t + h, phi1 + h * k3p, a1v + h * k3a)
-        phi1 = phi1 + (h / 6) * (k1p + 2 * k2p + 2 * k3p + k4p)
-        a1v = a1v + (h / 6) * (k1a + 2 * k2a + 2 * k3a + k4a)
-        if not (np.all(np.isfinite(phi1)) and np.all(np.isfinite(a1v))):
+        k1p, k1a = rhs(t, phi1_hat, a1_hat)
+        k2p, k2a = rhs(t + 0.5 * h, phi1_hat + 0.5 * h * k1p,
+                       a1_hat + 0.5 * h * k1a)
+        k3p, k3a = rhs(t + 0.5 * h, phi1_hat + 0.5 * h * k2p,
+                       a1_hat + 0.5 * h * k2a)
+        k4p, k4a = rhs(t + h, phi1_hat + h * k3p, a1_hat + h * k3a)
+        phi1_hat = phi1_hat + (h / 6) * (k1p + 2 * k2p + 2 * k3p + k4p)
+        a1_hat = a1_hat + (h / 6) * (k1a + 2 * k2a + 2 * k3a + k4a)
+        if not (np.all(np.isfinite(phi1_hat)) and np.all(np.isfinite(a1_hat))):
             raise DivergenceError("corrector solve hit non-finite values",
                                   time=t + h, eps=limit.problem.eps)
         if (i + 1) % store_every == 0 or i == len(coeffs.times) - 2:
             states.append(CorrectorState(
                 float(coeffs.times[i + 1]),
-                RealField(grid, phi1.copy(), role="phase-corrector"),
-                ComplexField(grid, a1v.copy(), role="amplitude-corrector")))
+                RealField(grid, np.fft.irfft(phi1_hat, sp.n),
+                          role="phase-corrector"),
+                ComplexField(grid, np.fft.ifft(a1_hat),
+                             role="amplitude-corrector")))
 
     return CorrectorTrajectory(states=tuple(states), dt=h)
 

@@ -196,13 +196,15 @@ class _SolverReached(Exception):
 
 
 def _solver_entry(cfg):
-    """(module, function name, position of dt) of the driver's time stepper."""
+    """(module, function name, position of dt) of the driver's time stepper.
+    Every phase-amplitude solve goes through the sweep, whose first
+    argument is the list of problems."""
     if (cfg.kind, cfg.solver) == ("single", "rays"):
         return rays, "integrate_flow", 3
     if ((cfg.kind, cfg.solver) == ("single", "grenier")
             or cfg.target in ("supercritical_leading",
                               "supercritical_corrector", "skew_free")):
-        return phase_amplitude, "solve_phase_amplitude", 2
+        return phase_amplitude, "solve_phase_amplitude_sweep", 2
     return nls, "solve_nls", 2
 
 
@@ -225,9 +227,34 @@ class TestDryRunPlan:
 
         def stop(problem, *args, **kwargs):
             dt = kwargs["dt"] if "dt" in kwargs else args[pos - 1]
-            raise _SolverReached(problem.eps, dt)
+            first = problem[0] if isinstance(problem, list) else problem
+            raise _SolverReached(first.eps, dt)
 
         monkeypatch.setattr(module, fn, stop)
+        with pytest.raises(_SolverReached) as caught:
+            run_experiment(cfg)
+        assert caught.value.dt == planned[caught.value.eps]
+
+    RAY_CONFIGS = ("critical.json", "rays.json", "subcritical.json", "wkb.json")
+
+    def test_ray_dt_is_planned_for_the_configs_that_integrate_rays(self):
+        planned = {p.name for p in sorted(CONFIG_DIR.glob("*.json"))
+                   if all("ray_dt" in e for e in dry_run_plan(
+                       config_from_dict(_shipped_raw(p.name)))["plan"])}
+        assert planned == set(self.RAY_CONFIGS)
+
+    @pytest.mark.parametrize("name", RAY_CONFIGS)
+    def test_planned_ray_dt_is_the_dt_the_rays_run(self, name, monkeypatch):
+        cfg = config_from_dict(_shipped_raw(name))
+        planned = {e["eps"]: e["ray_dt"] for e in dry_run_plan(cfg)["plan"]}
+
+        def stop(problem, markers, t_final, dt):
+            raise _SolverReached(problem.eps, dt)
+
+        # the NLS reference runs before the rays in the profile drivers and
+        # is not needed to reach them
+        monkeypatch.setattr(nls, "solve_nls", lambda *a, **kw: None)
+        monkeypatch.setattr(rays, "integrate_flow", stop)
         with pytest.raises(_SolverReached) as caught:
             run_experiment(cfg)
         assert caught.value.dt == planned[caught.value.eps]

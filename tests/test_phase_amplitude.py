@@ -6,7 +6,8 @@ from nlswkb.errors import ConfigError, DivergenceError, ResolutionError
 from nlswkb.fields import ComplexField, sobolev_norm
 from nlswkb.grids import PeriodicGrid
 from nlswkb.phase_amplitude import (assemble_supercritical, euler_residual,
-                                    solve_corrector, solve_phase_amplitude)
+                                    solve_corrector, solve_phase_amplitude,
+                                    solve_phase_amplitude_sweep)
 from nlswkb.potentials import InitialPhaseSpec, PotentialSpec
 from nlswkb.problem import SemiclassicalProblem, gaussian_field
 
@@ -183,3 +184,170 @@ class TestAssembly:
         with pytest.raises(ConfigError):
             assemble_supercritical(limit.states[0], problem.eps,
                                    corrector=corr.states[-1])
+
+
+def _rel(x, y):
+    return np.max(np.abs(x - y)) / max(np.max(np.abs(y)), 1e-300)
+
+
+def _assert_same_trajectory(got, ref, tol=1e-12):
+    assert got.problem is ref.problem and got.dt == ref.dt
+    assert np.array_equal(got.times, ref.times)
+    for sg, sr in zip(got.states, ref.states, strict=True):
+        assert _rel(sg.phi.values, sr.phi.values) <= tol
+        assert _rel(sg.a.values, sr.a.values) <= tol
+        assert _rel(sg.v[0].values, sr.v[0].values) <= tol
+    assert _rel(got.mass, ref.mass) <= tol
+    assert np.allclose(got.tail_fraction, ref.tail_fraction, rtol=tol,
+                       atol=1e-300)
+
+
+def sweep_problems(eps_list=(0.1, 0.03, 0.01), size=256):
+    # a1 makes the skew-free data depend on eps; the cosine potential and
+    # the chirp exercise V and a complex amplitude
+    grid = PeriodicGrid.line(32.0, size)
+    x = grid.nodes[0]
+    a0 = ComplexField(grid, np.exp(-x ** 2) * np.exp(0.5j * x ** 2 / (1 + x ** 2)))
+    return [SemiclassicalProblem(eps=eps, kappa=0.0, a0=a0,
+                                 a1=gaussian_field(grid, 1.5, 0.5),
+                                 potential=PotentialSpec.cosine(0.3, 32.0, 2),
+                                 phase=InitialPhaseSpec.zero())
+            for eps in eps_list]
+
+
+def _plain_march(problem, t_final, dt, variant):
+    """The phase-amplitude march in physical space, nine transforms per
+    right-hand side: the reference the spectral sweep must reproduce."""
+    grid = problem.grid
+    k = grid.axis_wavenumbers(0)
+    ik = 1j * k
+    ik[grid.sizes[0] // 2] = 0.0
+    mask = grid.dealias_mask
+    v = problem.potential_field().values
+
+    def deriv(f, mult):
+        out = np.fft.ifft(np.fft.fft(f) * mult)
+        return out if np.iscomplexobj(f) else out.real
+
+    def dealias(f):
+        return deriv(f, mask)
+
+    def rhs(phi, a):
+        gphi, lphi, ga = deriv(phi, ik), deriv(phi, -k * k), deriv(a, ik)
+        return (dealias(-0.5 * gphi ** 2 - v - np.abs(a) ** 2),
+                dealias(-gphi * ga - 0.5 * a * lphi))
+
+    def rk4(phi, a, h):
+        k1 = rhs(phi, a)
+        k2 = rhs(phi + 0.5 * h * k1[0], a + 0.5 * h * k1[1])
+        k3 = rhs(phi + 0.5 * h * k2[0], a + 0.5 * h * k2[1])
+        k4 = rhs(phi + h * k3[0], a + h * k3[1])
+        return (phi + h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
+                a + h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]))
+
+    phi = problem.initial_phase_field().values.copy()
+    a = (problem.a0.values if variant == "limit"
+         else problem.initial_amplitude().values).copy()
+    n_steps = int(round(t_final / dt))
+    h = t_final / n_steps
+    skew = np.exp(-0.5j * problem.eps * k * k * h)
+    for _ in range(n_steps):
+        if variant == "full":
+            phi, a = rk4(phi, a, 0.5 * h)
+            a = np.fft.ifft(np.fft.fft(a) * skew)
+            phi, a = rk4(phi, a, 0.5 * h)
+        else:
+            phi, a = rk4(phi, a, h)
+    return phi, a
+
+
+class _FFTCounter:
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn"):
+            monkeypatch.setattr(np.fft, name, self._counted(getattr(np.fft, name)))
+
+    def _counted(self, fn):
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return fn(*args, **kwargs)
+        return counted
+
+
+class TestSweep:
+    @pytest.mark.parametrize("variant", ["full", "skew_free", "limit"])
+    def test_every_row_equals_its_single_solve(self, variant):
+        problems = sweep_problems()
+        swept = solve_phase_amplitude_sweep(problems, 0.1, 2e-3,
+                                            variant=variant, store_every=10)
+        assert len(swept) == len(problems)
+        for got, problem in zip(swept, problems):
+            ref = solve_phase_amplitude(problem, 0.1, 2e-3, variant=variant,
+                                        store_every=10)
+            _assert_same_trajectory(got, ref)
+            assert got.final().time == pytest.approx(0.1, abs=1e-15)
+
+    @pytest.mark.parametrize("variant", ["full", "skew_free", "limit"])
+    def test_matches_the_plain_physical_space_march(self, variant):
+        problems = sweep_problems()
+        for traj, problem in zip(solve_phase_amplitude_sweep(
+                problems, 0.1, 2e-3, variant=variant), problems):
+            phi, a = _plain_march(problem, 0.1, 2e-3, variant)
+            assert _rel(traj.final().phi.values, phi) <= 1e-12
+            assert _rel(traj.final().a.values, a) <= 1e-12
+
+    def test_failed_rows_come_back_as_their_own_errors(self):
+        good = sweep_problems(eps_list=(0.1, 0.01))
+        grid = good[0].grid
+        x = grid.nodes[0]
+        kmax = np.pi * grid.sizes[0] / 32.0
+        # a1 at 0.55 k_max lies in the monitored top third of the kept band
+        noisy = SemiclassicalProblem(
+            eps=0.05, kappa=0.0, a0=good[0].a0,
+            a1=ComplexField(grid, np.exp(-x ** 2) * np.cos(0.55 * kmax * x)),
+            potential=good[0].potential)
+        # alternating data at the float ceiling overflows in the first step
+        huge = SemiclassicalProblem(
+            eps=0.02, kappa=0.0, a0=good[0].a0,
+            a1=ComplexField(grid, 1e307 * (-1.0) ** np.arange(grid.sizes[0])
+                            + 0j), potential=good[0].potential)
+        # the diverging row leaves the stack before the unresolved one
+        problems = [good[0], huge, noisy, good[1]]
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = solve_phase_amplitude_sweep(problems, 0.1, 2e-3,
+                                              variant="full", store_every=5)
+        assert isinstance(out[1], DivergenceError)
+        assert (out[1].eps, out[1].time) == (0.02, pytest.approx(2e-3))
+        assert isinstance(out[2], ResolutionError)
+        assert (out[2].eps, out[2].time) == (0.05, pytest.approx(1e-2))
+        for i in (1, 2):
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(type(out[i])) as single:
+                solve_phase_amplitude(problems[i], 0.1, 2e-3, variant="full",
+                                      store_every=5)
+            assert (single.value.eps, single.value.time) == (
+                out[i].eps, out[i].time)
+        for i in (0, 3):
+            ref = solve_phase_amplitude(problems[i], 0.1, 2e-3,
+                                        variant="full", store_every=5)
+            _assert_same_trajectory(out[i], ref)
+
+    @pytest.mark.parametrize("variant, per_step", [("full", 48), ("limit", 24)])
+    def test_transform_calls_do_not_grow_with_rows(self, variant, per_step,
+                                                   monkeypatch):
+        counter = _FFTCounter(monkeypatch)
+        counts = {}
+        for rows in (1, 7):
+            problems = sweep_problems(eps_list=np.geomspace(0.1, 0.01, rows))
+            for steps in (1, 2):
+                counter.calls = 0
+                solve_phase_amplitude_sweep(problems, steps * 2e-3, 2e-3,
+                                            variant=variant, store_every=10)
+                counts[rows, steps] = counter.calls
+        assert counts[1, 1] == counts[7, 1] and counts[1, 2] == counts[7, 2]
+        assert counts[1, 2] - counts[1, 1] == per_step
+
+    def test_problems_must_share_one_grid(self):
+        problems = [flat_problem(size=256), flat_problem(size=512)]
+        with pytest.raises(ConfigError):
+            solve_phase_amplitude_sweep(problems, 0.1, 2e-3)

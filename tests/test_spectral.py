@@ -7,9 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from nlswkb.errors import FieldError, GridError
 from nlswkb.fields import (ComplexField, RealField, band_limited_interpolate,
-                           gradient_and_laplacian_values, gradient_values,
-                           interpolate_periodic, l2_linf_norm, laplacian,
-                           laplacian_values, lp_norm, sobolev_norm,
+                           derivative_values, interpolate_periodic,
+                           l2_linf_norm, laplacian, lp_norm, sobolev_norm,
                            spectral_derivative)
 from nlswkb.grids import PeriodicGrid
 
@@ -136,15 +135,6 @@ class TestHornerInterpolation:
 
 
 class TestSharedTransform:
-    @pytest.mark.parametrize("complex_field", [False, True])
-    def test_gradient_and_laplacian_are_bit_identical(self, complex_field):
-        grid, x, f = gaussian_line()
-        vals = f.values * (np.exp(1j * x) if complex_field else 1.0)
-        grad, lap = gradient_and_laplacian_values(grid, vals)
-        assert np.array_equal(grad[0], gradient_values(grid, vals)[0])
-        assert np.array_equal(lap, laplacian_values(grid, vals))
-        assert np.iscomplexobj(lap) == complex_field
-
     def test_cached_first_derivative_multiplier(self):
         grid = PeriodicGrid.line(32.0, 64)
         k = grid.axis_wavenumbers(0)
@@ -152,6 +142,33 @@ class TestSharedTransform:
         expected[32] = 0.0
         assert np.array_equal(grid.ik, expected)
         assert grid.ik is grid.ik and not grid.ik.flags.writeable
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_every_order_is_cached_read_only(self, order, monkeypatch):
+        grid = PeriodicGrid.line(32.0, 64)
+        k = grid.axis_wavenumbers(0)
+        expected = (1j * k) ** order
+        if order % 2 == 1:
+            expected[32] = 0.0
+        mult = grid.derivative_multiplier(order)
+        assert np.array_equal(mult, expected) and not mult.flags.writeable
+        calls = []
+        fftfreq = np.fft.fftfreq
+        monkeypatch.setattr(np.fft, "fftfreq",
+                            lambda *a, **kw: calls.append(a) or fftfreq(*a, **kw))
+        values = gaussian_line(size=64)[2].values
+        for _ in range(3):
+            derivative_values(grid, values, order=order)
+        assert grid.derivative_multiplier(order) is mult
+        assert calls == []
+
+    def test_kept_band_top_is_the_top_third_of_the_dealiased_band(self):
+        grid = PeriodicGrid.line(32.0, 256)
+        k = np.abs(grid.axis_wavenumbers(0))
+        kmax = k.max()
+        expected = (k > (4.0 / 9.0) * kmax) & (k <= (2.0 / 3.0) * kmax)
+        assert np.array_equal(grid.kept_band_top, expected)
+        assert not grid.kept_band_top.flags.writeable
 
 
 class TestGridValidation:
