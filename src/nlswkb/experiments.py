@@ -686,14 +686,15 @@ def _run_profile_convergence(config: ExperimentConfig) -> ExperimentResult:
     the combined L2/Linf metric."""
     t = config.t_final
     critical = config.target == "critical"
+    problems = [config.problem(eps, with_a1=False) for eps in config.eps]
+    solutions = nls.solve_nls_sweep(
+        problems, t, [config.stepping_dt(eps) for eps in config.eps])
 
-    def one(eps):
-        problem = config.problem(eps, with_a1=False)
-        dt = config.stepping_dt(eps)
-        try:
-            sol = nls.solve_nls(problem, t, dt=dt)
-        except ResolutionError as exc:
-            return {"eps": eps, "resolved": False, "detail": str(exc)}
+    def one(eps, problem, sol):
+        if isinstance(sol, ResolutionError):
+            return {"eps": eps, "resolved": False, "detail": str(sol)}
+        if isinstance(sol, Exception):
+            raise sol
         bundle = rays.integrate_flow(problem, problem.a0.grid, t,
                                      dt=config.ray_dt)
         approx = wkb.build_approximant(problem, bundle, t,
@@ -709,7 +710,7 @@ def _run_profile_convergence(config: ExperimentConfig) -> ExperimentResult:
             row["modulation_size"] = l2_linf_norm(shift)
         return row
 
-    rows = [one(eps) for eps in config.eps]
+    rows = [one(*row) for row in zip(config.eps, problems, solutions)]
     resolved = [r for r in rows if r["resolved"]]
     errors = [r["error"] for r in resolved]
     a0_field = config.a0.build(config.grid(), role="initial-amplitude")
@@ -781,18 +782,22 @@ def run_instability(config: ExperimentConfig) -> ExperimentResult:
             pert = SemiclassicalProblem(eps=eps, kappa=0.0, a0=a_tilde)
             outputs = _instability_outputs(t_eps)
             dt = config.stepping_dt(eps)
-            try:
-                sol_u = nls.solve_nls(base, t_eps, dt=dt, output_times=outputs)
-                sol_v = nls.solve_nls(pert, t_eps, dt=dt, output_times=outputs)
-            except ResolutionError as exc:
-                attempt += 1
-                if attempt > config.max_resolution_doublings:
-                    raise ResolutionError(
-                        f"instability run still under-resolved at N={size}: "
-                        f"{exc}", time=exc.time, eps=eps) from exc
-                size *= 2
-                continue
-            break
+            pair = nls.solve_nls_sweep([base, pert], t_eps, [dt, dt],
+                                       output_times=outputs)
+            # the first failure in (base, pert) order is the one the two
+            # solves run one after the other would raise
+            exc = next((o for o in pair if isinstance(o, Exception)), None)
+            if exc is None:
+                break
+            if not isinstance(exc, ResolutionError):
+                raise exc
+            attempt += 1
+            if attempt > config.max_resolution_doublings:
+                raise ResolutionError(
+                    f"instability run still under-resolved at N={size}: "
+                    f"{exc}", time=exc.time, eps=eps) from exc
+            size *= 2
+        sol_u, sol_v = pair
 
         separations = []
         for tt in outputs:
@@ -887,9 +892,13 @@ def run_norm_growth(config: ExperimentConfig) -> ExperimentResult:
     initial_norms = {m: sobolev_norm(a0, m, homogeneous=True)
                      for m in config.m_orders}
 
-    def one(eps):
-        problem = config.problem(eps, with_a1=False)
-        sol = nls.solve_nls(problem, t, dt=config.stepping_dt(eps))
+    solutions = nls.solve_nls_sweep(
+        [config.problem(eps, with_a1=False) for eps in config.eps], t,
+        [config.stepping_dt(eps) for eps in config.eps])
+
+    def one(eps, sol):
+        if isinstance(sol, Exception):
+            raise sol
         state = sol.final()
         norms = {m: sobolev_norm(state, m, homogeneous=True)
                  for m in config.m_orders}
@@ -897,7 +906,7 @@ def run_norm_growth(config: ExperimentConfig) -> ExperimentResult:
                 "compensated": {m: eps**m * norms[m] for m in norms},
                 "mass": lp_norm(state, 2), "mass_drift": sol.mass_drift()}
 
-    rows = [one(eps) for eps in config.eps]
+    rows = [one(*row) for row in zip(config.eps, solutions)]
     verdicts = []
     spreads = {}
     for m in config.m_orders:

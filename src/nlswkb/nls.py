@@ -10,6 +10,11 @@ splitting signature and is tracked as a diagnostic.  Between two outputs
 the adjacent kinetic half-steps of consecutive steps merge into one full
 kinetic step, so a step costs one forward and one inverse FFT.
 
+solve_nls_sweep marches the problems of a sweep (one grid, one set of
+output times) as rows of one array, each row at its own step size and step
+count; one step of every row costs the same two FFT calls, and each row's
+arithmetic is that of its own solve.  solve_nls is its one-row call.
+
 The solver is the measuring stick the asymptotic constructions are compared
 against, so its defaults are conservative: h = eps/50 resolves the fast
 phase, and segments between requested output times are subdivided so every
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, ResolutionError
-from .fields import ComplexField, gradient_values
+from .fields import ComplexField, derivative_values
 from .grids import PeriodicGrid
 from .problem import SemiclassicalProblem
 
@@ -77,14 +82,54 @@ def segment_steps(output_times, dt: float) -> list[int]:
 
 def nls_energy(problem: SemiclassicalProblem, u: ComplexField, t: float = 0.0) -> float:
     """Conserved Hamiltonian: (eps^2/2)|grad u|^2 + V|u|^2 + (eps^kappa/2)|u|^4."""
-    grid = u.grid
-    eps = problem.eps
-    grads = gradient_values(grid, u.values)
-    kinetic = 0.5 * eps**2 * sum(np.abs(g) ** 2 for g in grads)
-    vvals = problem.potential_field(t).values
-    density = np.abs(u.values) ** 2
-    quartic = 0.5 * eps**problem.kappa * density**2
-    return grid.cell_volume * float(np.sum(kinetic + vvals * density + quartic))
+    return _energies(u.grid, [problem], u.values[np.newaxis], [t])[0]
+
+
+def _energies(grid: PeriodicGrid, problems, u: np.ndarray, times) -> list[float]:
+    """nls_energy of each row u[r] on grid, the state of problems[r] at
+    times[r]; one FFT pair covers every row."""
+    grads = derivative_values(grid, u)
+    energies = []
+    for problem, t, row, grad in zip(problems, times, u, grads):
+        eps = problem.eps
+        kinetic = 0.5 * eps**2 * np.abs(grad) ** 2
+        vvals = problem.potential_field(t).values
+        density = np.abs(row) ** 2
+        quartic = 0.5 * eps**problem.kappa * density**2
+        energies.append(grid.cell_volume
+                        * float(np.sum(kinetic + vvals * density + quartic)))
+    return energies
+
+
+def _output_times(t_final: float, output_times) -> list[float]:
+    if output_times is None:
+        return [float(t_final)]
+    outputs = [float(t) for t in output_times]
+    if any(b <= a for a, b in zip(outputs, outputs[1:])) or outputs[0] <= 0:
+        raise ConfigError("output_times must be strictly increasing and positive")
+    if outputs[-1] < t_final - 1e-12:
+        outputs.append(float(t_final))
+    elif abs(outputs[-1] - t_final) > 1e-9 * max(1.0, t_final):
+        raise ConfigError("output_times may not pass t_final")
+    return outputs
+
+
+def _step(u, uh, kinetic, scale, vphase, theta, scratch, rot) -> None:
+    """One fused step of every row, in place: uh holds the states after
+    their opening kinetic multiplier and ends after the next one."""
+    # u *= exp(-i (h/eps)(V + eps^kappa |u|^2)) in physical space
+    np.fft.ifft(uh, out=u)
+    np.multiply(u.real, u.real, out=theta)
+    np.multiply(u.imag, u.imag, out=scratch)
+    theta += scratch
+    theta *= scale
+    theta += vphase
+    np.cos(theta, out=rot.real)
+    np.sin(theta, out=rot.imag)
+    u *= rot
+    np.fft.fft(u, out=uh)
+    # the closing kinetic half-step merges with the next opening one
+    uh *= kinetic
 
 
 def solve_nls(problem: SemiclassicalProblem, t_final: float, dt: float | None = None,
@@ -95,95 +140,164 @@ def solve_nls(problem: SemiclassicalProblem, t_final: float, dt: float | None = 
     output_times must be strictly increasing and positive, ending at
     t_final (it is appended when missing).  Within each segment the step is
     shrunk to seg / ceil(seg / dt) so outputs land exactly on step
-    boundaries (segment_steps).  Raises ResolutionError when an output
-    state carries more than tail_tol of its power in the upper third of the
-    spectrum, and DivergenceError on non-finite values; both carry the time
-    and eps of the solve.  initial_state is read, never written.
+    boundaries (segment_steps); dt defaults to eps/50.  Raises
+    ResolutionError when an output state carries more than tail_tol of its
+    power in the upper third of the spectrum, and DivergenceError on
+    non-finite values; both carry the time and eps of the solve.
+    initial_state is read, never written.  This is the one-row call of
+    solve_nls_sweep.
+    """
+    out = solve_nls_sweep([problem], t_final, [dt], output_times=output_times,
+                          tail_tol=tail_tol, initial_states=[initial_state])[0]
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
+def solve_nls_sweep(problems: list[SemiclassicalProblem], t_final: float, dts,
+                    output_times=None, tail_tol: float = 1e-8,
+                    initial_states=None
+                    ) -> list[NLSSolution | ResolutionError | DivergenceError]:
+    """solve_nls for every problem at once, in one march.
+
+    The problems share one grid, t_final and output times; dts[r] (None
+    for eps/50) and initial_states[r] (None for the problem's own) belong
+    to problems[r].  The states are the rows of one array, and every row
+    keeps its own step size, kinetic multipliers, phase scale and
+    segment_steps count, so its arithmetic is that of its own solve.  Each
+    loop pass advances every row by one step at a cost of two FFT calls,
+    however many rows there are.  A row that reaches an output closes its
+    step with a half kinetic multiplier and is checked there.  Returns one
+    outcome per problem, in order: its solution, or the ResolutionError or
+    DivergenceError its own solve would raise, with its eps and time.  A
+    row that fails, or is done, leaves the stack; the others march on
+    unchanged.
     """
     if t_final <= 0:
         raise ConfigError("t_final must be positive")
-    if dt is None:
-        dt = problem.eps / 50.0
-    if dt <= 0:
+    initial_states = initial_states or [None] * len(problems)
+    if not len(problems) == len(dts) == len(initial_states):
+        raise ConfigError("a sweep takes one dt and one initial state per problem")
+    dts = [p.eps / 50.0 if dt is None else dt for p, dt in zip(problems, dts)]
+    if any(dt <= 0 for dt in dts):
         raise ConfigError("dt must be positive")
+    outputs = _output_times(t_final, output_times)
+    grid = problems[0].grid
+    if any(p.grid != grid for p in problems):
+        raise ConfigError("the problems of a sweep must share one grid")
+    starts = []
+    for problem, start in zip(problems, initial_states):
+        if start is None:
+            start = problem.initial_state()
+        elif start.grid != grid:
+            raise ConfigError("initial_state grid mismatch")
+        starts.append(start)
 
-    grid = problem.grid
-    eps = problem.eps
-    kappa = problem.kappa
-    if output_times is None:
-        outputs = [float(t_final)]
-    else:
-        outputs = [float(t) for t in output_times]
-        if any(b <= a for a, b in zip(outputs, outputs[1:])) or outputs[0] <= 0:
-            raise ConfigError("output_times must be strictly increasing and positive")
-        if outputs[-1] < t_final - 1e-12:
-            outputs.append(float(t_final))
-        elif abs(outputs[-1] - t_final) > 1e-9 * max(1.0, t_final):
-            raise ConfigError("output_times may not pass t_final")
-
-    if initial_state is None:
-        initial_state = problem.initial_state()
-    elif initial_state.grid != grid:
-        raise ConfigError("initial_state grid mismatch")
-    # work buffers: u in physical space, uh in Fourier space, theta for the
-    # pointwise phase and rot for its rotation factor exp(i theta)
-    u = np.array(initial_state.values, dtype=complex)
-    uh = np.empty_like(u)
-    rot = np.empty_like(u)
-    theta = np.empty(grid.shape)
-    scratch = np.empty(grid.shape)
-    vvals = problem.potential_field().values
+    # work buffers, one row per stacked problem: u in physical space, uh in
+    # Fourier space, theta for the pointwise phase and rot for its rotation
+    # factor exp(i theta); per row, the kinetic multiplier of its next
+    # step, its closing half-step, and its potential phase and phase scale
+    shape = (len(problems),) + grid.shape
+    u, uh, rot, kinetic, half = np.empty((5,) + shape, dtype=complex)
+    theta, scratch, vphase = np.empty((3,) + shape)
+    u[:] = [s.values for s in starts]
+    scale = np.empty((len(problems), 1))
+    vvals = [p.potential_field().values for p in problems]
     ksq = grid.wavenumber_sq
-
-    times = [0.0]
-    states = [ComplexField(grid, u, role="reference-state")]
     cell = grid.cell_volume
-    mass = [cell * float(np.sum(np.abs(u) ** 2))]
-    energy = [nls_energy(problem, states[0])]
+    bounds = [0.0] + outputs
+    counts = [segment_steps(outputs, dt) for dt in dts]
 
-    t_cur = 0.0
-    for t_next, n in zip(outputs, segment_steps(outputs, dt)):
-        h = (t_next - t_cur) / n
-        half_kinetic = np.exp(-0.25j * eps * ksq * h)
-        full_kinetic = np.exp(-0.5j * eps * ksq * h)
-        vphase = -(h / eps) * vvals
-        phase_scale = -(h / eps) * eps**kappa
-        np.fft.fft(u, out=uh)
-        uh *= half_kinetic
-        for step in range(n):
-            # u *= exp(-i (h/eps)(V + eps^kappa |u|^2)) in physical space
-            np.fft.ifft(uh, out=u)
-            np.multiply(u.real, u.real, out=theta)
-            np.multiply(u.imag, u.imag, out=scratch)
-            theta += scratch
-            theta *= phase_scale
-            theta += vphase
-            np.cos(theta, out=rot.real)
-            np.sin(theta, out=rot.imag)
-            u *= rot
-            np.fft.fft(u, out=uh)
-            # the closing kinetic half-step merges with the next opening one
-            uh *= full_kinetic if step < n - 1 else half_kinetic
-        np.fft.ifft(uh, out=u)
-        t_cur = t_next
-        if not np.all(np.isfinite(u)):
-            raise DivergenceError("reference solve hit non-finite values",
-                                  time=t_cur, eps=eps)
-        spec = np.fft.fft(u)
-        tail = _upper_third_tail(grid, spec)
-        if tail > tail_tol:
-            raise ResolutionError(
-                f"spectral tail fraction {tail:.3e} exceeds {tail_tol:.1e}; "
-                "increase the grid size", time=t_cur, eps=eps)
-        field = ComplexField(grid, u, role="reference-state")
-        times.append(t_cur)
-        states.append(field)
-        mass.append(cell * float(np.sum(np.abs(u) ** 2)))
-        energy.append(nls_energy(problem, field, t_cur))
+    rows = list(range(len(problems)))     # problem index of each stack row
+    segment = [0] * len(problems)         # output each stack row marches to
+    left = np.array([c[0] for c in counts])   # its steps left to get there
+    times = [[0.0] for _ in problems]
+    states = [[ComplexField(grid, s.values, role="reference-state")]
+              for s in starts]
+    mass = [[cell * float(np.sum(np.abs(s.values) ** 2))] for s in starts]
+    energy = [[e] for e in _energies(grid, problems, u, [0.0] * len(problems))]
+    outcomes = [None] * len(problems)
 
-    return NLSSolution(problem=problem, times=np.array(times),
-                       states=tuple(states), mass=np.array(mass),
-                       energy=np.array(energy), dt=dt)
+    def begin(at):
+        # open the next segment of stack rows `at`, whose u rows hold the
+        # states at its start: kinetic half-step of the segment's h
+        for r in np.flatnonzero(at):
+            i, k = rows[r], segment[r]
+            eps, kappa = problems[i].eps, problems[i].kappa
+            h = (bounds[k + 1] - bounds[k]) / counts[i][k]
+            half[r] = np.exp(-0.25j * eps * ksq * h)
+            kinetic[r] = np.exp(-0.5j * eps * ksq * h)
+            vphase[r] = -(h / eps) * vvals[i]
+            scale[r] = -(h / eps) * eps**kappa
+        uh[at] = np.fft.fft(u[at]) * half[at]
+
+    begin(np.ones(len(rows), dtype=bool))
+    while rows:
+        n = int(left.min())
+        work = (u, uh, kinetic, scale, vphase, theta, scratch, rot)
+        for _ in range(n - 1):
+            _step(*work)
+        at = left == n
+        kinetic[at] = half[at]
+        _step(*work)
+        left -= n
+
+        # the rows at an output run the checks of their own solve there
+        u[at] = np.fft.ifft(uh[at])
+        spec = np.fft.fft(u[at])
+        done = np.zeros(len(rows), dtype=bool)
+        passed = []
+        for r, row_spec in zip(np.flatnonzero(at), spec):
+            i, t_cur = rows[r], bounds[segment[r] + 1]
+            eps = problems[i].eps
+            if not np.all(np.isfinite(u[r])):
+                outcomes[i] = DivergenceError(
+                    "reference solve hit non-finite values", time=t_cur, eps=eps)
+                done[r] = True
+                continue
+            tail = _upper_third_tail(grid, row_spec)
+            if tail > tail_tol:
+                outcomes[i] = ResolutionError(
+                    f"spectral tail fraction {tail:.3e} exceeds {tail_tol:.1e}; "
+                    "increase the grid size", time=t_cur, eps=eps)
+                done[r] = True
+                continue
+            times[i].append(t_cur)
+            states[i].append(ComplexField(grid, u[r], role="reference-state"))
+            mass[i].append(cell * float(np.sum(np.abs(u[r]) ** 2)))
+            passed.append(r)
+        energies = _energies(
+            grid, [problems[rows[r]] for r in passed], u[passed],
+            [times[rows[r]][-1] for r in passed]) if passed else []
+        for r, e in zip(passed, energies):
+            i = rows[r]
+            energy[i].append(e)
+            segment[r] += 1
+            if segment[r] == len(outputs):
+                outcomes[i] = NLSSolution(
+                    problem=problems[i], times=np.array(times[i]),
+                    states=tuple(states[i]), mass=np.array(mass[i]),
+                    energy=np.array(energy[i]), dt=dts[i])
+                done[r] = True
+            else:
+                left[r] = counts[i][segment[r]]
+
+        if done.any():
+            # the kept rows move to the front of the buffers, which shrink
+            # to views of them, so a leaving row allocates nothing
+            keep = ~done
+            m = int(keep.sum())
+            for buf in (u, uh, kinetic, half, vphase, scale):
+                buf[:m] = buf[keep]
+            u, uh, rot, theta, scratch, kinetic, half, vphase, scale = (
+                buf[:m] for buf in (u, uh, rot, theta, scratch, kinetic,
+                                    half, vphase, scale))
+            left, at = left[keep], at[keep]
+            rows = [i for i, k in zip(rows, keep) if k]
+            segment = [k for k, kept in zip(segment, keep) if kept]
+        if rows and at.any():
+            begin(at)
+    return outcomes
 
 
 def step_convergence_audit(problem: SemiclassicalProblem, t_final: float,
@@ -195,11 +309,15 @@ def step_convergence_audit(problem: SemiclassicalProblem, t_final: float,
     dts = sorted(float(d) for d in dts)
     if len(dts) < 3:
         raise ConfigError("need at least three step sizes")
-    ref = solve_nls(problem, t_final, dt=dts[0] / 4.0).final()
+    solutions = solve_nls_sweep([problem] * (len(dts) + 1), t_final,
+                                [dts[0] / 4.0] + dts)
+    for sol in solutions:
+        if isinstance(sol, Exception):
+            raise sol
+    ref = solutions[0].final()
     errors = []
-    for d in dts:
-        sol = solve_nls(problem, t_final, dt=d).final()
-        diff = sol.values - ref.values
+    for sol in solutions[1:]:
+        diff = sol.final().values - ref.values
         errors.append(float(np.sqrt(ref.grid.cell_volume * np.sum(np.abs(diff) ** 2))))
     fit = fit_power_law(np.array(dts), np.array(errors))
     return {"dts": dts, "errors": errors, "slope": fit.slope, "r2": fit.r2}

@@ -188,24 +188,26 @@ class TestOverrides:
 
 
 class _SolverReached(Exception):
-    """Raised by a patched solver entry point to stop the driver."""
+    """Raised by a patched solver entry point to stop the driver; carries
+    the (eps, dt) of every problem of the call."""
 
-    def __init__(self, eps, dt):
-        super().__init__(f"solver reached at eps={eps} with dt={dt}")
-        self.eps, self.dt = eps, dt
+    def __init__(self, pairs):
+        super().__init__(f"solver reached with (eps, dt) {pairs}")
+        self.pairs = pairs
 
 
 def _solver_entry(cfg):
     """(module, function name, position of dt) of the driver's time stepper.
-    Every phase-amplitude solve goes through the sweep, whose first
-    argument is the list of problems."""
+    Every phase-amplitude and NLS solve goes through a sweep, whose first
+    argument is the list of problems; the NLS sweep takes one dt per
+    problem."""
     if (cfg.kind, cfg.solver) == ("single", "rays"):
         return rays, "integrate_flow", 3
     if ((cfg.kind, cfg.solver) == ("single", "grenier")
             or cfg.target in ("supercritical_leading",
                               "supercritical_corrector", "skew_free")):
         return phase_amplitude, "solve_phase_amplitude_sweep", 2
-    return nls, "solve_nls", 2
+    return nls, "solve_nls_sweep", 2
 
 
 def _shipped_raw(name, overrides=()):
@@ -227,13 +229,16 @@ class TestDryRunPlan:
 
         def stop(problem, *args, **kwargs):
             dt = kwargs["dt"] if "dt" in kwargs else args[pos - 1]
-            first = problem[0] if isinstance(problem, list) else problem
-            raise _SolverReached(first.eps, dt)
+            problems = problem if isinstance(problem, list) else [problem]
+            dts = dt if isinstance(dt, list) else [dt] * len(problems)
+            raise _SolverReached([(p.eps, d) for p, d in zip(problems, dts)])
 
         monkeypatch.setattr(module, fn, stop)
         with pytest.raises(_SolverReached) as caught:
             run_experiment(cfg)
-        assert caught.value.dt == planned[caught.value.eps]
+        assert caught.value.pairs
+        for eps, dt in caught.value.pairs:
+            assert dt == planned[eps]
 
     RAY_CONFIGS = ("critical.json", "rays.json", "subcritical.json", "wkb.json")
 
@@ -249,15 +254,17 @@ class TestDryRunPlan:
         planned = {e["eps"]: e["ray_dt"] for e in dry_run_plan(cfg)["plan"]}
 
         def stop(problem, markers, t_final, dt):
-            raise _SolverReached(problem.eps, dt)
+            raise _SolverReached([(problem.eps, dt)])
 
-        # the NLS reference runs before the rays in the profile drivers and
-        # is not needed to reach them
-        monkeypatch.setattr(nls, "solve_nls", lambda *a, **kw: None)
+        # the NLS sweep runs before the rays in the profile drivers and is
+        # not needed to reach them
+        monkeypatch.setattr(nls, "solve_nls_sweep",
+                            lambda problems, *a, **kw: [None] * len(problems))
         monkeypatch.setattr(rays, "integrate_flow", stop)
         with pytest.raises(_SolverReached) as caught:
             run_experiment(cfg)
-        assert caught.value.dt == planned[caught.value.eps]
+        [(eps, dt)] = caught.value.pairs
+        assert dt == planned[eps]
 
     def test_skew_free_steps_run_to_the_last_schedule_time(self):
         raw = _shipped_raw("skewfree.json", ("time.schedule=[0.05, 0.1]",))
@@ -302,14 +309,17 @@ class TestPlannedSteps:
         cfg = config_from_dict(_shipped_raw(name, overrides))
         planned = {e["eps"]: e["steps"] for e in dry_run_plan(cfg)["plan"]}
         executed = []
-        solve = nls.solve_nls
+        solve = nls.solve_nls_sweep
 
-        def recording(problem, *args, **kwargs):
-            sol = solve(problem, *args, **kwargs)
-            executed.append((problem.eps, _executed_nls_steps(sol)))
-            return sol
+        def recording(problems, *args, **kwargs):
+            # a failed row returns its error, which ran no whole solve
+            outcomes = solve(problems, *args, **kwargs)
+            executed.extend((p.eps, _executed_nls_steps(sol))
+                            for p, sol in zip(problems, outcomes)
+                            if not isinstance(sol, Exception))
+            return outcomes
 
-        monkeypatch.setattr(nls, "solve_nls", recording)
+        monkeypatch.setattr(nls, "solve_nls_sweep", recording)
         run_experiment(cfg)
         assert {eps for eps, _ in executed} == set(planned)
         assert all(steps == planned[eps] for eps, steps in executed), (

@@ -2,10 +2,10 @@
 import numpy as np
 import pytest
 
-from nlswkb.errors import ConfigError, ResolutionError
+from nlswkb.errors import ConfigError, DivergenceError, ResolutionError
 from nlswkb.fields import ComplexField, lp_norm
 from nlswkb.grids import PeriodicGrid
-from nlswkb.nls import (nls_energy, segment_steps, solve_nls,
+from nlswkb.nls import (nls_energy, segment_steps, solve_nls, solve_nls_sweep,
                         step_convergence_audit)
 from nlswkb.potentials import InitialPhaseSpec, PotentialSpec
 from nlswkb.problem import SemiclassicalProblem, gaussian_field
@@ -185,6 +185,126 @@ class TestFusedStepper:
             solve_nls(problem, 0.2)
         assert caught.value.eps == 0.01
         assert caught.value.time == pytest.approx(0.2)
+
+
+def sweep_problems(eps_kappa=((0.1, 0.0), (0.05, 1.0), (0.03, 1.0)),
+                   size=256):
+    # a chirped amplitude and a cosine potential exercise V and a complex
+    # state; kappa 0 and 1 give the rows different phase scales
+    grid = PeriodicGrid.line(32.0, size)
+    x = grid.nodes[0]
+    a0 = ComplexField(grid, np.exp(-x ** 2) * np.exp(0.5j * x ** 2 / (1 + x ** 2)))
+    return [SemiclassicalProblem(eps=eps, kappa=kappa, a0=a0,
+                                 potential=PotentialSpec.cosine(0.5, 32.0),
+                                 phase=InitialPhaseSpec.zero())
+            for eps, kappa in eps_kappa]
+
+
+def _assert_same_solution(got, ref):
+    assert got.problem is ref.problem and got.dt == ref.dt
+    for name in ("times", "mass", "energy"):
+        assert np.array_equal(getattr(got, name), getattr(ref, name))
+    for a, b in zip(got.states, ref.states, strict=True):
+        assert np.array_equal(a.values, b.values)
+
+
+class TestSweep:
+    OUTPUTS = [0.05, 0.1]
+    DTS = [2e-3, 7e-4, None]       # None: eps/50 = 6e-4
+
+    def test_every_row_equals_its_single_solve(self):
+        problems = sweep_problems()
+        swept = solve_nls_sweep(problems, 0.1, self.DTS,
+                                output_times=self.OUTPUTS)
+        assert len(swept) == len(problems)
+        for got, problem, dt in zip(swept, problems, self.DTS):
+            ref = solve_nls(problem, 0.1, dt=dt, output_times=self.OUTPUTS)
+            _assert_same_solution(got, ref)
+        steps = {sum(segment_steps(self.OUTPUTS, sol.dt)) for sol in swept}
+        assert len(steps) == len(problems)
+
+    def test_matches_the_four_fft_strang_loop(self):
+        problems = sweep_problems()
+        swept = solve_nls_sweep(problems, 0.1, self.DTS,
+                                output_times=self.OUTPUTS)
+        for sol, problem in zip(swept, problems):
+            expected = strang_reference(problem, self.OUTPUTS, sol.dt)
+            for state, ref in zip(sol.states[1:], expected, strict=True):
+                gap = np.linalg.norm(state.values - ref) / np.linalg.norm(ref)
+                assert gap <= 1e-10
+
+    def test_failed_rows_come_back_as_their_own_errors(self):
+        good = sweep_problems()
+        grid = good[0].grid
+        # strong coupling writes wavenumbers ~ t/eps: at N = 256 this row
+        # passes its check at t = 0.05 and fails it at t = 0.1
+        unresolved = make_problem(eps=0.03, kappa=0.0, size=256,
+                                  potential=PotentialSpec.cosine(0.5, 32.0))
+        # |u|^2 overflows in the first nonlinear phase
+        huge = SemiclassicalProblem(
+            eps=0.02, kappa=0.0, a0=ComplexField(grid, 1e200 * good[0].a0.values),
+            potential=PotentialSpec.zero(), phase=InitialPhaseSpec.zero())
+        problems = [good[0], huge, unresolved, good[1]]
+        dts = [2e-3, None, 1e-3, 7e-4]
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = solve_nls_sweep(problems, 0.1, dts, output_times=self.OUTPUTS)
+        assert isinstance(out[1], DivergenceError)
+        assert (out[1].eps, out[1].time) == (0.02, 0.05)
+        assert isinstance(out[2], ResolutionError)
+        assert (out[2].eps, out[2].time) == (0.03, 0.1)
+        for i in (1, 2):
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(type(out[i])) as single:
+                solve_nls(problems[i], 0.1, dt=dts[i],
+                          output_times=self.OUTPUTS)
+            assert (single.value.eps, single.value.time) == (
+                out[i].eps, out[i].time)
+            assert str(single.value) == str(out[i])
+        for i in (0, 3):
+            ref = solve_nls(problems[i], 0.1, dt=dts[i],
+                            output_times=self.OUTPUTS)
+            _assert_same_solution(out[i], ref)
+
+    def test_fft_calls_do_not_grow_with_rows(self, fft_counter):
+        problems = sweep_problems(
+            [(eps, 1.0) for eps in np.geomspace(0.1, 0.05, 5)])
+        counts = {}
+        for rows in (1, 5):
+            for dt in (1e-2, 5e-3):
+                fft_counter.calls = 0
+                solve_nls_sweep(problems[:rows], 0.1, [dt] * rows,
+                                output_times=self.OUTPUTS)
+                counts[rows, dt] = fft_counter.calls
+        assert counts[1, 1e-2] == counts[5, 1e-2]
+        assert counts[1, 5e-3] == counts[5, 5e-3]
+        # 5 more steps in each of the 2 segments, 2 calls per step
+        assert counts[1, 5e-3] - counts[1, 1e-2] == 20
+
+    def test_problems_must_share_one_grid(self):
+        problems = [make_problem(size=256), make_problem(size=512)]
+        with pytest.raises(ConfigError):
+            solve_nls_sweep(problems, 0.1, [1e-3, 1e-3])
+
+    def test_one_dt_per_problem(self):
+        with pytest.raises(ConfigError):
+            solve_nls_sweep(sweep_problems(), 0.1, [1e-3, 1e-3])
+
+    def test_initial_states_untouched_and_states_distinct(self):
+        problems = sweep_problems()
+        starts = [p.initial_state() for p in problems]
+        before = [s.values.copy() for s in starts]
+        swept = solve_nls_sweep(problems, 0.1, self.DTS,
+                                output_times=self.OUTPUTS,
+                                initial_states=[starts[0], None, starts[2]])
+        for start, copy in zip(starts, before):
+            assert np.array_equal(start.values, copy)
+        arrays = ([s.values for sol in swept for s in sol.states]
+                  + [s.values for s in starts])
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
+        for sol, start in zip(swept, starts):
+            assert np.array_equal(sol.states[0].values, start.values)
 
 
 class TestResolutionAlarm:

@@ -261,19 +261,6 @@ def _plain_march(problem, t_final, dt, variant):
     return phi, a
 
 
-class _FFTCounter:
-    def __init__(self, monkeypatch):
-        self.calls = 0
-        for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn"):
-            monkeypatch.setattr(np.fft, name, self._counted(getattr(np.fft, name)))
-
-    def _counted(self, fn):
-        def counted(*args, **kwargs):
-            self.calls += 1
-            return fn(*args, **kwargs)
-        return counted
-
-
 class TestSweep:
     @pytest.mark.parametrize("variant", ["full", "skew_free", "limit"])
     def test_every_row_equals_its_single_solve(self, variant):
@@ -334,16 +321,15 @@ class TestSweep:
 
     @pytest.mark.parametrize("variant, per_step", [("full", 48), ("limit", 24)])
     def test_transform_calls_do_not_grow_with_rows(self, variant, per_step,
-                                                   monkeypatch):
-        counter = _FFTCounter(monkeypatch)
+                                                   fft_counter):
         counts = {}
         for rows in (1, 7):
             problems = sweep_problems(eps_list=np.geomspace(0.1, 0.01, rows))
             for steps in (1, 2):
-                counter.calls = 0
+                fft_counter.calls = 0
                 solve_phase_amplitude_sweep(problems, steps * 2e-3, 2e-3,
                                             variant=variant, store_every=10)
-                counts[rows, steps] = counter.calls
+                counts[rows, steps] = fft_counter.calls
         assert counts[1, 1] == counts[7, 1] and counts[1, 2] == counts[7, 2]
         assert counts[1, 2] - counts[1, 1] == per_step
 
