@@ -13,10 +13,12 @@ from hypothesis import strategies as st
 
 from nlswkb import nls, phase_amplitude, rays
 from nlswkb.cli import main
-from nlswkb.errors import ConfigError
+from nlswkb.errors import ConfigError, ResolutionError
 from nlswkb.experiments import (apply_overrides, config_from_dict,
                                 dry_run_plan, flow_exponents, run_experiment)
 from nlswkb.fitting import fit_power_law
+from nlswkb.grids import PeriodicGrid
+from nlswkb.problem import SemiclassicalProblem
 from nlswkb.reporting import (errors_csv_bytes, load_field_dump,
                               write_artifacts)
 
@@ -293,6 +295,34 @@ def _executed_nls_steps(sol):
     times = [float(t) for t in sol.times]
     return sum(max(1, math.ceil((b - a) / sol.dt - 1e-12))
                for a, b in zip(times, times[1:]))
+
+
+class TestInstabilityDoubling:
+    def _run(self, *overrides):
+        raw = _shipped_raw("instability.json", ("eps=[0.1]",) + overrides)
+        return run_experiment(config_from_dict(raw))
+
+    def test_doubled_run_equals_a_run_started_on_the_final_grid(self):
+        doubled = self._run("grid.size=256").report["per_eps"]
+        assert doubled[0]["grid_size_used"] == 1024
+        assert doubled == self._run("grid.size=1024").report["per_eps"]
+
+    def test_exhausted_doublings_raise_the_first_failure_of_the_pair(self):
+        with pytest.raises(ResolutionError) as caught:
+            self._run("grid.size=128", "growth.max_resolution_doublings=0")
+        # the base row fails first; its own solve raises the same error
+        cfg = config_from_dict(_shipped_raw("instability.json", ("eps=[0.1]",)))
+        entry = dry_run_plan(cfg)["plan"][0]
+        grid = PeriodicGrid.line(cfg.grid_length, 128)
+        base = SemiclassicalProblem(
+            eps=0.1, kappa=0.0, a0=cfg.a0.build(grid, role="initial-amplitude"))
+        t_eps = entry["t_eps"]
+        with pytest.raises(ResolutionError) as single:
+            nls.solve_nls(base, t_eps, dt=entry["dt"],
+                          output_times=[t_eps * (j + 1) / 8 for j in range(8)])
+        assert (caught.value.eps, caught.value.time) == (0.1, single.value.time)
+        assert str(caught.value) == (
+            f"instability run still under-resolved at N=128: {single.value}")
 
 
 class TestPlannedSteps:
