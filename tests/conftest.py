@@ -1,6 +1,14 @@
-"""Fixtures shared by the solver tests."""
+"""Fixtures shared by the solver tests, and the shipped-config runs shared
+by the acceptance and golden tests."""
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+from nlswkb.experiments import config_from_dict, run_experiment
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 class FFTCounter:
@@ -21,3 +29,52 @@ class FFTCounter:
 @pytest.fixture
 def fft_counter(monkeypatch):
     return FFTCounter(monkeypatch)
+
+
+@pytest.fixture(scope="session")
+def shipped_result():
+    """shipped_result(name) runs configs/<name> once per session and hands
+    every later caller the same ExperimentResult."""
+    results = {}
+
+    def get(name):
+        if name not in results:
+            with open(CONFIG_DIR / name, encoding="utf-8") as fh:
+                results[name] = run_experiment(config_from_dict(json.load(fh)))
+        return results[name]
+    return get
+
+
+@pytest.fixture(scope="session")
+def critical_result(shipped_result):
+    return shipped_result("critical.json")
+
+
+@pytest.fixture(scope="session")
+def subcritical_result(shipped_result):
+    return shipped_result("subcritical.json")
+
+
+@pytest.fixture(scope="session")
+def supercritical_result(shipped_result):
+    return shipped_result("supercritical.json")
+
+
+@pytest.fixture(scope="session")
+def corrector_result(shipped_result):
+    return shipped_result("corrector.json")
+
+
+@pytest.fixture(scope="session")
+def skewfree_result(shipped_result):
+    return shipped_result("skewfree.json")
+
+
+@pytest.fixture(scope="session")
+def instability_result(shipped_result):
+    return shipped_result("instability.json")
+
+
+@pytest.fixture(scope="session")
+def normgrowth_result(shipped_result):
+    return shipped_result("normgrowth.json")

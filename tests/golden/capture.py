@@ -1,0 +1,100 @@
+"""Capture the golden record of every shipped config.
+
+    PYTHONPATH=src python3 tests/golden/capture.py [NAME.json ...]
+
+For each config under configs/ (or only the ones named) this writes
+tests/golden/<stem>.json with three parts:
+
+- `dry_run`: the JSON that `nlswkb <subcommand> --config ... --dry-run`
+  prints, parsed;
+- `config`: the config echo of report.json;
+- `summary`: `perfbench/refcheck.summarize` of the run's report.json and
+  errors.csv (verdicts, numeric report leaves, errors.csv rows).
+
+tests/test_golden.py compares a run of the current code with these files.
+A change that moves a report number past the tolerance of
+`refcheck.compare` re-captures the file and names each moved number and
+its cause in CHANGES.md; verdicts never change.
+"""
+from __future__ import annotations
+
+import contextlib
+import importlib.util
+import io
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+CONFIG_DIR = ROOT / "configs"
+GOLDEN_DIR = Path(__file__).resolve().parent
+
+
+def _load_refcheck():
+    # perfbench/ is not a package; load its reference check by path
+    spec = importlib.util.spec_from_file_location(
+        "_golden_refcheck", ROOT / "perfbench" / "refcheck.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+refcheck = _load_refcheck()
+
+
+def load_raw(name: str) -> dict:
+    with open(CONFIG_DIR / name, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def subcommand(raw: dict) -> str:
+    """The CLI subcommand that runs a config."""
+    return raw["solver"] if raw["kind"] == "single" else raw["kind"]
+
+
+def dry_run_text(name: str) -> str:
+    """Standard output of the CLI's --dry-run for configs/<name>."""
+    from nlswkb.cli import main
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([subcommand(load_raw(name)), "--config",
+                     str(CONFIG_DIR / name), "--dry-run"])
+    if code != 0:
+        raise RuntimeError(f"--dry-run of {name} exited {code}")
+    return out.getvalue()
+
+
+def report_and_csv(result) -> tuple[dict, str]:
+    """report.json (less meta) as parsed JSON, and errors.csv as text, of
+    one experiment result, rendered as the CLI writes them."""
+    from nlswkb.reporting import errors_csv_bytes, report_json_bytes
+
+    report = json.loads(report_json_bytes(result.report))
+    return report, errors_csv_bytes(result.csv_rows).decode("utf-8")
+
+
+def run_config(name: str):
+    from nlswkb.experiments import config_from_dict, run_experiment
+
+    return run_experiment(config_from_dict(load_raw(name)))
+
+
+def record(name: str) -> dict:
+    report, csv_text = report_and_csv(run_config(name))
+    return {"dry_run": json.loads(dry_run_text(name)),
+            "config": report["config"],
+            "summary": refcheck.summarize(report, csv_text)}
+
+
+def main(names: list[str]) -> int:
+    for name in names or sorted(p.name for p in CONFIG_DIR.glob("*.json")):
+        path = GOLDEN_DIR / f"{Path(name).stem}.json"
+        text = json.dumps(record(name), indent=1, sort_keys=True)
+        path.write_text(text + "\n", encoding="utf-8")
+        print(f"wrote {path.relative_to(ROOT)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

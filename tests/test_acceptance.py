@@ -3,28 +3,19 @@
 Each test prints `criterion NN <name>: PASS|FAIL [detail]` (visible with
 pytest -s, or in the failure report) and asserts the same condition, so
 `pytest -v tests/test_acceptance.py` reads as the scorecard.  Experiment
-criteria run the shipped configs from configs/ end to end.
+criteria run the shipped configs from configs/ end to end, through the
+session fixtures of conftest.py that the golden test shares.
 """
-import json
-from pathlib import Path
-
 import numpy as np
 import pytest
 
 from nlswkb import phase_amplitude, rays, taylor
-from nlswkb.experiments import config_from_dict, flow_exponents, run_experiment
+from nlswkb.experiments import flow_exponents
 from nlswkb.fitting import fit_power_law
 from nlswkb.grids import PeriodicGrid
 from nlswkb.nls import solve_nls, step_convergence_audit
 from nlswkb.potentials import InitialPhaseSpec, PotentialSpec
 from nlswkb.problem import SemiclassicalProblem, gaussian_field
-
-CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
-
-
-def run_config(name):
-    with open(CONFIG_DIR / name, encoding="utf-8") as fh:
-        return run_experiment(config_from_dict(json.load(fh)))
 
 
 def verdicts(result):
@@ -43,41 +34,6 @@ def flat_problem(eps, size=1024):
                                 a0=gaussian_field(grid, 1.0, 1.0),
                                 potential=PotentialSpec.zero(),
                                 phase=InitialPhaseSpec.zero())
-
-
-@pytest.fixture(scope="module")
-def critical_result():
-    return run_config("critical.json")
-
-
-@pytest.fixture(scope="module")
-def subcritical_result():
-    return run_config("subcritical.json")
-
-
-@pytest.fixture(scope="module")
-def supercritical_result():
-    return run_config("supercritical.json")
-
-
-@pytest.fixture(scope="module")
-def corrector_result():
-    return run_config("corrector.json")
-
-
-@pytest.fixture(scope="module")
-def skewfree_result():
-    return run_config("skewfree.json")
-
-
-@pytest.fixture(scope="module")
-def instability_result():
-    return run_config("instability.json")
-
-
-@pytest.fixture(scope="module")
-def normgrowth_result():
-    return run_config("normgrowth.json")
 
 
 def test_criterion_01_ray_oracle():
