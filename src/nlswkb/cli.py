@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Eight subcommands share one workflow: load a JSON config, apply --set
-overrides, validate, optionally print the resolved plan (--dry-run), run
-the matching driver, write artifacts, and exit 0 on all-verdicts-pass,
+overrides, validate and plan it, optionally print the plan (--dry-run),
+run the matching driver, write artifacts, and exit 0 on all-verdicts-pass,
 1 on a verdict failure, 2 on configuration or runtime errors.
 """
 from __future__ import annotations
@@ -74,6 +74,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _resolve_config(args)
+        # the plan makes every check a run makes before its first solve, so
+        # --dry-run and the run reject the same configs
+        plan = dry_run_plan(config)
     except NlswkbError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(f"usage: see `nlswkb {args.command} --help` and the config "
@@ -81,7 +84,7 @@ def main(argv=None) -> int:
         return 2
 
     if args.dry_run:
-        print(json.dumps(dry_run_plan(config), indent=2, sort_keys=True))
+        print(json.dumps(plan, indent=2, sort_keys=True))
         return 0
 
     try:
@@ -96,7 +99,7 @@ def main(argv=None) -> int:
         print(f"error: {type(exc).__name__}{at}:{which} {exc}", file=sys.stderr)
         return 2
 
-    out_dir = args.output or config.output_dir or f"runs/{args.command}"
+    out_dir = args.output or config.output.dir or f"runs/{args.command}"
     paths = write_artifacts(result, out_dir)
     for verdict in result.report["verdicts"]:
         status = "PASS" if verdict["passed"] else "FAIL"

@@ -1,16 +1,26 @@
-"""Experiment drivers: convergence sweeps, the instability demonstration,
-norm-growth tracking, the small-time ODE window, and one-shot solver runs.
+"""Config schema, run plan and experiment drivers: convergence sweeps, the
+instability demonstration, norm-growth tracking, the small-time ODE window,
+and one-shot solver runs.
 
-Every driver consumes an ExperimentConfig (usually parsed from JSON),
-returns an ExperimentResult holding a JSON-ready report, plot-ready CSV
-rows, and optional field dumps, and never touches the filesystem itself;
-artifact writing lives in the reporting module so a failed run leaves no
-partial output behind.  Sweeps run their eps values serially, in config
-order.
+A JSON config loads into nested frozen dataclasses that mirror its
+sections (ExperimentConfig); `config_from_dict` rejects unknown keys and
+mistyped values at every level, then validates.  `Plan.build` works out,
+per eps, the dt, output times and step count of the driver's time
+stepper, the ray dt and the instability scales, and makes the checks a
+run makes before its first solve.  Every driver takes its steps from that
+plan and --dry-run prints it, so the two cannot disagree.
+
+Every driver returns an ExperimentResult holding a JSON-ready report,
+plot-ready CSV rows, and optional field dumps, and never touches the
+filesystem itself; artifact writing lives in the reporting module so a
+failed run leaves no partial output behind.  Sweeps run their eps values
+in config order.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from typing import Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -23,36 +33,22 @@ from .potentials import InitialPhaseSpec, PotentialSpec
 from .problem import SemiclassicalProblem, gaussian_field
 
 KINDS = ("converge", "instability", "normgrowth", "odewindow", "single")
-CONVERGE_TARGETS = ("supercritical_leading", "supercritical_corrector",
-                    "critical", "subcritical", "skew_free")
+# converge target -> the kappa it needs
+_TARGET_KAPPA = {"supercritical_leading": 0.0, "supercritical_corrector": 0.0,
+                 "critical": 1.0, "subcritical": 2.0, "skew_free": 0.0}
+CONVERGE_TARGETS = tuple(_TARGET_KAPPA)
 SINGLE_SOLVERS = ("rays", "wkb", "grenier", "nls")
-# drivers whose solver steps at a fixed dt: the default when time.rule is not
-# "fixed", keyed by (kind, solver) for single runs and (kind, target) else
-_FIXED_STEP_DEFAULTS = {
-    ("single", "rays"): 1e-3,
-    ("single", "grenier"): 2e-3,
-    ("converge", "supercritical_leading"): 2e-3,
-    ("converge", "supercritical_corrector"): 2e-3,
-    ("converge", "skew_free"): 2.5e-3,
-}
-# drivers that integrate rays next to an NLS solve step them to t_final in
-# this many steps, whatever the eps
-_RAY_STEPS = 64
-_RAY_DRIVERS = (("single", "wkb"), ("converge", "critical"),
-                ("converge", "subcritical"))
-_SKEW_FREE_TIMES = (0.05, 0.1, 0.2, 0.3)
-_ODE_POWERS = (0.6, 0.45, 0.3, 0.2)
-_INSTABILITY_OUTPUTS = 8
 
 
 # ---------------------------------------------------------------------------
-# configuration
+# configuration: one frozen dataclass per JSON section; a Literal field
+# takes only the values it lists
 
 
 @dataclass(frozen=True)
 class FieldSpecConfig:
     """Selector for one profile of initial data."""
-    shape: str = "gaussian"       # gaussian | constant | zero
+    shape: Literal["gaussian", "constant", "zero"] = "gaussian"
     amplitude: float = 1.0
     width: float = 1.0
     center: float = 0.0
@@ -60,9 +56,6 @@ class FieldSpecConfig:
     chirp: float = 0.0
 
     def validate(self, label: str) -> None:
-        if self.shape not in ("gaussian", "constant", "zero"):
-            raise ConfigError(f"{label}.shape must be gaussian/constant/zero, "
-                              f"got {self.shape!r}")
         if self.shape == "gaussian" and self.width <= 0:
             raise ConfigError(f"{label}.width must be positive")
         # an unenveloped quadratic phase is not periodic on the box
@@ -86,342 +79,262 @@ class FieldSpecConfig:
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    kind: str
-    eps: tuple[float, ...]
-    kappa: float = 0.0
-    grid_length: float = 32.0
-    grid_size: int = 1024
+class GridConfig:
+    length: float = 32.0
+    size: int = 1024
+
+    def build(self, size: int | None = None) -> PeriodicGrid:
+        return PeriodicGrid.line(self.length, size or self.size)
+
+
+@dataclass(frozen=True)
+class DataConfig:
     a0: FieldSpecConfig = field(default_factory=FieldSpecConfig)
-    a1: FieldSpecConfig | None = None
-    b0: FieldSpecConfig | None = None
-    potential_kind: str = "zero"          # zero | cosine
-    potential_amplitude: float = 0.0
-    potential_cycles: int = 1
-    phase_kind: str = "zero"              # zero | quadratic
-    phase_curvature: float = 0.0
-    target: str | None = None             # converge only
-    solver: str | None = None             # single only
-    variant: str = "full"                 # single grenier run
-    t_final: float = 0.2
+    a1: FieldSpecConfig | None = None     # first-order data correction
+    b0: FieldSpecConfig | None = None     # instability perturbation
+
+
+@dataclass(frozen=True)
+class PotentialConfig:
+    kind: Literal["zero", "cosine"] = "zero"
+    amplitude: float = 0.0
+    cycles: int = 1
+
+    def build(self, length: float) -> PotentialSpec:
+        if self.kind == "zero":
+            return PotentialSpec.zero()
+        return PotentialSpec.cosine(self.amplitude, length, self.cycles)
+
+
+@dataclass(frozen=True)
+class PhaseConfig:
+    kind: Literal["zero", "quadratic"] = "zero"
+    curvature: float = 0.0
+
+    def build(self) -> InitialPhaseSpec:
+        if self.kind == "zero":
+            return InitialPhaseSpec.zero()
+        return InitialPhaseSpec.quadratic(np.array([[self.curvature]]))
+
+
+@dataclass(frozen=True)
+class TimeConfig:
+    final: float = 0.2
     schedule: tuple[float, ...] | None = None
     dt: float | None = None
-    dt_rule: str = "eps_over"             # eps_over | fixed
-    dt_factor: float = 50.0
+    rule: Literal["eps_over", "fixed"] = "eps_over"
+    factor: float = 50.0
+
+
+@dataclass(frozen=True)
+class NormsConfig:
     sobolev_orders: tuple[int, ...] = (0, 1, 2)
+    m_orders: tuple[int, ...] = (1, 2)
+
+
+@dataclass(frozen=True)
+class InstabilityConfig:
     alpha: float = 0.5
     time_factor: float = 2.0
     window_order: int = 2
     taylor_order: int = 2
-    m_orders: tuple[int, ...] = (1, 2)
+
+
+@dataclass(frozen=True)
+class ExponentsConfig:
+    n: int = 3
+    s: float = 0.25
+    k: float = 0.25
+
+
+@dataclass(frozen=True)
+class GrowthConfig:
     resolution_const: float = 0.25
-    exponent_n: int = 3
-    exponent_s: float = 0.25
-    exponent_k: float = 0.25
+    exponents: ExponentsConfig = field(default_factory=ExponentsConfig)
     max_resolution_doublings: int = 2
-    output_dir: str | None = None
+
+
+@dataclass(frozen=True)
+class OutputConfig:
+    dir: str | None = None
     dump_fields: bool = False
 
-    # -- validation --------------------------------------------------------
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    kind: Literal[KINDS]
+    eps: tuple[float, ...]
+    kappa: float = 0.0
+    grid: GridConfig = field(default_factory=GridConfig)
+    data: DataConfig = field(default_factory=DataConfig)
+    potential: PotentialConfig = field(default_factory=PotentialConfig)
+    phase: PhaseConfig = field(default_factory=PhaseConfig)
+    time: TimeConfig = field(default_factory=TimeConfig)
+    norms: NormsConfig = field(default_factory=NormsConfig)
+    instability: InstabilityConfig = field(default_factory=InstabilityConfig)
+    growth: GrowthConfig = field(default_factory=GrowthConfig)
+    target: Literal[CONVERGE_TARGETS] | None = None
+    solver: Literal[SINGLE_SOLVERS] | None = None
+    variant: Literal[phase_amplitude.VARIANTS] = "full"   # single grenier runs
+    output: OutputConfig = field(default_factory=OutputConfig)
+
+    @property
+    def driver(self) -> str:
+        """The solver of a single run, the target of a convergence run, and
+        the kind of every other run."""
+        return {"single": self.solver, "converge": self.target}.get(self.kind,
+                                                                     self.kind)
 
     def validate(self) -> None:
-        if self.kind not in KINDS:
-            raise ConfigError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if not self.eps:
-            raise ConfigError("eps list is empty")
         eps = self.eps
+        if not eps:
+            raise ConfigError("eps list is empty")
         if any(e <= 0 or e > 1 for e in eps):
             raise ConfigError("eps values must lie in (0, 1]")
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ConfigError("eps list must be strictly decreasing")
         if self.kappa not in (0.0, 1.0, 2.0):
             raise ConfigError("kappa must be 0, 1 or 2")
-        if self.grid_length <= 0 or self.grid_size < 8:
+        if self.grid.length <= 0 or self.grid.size < 8:
             raise ConfigError("grid must have positive length and size >= 8")
-        if self.grid_size & (self.grid_size - 1):
+        if self.grid.size & (self.grid.size - 1):
             raise ConfigError("grid size must be a power of two")
-        self.a0.validate("a0")
-        if self.a1 is not None:
-            self.a1.validate("a1")
-        if self.b0 is not None:
-            self.b0.validate("b0")
-        if self.potential_kind not in ("zero", "cosine"):
-            raise ConfigError("potential kind must be zero or cosine")
-        if self.phase_kind not in ("zero", "quadratic"):
-            raise ConfigError("phase kind must be zero or quadratic")
-        if self.dt_rule not in ("eps_over", "fixed"):
-            raise ConfigError("dt rule must be eps_over or fixed")
-        if self.dt_rule == "fixed" and (self.dt is None or self.dt <= 0):
+        for label in ("a0", "a1", "b0"):
+            spec = getattr(self.data, label)
+            if spec is not None:
+                spec.validate(f"data.{label}")
+        time = self.time
+        if time.rule == "fixed" and (time.dt is None or time.dt <= 0):
             raise ConfigError("fixed dt rule needs a positive dt")
-        if self.dt_rule == "eps_over" and self.dt_factor <= 0:
+        if time.rule == "eps_over" and time.factor <= 0:
             raise ConfigError("dt factor must be positive")
-        if self.t_final <= 0:
+        if time.final <= 0:
             raise ConfigError("t_final must be positive")
+        for name in ("sobolev_orders", "m_orders"):
+            orders = getattr(self.norms, name)
+            if not orders or min(orders) < 0:
+                raise ConfigError(f"norms.{name} must be a non-empty list of "
+                                  f"non-negative integers, got {list(orders)}")
         if self.kind == "converge":
-            if self.target not in CONVERGE_TARGETS:
+            if self.target is None:
                 raise ConfigError(
-                    f"converge target must be one of {CONVERGE_TARGETS}")
-            expected_kappa = {"supercritical_leading": 0.0,
-                              "supercritical_corrector": 0.0,
-                              "skew_free": 0.0,
-                              "critical": 1.0,
-                              "subcritical": 2.0}[self.target]
+                    f"converge runs need a target, one of {CONVERGE_TARGETS}")
+            expected_kappa = _TARGET_KAPPA[self.target]
             if self.kappa != expected_kappa:
                 raise ConfigError(
                     f"target {self.target} requires kappa={expected_kappa}")
-            if self.target == "supercritical_corrector" and self.a1 is None:
+            if self.target == "supercritical_corrector" and self.data.a1 is None:
                 raise ConfigError("corrector target needs a1 data")
-        if self.kind == "single" and self.solver not in SINGLE_SOLVERS:
-            raise ConfigError(f"single runs need solver in {SINGLE_SOLVERS}")
+        if self.kind == "single":
+            if self.solver is None:
+                raise ConfigError(
+                    f"single runs need a solver, one of {SINGLE_SOLVERS}")
+            if len(eps) != 1:
+                raise ConfigError(f"single runs take one eps, got {len(eps)}")
+        if self.kind in ("instability", "normgrowth", "odewindow"):
+            if self.kappa != 0.0:
+                raise ConfigError(f"{self.kind} runs require kappa=0")
+            if self.potential.kind != "zero" or self.phase.kind != "zero":
+                raise ConfigError(
+                    f"{self.kind} runs require V=0 and zero initial phase")
+        if self.kind in ("instability", "odewindow"):
+            if not 1 <= self.instability.taylor_order <= taylor.MAX_ORDER:
+                raise ConfigError("taylor order out of range")
         if self.kind == "instability":
-            self._validate_flat("instability")
-            if self.b0 is None:
-                raise ConfigError("instability needs a b0 perturbation profile")
-            if self.window_order < 2:
-                raise ConfigError("window order must be >= 2")
-            if not 0 < self.alpha <= 1.0 - 1.0 / self.window_order:
-                raise ConfigError(
-                    "alpha must satisfy 0 < alpha <= 1 - 1/window_order so the "
-                    "perturbation dominates the eps scale")
-            if not 1 <= self.taylor_order <= taylor.MAX_ORDER:
-                raise ConfigError("taylor order out of range")
+            self._validate_instability()
         if self.kind == "normgrowth":
-            self._validate_flat("normgrowth")
-            needed = int(np.ceil(self.resolution_const * self.grid_length
-                                 / min(self.eps)))
-            if self.grid_size < needed:
+            needed = int(np.ceil(self.growth.resolution_const * self.grid.length
+                                 / min(eps)))
+            if self.grid.size < needed:
                 raise ConfigError(
-                    f"normgrowth at eps={min(self.eps)} needs grid size >= "
-                    f"{needed} (rule N >= {self.resolution_const}*L/eps)")
+                    f"normgrowth at eps={min(eps)} needs grid size >= "
+                    f"{needed} (rule N >= {self.growth.resolution_const}*L/eps)")
             # probe the exponent algebra arguments early
-            flow_exponents(self.exponent_n, self.exponent_s, self.exponent_k)
-        if self.kind == "odewindow":
-            self._validate_flat("odewindow")
-            if not 1 <= self.taylor_order <= taylor.MAX_ORDER:
-                raise ConfigError("taylor order out of range")
+            expo = self.growth.exponents
+            flow_exponents(expo.n, expo.s, expo.k)
 
-    def _validate_flat(self, label: str) -> None:
-        if self.kappa != 0.0:
-            raise ConfigError(f"{label} runs require kappa=0")
-        if self.potential_kind != "zero" or self.phase_kind != "zero":
-            raise ConfigError(f"{label} runs require V=0 and zero initial phase")
+    def _validate_instability(self) -> None:
+        b0 = self.data.b0
+        if b0 is None:
+            raise ConfigError("instability needs a b0 perturbation profile")
+        order = self.instability.window_order
+        if order < 2:
+            raise ConfigError("window order must be >= 2")
+        if not 0 < self.instability.alpha <= 1.0 - 1.0 / order:
+            raise ConfigError(
+                "alpha must satisfy 0 < alpha <= 1 - 1/window_order so the "
+                "perturbation dominates the eps scale")
+        # on a doubled grid the nodes of this one are kept, so a perturbation
+        # polarized here stays polarized after every doubling
+        grid = self.grid.build()
+        a0 = self.data.a0.build(grid, role="initial-amplitude")
+        polar = (np.conj(a0.values) * b0.build(grid, role="perturbation").values).real
+        if np.abs(polar).max() < 1e-12:
+            raise ConfigError(
+                "perturbation is not polarized along a0 "
+                "(Re(conj(a0) b0) vanishes); no phase response expected")
 
-    # -- construction ------------------------------------------------------
-
-    def grid(self, size: int | None = None) -> PeriodicGrid:
-        return PeriodicGrid.line(self.grid_length, size or self.grid_size)
-
-    def potential(self) -> PotentialSpec:
-        if self.potential_kind == "zero":
-            return PotentialSpec.zero()
-        return PotentialSpec.cosine(self.potential_amplitude, self.grid_length,
-                                    self.potential_cycles)
-
-    def phase(self) -> InitialPhaseSpec:
-        if self.phase_kind == "zero":
-            return InitialPhaseSpec.zero()
-        return InitialPhaseSpec.quadratic(np.array([[self.phase_curvature]]))
-
-    def problem(self, eps: float, size: int | None = None,
-                with_a1: bool = True) -> SemiclassicalProblem:
-        grid = self.grid(size)
-        a0 = self.a0.build(grid, role="initial-amplitude")
+    def problem(self, eps: float, with_a1: bool = True) -> SemiclassicalProblem:
+        grid = self.grid.build()
+        a0 = self.data.a0.build(grid, role="initial-amplitude")
         a1 = None
-        if with_a1 and self.a1 is not None:
-            a1 = self.a1.build(grid, role="amplitude-correction-1")
+        if with_a1 and self.data.a1 is not None:
+            a1 = self.data.a1.build(grid, role="amplitude-correction-1")
         return SemiclassicalProblem(eps=eps, kappa=self.kappa, a0=a0, a1=a1,
-                                    potential=self.potential(), phase=self.phase())
-
-    def resolve_dt(self, eps: float) -> float:
-        if self.dt_rule == "fixed":
-            return float(self.dt)
-        return eps / self.dt_factor
-
-    def stepping_dt(self, eps: float) -> float:
-        """The dt the driver passes to its time-stepping solver at this eps.
-
-        That solver is the ray integrator for single rays runs, the
-        phase-amplitude march for single grenier runs and the kappa = 0
-        convergence targets, and the split-step NLS solve for every other
-        driver.  The first group ignores eps and takes time.dt only under
-        the "fixed" rule; the NLS drivers follow `resolve_dt`.
-        """
-        if self.solves_nls:
-            return self.resolve_dt(eps)
-        default = _FIXED_STEP_DEFAULTS[self._step_key]
-        return self.dt if self.dt_rule == "fixed" else default
-
-    @property
-    def ray_dt(self) -> float | None:
-        """The dt of the driver's ray integration, or None when it integrates
-        no rays: stepping_dt for single rays runs, t_final / _RAY_STEPS for
-        the drivers that compare an NLS solve with a WKB approximant."""
-        if self._step_key == ("single", "rays"):
-            return self.stepping_dt(self.eps[0])
-        if self._step_key in _RAY_DRIVERS:
-            return self.t_final / _RAY_STEPS
-        return None
-
-    @property
-    def _step_key(self) -> tuple[str, str]:
-        return (self.kind, self.solver if self.kind == "single" else self.target)
-
-    @property
-    def solves_nls(self) -> bool:
-        """True when the driver's time-stepping solver is the split-step NLS
-        solve (see stepping_dt)."""
-        return self._step_key not in _FIXED_STEP_DEFAULTS
-
-    # -- serialization -----------------------------------------------------
-
-    def to_dict(self) -> dict:
-        raw = asdict(self)
-        out = {
-            "kind": raw.pop("kind"),
-            "eps": list(raw.pop("eps")),
-            "kappa": raw.pop("kappa"),
-            "grid": {"length": raw.pop("grid_length"),
-                     "size": raw.pop("grid_size")},
-            "data": {"a0": raw.pop("a0"),
-                     "a1": raw.pop("a1"),
-                     "b0": raw.pop("b0")},
-            "potential": {"kind": raw.pop("potential_kind"),
-                          "amplitude": raw.pop("potential_amplitude"),
-                          "cycles": raw.pop("potential_cycles")},
-            "phase": {"kind": raw.pop("phase_kind"),
-                      "curvature": raw.pop("phase_curvature")},
-            "time": {"final": raw.pop("t_final"),
-                     "schedule": (list(self.schedule)
-                                  if self.schedule is not None else None),
-                     "dt": raw.pop("dt"),
-                     "rule": raw.pop("dt_rule"),
-                     "factor": raw.pop("dt_factor")},
-            "norms": {"sobolev_orders": list(raw.pop("sobolev_orders")),
-                      "m_orders": list(raw.pop("m_orders"))},
-            "instability": {"alpha": raw.pop("alpha"),
-                            "time_factor": raw.pop("time_factor"),
-                            "window_order": raw.pop("window_order"),
-                            "taylor_order": raw.pop("taylor_order")},
-            "growth": {"resolution_const": raw.pop("resolution_const"),
-                       "exponents": {"n": raw.pop("exponent_n"),
-                                     "s": raw.pop("exponent_s"),
-                                     "k": raw.pop("exponent_k")},
-                       "max_resolution_doublings":
-                           raw.pop("max_resolution_doublings")},
-            "target": raw.pop("target"),
-            "solver": raw.pop("solver"),
-            "variant": raw.pop("variant"),
-            "output": {"dir": raw.pop("output_dir"),
-                       "dump_fields": raw.pop("dump_fields")},
-        }
-        raw.pop("schedule")
-        if raw:
-            raise RuntimeError(f"unserialized config fields: {sorted(raw)}")
-        return out
+                                    potential=self.potential.build(self.grid.length),
+                                    phase=self.phase.build())
 
 
-_FIELD_KEYS = {"shape", "amplitude", "width", "center", "imaginary", "chirp"}
+_TYPE_NAMES = {float: "a number", int: "an integer", bool: "a boolean",
+               str: "a string"}
 
 
-def _field_spec(node, label: str) -> FieldSpecConfig | None:
-    if node is None:
-        return None
-    if not isinstance(node, dict):
-        raise ConfigError(f"{label} must be an object or null")
-    extra = set(node) - _FIELD_KEYS
-    if extra:
-        raise ConfigError(f"unknown keys in {label}: {sorted(extra)}")
-    return FieldSpecConfig(**{k: node[k] for k in node})
+def _load(tp, value, path: str):
+    """Build a value of the annotated type `tp` from parsed JSON; `path`
+    names it in errors.  A dataclass comes from an object whose keys are
+    its fields, a tuple from a list, a Literal from one of its values, and
+    `X | None` also from null.  An integer may stand for a float; every
+    other mismatch is a ConfigError."""
+    if type(None) in get_args(tp):
+        if value is None:
+            return None
+        (tp,) = (a for a in get_args(tp) if a is not type(None))
+    if get_origin(tp) is Literal:
+        if value not in get_args(tp):
+            raise ConfigError(f"{path} must be one of {get_args(tp)}, got {value!r}")
+        return value
+    if is_dataclass(tp):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path or 'config'} must be an object")
+        hints = get_type_hints(tp)
+        unknown = set(value) - set(hints)
+        if unknown:
+            raise ConfigError(f"unknown keys in {path or 'config'}: {sorted(unknown)}")
+        missing = [f.name for f in fields(tp) if f.name not in value
+                   and f.default is MISSING and f.default_factory is MISSING]
+        if missing:
+            raise ConfigError(f"config is missing {missing[0]!r}")
+        return tp(**{key: _load(hints[key], item, f"{path}.{key}" if path else key)
+                     for key, item in value.items()})
+    if get_origin(tp) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{path} must be a list")
+        return tuple(_load(get_args(tp)[0], item, f"{path}[{i}]")
+                     for i, item in enumerate(value))
+    if tp is float and type(value) is int:
+        return float(value)
+    if type(value) is not tp:
+        raise ConfigError(f"{path} must be {_TYPE_NAMES[tp]}, got {value!r}")
+    return value
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    """Parse the nested JSON schema into a flat config; unknown keys are
-    rejected so typos cannot silently disable a knob."""
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-    known = {"kind", "eps", "kappa", "grid", "data", "potential", "phase",
-             "time", "norms", "instability", "growth", "target", "solver",
-             "variant", "output"}
-    extra = set(raw) - known
-    if extra:
-        raise ConfigError(f"unknown top-level config keys: {sorted(extra)}")
-
-    def section(name: str, keys: set[str]) -> dict:
-        node = raw.get(name) or {}
-        if not isinstance(node, dict):
-            raise ConfigError(f"{name} must be an object")
-        bad = set(node) - keys
-        if bad:
-            raise ConfigError(f"unknown keys in {name}: {sorted(bad)}")
-        return node
-
-    grid = section("grid", {"length", "size"})
-    data = section("data", {"a0", "a1", "b0"})
-    pot = section("potential", {"kind", "amplitude", "cycles"})
-    phase = section("phase", {"kind", "curvature"})
-    time = section("time", {"final", "schedule", "dt", "rule", "factor"})
-    norms = section("norms", {"sobolev_orders", "m_orders"})
-    instab = section("instability", {"alpha", "time_factor", "window_order",
-                                     "taylor_order"})
-    growth = section("growth", {"resolution_const", "exponents",
-                                "max_resolution_doublings"})
-    expo = growth.get("exponents") or {}
-    if set(expo) - {"n", "s", "k"}:
-        raise ConfigError("growth.exponents allows keys n, s, k only")
-    out = section("output", {"dir", "dump_fields"})
-
-    if "kind" not in raw:
-        raise ConfigError("config is missing 'kind'")
-    if "eps" not in raw:
-        raise ConfigError("config is missing 'eps'")
-    eps = raw["eps"]
-    if not isinstance(eps, (list, tuple)):
-        raise ConfigError("eps must be a list")
-
-    defaults = ExperimentConfig(kind="single", eps=(1.0,), solver="nls")
-    schedule = time.get("schedule")
-    cfg = ExperimentConfig(
-        kind=raw["kind"],
-        eps=tuple(float(e) for e in eps),
-        kappa=float(raw.get("kappa", defaults.kappa)),
-        grid_length=float(grid.get("length", defaults.grid_length)),
-        grid_size=int(grid.get("size", defaults.grid_size)),
-        a0=_field_spec(data.get("a0", {"shape": "gaussian"}), "a0"),
-        a1=_field_spec(data.get("a1"), "a1"),
-        b0=_field_spec(data.get("b0"), "b0"),
-        potential_kind=pot.get("kind", defaults.potential_kind),
-        potential_amplitude=float(pot.get("amplitude", 0.0)),
-        potential_cycles=int(pot.get("cycles", 1)),
-        phase_kind=phase.get("kind", defaults.phase_kind),
-        phase_curvature=float(phase.get("curvature", 0.0)),
-        target=raw.get("target"),
-        solver=raw.get("solver"),
-        variant=raw.get("variant", defaults.variant),
-        t_final=float(time.get("final", defaults.t_final)),
-        schedule=(tuple(float(t) for t in schedule)
-                  if schedule is not None else None),
-        dt=(float(time["dt"]) if time.get("dt") is not None else None),
-        dt_rule=time.get("rule", defaults.dt_rule),
-        dt_factor=float(time.get("factor", defaults.dt_factor)),
-        sobolev_orders=tuple(int(s) for s in
-                             norms.get("sobolev_orders", defaults.sobolev_orders)),
-        alpha=float(instab.get("alpha", defaults.alpha)),
-        time_factor=float(instab.get("time_factor", defaults.time_factor)),
-        window_order=int(instab.get("window_order", defaults.window_order)),
-        taylor_order=int(instab.get("taylor_order", defaults.taylor_order)),
-        m_orders=tuple(int(m) for m in norms.get("m_orders", defaults.m_orders)),
-        resolution_const=float(growth.get("resolution_const",
-                                          defaults.resolution_const)),
-        exponent_n=int(expo.get("n", defaults.exponent_n)),
-        exponent_s=float(expo.get("s", defaults.exponent_s)),
-        exponent_k=float(expo.get("k", defaults.exponent_k)),
-        max_resolution_doublings=int(growth.get("max_resolution_doublings",
-                                                defaults.max_resolution_doublings)),
-        output_dir=out.get("dir"),
-        dump_fields=bool(out.get("dump_fields", False)),
-    )
-    cfg.validate()
-    return cfg
+    """Load the nested JSON schema and validate it; unknown keys and
+    mistyped values are rejected at every level, so a typo cannot silently
+    disable a knob."""
+    config = _load(ExperimentConfig, raw, "")
+    config.validate()
+    return config
 
 
 def apply_overrides(raw: dict, overrides: list[str]) -> dict:
@@ -454,6 +367,99 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# run plan
+
+# drivers whose solver steps at one eps-independent dt, with that dt when
+# time.rule is not "fixed"; every other driver runs the split-step NLS solve
+# at dt = eps / time.factor
+_MARCH_DT = {"rays": 1e-3, "grenier": 2e-3, "supercritical_leading": 2e-3,
+             "supercritical_corrector": 2e-3, "skew_free": 2.5e-3}
+# the drivers that read time.schedule, and its default when it is null:
+# the output times of skew_free, the eps-powers of the odewindow times
+_DEFAULT_SCHEDULE = {"skew_free": (0.05, 0.1, 0.2, 0.3),
+                     "odewindow": (0.6, 0.45, 0.3, 0.2)}
+# drivers that compare an NLS solve with a WKB approximant integrate their
+# rays to time.final in 64 steps, whatever the eps
+_WKB_DRIVERS = ("wkb", "critical", "subcritical")
+_INSTABILITY_OUTPUTS = 8
+
+
+@dataclass(frozen=True)
+class EpsPlan:
+    """What a run does at one eps."""
+    eps: float
+    dt: float                       # dt of the driver's time stepper
+    grid_size: int                  # the grid it starts on
+    times: tuple[float, ...]        # output times; the solve stops at the last
+    steps: int                      # steps the stepper takes to times[-1]
+    ray_dt: float | None = None     # dt of the ray integration, if any
+    delta: float | None = None      # instability: perturbation size eps^alpha
+    t_eps: float | None = None      # instability: final time c eps / delta
+
+
+@dataclass(frozen=True)
+class Plan:
+    """The steps of a whole run, one EpsPlan per eps in config order, worked
+    out before any solve.  Every driver reads its dt, output times and
+    scales from it, and --dry-run prints it."""
+    rows: tuple[EpsPlan, ...]
+    # time.schedule or its default; None for drivers that do not read it
+    schedule: tuple[float, ...] | None = None
+
+    @property
+    def dts(self) -> list[float]:
+        return [row.dt for row in self.rows]
+
+    @classmethod
+    def build(cls, config: ExperimentConfig) -> Plan:
+        """Validate `config` and plan it; raises ConfigError for a schedule
+        the driver cannot run."""
+        config.validate()
+        driver, time = config.driver, config.time
+        schedule = None
+        if driver in _DEFAULT_SCHEDULE:
+            schedule = (_DEFAULT_SCHEDULE[driver] if time.schedule is None
+                        else time.schedule)
+            if not schedule:
+                raise ConfigError("time.schedule must not be empty")
+        rows = []
+        for eps in config.eps:
+            scales = {}
+            if driver == "instability":
+                delta = eps ** config.instability.alpha
+                t_eps = config.instability.time_factor * eps / delta
+                n = _INSTABILITY_OUTPUTS
+                times = tuple(t_eps * (j + 1) / n for j in range(n))
+                scales = {"delta": delta, "t_eps": t_eps}
+            elif driver == "odewindow":
+                times = tuple(eps**p for p in schedule)
+            elif driver == "skew_free":
+                times = schedule
+            else:
+                times = (time.final,)
+            if times[0] <= 0 or any(b <= a for a, b in zip(times, times[1:])):
+                raise ConfigError(f"output times at eps={eps} must be positive "
+                                  f"and strictly increasing, got {list(times)}")
+            if driver in _MARCH_DT:
+                dt = time.dt if time.rule == "fixed" else _MARCH_DT[driver]
+                steps = math.ceil(times[-1] / dt)
+            else:
+                dt = time.dt if time.rule == "fixed" else eps / time.factor
+                steps = sum(nls.segment_steps(times, dt))
+            if driver == "skew_free":
+                for tt in times:
+                    if abs(tt / dt - round(tt / dt)) > 1e-9:
+                        raise ConfigError(
+                            f"dt {dt} does not divide schedule time {tt}")
+            ray_dt = (dt if driver == "rays" else
+                      time.final / 64 if driver in _WKB_DRIVERS else None)
+            rows.append(EpsPlan(eps=eps, dt=dt, grid_size=config.grid.size,
+                                times=times, steps=steps, ray_dt=ray_dt,
+                                **scales))
+        return cls(tuple(rows), schedule)
+
+
+# ---------------------------------------------------------------------------
 # result container and small helpers
 
 
@@ -474,7 +480,7 @@ def _verdict(name: str, passed: bool, detail: str) -> dict:
 
 def _finish(kind: str, config: ExperimentConfig, body: dict,
             verdicts: list[dict], rows: list, dumps: list) -> ExperimentResult:
-    report = {"kind": kind, "config": config.to_dict(), "verdicts": verdicts,
+    report = {"kind": kind, "config": asdict(config), "verdicts": verdicts,
               "passed": all(v["passed"] for v in verdicts)}
     report.update(body)
     return ExperimentResult(report=report, csv_rows=rows, field_dumps=dumps)
@@ -521,19 +527,21 @@ def _fit_block(eps_used, errors, expected: float, window: tuple[float, float],
 
 
 def run_convergence(config: ExperimentConfig) -> ExperimentResult:
-    config.validate()
+    plan = Plan.build(config)
     target = config.target
     if target in ("supercritical_leading", "supercritical_corrector"):
-        return _run_supercritical_convergence(config)
+        return _run_supercritical_convergence(config, plan)
     if target == "skew_free":
-        return _run_skew_free_convergence(config)
-    return _run_profile_convergence(config)
+        return _run_skew_free_convergence(config, plan)
+    return _run_profile_convergence(config, plan)
 
 
-def _run_supercritical_convergence(config: ExperimentConfig) -> ExperimentResult:
-    t = config.t_final
-    dt = config.stepping_dt(config.eps[0])
-    orders = config.sobolev_orders
+def _run_supercritical_convergence(config: ExperimentConfig,
+                                   plan: Plan) -> ExperimentResult:
+    # the march takes one dt for every eps
+    first = plan.rows[0]
+    t, dt = first.times[-1], first.dt
+    orders = config.norms.sobolev_orders
     corrector_mode = config.target == "supercritical_corrector"
 
     limit_problem = config.problem(config.eps[0], with_a1=False)
@@ -541,8 +549,8 @@ def _run_supercritical_convergence(config: ExperimentConfig) -> ExperimentResult
         limit_problem, t, dt, variant="limit", store_every=1)
     corr = None
     if corrector_mode:
-        grid = config.grid()
-        a1 = config.a1.build(grid, role="amplitude-correction-1")
+        a1 = config.data.a1.build(config.grid.build(),
+                                  role="amplitude-correction-1")
         corr = phase_amplitude.solve_corrector(limit, a1).final()
     lim = limit.final()
 
@@ -620,23 +628,21 @@ def _run_supercritical_convergence(config: ExperimentConfig) -> ExperimentResult
     return _finish("converge", config, body, verdicts, csv_rows, [])
 
 
-def _run_skew_free_convergence(config: ExperimentConfig) -> ExperimentResult:
-    times = list(config.schedule or _SKEW_FREE_TIMES)
-    if any(b <= a for a, b in zip(times, times[1:])):
-        raise ConfigError("schedule must be strictly increasing")
-    dt = config.stepping_dt(config.eps[0])
-    for tt in times:
-        steps = tt / dt
-        if abs(steps - round(steps)) > 1e-9:
-            raise ConfigError(f"dt {dt} does not divide schedule time {tt}")
-    orders = config.sobolev_orders
+def _run_skew_free_convergence(config: ExperimentConfig,
+                               plan: Plan) -> ExperimentResult:
+    # one dt and one schedule for every eps; the plan checked that dt
+    # divides each schedule time, so storing every `stride` steps keeps a
+    # state at each of them
+    first = plan.rows[0]
+    times, dt = list(first.times), first.dt
+    stride = math.gcd(*(round(tt / dt) for tt in times))
+    orders = config.norms.sobolev_orders
 
     problems = [config.problem(eps, with_a1=False) for eps in config.eps]
-    n_first = int(round(times[0] / dt))
     fulls = phase_amplitude.solve_phase_amplitude_sweep(
-        problems, times[-1], dt, variant="full", store_every=n_first)
+        problems, times[-1], dt, variant="full", store_every=stride)
     frees = phase_amplitude.solve_phase_amplitude_sweep(
-        problems, times[-1], dt, variant="skew_free", store_every=n_first)
+        problems, times[-1], dt, variant="skew_free", store_every=stride)
 
     def one(eps, full, free):
         for traj in (full, free):
@@ -681,22 +687,23 @@ def _run_skew_free_convergence(config: ExperimentConfig) -> ExperimentResult:
     return _finish("converge", config, body, verdicts, csv_rows, [])
 
 
-def _run_profile_convergence(config: ExperimentConfig) -> ExperimentResult:
+def _run_profile_convergence(config: ExperimentConfig,
+                             plan: Plan) -> ExperimentResult:
     """Critical (kappa=1) and sub-critical (kappa=2) profile comparisons in
     the combined L2/Linf metric."""
-    t = config.t_final
+    t = plan.rows[0].times[-1]
     critical = config.target == "critical"
     problems = [config.problem(eps, with_a1=False) for eps in config.eps]
-    solutions = nls.solve_nls_sweep(
-        problems, t, [config.stepping_dt(eps) for eps in config.eps])
+    solutions = nls.solve_nls_sweep(problems, t, plan.dts)
 
-    def one(eps, problem, sol):
+    def one(row, problem, sol):
+        eps = row.eps
         if isinstance(sol, ResolutionError):
             return {"eps": eps, "resolved": False, "detail": str(sol)}
         if isinstance(sol, Exception):
             raise sol
         bundle = rays.integrate_flow(problem, problem.a0.grid, t,
-                                     dt=config.ray_dt)
+                                     dt=row.ray_dt)
         approx = wkb.build_approximant(problem, bundle, t,
                                        include_modulation=critical)
         diff = sol.final() - approx.assemble()
@@ -710,10 +717,10 @@ def _run_profile_convergence(config: ExperimentConfig) -> ExperimentResult:
             row["modulation_size"] = l2_linf_norm(shift)
         return row
 
-    rows = [one(*row) for row in zip(config.eps, problems, solutions)]
+    rows = [one(*row) for row in zip(plan.rows, problems, solutions)]
     resolved = [r for r in rows if r["resolved"]]
     errors = [r["error"] for r in resolved]
-    a0_field = config.a0.build(config.grid(), role="initial-amplitude")
+    a0_field = config.data.a0.build(config.grid.build(), role="initial-amplitude")
     ref_norm = l2_linf_norm(a0_field)
 
     verdicts = []
@@ -747,41 +754,28 @@ def _run_profile_convergence(config: ExperimentConfig) -> ExperimentResult:
 # instability driver
 
 
-def _instability_outputs(t_eps: float) -> list[float]:
-    """Output times of both instability solves: _INSTABILITY_OUTPUTS equal
-    segments ending at t_eps."""
-    n = _INSTABILITY_OUTPUTS
-    return [t_eps * (j + 1) / n for j in range(n)]
-
-
 def run_instability(config: ExperimentConfig) -> ExperimentResult:
-    config.validate()
+    plan = Plan.build(config)
     if config.kind != "instability":
         raise ConfigError("config kind must be instability")
-    c = config.time_factor
+    c = config.instability.time_factor
+    data = config.data
 
-    def one(eps):
-        delta = eps ** config.alpha
-        t_eps = c * eps / delta
-        horizon = taylor.validity_horizon(eps, config.taylor_order)
+    def one(row):
+        eps, delta, t_eps, dt = row.eps, row.delta, row.t_eps, row.dt
+        outputs = list(row.times)
+        horizon = taylor.validity_horizon(eps, config.instability.taylor_order)
         flagged = bool(t_eps >= horizon)
-        size = config.grid_size
+        size = row.grid_size
         attempt = 0
         while True:
-            grid = PeriodicGrid.line(config.grid_length, size)
-            a0 = config.a0.build(grid, role="initial-amplitude")
-            b0 = config.b0.build(grid, role="perturbation")
-            polar = np.abs((np.conj(a0.values) * b0.values).real).max()
-            if polar < 1e-12:
-                raise ConfigError(
-                    "perturbation is not polarized along a0 "
-                    "(Re(conj(a0) b0) vanishes); no phase response expected")
+            grid = config.grid.build(size)
+            a0 = data.a0.build(grid, role="initial-amplitude")
+            b0 = data.b0.build(grid, role="perturbation")
             tilde_vals = a0.values + delta * b0.values
             a_tilde = ComplexField(grid, tilde_vals, role="perturbed-amplitude")
             base = SemiclassicalProblem(eps=eps, kappa=0.0, a0=a0)
             pert = SemiclassicalProblem(eps=eps, kappa=0.0, a0=a_tilde)
-            outputs = _instability_outputs(t_eps)
-            dt = config.stepping_dt(eps)
             pair = nls.solve_nls_sweep([base, pert], t_eps, [dt, dt],
                                        output_times=outputs)
             # the first failure in (base, pert) order is the one the two
@@ -792,7 +786,7 @@ def run_instability(config: ExperimentConfig) -> ExperimentResult:
             if not isinstance(exc, ResolutionError):
                 raise exc
             attempt += 1
-            if attempt > config.max_resolution_doublings:
+            if attempt > config.growth.max_resolution_doublings:
                 raise ResolutionError(
                     f"instability run still under-resolved at N={size}: "
                     f"{exc}", time=exc.time, eps=eps) from exc
@@ -804,13 +798,12 @@ def run_instability(config: ExperimentConfig) -> ExperimentResult:
             diff = sol_u.state_at(tt) - sol_v.state_at(tt)
             separations.append(lp_norm(diff, 2))
         data_gap = ComplexField(grid, delta * b0.values, role="data-gap")
-        distances = {s: sobolev_norm(data_gap, s)
-                     for s in config.sobolev_orders}
+        distances = {s: sobolev_norm(data_gap, s) for s in orders}
         sup_sep = max(separations)
         ratios = {s: sup_sep / distances[s] for s in distances}
 
         # analytic prediction, compared where the phase argument is O(1)
-        cal_idx = max(0, int(round(_INSTABILITY_OUTPUTS / (2 * c))) - 1)
+        cal_idx = max(0, int(round(len(outputs) / (2 * c))) - 1)
         t_cal = outputs[cal_idx]
         pred = wkb.separation_profile(a0, a_tilde, delta, eps, t_cal)
         pred_norm = lp_norm(pred, 2)
@@ -826,7 +819,8 @@ def run_instability(config: ExperimentConfig) -> ExperimentResult:
                 "prediction_norm": pred_norm, "prediction_agreement": agreement,
                 "mass_drift": max(sol_u.mass_drift(), sol_v.mass_drift())}
 
-    rows = [one(eps) for eps in config.eps]
+    orders = config.norms.sobolev_orders
+    rows = [one(row) for row in plan.rows]
     eps_list = [r["eps"] for r in rows]
     finals = [r["separation_final"] for r in rows]
     verdicts = []
@@ -837,13 +831,13 @@ def run_instability(config: ExperimentConfig) -> ExperimentResult:
         "separation_persists", stays_up,
         f"separations {finals} vs 0.5x largest-eps value {floor}"))
 
-    s_ref = 1 if 1 in config.sobolev_orders else config.sobolev_orders[0]
+    s_ref = 1 if 1 in orders else orders[0]
     dists = [r["initial_distances"][s_ref] for r in rows]
-    fit = _fit_block(eps_list, dists, config.alpha,
-                     (config.alpha - 0.05, config.alpha + 0.05))
+    alpha = config.instability.alpha
+    fit = _fit_block(eps_list, dists, alpha, (alpha - 0.05, alpha + 0.05))
     verdicts.append(_verdict(
         f"data_distance_H{s_ref}_slope", fit["passed"],
-        f"H^{s_ref} distance slope {fit.get('slope')} vs {config.alpha} +- 0.05"))
+        f"H^{s_ref} distance slope {fit.get('slope')} vs {alpha} +- 0.05"))
 
     ratio_rows = [r["ratios"][s_ref] for r in rows]
     ratio_monotone = all(b > a for a, b in zip(ratio_rows, ratio_rows[1:]))
@@ -867,7 +861,7 @@ def run_instability(config: ExperimentConfig) -> ExperimentResult:
     for r in rows:
         csv_rows.append((r["eps"], "", "separation_final", r["separation_final"]))
         csv_rows.append((r["eps"], "", "separation_sup", r["separation_sup"]))
-        for s in config.sobolev_orders:
+        for s in orders:
             csv_rows.append((r["eps"], s, "initial_distance_H",
                              r["initial_distances"][s]))
             csv_rows.append((r["eps"], s, "blowup_ratio", r["ratios"][s]))
@@ -883,25 +877,22 @@ def run_instability(config: ExperimentConfig) -> ExperimentResult:
 
 
 def run_norm_growth(config: ExperimentConfig) -> ExperimentResult:
-    config.validate()
+    plan = Plan.build(config)
     if config.kind != "normgrowth":
         raise ConfigError("config kind must be normgrowth")
-    t = config.t_final
-    grid = config.grid()
-    a0 = config.a0.build(grid, role="initial-amplitude")
-    initial_norms = {m: sobolev_norm(a0, m, homogeneous=True)
-                     for m in config.m_orders}
+    t = plan.rows[0].times[-1]
+    m_orders = config.norms.m_orders
+    a0 = config.data.a0.build(config.grid.build(), role="initial-amplitude")
+    initial_norms = {m: sobolev_norm(a0, m, homogeneous=True) for m in m_orders}
 
     solutions = nls.solve_nls_sweep(
-        [config.problem(eps, with_a1=False) for eps in config.eps], t,
-        [config.stepping_dt(eps) for eps in config.eps])
+        [config.problem(eps, with_a1=False) for eps in config.eps], t, plan.dts)
 
     def one(eps, sol):
         if isinstance(sol, Exception):
             raise sol
         state = sol.final()
-        norms = {m: sobolev_norm(state, m, homogeneous=True)
-                 for m in config.m_orders}
+        norms = {m: sobolev_norm(state, m, homogeneous=True) for m in m_orders}
         return {"eps": eps, "norms": norms,
                 "compensated": {m: eps**m * norms[m] for m in norms},
                 "mass": lp_norm(state, 2), "mass_drift": sol.mass_drift()}
@@ -909,7 +900,7 @@ def run_norm_growth(config: ExperimentConfig) -> ExperimentResult:
     rows = [one(*row) for row in zip(config.eps, solutions)]
     verdicts = []
     spreads = {}
-    for m in config.m_orders:
+    for m in m_orders:
         vals = [r["compensated"][m] for r in rows]
         spread = max(vals) / min(vals)
         spreads[m] = spread
@@ -923,11 +914,11 @@ def run_norm_growth(config: ExperimentConfig) -> ExperimentResult:
         "mass_eps_independent", mass_spread <= 1e-10 * max(masses),
         f"L2 at probe time across eps: spread {mass_spread:.3e}"))
 
-    exponents = flow_exponents(config.exponent_n, config.exponent_s,
-                               config.exponent_k)
+    expo = config.growth.exponents
+    exponents = flow_exponents(expo.n, expo.s, expo.k)
     csv_rows = []
     for r in rows:
-        for m in config.m_orders:
+        for m in m_orders:
             csv_rows.append((r["eps"], m, "Hdot_norm", r["norms"][m]))
             csv_rows.append((r["eps"], m, "compensated", r["compensated"][m]))
         csv_rows.append((r["eps"], "", "mass", r["mass"]))
@@ -941,22 +932,18 @@ def run_norm_growth(config: ExperimentConfig) -> ExperimentResult:
 
 
 def run_ode_window(config: ExperimentConfig) -> ExperimentResult:
-    config.validate()
+    plan = Plan.build(config)
     if config.kind != "odewindow":
         raise ConfigError("config kind must be odewindow")
-    powers = list(config.schedule or _ODE_POWERS)
-    if any(b >= a for a, b in zip(powers, powers[1:])):
-        raise ConfigError("schedule lists decreasing eps-powers (increasing times)")
-    grid = config.grid()
-    a0 = config.a0.build(grid, role="initial-amplitude")
+    powers = list(plan.schedule)
+    a0 = config.data.a0.build(config.grid.build(), role="initial-amplitude")
     ref_norm = lp_norm(a0, 2)
     coeffs = taylor.taylor_phase_coefficients(a0, order=1)
 
-    def one(eps):
-        times = [eps**p for p in powers]
+    def one(row):
+        eps, times = row.eps, list(row.times)
         problem = config.problem(eps, with_a1=False)
-        sol = nls.solve_nls(problem, times[-1], dt=config.stepping_dt(eps),
-                            output_times=times)
+        sol = nls.solve_nls(problem, times[-1], dt=row.dt, output_times=times)
         errors = []
         for tt in times:
             u1 = taylor.assemble_uK(coeffs, eps, tt, order=1)
@@ -964,7 +951,7 @@ def run_ode_window(config: ExperimentConfig) -> ExperimentResult:
         return {"eps": eps, "times": times, "errors": errors,
                 "mass_drift": sol.mass_drift()}
 
-    rows = [one(eps) for eps in config.eps]
+    rows = [one(row) for row in plan.rows]
     verdicts = []
     for r in rows:
         first_three = r["errors"][:3]
@@ -991,18 +978,18 @@ def run_ode_window(config: ExperimentConfig) -> ExperimentResult:
 
 
 def run_single(config: ExperimentConfig) -> ExperimentResult:
-    config.validate()
+    [row] = Plan.build(config).rows
     if config.kind != "single":
         raise ConfigError("config kind must be single")
-    eps = config.eps[0]
+    eps, t = row.eps, row.times[-1]
     problem = config.problem(eps)
+    dump = config.output.dump_fields
     dumps = []
 
     if config.solver == "rays":
-        bundle = rays.integrate_flow(problem, problem.a0.grid,
-                                     config.t_final, dt=config.stepping_dt(eps))
+        bundle = rays.integrate_flow(problem, problem.a0.grid, t, dt=row.dt)
         residual = rays.hamilton_jacobi_residual(bundle, problem.a0.grid)
-        consistency = rays.jacobian_consistency(bundle, config.t_final)
+        consistency = rays.jacobian_consistency(bundle, t)
         verdicts = [
             _verdict("eikonal_residual", residual <= 1e-6,
                      f"sup residual {residual:.3e} <= 1e-6"),
@@ -1019,26 +1006,23 @@ def run_single(config: ExperimentConfig) -> ExperimentResult:
         return _finish("single", config, body, verdicts, rows, dumps)
 
     if config.solver == "wkb":
-        t = config.t_final
-        bundle = rays.integrate_flow(problem, problem.a0.grid, t,
-                                     dt=config.ray_dt)
+        bundle = rays.integrate_flow(problem, problem.a0.grid, t, dt=row.ray_dt)
         approx = wkb.build_approximant(problem, bundle, t)
-        sol = nls.solve_nls(problem, t, dt=config.stepping_dt(eps))
+        sol = nls.solve_nls(problem, t, dt=row.dt)
         err = l2_linf_norm(sol.final() - approx.assemble())
         verdicts = []
         body = {"eps": eps, "t": t, "error_L2Linf": err,
                 "regime": approx.regime, "horizon": approx.horizon,
                 "mass_drift": sol.mass_drift()}
         rows = [(eps, "", "profile_L2Linf", err)]
-        if config.dump_fields:
+        if dump:
             dumps = [("wkb_approximant", approx.assemble(), t),
                      ("reference_state", sol.final(), t)]
         return _finish("single", config, body, verdicts, rows, dumps)
 
     if config.solver == "grenier":
         traj = phase_amplitude.solve_phase_amplitude(
-            problem, config.t_final, config.stepping_dt(eps),
-            variant=config.variant)
+            problem, t, row.dt, variant=config.variant)
         drift = traj.mass_drift()
         tol = 1e-8 if config.variant != "full" else 1e-6
         verdicts = [_verdict("mass_conservation", drift <= tol,
@@ -1050,25 +1034,25 @@ def run_single(config: ExperimentConfig) -> ExperimentResult:
             res = phase_amplitude.euler_residual(traj)
             body["euler_residual"] = res
         rows = [(eps, "", "mass_drift", drift)]
-        if config.dump_fields:
+        if dump:
             st = traj.final()
             dumps = [("amplitude", st.a, st.time), ("phase", st.phi, st.time)]
         return _finish("single", config, body, verdicts, rows, dumps)
 
     # nls
-    sol = nls.solve_nls(problem, config.t_final, dt=config.stepping_dt(eps))
+    sol = nls.solve_nls(problem, t, dt=row.dt)
     verdicts = [
         _verdict("mass_conservation", sol.mass_drift() <= 1e-10,
                  f"relative drift {sol.mass_drift():.3e} <= 1e-10"),
         _verdict("energy_drift", sol.energy_drift() <= 1e-6,
                  f"relative drift {sol.energy_drift():.3e} <= 1e-6"),
     ]
-    body = {"eps": eps, "t": config.t_final, "mass_drift": sol.mass_drift(),
+    body = {"eps": eps, "t": t, "mass_drift": sol.mass_drift(),
             "energy_drift": sol.energy_drift(), "dt": sol.dt}
     rows = [(eps, "", "mass_drift", sol.mass_drift()),
             (eps, "", "energy_drift", sol.energy_drift())]
-    if config.dump_fields:
-        dumps = [("reference_state", sol.final(), config.t_final)]
+    if dump:
+        dumps = [("reference_state", sol.final(), t)]
     return _finish("single", config, body, verdicts, rows, dumps)
 
 
@@ -1082,31 +1066,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
 
 def dry_run_plan(config: ExperimentConfig) -> dict:
-    """Resolved execution plan without any solving: per-eps step counts and
-    grid sizes, for --dry-run."""
-    config.validate()
-    plan = []
-    for eps in config.eps:
-        dt = config.stepping_dt(eps)
-        entry = {"eps": eps, "dt": dt, "grid_size": config.grid_size}
-        if config.kind == "instability":
-            delta = eps ** config.alpha
-            entry["delta"] = delta
-            entry["t_eps"] = config.time_factor * eps / delta
-            outputs = _instability_outputs(entry["t_eps"])
-            entry["steps"] = sum(nls.segment_steps(outputs, dt))
-        elif config.kind == "odewindow":
-            entry["times"] = [eps**p for p in config.schedule or _ODE_POWERS]
-            entry["steps"] = sum(nls.segment_steps(entry["times"], dt))
-        elif config.target == "skew_free":
-            times = config.schedule or _SKEW_FREE_TIMES
-            entry["steps"] = int(np.ceil(times[-1] / dt))
-        elif config.solves_nls:
-            entry["steps"] = sum(nls.segment_steps([config.t_final], dt))
-        else:
-            entry["steps"] = int(np.ceil(config.t_final / dt))
-        if config.ray_dt is not None:
-            entry["ray_dt"] = config.ray_dt
-        plan.append(entry)
+    """The plan a run of `config` executes, for --dry-run: it makes every
+    check the run makes before its first solve, and solves nothing."""
+    entries = []
+    for row in Plan.build(config).rows:
+        entry = {k: v for k, v in asdict(row).items() if v is not None}
+        # output times are printed where eps sets them: odewindow's powers
+        if config.kind != "odewindow":
+            del entry["times"]
+        entries.append(entry)
     return {"kind": config.kind, "target": config.target,
-            "solver": config.solver, "config": config.to_dict(), "plan": plan}
+            "solver": config.solver, "config": asdict(config), "plan": entries}

@@ -2,8 +2,10 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -97,15 +99,15 @@ class TestConfigSchema:
         with open(CONFIG_DIR / name, encoding="utf-8") as fh:
             raw = json.load(fh)
         cfg = config_from_dict(raw)
-        again = config_from_dict(cfg.to_dict())
+        again = config_from_dict(asdict(cfg))
         assert again == cfg
-        json.dumps(cfg.to_dict())
+        json.dumps(asdict(cfg))
 
     def test_chirp_survives_serialization(self):
         raw = cheap_nls_raw(data={"a0": {"shape": "gaussian", "chirp": 0.5}})
         cfg = config_from_dict(raw)
-        assert cfg.a0.chirp == 0.5
-        assert config_from_dict(cfg.to_dict()).a0.chirp == 0.5
+        assert cfg.data.a0.chirp == 0.5
+        assert config_from_dict(asdict(cfg)).data.a0.chirp == 0.5
 
     def test_unknown_keys_rejected_at_every_level(self):
         with pytest.raises(ConfigError):
@@ -166,6 +168,126 @@ class TestConfigSchema:
             config_from_dict(raw)
         raw["grid"]["size"] = 2048
         config_from_dict(raw)
+
+
+class TestTypedLoading:
+    """Each value must have its field's type: an integer may stand for a
+    float, and nothing else is converted."""
+
+    CASES = [
+        ({"data": {"a0": {"width": "2"}}}, "data.a0.width must be a number"),
+        ({"kappa": True}, "kappa must be a number, got True"),
+        ({"grid": {"size": 1024.7}}, "grid.size must be an integer, got 1024.7"),
+        ({"output": {"dump_fields": "false"}},
+         "output.dump_fields must be a boolean, got 'false'"),
+    ]
+
+    @pytest.mark.parametrize("extra, message", CASES)
+    def test_mistyped_value_is_rejected_by_name(self, extra, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            config_from_dict(cheap_nls_raw(**extra))
+
+    @pytest.mark.parametrize("override, message", [
+        ("data.a0.width=\"2\"", CASES[0][1]),
+        ("kappa=true", CASES[1][1]),
+        ("grid.size=1024.7", CASES[2][1]),
+        ("output.dump_fields=\"false\"", CASES[3][1]),
+    ])
+    def test_mistyped_override_exits_2(self, tmp_path, capsys, override,
+                                       message):
+        code = main(["nls", "--config", str(CONFIG_DIR / "nls.json"),
+                     "--set", override, "--output", str(tmp_path / "out")])
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_integers_load_as_floats(self):
+        cfg = config_from_dict(cheap_nls_raw(kappa=1,
+                                             grid={"length": 32, "size": 256}))
+        assert type(cfg.kappa) is float and type(cfg.grid.length) is float
+        assert asdict(cfg) == asdict(config_from_dict(cheap_nls_raw()))
+
+
+# one row per ConfigError of the schema, the loader, validation and the plan:
+# (shipped config or raw dict, --set overrides, message fragment)
+CONFIG_ERRORS = [
+    # loader
+    ([], (), "config must be an object"),
+    ({"eps": [0.1]}, (), "config is missing 'kind'"),
+    ("nls.json", ("eps=0.1",), "eps must be a list"),
+    ("nls.json", ("time=0.2",), "time must be an object"),
+    ("nls.json", ("data.a0=null",), "data.a0 must be an object"),
+    ("nls.json", ("typo=1",), "unknown keys in config: ['typo']"),
+    ("nls.json", ("growth.exponents.p=1",),
+     "unknown keys in growth.exponents: ['p']"),
+    ("nls.json", ("norms.m_orders=[1, 1.5]",),
+     "norms.m_orders[1] must be an integer, got 1.5"),
+    ("nls.json", ("output.dir=3",), "output.dir must be a string, got 3"),
+    # loader, Literal fields
+    ({"kind": "bogus", "eps": [0.1]}, (), "kind must be one of ('converge', "),
+    ("nls.json", ("data.a0.shape=square",),
+     "data.a0.shape must be one of ('gaussian', 'constant', 'zero'), got 'square'"),
+    ("nls.json", ("potential.kind=harmonic",),
+     "potential.kind must be one of ('zero', 'cosine'), got 'harmonic'"),
+    ("nls.json", ("phase.kind=cubic",), "phase.kind must be one of ('zero', "),
+    ("nls.json", ("time.rule=adaptive",), "time.rule must be one of ('eps_over', "),
+    ("grenier.json", ("variant=bogus",), "variant must be one of ('full', "),
+    ("critical.json", ("target=critcal",), "target must be one of ("),
+    ("nls.json", ("solver=spectral",), "solver must be one of ('rays', "),
+    # profiles
+    ("nls.json", ("data.a1.width=0",), "data.a1.width must be positive"),
+    ("nls.json", ("data.b0.shape=zero", "data.b0.chirp=0.5"),
+     "data.b0.chirp needs a gaussian envelope"),
+    # validation
+    ("nls.json", ("eps=[]",), "eps list is empty"),
+    ("nls.json", ("eps=[1.5]",), "eps values must lie in (0, 1]"),
+    ("nls.json", ("eps=[0.01, 0.05]",), "eps list must be strictly decreasing"),
+    ("nls.json", ("kappa=0.5",), "kappa must be 0, 1 or 2"),
+    ("nls.json", ("grid.size=4",), "grid must have positive length and size >= 8"),
+    ("nls.json", ("grid.size=300",), "grid size must be a power of two"),
+    ("nls.json", ("time.rule=fixed",), "fixed dt rule needs a positive dt"),
+    ("nls.json", ("time.factor=0",), "dt factor must be positive"),
+    ("nls.json", ("time.final=0",), "t_final must be positive"),
+    ("nls.json", ("norms.sobolev_orders=[]",),
+     "norms.sobolev_orders must be a non-empty list"),
+    ("nls.json", ("norms.m_orders=[1, -1]",),
+     "norms.m_orders must be a non-empty list of non-negative integers"),
+    ("critical.json", ("target=null",), "converge runs need a target"),
+    ("critical.json", ("kappa=2",), "target critical requires kappa=1.0"),
+    ("corrector.json", ("data.a1=null",), "corrector target needs a1 data"),
+    ("nls.json", ("solver=null",), "single runs need a solver"),
+    ("nls.json", ("eps=[0.1, 0.05]",), "single runs take one eps, got 2"),
+    ("odewindow.json", ("kappa=1",), "odewindow runs require kappa=0"),
+    ("normgrowth.json", ("potential.kind=cosine",),
+     "normgrowth runs require V=0 and zero initial phase"),
+    ("instability.json", ("instability.taylor_order=0",), "taylor order out of range"),
+    ("instability.json", ("data.b0=null",),
+     "instability needs a b0 perturbation profile"),
+    ("instability.json", ("instability.window_order=1",), "window order must be >= 2"),
+    ("instability.json", ("instability.alpha=0.6",), "alpha must satisfy"),
+    ("instability.json", ("data.b0.imaginary=true",),
+     "perturbation is not polarized along a0"),
+    ("normgrowth.json", ("grid.size=1024",), "needs grid size >= 1600"),
+    ("normgrowth.json", ("growth.exponents.n=2",), "dimension n must be an integer"),
+    # plan
+    ("skewfree.json", ("time.schedule=[]",), "time.schedule must not be empty"),
+    ("skewfree.json", ("time.schedule=[0.0, 0.1]",),
+     "output times at eps=0.1 must be positive and strictly increasing, "
+     "got [0.0, 0.1]"),
+    ("skewfree.json", ("time.schedule=[0.05, 0.101]",),
+     "dt 0.0025 does not divide schedule time 0.101"),
+    ("odewindow.json", ("time.schedule=[0.2, 0.6]",),
+     "output times at eps=0.05 must be positive and strictly increasing"),
+]
+
+
+@pytest.mark.parametrize("raw, overrides, message", CONFIG_ERRORS,
+                         ids=[m for _, _, m in CONFIG_ERRORS])
+def test_every_config_check_fires(raw, overrides, message):
+    if isinstance(raw, str):
+        raw = _shipped_raw(raw, overrides)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        dry_run_plan(config_from_dict(raw))
 
 
 class TestOverrides:
@@ -268,6 +390,19 @@ class TestDryRunPlan:
         [(eps, dt)] = caught.value.pairs
         assert dt == planned[eps]
 
+    def test_skew_free_keeps_every_schedule_time(self):
+        # 0.075 is no multiple of the first time 0.05; the march must still
+        # store a state there, and the shared times must not move
+        def errors(schedule):
+            raw = _shipped_raw("skewfree.json",
+                               ("eps=[0.1]", f"time.schedule={schedule}"))
+            return run_experiment(config_from_dict(raw)).report["per_eps"][0]["errors"]
+
+        three = errors("[0.05, 0.075, 0.1]")
+        assert list(three) == [0.05, 0.075, 0.1]
+        two = errors("[0.05, 0.1]")
+        assert {t: three[t] for t in two} == two
+
     def test_skew_free_steps_run_to_the_last_schedule_time(self):
         raw = _shipped_raw("skewfree.json", ("time.schedule=[0.05, 0.1]",))
         entry = dry_run_plan(config_from_dict(raw))["plan"][0]
@@ -313,9 +448,9 @@ class TestInstabilityDoubling:
         # the base row fails first; its own solve raises the same error
         cfg = config_from_dict(_shipped_raw("instability.json", ("eps=[0.1]",)))
         entry = dry_run_plan(cfg)["plan"][0]
-        grid = PeriodicGrid.line(cfg.grid_length, 128)
+        grid = PeriodicGrid.line(cfg.grid.length, 128)
         base = SemiclassicalProblem(
-            eps=0.1, kappa=0.0, a0=cfg.a0.build(grid, role="initial-amplitude"))
+            eps=0.1, kappa=0.0, a0=cfg.data.a0.build(grid, role="initial-amplitude"))
         t_eps = entry["t_eps"]
         with pytest.raises(ResolutionError) as single:
             nls.solve_nls(base, t_eps, dt=entry["dt"],
@@ -463,6 +598,44 @@ class TestCli:
         out = subprocess.run([sys.executable, "-c", probe], env=env,
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("command, name, override, message", [
+        ("converge", "skewfree.json", "time.schedule=[0.3,0.1]",
+         "output times at eps=0.1 must be positive and strictly increasing, "
+         "got [0.3, 0.1]"),
+        ("converge", "skewfree.json", "time.schedule=[0.05,0.101]",
+         "dt 0.0025 does not divide schedule time 0.101"),
+        ("odewindow", "odewindow.json", "time.schedule=[0.2,0.6]",
+         "output times at eps=0.05 must be positive and strictly increasing"),
+        ("grenier", "grenier.json", "variant=bogus",
+         "variant must be one of ('full', 'skew_free', 'limit'), got 'bogus'"),
+    ])
+    def test_dry_run_makes_the_checks_of_the_run(self, tmp_path, capsys,
+                                                 command, name, override,
+                                                 message):
+        args = [command, "--config", str(CONFIG_DIR / name), "--set", override]
+        assert main(args + ["--dry-run"]) == 2
+        dry = capsys.readouterr()
+        assert main(args + ["--output", str(tmp_path / "out")]) == 2
+        run = capsys.readouterr()
+        assert f"error: {message}" in dry.err
+        assert dry.err == run.err and dry.out == run.out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, name, override", [
+        ("instability", "instability.json", "norms.sobolev_orders=[]"),
+        ("converge", "supercritical.json", "norms.sobolev_orders=[]"),
+        ("normgrowth", "normgrowth.json", "norms.m_orders=[]"),
+    ])
+    def test_empty_norm_orders_exit_2(self, tmp_path, capsys, command, name,
+                                      override):
+        code = main([command, "--config", str(CONFIG_DIR / name),
+                     "--set", override, "--output", str(tmp_path / "out")])
+        assert code == 2
+        key = override.split("=")[0]
+        assert (f"error: {key} must be a non-empty list of non-negative "
+                "integers, got []") in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_set_override_reaches_the_plan(self, tmp_path, capsys):
         code = main(["nls", "--config", self.write(tmp_path, cheap_nls_raw()),
