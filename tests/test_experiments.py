@@ -182,7 +182,9 @@ class TestTypedLoading:
          "output.dump_fields must be a boolean, got 'false'"),
     ]
 
-    @pytest.mark.parametrize("extra, message", CASES)
+    IDS = ["width-string", "kappa-bool", "size-fraction", "flag-string"]
+
+    @pytest.mark.parametrize("extra, message", CASES, ids=IDS)
     def test_mistyped_value_is_rejected_by_name(self, extra, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
             config_from_dict(cheap_nls_raw(**extra))
@@ -192,7 +194,7 @@ class TestTypedLoading:
         ("kappa=true", CASES[1][1]),
         ("grid.size=1024.7", CASES[2][1]),
         ("output.dump_fields=\"false\"", CASES[3][1]),
-    ])
+    ], ids=IDS)
     def test_mistyped_override_exits_2(self, tmp_path, capsys, override,
                                        message):
         code = main(["nls", "--config", str(CONFIG_DIR / "nls.json"),
@@ -282,7 +284,8 @@ CONFIG_ERRORS = [
 
 
 @pytest.mark.parametrize("raw, overrides, message", CONFIG_ERRORS,
-                         ids=[m for _, _, m in CONFIG_ERRORS])
+                         ids=[re.sub(r"[^\w.=-]+", "-", m).strip("-")
+                              for _, _, m in CONFIG_ERRORS])
 def test_every_config_check_fires(raw, overrides, message):
     if isinstance(raw, str):
         raw = _shipped_raw(raw, overrides)
@@ -609,7 +612,8 @@ class TestCli:
          "output times at eps=0.05 must be positive and strictly increasing"),
         ("grenier", "grenier.json", "variant=bogus",
          "variant must be one of ('full', 'skew_free', 'limit'), got 'bogus'"),
-    ])
+    ], ids=["skewfree-decreasing", "skewfree-indivisible",
+            "odewindow-increasing-powers", "grenier-variant"])
     def test_dry_run_makes_the_checks_of_the_run(self, tmp_path, capsys,
                                                  command, name, override,
                                                  message):
@@ -626,7 +630,7 @@ class TestCli:
         ("instability", "instability.json", "norms.sobolev_orders=[]"),
         ("converge", "supercritical.json", "norms.sobolev_orders=[]"),
         ("normgrowth", "normgrowth.json", "norms.m_orders=[]"),
-    ])
+    ], ids=["instability", "supercritical", "normgrowth"])
     def test_empty_norm_orders_exit_2(self, tmp_path, capsys, command, name,
                                       override):
         code = main([command, "--config", str(CONFIG_DIR / name),
