@@ -206,6 +206,8 @@ class ExperimentConfig:
         time = self.time
         if time.rule == "fixed" and (time.dt is None or time.dt <= 0):
             raise ConfigError("fixed dt rule needs a positive dt")
+        if time.rule != "fixed" and time.dt is not None:
+            raise ConfigError(f'time.dt needs time.rule "fixed", got {time.rule!r}')
         if time.rule == "eps_over" and time.factor <= 0:
             raise ConfigError("dt factor must be positive")
         if time.final <= 0:
@@ -695,29 +697,28 @@ def _run_profile_convergence(config: ExperimentConfig,
     critical = config.target == "critical"
     problems = [config.problem(eps, with_a1=False) for eps in config.eps]
     solutions = nls.solve_nls_sweep(problems, t, plan.dts)
+    # a, phi and G do not depend on eps: one bundle and one profile serve
+    # every eps of the sweep
+    bundle = rays.integrate_flow(problems[0], problems[0].a0.grid, t,
+                                 dt=plan.rows[0].ray_dt)
+    profile = wkb.build_approximant(problems[0], bundle, t)
 
-    def one(row, problem, sol):
-        eps = row.eps
+    def one(eps, sol):
         if isinstance(sol, ResolutionError):
             return {"eps": eps, "resolved": False, "detail": str(sol)}
         if isinstance(sol, Exception):
             raise sol
-        bundle = rays.integrate_flow(problem, problem.a0.grid, t,
-                                     dt=row.ray_dt)
-        approx = wkb.build_approximant(problem, bundle, t,
-                                       include_modulation=critical)
-        diff = sol.final() - approx.assemble()
-        row = {"eps": eps, "resolved": True, "error": l2_linf_norm(diff),
+        approx = profile.assemble(eps, include_modulation=critical)
+        row = {"eps": eps, "resolved": True,
+               "error": l2_linf_norm(sol.final() - approx),
                "mass_drift": sol.mass_drift(),
                "energy_drift": sol.energy_drift()}
         if not critical:
-            with_mod = wkb.build_approximant(problem, bundle, t,
-                                             include_modulation=True)
-            shift = with_mod.assemble() - approx.assemble()
+            shift = profile.assemble(eps) - approx
             row["modulation_size"] = l2_linf_norm(shift)
         return row
 
-    rows = [one(*row) for row in zip(plan.rows, problems, solutions)]
+    rows = [one(*row) for row in zip(config.eps, solutions)]
     resolved = [r for r in rows if r["resolved"]]
     errors = [r["error"] for r in resolved]
     a0_field = config.data.a0.build(config.grid.build(), role="initial-amplitude")
@@ -1007,16 +1008,17 @@ def run_single(config: ExperimentConfig) -> ExperimentResult:
 
     if config.solver == "wkb":
         bundle = rays.integrate_flow(problem, problem.a0.grid, t, dt=row.ray_dt)
-        approx = wkb.build_approximant(problem, bundle, t)
+        profile = wkb.build_approximant(problem, bundle, t)
+        approx = profile.assemble(eps)
         sol = nls.solve_nls(problem, t, dt=row.dt)
-        err = l2_linf_norm(sol.final() - approx.assemble())
+        err = l2_linf_norm(sol.final() - approx)
         verdicts = []
         body = {"eps": eps, "t": t, "error_L2Linf": err,
-                "regime": approx.regime, "horizon": approx.horizon,
+                "regime": profile.regime, "horizon": profile.horizon,
                 "mass_drift": sol.mass_drift()}
         rows = [(eps, "", "profile_L2Linf", err)]
         if dump:
-            dumps = [("wkb_approximant", approx.assemble(), t),
+            dumps = [("wkb_approximant", approx, t),
                      ("reference_state", sol.final(), t)]
         return _finish("single", config, body, verdicts, rows, dumps)
 

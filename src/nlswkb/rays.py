@@ -19,12 +19,15 @@ label inversion refuses to run.
 Inversion of the label-to-position map uses monotone bracketing plus
 safeguarded Newton on a cubic Hermite interpolant of the stored map (values
 x, slopes M), which is exact for affine maps (zero/harmonic potential with
-zero/quadratic phase) and O(h^4) otherwise.  Off-marker evaluation of the
+zero/quadratic phase) and O(h^4) otherwise.  `invert_flow` runs it once per
+(bundle, time, grid) and returns a `LabelMap` that carries any per-marker
+series to the grid.  Off-marker evaluation of the
 action uses the identity grad_y S = xi . M, and the Eulerian phase gradient
 is the transported momentum xi(t, y(t, x)).
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,12 +189,6 @@ def caustic_time(bundle: RayBundle, threshold: float | None = None) -> float | N
     return _first_crossing(bundle.times, bundle.min_jacobian(), thr)
 
 
-def _guard_caustic(bundle: RayBundle, t: float):
-    if bundle.t_caustic is not None and t >= bundle.t_caustic:
-        raise CausticError(
-            f"t={t} is at or past the caustic horizon {bundle.t_caustic:.6g}")
-
-
 # ---------------------------------------------------------------------------
 # cubic Hermite machinery on the marker line
 
@@ -208,159 +205,134 @@ def _hermite_deriv(u, h, f0, f1, d0, d1):
             + (-6 * u2 + 6 * u) * f1 + (3 * u2 - 2 * u) * h * d1) / h
 
 
-class _Line1D:
-    """Stored ray map at one time node, extended by one wrap cell when the
-    configuration is periodic-compatible."""
-
-    def __init__(self, bundle: RayBundle, it: int):
-        self.bundle = bundle
-        y = bundle.y[:, 0]
-        x = bundle.x[it, :, 0]
-        m = bundle.mvar[it, :, 0, 0]
-        self.periodic = bundle.is_periodic_compatible()
-        self.span = bundle.markers.lengths[0]
-        if self.periodic:
-            y = np.append(y, y[0] + self.span)
-            x = np.append(x, x[0] + self.span)
-            m = np.append(m, m[0])
-        self.y, self.x, self.m = y, x, m
-        self.h = y[1] - y[0]
-        if not np.all(np.diff(x) > 0):
-            raise InversionError(
-                "stored ray map is not strictly increasing; past a caustic or "
-                "marker grid too coarse")
-
-    def reduce_targets(self, targets: np.ndarray):
-        """Map targets into the covered range; returns (reduced, shift)."""
-        if self.periodic:
-            reduced = self.x[0] + np.mod(targets - self.x[0], self.span)
-            return reduced, targets - reduced
-        if targets.min() < self.x[0] or targets.max() > self.x[-1]:
-            raise InversionError(
-                "target positions leave the stored ray map; enlarge the marker "
-                "grid to cover the pulled-back box")
-        return targets, np.zeros_like(targets)
-
-    def invert(self, targets: np.ndarray, tol: float = 1e-12, max_iter: int = 80):
-        """Solve x(t, y) = target per entry.  Returns (labels, cells, u)."""
-        reduced, shift = self.reduce_targets(targets)
-        cells = np.clip(np.searchsorted(self.x, reduced, side="right") - 1,
-                        0, len(self.x) - 2)
-        f0, f1 = self.x[cells], self.x[cells + 1]
-        d0, d1 = self.m[cells], self.m[cells + 1]
-        lo = np.zeros_like(reduced)
-        hi = np.ones_like(reduced)
-        u = np.clip((reduced - f0) / np.where(f1 > f0, f1 - f0, 1.0), 0.0, 1.0)
-        scale = max(1.0, np.abs(self.x).max())
-        for _ in range(max_iter):
-            val = _hermite_eval(u, self.h, f0, f1, d0, d1) - reduced
-            if np.all(np.abs(val) <= tol * scale):
-                break
-            pos = val > 0
-            hi = np.where(pos, np.minimum(hi, u), hi)
-            lo = np.where(~pos, np.maximum(lo, u), lo)
-            slope = _hermite_deriv(u, self.h, f0, f1, d0, d1) * self.h
-            step = np.where(np.abs(slope) > 0, val / np.where(slope != 0, slope, 1.0), 0.0)
-            u_new = u - step
-            bad = (u_new < lo) | (u_new > hi) | ~np.isfinite(u_new)
-            u = np.where(bad, 0.5 * (lo + hi), u_new)
-        residual = np.abs(_hermite_eval(u, self.h, f0, f1, d0, d1) - reduced)
-        worst = float(residual.max())
-        if worst > 1e-10 * scale:
-            raise InversionError(
-                f"Newton inversion did not reach tolerance (worst residual {worst:.3e})",
-                worst_residual=worst)
-        labels = self.y[cells] + u * self.h + shift
-        return labels, cells, u
-
-    def eval_series(self, values: np.ndarray, slopes: np.ndarray,
-                    cells: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Hermite-evaluate a per-marker series at previously located cells."""
-        v = np.append(values, values[0]) if self.periodic else values
-        s = np.append(slopes, slopes[0]) if self.periodic else slopes
-        return _hermite_eval(u, self.h, v[cells], v[cells + 1], s[cells], s[cells + 1])
-
-
 @dataclass(frozen=True, eq=False)
-class RayLabels:
-    """Result of inverting the ray map on an Eulerian grid."""
+class LabelMap:
+    """Ray labels y(t, x) on an Eulerian grid at one stored time node.
+
+    Built by `invert_flow`.  It keeps the Hermite cell and offset `u` of
+    every target, so any per-marker series is carried to the grid without
+    inverting the ray map again.
+    """
+    bundle: RayBundle
     grid: PeriodicGrid
-    time: float
-    values: np.ndarray  # (*grid.shape, 1)
+    index: int           # stored time node
+    labels: np.ndarray   # (N,) labels, unwrapped
+    cells: np.ndarray    # (N,) Hermite cell of each target
+    u: np.ndarray        # (N,) position inside the cell, in [0, 1]
 
-    def points(self) -> np.ndarray:
-        return self.values.reshape(-1, self.values.shape[-1])
+    def eval_series(self, values: np.ndarray, slopes: np.ndarray) -> np.ndarray:
+        """Hermite-evaluate a per-marker series, given with its label
+        slopes, at the located cells."""
+        if self.bundle.is_periodic_compatible():
+            values, slopes = np.append(values, values[0]), np.append(slopes, slopes[0])
+        h = self.bundle.y[1, 0] - self.bundle.y[0, 0]
+        c = self.cells
+        return _hermite_eval(self.u, h, values[c], values[c + 1], slopes[c], slopes[c + 1])
+
+    def interp_series(self, series: np.ndarray) -> np.ndarray:
+        """Per-marker scalar series evaluated at the labels.
+
+        Affine maps have label-independent series (returned as constant);
+        periodic-compatible maps interpolate trigonometrically; the
+        remaining mixed case falls back to a cubic spline.
+        """
+        bundle = self.bundle
+        if bundle.is_affine():
+            spread = np.abs(series - series[0]).max()
+            if spread > 1e-8 * max(1.0, np.abs(series[0])):
+                raise InversionError("series expected constant on an affine flow")
+            return np.full(self.labels.shape, float(series[0]))
+        if bundle.is_periodic_compatible():
+            field = RealField(bundle.markers, series.reshape(bundle.markers.shape))
+            return interpolate_periodic(field, self.labels)
+        from scipy.interpolate import CubicSpline
+        return CubicSpline(bundle.y[:, 0], series)(self.labels)
 
 
-def invert_flow(bundle: RayBundle, t: float, x_grid: PeriodicGrid) -> RayLabels:
+def invert_flow(bundle: RayBundle, t: float, x_grid: PeriodicGrid) -> LabelMap:
     """Labels y(t, x) on the Eulerian grid, with |x(t, y) - x| <= 1e-10.
 
-    Pre-caustic only.  The stored map is bracketed and solved by safeguarded
-    Newton on its Hermite interpolant; labels may leave the marker box only
-    for periodic-compatible configurations (wrapped) or raise otherwise.
+    Pre-caustic only.  The stored map, extended by one wrap cell when the
+    configuration is periodic-compatible, is bracketed and solved by
+    safeguarded Newton on its Hermite interpolant; labels may leave the
+    marker box only for periodic-compatible configurations (wrapped) or
+    raise otherwise.
     """
-    _guard_caustic(bundle, t)
+    if bundle.t_caustic is not None and t >= bundle.t_caustic:
+        raise CausticError(
+            f"t={t} is at or past the caustic horizon {bundle.t_caustic:.6g}")
     it = bundle.time_index(t)
-    labels, _, _ = _Line1D(bundle, it).invert(x_grid.nodes[0])
-    return RayLabels(grid=x_grid, time=float(bundle.times[it]),
-                     values=labels.reshape(*x_grid.shape, 1))
+    y, x, m = bundle.y[:, 0], bundle.x[it, :, 0], bundle.mvar[it, :, 0, 0]
+    span = bundle.markers.lengths[0]
+    periodic = bundle.is_periodic_compatible()
+    if periodic:
+        y, x, m = np.append(y, y[0] + span), np.append(x, x[0] + span), np.append(m, m[0])
+    if not np.all(np.diff(x) > 0):
+        raise InversionError(
+            "stored ray map is not strictly increasing; past a caustic or "
+            "marker grid too coarse")
+    targets = x_grid.nodes[0]
+    if periodic:
+        reduced = x[0] + np.mod(targets - x[0], span)
+    elif targets.min() < x[0] or targets.max() > x[-1]:
+        raise InversionError(
+            "target positions leave the stored ray map; enlarge the marker "
+            "grid to cover the pulled-back box")
+    else:
+        reduced = targets
+    h = y[1] - y[0]
+    cells = np.clip(np.searchsorted(x, reduced, side="right") - 1, 0, len(x) - 2)
+    f0, f1 = x[cells], x[cells + 1]
+    d0, d1 = m[cells], m[cells + 1]
+    lo = np.zeros_like(reduced)
+    hi = np.ones_like(reduced)
+    u = np.clip((reduced - f0) / np.where(f1 > f0, f1 - f0, 1.0), 0.0, 1.0)
+    scale = max(1.0, np.abs(x).max())
+    for _ in range(80):
+        val = _hermite_eval(u, h, f0, f1, d0, d1) - reduced
+        if np.all(np.abs(val) <= 1e-12 * scale):
+            break
+        pos = val > 0
+        hi = np.where(pos, np.minimum(hi, u), hi)
+        lo = np.where(~pos, np.maximum(lo, u), lo)
+        slope = _hermite_deriv(u, h, f0, f1, d0, d1) * h
+        step = np.where(np.abs(slope) > 0, val / np.where(slope != 0, slope, 1.0), 0.0)
+        u_new = u - step
+        bad = (u_new < lo) | (u_new > hi) | ~np.isfinite(u_new)
+        u = np.where(bad, 0.5 * (lo + hi), u_new)
+    worst = float(np.abs(_hermite_eval(u, h, f0, f1, d0, d1) - reduced).max())
+    if worst > 1e-10 * scale:
+        raise InversionError(
+            f"Newton inversion did not reach tolerance (worst residual {worst:.3e})",
+            worst_residual=worst)
+    labels = y[cells] + u * h + (targets - reduced)
+    return LabelMap(bundle=bundle, grid=x_grid, index=it, labels=labels,
+                    cells=cells, u=u)
 
 
-def _marker_field(bundle: RayBundle, series: np.ndarray) -> RealField:
-    return RealField(bundle.markers, series.reshape(bundle.markers.shape))
-
-
-def eikonal_phase(bundle: RayBundle, t: float, x_grid: PeriodicGrid) -> RealField:
+def eikonal_phase(lmap: LabelMap) -> RealField:
     """Eulerian phase phi(t, x) = S(t, y(t, x)), pre-caustic."""
-    _guard_caustic(bundle, t)
-    it = bundle.time_index(t)
-    line = _Line1D(bundle, it)
-    _, cells, u = line.invert(x_grid.nodes[0])
+    b, it = lmap.bundle, lmap.index
     # grad_y S = xi . M along the marker line
-    slope = bundle.xi[it, :, 0] * bundle.mvar[it, :, 0, 0]
-    svals = line.eval_series(bundle.action[it], slope, cells, u)
-    return RealField(x_grid, svals.reshape(x_grid.shape), role="eikonal-phase")
+    slope = b.xi[it, :, 0] * b.mvar[it, :, 0, 0]
+    svals = lmap.eval_series(b.action[it], slope)
+    return RealField(lmap.grid, svals.reshape(lmap.grid.shape), role="eikonal-phase")
 
 
-def momentum_field(bundle: RayBundle, t: float, x_grid: PeriodicGrid) -> np.ndarray:
+def momentum_field(lmap: LabelMap) -> np.ndarray:
     """Transported momentum xi(t, y(t, x)): the Eulerian phase gradient.
 
-    Returns an array of shape (*x_grid.shape, 1).
+    Returns an array of shape (*grid.shape, 1).
     """
-    _guard_caustic(bundle, t)
-    it = bundle.time_index(t)
-    line = _Line1D(bundle, it)
-    _, cells, u = line.invert(x_grid.nodes[0])
-    vals = line.eval_series(bundle.xi[it, :, 0], bundle.xivar[it, :, 0, 0], cells, u)
-    return vals.reshape(*x_grid.shape, 1)
+    b, it = lmap.bundle, lmap.index
+    vals = lmap.eval_series(b.xi[it, :, 0], b.xivar[it, :, 0, 0])
+    return vals.reshape(*lmap.grid.shape, 1)
 
 
-def jacobian_at_labels(bundle: RayBundle, t: float, x_grid: PeriodicGrid) -> np.ndarray:
+def jacobian_at_labels(lmap: LabelMap) -> np.ndarray:
     """J(t, y(t, x)) on the Eulerian grid."""
-    _guard_caustic(bundle, t)
-    it = bundle.time_index(t)
-    labels, _, _ = _Line1D(bundle, it).invert(x_grid.nodes[0])
-    jvals = _interp_marker_series_1d(bundle, bundle.jac[it], labels)
-    return jvals.reshape(x_grid.shape)
-
-
-def _interp_marker_series_1d(bundle, series, labels) -> np.ndarray:
-    """Per-marker scalar series evaluated at off-marker labels.
-
-    Affine maps have label-independent series (returned as constant);
-    periodic-compatible maps interpolate trigonometrically; the remaining
-    mixed case falls back to a cubic spline.
-    """
-    if bundle.is_affine():
-        spread = np.abs(series - series[0]).max()
-        if spread > 1e-8 * max(1.0, np.abs(series[0])):
-            raise InversionError("series expected constant on an affine flow")
-        return np.full(labels.shape, float(series[0]))
-    if bundle.is_periodic_compatible():
-        return interpolate_periodic(_marker_field(bundle, series), labels)
-    from scipy.interpolate import CubicSpline
-    spline = CubicSpline(bundle.y[:, 0], series)
-    return spline(labels)
+    jvals = lmap.interp_series(lmap.bundle.jac[lmap.index])
+    return jvals.reshape(lmap.grid.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -411,18 +383,20 @@ def hamilton_jacobi_residual(bundle: RayBundle, x_grid: PeriodicGrid,
         raise ValueError("stride too large for the stored window")
 
     h = bundle.dt
-    cache: dict[int, np.ndarray] = {}
 
+    @functools.cache
+    def label_map(i: int) -> LabelMap:
+        return invert_flow(bundle, float(bundle.times[i]), x_grid)
+
+    @functools.cache
     def phi(i: int) -> np.ndarray:
-        if i not in cache:
-            cache[i] = eikonal_phase(bundle, float(bundle.times[i]), x_grid).values
-        return cache[i]
+        return eikonal_phase(label_map(i)).values
 
     worst = 0.0
     for i in idx:
         dphi_dt = (-phi(i + 2) + 8 * phi(i + 1) - 8 * phi(i - 1) + phi(i - 2)) / (12 * h)
         if gradient == "momentum":
-            mom = momentum_field(bundle, float(bundle.times[i]), x_grid)
+            mom = momentum_field(label_map(i))
             grad_sq = np.sum(mom**2, axis=-1)
         else:
             grads = gradient_values(x_grid, phi(i))

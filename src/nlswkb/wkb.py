@@ -27,8 +27,8 @@ from .errors import CausticError, FieldError
 from .fields import ComplexField, RealField, interpolate_periodic
 from .grids import PeriodicGrid
 from .problem import SemiclassicalProblem
-from .rays import (RayBundle, _interp_marker_series_1d, _Line1D, eikonal_phase,
-                   jacobian_at_labels, invert_flow)
+from .rays import (LabelMap, RayBundle, eikonal_phase, invert_flow,
+                   jacobian_at_labels)
 
 
 def _simpson_weights(n: int) -> np.ndarray:
@@ -57,95 +57,73 @@ def _simpson_weights(n: int) -> np.ndarray:
     return w
 
 
-def transport_amplitude(bundle: RayBundle, a0: ComplexField, t: float,
-                        x_grid: PeriodicGrid) -> ComplexField:
+def transport_amplitude(lmap: LabelMap, a0: ComplexField) -> ComplexField:
     """a(t, x) = a0(y(t, x)) / sqrt(J_t(y(t, x))), pre-caustic."""
-    labels = invert_flow(bundle, t, x_grid)
-    avals = interpolate_periodic(a0, labels.points())
-    jvals = jacobian_at_labels(bundle, t, x_grid)
+    avals = interpolate_periodic(a0, lmap.labels)
+    jvals = jacobian_at_labels(lmap)
     if jvals.min() <= 0:
         raise CausticError("Jacobian not positive at requested time")
-    out = (avals.reshape(x_grid.shape)) / np.sqrt(jvals)
-    return ComplexField(x_grid, out, role="transported-amplitude")
+    out = (avals.reshape(lmap.grid.shape)) / np.sqrt(jvals)
+    return ComplexField(lmap.grid, out, role="transported-amplitude")
 
 
-def self_modulation_phase(bundle: RayBundle, a0: ComplexField, t: float,
-                          x_grid: PeriodicGrid) -> RealField:
+def self_modulation_phase(lmap: LabelMap, a0: ComplexField) -> RealField:
     """G(t, x): minus the ray integral of |a0|^2 / J up to t.
 
     The integral is evaluated per marker with composite Simpson over the
     stored time nodes, then carried to the Eulerian grid through the label
-    map.  Requires J > 0 on [0, t].
+    map.  J > 0 on [0, t] holds because the map is pre-caustic.
     """
-    it = bundle.time_index(t)
-    jslab = bundle.jac[: it + 1]
-    if jslab.min() <= 0:
-        raise CausticError("Jacobian crossed zero inside the modulation integral")
+    bundle, it = lmap.bundle, lmap.index
     weights = _simpson_weights(it)
-    integral = bundle.dt * np.tensordot(weights, 1.0 / jslab, axes=(0, 0))
-
-    labels, _, _ = _Line1D(bundle, it).invert(x_grid.nodes[0])
-    ivals = _interp_marker_series_1d(bundle, integral, labels)
-    amag = np.abs(interpolate_periodic(a0, labels)) ** 2
-    g = -(amag * ivals).reshape(x_grid.shape)
-    return RealField(x_grid, g, role="self-modulation")
-
-
-def extract_amplitude(u: ComplexField, phi_eik: RealField, eps: float) -> ComplexField:
-    """Strip the fast eikonal oscillation: a = u exp(-i phi/eps)."""
-    if u.grid != phi_eik.grid:
-        raise FieldError("state and phase live on different grids")
-    return ComplexField(u.grid, u.values * np.exp(-1j * phi_eik.values / eps),
-                        role="extracted-amplitude")
+    integral = bundle.dt * np.tensordot(weights, 1.0 / bundle.jac[: it + 1], axes=(0, 0))
+    ivals = lmap.interp_series(integral)
+    amag = np.abs(interpolate_periodic(a0, lmap.labels)) ** 2
+    g = -(amag * ivals).reshape(lmap.grid.shape)
+    return RealField(lmap.grid, g, role="self-modulation")
 
 
 @dataclass(frozen=True, eq=False)
-class WKBApproximant:
-    """One assembled approximant at a fixed time.
+class WKBProfile:
+    """The eps-free profiles of the approximant at one time: transported
+    amplitude `a`, eikonal phase `phi` and self-modulation `g`.
 
-    `slow_phase` holds the order-one modulation (eps^(kappa-1) G), and
-    `fast_phase` the eikonal phase that is divided by eps at assembly; the
-    modulus of the assembled state equals |amplitude| by construction.
+    Only `assemble` reads eps, so one profile serves a whole eps sweep.
+    The modulus of an assembled state equals |a| by construction.
     """
-    regime: str
-    time: float
-    eps: float
-    amplitude: ComplexField
-    slow_phase: RealField
-    fast_phase: RealField
-    horizon: float | None = None
+    kappa: float
+    a: ComplexField
+    phi: RealField
+    g: RealField
+    horizon: float | None
 
-    def assemble(self) -> ComplexField:
-        phase = self.slow_phase.values + self.fast_phase.values / self.eps
-        return ComplexField(self.amplitude.grid,
-                            self.amplitude.values * np.exp(1j * phase),
-                            role=f"wkb-{self.regime}")
+    @property
+    def regime(self) -> str:
+        return "critical" if self.kappa == 1 else "subcritical"
+
+    def assemble(self, eps: float, include_modulation: bool = True) -> ComplexField:
+        """a e^(i eps^(kappa-1) G) e^(i phi/eps).
+
+        With `include_modulation=False` the bare free profile a e^(i phi/eps)
+        is produced (the kappa = 2 comparison profile).
+        """
+        slow = eps ** (self.kappa - 1) * self.g.values if include_modulation else 0.0
+        phase = slow + self.phi.values / eps
+        regime = self.regime if include_modulation else "free-profile"
+        return ComplexField(self.a.grid, self.a.values * np.exp(1j * phase),
+                            role=f"wkb-{regime}")
 
 
 def build_approximant(problem: SemiclassicalProblem, bundle: RayBundle, t: float,
-                      x_grid: PeriodicGrid | None = None,
-                      include_modulation: bool = True) -> WKBApproximant:
-    """Assemble the kappa >= 1 approximant from a traced bundle.
-
-    With `include_modulation=False` the bare free profile a e^(i phi/eps)
-    is produced (the kappa = 2 comparison profile).
-    """
+                      x_grid: PeriodicGrid | None = None) -> WKBProfile:
+    """The kappa >= 1 profiles at t from a traced bundle, on one label map."""
     if problem.kappa < 1:
         raise FieldError("ray-based approximants need kappa >= 1")
-    grid = x_grid or problem.grid
+    lmap = invert_flow(bundle, t, x_grid or problem.grid)
     a0 = problem.initial_amplitude()
-    a = transport_amplitude(bundle, a0, t, grid)
-    phi = eikonal_phase(bundle, t, grid)
-    if include_modulation:
-        g = self_modulation_phase(bundle, a0, t, grid)
-        slow = RealField(grid, problem.eps ** (problem.kappa - 1) * g.values,
-                         role="slow-phase")
-        regime = "critical" if problem.kappa == 1 else "subcritical"
-    else:
-        slow = RealField.zeros(grid, role="slow-phase")
-        regime = "free-profile"
-    return WKBApproximant(regime=regime, time=t, eps=problem.eps, amplitude=a,
-                          slow_phase=slow, fast_phase=phi, horizon=bundle.t_caustic)
+    return WKBProfile(kappa=problem.kappa, a=transport_amplitude(lmap, a0),
+                      phi=eikonal_phase(lmap), g=self_modulation_phase(lmap, a0),
+                      horizon=bundle.t_caustic)
 
 
 def separation_profile(a0: ComplexField, a0_tilde: ComplexField, delta: float,

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlswkb import nls, phase_amplitude, rays
+from nlswkb import nls, phase_amplitude, rays, wkb
 from nlswkb.cli import main
 from nlswkb.errors import ConfigError, ResolutionError
 from nlswkb.experiments import (apply_overrides, config_from_dict,
@@ -248,6 +248,8 @@ CONFIG_ERRORS = [
     ("nls.json", ("grid.size=4",), "grid must have positive length and size >= 8"),
     ("nls.json", ("grid.size=300",), "grid size must be a power of two"),
     ("nls.json", ("time.rule=fixed",), "fixed dt rule needs a positive dt"),
+    ("critical.json", ("time.dt=0.001",),
+     'time.dt needs time.rule "fixed", got \'eps_over\''),
     ("nls.json", ("time.factor=0",), "dt factor must be positive"),
     ("nls.json", ("time.final=0",), "t_final must be positive"),
     ("nls.json", ("norms.sobolev_orders=[]",),
@@ -345,8 +347,8 @@ def _shipped_raw(name, overrides=()):
 class TestDryRunPlan:
     @pytest.mark.parametrize("name, overrides", [
         *[(p.name, ()) for p in sorted(CONFIG_DIR.glob("*.json"))],
-        ("skewfree.json", ("time.rule=eps_over",)),
-        ("grenier.json", ("time.rule=eps_over",)),
+        ("skewfree.json", ("time.rule=eps_over", "time.dt=null")),
+        ("grenier.json", ("time.rule=eps_over", "time.dt=null")),
     ])
     def test_planned_dt_is_the_dt_the_driver_runs(self, name, overrides,
                                                    monkeypatch):
@@ -492,6 +494,28 @@ class TestPlannedSteps:
         assert {eps for eps, _ in executed} == set(planned)
         assert all(steps == planned[eps] for eps, steps in executed), (
             executed, planned)
+
+
+class TestOneProfilePerSweep:
+    @pytest.mark.parametrize("name", ["critical.json", "subcritical.json"])
+    def test_rays_are_traced_and_inverted_once(self, name, monkeypatch):
+        calls = []
+
+        def count(module, fn):
+            real = getattr(module, fn)
+
+            def counting(*args, **kwargs):
+                calls.append(fn)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, fn, counting)
+
+        for module, fn in ((rays, "integrate_flow"), (wkb, "build_approximant"),
+                           (rays, "invert_flow"), (wkb, "invert_flow")):
+            count(module, fn)
+        raw = _shipped_raw(name, ("eps=[0.1, 0.05, 0.025]",))
+        rows = run_experiment(config_from_dict(raw)).report["per_eps"]
+        assert [r["resolved"] for r in rows] == [True] * 3
+        assert sorted(calls) == ["build_approximant", "integrate_flow", "invert_flow"]
 
 
 class TestArtifacts:

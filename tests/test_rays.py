@@ -81,19 +81,19 @@ class TestHarmonicOracle:
         assert abs(got - np.arccos(0.1)) <= 1e-6
 
     def test_phase_profile(self, harmonic_bundle, eval_grid):
-        phi = rays.eikonal_phase(harmonic_bundle, 1.0, eval_grid)
+        phi = rays.eikonal_phase(rays.invert_flow(harmonic_bundle, 1.0, eval_grid))
         x = eval_grid.nodes[0]
         exact = -0.5 * x ** 2 * np.tan(1.0)
         assert np.max(np.abs(phi.values - exact)) <= 1e-9
 
     def test_momentum_field(self, harmonic_bundle, eval_grid):
-        mom = rays.momentum_field(harmonic_bundle, 1.0, eval_grid)
+        mom = rays.momentum_field(rays.invert_flow(harmonic_bundle, 1.0, eval_grid))
         x = eval_grid.nodes[0]
         assert np.max(np.abs(mom[:, 0] + x * np.tan(1.0))) <= 1e-9
 
     def test_phase_guarded_past_caustic(self, harmonic_bundle, eval_grid):
         with pytest.raises(CausticError):
-            rays.eikonal_phase(harmonic_bundle, 1.6, eval_grid)
+            rays.eikonal_phase(rays.invert_flow(harmonic_bundle, 1.6, eval_grid))
 
     def test_jacobian_consistency(self, harmonic_bundle):
         assert rays.jacobian_consistency(harmonic_bundle, 1.0) <= 1e-6
@@ -112,18 +112,18 @@ class TestFreeFlowOracle:
         assert free_bundle.is_affine()
 
     def test_inverted_labels(self, free_bundle, eval_grid):
-        labels = rays.invert_flow(free_bundle, 0.5, eval_grid)
+        lmap = rays.invert_flow(free_bundle, 0.5, eval_grid)
         x = eval_grid.nodes[0]
-        assert np.max(np.abs(labels.points()[:, 0] - 2 * x)) <= 1e-10
+        assert np.max(np.abs(lmap.labels - 2 * x)) <= 1e-10
 
     def test_phase_profile(self, free_bundle, eval_grid):
-        phi = rays.eikonal_phase(free_bundle, 0.5, eval_grid)
+        phi = rays.eikonal_phase(rays.invert_flow(free_bundle, 0.5, eval_grid))
         x = eval_grid.nodes[0]
         # phi(t,x) = -x^2/(2(1-t))
         assert np.max(np.abs(phi.values + x ** 2)) <= 1e-9
 
     def test_jacobian_at_labels(self, free_bundle, eval_grid):
-        jac = rays.jacobian_at_labels(free_bundle, 0.5, eval_grid)
+        jac = rays.jacobian_at_labels(rays.invert_flow(free_bundle, 0.5, eval_grid))
         assert np.max(np.abs(jac - 0.5)) <= 1e-12
 
     def test_no_caustic_inside_window(self, free_bundle):
@@ -138,6 +138,20 @@ class TestEikonalResidual:
 
     def test_harmonic_fixture(self, harmonic_bundle, eval_grid):
         assert rays.hamilton_jacobi_residual(harmonic_bundle, eval_grid) <= 1e-6
+
+    def test_each_node_is_inverted_once(self, free_bundle, eval_grid,
+                                        monkeypatch):
+        # the phase stencil and the momentum share one label map per node
+        times = []
+        invert = rays.invert_flow
+
+        def recording(bundle, t, x_grid):
+            times.append(t)
+            return invert(bundle, t, x_grid)
+
+        monkeypatch.setattr(rays, "invert_flow", recording)
+        rays.hamilton_jacobi_residual(free_bundle, eval_grid)
+        assert times and len(times) == len(set(times))
 
     def test_cosine_fixture_both_gradient_modes(self, cosine_bundle, eval_grid):
         assert cosine_bundle.is_periodic_compatible()
@@ -185,7 +199,7 @@ class TestInversionGuards:
                                         32.0, 256)
         bundle = rays.integrate_flow(problem, markers, 0.6, dt=1e-3)
         with pytest.raises(InversionError):
-            rays.eikonal_phase(bundle, 0.5, eval_grid)
+            rays.eikonal_phase(rays.invert_flow(bundle, 0.5, eval_grid))
 
 
 class TestMarkerSeriesInterpolation:
@@ -204,7 +218,10 @@ class TestMarkerSeriesInterpolation:
         assert not bundle.is_affine()
         assert bundle.is_periodic_compatible() is periodic
         it = bundle.time_index(0.3)
+        # at t = 0 the map is the identity, so the labels are the markers
+        at_markers = rays.invert_flow(bundle, 0.0, markers)
+        assert np.array_equal(at_markers.labels, bundle.y[:, 0])
         for series in (bundle.jac[it], bundle.action[it]):
             assert np.ptp(series) > 1e-3  # a constant series would prove nothing
-            got = rays._interp_marker_series_1d(bundle, series, bundle.y[:, 0])
+            got = at_markers.interp_series(series)
             assert np.max(np.abs(got - series)) <= 1e-12 * max(1.0, np.abs(series).max())

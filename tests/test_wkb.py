@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from nlswkb.errors import FieldError
+from nlswkb.errors import CausticError, FieldError
 from nlswkb.grids import PeriodicGrid
 from nlswkb.potentials import InitialPhaseSpec, PotentialSpec
 from nlswkb.problem import SemiclassicalProblem, gaussian_field
@@ -41,7 +41,7 @@ class TestTransportAmplitude:
     def test_focusing_profile(self, focusing_case, eval_grid):
         problem, bundle = focusing_case
         x = eval_grid.nodes[0]
-        amp = wkb.transport_amplitude(bundle, problem.a0, 0.5, eval_grid)
+        amp = wkb.transport_amplitude(rays.invert_flow(bundle, 0.5, eval_grid), problem.a0)
         # a = a0(2x)/sqrt(1/2)
         exact = np.exp(-(2 * x) ** 2) * np.sqrt(2.0)
         assert np.max(np.abs(amp.values - exact)) <= 1e-12
@@ -54,7 +54,7 @@ class TestTransportAmplitude:
                                        phase=InitialPhaseSpec.zero())
         t = float(np.pi / 4)
         bundle = rays.integrate_flow(problem, markers, t, dt=1e-3)
-        amp = wkb.transport_amplitude(bundle, problem.a0, t, eval_grid)
+        amp = wkb.transport_amplitude(rays.invert_flow(bundle, t, eval_grid), problem.a0)
         x = eval_grid.nodes[0]
         # cos(pi/4) = 1/sqrt(2): a = a0(sqrt(2) x) * 2^(1/4)
         exact = np.exp(-2 * x ** 2) * 2.0 ** 0.25
@@ -62,7 +62,7 @@ class TestTransportAmplitude:
 
     def test_identity_flow_returns_data(self, flat_case, eval_grid):
         problem, bundle = flat_case
-        amp = wkb.transport_amplitude(bundle, problem.a0, 0.4, eval_grid)
+        amp = wkb.transport_amplitude(rays.invert_flow(bundle, 0.4, eval_grid), problem.a0)
         assert np.max(np.abs(amp.values - problem.a0.values)) <= 1e-12
 
 
@@ -71,64 +71,71 @@ class TestSelfModulation:
         problem, bundle = flat_case
         dens = np.abs(problem.a0.values) ** 2
         for t in (0.2, 0.5):
-            g = wkb.self_modulation_phase(bundle, problem.a0, t, eval_grid)
+            g = wkb.self_modulation_phase(rays.invert_flow(bundle, t, eval_grid), problem.a0)
             assert np.max(np.abs(g.values + t * dens)) <= 1e-10
 
     def test_focusing_flow_log_profile(self, focusing_case, eval_grid):
         problem, bundle = focusing_case
         x = eval_grid.nodes[0]
-        g = wkb.self_modulation_phase(bundle, problem.a0, 0.5, eval_grid)
+        g = wkb.self_modulation_phase(rays.invert_flow(bundle, 0.5, eval_grid), problem.a0)
         # G = |a0(2x)|^2 * log(1-t) at t = 1/2
         exact = np.exp(-2 * (2 * x) ** 2) * np.log(0.5)
         assert np.max(np.abs(g.values - exact)) <= 1e-10
 
     def test_additivity_on_flat_flow(self, flat_case, eval_grid):
         problem, bundle = flat_case
-        g1 = wkb.self_modulation_phase(bundle, problem.a0, 0.2, eval_grid)
-        g2 = wkb.self_modulation_phase(bundle, problem.a0, 0.3, eval_grid)
-        g12 = wkb.self_modulation_phase(bundle, problem.a0, 0.5, eval_grid)
+        g1, g2, g12 = (wkb.self_modulation_phase(rays.invert_flow(bundle, t, eval_grid),
+                                                 problem.a0) for t in (0.2, 0.3, 0.5))
         assert np.max(np.abs(g12.values - g1.values - g2.values)) <= 1e-10
+
+    def test_guarded_past_caustic(self, focusing_case):
+        # J = 1-t crosses the 0.1 threshold at t = 0.9: the modulation
+        # integral past it is refused like the amplitude and the phase.  It
+        # has no (bundle, a0, t, grid) entry that could skip the guard; it
+        # takes a label map, and invert_flow makes none past the horizon
+        problem, _ = focusing_case
+        bundle = rays.integrate_flow(problem, problem.grid, 0.95, dt=1e-3)
+        assert abs(bundle.t_caustic - 0.9) <= 1e-6
+        grid = PeriodicGrid.line(4.0, 64)
+        with pytest.raises(TypeError):
+            wkb.self_modulation_phase(bundle, problem.a0, 0.95, grid)
+        with pytest.raises(CausticError):
+            wkb.self_modulation_phase(rays.invert_flow(bundle, 0.95, grid), problem.a0)
 
 
 class TestAssembly:
     def test_critical_flat_matches_oscillator_solution(self, flat_case):
         problem, bundle = flat_case
         t = 0.3
-        approx = wkb.build_approximant(problem, bundle, t)
+        profile = wkb.build_approximant(problem, bundle, t)
         dens = np.abs(problem.a0.values) ** 2
         exact = problem.a0.values * np.exp(-1j * t * dens)
-        assert np.max(np.abs(approx.assemble().values - exact)) <= 1e-10
+        assert np.max(np.abs(profile.assemble(problem.eps).values - exact)) <= 1e-10
 
     def test_modulus_equals_amplitude(self, focusing_case, eval_grid):
         problem, bundle = focusing_case
-        approx = wkb.build_approximant(problem, bundle, 0.5, x_grid=eval_grid)
-        u = approx.assemble()
+        profile = wkb.build_approximant(problem, bundle, 0.5, x_grid=eval_grid)
+        u = profile.assemble(problem.eps)
         assert np.max(np.abs(np.abs(u.values) -
-                             np.abs(approx.amplitude.values))) <= 1e-12
+                             np.abs(profile.a.values))) <= 1e-12
 
     def test_subcritical_slow_phase_is_eps_times_g(self, flat_case, eval_grid):
         problem, bundle = flat_case
         weak = SemiclassicalProblem(eps=problem.eps, kappa=2.0, a0=problem.a0,
                                     potential=problem.potential,
                                     phase=problem.phase)
-        approx = wkb.build_approximant(weak, bundle, 0.3, x_grid=eval_grid)
-        g = wkb.self_modulation_phase(bundle, problem.a0, 0.3, eval_grid)
-        assert np.max(np.abs(approx.slow_phase.values -
-                             weak.eps * g.values)) <= 1e-14
+        profile = wkb.build_approximant(weak, bundle, 0.3, x_grid=eval_grid)
+        g = wkb.self_modulation_phase(rays.invert_flow(bundle, 0.3, eval_grid), problem.a0)
+        # phi = 0 on the flat flow: the assembled phase is the slow phase alone
+        slow = np.angle(profile.assemble(weak.eps).values / profile.a.values)
+        assert np.max(np.abs(slow - weak.eps * g.values)) <= 1e-14
 
     def test_free_profile_has_no_modulation(self, flat_case, eval_grid):
         problem, bundle = flat_case
-        approx = wkb.build_approximant(problem, bundle, 0.3, x_grid=eval_grid,
-                                       include_modulation=False)
-        assert np.max(np.abs(approx.slow_phase.values)) == 0.0
-
-    def test_extract_amplitude_round_trip(self, flat_case, eval_grid):
-        problem, bundle = flat_case
-        approx = wkb.build_approximant(problem, bundle, 0.3, x_grid=eval_grid)
-        u = approx.assemble()
-        back = wkb.extract_amplitude(u, approx.fast_phase, problem.eps)
-        slow = approx.amplitude.values * np.exp(1j * approx.slow_phase.values)
-        assert np.max(np.abs(back.values - slow)) <= 1e-12
+        profile = wkb.build_approximant(problem, bundle, 0.3, x_grid=eval_grid)
+        free = profile.assemble(problem.eps, include_modulation=False)
+        fast = profile.a.values * np.exp(1j * profile.phi.values / problem.eps)
+        assert np.max(np.abs(free.values - fast)) == 0.0
 
     def test_build_approximant_rejects_strong_coupling(self, flat_case):
         # kappa = 0 goes through the phase-amplitude solver, not the rays
@@ -138,6 +145,16 @@ class TestAssembly:
                                       phase=problem.phase)
         with pytest.raises(FieldError):
             wkb.build_approximant(strong, bundle, 0.3)
+
+
+class TestSimpsonWeights:
+    @pytest.mark.parametrize("n", [2, 4, 10, 3, 5, 9])
+    def test_integrate_a_cubic_exactly(self, n):
+        # composite Simpson, with its 3/8 tail at odd n, is exact for cubics:
+        # int_0^1 (1 - 2x + 3x^2 + 4x^3) dx = 2
+        x = np.linspace(0.0, 1.0, n + 1)
+        got = np.dot(wkb._simpson_weights(n), 1 - 2 * x + 3 * x**2 + 4 * x**3) / n
+        assert abs(got - 2.0) <= 1e-14
 
 
 class TestSeparationProfile:
