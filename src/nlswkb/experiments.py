@@ -114,7 +114,7 @@ class PhaseConfig:
     def build(self) -> InitialPhaseSpec:
         if self.kind == "zero":
             return InitialPhaseSpec.zero()
-        return InitialPhaseSpec.quadratic(np.array([[self.curvature]]))
+        return InitialPhaseSpec.quadratic(self.curvature)
 
 
 @dataclass(frozen=True)
@@ -418,6 +418,17 @@ class Plan:
         the driver cannot run."""
         config.validate()
         driver, time = config.driver, config.time
+        # a time key the driver never reads must keep its default, so that
+        # setting it cannot look like it changed the run
+        reads = {"final": driver not in ("skew_free", "instability", "odewindow"),
+                 "factor": time.rule != "fixed" and driver not in _MARCH_DT,
+                 "schedule": driver in _DEFAULT_SCHEDULE}
+        for key, read in reads.items():
+            if not read and getattr(time, key) != getattr(TimeConfig, key):
+                why = ('under time.rule "fixed"'
+                       if key == "factor" and time.rule == "fixed"
+                       else f"by the {driver} driver")
+                raise ConfigError(f"time.{key} is not read {why}; leave it out")
         schedule = None
         if driver in _DEFAULT_SCHEDULE:
             schedule = (_DEFAULT_SCHEDULE[driver] if time.schedule is None
@@ -696,12 +707,13 @@ def _run_profile_convergence(config: ExperimentConfig,
     t = plan.rows[0].times[-1]
     critical = config.target == "critical"
     problems = [config.problem(eps, with_a1=False) for eps in config.eps]
-    solutions = nls.solve_nls_sweep(problems, t, plan.dts)
     # a, phi and G do not depend on eps: one bundle and one profile serve
-    # every eps of the sweep
-    bundle = rays.integrate_flow(problems[0], problems[0].a0.grid, t,
-                                 dt=plan.rows[0].ray_dt)
-    profile = wkb.build_approximant(problems[0], bundle, t)
+    # every eps of the sweep.  They come first, so a profile that cannot be
+    # built fails before the NLS sweep runs; the bundle is not kept.
+    profile = wkb.build_approximant(
+        problems[0], rays.integrate_flow(problems[0], problems[0].a0.grid, t,
+                                         dt=plan.rows[0].ray_dt), t)
+    solutions = nls.solve_nls_sweep(problems, t, plan.dts)
 
     def one(eps, sol):
         if isinstance(sol, ResolutionError):

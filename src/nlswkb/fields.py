@@ -89,19 +89,13 @@ class ComplexField(_Field):
 # spectral operations on raw sample arrays (used heavily in solver loops)
 
 
-def derivative_values(grid: PeriodicGrid, values: np.ndarray, axis: int = 0,
+def derivative_values(grid: PeriodicGrid, values: np.ndarray,
                       order: int = 1) -> np.ndarray:
-    """(d/dx_axis)^order of the band-limited interpolant, sampled at nodes."""
-    if not 0 <= axis < grid.dim:
-        raise FieldError(f"axis {axis} out of range for dim {grid.dim}")
+    """(d/dx)^order of the band-limited interpolant, sampled at nodes."""
     if order < 1:
         raise FieldError(f"derivative order must be >= 1, got {order}")
     out = np.fft.ifft(np.fft.fft(values) * grid.derivative_multiplier(order))
     return out if np.iscomplexobj(values) else out.real
-
-
-def gradient_values(grid: PeriodicGrid, values: np.ndarray) -> list[np.ndarray]:
-    return [derivative_values(grid, values, order=1)]
 
 
 def laplacian_values(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
@@ -109,54 +103,28 @@ def laplacian_values(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
     return out if np.iscomplexobj(values) else out.real
 
 
-def spectral_derivative(f: _Field, axis: int = 0, order: int = 1):
-    out = derivative_values(f.grid, f.values, axis=axis, order=order)
-    if isinstance(f, RealField):
-        return RealField(f.grid, out)
-    return ComplexField(f.grid, out)
-
-
-def laplacian(f: _Field):
-    out = laplacian_values(f.grid, f.values)
-    if isinstance(f, RealField):
-        return RealField(f.grid, out)
-    return ComplexField(f.grid, out)
-
-
 # ---------------------------------------------------------------------------
 # norms
 
 
-def lp_norm(f: _Field | np.ndarray, p: float = 2, grid: PeriodicGrid | None = None) -> float:
+def lp_norm(f: _Field, p: float = 2) -> float:
     """Quadrature L^p norm over the box; p = inf gives the node maximum."""
-    if isinstance(f, _Field):
-        grid, vals = f.grid, f.values
-    else:
-        if grid is None:
-            raise FieldError("grid required when passing a bare array")
-        vals = np.asarray(f)
-    mags = np.abs(vals)
+    mags = np.abs(f.values)
     if np.isinf(p):
         return float(mags.max())
     if p <= 0:
         raise FieldError(f"p must be positive, got {p}")
-    return float((grid.cell_volume * np.sum(mags**p)) ** (1.0 / p))
+    return float((f.grid.cell_volume * np.sum(mags**p)) ** (1.0 / p))
 
 
-def sobolev_norm(f: _Field | np.ndarray, s: float, homogeneous: bool = False,
-                 grid: PeriodicGrid | None = None) -> float:
+def sobolev_norm(f: _Field, s: float, homogeneous: bool = False) -> float:
     """Sobolev norm of order s via the discrete spectrum.
 
     Weight w(k) = |k| when homogeneous else (1 + |k|^2)^(1/2); the s = 0
     inhomogeneous norm reproduces the integral L^2 norm.
     """
-    if isinstance(f, _Field):
-        grid, vals = f.grid, f.values
-    else:
-        if grid is None:
-            raise FieldError("grid required when passing a bare array")
-        vals = np.asarray(f)
-    spec = np.fft.fftn(vals) / np.prod(grid.sizes)
+    grid = f.grid
+    spec = np.fft.fftn(f.values) / np.prod(grid.sizes)
     k2 = grid.wavenumber_sq
     if homogeneous:
         weight = k2**s if s != 0 else np.ones_like(k2)
@@ -178,7 +146,7 @@ def l2_linf_norm(f: _Field) -> float:
 def band_limited_interpolate(f: _Field, points: np.ndarray) -> np.ndarray:
     """Evaluate the band-limited interpolant at arbitrary points in the box.
 
-    `points`: shape (M,) or (M, 1).  Points must lie inside the closed box;
+    `points`: shape (M,).  Points must lie inside the closed box;
     evaluation reproduces grid samples at the nodes and is exact for
     resolved Fourier modes.  Returns complex or real values matching the
     field kind.
@@ -190,7 +158,7 @@ def band_limited_interpolate(f: _Field, points: np.ndarray) -> np.ndarray:
     memory.
     """
     grid = f.grid
-    pts = np.asarray(points, dtype=float).reshape(-1)
+    pts = np.asarray(points, dtype=float)
     if not np.all(grid.contains(pts)):
         raise FieldError("interpolation points outside the periodic box")
     n = grid.sizes[0]

@@ -25,9 +25,6 @@ class PowerLawFit:
     def prefactor(self) -> float:
         return float(np.exp(self.intercept))
 
-    def predict(self, x) -> np.ndarray:
-        return self.prefactor * np.asarray(x, dtype=float) ** self.slope
-
 
 def fit_power_law(x, y, min_points: int = 3) -> PowerLawFit:
     """Fit y = C x^p by least squares in log-log coordinates.

@@ -3,8 +3,8 @@
 A grid covers [-L/2, L/2) with N equispaced nodes, N a power of two.  Nodes
 sit at x_j = -L/2 + j*h with h = L/N, so the left edge is a node and the
 right edge wraps around.  The package is one-dimensional: the constructor
-rejects any other dimension.  Lengths and sizes stay one-element tuples so
-the per-axis accessors read the same as the spectral formulas they serve.
+rejects any other dimension.  Lengths, sizes and nodes stay one-element
+tuples, the layout the field-dump sidecar records.
 """
 from __future__ import annotations
 
@@ -44,10 +44,6 @@ class PeriodicGrid:
         return cls((length,), (size,))
 
     @property
-    def dim(self) -> int:
-        return len(self.lengths)
-
-    @property
     def shape(self) -> tuple[int, ...]:
         return self.sizes
 
@@ -63,25 +59,25 @@ class PeriodicGrid:
     def volume(self) -> float:
         return float(np.prod(self.lengths))
 
-    def axis_nodes(self, axis: int) -> np.ndarray:
-        """Node coordinates along one axis: -L/2 + j*h."""
-        L, n = self.lengths[axis], self.sizes[axis]
+    def axis_nodes(self) -> np.ndarray:
+        """Node coordinates: -L/2 + j*h."""
+        L, n = self.lengths[0], self.sizes[0]
         return -L / 2 + (L / n) * np.arange(n)
 
     @cached_property
     def nodes(self) -> tuple[np.ndarray, ...]:
         """Node coordinates as a one-element tuple; callers take `nodes[0]`."""
-        return (self.axis_nodes(0),)
+        return (self.axis_nodes(),)
 
-    def axis_wavenumbers(self, axis: int) -> np.ndarray:
+    def axis_wavenumbers(self) -> np.ndarray:
         """Angular wavenumbers 2*pi*fftfreq in FFT ordering."""
-        L, n = self.lengths[axis], self.sizes[axis]
+        L, n = self.lengths[0], self.sizes[0]
         return 2 * np.pi * np.fft.fftfreq(n, d=L / n)
 
     @cached_property
     def wavenumber_sq(self) -> np.ndarray:
         """|k|^2 on the FFT-ordered spectral grid."""
-        return self.axis_wavenumbers(0) ** 2
+        return self.axis_wavenumbers() ** 2
 
     def derivative_multiplier(self, order: int) -> np.ndarray:
         """(i k)^order in FFT ordering, cached per order and read-only.  An
@@ -90,7 +86,7 @@ class PeriodicGrid:
         odd derivatives of real samples stay real and skew-symmetric."""
         mult = self._multipliers.get(order)
         if mult is None:
-            mult = (1j * self.axis_wavenumbers(0)) ** order
+            mult = (1j * self.axis_wavenumbers()) ** order
             if order % 2 == 1:
                 mult[self.sizes[0] // 2] = 0.0
             mult.setflags(write=False)
@@ -109,14 +105,14 @@ class PeriodicGrid:
     @cached_property
     def dealias_mask(self) -> np.ndarray:
         """Two-thirds rule mask: keep |k| <= (2/3) * k_max."""
-        k = np.abs(self.axis_wavenumbers(0))
+        k = np.abs(self.axis_wavenumbers())
         return k <= (2.0 / 3.0) * k.max()
 
     @cached_property
     def kept_band_top(self) -> np.ndarray:
         """Top third of the dealiased band: (4/9) k_max < |k| <= (2/3) k_max,
         the modes the phase-amplitude tail monitor watches."""
-        k = np.abs(self.axis_wavenumbers(0))
+        k = np.abs(self.axis_wavenumbers())
         kept = (2.0 / 3.0) * k.max()
         band = (k > (2.0 / 3.0) * kept) & self.dealias_mask
         band.setflags(write=False)
@@ -124,7 +120,7 @@ class PeriodicGrid:
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         """True for points inside the closed box [-L/2, L/2]."""
-        pts = np.asarray(points, dtype=float).reshape(-1)
+        pts = np.asarray(points, dtype=float)
         half = self.lengths[0] / 2
         return (pts >= -half) & (pts <= half)
 

@@ -299,25 +299,3 @@ def solve_nls_sweep(problems: list[SemiclassicalProblem], t_final: float, dts,
             begin(at)
     return outcomes
 
-
-def step_convergence_audit(problem: SemiclassicalProblem, t_final: float,
-                           dts) -> dict:
-    """Self-convergence of the splitting: errors at t_final of each dt
-    against a solve at the finest dt divided by four, with the fitted
-    log-log slope (expect 2)."""
-    from .fitting import fit_power_law
-    dts = sorted(float(d) for d in dts)
-    if len(dts) < 3:
-        raise ConfigError("need at least three step sizes")
-    solutions = solve_nls_sweep([problem] * (len(dts) + 1), t_final,
-                                [dts[0] / 4.0] + dts)
-    for sol in solutions:
-        if isinstance(sol, Exception):
-            raise sol
-    ref = solutions[0].final()
-    errors = []
-    for sol in solutions[1:]:
-        diff = sol.final().values - ref.values
-        errors.append(float(np.sqrt(ref.grid.cell_volume * np.sum(np.abs(diff) ** 2))))
-    fit = fit_power_law(np.array(dts), np.array(errors))
-    return {"dts": dts, "errors": errors, "slope": fit.slope, "r2": fit.r2}

@@ -36,8 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, ResolutionError
-from .fields import (ComplexField, RealField, derivative_values,
-                     gradient_values)
+from .fields import ComplexField, RealField, derivative_values
 from .grids import PeriodicGrid
 from .problem import SemiclassicalProblem
 
@@ -50,7 +49,7 @@ class GrenierState:
     time: float
     phi: RealField
     a: ComplexField
-    v: tuple[RealField, ...]
+    v: RealField
 
     @property
     def grid(self) -> PeriodicGrid:
@@ -58,13 +57,6 @@ class GrenierState:
 
     def density(self) -> RealField:
         return self.a.abs2(role="density")
-
-    def consistency_errors(self) -> dict[str, float]:
-        """Gradient defect of the stored velocity."""
-        grads = gradient_values(self.grid, self.phi.values)
-        grad_err = max(float(np.abs(g - vf.values).max())
-                       for g, vf in zip(grads, self.v))
-        return {"gradient": grad_err}
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,7 +249,7 @@ def solve_phase_amplitude_sweep(problems: list[SemiclassicalProblem],
             states[i].append(GrenierState(
                 t, RealField(grid, phi[r], role="phase"),
                 ComplexField(grid, a[r], role="amplitude"),
-                (RealField(grid, velocity[r], role="velocity-0"),)))
+                RealField(grid, velocity[r], role="velocity")))
             mass[i].append(cell * float(np.sum(np.abs(a[r]) ** 2)))
             tails[i].append(float(tail[r]))
 
@@ -430,50 +422,31 @@ def solve_corrector(limit: GrenierTrajectory, a1: ComplexField | None = None,
     return CorrectorTrajectory(states=tuple(states), dt=h)
 
 
-def assemble_supercritical(state: GrenierState, eps: float,
-                           corrector: CorrectorState | None = None) -> ComplexField:
-    """u = a exp(i phi1) exp(i phi / eps); without corrector the phase shift
-    is dropped (leading-order assembly, accurate in L^2 only up to O(t))."""
-    phase = state.phi.values / eps
-    vals = state.a.values
-    if corrector is not None:
-        if abs(corrector.time - state.time) > 1e-9 * max(1.0, abs(state.time)):
-            raise ConfigError("corrector and state times differ")
-        phase = phase + corrector.phi1.values
-    return ComplexField(state.grid, vals * np.exp(1j * phase),
-                        role="supercritical-state")
-
-
 def euler_residual(traj: GrenierTrajectory) -> dict[str, float]:
     """Sup-norm residuals of the compressible Euler system along a limit
-    trajectory: momentum d_t v + (v.grad) v + grad V + grad rho and
-    continuity d_t rho + div(rho v), time derivatives by centered
-    differences over the stored nodes."""
+    trajectory: momentum d_t v + v d_x v + d_x V + d_x rho and continuity
+    d_t rho + d_x(rho v), time derivatives by centered differences over the
+    stored nodes."""
     if traj.variant != "limit":
         raise ConfigError("Euler residual applies to the limit trajectory")
     grid = traj.grid
     times = traj.times
     if len(times) < 3:
         raise ConfigError("need at least three stored states")
-    vpot = gradient_values(grid, traj.problem.potential_field().values)
+    vpot = derivative_values(grid, traj.problem.potential_field().values)
     mom_worst = 0.0
     cont_worst = 0.0
     for i in range(1, len(times) - 1):
         dt2 = times[i + 1] - times[i - 1]
         sm, s0, sp = traj.states[i - 1], traj.states[i], traj.states[i + 1]
         rho0 = s0.density().values
-        v0 = [vf.values for vf in s0.v]
-        for axis in range(grid.dim):
-            dv_dt = (sp.v[axis].values - sm.v[axis].values) / dt2
-            adv = sum(v0[b] * derivative_values(grid, v0[axis], axis=b)
-                      for b in range(grid.dim))
-            grho = derivative_values(grid, rho0, axis=axis)
-            res = dv_dt + adv + vpot[axis] + grho
-            mom_worst = max(mom_worst, float(np.abs(res).max()))
+        v0 = s0.v.values
+        dv_dt = (sp.v.values - sm.v.values) / dt2
+        adv = v0 * derivative_values(grid, v0)
+        res = dv_dt + adv + vpot + derivative_values(grid, rho0)
+        mom_worst = max(mom_worst, float(np.abs(res).max()))
         drho_dt = (sp.density().values - sm.density().values) / dt2
-        div = sum(derivative_values(grid, rho0 * v0[a], axis=a)
-                  for a in range(grid.dim))
-        cont = drho_dt + div
+        cont = drho_dt + derivative_values(grid, rho0 * v0)
         cont_worst = max(cont_worst, float(np.abs(cont).max()))
     return {"momentum": mom_worst, "continuity": cont_worst,
             "max": max(mom_worst, cont_worst)}

@@ -1,10 +1,9 @@
 """External potentials and initial phases with pointwise evaluators.
 
-Ray tracing needs V, grad V and the Hessian of V at arbitrary points on
-the line, not just on the grid, so each kind carries closed-form
-evaluators.  Points are (M, 1) arrays; gradients come back as (M, 1) and
-Hessians as (M, 1, 1), the layout the ray bundle stores.  Supported
-potential kinds:
+Ray tracing needs V, its derivative and its second derivative at arbitrary
+points on the line, not just on the grid, so each kind carries closed-form
+evaluators.  They take an (M,) array of points and return (M,) arrays,
+the layout the ray bundle stores.  Supported potential kinds:
 
 * ``zero``
 * ``harmonic``: V = omega^2 x^2 / 2 (sub-quadratic growth, the only
@@ -27,20 +26,11 @@ POTENTIAL_KINDS = ("zero", "harmonic", "bounded_periodic")
 PHASE_KINDS = ("zero", "quadratic")
 
 
-def _as_points(points: np.ndarray) -> np.ndarray:
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1)
-    if pts.ndim != 2 or pts.shape[1] != 1:
-        raise FieldError("points must have shape (M,) or (M, 1)")
-    return pts
-
-
 @dataclass(frozen=True)
 class PotentialSpec:
     kind: str
     omega: float | None = None
-    callables: tuple | None = None  # (value, gradient, hessian), each f(t, pts)
+    callables: tuple | None = None  # (value, gradient, hessian), each f(t, x)
 
     @classmethod
     def zero(cls) -> "PotentialSpec":
@@ -55,14 +45,14 @@ class PotentialSpec:
         """V(x) = A cos(2 pi m x / L): the stock bounded-periodic fixture."""
         kv = 2 * np.pi * cycles / length
 
-        def value(t, pts):
-            return amplitude * np.cos(kv * pts[:, 0])
+        def value(t, x):
+            return amplitude * np.cos(kv * x)
 
-        def gradient(t, pts):
-            return (-amplitude * kv * np.sin(kv * pts[:, 0]))[:, None]
+        def gradient(t, x):
+            return -amplitude * kv * np.sin(kv * x)
 
-        def hessian(t, pts):
-            return (-amplitude * kv**2 * np.cos(kv * pts[:, 0]))[:, None, None]
+        def hessian(t, x):
+            return -amplitude * kv**2 * np.cos(kv * x)
 
         return cls("bounded_periodic", callables=(value, gradient, hessian))
 
@@ -74,31 +64,28 @@ class PotentialSpec:
         if self.kind == "bounded_periodic" and self.callables is None:
             raise FieldError("bounded_periodic potential needs callables")
 
-    # -- evaluators ---------------------------------------------------------
+    # -- evaluators on (M,) points ------------------------------------------
 
-    def value(self, t: float, points: np.ndarray) -> np.ndarray:
-        pts = _as_points(points)
+    def value(self, t: float, x: np.ndarray) -> np.ndarray:
         if self.kind == "zero":
-            return np.zeros(pts.shape[0])
+            return np.zeros_like(x)
         if self.kind == "harmonic":
-            return 0.5 * (self.omega * pts[:, 0]) ** 2
-        return np.asarray(self.callables[0](t, pts), dtype=float)
+            return 0.5 * (self.omega * x) ** 2
+        return self.callables[0](t, x)
 
-    def gradient(self, t: float, points: np.ndarray) -> np.ndarray:
-        pts = _as_points(points)
+    def gradient(self, t: float, x: np.ndarray) -> np.ndarray:
         if self.kind == "zero":
-            return np.zeros_like(pts)
+            return np.zeros_like(x)
         if self.kind == "harmonic":
-            return self.omega**2 * pts
-        return np.asarray(self.callables[1](t, pts), dtype=float)
+            return self.omega**2 * x
+        return self.callables[1](t, x)
 
-    def hessian(self, t: float, points: np.ndarray) -> np.ndarray:
-        pts = _as_points(points)
+    def hessian(self, t: float, x: np.ndarray) -> np.ndarray:
         if self.kind == "zero":
-            return np.zeros((pts.shape[0], 1, 1))
+            return np.zeros_like(x)
         if self.kind == "harmonic":
-            return np.full((pts.shape[0], 1, 1), self.omega**2)
-        return np.asarray(self.callables[2](t, pts), dtype=float)
+            return np.full_like(x, self.omega**2)
+        return self.callables[2](t, x)
 
     def sample_on(self, grid: PeriodicGrid, t: float = 0.0, role: str = "potential") -> RealField:
         if self.kind == "zero":
@@ -106,30 +93,25 @@ class PotentialSpec:
         return RealField(grid, self.value(t, grid.nodes[0]), role=role)
 
     def subquadratic_bound(self, grid: PeriodicGrid, t: float = 0.0) -> float:
-        """Max Hessian magnitude over the box; must be finite (admissibility)."""
-        hess = self.hessian(t, grid.nodes[0])
-        bound = float(np.abs(hess).max()) if hess.size else 0.0
+        """Max |V''| over the box; must be finite (admissibility)."""
+        bound = float(np.abs(self.hessian(t, grid.nodes[0])).max())
         if not np.isfinite(bound):
             raise FieldError("potential Hessian is not bounded on the box")
         return bound
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class InitialPhaseSpec:
     kind: str
-    curvature: np.ndarray | None = None  # q as a (1, 1) array; phi0 = q y^2 / 2
+    curvature: float | None = None  # q; phi0 = q y^2 / 2
 
     @classmethod
     def zero(cls) -> "InitialPhaseSpec":
         return cls("zero")
 
     @classmethod
-    def quadratic(cls, curvature) -> "InitialPhaseSpec":
-        q = np.atleast_2d(np.asarray(curvature, dtype=float))
-        if q.shape != (1, 1):
-            raise FieldError("quadratic phase curvature must be a single number")
-        q.setflags(write=False)
-        return cls("quadratic", curvature=q)
+    def quadratic(cls, curvature: float) -> "InitialPhaseSpec":
+        return cls("quadratic", curvature=float(curvature))
 
     def __post_init__(self):
         if self.kind not in PHASE_KINDS:
@@ -137,23 +119,22 @@ class InitialPhaseSpec:
         if self.kind == "quadratic" and self.curvature is None:
             raise FieldError("quadratic phase needs a curvature")
 
-    def value(self, points: np.ndarray) -> np.ndarray:
-        pts = _as_points(points)
-        if self.kind == "zero":
-            return np.zeros(pts.shape[0])
-        return 0.5 * np.einsum("ma,ab,mb->m", pts, self.curvature, pts)
+    # -- evaluators on (M,) points ------------------------------------------
 
-    def gradient(self, points: np.ndarray) -> np.ndarray:
-        pts = _as_points(points)
+    def value(self, y: np.ndarray) -> np.ndarray:
         if self.kind == "zero":
-            return np.zeros_like(pts)
-        return pts @ self.curvature.T
+            return np.zeros_like(y)
+        return 0.5 * (y * self.curvature * y)
 
-    def hessian(self, points: np.ndarray) -> np.ndarray:
-        pts = _as_points(points)
+    def gradient(self, y: np.ndarray) -> np.ndarray:
         if self.kind == "zero":
-            return np.zeros((pts.shape[0], 1, 1))
-        return np.broadcast_to(self.curvature, (pts.shape[0], 1, 1)).copy()
+            return np.zeros_like(y)
+        return y * self.curvature
+
+    def hessian(self, y: np.ndarray) -> np.ndarray:
+        if self.kind == "zero":
+            return np.zeros_like(y)
+        return np.full_like(y, self.curvature)
 
     def sample_on(self, grid: PeriodicGrid, role: str = "initial-phase") -> RealField:
         if self.kind == "zero":

@@ -1,29 +1,29 @@
 """Hamiltonian ray tracing for the eikonal equation.
 
-The phase d_t phi + |grad phi|^2/2 + V = 0, phi(0) = phi0, is solved by
+The phase d_t phi + (d_x phi)^2/2 + V = 0, phi(0) = phi0, is solved by
 characteristics: rays (x, xi) obey
 
     dx/dt = xi,          x(0) = y,
-    dxi/dt = -grad V,    xi(0) = grad phi0(y),
+    dxi/dt = -V'(x),     xi(0) = phi0'(y),
 
-together with the variational system M = grad_y x, Xi = grad_y xi,
+together with the variational pair J = d_y x, Xi = d_y xi,
 
-    dM/dt = Xi,          M(0) = I,
-    dXi/dt = -Hess V . M,  Xi(0) = Hess phi0(y),
+    dJ/dt = Xi,          J(0) = 1,
+    dXi/dt = -V'' J,     Xi(0) = phi0''(y),
 
-and the action dS/dt = |xi|^2/2 - V, S(0) = phi0(y).  The Jacobian
-J = det M starts at 1; the first time min_y J crosses a positive threshold
-is the caustic horizon, beyond which the Eulerian phase stops existing and
-label inversion refuses to run.
+and the action dS/dt = xi^2/2 - V, S(0) = phi0(y).  On the line every one
+of these is a scalar per ray.  The Jacobian J starts at 1; the first time
+min_y J crosses a positive threshold is the caustic horizon, beyond which
+the Eulerian phase stops existing and label inversion refuses to run.
 
 Inversion of the label-to-position map uses monotone bracketing plus
 safeguarded Newton on a cubic Hermite interpolant of the stored map (values
-x, slopes M), which is exact for affine maps (zero/harmonic potential with
+x, slopes J), which is exact for affine maps (zero/harmonic potential with
 zero/quadratic phase) and O(h^4) otherwise.  `invert_flow` runs it once per
 (bundle, time, grid) and returns a `LabelMap` that carries any per-marker
-series to the grid.  Off-marker evaluation of the
-action uses the identity grad_y S = xi . M, and the Eulerian phase gradient
-is the transported momentum xi(t, y(t, x)).
+series to the grid.  Off-marker evaluation of the action uses the identity
+d_y S = xi J, and the Eulerian phase gradient is the transported momentum
+xi(t, y(t, x)).
 """
 from __future__ import annotations
 
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CausticError, DivergenceError, InversionError
-from .fields import RealField, gradient_values, interpolate_periodic
+from .fields import RealField, derivative_values, interpolate_periodic
 from .grids import PeriodicGrid
 from .potentials import map_is_affine, potential_is_periodic_compatible
 from .problem import SemiclassicalProblem
@@ -44,14 +44,13 @@ DEFAULT_CAUSTIC_THRESHOLD = 0.1
 @dataclass(frozen=True, eq=False)
 class RayBundle:
     markers: PeriodicGrid
-    y: np.ndarray        # (Nm, 1) labels; the trailing axes have size 1
+    y: np.ndarray        # (Nm,) labels: the marker nodes
     times: np.ndarray    # (M+1,)
-    x: np.ndarray        # (M+1, Nm, 1)
-    xi: np.ndarray       # (M+1, Nm, 1)
-    mvar: np.ndarray     # (M+1, Nm, 1, 1)  grad_y x
-    xivar: np.ndarray    # (M+1, Nm, 1, 1)  grad_y xi
-    jac: np.ndarray      # (M+1, Nm)  mvar[..., 0, 0], the 1x1 determinant
-    action: np.ndarray   # (M+1, Nm)
+    x: np.ndarray        # (M+1, Nm) positions
+    xi: np.ndarray       # (M+1, Nm) momenta
+    jac: np.ndarray      # (M+1, Nm) J = d_y x
+    xivar: np.ndarray    # (M+1, Nm) d_y xi
+    action: np.ndarray   # (M+1, Nm) S
     problem: SemiclassicalProblem
     caustic_threshold: float
     t_caustic: float | None
@@ -80,41 +79,30 @@ class RayBundle:
         return map_is_affine(self.problem.potential, self.problem.phase)
 
 
-def _ray_rhs(potential, t, x, xi, mv, xiv, s):
+def _ray_rhs(potential, t, x, xi, jac, xiv, s):
     # s rides along: the action rate depends on (x, xi) only
-    grad = potential.gradient(t, x)
-    hess = potential.hessian(t, x)
-    val = potential.value(t, x)
-    dx = xi
-    dxi = -grad
-    dmv = xiv
-    dxiv = -np.einsum("mab,mbc->mac", hess, mv)
-    ds = 0.5 * np.sum(xi**2, axis=1) - val
-    return dx, dxi, dmv, dxiv, ds
+    return (xi, -potential.gradient(t, x), xiv,
+            -(potential.hessian(t, x) * jac), 0.5 * xi**2 - potential.value(t, x))
 
 
-def integrate_ray_state(potential, x0, xi0, mv0, xiv0, s0, t0, t_final, dt):
-    """Classic RK4 on the ray + variational + action system.
+def integrate_ray_state(potential, x0, xi0, jac0, xiv0, s0, t0, t_final, dt):
+    """Classic RK4 on the ray + variational + action system, one (Nm,)
+    array per variable.
 
-    Returns (times, x, xi, mvar, xivar, action) with every step stored.
-    The step count is round((t_final - t0)/dt); dt is adjusted so the last
-    node lands exactly on t_final.  Negative spans integrate backward.
+    Returns (times, x, xi, jac, xivar, action) with every step stored, each
+    of shape (M+1, Nm).  The step count is round((t_final - t0)/dt); dt is
+    adjusted so the last node lands exactly on t_final.  Negative spans
+    integrate backward.
     """
     span = t_final - t0
     n_steps = max(1, int(round(abs(span) / dt)))
     h = span / n_steps
-    dim = x0.shape[1]
-    nm = x0.shape[0]
 
     times = t0 + h * np.arange(n_steps + 1)
-    xs = np.empty((n_steps + 1, nm, dim))
-    xis = np.empty_like(xs)
-    mvs = np.empty((n_steps + 1, nm, dim, dim))
-    xivs = np.empty_like(mvs)
-    ss = np.empty((n_steps + 1, nm))
-
-    state = (x0.copy(), xi0.copy(), mv0.copy(), xiv0.copy(), s0.copy())
-    xs[0], xis[0], mvs[0], xivs[0], ss[0] = state
+    stored = tuple(np.empty((n_steps + 1, x0.shape[0])) for _ in range(5))
+    state = (x0.copy(), xi0.copy(), jac0.copy(), xiv0.copy(), s0.copy())
+    for out, v in zip(stored, state):
+        out[0] = v
 
     for n in range(n_steps):
         t = times[n]
@@ -132,9 +120,10 @@ def integrate_ray_state(potential, x0, xi0, mv0, xiv0, s0, t0, t_final, dt):
         if not all(np.all(np.isfinite(v)) for v in state):
             raise DivergenceError("ray integration produced non-finite values",
                                   time=float(times[n + 1]))
-        xs[n + 1], xis[n + 1], mvs[n + 1], xivs[n + 1], ss[n + 1] = state
+        for out, v in zip(stored, state):
+            out[n + 1] = v
 
-    return times, xs, xis, mvs, xivs, ss
+    return (times, *stored)
 
 
 def integrate_flow(problem: SemiclassicalProblem, markers: PeriodicGrid,
@@ -146,22 +135,14 @@ def integrate_flow(problem: SemiclassicalProblem, markers: PeriodicGrid,
     potential, phase = problem.potential, problem.phase
     potential.subquadratic_bound(markers)  # admissibility: finite Hessian on the box
 
-    y = markers.nodes[0][:, None].copy()
-    nm = y.shape[0]
+    y = markers.nodes[0].copy()
+    times, xs, xis, jac, xivs, ss = integrate_ray_state(
+        potential, y, phase.gradient(y), np.ones_like(y), phase.hessian(y),
+        phase.value(y), 0.0, t_final, dt)
 
-    x0 = y.copy()
-    xi0 = phase.gradient(y)
-    mv0 = np.ones((nm, 1, 1))
-    xiv0 = phase.hessian(y)
-    s0 = phase.value(y)
-
-    times, xs, xis, mvs, xivs, ss = integrate_ray_state(
-        potential, x0, xi0, mv0, xiv0, s0, 0.0, t_final, dt)
-
-    jac = mvs[..., 0, 0]
     t_caustic = _first_crossing(times, jac.min(axis=1), caustic_threshold)
-    return RayBundle(markers=markers, y=y, times=times, x=xs, xi=xis, mvar=mvs,
-                     xivar=xivs, jac=jac, action=ss, problem=problem,
+    return RayBundle(markers=markers, y=y, times=times, x=xs, xi=xis, jac=jac,
+                     xivar=xivs, action=ss, problem=problem,
                      caustic_threshold=caustic_threshold, t_caustic=t_caustic)
 
 
@@ -225,7 +206,7 @@ class LabelMap:
         slopes, at the located cells."""
         if self.bundle.is_periodic_compatible():
             values, slopes = np.append(values, values[0]), np.append(slopes, slopes[0])
-        h = self.bundle.y[1, 0] - self.bundle.y[0, 0]
+        h = self.bundle.y[1] - self.bundle.y[0]
         c = self.cells
         return _hermite_eval(self.u, h, values[c], values[c + 1], slopes[c], slopes[c + 1])
 
@@ -243,10 +224,10 @@ class LabelMap:
                 raise InversionError("series expected constant on an affine flow")
             return np.full(self.labels.shape, float(series[0]))
         if bundle.is_periodic_compatible():
-            field = RealField(bundle.markers, series.reshape(bundle.markers.shape))
-            return interpolate_periodic(field, self.labels)
+            return interpolate_periodic(RealField(bundle.markers, series),
+                                        self.labels)
         from scipy.interpolate import CubicSpline
-        return CubicSpline(bundle.y[:, 0], series)(self.labels)
+        return CubicSpline(bundle.y, series)(self.labels)
 
 
 def invert_flow(bundle: RayBundle, t: float, x_grid: PeriodicGrid) -> LabelMap:
@@ -262,22 +243,26 @@ def invert_flow(bundle: RayBundle, t: float, x_grid: PeriodicGrid) -> LabelMap:
         raise CausticError(
             f"t={t} is at or past the caustic horizon {bundle.t_caustic:.6g}")
     it = bundle.time_index(t)
-    y, x, m = bundle.y[:, 0], bundle.x[it, :, 0], bundle.mvar[it, :, 0, 0]
+    y, x, m = bundle.y, bundle.x[it], bundle.jac[it]
     span = bundle.markers.lengths[0]
     periodic = bundle.is_periodic_compatible()
     if periodic:
         y, x, m = np.append(y, y[0] + span), np.append(x, x[0] + span), np.append(m, m[0])
     if not np.all(np.diff(x) > 0):
         raise InversionError(
-            "stored ray map is not strictly increasing; past a caustic or "
-            "marker grid too coarse")
+            f"the stored ray map at t={t:g} is not strictly increasing: rays "
+            "cross between markers, so the marker grid (the problem grid in "
+            "the ray drivers) is too coarse")
     targets = x_grid.nodes[0]
     if periodic:
         reduced = x[0] + np.mod(targets - x[0], span)
     elif targets.min() < x[0] or targets.max() > x[-1]:
         raise InversionError(
-            "target positions leave the stored ray map; enlarge the marker "
-            "grid to cover the pulled-back box")
+            f"at t={t:g} the stored ray map covers [{x[0]:.6g}, {x[-1]:.6g}], "
+            f"short of the grid [{targets.min():.6g}, {targets.max():.6g}]: "
+            "the ray drivers use the problem grid as the marker grid, so a "
+            "focusing quadratic phase (phase.curvature < 0) pulls the map "
+            "off the grid edges")
     else:
         reduced = targets
     h = y[1] - y[0]
@@ -303,7 +288,8 @@ def invert_flow(bundle: RayBundle, t: float, x_grid: PeriodicGrid) -> LabelMap:
     worst = float(np.abs(_hermite_eval(u, h, f0, f1, d0, d1) - reduced).max())
     if worst > 1e-10 * scale:
         raise InversionError(
-            f"Newton inversion did not reach tolerance (worst residual {worst:.3e})",
+            f"Newton inversion at t={t:g} did not reach tolerance "
+            f"(worst residual {worst:.3e})",
             worst_residual=worst)
     labels = y[cells] + u * h + (targets - reduced)
     return LabelMap(bundle=bundle, grid=x_grid, index=it, labels=labels,
@@ -313,26 +299,21 @@ def invert_flow(bundle: RayBundle, t: float, x_grid: PeriodicGrid) -> LabelMap:
 def eikonal_phase(lmap: LabelMap) -> RealField:
     """Eulerian phase phi(t, x) = S(t, y(t, x)), pre-caustic."""
     b, it = lmap.bundle, lmap.index
-    # grad_y S = xi . M along the marker line
-    slope = b.xi[it, :, 0] * b.mvar[it, :, 0, 0]
-    svals = lmap.eval_series(b.action[it], slope)
-    return RealField(lmap.grid, svals.reshape(lmap.grid.shape), role="eikonal-phase")
+    # d_y S = xi J along the marker line
+    svals = lmap.eval_series(b.action[it], b.xi[it] * b.jac[it])
+    return RealField(lmap.grid, svals, role="eikonal-phase")
 
 
 def momentum_field(lmap: LabelMap) -> np.ndarray:
-    """Transported momentum xi(t, y(t, x)): the Eulerian phase gradient.
-
-    Returns an array of shape (*grid.shape, 1).
-    """
+    """Transported momentum xi(t, y(t, x)): the Eulerian phase gradient,
+    one value per grid node."""
     b, it = lmap.bundle, lmap.index
-    vals = lmap.eval_series(b.xi[it, :, 0], b.xivar[it, :, 0, 0])
-    return vals.reshape(*lmap.grid.shape, 1)
+    return lmap.eval_series(b.xi[it], b.xivar[it])
 
 
 def jacobian_at_labels(lmap: LabelMap) -> np.ndarray:
     """J(t, y(t, x)) on the Eulerian grid."""
-    jvals = lmap.interp_series(lmap.bundle.jac[lmap.index])
-    return jvals.reshape(lmap.grid.shape)
+    return lmap.interp_series(lmap.bundle.jac[lmap.index])
 
 
 # ---------------------------------------------------------------------------
@@ -347,9 +328,9 @@ def jacobian_consistency(bundle: RayBundle, t: float) -> float:
     """
     it = bundle.time_index(t)
     h = bundle.markers.spacings[0]
-    x = bundle.x[it, :, 0]
+    x = bundle.x[it]
     if bundle.is_periodic_compatible():
-        d = x - bundle.y[:, 0]  # difference the periodic displacement
+        d = x - bundle.y  # difference the periodic displacement
         jac_fd = (np.roll(d, -1) - np.roll(d, 1)) / (2 * h) + 1.0
     else:
         jac_fd = np.gradient(x, h, edge_order=2)
@@ -359,8 +340,7 @@ def jacobian_consistency(bundle: RayBundle, t: float) -> float:
 
 def hamilton_jacobi_residual(bundle: RayBundle, x_grid: PeriodicGrid,
                              gradient: str = "momentum",
-                             min_jacobian: float = 0.3,
-                             stride: int = 1) -> float:
+                             min_jacobian: float = 0.3) -> float:
     """Sup-norm residual of d_t phi + |grad phi|^2/2 + V over checkable nodes.
 
     d_t uses a fourth-order centered stencil over stored nodes, so the check
@@ -378,9 +358,6 @@ def hamilton_jacobi_residual(bundle: RayBundle, x_grid: PeriodicGrid,
     if len(usable) < 5:
         raise ValueError("not enough stored nodes below the Jacobian floor")
     last = usable[-1]
-    idx = list(range(2, last - 1, stride))
-    if not idx:
-        raise ValueError("stride too large for the stored window")
 
     h = bundle.dt
 
@@ -393,14 +370,12 @@ def hamilton_jacobi_residual(bundle: RayBundle, x_grid: PeriodicGrid,
         return eikonal_phase(label_map(i)).values
 
     worst = 0.0
-    for i in idx:
+    for i in range(2, last - 1):
         dphi_dt = (-phi(i + 2) + 8 * phi(i + 1) - 8 * phi(i - 1) + phi(i - 2)) / (12 * h)
         if gradient == "momentum":
-            mom = momentum_field(label_map(i))
-            grad_sq = np.sum(mom**2, axis=-1)
+            grad_sq = momentum_field(label_map(i)) ** 2
         else:
-            grads = gradient_values(x_grid, phi(i))
-            grad_sq = sum(g**2 for g in grads)
+            grad_sq = derivative_values(x_grid, phi(i)) ** 2
         vvals = bundle.problem.potential.value(float(bundle.times[i]), x_grid.nodes[0])
         res = np.abs(dphi_dt + 0.5 * grad_sq + vvals).max()
         worst = max(worst, float(res))

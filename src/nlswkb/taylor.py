@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FieldError
-from .fields import ComplexField, RealField, gradient_values, laplacian_values
+from .fields import ComplexField, RealField, derivative_values, laplacian_values
 from .grids import PeriodicGrid
 
 MAX_ORDER = 4
@@ -56,30 +56,30 @@ def taylor_phase_coefficients(a0: ComplexField, order: int) -> TaylorCoefficient
     grid = a0.grid
     amp = [a0.values]
     phi: list[np.ndarray] = [None]  # 1-based
-    amp_grad = [gradient_values(grid, amp[0])]
+    amp_grad = [derivative_values(grid, amp[0])]
     phi_grad: list = [None]
     phi_lap: list = [None]
 
     for j in range(1, order + 1):
         quad = np.zeros(grid.shape)
         for p in range(1, j):
-            quad += 0.5 * sum(gp * gq for gp, gq in zip(phi_grad[p], phi_grad[j - p]))
+            quad += 0.5 * (phi_grad[p] * phi_grad[j - p])
         dens = np.zeros(grid.shape, dtype=complex)
         for p in range(0, j):
             dens += amp[p] * np.conj(amp[j - 1 - p])
         phi_j = -(quad + dens.real) / (2 * j - 1)
         phi.append(phi_j)
-        phi_grad.append(gradient_values(grid, phi_j))
+        phi_grad.append(derivative_values(grid, phi_j))
         phi_lap.append(laplacian_values(grid, phi_j))
 
         rhs = np.zeros(grid.shape, dtype=complex)
         for p in range(1, j + 1):
             q = j - p
-            rhs += sum(gp * ga for gp, ga in zip(phi_grad[p], amp_grad[q]))
+            rhs += phi_grad[p] * amp_grad[q]
             rhs += 0.5 * amp[q] * phi_lap[p]
         a_j = -rhs / (2 * j)
         amp.append(a_j)
-        amp_grad.append(gradient_values(grid, a_j))
+        amp_grad.append(derivative_values(grid, a_j))
 
     return TaylorCoefficients(
         a0=a0,

@@ -63,8 +63,8 @@ def transport_amplitude(lmap: LabelMap, a0: ComplexField) -> ComplexField:
     jvals = jacobian_at_labels(lmap)
     if jvals.min() <= 0:
         raise CausticError("Jacobian not positive at requested time")
-    out = (avals.reshape(lmap.grid.shape)) / np.sqrt(jvals)
-    return ComplexField(lmap.grid, out, role="transported-amplitude")
+    return ComplexField(lmap.grid, avals / np.sqrt(jvals),
+                        role="transported-amplitude")
 
 
 def self_modulation_phase(lmap: LabelMap, a0: ComplexField) -> RealField:
@@ -79,8 +79,7 @@ def self_modulation_phase(lmap: LabelMap, a0: ComplexField) -> RealField:
     integral = bundle.dt * np.tensordot(weights, 1.0 / bundle.jac[: it + 1], axes=(0, 0))
     ivals = lmap.interp_series(integral)
     amag = np.abs(interpolate_periodic(a0, lmap.labels)) ** 2
-    g = -(amag * ivals).reshape(lmap.grid.shape)
-    return RealField(lmap.grid, g, role="self-modulation")
+    return RealField(lmap.grid, -(amag * ivals), role="self-modulation")
 
 
 @dataclass(frozen=True, eq=False)

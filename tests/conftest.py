@@ -7,6 +7,10 @@ import numpy as np
 import pytest
 
 from nlswkb.experiments import config_from_dict, run_experiment
+from nlswkb.fitting import fit_power_law
+from nlswkb.grids import PeriodicGrid
+from nlswkb.nls import solve_nls_sweep
+from nlswkb.problem import SemiclassicalProblem, gaussian_field
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -29,6 +33,24 @@ class FFTCounter:
 @pytest.fixture
 def fft_counter(monkeypatch):
     return FFTCounter(monkeypatch)
+
+
+@pytest.fixture(scope="session")
+def step_audit():
+    """Self-convergence of the split-step solver on the stock kappa = 1
+    Gaussian problem: the L2 error at t = 0.1 of each dt against a solve at
+    the finest dt divided by four, and the fitted log-log slope (expect 2).
+    The NLS tests and acceptance criterion 11 both read it."""
+    grid = PeriodicGrid.line(32.0, 1024)
+    problem = SemiclassicalProblem(eps=1e-2, kappa=1.0,
+                                   a0=gaussian_field(grid, 1.0, 1.0))
+    dts = [1e-4, 2e-4, 4e-4]
+    ref, *solutions = solve_nls_sweep([problem] * 4, 0.1, [dts[0] / 4.0] + dts)
+    errors = [float(np.sqrt(grid.cell_volume * np.sum(
+        np.abs(sol.final().values - ref.final().values) ** 2)))
+        for sol in solutions]
+    fit = fit_power_law(dts, errors)
+    return {"slope": fit.slope, "r2": fit.r2}
 
 
 @pytest.fixture(scope="session")

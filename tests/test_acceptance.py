@@ -13,7 +13,7 @@ from nlswkb import phase_amplitude, rays, taylor
 from nlswkb.experiments import flow_exponents
 from nlswkb.fitting import fit_power_law
 from nlswkb.grids import PeriodicGrid
-from nlswkb.nls import solve_nls, step_convergence_audit
+from nlswkb.nls import solve_nls
 from nlswkb.potentials import InitialPhaseSpec, PotentialSpec
 from nlswkb.problem import SemiclassicalProblem, gaussian_field
 
@@ -46,7 +46,7 @@ def test_criterion_01_ray_oracle():
     it = bundle.time_index(1.0)
     t = bundle.times[it]
     ray_err = max(
-        np.max(np.abs(bundle.x[it][:, 0] - bundle.y[:, 0] * np.cos(t))),
+        np.max(np.abs(bundle.x[it] - bundle.y * np.cos(t))),
         np.max(np.abs(bundle.jac[it] - np.cos(t))))
     caustic_err = abs(rays.caustic_time(bundle, threshold=1e-12) - np.pi / 2)
 
@@ -181,7 +181,8 @@ def test_criterion_10_norm_growth(normgrowth_result):
           f"<= 4, exponent algebra exact ({expo['exponent']})")
 
 
-def test_criterion_11_solver_hygiene(normgrowth_result, instability_result):
+def test_criterion_11_solver_hygiene(normgrowth_result, instability_result,
+                                     step_audit):
     drifts = [r["mass_drift"] for r in normgrowth_result.report["per_eps"]]
     drifts += [r["mass_drift"] for r in instability_result.report["per_eps"]]
     grid = PeriodicGrid.line(32.0, 1024)
@@ -193,7 +194,7 @@ def test_criterion_11_solver_hygiene(normgrowth_result, instability_result):
     drifts.append(sol.mass_drift())
     mass_ok = all(d <= 1e-10 for d in drifts)
 
-    audit = step_convergence_audit(problem, 0.1, [4e-4, 2e-4, 1e-4])
+    audit = step_audit
     audit_ok = abs(audit["slope"] - 2.0) <= 0.2 and audit["r2"] >= 0.99
 
     coarse = phase_amplitude.solve_phase_amplitude(

@@ -41,7 +41,6 @@ class TestPowerLawFit:
         assert fit.slope == pytest.approx(1.5, abs=1e-12)
         assert fit.prefactor == pytest.approx(3.7, rel=1e-12)
         assert fit.r2 == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(fit.predict(x), 3.7 * x ** 1.5, rtol=1e-10)
 
     def test_rejects_nonpositive_data(self):
         with pytest.raises(ConfigError):
@@ -273,6 +272,19 @@ CONFIG_ERRORS = [
      "perturbation is not polarized along a0"),
     ("normgrowth.json", ("grid.size=1024",), "needs grid size >= 1600"),
     ("normgrowth.json", ("growth.exponents.n=2",), "dimension n must be an integer"),
+    # plan: time keys the driver never reads
+    ("skewfree.json", ("time.final=5",),
+     "time.final is not read by the skew_free driver"),
+    ("instability.json", ("time.final=0.3",),
+     "time.final is not read by the instability driver"),
+    ("odewindow.json", ("time.final=0.3",),
+     "time.final is not read by the odewindow driver"),
+    ("supercritical.json", ("time.factor=7",),
+     'time.factor is not read under time.rule "fixed"'),
+    ("grenier.json", ("time.rule=eps_over", "time.dt=null", "time.factor=7"),
+     "time.factor is not read by the grenier driver"),
+    ("critical.json", ("time.schedule=[0.1]",),
+     "time.schedule is not read by the critical driver"),
     # plan
     ("skewfree.json", ("time.schedule=[]",), "time.schedule must not be empty"),
     ("skewfree.json", ("time.schedule=[0.0, 0.1]",),
@@ -385,10 +397,6 @@ class TestDryRunPlan:
         def stop(problem, markers, t_final, dt):
             raise _SolverReached([(problem.eps, dt)])
 
-        # the NLS sweep runs before the rays in the profile drivers and is
-        # not needed to reach them
-        monkeypatch.setattr(nls, "solve_nls_sweep",
-                            lambda problems, *a, **kw: [None] * len(problems))
         monkeypatch.setattr(rays, "integrate_flow", stop)
         with pytest.raises(_SolverReached) as caught:
             run_experiment(cfg)
@@ -611,6 +619,56 @@ class TestCli:
                      "--set", f"grid.size={size}",
                      "--output", str(tmp_path / "out")])
         assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", ["critical.json", "subcritical.json"])
+    def test_focusing_phase_fails_before_the_nls_sweep(self, tmp_path, capsys,
+                                                       monkeypatch, name):
+        # the problem grid is the marker grid, and a focusing phase pulls
+        # the ray map off its edges: the profile fails, so no eps is solved
+        sweeps = []
+        solve = nls.solve_nls_sweep
+
+        def spy(*args, **kwargs):
+            sweeps.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(nls, "solve_nls_sweep", spy)
+        code = main(["converge", "--config", str(CONFIG_DIR / name),
+                     "--set", "phase.kind=quadratic",
+                     "--set", "phase.curvature=-0.5",
+                     "--output", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert ("error: InversionError: at t=0.5 the stored ray map covers "
+                "[-12, 11.9766], short of the grid [-16, 15.9688]") in err
+        assert "use the problem grid as the marker grid" in err
+        assert sweeps == []
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, name, overrides, message", [
+        ("rays", "rays.json", ("potential.amplitude=1e300",),
+         "DivergenceError at t=0.001: ray integration produced non-finite "
+         "values"),
+        # eight markers, one per period of the potential: rays cross between
+        # markers while the Jacobian at every marker stays above the caustic
+        # threshold
+        ("wkb", "wkb.json", ("grid.size=8", "potential.kind=cosine",
+                             "potential.amplitude=1", "potential.cycles=8",
+                             "phase.kind=quadratic", "phase.curvature=-0.3",
+                             "time.final=2.4"),
+         "InversionError: the stored ray map at t=2.4 is not strictly "
+         "increasing"),
+    ], ids=["ray-divergence", "folded-ray-map"])
+    def test_ray_guard_rails_exit_2(self, tmp_path, capsys, command, name,
+                                    overrides, message):
+        args = [command, "--config", str(CONFIG_DIR / name),
+                "--output", str(tmp_path / "out")]
+        for item in overrides:
+            args += ["--set", item]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(args) == 2
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 

@@ -5,8 +5,7 @@ import pytest
 from nlswkb.errors import ConfigError, DivergenceError, ResolutionError
 from nlswkb.fields import ComplexField, lp_norm
 from nlswkb.grids import PeriodicGrid
-from nlswkb.nls import (nls_energy, segment_steps, solve_nls, solve_nls_sweep,
-                        step_convergence_audit)
+from nlswkb.nls import nls_energy, segment_steps, solve_nls, solve_nls_sweep
 from nlswkb.potentials import InitialPhaseSpec, PotentialSpec
 from nlswkb.problem import SemiclassicalProblem, gaussian_field
 
@@ -98,9 +97,8 @@ class TestInvariants:
 
 
 class TestStepping:
-    def test_self_convergence_second_order(self):
-        problem = make_problem()
-        audit = step_convergence_audit(problem, 0.1, [4e-4, 2e-4, 1e-4])
+    def test_self_convergence_second_order(self, step_audit):
+        audit = step_audit
         assert abs(audit["slope"] - 2.0) <= 0.2
         assert audit["r2"] >= 0.99
 

@@ -3,10 +3,10 @@ import numpy as np
 import pytest
 
 from nlswkb.errors import ConfigError, DivergenceError, ResolutionError
-from nlswkb.fields import ComplexField, sobolev_norm
+from nlswkb.fields import ComplexField, derivative_values, sobolev_norm
 from nlswkb.grids import PeriodicGrid
-from nlswkb.phase_amplitude import (assemble_supercritical, euler_residual,
-                                    solve_corrector, solve_phase_amplitude,
+from nlswkb.phase_amplitude import (euler_residual, solve_corrector,
+                                    solve_phase_amplitude,
                                     solve_phase_amplitude_sweep)
 from nlswkb.potentials import InitialPhaseSpec, PotentialSpec
 from nlswkb.problem import SemiclassicalProblem, gaussian_field
@@ -43,8 +43,10 @@ class TestSolverBasics:
     def test_velocity_is_phase_gradient(self):
         problem = flat_problem()
         traj = solve_phase_amplitude(problem, 0.2, 2e-3, variant="full")
-        errs = traj.final().consistency_errors()
-        assert errs["gradient"] <= 1e-10
+        st = traj.final()
+        gradient_defect = np.abs(derivative_values(st.grid, st.phi.values)
+                                 - st.v.values).max()
+        assert gradient_defect <= 1e-10
 
     def test_state_lookup(self):
         problem = flat_problem()
@@ -168,24 +170,6 @@ class TestCorrector:
             solve_corrector(traj)
 
 
-class TestAssembly:
-    def test_oscillatory_state_modulus(self):
-        problem = flat_problem(eps=0.05)
-        traj = solve_phase_amplitude(problem, 0.1, 1e-3, variant="full")
-        u = assemble_supercritical(traj.final(), problem.eps)
-        assert np.max(np.abs(np.abs(u.values) -
-                             np.abs(traj.final().a.values))) <= 1e-12
-
-    def test_time_mismatch_rejected(self):
-        problem = flat_problem()
-        limit = solve_phase_amplitude(problem, 0.2, 2e-3, variant="limit",
-                                      store_every=10)
-        corr = solve_corrector(limit)
-        with pytest.raises(ConfigError):
-            assemble_supercritical(limit.states[0], problem.eps,
-                                   corrector=corr.states[-1])
-
-
 def _rel(x, y):
     return np.max(np.abs(x - y)) / max(np.max(np.abs(y)), 1e-300)
 
@@ -196,7 +180,7 @@ def _assert_same_trajectory(got, ref, tol=1e-12):
     for sg, sr in zip(got.states, ref.states, strict=True):
         assert _rel(sg.phi.values, sr.phi.values) <= tol
         assert _rel(sg.a.values, sr.a.values) <= tol
-        assert _rel(sg.v[0].values, sr.v[0].values) <= tol
+        assert _rel(sg.v.values, sr.v.values) <= tol
     assert _rel(got.mass, ref.mass) <= tol
     assert np.allclose(got.tail_fraction, ref.tail_fraction, rtol=tol,
                        atol=1e-300)
@@ -219,7 +203,7 @@ def _plain_march(problem, t_final, dt, variant):
     """The phase-amplitude march in physical space, nine transforms per
     right-hand side: the reference the spectral sweep must reproduce."""
     grid = problem.grid
-    k = grid.axis_wavenumbers(0)
+    k = grid.axis_wavenumbers()
     ik = 1j * k
     ik[grid.sizes[0] // 2] = 0.0
     mask = grid.dealias_mask

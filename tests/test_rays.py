@@ -1,8 +1,11 @@
 """Characteristic-flow oracles: closed-form rays, Jacobians, phases, caustics."""
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
-from nlswkb.errors import CausticError, InversionError
+from nlswkb.errors import CausticError, FieldError, InversionError
 from nlswkb.grids import PeriodicGrid
 from nlswkb.potentials import InitialPhaseSpec, PotentialSpec
 from nlswkb.problem import SemiclassicalProblem, gaussian_field
@@ -55,14 +58,14 @@ class TestHarmonicOracle:
         b = harmonic_bundle
         for t in (0.5, 1.0, 1.5):
             it = b.time_index(t)
-            exact = b.y[:, 0] * np.cos(b.times[it])
-            assert np.max(np.abs(b.x[it][:, 0] - exact)) <= 1e-8
+            exact = b.y * np.cos(b.times[it])
+            assert np.max(np.abs(b.x[it] - exact)) <= 1e-8
 
     def test_momenta(self, harmonic_bundle):
         b = harmonic_bundle
         it = b.time_index(1.0)
-        exact = -b.y[:, 0] * np.sin(b.times[it])
-        assert np.max(np.abs(b.xi[it][:, 0] - exact)) <= 1e-8
+        exact = -b.y * np.sin(b.times[it])
+        assert np.max(np.abs(b.xi[it] - exact)) <= 1e-8
 
     def test_jacobian(self, harmonic_bundle):
         b = harmonic_bundle
@@ -89,7 +92,7 @@ class TestHarmonicOracle:
     def test_momentum_field(self, harmonic_bundle, eval_grid):
         mom = rays.momentum_field(rays.invert_flow(harmonic_bundle, 1.0, eval_grid))
         x = eval_grid.nodes[0]
-        assert np.max(np.abs(mom[:, 0] + x * np.tan(1.0))) <= 1e-9
+        assert np.max(np.abs(mom + x * np.tan(1.0))) <= 1e-9
 
     def test_phase_guarded_past_caustic(self, harmonic_bundle, eval_grid):
         with pytest.raises(CausticError):
@@ -105,7 +108,7 @@ class TestFreeFlowOracle:
     def test_ray_positions_and_jacobian(self, free_bundle):
         b = free_bundle
         it = b.time_index(0.5)
-        assert np.max(np.abs(b.x[it][:, 0] - 0.5 * b.y[:, 0])) <= 1e-11
+        assert np.max(np.abs(b.x[it] - 0.5 * b.y)) <= 1e-11
         assert np.max(np.abs(b.jac[it] - 0.5)) <= 1e-12
 
     def test_map_is_affine(self, free_bundle):
@@ -170,21 +173,18 @@ class TestIntegratorQuality:
         for dt in (0.05, 0.025):
             b = rays.integrate_flow(problem, markers, 1.0, dt=dt)
             it = b.time_index(1.0)
-            errs.append(np.max(np.abs(b.x[it][:, 0] - b.y[:, 0] * np.cos(1.0))))
+            errs.append(np.max(np.abs(b.x[it] - b.y * np.cos(1.0))))
         assert 12.0 <= errs[0] / errs[1] <= 20.0
 
     def test_time_reversal(self):
         problem, markers = make_problem(PotentialSpec.harmonic(1.0),
                                         InitialPhaseSpec.zero(), 128.0, 512)
-        y = np.stack([c.ravel() for c in markers.nodes], axis=-1)
-        nm = y.shape[0]
-        eye = np.broadcast_to(np.eye(1), (nm, 1, 1)).copy()
-        zeros_m = np.zeros((nm, 1, 1))
-        _, xs, xis, mvs, xivs, ss = rays.integrate_ray_state(
-            problem.potential, y.copy(), np.zeros_like(y), eye, zeros_m,
-            np.zeros(nm), 0.0, 1.0, 1e-3)
+        y = markers.nodes[0]
+        _, xs, xis, jacs, xivs, ss = rays.integrate_ray_state(
+            problem.potential, y, np.zeros_like(y), np.ones_like(y),
+            np.zeros_like(y), np.zeros_like(y), 0.0, 1.0, 1e-3)
         _, xs2, _, _, _, ss2 = rays.integrate_ray_state(
-            problem.potential, xs[-1], xis[-1], mvs[-1], xivs[-1], ss[-1],
+            problem.potential, xs[-1], xis[-1], jacs[-1], xivs[-1], ss[-1],
             1.0, 0.0, 1e-3)
         assert np.max(np.abs(xs2[-1] - y)) <= 1e-8
         assert np.max(np.abs(ss2[-1])) <= 1e-8
@@ -200,6 +200,72 @@ class TestInversionGuards:
         bundle = rays.integrate_flow(problem, markers, 0.6, dt=1e-3)
         with pytest.raises(InversionError):
             rays.eikonal_phase(rays.invert_flow(bundle, 0.5, eval_grid))
+
+
+    def test_slopes_that_contradict_the_positions_stop_newton(self, eval_grid):
+        # the Hermite interpolant of positions with 1e13 times the true
+        # slopes swings so steeply that rounding alone exceeds the tolerance
+        problem, markers = make_problem(PotentialSpec.zero(),
+                                        InitialPhaseSpec.zero(), 32.0, 64)
+        bundle = rays.integrate_flow(problem, markers, 0.1, dt=1e-2)
+        bad = dataclasses.replace(bundle, jac=1e13 * bundle.jac)
+        with pytest.raises(InversionError, match="Newton inversion at t=0.1 "
+                           "did not reach tolerance") as caught:
+            rays.invert_flow(bad, 0.1, eval_grid)
+        assert caught.value.worst_residual > 1e-10 * 16.0
+
+
+class TestArgumentGuards:
+    @pytest.mark.parametrize("build, message", [
+        (lambda: PotentialSpec("bogus"), "unknown potential kind 'bogus'"),
+        (lambda: PotentialSpec("harmonic"), "harmonic potential needs a frequency"),
+        (lambda: PotentialSpec("bounded_periodic"),
+         "bounded_periodic potential needs callables"),
+        (lambda: InitialPhaseSpec("bogus"), "unknown phase kind 'bogus'"),
+        (lambda: InitialPhaseSpec("quadratic"), "quadratic phase needs a curvature"),
+    ], ids=["potential-kind", "frequency", "callables", "phase-kind", "curvature"])
+    def test_incomplete_specs_are_rejected(self, build, message):
+        with pytest.raises(FieldError, match=re.escape(message)):
+            build()
+
+    def test_unbounded_hessian_is_not_admissible(self):
+        def inf(t, x):
+            return np.full_like(x, np.inf)
+
+        problem, markers = make_problem(
+            PotentialSpec("bounded_periodic", callables=(inf, inf, inf)),
+            InitialPhaseSpec.zero(), 32.0, 64)
+        with pytest.raises(FieldError, match="potential Hessian is not bounded"):
+            rays.integrate_flow(problem, markers, 0.1, dt=1e-2)
+
+    def test_caustic_thresholds_lie_in_the_unit_interval(self, free_bundle):
+        problem, markers = make_problem(PotentialSpec.zero(),
+                                        InitialPhaseSpec.zero(), 32.0, 64)
+        with pytest.raises(ValueError, match=r"must lie in \(0,1\), got 1.5"):
+            rays.integrate_flow(problem, markers, 0.1, dt=1e-2,
+                                caustic_threshold=1.5)
+        with pytest.raises(ValueError, match=r"must lie in \(0,1\), got 0"):
+            rays.caustic_time(free_bundle, threshold=0)
+
+    def test_times_off_the_stored_nodes_are_rejected(self, free_bundle):
+        with pytest.raises(ValueError, match="t=0.0005 is not a stored time node"):
+            free_bundle.time_index(0.0005)
+
+    def test_affine_flow_series_must_be_constant(self, free_bundle, eval_grid):
+        # the action of the focusing flow varies with the label
+        lmap = rays.invert_flow(free_bundle, 0.5, eval_grid)
+        with pytest.raises(InversionError, match="expected constant"):
+            lmap.interp_series(free_bundle.action[lmap.index])
+
+    def test_residual_arguments(self, cosine_bundle, eval_grid):
+        with pytest.raises(ValueError, match="unknown gradient mode 'finite'"):
+            rays.hamilton_jacobi_residual(cosine_bundle, eval_grid,
+                                          gradient="finite")
+        problem, markers = make_problem(PotentialSpec.zero(),
+                                        InitialPhaseSpec.zero(), 32.0, 64)
+        short = rays.integrate_flow(problem, markers, 0.03, dt=1e-2)
+        with pytest.raises(ValueError, match="not enough stored nodes"):
+            rays.hamilton_jacobi_residual(short, eval_grid)
 
 
 class TestMarkerSeriesInterpolation:
@@ -220,7 +286,7 @@ class TestMarkerSeriesInterpolation:
         it = bundle.time_index(0.3)
         # at t = 0 the map is the identity, so the labels are the markers
         at_markers = rays.invert_flow(bundle, 0.0, markers)
-        assert np.array_equal(at_markers.labels, bundle.y[:, 0])
+        assert np.array_equal(at_markers.labels, bundle.y)
         for series in (bundle.jac[it], bundle.action[it]):
             assert np.ptp(series) > 1e-3  # a constant series would prove nothing
             got = at_markers.interp_series(series)
