@@ -90,8 +90,9 @@ def main(argv=None) -> int:
     try:
         result = run_experiment(config)
     except NlswkbError as exc:
-        # solver failures carry the simulation time they stopped at and the
-        # eps of the solve
+        # solver and ray failures carry the simulation time they stopped
+        # at, solver failures also the eps of the solve (one ray profile
+        # serves every eps)
         when = getattr(exc, "time", None)
         eps = getattr(exc, "eps", None)
         at = f" at t={when:g}" if when is not None else ""

@@ -13,26 +13,34 @@ class FieldError(NlswkbError):
     """Invalid field data (shape mismatch, non-finite samples)."""
 
 
-class CausticError(NlswkbError):
+class _TimedError(NlswkbError):
+    """An error at one simulation time: carries that time."""
+
+    def __init__(self, message: str, time: float | None = None):
+        super().__init__(message)
+        self.time = time
+
+
+class CausticError(_TimedError):
     """Operation requested at or past the caustic horizon."""
 
 
-class InversionError(NlswkbError):
+class InversionError(_TimedError):
     """Ray-map inversion failed to converge or left the marker chart."""
 
-    def __init__(self, message: str, worst_residual: float | None = None):
-        super().__init__(message)
+    def __init__(self, message: str, time: float | None = None,
+                 worst_residual: float | None = None):
+        super().__init__(message, time)
         self.worst_residual = worst_residual
 
 
-class _SolverError(NlswkbError):
+class _SolverError(_TimedError):
     """A time integration stopped: carries the simulation time it reached
     and the eps of the solve."""
 
     def __init__(self, message: str, time: float | None = None,
                  eps: float | None = None):
-        super().__init__(message)
-        self.time = time
+        super().__init__(message, time)
         self.eps = eps
 
 

@@ -557,6 +557,9 @@ def _run_supercritical_convergence(config: ExperimentConfig,
     orders = config.norms.sobolev_orders
     corrector_mode = config.target == "supercritical_corrector"
 
+    # the corrector marches on the stored times of the limit; only the
+    # final states of the corrector and of the sweep are read
+    steps = max(1, int(round(t / dt)))
     limit_problem = config.problem(config.eps[0], with_a1=False)
     limit = phase_amplitude.solve_phase_amplitude(
         limit_problem, t, dt, variant="limit", store_every=1)
@@ -564,12 +567,13 @@ def _run_supercritical_convergence(config: ExperimentConfig,
     if corrector_mode:
         a1 = config.data.a1.build(config.grid.build(),
                                   role="amplitude-correction-1")
-        corr = phase_amplitude.solve_corrector(limit, a1).final()
+        corr = phase_amplitude.solve_corrector(limit, a1,
+                                               store_every=steps).final()
     lim = limit.final()
 
     outcomes = phase_amplitude.solve_phase_amplitude_sweep(
         [config.problem(eps) for eps in config.eps], t, dt, variant="full",
-        store_every=max(1, int(round(t / dt))))
+        store_every=steps)
 
     def one(eps, traj):
         if isinstance(traj, ResolutionError):

@@ -23,7 +23,7 @@ variants are solved here:
 The march holds phi and a in Fourier space (rfft and fft along the last
 axis) and takes every eps of a sweep as a row of one array: the skew step
 is a multiply by a per-row phase, and one transport right-hand side costs
-six transforms for all rows together.
+six transforms in four calls for all rows together.
 
 The corrector solve linearizes the system around the limit trajectory and
 carries the i/2 Lap a source plus the first data correction a1; pairing the
@@ -32,6 +32,7 @@ limit with eps * corrector reproduces the full solve to O(eps^2).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -114,56 +115,110 @@ class CorrectorTrajectory:
 class _Spectral:
     """Multipliers of the spectral state: phi_hat = rfft(phi) over the
     N/2 + 1 non-negative modes, a_hat = fft(a) over all N, along the last
-    axis so that a stack of solves marches as rows of one array."""
+    axis so that a stack of solves marches as rows of one array.  Also
+    holds the work arrays of a march, kept from call to call: a march then
+    allocates no large array per stage, so the heap neither grows nor
+    returns pages to the system between stages."""
 
     def __init__(self, grid: PeriodicGrid):
         self.n = n = grid.sizes[0]
         half = n // 2 + 1
         self.ik = grid.ik
         self.lap = -grid.wavenumber_sq
-        self.mask = grid.dealias_mask
+        # complex 1/0, the values numpy casts the boolean mask to, so that
+        # dealiasing a complex spectrum needs no cast
+        self.mask = grid.dealias_mask.astype(complex)
         self.ik_half = self.ik[:half]
         self.lap_half = self.lap[:half]
         self.mask_half = self.mask[:half]
+        self._work = {}
 
-    def phase_derivatives(self, phi_hat: np.ndarray):
-        """grad phi and Lap phi at the nodes."""
-        return (np.fft.irfft(phi_hat * self.ik_half, self.n),
-                np.fft.irfft(phi_hat * self.lap_half, self.n))
+    def work(self, name: str, shape: tuple, dtype=complex) -> np.ndarray:
+        """The work array `name`, allocated again only when its shape
+        changes (a sweep drops a failed row)."""
+        buf = self._work.get(name)
+        if buf is None or buf.shape != shape:
+            buf = self._work[name] = np.empty(shape, dtype)
+        return buf
 
-    def amplitude_and_gradient(self, a_hat: np.ndarray):
-        """a and grad a at the nodes."""
-        return np.fft.ifft(a_hat), np.fft.ifft(a_hat * self.ik)
+    def phase_derivatives(self, phi_hat: np.ndarray, out=None) -> np.ndarray:
+        """grad phi and Lap phi at the nodes, stacked on a new first axis:
+        one transform of the pair."""
+        pair = self.work("phase pair", (2,) + phi_hat.shape)
+        np.multiply(phi_hat, self.ik_half, out=pair[0])
+        np.multiply(phi_hat, self.lap_half, out=pair[1])
+        return np.fft.irfft(pair, self.n, out=out)
+
+    def amplitude_and_gradient(self, a_hat: np.ndarray, out=None) -> np.ndarray:
+        """a and grad a at the nodes, stacked on a new first axis: one
+        transform of the pair, in place in `out` when given."""
+        pair = np.empty((2,) + a_hat.shape, dtype=complex) if out is None else out
+        pair[0] = a_hat
+        np.multiply(a_hat, self.ik, out=pair[1])
+        return np.fft.ifft(pair, out=pair)
 
 
 class _Transport(_Spectral):
     """Dealiased pseudo-spectral RHS of the coupled transport system, from
-    spectral state to spectral rate in six transforms whatever the number
-    of rows."""
+    spectral state to spectral rate in six transforms in four calls
+    whatever the number of rows."""
 
     def __init__(self, grid: PeriodicGrid, vvals: np.ndarray):
         super().__init__(grid)
         self.v = vvals
 
-    def __call__(self, phi_hat: np.ndarray, a_hat: np.ndarray):
-        gphi, lphi = self.phase_derivatives(phi_hat)
-        a, ga = self.amplitude_and_gradient(a_hat)
-        dphi = -0.5 * gphi * gphi - self.v - (a.real ** 2 + a.imag ** 2)
-        da = -(gphi * ga) - 0.5 * a * lphi
-        return (np.fft.rfft(dphi) * self.mask_half,
-                np.fft.fft(da) * self.mask)
+    def __call__(self, phi_hat: np.ndarray, a_hat: np.ndarray, out=None):
+        """The rates (d_t phi_hat, d_t a_hat), written into the pair `out`
+        when given and fresh arrays otherwise."""
+        shape = (2,) + a_hat.shape
+        gphi, lphi = self.phase_derivatives(phi_hat, out=self.work("g", shape, float))
+        a, ga = self.amplitude_and_gradient(a_hat, out=self.work("a", shape))
+        mod2 = np.square(a.real, out=self.work("mod2", a_hat.shape, float))
+        mod2 += np.square(a.imag, out=self.work("square", a_hat.shape, float))
+        # da = -(gphi ga) - (0.5 a) lphi, in the ga buffer
+        np.multiply(0.5, a, out=a)
+        np.multiply(a, lphi, out=a)
+        _negate(np.multiply(gphi, ga, out=ga))
+        ga -= a
+        # dphi = (-0.5 gphi) gphi - V - (Re(a)^2 + Im(a)^2), in the lphi buffer
+        dphi = np.multiply(-0.5, gphi, out=lphi)
+        dphi *= gphi
+        dphi -= self.v
+        dphi -= mod2
+        rate_phi, rate_a = (None, None) if out is None else out
+        rate_phi = np.fft.rfft(dphi, out=rate_phi)
+        rate_a = np.fft.fft(ga, out=rate_a)
+        rate_phi *= self.mask_half
+        rate_a *= self.mask
+        return rate_phi, rate_a
 
 
-def _rk4(rhs, phi, a, h):
-    """One classical RK4 step.  The weighted stage sum k1 + 2 k2 + 2 k3 + k4
-    accumulates, in that order, in the arrays of the first stage."""
-    k_phi, k_a = rhs(phi, a)
-    sum_phi, sum_a = k_phi, k_a
-    for c, w in ((0.5, 2), (0.5, 2), (1.0, 1)):
-        k_phi, k_a = rhs(phi + c * h * k_phi, a + c * h * k_a)
-        sum_phi += w * k_phi
-        sum_a += w * k_a
-    return phi + (h / 6) * sum_phi, a + (h / 6) * sum_a
+def _negate(z: np.ndarray) -> None:
+    """z = -z in place for a contiguous complex z, through its float view:
+    the same sign flips as complex negation, in numpy's vectorized loop."""
+    np.negative(z.view(float), out=z.view(float))
+
+
+def _rk4(stages, phi, a, h, work) -> None:
+    """One classical RK4 step, written into phi and a.  stages[j] is the
+    right-hand side of stage j (the same callable four times for an
+    autonomous system); it writes its rates into the pair `out` it is
+    given.  The stage state, the stage rates and the weighted stage sum
+    k1 + 2 k2 + 2 k3 + k4, accumulated in that order, are `work` arrays."""
+    sum_phi, sum_a = work("sum phi", phi.shape), work("sum a", a.shape)
+    k_phi, k_a = work("rate phi", phi.shape), work("rate a", a.shape)
+    stage_phi, stage_a = work("stage phi", phi.shape), work("stage a", a.shape)
+    stages[0](phi, a, out=(sum_phi, sum_a))
+    prev_phi, prev_a = sum_phi, sum_a
+    for rhs, c, w in zip(stages[1:], (0.5, 0.5, 1.0), (2, 2, 1)):
+        np.add(phi, np.multiply(c * h, prev_phi, out=stage_phi), out=stage_phi)
+        np.add(a, np.multiply(c * h, prev_a, out=stage_a), out=stage_a)
+        rhs(stage_phi, stage_a, out=(k_phi, k_a))
+        sum_phi += np.multiply(w, k_phi, out=stage_phi)
+        sum_a += np.multiply(w, k_a, out=stage_a)
+        prev_phi, prev_a = k_phi, k_a
+    phi += np.multiply(h / 6, sum_phi, out=sum_phi)
+    a += np.multiply(h / 6, sum_a, out=sum_a)
 
 
 def _kept_band_tail(grid: PeriodicGrid, spec: np.ndarray) -> np.ndarray:
@@ -264,13 +319,14 @@ def solve_phase_amplitude_sweep(problems: list[SemiclassicalProblem],
         rows = [i for i, k in zip(rows, keep) if k]
 
     store(0.0, phi, a, _kept_band_tail(grid, a_hat))
+    stages = (rhs,) * 4
     for n in range(n_steps):
         if variant == "full":
-            phi_hat, a_hat = _rk4(rhs, phi_hat, a_hat, 0.5 * h)
+            _rk4(stages, phi_hat, a_hat, 0.5 * h, rhs.work)
             a_hat *= skew_phase
-            phi_hat, a_hat = _rk4(rhs, phi_hat, a_hat, 0.5 * h)
+            _rk4(stages, phi_hat, a_hat, 0.5 * h, rhs.work)
         else:
-            phi_hat, a_hat = _rk4(rhs, phi_hat, a_hat, h)
+            _rk4(stages, phi_hat, a_hat, h, rhs.work)
         t = (n + 1) * h
         finite = (np.isfinite(phi_hat).all(axis=-1)
                   & np.isfinite(a_hat).all(axis=-1))
@@ -365,7 +421,8 @@ def solve_corrector(limit: GrenierTrajectory, a1: ComplexField | None = None,
                + a1 Lap phi / 2 + a Lap phi1 / 2 = (i/2) Lap a,   a1(0) = a1_data.
 
     Marches RK4 on the stored time grid of `limit`, with the coefficient
-    pair (phi, a) Hermite-interpolated at the stage times.  Coefficients
+    pair (phi, a) Hermite-interpolated and transformed once per stage time
+    (the start, midpoint and end of each step).  Coefficients
     and corrector live in the spectral state of the phase-amplitude march;
     the (i/2) Lap a source is a spectral multiply.  With real a0 and
     a1_data = 0, a1 stays purely imaginary and phi1 stays zero.
@@ -378,17 +435,39 @@ def solve_corrector(limit: GrenierTrajectory, a1: ComplexField | None = None,
     coeffs = _HermiteCoeffs(limit)
     h = coeffs.h
     sp = _Spectral(grid)
+    half_lap = 0.5j * sp.lap
 
-    def rhs(t, phi1_hat, a1_hat):
+    def limit_fields(t):
+        # what the right-hand side reads of the limit at time t: grad phi,
+        # Lap phi, grad a, conj(a), a / 2 and the (i/2) Lap a source
         phi_hat, a_hat = coeffs(t)
         gphi, lphi = sp.phase_derivatives(phi_hat)
         a, ga = sp.amplitude_and_gradient(a_hat)
-        gphi1, lphi1 = sp.phase_derivatives(phi1_hat)
-        a1v, ga1 = sp.amplitude_and_gradient(a1_hat)
-        dphi1 = -(gphi * gphi1 + 2.0 * (np.conj(a) * a1v).real)
-        da1 = -(gphi * ga1 + gphi1 * ga + 0.5 * a1v * lphi + 0.5 * a * lphi1)
-        return (np.fft.rfft(dphi1) * sp.mask_half,
-                (np.fft.fft(da1) + 0.5j * sp.lap * a_hat) * sp.mask)
+        return gphi, lphi, ga, np.conj(a), np.multiply(0.5, a), half_lap * a_hat
+
+    def rhs(fields, phi1_hat, a1_hat, out):
+        gphi, lphi, ga, conj_a, half_a, source = fields
+        shape = (2,) + a1_hat.shape
+        gphi1, lphi1 = sp.phase_derivatives(phi1_hat, out=sp.work("g", shape, float))
+        a1v, ga1 = sp.amplitude_and_gradient(a1_hat, out=sp.work("a", shape))
+        # dphi1 = -(gphi gphi1 + 2 Re(conj(a) a1))
+        prod = np.multiply(conj_a, a1v, out=sp.work("product", a1_hat.shape))
+        dphi1 = np.multiply(gphi, gphi1, out=sp.work("dphi", a1_hat.shape, float))
+        dphi1 += np.multiply(2.0, prod.real, out=prod.real)
+        np.negative(dphi1, out=dphi1)
+        # da1 = -(gphi ga1 + gphi1 ga + (0.5 a1) lphi + (0.5 a) lphi1),
+        # built in the ga1 buffer
+        np.multiply(gphi, ga1, out=ga1)
+        ga1 += np.multiply(gphi1, ga, out=prod)
+        np.multiply(0.5, a1v, out=a1v)
+        ga1 += np.multiply(a1v, lphi, out=a1v)
+        ga1 += np.multiply(half_a, lphi1, out=prod)
+        _negate(ga1)
+        rate_phi = np.fft.rfft(dphi1, out=out[0])
+        rate_a = np.fft.fft(ga1, out=out[1])
+        rate_phi *= sp.mask_half
+        rate_a += source
+        rate_a *= sp.mask
 
     phi1 = np.zeros(grid.shape)
     a1v = (a1.values.copy() if a1 is not None
@@ -398,16 +477,16 @@ def solve_corrector(limit: GrenierTrajectory, a1: ComplexField | None = None,
                              RealField(grid, phi1, role="phase-corrector"),
                              ComplexField(grid, a1v, role="amplitude-corrector"))]
 
+    # RK4 reads the limit at t, twice at t + h/2 and at t + h: each step
+    # evaluates it at its midpoint and end, and its end is the next step's
+    # start (carried by step, since t + h and the next stored time may
+    # differ in the last bit)
+    end = limit_fields(float(coeffs.times[0]))
     for i in range(len(coeffs.times) - 1):
         t = float(coeffs.times[i])
-        k1p, k1a = rhs(t, phi1_hat, a1_hat)
-        k2p, k2a = rhs(t + 0.5 * h, phi1_hat + 0.5 * h * k1p,
-                       a1_hat + 0.5 * h * k1a)
-        k3p, k3a = rhs(t + 0.5 * h, phi1_hat + 0.5 * h * k2p,
-                       a1_hat + 0.5 * h * k2a)
-        k4p, k4a = rhs(t + h, phi1_hat + h * k3p, a1_hat + h * k3a)
-        phi1_hat = phi1_hat + (h / 6) * (k1p + 2 * k2p + 2 * k3p + k4p)
-        a1_hat = a1_hat + (h / 6) * (k1a + 2 * k2a + 2 * k3a + k4a)
+        start, mid, end = end, limit_fields(t + 0.5 * h), limit_fields(t + h)
+        stages = [partial(rhs, fields) for fields in (start, mid, mid, end)]
+        _rk4(stages, phi1_hat, a1_hat, h, sp.work)
         if not (np.all(np.isfinite(phi1_hat)) and np.all(np.isfinite(a1_hat))):
             raise DivergenceError("corrector solve hit non-finite values",
                                   time=t + h, eps=limit.problem.eps)

@@ -201,6 +201,10 @@ class LabelMap:
     cells: np.ndarray    # (N,) Hermite cell of each target
     u: np.ndarray        # (N,) position inside the cell, in [0, 1]
 
+    @property
+    def time(self) -> float:
+        return float(self.bundle.times[self.index])
+
     def eval_series(self, values: np.ndarray, slopes: np.ndarray) -> np.ndarray:
         """Hermite-evaluate a per-marker series, given with its label
         slopes, at the located cells."""
@@ -221,7 +225,8 @@ class LabelMap:
         if bundle.is_affine():
             spread = np.abs(series - series[0]).max()
             if spread > 1e-8 * max(1.0, np.abs(series[0])):
-                raise InversionError("series expected constant on an affine flow")
+                raise InversionError("series expected constant on an affine flow",
+                                     time=self.time)
             return np.full(self.labels.shape, float(series[0]))
         if bundle.is_periodic_compatible():
             return interpolate_periodic(RealField(bundle.markers, series),
@@ -241,7 +246,7 @@ def invert_flow(bundle: RayBundle, t: float, x_grid: PeriodicGrid) -> LabelMap:
     """
     if bundle.t_caustic is not None and t >= bundle.t_caustic:
         raise CausticError(
-            f"t={t} is at or past the caustic horizon {bundle.t_caustic:.6g}")
+            f"at or past the caustic horizon {bundle.t_caustic:.6g}", time=t)
     it = bundle.time_index(t)
     y, x, m = bundle.y, bundle.x[it], bundle.jac[it]
     span = bundle.markers.lengths[0]
@@ -250,19 +255,19 @@ def invert_flow(bundle: RayBundle, t: float, x_grid: PeriodicGrid) -> LabelMap:
         y, x, m = np.append(y, y[0] + span), np.append(x, x[0] + span), np.append(m, m[0])
     if not np.all(np.diff(x) > 0):
         raise InversionError(
-            f"the stored ray map at t={t:g} is not strictly increasing: rays "
-            "cross between markers, so the marker grid (the problem grid in "
-            "the ray drivers) is too coarse")
+            "the stored ray map is not strictly increasing: rays cross "
+            "between markers, so the marker grid (the problem grid in the "
+            "ray drivers) is too coarse", time=t)
     targets = x_grid.nodes[0]
     if periodic:
         reduced = x[0] + np.mod(targets - x[0], span)
     elif targets.min() < x[0] or targets.max() > x[-1]:
         raise InversionError(
-            f"at t={t:g} the stored ray map covers [{x[0]:.6g}, {x[-1]:.6g}], "
-            f"short of the grid [{targets.min():.6g}, {targets.max():.6g}]: "
-            "the ray drivers use the problem grid as the marker grid, so a "
-            "focusing quadratic phase (phase.curvature < 0) pulls the map "
-            "off the grid edges")
+            f"the stored ray map covers [{x[0]:.6g}, {x[-1]:.6g}], short of "
+            f"the grid [{targets.min():.6g}, {targets.max():.6g}]: the ray "
+            "drivers use the problem grid as the marker grid, so a focusing "
+            "quadratic phase (phase.curvature < 0) pulls the map off the grid "
+            "edges", time=t)
     else:
         reduced = targets
     h = y[1] - y[0]
@@ -288,9 +293,8 @@ def invert_flow(bundle: RayBundle, t: float, x_grid: PeriodicGrid) -> LabelMap:
     worst = float(np.abs(_hermite_eval(u, h, f0, f1, d0, d1) - reduced).max())
     if worst > 1e-10 * scale:
         raise InversionError(
-            f"Newton inversion at t={t:g} did not reach tolerance "
-            f"(worst residual {worst:.3e})",
-            worst_residual=worst)
+            f"Newton inversion did not reach tolerance (worst residual "
+            f"{worst:.3e})", time=t, worst_residual=worst)
     labels = y[cells] + u * h + (targets - reduced)
     return LabelMap(bundle=bundle, grid=x_grid, index=it, labels=labels,
                     cells=cells, u=u)

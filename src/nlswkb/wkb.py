@@ -62,7 +62,7 @@ def transport_amplitude(lmap: LabelMap, a0: ComplexField) -> ComplexField:
     avals = interpolate_periodic(a0, lmap.labels)
     jvals = jacobian_at_labels(lmap)
     if jvals.min() <= 0:
-        raise CausticError("Jacobian not positive at requested time")
+        raise CausticError("Jacobian not positive", time=lmap.time)
     return ComplexField(lmap.grid, avals / np.sqrt(jvals),
                         role="transported-amplitude")
 

@@ -16,17 +16,24 @@ CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 class FFTCounter:
-    """Counts the np.fft transform calls made while it is installed."""
+    """Counts the np.fft transform calls made while it is installed, and
+    the lines they transform: a call on an array of shape (..., n)
+    transforms the product of its leading dimensions."""
 
     def __init__(self, monkeypatch):
         self.calls = 0
+        self.lines = 0
         for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn"):
             monkeypatch.setattr(np.fft, name, self._counted(getattr(np.fft, name)))
 
+    def reset(self):
+        self.calls = self.lines = 0
+
     def _counted(self, fn):
-        def counted(*args, **kwargs):
+        def counted(a, *args, **kwargs):
             self.calls += 1
-            return fn(*args, **kwargs)
+            self.lines += int(np.prod(np.shape(a)[:-1]))
+            return fn(a, *args, **kwargs)
         return counted
 
 

@@ -641,7 +641,7 @@ class TestCli:
                      "--output", str(tmp_path / "out")])
         assert code == 2
         err = capsys.readouterr().err
-        assert ("error: InversionError: at t=0.5 the stored ray map covers "
+        assert ("error: InversionError at t=0.5: the stored ray map covers "
                 "[-12, 11.9766], short of the grid [-16, 15.9688]") in err
         assert "use the problem grid as the marker grid" in err
         assert sweeps == []
@@ -658,7 +658,7 @@ class TestCli:
                              "potential.amplitude=1", "potential.cycles=8",
                              "phase.kind=quadratic", "phase.curvature=-0.3",
                              "time.final=2.4"),
-         "InversionError: the stored ray map at t=2.4 is not strictly "
+         "InversionError at t=2.4: the stored ray map is not strictly "
          "increasing"),
     ], ids=["ray-divergence", "folded-ray-map"])
     def test_ray_guard_rails_exit_2(self, tmp_path, capsys, command, name,

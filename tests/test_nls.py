@@ -121,6 +121,20 @@ class TestStepping:
         with pytest.raises(ConfigError):
             solve_nls(make_problem(), -0.1)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"output_times": [0.1, 0.05]},
+         "output_times must be strictly increasing and positive"),
+        ({"output_times": [0.0, 0.1]},
+         "output_times must be strictly increasing and positive"),
+        ({"output_times": [0.1, 0.3]}, "output_times may not pass t_final"),
+        ({"dt": 0.0}, "dt must be positive"),
+        ({"initial_state": gaussian_field(PeriodicGrid.line(32.0, 128), 1.0, 1.0)},
+         "initial_state grid mismatch"),
+    ], ids=["decreasing", "zero", "past-t-final", "dt", "initial-grid"])
+    def test_argument_checks_fire(self, kwargs, message):
+        with pytest.raises(ConfigError, match=message):
+            solve_nls(make_problem(size=256), 0.2, **kwargs)
+
 
 def strang_reference(problem, outputs, dt):
     """Plain Strang splitting, four FFTs per step: kinetic half-step,
@@ -266,17 +280,20 @@ class TestSweep:
     def test_fft_calls_do_not_grow_with_rows(self, fft_counter):
         problems = sweep_problems(
             [(eps, 1.0) for eps in np.geomspace(0.1, 0.05, 5)])
-        counts = {}
+        counts, lines = {}, {}
         for rows in (1, 5):
             for dt in (1e-2, 5e-3):
-                fft_counter.calls = 0
+                fft_counter.reset()
                 solve_nls_sweep(problems[:rows], 0.1, [dt] * rows,
                                 output_times=self.OUTPUTS)
                 counts[rows, dt] = fft_counter.calls
+                lines[rows, dt] = fft_counter.lines
         assert counts[1, 1e-2] == counts[5, 1e-2]
         assert counts[1, 5e-3] == counts[5, 5e-3]
         # 5 more steps in each of the 2 segments, 2 calls per step
         assert counts[1, 5e-3] - counts[1, 1e-2] == 20
+        # and each call transforms every row once
+        assert lines[5, 5e-3] - lines[5, 1e-2] == 5 * 20
 
     def test_problems_must_share_one_grid(self):
         problems = [make_problem(size=256), make_problem(size=512)]

@@ -1,4 +1,7 @@
 """Phase-amplitude (strong-coupling) solver: variants, corrector, residuals."""
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -114,6 +117,13 @@ class TestEulerResidual:
         with pytest.raises(ConfigError):
             euler_residual(traj)
 
+    def test_needs_three_stored_states(self):
+        traj = solve_phase_amplitude(flat_problem(size=256), 0.01, 2e-3,
+                                     variant="limit", store_every=100)
+        assert len(traj.states) == 2
+        with pytest.raises(ConfigError, match="at least three"):
+            euler_residual(traj)
+
 
 class TestCorrector:
     def test_real_data_keeps_phase_shift_zero(self):
@@ -168,6 +178,25 @@ class TestCorrector:
         traj = solve_phase_amplitude(flat_problem(), 0.1, 2e-3, variant="full")
         with pytest.raises(ConfigError):
             solve_corrector(traj)
+
+    def test_limit_must_have_a_uniform_time_grid(self):
+        limit = solve_phase_amplitude(flat_problem(size=256), 0.02, 2e-3,
+                                      variant="limit", store_every=3)
+        # stored at steps 0, 3, 6, 9 and the final 10
+        assert len(limit.states) == 5
+        with pytest.raises(ConfigError, match="uniform time grid"):
+            solve_corrector(limit)
+        # no solve stores a single state; only a hand-built trajectory can
+        single = dataclasses.replace(limit, states=limit.states[:1])
+        with pytest.raises(ConfigError, match="single state"):
+            solve_corrector(single)
+
+    def test_a1_must_share_the_grid(self):
+        limit = solve_phase_amplitude(flat_problem(size=256), 0.01, 2e-3,
+                                      variant="limit")
+        other = gaussian_field(PeriodicGrid.line(32.0, 128), 1.5, 0.5)
+        with pytest.raises(ConfigError, match="different grid"):
+            solve_corrector(limit, a1=other)
 
 
 def _rel(x, y):
@@ -303,21 +332,201 @@ class TestSweep:
                                         variant="full", store_every=5)
             _assert_same_trajectory(out[i], ref)
 
-    @pytest.mark.parametrize("variant, per_step", [("full", 48), ("limit", 24)])
-    def test_transform_calls_do_not_grow_with_rows(self, variant, per_step,
+    # a step takes 8 (full) or 4 (limit) transport right-hand sides, and
+    # each transforms every row six times in four calls
+    @pytest.mark.parametrize("variant, lines_per_step", [("full", 48), ("limit", 24)])
+    def test_transform_calls_do_not_grow_with_rows(self, variant, lines_per_step,
                                                    fft_counter):
-        counts = {}
+        calls, lines = {}, {}
         for rows in (1, 7):
             problems = sweep_problems(eps_list=np.geomspace(0.1, 0.01, rows))
             for steps in (1, 2):
-                fft_counter.calls = 0
+                fft_counter.reset()
                 solve_phase_amplitude_sweep(problems, steps * 2e-3, 2e-3,
                                             variant=variant, store_every=10)
-                counts[rows, steps] = fft_counter.calls
-        assert counts[1, 1] == counts[7, 1] and counts[1, 2] == counts[7, 2]
-        assert counts[1, 2] - counts[1, 1] == per_step
+                calls[rows, steps] = fft_counter.calls
+                lines[rows, steps] = fft_counter.lines
+        assert calls[1, 1] == calls[7, 1] and calls[1, 2] == calls[7, 2]
+        assert calls[1, 2] - calls[1, 1] == lines_per_step * 4 // 6
+        for rows in (1, 7):
+            assert lines[rows, 2] - lines[rows, 1] == rows * lines_per_step
 
     def test_problems_must_share_one_grid(self):
         problems = [flat_problem(size=256), flat_problem(size=512)]
         with pytest.raises(ConfigError):
             solve_phase_amplitude_sweep(problems, 0.1, 2e-3)
+
+
+def _spectral_transport(grid, v):
+    """The dealiased transport right-hand side on the spectral state, one
+    transform call per field and a fresh array for every operation."""
+    n, half = grid.sizes[0], grid.sizes[0] // 2 + 1
+    ik, lap, mask = grid.ik, -grid.wavenumber_sq, grid.dealias_mask
+
+    def rhs(phi_hat, a_hat):
+        gphi = np.fft.irfft(phi_hat * ik[:half], n)
+        lphi = np.fft.irfft(phi_hat * lap[:half], n)
+        a, ga = np.fft.ifft(a_hat), np.fft.ifft(a_hat * ik)
+        dphi = -0.5 * gphi * gphi - v - (a.real ** 2 + a.imag ** 2)
+        da = -(gphi * ga) - 0.5 * a * lphi
+        return np.fft.rfft(dphi) * mask[:half], np.fft.fft(da) * mask
+    return rhs
+
+
+def _stagewise_corrector(limit, a1_values):
+    """The corrector march that Hermite-interpolates the limit and
+    transforms it again at every RK4 stage, one transform per field: the
+    reference whose every stored state solve_corrector must reproduce
+    bit for bit."""
+    grid = limit.grid
+    n, half = grid.sizes[0], grid.sizes[0] // 2 + 1
+    ik, lap, mask = grid.ik, -grid.wavenumber_sq, grid.dealias_mask
+    transport = _spectral_transport(grid, limit.problem.potential_field().values)
+    times = limit.times
+    h = float(times[1] - times[0])
+    nodes = []
+    for st in limit.states:
+        phi_hat, a_hat = np.fft.rfft(st.phi.values), np.fft.fft(st.a.values)
+        nodes.append((phi_hat, a_hat, *transport(phi_hat, a_hat)))
+
+    def limit_at(t):
+        pos = (t - times[0]) / h
+        i = int(np.clip(np.floor(pos + 1e-12), 0, len(times) - 2))
+        u = pos - i
+        if abs(u) < 1e-12:
+            return nodes[i][:2]
+        if abs(u - 1) < 1e-12:
+            return nodes[i + 1][:2]
+        (p0, q0, dp0, dq0), (p1, q1, dp1, dq1) = nodes[i], nodes[i + 1]
+        h00, h10 = 2 * u**3 - 3 * u**2 + 1, u**3 - 2 * u**2 + u
+        h01, h11 = -2 * u**3 + 3 * u**2, u**3 - u**2
+        return (h00 * p0 + h10 * h * dp0 + h01 * p1 + h11 * h * dp1,
+                h00 * q0 + h10 * h * dq0 + h01 * q1 + h11 * h * dq1)
+
+    def rhs(t, phi1_hat, a1_hat):
+        phi_hat, a_hat = limit_at(t)
+        gphi = np.fft.irfft(phi_hat * ik[:half], n)
+        lphi = np.fft.irfft(phi_hat * lap[:half], n)
+        a, ga = np.fft.ifft(a_hat), np.fft.ifft(a_hat * ik)
+        gphi1 = np.fft.irfft(phi1_hat * ik[:half], n)
+        lphi1 = np.fft.irfft(phi1_hat * lap[:half], n)
+        a1v, ga1 = np.fft.ifft(a1_hat), np.fft.ifft(a1_hat * ik)
+        dphi1 = -(gphi * gphi1 + 2.0 * (np.conj(a) * a1v).real)
+        da1 = -(gphi * ga1 + gphi1 * ga + 0.5 * a1v * lphi + 0.5 * a * lphi1)
+        return (np.fft.rfft(dphi1) * mask[:half],
+                (np.fft.fft(da1) + 0.5j * lap * a_hat) * mask)
+
+    p, q = np.fft.rfft(np.zeros(n)), np.fft.fft(a1_values)
+    states = [(np.zeros(n), a1_values)]
+    for i in range(len(times) - 1):
+        t = float(times[i])
+        k1p, k1q = rhs(t, p, q)
+        k2p, k2q = rhs(t + 0.5 * h, p + 0.5 * h * k1p, q + 0.5 * h * k1q)
+        k3p, k3q = rhs(t + 0.5 * h, p + 0.5 * h * k2p, q + 0.5 * h * k2q)
+        k4p, k4q = rhs(t + h, p + h * k3p, q + h * k3q)
+        p = p + (h / 6) * (k1p + 2 * k2p + 2 * k3p + k4p)
+        q = q + (h / 6) * (k1q + 2 * k2q + 2 * k3q + k4q)
+        states.append((np.fft.irfft(p, n), np.fft.ifft(q)))
+    return states
+
+
+def _stagewise_march(problem, t_final, dt):
+    """The skew-free RK4 march of the spectral state with a fresh array for
+    every stage and sum."""
+    rhs = _spectral_transport(problem.grid, problem.potential_field().values)
+    p = np.fft.rfft(problem.initial_phase_field().values)
+    q = np.fft.fft(problem.initial_amplitude().values)
+    n_steps = int(round(t_final / dt))
+    h = t_final / n_steps
+    for _ in range(n_steps):
+        k1p, k1q = rhs(p, q)
+        k2p, k2q = rhs(p + 0.5 * h * k1p, q + 0.5 * h * k1q)
+        k3p, k3q = rhs(p + 0.5 * h * k2p, q + 0.5 * h * k2q)
+        k4p, k4q = rhs(p + h * k3p, q + h * k3q)
+        p = p + (h / 6) * (k1p + 2 * k2p + 2 * k3p + k4p)
+        q = q + (h / 6) * (k1q + 2 * k2q + 2 * k3q + k4q)
+    return np.fft.irfft(p, problem.grid.sizes[0]), np.fft.ifft(q)
+
+
+class TestLeanMarch:
+    """The paired transforms, in-place stages and once-per-stage-time
+    corrector coefficients do the arithmetic of the plain march exactly."""
+
+    def test_sweep_rows_equal_the_stagewise_march(self):
+        problems = sweep_problems()
+        swept = solve_phase_amplitude_sweep(problems, 0.02, 2e-3,
+                                            variant="skew_free")
+        for traj, problem in zip(swept, problems):
+            phi, a = _stagewise_march(problem, 0.02, 2e-3)
+            assert np.array_equal(traj.final().phi.values, phi)
+            assert np.array_equal(traj.final().a.values, a)
+
+    @pytest.mark.parametrize("with_a1", [False, True])
+    def test_corrector_equals_the_stagewise_march(self, with_a1):
+        # the chirped a0 makes the corrector move without a1; the cosine
+        # potential enters through the limit's Hermite node rates
+        problem = sweep_problems(size=256)[0]
+        limit = solve_phase_amplitude(problem, 0.04, 2e-3, variant="limit")
+        a1 = problem.a1 if with_a1 else None
+        corr = solve_corrector(limit, a1=a1)
+        start = (problem.a1.values if with_a1
+                 else np.zeros(problem.grid.shape, dtype=complex))
+        ref = _stagewise_corrector(limit, start)
+        assert len(corr.states) == len(ref) == 21
+        for st, (phi1, a1v) in zip(corr.states, ref):
+            assert np.array_equal(st.phi1.values, phi1)
+            assert np.array_equal(st.a1.values, a1v)
+        assert np.abs(ref[-1][0]).max() > 0
+
+    def test_corrector_transform_calls_per_step_are_fixed(self, fft_counter):
+        # per step: the limit at the midpoint and at the end (2 paired calls
+        # each), one new Hermite node (2 transforms and one transport
+        # right-hand side, 4 calls), and four corrector right-hand sides
+        # of 4 calls; the end coefficients serve the next step's start
+        problem = sweep_problems(size=256)[0]
+        calls, lines = {}, {}
+        for steps in (4, 8, 16):
+            limit = solve_phase_amplitude(problem, steps * 2e-3, 2e-3,
+                                          variant="limit")
+            fft_counter.reset()
+            solve_corrector(limit, a1=problem.a1, store_every=100)
+            calls[steps], lines[steps] = fft_counter.calls, fft_counter.lines
+        for fewer, more in ((4, 8), (8, 16)):
+            assert calls[more] - calls[fewer] == (more - fewer) * 26
+            assert lines[more] - lines[fewer] == (more - fewer) * 40
+
+    @staticmethod
+    def _peak_bytes(solve):
+        # the first call fills the grid's cached multipliers; trace a second
+        solve()
+        tracemalloc.start()
+        try:
+            solve()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # only the initial and final states are stored, so a buffer or memo
+    # that grows every step shows as 45 steps' worth of it: a 7-row state
+    # is 28 KiB at N = 256, one corrector coefficient set 24 KiB.  The
+    # allowance covers a line tracer's own allocations (35 KiB seen).
+    ALLOWANCE = 64 * 1024
+
+    def test_sweep_memory_does_not_grow_with_steps(self):
+        problems = sweep_problems(eps_list=np.geomspace(0.1, 0.01, 7))
+        peaks = {steps: self._peak_bytes(
+            lambda: solve_phase_amplitude_sweep(problems, steps * 2e-3, 2e-3,
+                                                variant="full",
+                                                store_every=100))
+                 for steps in (5, 50)}
+        assert abs(peaks[50] - peaks[5]) <= self.ALLOWANCE
+
+    def test_corrector_memory_does_not_grow_with_steps(self):
+        problem = sweep_problems(size=256)[0]
+        peaks = {}
+        for steps in (5, 50):
+            limit = solve_phase_amplitude(problem, steps * 2e-3, 2e-3,
+                                          variant="limit")
+            peaks[steps] = self._peak_bytes(
+                lambda: solve_corrector(limit, a1=problem.a1, store_every=100))
+        assert abs(peaks[50] - peaks[5]) <= self.ALLOWANCE
