@@ -7,30 +7,34 @@ sections (ExperimentConfig); `config_from_dict` rejects unknown keys and
 mistyped values at every level, then validates.  `Plan.build` works out,
 per eps, the dt, output times and step count of the driver's time
 stepper, the ray dt and the instability scales, and makes the checks a
-run makes before its first solve.  Every driver takes its steps from that
-plan and --dry-run prints it, so the two cannot disagree.
+run makes before its first solve.  `run_experiment` builds that plan and
+hands it to the one driver of `config.driver`, which takes its steps from
+it; --dry-run prints it, so the two cannot disagree.
 
 Every driver returns an ExperimentResult holding a JSON-ready report,
 plot-ready CSV rows, and optional field dumps, and never touches the
 filesystem itself; artifact writing lives in the reporting module so a
 failed run leaves no partial output behind.  Sweeps run their eps values
-in config order.
+in config order; a failed solve is raised, except that the supercritical
+and profile sweeps record an under-resolved eps and go on.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from dataclasses import (MISSING, asdict, dataclass, field, fields, is_dataclass,
+                         replace)
+from itertools import chain
 from typing import Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from . import nls, phase_amplitude, rays, taylor, wkb
 from .errors import ConfigError, ResolutionError
-from .fields import ComplexField, l2_linf_norm, lp_norm, sobolev_norm
+from .fields import ComplexField, RealField, l2_linf_norm, lp_norm, sobolev_norm
 from .fitting import fit_power_law
 from .grids import PeriodicGrid
 from .potentials import InitialPhaseSpec, PotentialSpec
-from .problem import SemiclassicalProblem, gaussian_field
+from .problem import SemiclassicalProblem, gaussian_field, march_steps
 
 KINDS = ("converge", "instability", "normgrowth", "odewindow", "single")
 # converge target -> the kappa it needs
@@ -268,19 +272,20 @@ class ExperimentConfig:
                 "perturbation dominates the eps scale")
         # on a doubled grid the nodes of this one are kept, so a perturbation
         # polarized here stays polarized after every doubling
-        grid = self.grid.build()
-        a0 = self.data.a0.build(grid, role="initial-amplitude")
-        polar = (np.conj(a0.values) * b0.build(grid, role="perturbation").values).real
+        problem = self.problem(self.eps[0])
+        polar = (np.conj(problem.a0.values)
+                 * b0.build(problem.grid, role="perturbation").values).real
         if np.abs(polar).max() < 1e-12:
             raise ConfigError(
                 "perturbation is not polarized along a0 "
                 "(Re(conj(a0) b0) vanishes); no phase response expected")
 
-    def problem(self, eps: float, with_a1: bool = True) -> SemiclassicalProblem:
-        grid = self.grid.build()
+    def problem(self, eps: float, size: int | None = None) -> SemiclassicalProblem:
+        """The problem at `eps`, on the configured grid or on `size` nodes."""
+        grid = self.grid.build(size)
         a0 = self.data.a0.build(grid, role="initial-amplitude")
         a1 = None
-        if with_a1 and self.data.a1 is not None:
+        if self.data.a1 is not None:
             a1 = self.data.a1.build(grid, role="amplitude-correction-1")
         return SemiclassicalProblem(eps=eps, kappa=self.kappa, a0=a0, a1=a1,
                                     potential=self.potential.build(self.grid.length),
@@ -383,6 +388,10 @@ _DEFAULT_SCHEDULE = {"skew_free": (0.05, 0.1, 0.2, 0.3),
 # drivers that compare an NLS solve with a WKB approximant integrate their
 # rays to time.final in 64 steps, whatever the eps
 _WKB_DRIVERS = ("wkb", "critical", "subcritical")
+# the drivers that read data.a1 (grenier not under variant "limit", which
+# marches a0 alone); data.b0 is read by the instability driver only
+_A1_DRIVERS = ("supercritical_leading", "supercritical_corrector", "wkb", "nls",
+               "grenier")
 _INSTABILITY_OUTPUTS = 8
 
 
@@ -418,17 +427,24 @@ class Plan:
         the driver cannot run."""
         config.validate()
         driver, time = config.driver, config.time
-        # a time key the driver never reads must keep its default, so that
-        # setting it cannot look like it changed the run
-        reads = {"final": driver not in ("skew_free", "instability", "odewindow"),
-                 "factor": time.rule != "fixed" and driver not in _MARCH_DT,
-                 "schedule": driver in _DEFAULT_SCHEDULE}
-        for key, read in reads.items():
-            if not read and getattr(time, key) != getattr(TimeConfig, key):
-                why = ('under time.rule "fixed"'
-                       if key == "factor" and time.rule == "fixed"
-                       else f"by the {driver} driver")
-                raise ConfigError(f"time.{key} is not read {why}; leave it out")
+        # a time or data key the driver never reads must keep its default,
+        # so that setting it cannot look like it changed the run
+        grenier_limit = (driver, config.variant) == ("grenier", "limit")
+        reads = {("time", "final"): driver not in ("skew_free", "instability",
+                                                   "odewindow"),
+                 ("time", "factor"): time.rule != "fixed" and driver not in _MARCH_DT,
+                 ("time", "schedule"): driver in _DEFAULT_SCHEDULE,
+                 ("data", "a1"): driver in _A1_DRIVERS and not grenier_limit,
+                 ("data", "b0"): driver == "instability"}
+        for (section, key), read in reads.items():
+            values = getattr(config, section)
+            if not read and getattr(values, key) != getattr(type(values), key):
+                why = f"by the {driver} driver"
+                if key == "factor" and time.rule == "fixed":
+                    why = 'under time.rule "fixed"'
+                elif key == "a1" and grenier_limit:
+                    why += ' under variant "limit"'
+                raise ConfigError(f"{section}.{key} is not read {why}; leave it out")
         schedule = None
         if driver in _DEFAULT_SCHEDULE:
             schedule = (_DEFAULT_SCHEDULE[driver] if time.schedule is None
@@ -455,7 +471,7 @@ class Plan:
                                   f"and strictly increasing, got {list(times)}")
             if driver in _MARCH_DT:
                 dt = time.dt if time.rule == "fixed" else _MARCH_DT[driver]
-                steps = math.ceil(times[-1] / dt)
+                steps = march_steps(times[-1], dt)
             else:
                 dt = time.dt if time.rule == "fixed" else eps / time.factor
                 steps = sum(nls.segment_steps(times, dt))
@@ -473,7 +489,7 @@ class Plan:
 
 
 # ---------------------------------------------------------------------------
-# result container and small helpers
+# result container and the helpers every driver shares
 
 
 @dataclass(frozen=True, eq=False)
@@ -491,12 +507,12 @@ def _verdict(name: str, passed: bool, detail: str) -> dict:
     return {"name": name, "passed": bool(passed), "detail": detail}
 
 
-def _finish(kind: str, config: ExperimentConfig, body: dict,
-            verdicts: list[dict], rows: list, dumps: list) -> ExperimentResult:
-    report = {"kind": kind, "config": asdict(config), "verdicts": verdicts,
+def _finish(config: ExperimentConfig, body: dict, verdicts: list[dict],
+            rows: list, dumps: list = ()) -> ExperimentResult:
+    report = {"kind": config.kind, "config": asdict(config), "verdicts": verdicts,
               "passed": all(v["passed"] for v in verdicts)}
     report.update(body)
-    return ExperimentResult(report=report, csv_rows=rows, field_dumps=dumps)
+    return ExperimentResult(report=report, csv_rows=rows, field_dumps=list(dumps))
 
 
 def flow_exponents(n: int, s: float, k: float) -> dict:
@@ -518,85 +534,96 @@ def flow_exponents(n: int, s: float, k: float) -> dict:
             "k_lower": float(k_lower)}
 
 
-# ---------------------------------------------------------------------------
-# convergence driver
+def _raise_failed(*sweeps) -> None:
+    """Raise the first error among the outcomes of sweeps over the same eps:
+    eps by eps in config order, and at one eps in the order the sweeps are
+    given.  That is the error the solves, run one after the other, raise."""
+    for outcome in chain.from_iterable(zip(*sweeps)):
+        if isinstance(outcome, Exception):
+            raise outcome
 
 
-def _fit_block(eps_used, errors, expected: float, window: tuple[float, float],
-               min_points: int = 4) -> dict:
-    block = {"eps": list(eps_used), "errors": list(errors),
-             "expected_slope": expected,
+def _flag_unresolved(eps_list, outcomes, measure):
+    """The rows of a sweep that records an under-resolved eps instead of
+    raising.  An eps whose solve ended in a ResolutionError gets the row
+    {"eps", "resolved": False, "detail"}, every other one the row
+    measure(eps, outcome); any other error is raised first.  Returns the
+    rows, the flagged eps, and the verdicts on them: none, or one failed
+    "resolution" verdict that names them."""
+    _raise_failed([out for out in outcomes if not isinstance(out, ResolutionError)])
+    rows = [{"eps": eps, "resolved": False, "detail": str(out)}
+            if isinstance(out, ResolutionError) else measure(eps, out)
+            for eps, out in zip(eps_list, outcomes)]
+    flagged = [r["eps"] for r in rows if not r["resolved"]]
+    verdicts = [_verdict("resolution", False,
+                         f"under-resolved eps excluded: {flagged}")] if flagged else []
+    return rows, flagged, verdicts
+
+
+def _slope_verdict(fits: dict, verdicts: list, key: str, x, y, expected: float,
+                   window: tuple[float, float], name: str | None = None,
+                   detail: str = "slope {} in {window}",
+                   min_points: int = 4) -> None:
+    """Fit y ~ x^slope into fits[key] and append the verdict `name` (by
+    default `key`) that the slope lies in `window`.  Its detail is `detail`
+    formatted with the slope (None below `min_points` points) and the
+    window."""
+    block = {"eps": list(x), "errors": list(y), "expected_slope": expected,
              "window": [window[0], window[1]]}
-    if len(eps_used) < min_points:
+    if len(x) < min_points:
         block.update({"slope": None, "intercept": None, "r2": None,
                       "passed": False,
                       "note": f"fewer than {min_points} resolved points"})
-        return block
-    fit = fit_power_law(eps_used, errors, min_points=min_points)
-    block.update({"slope": fit.slope, "intercept": fit.intercept,
-                  "r2": fit.r2,
-                  "passed": bool(window[0] <= fit.slope <= window[1])})
-    return block
+    else:
+        fit = fit_power_law(x, y, min_points=min_points)
+        block.update({"slope": fit.slope, "intercept": fit.intercept,
+                      "r2": fit.r2,
+                      "passed": bool(window[0] <= fit.slope <= window[1])})
+    fits[key] = block
+    verdicts.append(_verdict(name or key, block["passed"],
+                             detail.format(block["slope"], window=window)))
 
 
-def run_convergence(config: ExperimentConfig) -> ExperimentResult:
-    plan = Plan.build(config)
-    target = config.target
-    if target in ("supercritical_leading", "supercritical_corrector"):
-        return _run_supercritical_convergence(config, plan)
-    if target == "skew_free":
-        return _run_skew_free_convergence(config, plan)
-    return _run_profile_convergence(config, plan)
+# ---------------------------------------------------------------------------
+# convergence drivers
 
 
-def _run_supercritical_convergence(config: ExperimentConfig,
-                                   plan: Plan) -> ExperimentResult:
+def _run_supercritical(config: ExperimentConfig, plan: Plan) -> ExperimentResult:
+    """The full phase-amplitude sweep against the eps -> 0 limit
+    (supercritical_leading), or against the limit plus eps times its
+    first-order corrector (supercritical_corrector)."""
     # the march takes one dt for every eps
     first = plan.rows[0]
     t, dt = first.times[-1], first.dt
     orders = config.norms.sobolev_orders
-    corrector_mode = config.target == "supercritical_corrector"
+    corrector_mode = config.driver == "supercritical_corrector"
 
     # the corrector marches on the stored times of the limit; only the
     # final states of the corrector and of the sweep are read
-    steps = max(1, int(round(t / dt)))
-    limit_problem = config.problem(config.eps[0], with_a1=False)
+    limit_problem = config.problem(config.eps[0])
     limit = phase_amplitude.solve_phase_amplitude(
         limit_problem, t, dt, variant="limit", store_every=1)
     corr = None
     if corrector_mode:
-        a1 = config.data.a1.build(config.grid.build(),
-                                  role="amplitude-correction-1")
-        corr = phase_amplitude.solve_corrector(limit, a1,
-                                               store_every=steps).final()
+        corr = phase_amplitude.solve_corrector(limit, limit_problem.a1,
+                                               store_every=first.steps).final()
     lim = limit.final()
 
     outcomes = phase_amplitude.solve_phase_amplitude_sweep(
         [config.problem(eps) for eps in config.eps], t, dt, variant="full",
-        store_every=steps)
+        store_every=first.steps)
 
-    def one(eps, traj):
-        if isinstance(traj, ResolutionError):
-            return {"eps": eps, "resolved": False, "detail": str(traj)}
-        if isinstance(traj, Exception):
-            raise traj
+    def measure(eps, traj):
         st = traj.final()
-        row = {"eps": eps, "resolved": True, "mass_drift": traj.mass_drift(),
-               "errors": {}}
-        for s in orders:
-            if corrector_mode:
-                da = st.a - lim.a - (eps * corr.a1)
-                dphi_vals = (st.phi.values - lim.phi.values
-                             - eps * corr.phi1.values)
-            else:
-                da = st.a - lim.a
-                dphi_vals = st.phi.values - lim.phi.values
-            dphi = type(st.phi)(st.grid, dphi_vals, role="phase-gap")
-            row["errors"][s] = {"a": sobolev_norm(da, s),
-                                "phi": sobolev_norm(dphi, s)}
-        return row
+        da, dphi = st.a - lim.a, st.phi.values - lim.phi.values
+        if corrector_mode:
+            da, dphi = da - eps * corr.a1, dphi - eps * corr.phi1.values
+        dphi = RealField(st.grid, dphi, role="phase-gap")
+        return {"eps": eps, "resolved": True, "mass_drift": traj.mass_drift(),
+                "errors": {s: {"a": sobolev_norm(da, s),
+                               "phi": sobolev_norm(dphi, s)} for s in orders}}
 
-    rows = [one(eps, traj) for eps, traj in zip(config.eps, outcomes)]
+    rows, flagged, resolution = _flag_unresolved(config.eps, outcomes, measure)
     resolved = [r for r in rows if r["resolved"]]
     eps_used = [r["eps"] for r in resolved]
 
@@ -604,13 +631,10 @@ def _run_supercritical_convergence(config: ExperimentConfig,
     fits = {}
     csv_rows = []
     if corrector_mode:
-        expected, window = 2.0, (1.7, 2.3)
         sums = [sum(r["errors"][s]["a"] + r["errors"][s]["phi"]
                     for s in orders) for r in resolved]
-        fits["corrector_combined"] = _fit_block(eps_used, sums, expected, window)
-        verdicts.append(_verdict(
-            "corrector_combined_slope", fits["corrector_combined"]["passed"],
-            f"slope {fits['corrector_combined'].get('slope')} in {window}"))
+        _slope_verdict(fits, verdicts, "corrector_combined", eps_used, sums,
+                       2.0, (1.7, 2.3), name="corrector_combined_slope")
         for r in resolved:
             for s in orders:
                 csv_rows.append((r["eps"], s, "corrector_a_H",
@@ -618,35 +642,26 @@ def _run_supercritical_convergence(config: ExperimentConfig,
                 csv_rows.append((r["eps"], s, "corrector_phi_H",
                                  r["errors"][s]["phi"]))
     else:
-        expected, window = 1.0, (0.8, 1.2)
         for s in orders:
-            a_errs = [r["errors"][s]["a"] for r in resolved]
-            phi_errs = [r["errors"][s]["phi"] / t for r in resolved]
-            fits[f"a_H{s}"] = _fit_block(eps_used, a_errs, expected, window)
-            fits[f"phi_H{s}_over_t"] = _fit_block(eps_used, phi_errs,
-                                                  expected, window)
-            verdicts.append(_verdict(
-                f"amplitude_H{s}_slope", fits[f"a_H{s}"]["passed"],
-                f"slope {fits[f'a_H{s}'].get('slope')} in {window}"))
-            verdicts.append(_verdict(
-                f"phase_H{s}_slope", fits[f"phi_H{s}_over_t"]["passed"],
-                f"slope {fits[f'phi_H{s}_over_t'].get('slope')} in {window}"))
+            _slope_verdict(fits, verdicts, f"a_H{s}", eps_used,
+                           [r["errors"][s]["a"] for r in resolved],
+                           1.0, (0.8, 1.2), name=f"amplitude_H{s}_slope")
+            _slope_verdict(fits, verdicts, f"phi_H{s}_over_t", eps_used,
+                           [r["errors"][s]["phi"] / t for r in resolved],
+                           1.0, (0.8, 1.2), name=f"phase_H{s}_slope")
         for r in resolved:
             for s in orders:
                 csv_rows.append((r["eps"], s, "a_H", r["errors"][s]["a"]))
                 csv_rows.append((r["eps"], s, "phi_H_over_t",
                                  r["errors"][s]["phi"] / t))
-    flagged = [r["eps"] for r in rows if not r["resolved"]]
-    if flagged:
-        verdicts.append(_verdict("resolution", False,
-                                 f"under-resolved eps excluded: {flagged}"))
     body = {"t": t, "dt": dt, "per_eps": rows, "fits": fits,
             "under_resolved": flagged}
-    return _finish("converge", config, body, verdicts, csv_rows, [])
+    return _finish(config, body, verdicts + resolution, csv_rows)
 
 
-def _run_skew_free_convergence(config: ExperimentConfig,
-                               plan: Plan) -> ExperimentResult:
+def _run_skew_free(config: ExperimentConfig, plan: Plan) -> ExperimentResult:
+    """The phase gap between the full and the skew-free phase-amplitude
+    sweeps, against eps and against t."""
     # one dt and one schedule for every eps; the plan checked that dt
     # divides each schedule time, so storing every `stride` steps keeps a
     # state at each of them
@@ -655,45 +670,37 @@ def _run_skew_free_convergence(config: ExperimentConfig,
     stride = math.gcd(*(round(tt / dt) for tt in times))
     orders = config.norms.sobolev_orders
 
-    problems = [config.problem(eps, with_a1=False) for eps in config.eps]
+    problems = [config.problem(eps) for eps in config.eps]
     fulls = phase_amplitude.solve_phase_amplitude_sweep(
         problems, times[-1], dt, variant="full", store_every=stride)
     frees = phase_amplitude.solve_phase_amplitude_sweep(
         problems, times[-1], dt, variant="skew_free", store_every=stride)
+    _raise_failed(fulls, frees)
 
-    def one(eps, full, free):
-        for traj in (full, free):
-            if isinstance(traj, Exception):
-                raise traj
-        row = {"eps": eps, "errors": {}}
+    rows = []
+    for eps, full, free in zip(config.eps, fulls, frees):
+        errors = {}
         for tt in times:
             sf = full.state_at(tt)
             sk = free.state_at(tt)
-            gap = type(sf.phi)(sf.grid, sf.phi.values - sk.phi.values,
-                               role="phase-gap")
-            row["errors"][tt] = {s: sobolev_norm(gap, s) for s in orders}
-        return row
-
-    rows = [one(*row) for row in zip(config.eps, fulls, frees)]
+            gap = RealField(sf.grid, sf.phi.values - sk.phi.values,
+                            role="phase-gap")
+            errors[tt] = {s: sobolev_norm(gap, s) for s in orders}
+        rows.append({"eps": eps, "errors": errors})
     eps_used = [r["eps"] for r in rows]
     t_ref = times[-1]
 
     fits = {}
     verdicts = []
-    csv_rows = []
     for s in orders:
-        errs = [r["errors"][t_ref][s] for r in rows]
-        fits[f"eps_slope_H{s}"] = _fit_block(eps_used, errs, 1.0, (0.8, 1.2))
-        verdicts.append(_verdict(
-            f"eps_slope_H{s}", fits[f"eps_slope_H{s}"]["passed"],
-            f"slope {fits[f'eps_slope_H{s}'].get('slope')} in (0.8, 1.2)"))
+        _slope_verdict(fits, verdicts, f"eps_slope_H{s}", eps_used,
+                       [r["errors"][t_ref][s] for r in rows], 1.0, (0.8, 1.2))
     for r in rows:
-        t_errs = [r["errors"][tt][orders[0]] for tt in times]
-        key = f"t_slope_H{orders[0]}_eps{r['eps']:g}"
-        fits[key] = _fit_block(times, t_errs, 2.0, (1.7, 2.3),
-                               min_points=min(4, len(times)))
-        verdicts.append(_verdict(key, fits[key]["passed"],
-                                 f"t-slope {fits[key].get('slope')} in (1.7, 2.3)"))
+        _slope_verdict(fits, verdicts, f"t_slope_H{orders[0]}_eps{r['eps']:g}",
+                       times, [r["errors"][tt][orders[0]] for tt in times],
+                       2.0, (1.7, 2.3), detail="t-slope {} in {window}",
+                       min_points=min(4, len(times)))
+    csv_rows = []
     for r in rows:
         for tt in times:
             for s in orders:
@@ -701,16 +708,15 @@ def _run_skew_free_convergence(config: ExperimentConfig,
                                  r["errors"][tt][s]))
     body = {"times": times, "dt": dt, "per_eps": rows, "fits": fits,
             "under_resolved": []}
-    return _finish("converge", config, body, verdicts, csv_rows, [])
+    return _finish(config, body, verdicts, csv_rows)
 
 
-def _run_profile_convergence(config: ExperimentConfig,
-                             plan: Plan) -> ExperimentResult:
+def _run_profile(config: ExperimentConfig, plan: Plan) -> ExperimentResult:
     """Critical (kappa=1) and sub-critical (kappa=2) profile comparisons in
     the combined L2/Linf metric."""
     t = plan.rows[0].times[-1]
-    critical = config.target == "critical"
-    problems = [config.problem(eps, with_a1=False) for eps in config.eps]
+    critical = config.driver == "critical"
+    problems = [config.problem(eps) for eps in config.eps]
     # a, phi and G do not depend on eps: one bundle and one profile serve
     # every eps of the sweep.  They come first, so a profile that cannot be
     # built fails before the NLS sweep runs; the bundle is not kept.
@@ -719,11 +725,7 @@ def _run_profile_convergence(config: ExperimentConfig,
                                          dt=plan.rows[0].ray_dt), t)
     solutions = nls.solve_nls_sweep(problems, t, plan.dts)
 
-    def one(eps, sol):
-        if isinstance(sol, ResolutionError):
-            return {"eps": eps, "resolved": False, "detail": str(sol)}
-        if isinstance(sol, Exception):
-            raise sol
+    def measure(eps, sol):
         approx = profile.assemble(eps, include_modulation=critical)
         row = {"eps": eps, "resolved": True,
                "error": l2_linf_norm(sol.final() - approx),
@@ -734,11 +736,10 @@ def _run_profile_convergence(config: ExperimentConfig,
             row["modulation_size"] = l2_linf_norm(shift)
         return row
 
-    rows = [one(*row) for row in zip(config.eps, solutions)]
+    rows, flagged, resolution = _flag_unresolved(config.eps, solutions, measure)
     resolved = [r for r in rows if r["resolved"]]
     errors = [r["error"] for r in resolved]
-    a0_field = config.data.a0.build(config.grid.build(), role="initial-amplitude")
-    ref_norm = l2_linf_norm(a0_field)
+    ref_norm = l2_linf_norm(problems[0].a0)
 
     verdicts = []
     monotone = all(b < a for a, b in zip(errors, errors[1:]))
@@ -754,29 +755,22 @@ def _run_profile_convergence(config: ExperimentConfig,
         verdicts.append(_verdict(
             "modulation_below_error", budget_ok,
             "slow-phase correction stays below the measured error"))
-    flagged = [r["eps"] for r in rows if not r["resolved"]]
-    if flagged:
-        verdicts.append(_verdict("resolution", False,
-                                 f"under-resolved eps excluded: {flagged}"))
     csv_rows = [(r["eps"], "", "profile_L2Linf", r["error"]) for r in resolved]
     if not critical:
         csv_rows += [(r["eps"], "", "modulation_L2Linf", r["modulation_size"])
                      for r in resolved]
     body = {"t": t, "per_eps": rows, "reference_norm": ref_norm,
             "fits": {}, "under_resolved": flagged}
-    return _finish("converge", config, body, verdicts, csv_rows, [])
+    return _finish(config, body, verdicts + resolution, csv_rows)
 
 
 # ---------------------------------------------------------------------------
-# instability driver
+# instability, norm growth and ODE window drivers
 
 
-def run_instability(config: ExperimentConfig) -> ExperimentResult:
-    plan = Plan.build(config)
-    if config.kind != "instability":
-        raise ConfigError("config kind must be instability")
+def _run_instability(config: ExperimentConfig, plan: Plan) -> ExperimentResult:
     c = config.instability.time_factor
-    data = config.data
+    orders = config.norms.sobolev_orders
 
     def one(row):
         eps, delta, t_eps, dt = row.eps, row.delta, row.t_eps, row.dt
@@ -786,35 +780,30 @@ def run_instability(config: ExperimentConfig) -> ExperimentResult:
         size = row.grid_size
         attempt = 0
         while True:
-            grid = config.grid.build(size)
-            a0 = data.a0.build(grid, role="initial-amplitude")
-            b0 = data.b0.build(grid, role="perturbation")
-            tilde_vals = a0.values + delta * b0.values
-            a_tilde = ComplexField(grid, tilde_vals, role="perturbed-amplitude")
-            base = SemiclassicalProblem(eps=eps, kappa=0.0, a0=a0)
-            pert = SemiclassicalProblem(eps=eps, kappa=0.0, a0=a_tilde)
-            pair = nls.solve_nls_sweep([base, pert], t_eps, [dt, dt],
-                                       output_times=outputs)
-            # the first failure in (base, pert) order is the one the two
-            # solves run one after the other would raise
-            exc = next((o for o in pair if isinstance(o, Exception)), None)
-            if exc is None:
+            base = config.problem(eps, size)
+            b0 = config.data.b0.build(base.grid, role="perturbation")
+            a_tilde = ComplexField(base.grid, base.a0.values + delta * b0.values,
+                                   role="perturbed-amplitude")
+            pair = nls.solve_nls_sweep([base, replace(base, a0=a_tilde)], t_eps,
+                                       [dt, dt], output_times=outputs)
+            try:
+                _raise_failed(pair)
+            except ResolutionError as exc:
+                attempt += 1
+                if attempt > config.growth.max_resolution_doublings:
+                    raise ResolutionError(
+                        f"instability run still under-resolved at N={size}: "
+                        f"{exc}", time=exc.time, eps=eps) from exc
+                size *= 2
+            else:
                 break
-            if not isinstance(exc, ResolutionError):
-                raise exc
-            attempt += 1
-            if attempt > config.growth.max_resolution_doublings:
-                raise ResolutionError(
-                    f"instability run still under-resolved at N={size}: "
-                    f"{exc}", time=exc.time, eps=eps) from exc
-            size *= 2
         sol_u, sol_v = pair
 
         separations = []
         for tt in outputs:
             diff = sol_u.state_at(tt) - sol_v.state_at(tt)
             separations.append(lp_norm(diff, 2))
-        data_gap = ComplexField(grid, delta * b0.values, role="data-gap")
+        data_gap = ComplexField(base.grid, delta * b0.values, role="data-gap")
         distances = {s: sobolev_norm(data_gap, s) for s in orders}
         sup_sep = max(separations)
         ratios = {s: sup_sep / distances[s] for s in distances}
@@ -822,7 +811,7 @@ def run_instability(config: ExperimentConfig) -> ExperimentResult:
         # analytic prediction, compared where the phase argument is O(1)
         cal_idx = max(0, int(round(len(outputs) / (2 * c))) - 1)
         t_cal = outputs[cal_idx]
-        pred = wkb.separation_profile(a0, a_tilde, delta, eps, t_cal)
+        pred = wkb.separation_profile(base.a0, a_tilde, delta, eps, t_cal)
         pred_norm = lp_norm(pred, 2)
         meas = separations[cal_idx]
         agreement = abs(meas - pred_norm) / meas if meas > 0 else np.inf
@@ -836,7 +825,6 @@ def run_instability(config: ExperimentConfig) -> ExperimentResult:
                 "prediction_norm": pred_norm, "prediction_agreement": agreement,
                 "mass_drift": max(sol_u.mass_drift(), sol_v.mass_drift())}
 
-    orders = config.norms.sobolev_orders
     rows = [one(row) for row in plan.rows]
     eps_list = [r["eps"] for r in rows]
     finals = [r["separation_final"] for r in rows]
@@ -851,10 +839,11 @@ def run_instability(config: ExperimentConfig) -> ExperimentResult:
     s_ref = 1 if 1 in orders else orders[0]
     dists = [r["initial_distances"][s_ref] for r in rows]
     alpha = config.instability.alpha
-    fit = _fit_block(eps_list, dists, alpha, (alpha - 0.05, alpha + 0.05))
-    verdicts.append(_verdict(
-        f"data_distance_H{s_ref}_slope", fit["passed"],
-        f"H^{s_ref} distance slope {fit.get('slope')} vs {alpha} +- 0.05"))
+    fits = {}
+    _slope_verdict(fits, verdicts, f"distance_H{s_ref}", eps_list, dists, alpha,
+                   (alpha - 0.05, alpha + 0.05),
+                   name=f"data_distance_H{s_ref}_slope",
+                   detail=f"H^{s_ref} distance slope {{}} vs {alpha} +- 0.05")
 
     ratio_rows = [r["ratios"][s_ref] for r in rows]
     ratio_monotone = all(b > a for a, b in zip(ratio_rows, ratio_rows[1:]))
@@ -884,37 +873,27 @@ def run_instability(config: ExperimentConfig) -> ExperimentResult:
             csv_rows.append((r["eps"], s, "blowup_ratio", r["ratios"][s]))
         csv_rows.append((r["eps"], "", "prediction_agreement",
                          r["prediction_agreement"]))
-    body = {"per_eps": rows, "fits": {f"distance_H{s_ref}": fit},
+    body = {"per_eps": rows, "fits": fits,
             "window_flagged": [r["eps"] for r in rows if r["window_flagged"]]}
-    return _finish("instability", config, body, verdicts, csv_rows, [])
+    return _finish(config, body, verdicts, csv_rows)
 
 
-# ---------------------------------------------------------------------------
-# norm growth driver
-
-
-def run_norm_growth(config: ExperimentConfig) -> ExperimentResult:
-    plan = Plan.build(config)
-    if config.kind != "normgrowth":
-        raise ConfigError("config kind must be normgrowth")
+def _run_normgrowth(config: ExperimentConfig, plan: Plan) -> ExperimentResult:
     t = plan.rows[0].times[-1]
     m_orders = config.norms.m_orders
-    a0 = config.data.a0.build(config.grid.build(), role="initial-amplitude")
-    initial_norms = {m: sobolev_norm(a0, m, homogeneous=True) for m in m_orders}
+    problems = [config.problem(eps) for eps in config.eps]
+    initial_norms = {m: sobolev_norm(problems[0].a0, m, homogeneous=True)
+                     for m in m_orders}
 
-    solutions = nls.solve_nls_sweep(
-        [config.problem(eps, with_a1=False) for eps in config.eps], t, plan.dts)
-
-    def one(eps, sol):
-        if isinstance(sol, Exception):
-            raise sol
+    solutions = nls.solve_nls_sweep(problems, t, plan.dts)
+    _raise_failed(solutions)
+    rows = []
+    for eps, sol in zip(config.eps, solutions):
         state = sol.final()
         norms = {m: sobolev_norm(state, m, homogeneous=True) for m in m_orders}
-        return {"eps": eps, "norms": norms,
-                "compensated": {m: eps**m * norms[m] for m in norms},
-                "mass": lp_norm(state, 2), "mass_drift": sol.mass_drift()}
-
-    rows = [one(*row) for row in zip(config.eps, solutions)]
+        rows.append({"eps": eps, "norms": norms,
+                     "compensated": {m: eps**m * norms[m] for m in norms},
+                     "mass": lp_norm(state, 2), "mass_drift": sol.mass_drift()})
     verdicts = []
     spreads = {}
     for m in m_orders:
@@ -941,34 +920,26 @@ def run_norm_growth(config: ExperimentConfig) -> ExperimentResult:
         csv_rows.append((r["eps"], "", "mass", r["mass"]))
     body = {"t": t, "per_eps": rows, "initial_norms": initial_norms,
             "spreads": spreads, "exponents": exponents}
-    return _finish("normgrowth", config, body, verdicts, csv_rows, [])
+    return _finish(config, body, verdicts, csv_rows)
 
 
-# ---------------------------------------------------------------------------
-# ODE window driver
-
-
-def run_ode_window(config: ExperimentConfig) -> ExperimentResult:
-    plan = Plan.build(config)
-    if config.kind != "odewindow":
-        raise ConfigError("config kind must be odewindow")
+def _run_odewindow(config: ExperimentConfig, plan: Plan) -> ExperimentResult:
     powers = list(plan.schedule)
-    a0 = config.data.a0.build(config.grid.build(), role="initial-amplitude")
+    a0 = config.problem(config.eps[0]).a0
     ref_norm = lp_norm(a0, 2)
     coeffs = taylor.taylor_phase_coefficients(a0, order=1)
 
-    def one(row):
+    rows = []
+    for row in plan.rows:
         eps, times = row.eps, list(row.times)
-        problem = config.problem(eps, with_a1=False)
-        sol = nls.solve_nls(problem, times[-1], dt=row.dt, output_times=times)
+        sol = nls.solve_nls(config.problem(eps), times[-1], dt=row.dt,
+                            output_times=times)
         errors = []
         for tt in times:
             u1 = taylor.assemble_uK(coeffs, eps, tt, order=1)
             errors.append(lp_norm(sol.state_at(tt) - u1, 2))
-        return {"eps": eps, "times": times, "errors": errors,
-                "mass_drift": sol.mass_drift()}
-
-    rows = [one(row) for row in plan.rows]
+        rows.append({"eps": eps, "times": times, "errors": errors,
+                     "mass_drift": sol.mass_drift()})
     verdicts = []
     for r in rows:
         first_three = r["errors"][:3]
@@ -987,78 +958,77 @@ def run_ode_window(config: ExperimentConfig) -> ExperimentResult:
         for p, tt, err in zip(powers, r["times"], r["errors"]):
             csv_rows.append((r["eps"], "", f"ode_error_p{p:g}", err))
     body = {"powers": powers, "per_eps": rows}
-    return _finish("odewindow", config, body, verdicts, csv_rows, [])
+    return _finish(config, body, verdicts, csv_rows)
 
 
 # ---------------------------------------------------------------------------
-# single-run drivers
+# single-run drivers: one eps, one solver
 
 
-def run_single(config: ExperimentConfig) -> ExperimentResult:
-    [row] = Plan.build(config).rows
-    if config.kind != "single":
-        raise ConfigError("config kind must be single")
+def _run_rays(config: ExperimentConfig, plan: Plan) -> ExperimentResult:
+    [row] = plan.rows
     eps, t = row.eps, row.times[-1]
     problem = config.problem(eps)
-    dump = config.output.dump_fields
-    dumps = []
+    bundle = rays.integrate_flow(problem, problem.a0.grid, t, dt=row.dt)
+    residual = rays.hamilton_jacobi_residual(bundle, problem.a0.grid)
+    consistency = rays.jacobian_consistency(bundle, t)
+    verdicts = [
+        _verdict("eikonal_residual", residual <= 1e-6,
+                 f"sup residual {residual:.3e} <= 1e-6"),
+        _verdict("jacobian_consistency", consistency <= 1e-6,
+                 f"relative defect {consistency:.3e} <= 1e-6"),
+    ]
+    body = {"eps": eps, "caustic_time": bundle.t_caustic,
+            "min_jacobian": [float(bundle.jac[i].min())
+                             for i in range(len(bundle.times))][::10],
+            "hamilton_jacobi_residual": residual,
+            "jacobian_consistency": consistency}
+    rows = [(eps, "", "hj_residual", residual),
+            (eps, "", "jacobian_consistency", consistency)]
+    return _finish(config, body, verdicts, rows)
 
-    if config.solver == "rays":
-        bundle = rays.integrate_flow(problem, problem.a0.grid, t, dt=row.dt)
-        residual = rays.hamilton_jacobi_residual(bundle, problem.a0.grid)
-        consistency = rays.jacobian_consistency(bundle, t)
-        verdicts = [
-            _verdict("eikonal_residual", residual <= 1e-6,
-                     f"sup residual {residual:.3e} <= 1e-6"),
-            _verdict("jacobian_consistency", consistency <= 1e-6,
-                     f"relative defect {consistency:.3e} <= 1e-6"),
-        ]
-        body = {"eps": eps, "caustic_time": bundle.t_caustic,
-                "min_jacobian": [float(bundle.jac[i].min())
-                                 for i in range(len(bundle.times))][::10],
-                "hamilton_jacobi_residual": residual,
-                "jacobian_consistency": consistency}
-        rows = [(eps, "", "hj_residual", residual),
-                (eps, "", "jacobian_consistency", consistency)]
-        return _finish("single", config, body, verdicts, rows, dumps)
 
-    if config.solver == "wkb":
-        bundle = rays.integrate_flow(problem, problem.a0.grid, t, dt=row.ray_dt)
-        profile = wkb.build_approximant(problem, bundle, t)
-        approx = profile.assemble(eps)
-        sol = nls.solve_nls(problem, t, dt=row.dt)
-        err = l2_linf_norm(sol.final() - approx)
-        verdicts = []
-        body = {"eps": eps, "t": t, "error_L2Linf": err,
-                "regime": profile.regime, "horizon": profile.horizon,
-                "mass_drift": sol.mass_drift()}
-        rows = [(eps, "", "profile_L2Linf", err)]
-        if dump:
-            dumps = [("wkb_approximant", approx, t),
-                     ("reference_state", sol.final(), t)]
-        return _finish("single", config, body, verdicts, rows, dumps)
-
-    if config.solver == "grenier":
-        traj = phase_amplitude.solve_phase_amplitude(
-            problem, t, row.dt, variant=config.variant)
-        drift = traj.mass_drift()
-        tol = 1e-8 if config.variant != "full" else 1e-6
-        verdicts = [_verdict("mass_conservation", drift <= tol,
-                             f"relative drift {drift:.3e} <= {tol:g}")]
-        body = {"eps": eps, "variant": config.variant, "dt": traj.dt,
-                "mass_drift": drift,
-                "tail_fraction_max": float(traj.tail_fraction.max())}
-        if config.variant == "limit":
-            res = phase_amplitude.euler_residual(traj)
-            body["euler_residual"] = res
-        rows = [(eps, "", "mass_drift", drift)]
-        if dump:
-            st = traj.final()
-            dumps = [("amplitude", st.a, st.time), ("phase", st.phi, st.time)]
-        return _finish("single", config, body, verdicts, rows, dumps)
-
-    # nls
+def _run_wkb(config: ExperimentConfig, plan: Plan) -> ExperimentResult:
+    [row] = plan.rows
+    eps, t = row.eps, row.times[-1]
+    problem = config.problem(eps)
+    bundle = rays.integrate_flow(problem, problem.a0.grid, t, dt=row.ray_dt)
+    profile = wkb.build_approximant(problem, bundle, t)
+    approx = profile.assemble(eps)
     sol = nls.solve_nls(problem, t, dt=row.dt)
+    err = l2_linf_norm(sol.final() - approx)
+    body = {"eps": eps, "t": t, "error_L2Linf": err,
+            "regime": profile.regime, "horizon": profile.horizon,
+            "mass_drift": sol.mass_drift()}
+    dumps = ([("wkb_approximant", approx, t), ("reference_state", sol.final(), t)]
+             if config.output.dump_fields else [])
+    return _finish(config, body, [], [(eps, "", "profile_L2Linf", err)], dumps)
+
+
+def _run_grenier(config: ExperimentConfig, plan: Plan) -> ExperimentResult:
+    [row] = plan.rows
+    eps, t = row.eps, row.times[-1]
+    traj = phase_amplitude.solve_phase_amplitude(
+        config.problem(eps), t, row.dt, variant=config.variant)
+    drift = traj.mass_drift()
+    tol = 1e-8 if config.variant != "full" else 1e-6
+    verdicts = [_verdict("mass_conservation", drift <= tol,
+                         f"relative drift {drift:.3e} <= {tol:g}")]
+    body = {"eps": eps, "variant": config.variant, "dt": traj.dt,
+            "mass_drift": drift,
+            "tail_fraction_max": float(traj.tail_fraction.max())}
+    if config.variant == "limit":
+        body["euler_residual"] = phase_amplitude.euler_residual(traj)
+    st = traj.final()
+    dumps = ([("amplitude", st.a, st.time), ("phase", st.phi, st.time)]
+             if config.output.dump_fields else [])
+    return _finish(config, body, verdicts, [(eps, "", "mass_drift", drift)], dumps)
+
+
+def _run_nls(config: ExperimentConfig, plan: Plan) -> ExperimentResult:
+    [row] = plan.rows
+    eps, t = row.eps, row.times[-1]
+    sol = nls.solve_nls(config.problem(eps), t, dt=row.dt)
     verdicts = [
         _verdict("mass_conservation", sol.mass_drift() <= 1e-10,
                  f"relative drift {sol.mass_drift():.3e} <= 1e-10"),
@@ -1069,18 +1039,24 @@ def run_single(config: ExperimentConfig) -> ExperimentResult:
             "energy_drift": sol.energy_drift(), "dt": sol.dt}
     rows = [(eps, "", "mass_drift", sol.mass_drift()),
             (eps, "", "energy_drift", sol.energy_drift())]
-    if dump:
-        dumps = [("reference_state", sol.final(), t)]
-    return _finish("single", config, body, verdicts, rows, dumps)
+    dumps = ([("reference_state", sol.final(), t)]
+             if config.output.dump_fields else [])
+    return _finish(config, body, verdicts, rows, dumps)
 
 
-_DISPATCH = {"converge": run_convergence, "instability": run_instability,
-             "normgrowth": run_norm_growth, "odewindow": run_ode_window,
-             "single": run_single}
+# one driver per value of ExperimentConfig.driver
+_DRIVERS = {"rays": _run_rays, "wkb": _run_wkb, "grenier": _run_grenier,
+            "nls": _run_nls,
+            "supercritical_leading": _run_supercritical,
+            "supercritical_corrector": _run_supercritical,
+            "critical": _run_profile, "subcritical": _run_profile,
+            "skew_free": _run_skew_free, "instability": _run_instability,
+            "normgrowth": _run_normgrowth, "odewindow": _run_odewindow}
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    return _DISPATCH[config.kind](config)
+    """Plan `config` and run its driver on the plan."""
+    return _DRIVERS[config.driver](config, Plan.build(config))
 
 
 def dry_run_plan(config: ExperimentConfig) -> dict:

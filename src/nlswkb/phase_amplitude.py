@@ -39,7 +39,7 @@ import numpy as np
 from .errors import ConfigError, DivergenceError, ResolutionError
 from .fields import ComplexField, RealField, derivative_values
 from .grids import PeriodicGrid
-from .problem import SemiclassicalProblem
+from .problem import SemiclassicalProblem, march_steps
 
 VARIANTS = ("full", "skew_free", "limit")
 
@@ -235,8 +235,8 @@ def solve_phase_amplitude(problem: SemiclassicalProblem, t_final: float, dt: flo
                           tail_tol: float = 1e-8) -> GrenierTrajectory:
     """March the phase-amplitude system to t_final.
 
-    dt is adjusted so an integer number of steps lands exactly on t_final;
-    negative t_final integrates backward.  States are stored every
+    dt is adjusted so march_steps(t_final, dt) steps land exactly on
+    t_final; negative t_final integrates backward.  States are stored every
     `store_every` steps (the final state always).  A ResolutionError is
     raised when the amplitude spectrum fills the top of the retained band,
     a DivergenceError on non-finite values.  This is the one-row call of
@@ -284,7 +284,7 @@ def solve_phase_amplitude_sweep(problems: list[SemiclassicalProblem],
     phi = np.array([p.initial_phase_field().values for p in problems],
                    dtype=float)
 
-    n_steps = max(1, int(round(abs(t_final) / dt)))
+    n_steps = march_steps(t_final, dt)
     h = t_final / n_steps
     phi_hat = np.fft.rfft(phi)
     a_hat = np.fft.fft(a)

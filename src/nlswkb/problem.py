@@ -22,6 +22,13 @@ from .potentials import InitialPhaseSpec, PotentialSpec
 SUPPORTED_KAPPA = (0.0, 1.0, 2.0)
 
 
+def march_steps(t_final: float, dt: float) -> int:
+    """Steps of a fixed-dt march to t_final: the whole number nearest to
+    |t_final| / dt, at least one.  The march steps t_final / steps, so it
+    lands exactly on t_final."""
+    return max(1, int(round(abs(t_final) / dt)))
+
+
 def gaussian_field(grid: PeriodicGrid, width: float = 1.0, amplitude: float = 1.0,
                    center: float = 0.0, role: str = "") -> ComplexField:
     """amplitude * exp(-((x - center)/width)^2), the stock data profile.

@@ -36,7 +36,7 @@ from .errors import CausticError, DivergenceError, InversionError
 from .fields import RealField, derivative_values, interpolate_periodic
 from .grids import PeriodicGrid
 from .potentials import map_is_affine, potential_is_periodic_compatible
-from .problem import SemiclassicalProblem
+from .problem import SemiclassicalProblem, march_steps
 
 DEFAULT_CAUSTIC_THRESHOLD = 0.1
 
@@ -90,12 +90,12 @@ def integrate_ray_state(potential, x0, xi0, jac0, xiv0, s0, t0, t_final, dt):
     array per variable.
 
     Returns (times, x, xi, jac, xivar, action) with every step stored, each
-    of shape (M+1, Nm).  The step count is round((t_final - t0)/dt); dt is
-    adjusted so the last node lands exactly on t_final.  Negative spans
+    of shape (M+1, Nm).  The step count is march_steps(t_final - t0, dt); dt
+    is adjusted so the last node lands exactly on t_final.  Negative spans
     integrate backward.
     """
     span = t_final - t0
-    n_steps = max(1, int(round(abs(span) / dt)))
+    n_steps = march_steps(span, dt)
     h = span / n_steps
 
     times = t0 + h * np.arange(n_steps + 1)

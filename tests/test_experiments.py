@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from nlswkb import nls, phase_amplitude, rays, wkb
 from nlswkb.cli import main
-from nlswkb.errors import ConfigError, ResolutionError
+from nlswkb.errors import (ConfigError, DivergenceError, FieldError,
+                           ResolutionError)
 from nlswkb.experiments import (apply_overrides, config_from_dict,
                                 dry_run_plan, flow_exponents, run_experiment)
 from nlswkb.fitting import fit_power_law
@@ -285,6 +286,17 @@ CONFIG_ERRORS = [
      "time.factor is not read by the grenier driver"),
     ("critical.json", ("time.schedule=[0.1]",),
      "time.schedule is not read by the critical driver"),
+    # plan: data profiles the driver never reads
+    ("critical.json", ('data.a1={"amplitude": 0.5}',),
+     "data.a1 is not read by the critical driver; leave it out"),
+    ("instability.json", ('data.a1={"amplitude": 0.5}',),
+     "data.a1 is not read by the instability driver"),
+    ("grenier.json", ('data.a1={"amplitude": 0.5}',),
+     'data.a1 is not read by the grenier driver under variant "limit"'),
+    ("normgrowth.json", ('data.b0={"amplitude": 0.5}',),
+     "data.b0 is not read by the normgrowth driver; leave it out"),
+    ("supercritical.json", ('data.b0={"amplitude": 0.5}',),
+     "data.b0 is not read by the supercritical_leading driver"),
     # plan
     ("skewfree.json", ("time.schedule=[]",), "time.schedule must not be empty"),
     ("skewfree.json", ("time.schedule=[0.0, 0.1]",),
@@ -354,6 +366,17 @@ def _solver_entry(cfg):
 def _shipped_raw(name, overrides=()):
     with open(CONFIG_DIR / name, encoding="utf-8") as fh:
         return apply_overrides(json.load(fh), list(overrides))
+
+
+# the supercritical targets read a1 in their golden configs
+@pytest.mark.parametrize("name, overrides", [
+    ("wkb.json", ()),
+    ("nls.json", ()),
+    ("grenier.json", ("variant=full",)),
+])
+def test_drivers_that_read_a1_accept_it(name, overrides):
+    raw = _shipped_raw(name, overrides + ('data.a1={"amplitude": 0.5}',))
+    dry_run_plan(config_from_dict(raw))
 
 
 class TestDryRunPlan:
@@ -503,6 +526,98 @@ class TestPlannedSteps:
         assert all(steps == planned[eps] for eps, steps in executed), (
             executed, planned)
 
+    # 0.2 / 0.0035 is 57.1: the marches run 57 steps of 0.2 / 57, where a
+    # ceiling would plan 58
+    @pytest.mark.parametrize("name, overrides", [
+        ("grenier.json", ()),
+        ("supercritical.json", ("eps=[0.1, 0.05]",)),
+        ("rays.json", ("time.rule=fixed", "time.final=0.2")),
+    ])
+    def test_planned_steps_are_the_steps_the_march_ran(self, name, overrides,
+                                                      monkeypatch):
+        cfg = config_from_dict(_shipped_raw(name, overrides + ("time.dt=0.0035",)))
+        [planned] = {e["steps"] for e in dry_run_plan(cfg)["plan"]}
+        executed = []
+        sweep, flow = phase_amplitude.solve_phase_amplitude_sweep, rays.integrate_flow
+
+        def recording_sweep(*args, **kwargs):
+            # a march of n steps of h ends at n h
+            outcomes = sweep(*args, **kwargs)
+            executed.extend(round(traj.times[-1] / traj.dt) for traj in outcomes)
+            return outcomes
+
+        def recording_flow(*args, **kwargs):
+            bundle = flow(*args, **kwargs)
+            executed.append(len(bundle.times) - 1)
+            return bundle
+
+        monkeypatch.setattr(phase_amplitude, "solve_phase_amplitude_sweep",
+                            recording_sweep)
+        monkeypatch.setattr(rays, "integrate_flow", recording_flow)
+        run_experiment(cfg)
+        assert planned == 57
+        assert executed and set(executed) == {planned}
+
+
+class TestSweepOutcomes:
+    """A sweep driver raises the first failed solve of its sweep, except
+    that the supercritical and profile drivers record an under-resolved eps
+    and go on."""
+
+    # (config, overrides, the module and name of the sweep entry point)
+    DRIVERS = {
+        "supercritical": ("supercritical.json", ("eps=[0.1, 0.05]",),
+                          phase_amplitude, "solve_phase_amplitude_sweep"),
+        "skew_free": ("skewfree.json", ("eps=[0.1, 0.05]",),
+                      phase_amplitude, "solve_phase_amplitude_sweep"),
+        "critical": ("critical.json", ("eps=[0.1, 0.05]",),
+                     nls, "solve_nls_sweep"),
+        "normgrowth": ("normgrowth.json", ("eps=[0.1, 0.05]", "grid.size=512"),
+                       nls, "solve_nls_sweep"),
+        "instability": ("instability.json", ("eps=[0.1, 0.05]",),
+                        nls, "solve_nls_sweep"),
+    }
+
+    def run(self, driver, error, monkeypatch):
+        """Run `driver` with the outcome of every eps = 0.05 solve replaced
+        by `error`."""
+        name, overrides, module, fn = self.DRIVERS[driver]
+        real = getattr(module, fn)
+
+        def failing(problems, *args, **kwargs):
+            outcomes = real(problems, *args, **kwargs)
+            return [error if p.eps == 0.05 else out
+                    for p, out in zip(problems, outcomes)]
+
+        monkeypatch.setattr(module, fn, failing)
+        return run_experiment(config_from_dict(_shipped_raw(name, overrides)))
+
+    @pytest.mark.parametrize("driver", list(DRIVERS))
+    def test_a_failed_solve_is_raised(self, driver, monkeypatch):
+        error = DivergenceError("injected", time=0.01, eps=0.05)
+        with pytest.raises(DivergenceError) as caught:
+            self.run(driver, error, monkeypatch)
+        assert caught.value is error
+
+    @pytest.mark.parametrize("driver", ["skew_free", "normgrowth"])
+    def test_an_under_resolved_solve_is_raised(self, driver, monkeypatch):
+        error = ResolutionError("injected", time=0.01, eps=0.05)
+        with pytest.raises(ResolutionError) as caught:
+            self.run(driver, error, monkeypatch)
+        assert caught.value is error
+
+    @pytest.mark.parametrize("driver", ["supercritical", "critical"])
+    def test_an_under_resolved_eps_is_flagged(self, driver, monkeypatch):
+        error = ResolutionError("injected", time=0.01, eps=0.05)
+        report = self.run(driver, error, monkeypatch).report
+        assert report["per_eps"][0]["resolved"] is True
+        assert report["per_eps"][1] == {"eps": 0.05, "resolved": False,
+                                        "detail": "injected"}
+        assert report["under_resolved"] == [0.05]
+        assert report["verdicts"][-1] == {
+            "name": "resolution", "passed": False,
+            "detail": "under-resolved eps excluded: [0.05]"}
+
 
 class TestOneProfilePerSweep:
     @pytest.mark.parametrize("name", ["critical.json", "subcritical.json"])
@@ -568,6 +683,14 @@ class TestArtifacts:
         assert meta["complex"] is True
         assert np.array_equal(field.values, result.field_dumps[0][1].values)
 
+    def test_truncated_field_dump_is_refused(self, tmp_path):
+        cfg = config_from_dict(cheap_nls_raw(output={"dump_fields": True}))
+        paths = write_artifacts(run_experiment(cfg), str(tmp_path / "out"))
+        dump = Path(paths["reference_state.bin"])
+        dump.write_bytes(dump.read_bytes()[:-16])
+        with pytest.raises(FieldError, match="has 510 scalars, expected 512"):
+            load_field_dump(str(dump)[:-len(".bin")])
+
 
 class TestCli:
     def write(self, tmp_path, raw, name="cfg.json"):
@@ -587,7 +710,20 @@ class TestCli:
                "eps": [0.1, 0.05], "kappa": 1.0}
         code = main(["nls", "--config", self.write(tmp_path, raw)])
         assert code == 2
-        assert "does not match subcommand" in capsys.readouterr().err
+        assert ("error: config kind 'converge' does not match subcommand "
+                "'nls' (expects 'single')") in capsys.readouterr().err
+        # a single-run config of another solver
+        code = main(["rays", "--config", str(CONFIG_DIR / "wkb.json")])
+        assert code == 2
+        assert ("error: config solver 'wkb' does not match subcommand "
+                "'rays'") in capsys.readouterr().err
+
+    def test_invalid_json_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"kind": "single",')
+        assert main(["nls", "--config", str(path)]) == 2
+        assert f"error: config file {path} is not valid JSON" in (
+            capsys.readouterr().err)
 
     def test_dry_run_prints_plan_and_exits_0(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

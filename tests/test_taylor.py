@@ -47,6 +47,13 @@ class TestCoefficients:
         with pytest.raises(FieldError):
             taylor.taylor_phase_coefficients(problem.a0, taylor.MAX_ORDER + 1)
 
+    @pytest.mark.parametrize("order", [0, 4])
+    def test_phase_sum_order_within_the_computed_range(self, setup, order):
+        _, _, coeffs = setup
+        with pytest.raises(FieldError, match=f"order {order} outside computed "
+                                             r"range \[1, 3\]"):
+            taylor.phase_sum(coeffs, 0.1, order=order)
+
 
 class TestRemainderSlopes:
     def test_truncation_order_2k_plus_1(self, setup):

@@ -1,4 +1,6 @@
 """Geometric-optics profile oracles: transport, self-modulation, assembly."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,17 @@ class TestTransportAmplitude:
         # cos(pi/4) = 1/sqrt(2): a = a0(sqrt(2) x) * 2^(1/4)
         exact = np.exp(-2 * x ** 2) * 2.0 ** 0.25
         assert np.max(np.abs(amp.values - exact)) <= 1e-12
+
+    def test_nonpositive_jacobian_is_refused(self, focusing_case, eval_grid):
+        # no solve makes J <= 0 before the caustic guard of invert_flow
+        # stops it; a label map whose bundle has J < 0 on an affine flow
+        # reaches the guard of the transport itself
+        problem, bundle = focusing_case
+        lmap = rays.invert_flow(bundle, 0.5, eval_grid)
+        flipped = replace(lmap, bundle=replace(bundle, jac=-bundle.jac))
+        with pytest.raises(CausticError, match="Jacobian not positive") as caught:
+            wkb.transport_amplitude(flipped, problem.a0)
+        assert caught.value.time == 0.5
 
     def test_identity_flow_returns_data(self, flat_case, eval_grid):
         problem, bundle = flat_case
