@@ -70,12 +70,12 @@ class FieldSpecConfig:
         if self.shape == "zero":
             return ComplexField.zeros(grid, role=role)
         if self.shape == "constant":
-            vals = np.full(grid.shape, complex(self.amplitude))
+            vals = np.full(grid.size, complex(self.amplitude))
         else:
             vals = gaussian_field(grid, width=self.width, amplitude=self.amplitude,
                                   center=self.center, role=role).values.astype(complex)
             if self.chirp != 0.0:
-                arg = (grid.nodes[0] - self.center) ** 2
+                arg = (grid.nodes - self.center) ** 2
                 vals = vals * np.exp(1j * self.chirp * arg)
         if self.imaginary:
             vals = 1j * vals
@@ -88,7 +88,7 @@ class GridConfig:
     size: int = 1024
 
     def build(self, size: int | None = None) -> PeriodicGrid:
-        return PeriodicGrid.line(self.length, size or self.size)
+        return PeriodicGrid(self.length, size or self.size)
 
 
 @dataclass(frozen=True)
@@ -469,17 +469,19 @@ class Plan:
             if times[0] <= 0 or any(b <= a for a, b in zip(times, times[1:])):
                 raise ConfigError(f"output times at eps={eps} must be positive "
                                   f"and strictly increasing, got {list(times)}")
-            if driver in _MARCH_DT:
-                dt = time.dt if time.rule == "fixed" else _MARCH_DT[driver]
-                steps = march_steps(times[-1], dt)
-            else:
-                dt = time.dt if time.rule == "fixed" else eps / time.factor
-                steps = sum(nls.segment_steps(times, dt))
+            dt = (time.dt if time.rule == "fixed"
+                  else _MARCH_DT.get(driver, eps / time.factor))
             if driver == "skew_free":
                 for tt in times:
                     if abs(tt / dt - round(tt / dt)) > 1e-9:
                         raise ConfigError(
                             f"dt {dt} does not divide schedule time {tt}")
+            if driver in _MARCH_DT:
+                # the march takes whole equal steps that land on times[-1]
+                steps = march_steps(times[-1], dt)
+                dt = times[-1] / steps
+            else:
+                steps = sum(nls.segment_steps(times, dt))
             ray_dt = (dt if driver == "rays" else
                       time.final / 64 if driver in _WKB_DRIVERS else None)
             rows.append(EpsPlan(eps=eps, dt=dt, grid_size=config.grid.size,

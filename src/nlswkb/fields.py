@@ -1,16 +1,16 @@
 """Sampled fields on periodic grids and the spectral operations on them.
 
-Conventions.  With samples f_j on the nodes of a PeriodicGrid, the discrete
-spectrum is fhat = fftn(f)/prod(N) so that
+Conventions.  With N samples f_j on the nodes of a PeriodicGrid of length
+L, the discrete spectrum is fhat = fft(f)/N so that
 
-    f(x) = sum_k fhat_k exp(i k . (x + L/2)),
+    f(x) = sum_k fhat_k exp(i k (x + L/2)),
 
 the shift accounting for the node origin at the left box edge.  Integral
 norms are Plancherel-compatible:  sum over modes of |fhat_k|^2 times the box
-volume equals the trapezoidal approximation of the integral of |f|^2, exact
-for band-limited f.  The Nyquist column of even-sized axes is treated as a
-cosine so that interpolation of real samples is real and odd-order
-derivatives are skew-symmetric (the Nyquist mode is zeroed there).
+length L equals the trapezoidal approximation of the integral of |f|^2,
+exact for band-limited f.  The Nyquist mode of the even-sized grid is
+treated as a cosine so that interpolation of real samples is real and the
+first derivative is skew-symmetric (the Nyquist mode is zeroed there).
 """
 from __future__ import annotations
 
@@ -20,11 +20,6 @@ import numpy as np
 
 from .errors import FieldError
 from .grids import PeriodicGrid
-
-
-def _frozen(values: np.ndarray) -> np.ndarray:
-    values.setflags(write=False)
-    return values
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,18 +32,19 @@ class _Field:
 
     def __post_init__(self):
         vals = np.asarray(self.values)
-        if vals.shape != self.grid.shape:
+        if vals.shape != (self.grid.size,):
             raise FieldError(
-                f"sample shape {vals.shape} does not match grid shape {self.grid.shape}"
+                f"sample shape {vals.shape} does not match grid size {self.grid.size}"
             )
         vals = vals.astype(self._dtype, copy=True)
         if not np.all(np.isfinite(vals)):
             raise FieldError(f"non-finite samples in field role={self.role!r}")
-        object.__setattr__(self, "values", _frozen(vals))
+        vals.setflags(write=False)
+        object.__setattr__(self, "values", vals)
 
     @classmethod
     def zeros(cls, grid: PeriodicGrid, role: str = ""):
-        return cls(grid, np.zeros(grid.shape, dtype=cls._dtype), role=role)
+        return cls(grid, np.zeros(grid.size, dtype=cls._dtype), role=role)
 
     def __add__(self, other):
         return self._combine(other, lambda a, b: a + b)
@@ -89,12 +85,9 @@ class ComplexField(_Field):
 # spectral operations on raw sample arrays (used heavily in solver loops)
 
 
-def derivative_values(grid: PeriodicGrid, values: np.ndarray,
-                      order: int = 1) -> np.ndarray:
-    """(d/dx)^order of the band-limited interpolant, sampled at nodes."""
-    if order < 1:
-        raise FieldError(f"derivative order must be >= 1, got {order}")
-    out = np.fft.ifft(np.fft.fft(values) * grid.derivative_multiplier(order))
+def derivative_values(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
+    """d/dx of the band-limited interpolant, sampled at nodes."""
+    out = np.fft.ifft(np.fft.fft(values) * grid.ik)
     return out if np.iscomplexobj(values) else out.real
 
 
@@ -114,7 +107,7 @@ def lp_norm(f: _Field, p: float = 2) -> float:
         return float(mags.max())
     if p <= 0:
         raise FieldError(f"p must be positive, got {p}")
-    return float((f.grid.cell_volume * np.sum(mags**p)) ** (1.0 / p))
+    return float((f.grid.spacing * np.sum(mags**p)) ** (1.0 / p))
 
 
 def sobolev_norm(f: _Field, s: float, homogeneous: bool = False) -> float:
@@ -124,13 +117,13 @@ def sobolev_norm(f: _Field, s: float, homogeneous: bool = False) -> float:
     inhomogeneous norm reproduces the integral L^2 norm.
     """
     grid = f.grid
-    spec = np.fft.fftn(f.values) / np.prod(grid.sizes)
+    spec = np.fft.fft(f.values) / grid.size
     k2 = grid.wavenumber_sq
     if homogeneous:
         weight = k2**s if s != 0 else np.ones_like(k2)
     else:
         weight = (1.0 + k2) ** s
-    total = grid.volume * np.sum(weight * np.abs(spec) ** 2)
+    total = grid.length * np.sum(weight * np.abs(spec) ** 2)
     return float(np.sqrt(total))
 
 
@@ -161,7 +154,7 @@ def band_limited_interpolate(f: _Field, points: np.ndarray) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if not np.all(grid.contains(pts)):
         raise FieldError("interpolation points outside the periodic box")
-    n = grid.sizes[0]
+    n = grid.size
     ny = n // 2
     spec = np.fft.fft(f.values) / n
     # coefficients of z^j for j = N/2, N/2 - 1, ..., -N/2 (Horner order)
@@ -169,7 +162,7 @@ def band_limited_interpolate(f: _Field, points: np.ndarray) -> np.ndarray:
     coeffs[0] = coeffs[n] = 0.5 * spec[ny]
     coeffs[1:ny + 1] = spec[ny - 1::-1]
     coeffs[ny + 1:n] = spec[:ny:-1]
-    angle = (2.0 * np.pi / grid.lengths[0]) * (pts + grid.lengths[0] / 2)
+    angle = (2.0 * np.pi / grid.length) * (pts + grid.length / 2)
     z = np.exp(1j * angle)
     out = np.full(pts.shape, coeffs[0])
     for c in coeffs[1:].tolist():

@@ -96,7 +96,7 @@ def _energies(grid: PeriodicGrid, problems, u: np.ndarray, times) -> list[float]
         vvals = problem.potential_field(t).values
         density = np.abs(row) ** 2
         quartic = 0.5 * eps**problem.kappa * density**2
-        energies.append(grid.cell_volume
+        energies.append(grid.spacing
                         * float(np.sum(kinetic + vvals * density + quartic)))
     return energies
 
@@ -197,14 +197,14 @@ def solve_nls_sweep(problems: list[SemiclassicalProblem], t_final: float, dts,
     # Fourier space, theta for the pointwise phase and rot for its rotation
     # factor exp(i theta); per row, the kinetic multiplier of its next
     # step, its closing half-step, and its potential phase and phase scale
-    shape = (len(problems),) + grid.shape
+    shape = (len(problems), grid.size)
     u, uh, rot, kinetic, half = np.empty((5,) + shape, dtype=complex)
     theta, scratch, vphase = np.empty((3,) + shape)
     u[:] = [s.values for s in starts]
     scale = np.empty((len(problems), 1))
     vvals = [p.potential_field().values for p in problems]
     ksq = grid.wavenumber_sq
-    cell = grid.cell_volume
+    cell = grid.spacing
     bounds = [0.0] + outputs
     counts = [segment_steps(outputs, dt) for dt in dts]
 

@@ -121,7 +121,7 @@ class _Spectral:
     returns pages to the system between stages."""
 
     def __init__(self, grid: PeriodicGrid):
-        self.n = n = grid.sizes[0]
+        self.n = n = grid.size
         half = n // 2 + 1
         self.ik = grid.ik
         self.lap = -grid.wavenumber_sq
@@ -291,7 +291,7 @@ def solve_phase_amplitude_sweep(problems: list[SemiclassicalProblem],
     eps = np.array([[p.eps] for p in problems])
     skew_phase = np.exp(-0.5j * eps * grid.wavenumber_sq * h)
     rhs = _Transport(grid, vvals)
-    cell = grid.cell_volume
+    cell = grid.spacing
     rows = list(range(len(problems)))     # problem index of each stack row
     states = [[] for _ in problems]
     mass = [[] for _ in problems]
@@ -469,9 +469,9 @@ def solve_corrector(limit: GrenierTrajectory, a1: ComplexField | None = None,
         rate_a += source
         rate_a *= sp.mask
 
-    phi1 = np.zeros(grid.shape)
+    phi1 = np.zeros(grid.size)
     a1v = (a1.values.copy() if a1 is not None
-           else np.zeros(grid.shape, dtype=complex))
+           else np.zeros(grid.size, dtype=complex))
     phi1_hat, a1_hat = np.fft.rfft(phi1), np.fft.fft(a1v)
     states = [CorrectorState(float(coeffs.times[0]),
                              RealField(grid, phi1, role="phase-corrector"),

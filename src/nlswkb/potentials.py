@@ -90,11 +90,11 @@ class PotentialSpec:
     def sample_on(self, grid: PeriodicGrid, t: float = 0.0, role: str = "potential") -> RealField:
         if self.kind == "zero":
             return RealField.zeros(grid, role=role)
-        return RealField(grid, self.value(t, grid.nodes[0]), role=role)
+        return RealField(grid, self.value(t, grid.nodes), role=role)
 
     def subquadratic_bound(self, grid: PeriodicGrid, t: float = 0.0) -> float:
         """Max |V''| over the box; must be finite (admissibility)."""
-        bound = float(np.abs(self.hessian(t, grid.nodes[0])).max())
+        bound = float(np.abs(self.hessian(t, grid.nodes)).max())
         if not np.isfinite(bound):
             raise FieldError("potential Hessian is not bounded on the box")
         return bound
@@ -139,7 +139,7 @@ class InitialPhaseSpec:
     def sample_on(self, grid: PeriodicGrid, role: str = "initial-phase") -> RealField:
         if self.kind == "zero":
             return RealField.zeros(grid, role=role)
-        return RealField(grid, self.value(grid.nodes[0]), role=role)
+        return RealField(grid, self.value(grid.nodes), role=role)
 
     def is_periodic_compatible(self) -> bool:
         """True when the phase extends periodically (labels may wrap)."""

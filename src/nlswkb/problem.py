@@ -36,7 +36,7 @@ def gaussian_field(grid: PeriodicGrid, width: float = 1.0, amplitude: float = 1.
     Schwartz-class, so periodization error on boxes with L >= 16*width is
     below double precision.
     """
-    arg = ((grid.nodes[0] - float(center)) / width) ** 2
+    arg = ((grid.nodes - float(center)) / width) ** 2
     return ComplexField(grid, amplitude * np.exp(-arg), role=role)
 
 

@@ -38,7 +38,7 @@ from .grids import PeriodicGrid
 from .potentials import map_is_affine, potential_is_periodic_compatible
 from .problem import SemiclassicalProblem, march_steps
 
-DEFAULT_CAUSTIC_THRESHOLD = 0.1
+CAUSTIC_THRESHOLD = 0.1
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,7 +52,6 @@ class RayBundle:
     xivar: np.ndarray    # (M+1, Nm) d_y xi
     action: np.ndarray   # (M+1, Nm) S
     problem: SemiclassicalProblem
-    caustic_threshold: float
     t_caustic: float | None
 
     @property
@@ -127,23 +126,19 @@ def integrate_ray_state(potential, x0, xi0, jac0, xiv0, s0, t0, t_final, dt):
 
 
 def integrate_flow(problem: SemiclassicalProblem, markers: PeriodicGrid,
-                   t_final: float, dt: float,
-                   caustic_threshold: float = DEFAULT_CAUSTIC_THRESHOLD) -> RayBundle:
+                   t_final: float, dt: float) -> RayBundle:
     """Trace the marker-grid rays of `problem` up to t_final."""
-    if not 0 < caustic_threshold < 1:
-        raise ValueError(f"caustic threshold must lie in (0,1), got {caustic_threshold}")
     potential, phase = problem.potential, problem.phase
     potential.subquadratic_bound(markers)  # admissibility: finite Hessian on the box
 
-    y = markers.nodes[0].copy()
+    y = markers.nodes
     times, xs, xis, jac, xivs, ss = integrate_ray_state(
         potential, y, phase.gradient(y), np.ones_like(y), phase.hessian(y),
         phase.value(y), 0.0, t_final, dt)
 
-    t_caustic = _first_crossing(times, jac.min(axis=1), caustic_threshold)
+    t_caustic = _first_crossing(times, jac.min(axis=1), CAUSTIC_THRESHOLD)
     return RayBundle(markers=markers, y=y, times=times, x=xs, xi=xis, jac=jac,
-                     xivar=xivs, action=ss, problem=problem,
-                     caustic_threshold=caustic_threshold, t_caustic=t_caustic)
+                     xivar=xivs, action=ss, problem=problem, t_caustic=t_caustic)
 
 
 def _first_crossing(times: np.ndarray, series: np.ndarray, threshold: float) -> float | None:
@@ -159,15 +154,14 @@ def _first_crossing(times: np.ndarray, series: np.ndarray, threshold: float) -> 
     return float(t0 + frac * (t1 - t0))
 
 
-def caustic_time(bundle: RayBundle, threshold: float | None = None) -> float | None:
+def caustic_time(bundle: RayBundle, threshold: float = CAUSTIC_THRESHOLD) -> float | None:
     """First time min_y J crosses the threshold, linearly interpolated.
 
     None means no crossing inside the integrated window.
     """
-    thr = bundle.caustic_threshold if threshold is None else threshold
-    if not 0 < thr < 1:
-        raise ValueError(f"caustic threshold must lie in (0,1), got {thr}")
-    return _first_crossing(bundle.times, bundle.min_jacobian(), thr)
+    if not 0 < threshold < 1:
+        raise ValueError(f"caustic threshold must lie in (0,1), got {threshold}")
+    return _first_crossing(bundle.times, bundle.min_jacobian(), threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +243,7 @@ def invert_flow(bundle: RayBundle, t: float, x_grid: PeriodicGrid) -> LabelMap:
             f"at or past the caustic horizon {bundle.t_caustic:.6g}", time=t)
     it = bundle.time_index(t)
     y, x, m = bundle.y, bundle.x[it], bundle.jac[it]
-    span = bundle.markers.lengths[0]
+    span = bundle.markers.length
     periodic = bundle.is_periodic_compatible()
     if periodic:
         y, x, m = np.append(y, y[0] + span), np.append(x, x[0] + span), np.append(m, m[0])
@@ -258,7 +252,7 @@ def invert_flow(bundle: RayBundle, t: float, x_grid: PeriodicGrid) -> LabelMap:
             "the stored ray map is not strictly increasing: rays cross "
             "between markers, so the marker grid (the problem grid in the "
             "ray drivers) is too coarse", time=t)
-    targets = x_grid.nodes[0]
+    targets = x_grid.nodes
     if periodic:
         reduced = x[0] + np.mod(targets - x[0], span)
     elif targets.min() < x[0] or targets.max() > x[-1]:
@@ -331,7 +325,7 @@ def jacobian_consistency(bundle: RayBundle, t: float) -> float:
     edges use one-sided second-order stencils.
     """
     it = bundle.time_index(t)
-    h = bundle.markers.spacings[0]
+    h = bundle.markers.spacing
     x = bundle.x[it]
     if bundle.is_periodic_compatible():
         d = x - bundle.y  # difference the periodic displacement
@@ -380,7 +374,7 @@ def hamilton_jacobi_residual(bundle: RayBundle, x_grid: PeriodicGrid,
             grad_sq = momentum_field(label_map(i)) ** 2
         else:
             grad_sq = derivative_values(x_grid, phi(i)) ** 2
-        vvals = bundle.problem.potential.value(float(bundle.times[i]), x_grid.nodes[0])
+        vvals = bundle.problem.potential.value(float(bundle.times[i]), x_grid.nodes)
         res = np.abs(dphi_dt + 0.5 * grad_sq + vvals).max()
         worst = max(worst, float(res))
     return worst

@@ -15,7 +15,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .errors import ConfigError, FieldError
+from .errors import ConfigError, FieldError, GridError
 from .fields import ComplexField, RealField, _Field
 from .grids import PeriodicGrid
 
@@ -44,13 +44,12 @@ def errors_csv_bytes(rows) -> bytes:
 
 
 def field_dump_bytes(field: _Field) -> bytes:
-    """Interleaved (re, im) little-endian float64, C order; real fields get
+    """Interleaved (re, im) little-endian float64 in node order; real fields get
     an explicit zero imaginary channel so the layout never varies."""
-    vals = np.ascontiguousarray(field.values)
-    flat = vals.ravel()
-    out = np.empty(2 * flat.size, dtype="<f8")
-    out[0::2] = flat.real
-    out[1::2] = flat.imag if np.iscomplexobj(flat) else 0.0
+    vals = field.values
+    out = np.empty(2 * vals.size, dtype="<f8")
+    out[0::2] = vals.real
+    out[1::2] = vals.imag if np.iscomplexobj(vals) else 0.0
     return out.tobytes()
 
 
@@ -59,11 +58,10 @@ def field_sidecar(field: _Field, time: float, name: str) -> dict:
         "name": name,
         "time": float(time),
         "role": field.role,
-        "grid": {"lengths": list(field.grid.lengths),
-                 "sizes": list(field.grid.sizes)},
+        "grid": {"lengths": [field.grid.length], "sizes": [field.grid.size]},
         "layout": "interleaved-re-im",
         "dtype": "<f8",
-        "count": int(np.prod(field.grid.shape)),
+        "count": field.grid.size,
         "complex": bool(np.iscomplexobj(field.values)),
     }
 
@@ -76,9 +74,12 @@ def load_field_dump(base_path: str):
     if raw.size != 2 * meta["count"]:
         raise FieldError(f"dump {base_path} has {raw.size} scalars, "
                          f"expected {2 * meta['count']}")
-    grid = PeriodicGrid(lengths=tuple(meta["grid"]["lengths"]),
-                        sizes=tuple(meta["grid"]["sizes"]))
-    vals = (raw[0::2] + 1j * raw[1::2]).reshape(grid.shape)
+    lengths, sizes = meta["grid"]["lengths"], meta["grid"]["sizes"]
+    if len(lengths) != 1 or len(sizes) != 1:
+        raise GridError(f"dump {base_path} records {len(lengths)} lengths and "
+                        f"{len(sizes)} sizes; grids are one-dimensional")
+    grid = PeriodicGrid(*lengths, *sizes)
+    vals = raw[0::2] + 1j * raw[1::2]
     if meta["complex"]:
         return ComplexField(grid, vals, role=meta["role"]), meta
     return RealField(grid, vals.real, role=meta["role"]), meta

@@ -61,10 +61,10 @@ def taylor_phase_coefficients(a0: ComplexField, order: int) -> TaylorCoefficient
     phi_lap: list = [None]
 
     for j in range(1, order + 1):
-        quad = np.zeros(grid.shape)
+        quad = np.zeros(grid.size)
         for p in range(1, j):
             quad += 0.5 * (phi_grad[p] * phi_grad[j - p])
-        dens = np.zeros(grid.shape, dtype=complex)
+        dens = np.zeros(grid.size, dtype=complex)
         for p in range(0, j):
             dens += amp[p] * np.conj(amp[j - 1 - p])
         phi_j = -(quad + dens.real) / (2 * j - 1)
@@ -72,7 +72,7 @@ def taylor_phase_coefficients(a0: ComplexField, order: int) -> TaylorCoefficient
         phi_grad.append(derivative_values(grid, phi_j))
         phi_lap.append(laplacian_values(grid, phi_j))
 
-        rhs = np.zeros(grid.shape, dtype=complex)
+        rhs = np.zeros(grid.size, dtype=complex)
         for p in range(1, j + 1):
             q = j - p
             rhs += phi_grad[p] * amp_grad[q]
@@ -96,7 +96,7 @@ def phase_sum(coeffs: TaylorCoefficients, t: float, order: int | None = None) ->
     k = coeffs.order if order is None else order
     if not 1 <= k <= coeffs.order:
         raise FieldError(f"order {k} outside computed range [1, {coeffs.order}]")
-    total = np.zeros(coeffs.grid.shape)
+    total = np.zeros(coeffs.grid.size)
     for j in range(1, k + 1):
         total += t ** (2 * j - 1) * coeffs.phases[j - 1].values
     return RealField(coeffs.grid, total, role="taylor-phase")

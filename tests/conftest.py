@@ -48,12 +48,12 @@ def step_audit():
     Gaussian problem: the L2 error at t = 0.1 of each dt against a solve at
     the finest dt divided by four, and the fitted log-log slope (expect 2).
     The NLS tests and acceptance criterion 11 both read it."""
-    grid = PeriodicGrid.line(32.0, 1024)
+    grid = PeriodicGrid(32.0, 1024)
     problem = SemiclassicalProblem(eps=1e-2, kappa=1.0,
                                    a0=gaussian_field(grid, 1.0, 1.0))
     dts = [1e-4, 2e-4, 4e-4]
     ref, *solutions = solve_nls_sweep([problem] * 4, 0.1, [dts[0] / 4.0] + dts)
-    errors = [float(np.sqrt(grid.cell_volume * np.sum(
+    errors = [float(np.sqrt(grid.spacing * np.sum(
         np.abs(sol.final().values - ref.final().values) ** 2)))
         for sol in solutions]
     fit = fit_power_law(dts, errors)

@@ -29,7 +29,7 @@ def check(num, name, ok, detail):
 
 
 def flat_problem(eps, size=1024):
-    grid = PeriodicGrid.line(32.0, size)
+    grid = PeriodicGrid(32.0, size)
     return SemiclassicalProblem(eps=eps, kappa=0.0,
                                 a0=gaussian_field(grid, 1.0, 1.0),
                                 potential=PotentialSpec.zero(),
@@ -37,7 +37,7 @@ def flat_problem(eps, size=1024):
 
 
 def test_criterion_01_ray_oracle():
-    markers = PeriodicGrid.line(128.0, 512)
+    markers = PeriodicGrid(128.0, 512)
     harmonic = SemiclassicalProblem(eps=1e-2, kappa=0.0,
                                     a0=gaussian_field(markers, 1.0, 1.0),
                                     potential=PotentialSpec.harmonic(1.0),
@@ -50,10 +50,10 @@ def test_criterion_01_ray_oracle():
         np.max(np.abs(bundle.jac[it] - np.cos(t))))
     caustic_err = abs(rays.caustic_time(bundle, threshold=1e-12) - np.pi / 2)
 
-    window = PeriodicGrid.line(32.0, 256)
+    window = PeriodicGrid(32.0, 256)
     residuals = [rays.hamilton_jacobi_residual(bundle, window)]
 
-    free_markers = PeriodicGrid.line(128.0, 1024)
+    free_markers = PeriodicGrid(128.0, 1024)
     free = SemiclassicalProblem(eps=1e-2, kappa=0.0,
                                 a0=gaussian_field(free_markers, 1.0, 1.0),
                                 potential=PotentialSpec.zero(),
@@ -185,7 +185,7 @@ def test_criterion_11_solver_hygiene(normgrowth_result, instability_result,
                                      step_audit):
     drifts = [r["mass_drift"] for r in normgrowth_result.report["per_eps"]]
     drifts += [r["mass_drift"] for r in instability_result.report["per_eps"]]
-    grid = PeriodicGrid.line(32.0, 1024)
+    grid = PeriodicGrid(32.0, 1024)
     problem = SemiclassicalProblem(eps=1e-2, kappa=1.0,
                                    a0=gaussian_field(grid, 1.0, 1.0),
                                    potential=PotentialSpec.zero(),

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from nlswkb import nls, phase_amplitude, rays, wkb
 from nlswkb.cli import main
 from nlswkb.errors import (ConfigError, DivergenceError, FieldError,
-                           ResolutionError)
+                           GridError, ResolutionError)
 from nlswkb.experiments import (apply_overrides, config_from_dict,
                                 dry_run_plan, flow_exponents, run_experiment)
 from nlswkb.fitting import fit_power_law
@@ -444,6 +444,13 @@ class TestDryRunPlan:
         entry = dry_run_plan(config_from_dict(raw))["plan"][0]
         assert entry["steps"] == round(0.1 / entry["dt"])
 
+    def test_planned_march_dt_is_the_dt_reported(self):
+        # 0.2 / 0.0035 is 57.1: the march takes 57 steps of 0.2 / 57, and
+        # the plan prints that step, not the dt asked for
+        cfg = config_from_dict(_shipped_raw("grenier.json", ("time.dt=0.0035",)))
+        [entry] = dry_run_plan(cfg)["plan"]
+        assert entry["dt"] == run_experiment(cfg).report["dt"] == 0.2 / 57
+
     def test_single_plan_counts_steps(self):
         plan = dry_run_plan(config_from_dict(cheap_nls_raw()))
         assert plan["kind"] == "single"
@@ -484,7 +491,7 @@ class TestInstabilityDoubling:
         # the base row fails first; its own solve raises the same error
         cfg = config_from_dict(_shipped_raw("instability.json", ("eps=[0.1]",)))
         entry = dry_run_plan(cfg)["plan"][0]
-        grid = PeriodicGrid.line(cfg.grid.length, 128)
+        grid = PeriodicGrid(cfg.grid.length, 128)
         base = SemiclassicalProblem(
             eps=0.1, kappa=0.0, a0=cfg.data.a0.build(grid, role="initial-amplitude"))
         t_eps = entry["t_eps"]
@@ -690,6 +697,20 @@ class TestArtifacts:
         dump.write_bytes(dump.read_bytes()[:-16])
         with pytest.raises(FieldError, match="has 510 scalars, expected 512"):
             load_field_dump(str(dump)[:-len(".bin")])
+
+    def test_two_dimensional_sidecar_is_refused(self, tmp_path):
+        # a grid is one length and one size: the loader, where a grid comes
+        # from outside the program, refuses a sidecar of another dimension
+        cfg = config_from_dict(cheap_nls_raw(output={"dump_fields": True}))
+        paths = write_artifacts(run_experiment(cfg), str(tmp_path / "out"))
+        sidecar = Path(paths["reference_state.json"])
+        meta = json.loads(sidecar.read_text())
+        meta["grid"]["lengths"] = [32.0, 32.0]
+        sidecar.write_text(json.dumps(meta))
+        base = str(sidecar)[:-len(".json")]
+        with pytest.raises(GridError, match=re.escape(
+                f"dump {base} records 2 lengths and 1 sizes")):
+            load_field_dump(base)
 
 
 class TestCli:

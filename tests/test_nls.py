@@ -11,7 +11,7 @@ from nlswkb.problem import SemiclassicalProblem, gaussian_field
 
 
 def make_problem(eps=1e-2, kappa=1.0, size=1024, a0=None, potential=None):
-    grid = PeriodicGrid.line(32.0, size)
+    grid = PeriodicGrid(32.0, size)
     return SemiclassicalProblem(
         eps=eps, kappa=kappa,
         a0=a0 if a0 is not None else gaussian_field(grid, 1.0, 1.0),
@@ -22,12 +22,12 @@ def make_problem(eps=1e-2, kappa=1.0, size=1024, a0=None, potential=None):
 class TestExactSolutions:
     def test_constant_data_oscillator(self):
         # a0 = c solves u = c exp(-i c^2 eps^(kappa-1) t), both sub-steps exact
-        grid = PeriodicGrid.line(32.0, 256)
+        grid = PeriodicGrid(32.0, 256)
         c = 0.8
         for kappa in (0.0, 1.0, 2.0):
             problem = SemiclassicalProblem(
                 eps=0.05, kappa=kappa,
-                a0=ComplexField(grid, np.full(grid.shape, c + 0j)),
+                a0=ComplexField(grid, np.full(grid.size, c + 0j)),
                 potential=PotentialSpec.zero(), phase=InitialPhaseSpec.zero())
             sol = solve_nls(problem, 0.3, dt=1e-3)
             phase = -(0.05 ** (kappa - 1)) * c ** 2 * 0.3
@@ -35,10 +35,10 @@ class TestExactSolutions:
             assert np.max(np.abs(sol.final().values - exact)) <= 1e-12
 
     def test_constant_data_independent_of_dt(self):
-        grid = PeriodicGrid.line(32.0, 256)
+        grid = PeriodicGrid(32.0, 256)
         problem = SemiclassicalProblem(
             eps=0.05, kappa=0.0,
-            a0=ComplexField(grid, np.full(grid.shape, 0.8 + 0j)),
+            a0=ComplexField(grid, np.full(grid.size, 0.8 + 0j)),
             potential=PotentialSpec.zero(), phase=InitialPhaseSpec.zero())
         a = solve_nls(problem, 0.3, dt=1e-3).final()
         b = solve_nls(problem, 0.3, dt=3e-3).final()
@@ -46,8 +46,8 @@ class TestExactSolutions:
 
     def test_plane_wave_dispersion_relation(self):
         # u = c exp(i(kx - wt)), w = eps^(kappa-1) c^2 + eps k^2/2
-        grid = PeriodicGrid.line(32.0, 256)
-        x = grid.nodes[0]
+        grid = PeriodicGrid(32.0, 256)
+        x = grid.nodes
         k = 2 * np.pi * 8 / 32.0
         c, eps, kappa, t = 0.7, 0.1, 1.0, 0.4
         problem = SemiclassicalProblem(
@@ -86,11 +86,11 @@ class TestInvariants:
 
     def test_energy_functional_value(self):
         # constant profile: kinetic term zero, quartic term (eps^kappa/2)c^4 L
-        grid = PeriodicGrid.line(32.0, 256)
+        grid = PeriodicGrid(32.0, 256)
         c, eps = 0.5, 0.1
         problem = SemiclassicalProblem(
             eps=eps, kappa=1.0,
-            a0=ComplexField(grid, np.full(grid.shape, c + 0j)),
+            a0=ComplexField(grid, np.full(grid.size, c + 0j)),
             potential=PotentialSpec.zero(), phase=InitialPhaseSpec.zero())
         e = nls_energy(problem, problem.initial_state())
         assert e == pytest.approx((eps / 2) * c ** 4 * 32.0, rel=1e-12)
@@ -108,7 +108,7 @@ class TestStepping:
         assert list(sol.times[-3:]) == [
             pytest.approx(0.05), pytest.approx(0.1), pytest.approx(0.2)]
         st = sol.state_at(0.1)
-        assert st.values.shape == problem.grid.shape
+        assert st.values.shape == (problem.grid.size,)
         with pytest.raises(ValueError):
             sol.state_at(0.013)
 
@@ -128,7 +128,7 @@ class TestStepping:
          "output_times must be strictly increasing and positive"),
         ({"output_times": [0.1, 0.3]}, "output_times may not pass t_final"),
         ({"dt": 0.0}, "dt must be positive"),
-        ({"initial_state": gaussian_field(PeriodicGrid.line(32.0, 128), 1.0, 1.0)},
+        ({"initial_state": gaussian_field(PeriodicGrid(32.0, 128), 1.0, 1.0)},
          "initial_state grid mismatch"),
     ], ids=["decreasing", "zero", "past-t-final", "dt", "initial-grid"])
     def test_argument_checks_fire(self, kwargs, message):
@@ -203,8 +203,8 @@ def sweep_problems(eps_kappa=((0.1, 0.0), (0.05, 1.0), (0.03, 1.0)),
                    size=256):
     # a chirped amplitude and a cosine potential exercise V and a complex
     # state; kappa 0 and 1 give the rows different phase scales
-    grid = PeriodicGrid.line(32.0, size)
-    x = grid.nodes[0]
+    grid = PeriodicGrid(32.0, size)
+    x = grid.nodes
     a0 = ComplexField(grid, np.exp(-x ** 2) * np.exp(0.5j * x ** 2 / (1 + x ** 2)))
     return [SemiclassicalProblem(eps=eps, kappa=kappa, a0=a0,
                                  potential=PotentialSpec.cosine(0.5, 32.0),
@@ -337,14 +337,14 @@ class TestScalingLaw:
         # solution to an eps = lam solution (1D, s = -1); all factors dyadic
         lam = 0.25
         n = 1024
-        psi_grid = PeriodicGrid.line(32.0, n)
+        psi_grid = PeriodicGrid(32.0, n)
         a0 = gaussian_field(psi_grid, 1.0, 1.0)
         psi_problem = SemiclassicalProblem(
             eps=lam, kappa=0.0, a0=a0,
             potential=PotentialSpec.zero(), phase=InitialPhaseSpec.zero())
 
-        u_grid = PeriodicGrid.line(32.0 * lam, n)
-        xu = u_grid.nodes[0]
+        u_grid = PeriodicGrid(32.0 * lam, n)
+        xu = u_grid.nodes
         u0 = ComplexField(u_grid, lam ** -1.5 * np.exp(-(xu / lam) ** 2))
         u_problem = SemiclassicalProblem(
             eps=lam ** 0.5, kappa=0.0, a0=u0,
@@ -354,6 +354,6 @@ class TestScalingLaw:
         psi = solve_nls(psi_problem, t_psi, dt=1e-3).final()
         u = solve_nls(u_problem, t_psi * lam ** 2.5, dt=1e-3 * lam ** 2.5).final()
         mapped = lam ** 1.5 * u.values
-        err = np.sqrt(psi_grid.cell_volume * np.sum(np.abs(psi.values - mapped) ** 2))
+        err = np.sqrt(psi_grid.spacing * np.sum(np.abs(psi.values - mapped) ** 2))
         assert err <= 1e-6
         assert lp_norm(psi, 2) > 0.5

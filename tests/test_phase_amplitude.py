@@ -16,7 +16,7 @@ from nlswkb.problem import SemiclassicalProblem, gaussian_field
 
 
 def flat_problem(eps=1e-2, size=1024, a1=None):
-    grid = PeriodicGrid.line(32.0, size)
+    grid = PeriodicGrid(32.0, size)
     a1f = gaussian_field(grid, 1.5, 0.5) if a1 == "gaussian" else None
     return SemiclassicalProblem(eps=eps, kappa=0.0,
                                 a0=gaussian_field(grid, 1.0, 1.0), a1=a1f,
@@ -84,7 +84,7 @@ class TestSolverBasics:
 
 class TestGuards:
     def test_unbounded_potential_rejected(self):
-        grid = PeriodicGrid.line(32.0, 256)
+        grid = PeriodicGrid(32.0, 256)
         problem = SemiclassicalProblem(eps=1e-2, kappa=0.0,
                                        a0=gaussian_field(grid, 1.0, 1.0),
                                        potential=PotentialSpec.harmonic(1.0),
@@ -158,7 +158,7 @@ class TestCorrector:
         fs, ls, cs = full.final(), limit.final(), corr.states[-1]
         err_limit = sobolev_norm(fs.a - ls.a, 0)
         corrected = ls.a.values + eps * cs.a1.values
-        err_corr = float(np.sqrt(limit.grid.cell_volume *
+        err_corr = float(np.sqrt(limit.grid.spacing *
                                  np.sum(np.abs(fs.a.values - corrected) ** 2)))
         assert err_corr <= 0.05 * err_limit
 
@@ -166,7 +166,7 @@ class TestCorrector:
         # a1 data at the float ceiling overflows in the first RK4 step
         problem = flat_problem(eps=0.02, size=256)
         limit = solve_phase_amplitude(problem, 0.02, 2e-3, variant="limit")
-        sign = (-1.0) ** np.arange(limit.grid.sizes[0])
+        sign = (-1.0) ** np.arange(limit.grid.size)
         huge = ComplexField(limit.grid, 1e307 * sign + 0j)
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(DivergenceError) as info:
@@ -194,7 +194,7 @@ class TestCorrector:
     def test_a1_must_share_the_grid(self):
         limit = solve_phase_amplitude(flat_problem(size=256), 0.01, 2e-3,
                                       variant="limit")
-        other = gaussian_field(PeriodicGrid.line(32.0, 128), 1.5, 0.5)
+        other = gaussian_field(PeriodicGrid(32.0, 128), 1.5, 0.5)
         with pytest.raises(ConfigError, match="different grid"):
             solve_corrector(limit, a1=other)
 
@@ -218,8 +218,8 @@ def _assert_same_trajectory(got, ref, tol=1e-12):
 def sweep_problems(eps_list=(0.1, 0.03, 0.01), size=256):
     # a1 makes the skew-free data depend on eps; the cosine potential and
     # the chirp exercise V and a complex amplitude
-    grid = PeriodicGrid.line(32.0, size)
-    x = grid.nodes[0]
+    grid = PeriodicGrid(32.0, size)
+    x = grid.nodes
     a0 = ComplexField(grid, np.exp(-x ** 2) * np.exp(0.5j * x ** 2 / (1 + x ** 2)))
     return [SemiclassicalProblem(eps=eps, kappa=0.0, a0=a0,
                                  a1=gaussian_field(grid, 1.5, 0.5),
@@ -232,9 +232,9 @@ def _plain_march(problem, t_final, dt, variant):
     """The phase-amplitude march in physical space, nine transforms per
     right-hand side: the reference the spectral sweep must reproduce."""
     grid = problem.grid
-    k = grid.axis_wavenumbers()
+    k = grid.wavenumbers
     ik = 1j * k
-    ik[grid.sizes[0] // 2] = 0.0
+    ik[grid.size // 2] = 0.0
     mask = grid.dealias_mask
     v = problem.potential_field().values
 
@@ -299,8 +299,8 @@ class TestSweep:
     def test_failed_rows_come_back_as_their_own_errors(self):
         good = sweep_problems(eps_list=(0.1, 0.01))
         grid = good[0].grid
-        x = grid.nodes[0]
-        kmax = np.pi * grid.sizes[0] / 32.0
+        x = grid.nodes
+        kmax = np.pi * grid.size / 32.0
         # a1 at 0.55 k_max lies in the monitored top third of the kept band
         noisy = SemiclassicalProblem(
             eps=0.05, kappa=0.0, a0=good[0].a0,
@@ -309,7 +309,7 @@ class TestSweep:
         # alternating data at the float ceiling overflows in the first step
         huge = SemiclassicalProblem(
             eps=0.02, kappa=0.0, a0=good[0].a0,
-            a1=ComplexField(grid, 1e307 * (-1.0) ** np.arange(grid.sizes[0])
+            a1=ComplexField(grid, 1e307 * (-1.0) ** np.arange(grid.size)
                             + 0j), potential=good[0].potential)
         # the diverging row leaves the stack before the unresolved one
         problems = [good[0], huge, noisy, good[1]]
@@ -360,7 +360,7 @@ class TestSweep:
 def _spectral_transport(grid, v):
     """The dealiased transport right-hand side on the spectral state, one
     transform call per field and a fresh array for every operation."""
-    n, half = grid.sizes[0], grid.sizes[0] // 2 + 1
+    n, half = grid.size, grid.size // 2 + 1
     ik, lap, mask = grid.ik, -grid.wavenumber_sq, grid.dealias_mask
 
     def rhs(phi_hat, a_hat):
@@ -379,7 +379,7 @@ def _stagewise_corrector(limit, a1_values):
     reference whose every stored state solve_corrector must reproduce
     bit for bit."""
     grid = limit.grid
-    n, half = grid.sizes[0], grid.sizes[0] // 2 + 1
+    n, half = grid.size, grid.size // 2 + 1
     ik, lap, mask = grid.ik, -grid.wavenumber_sq, grid.dealias_mask
     transport = _spectral_transport(grid, limit.problem.potential_field().values)
     times = limit.times
@@ -445,7 +445,7 @@ def _stagewise_march(problem, t_final, dt):
         k4p, k4q = rhs(p + h * k3p, q + h * k3q)
         p = p + (h / 6) * (k1p + 2 * k2p + 2 * k3p + k4p)
         q = q + (h / 6) * (k1q + 2 * k2q + 2 * k3q + k4q)
-    return np.fft.irfft(p, problem.grid.sizes[0]), np.fft.ifft(q)
+    return np.fft.irfft(p, problem.grid.size), np.fft.ifft(q)
 
 
 class TestLeanMarch:
@@ -470,7 +470,7 @@ class TestLeanMarch:
         a1 = problem.a1 if with_a1 else None
         corr = solve_corrector(limit, a1=a1)
         start = (problem.a1.values if with_a1
-                 else np.zeros(problem.grid.shape, dtype=complex))
+                 else np.zeros(problem.grid.size, dtype=complex))
         ref = _stagewise_corrector(limit, start)
         assert len(corr.states) == len(ref) == 21
         for st, (phi1, a1v) in zip(corr.states, ref):

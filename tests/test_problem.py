@@ -19,7 +19,7 @@ class TestMarchSteps:
 
 
 class TestProblemChecks:
-    grid = PeriodicGrid.line(32.0, 64)
+    grid = PeriodicGrid(32.0, 64)
 
     def problem(self, **kwargs):
         args = {"eps": 0.1, "kappa": 0.0, "a0": gaussian_field(self.grid)}
@@ -35,6 +35,6 @@ class TestProblemChecks:
             self.problem(kappa=0.5)
 
     def test_a1_must_share_the_a0_grid(self):
-        other = PeriodicGrid.line(32.0, 128)
+        other = PeriodicGrid(32.0, 128)
         with pytest.raises(ConfigError, match="must share the a0 grid"):
             self.problem(a1=gaussian_field(other))

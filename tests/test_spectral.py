@@ -15,37 +15,38 @@ from nlswkb.grids import PeriodicGrid
 
 
 def gaussian_line(length=32.0, size=512):
-    grid = PeriodicGrid.line(length, size)
-    x = grid.nodes[0]
+    grid = PeriodicGrid(length, size)
+    x = grid.nodes
     return grid, x, RealField(grid, np.exp(-x ** 2))
 
 
 class TestDerivativeOracles:
     def test_single_fourier_mode_first_derivative(self):
         # d/dx e^{ix} = i e^{ix}, exact for one resolved mode
-        grid = PeriodicGrid.line(2 * np.pi, 64)
-        x = grid.nodes[0]
+        grid = PeriodicGrid(2 * np.pi, 64)
+        x = grid.nodes
         f = ComplexField(grid, np.exp(1j * x))
-        df = derivative_values(grid, f.values, order=1)
+        df = derivative_values(grid, f.values)
         assert np.max(np.abs(df - 1j * np.exp(1j * x))) <= 1e-12
 
     def test_gaussian_second_derivative(self):
         grid, x, f = gaussian_line()
-        d2 = derivative_values(grid, f.values, order=2)
+        d2 = laplacian_values(grid, f.values)
         exact = (4 * x ** 2 - 2) * np.exp(-x ** 2)
         assert np.max(np.abs(d2 - exact)) <= 1e-8
 
     def test_laplacian_matches_second_derivative_in_1d(self):
+        # -k^2 and (ik)^2 differ only at the Nyquist mode, which ik drops
         grid, x, f = gaussian_line()
         lap = laplacian_values(grid, f.values)
-        d2 = derivative_values(grid, f.values, order=2)
+        d2 = derivative_values(grid, derivative_values(grid, f.values))
         assert np.max(np.abs(lap - d2)) <= 1e-12
 
 
 class TestNormOracles:
     def test_plane_wave_homogeneous_sobolev(self):
-        grid = PeriodicGrid.line(2 * np.pi, 64)
-        x = grid.nodes[0]
+        grid = PeriodicGrid(2 * np.pi, 64)
+        x = grid.nodes
         for k, m in [(1, 1), (2, 1), (3, 2)]:
             f = ComplexField(grid, np.exp(1j * k * x))
             got = sobolev_norm(f, m, homogeneous=True)
@@ -89,9 +90,9 @@ def dense_interpolant(f, pts):
     """sum_k fhat_k exp(i k (x + L/2)) over the FFT modes, the Nyquist
     mode taken as a cosine."""
     grid = f.grid
-    n = grid.sizes[0]
-    k = grid.axis_wavenumbers()
-    shifted = pts + grid.lengths[0] / 2
+    n = grid.size
+    k = grid.wavenumbers
+    shifted = pts + grid.length / 2
     mat = np.exp(1j * np.outer(shifted, k))
     mat[:, n // 2] = np.cos(abs(k[n // 2]) * shifted)
     return mat @ (np.fft.fft(f.values) / n)
@@ -101,7 +102,7 @@ class TestHornerInterpolation:
     @pytest.mark.parametrize("complex_field", [False, True])
     def test_matches_the_dense_mode_sum(self, complex_field):
         rng = np.random.default_rng(7)
-        grid = PeriodicGrid.line(32.0, 64)
+        grid = PeriodicGrid(32.0, 64)
         vals = rng.standard_normal(64)     # white noise: Nyquist content
         if complex_field:
             vals = vals + 1j * rng.standard_normal(64)
@@ -110,7 +111,7 @@ class TestHornerInterpolation:
             f = RealField(grid, vals)
         assert abs(np.fft.fft(f.values)[32]) > 1.0
         pts = rng.uniform(-16.0, 16.0, 200)
-        pts[:3] = (-16.0, 16.0, grid.nodes[0][5])
+        pts[:3] = (-16.0, 16.0, grid.nodes[5])
         got = band_limited_interpolate(f, pts)
         want = dense_interpolant(f, pts)
         if not complex_field:
@@ -121,8 +122,8 @@ class TestHornerInterpolation:
     def test_memory_stays_linear_in_the_point_count(self):
         # the dense M x N matrix would take 8192^2 * 16 B = 1 GiB here
         n = 8192
-        grid = PeriodicGrid.line(32.0, n)
-        f = ComplexField(grid, np.exp(-grid.nodes[0] ** 2) + 0j)
+        grid = PeriodicGrid(32.0, n)
+        f = ComplexField(grid, np.exp(-grid.nodes ** 2) + 0j)
         pts = np.linspace(-15.0, 15.0, n)
         tracemalloc.start()
         try:
@@ -136,22 +137,11 @@ class TestHornerInterpolation:
 
 
 class TestSharedTransform:
-    def test_cached_first_derivative_multiplier(self):
-        grid = PeriodicGrid.line(32.0, 64)
-        k = grid.axis_wavenumbers()
-        expected = (1j * k) ** 1
+    def test_cached_first_derivative_multiplier(self, monkeypatch):
+        grid = PeriodicGrid(32.0, 64)
+        expected = 1j * grid.wavenumbers
         expected[32] = 0.0
-        assert np.array_equal(grid.ik, expected)
-        assert grid.ik is grid.ik and not grid.ik.flags.writeable
-
-    @pytest.mark.parametrize("order", [1, 2, 3])
-    def test_every_order_is_cached_read_only(self, order, monkeypatch):
-        grid = PeriodicGrid.line(32.0, 64)
-        k = grid.axis_wavenumbers()
-        expected = (1j * k) ** order
-        if order % 2 == 1:
-            expected[32] = 0.0
-        mult = grid.derivative_multiplier(order)
+        mult = grid.ik
         assert np.array_equal(mult, expected) and not mult.flags.writeable
         calls = []
         fftfreq = np.fft.fftfreq
@@ -159,13 +149,24 @@ class TestSharedTransform:
                             lambda *a, **kw: calls.append(a) or fftfreq(*a, **kw))
         values = gaussian_line(size=64)[2].values
         for _ in range(3):
-            derivative_values(grid, values, order=order)
-        assert grid.derivative_multiplier(order) is mult
+            derivative_values(grid, values)
+        assert grid.ik is mult
         assert calls == []
 
+    def test_grid_arrays_are_cached_read_only(self):
+        grid = PeriodicGrid(32.0, 64)
+        assert grid.spacing == 0.5
+        assert np.array_equal(grid.nodes, -16.0 + 0.5 * np.arange(64))
+        assert np.array_equal(grid.wavenumbers,
+                              2 * np.pi * np.fft.fftfreq(64, d=0.5))
+        for name in ("nodes", "wavenumbers", "wavenumber_sq", "dealias_mask"):
+            arr = getattr(grid, name)
+            assert arr.shape == (64,) and not arr.flags.writeable, name
+            assert getattr(grid, name) is arr, name
+
     def test_kept_band_top_is_the_top_third_of_the_dealiased_band(self):
-        grid = PeriodicGrid.line(32.0, 256)
-        k = np.abs(grid.axis_wavenumbers())
+        grid = PeriodicGrid(32.0, 256)
+        k = np.abs(grid.wavenumbers)
         kmax = k.max()
         expected = (k > (4.0 / 9.0) * kmax) & (k <= (2.0 / 3.0) * kmax)
         assert np.array_equal(grid.kept_band_top, expected)
@@ -175,35 +176,29 @@ class TestSharedTransform:
 class TestGridValidation:
     def test_size_must_be_power_of_two(self):
         with pytest.raises(GridError):
-            PeriodicGrid.line(32.0, 1000)
+            PeriodicGrid(32.0, 1000)
 
     def test_length_must_be_positive(self):
         with pytest.raises(GridError):
-            PeriodicGrid.line(-1.0, 64)
-
-    def test_two_dimensional_grid_rejected(self):
-        with pytest.raises(GridError):
-            PeriodicGrid((32.0, 32.0), (64, 64))
+            PeriodicGrid(-1.0, 64)
 
     def test_field_shape_must_match_grid(self):
-        grid = PeriodicGrid.line(32.0, 64)
+        grid = PeriodicGrid(32.0, 64)
         with pytest.raises(FieldError):
             RealField(grid, np.zeros(32))
 
     def test_dealias_mask_keeps_two_thirds(self):
-        grid = PeriodicGrid.line(32.0, 256)
-        k = grid.axis_wavenumbers()
+        grid = PeriodicGrid(32.0, 256)
+        k = grid.wavenumbers
         kept = grid.dealias_mask
         assert np.array_equal(kept, np.abs(k) <= (2.0 / 3.0) * np.max(np.abs(k)))
 
 
 def _other_grid_sum(grid):
-    return RealField.zeros(grid) + RealField.zeros(PeriodicGrid.line(16.0, 64))
+    return RealField.zeros(grid) + RealField.zeros(PeriodicGrid(16.0, 64))
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda grid: derivative_values(grid, np.zeros(64), order=0),
-     "derivative order must be >= 1, got 0"),
     (lambda grid: lp_norm(RealField.zeros(grid), 0), "p must be positive, got 0"),
     (lambda grid: band_limited_interpolate(RealField.zeros(grid),
                                            np.array([16.5])),
@@ -211,11 +206,10 @@ def _other_grid_sum(grid):
     (lambda grid: RealField(grid, np.full(64, np.nan), role="probe"),
      "non-finite samples in field role='probe'"),
     (_other_grid_sum, "fields live on different grids"),
-], ids=["derivative-order", "lp-exponent", "outside-box", "non-finite",
-        "two-grids"])
+], ids=["lp-exponent", "outside-box", "non-finite", "two-grids"])
 def test_field_guard_fires(call, message):
     with pytest.raises(FieldError, match=re.escape(message)):
-        call(PeriodicGrid.line(32.0, 64))
+        call(PeriodicGrid(32.0, 64))
 
 
 coeff = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
@@ -224,8 +218,8 @@ coeff = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 @st.composite
 def random_band_limited(draw, size=64):
     """Real field from a handful of low Fourier modes on L=2*pi."""
-    grid = PeriodicGrid.line(2 * np.pi, size)
-    x = grid.nodes[0]
+    grid = PeriodicGrid(2 * np.pi, size)
+    x = grid.nodes
     vals = np.full(size, draw(coeff))
     for k in (1, 2, 3):
         vals = vals + draw(coeff) * np.cos(k * x) + draw(coeff) * np.sin(k * x)
@@ -241,7 +235,7 @@ class TestSpectralProperties:
     @given(random_band_limited())
     @settings(max_examples=25, deadline=None)
     def test_interpolation_reproduces_nodes(self, f):
-        pts = f.grid.nodes[0][:8]
+        pts = f.grid.nodes[:8]
         got = band_limited_interpolate(f, pts)
         assert np.max(np.abs(got - f.values[:8])) <= 1e-9
 
@@ -253,5 +247,5 @@ class TestSpectralProperties:
     @given(random_band_limited())
     @settings(max_examples=25, deadline=None)
     def test_derivative_kills_the_mean(self, f):
-        df = derivative_values(f.grid, f.values, order=1)
+        df = derivative_values(f.grid, f.values)
         assert abs(np.mean(df)) <= 1e-10 * (1 + np.max(np.abs(f.values)))

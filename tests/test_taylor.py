@@ -14,7 +14,7 @@ from nlswkb import taylor
 
 @pytest.fixture(scope="module")
 def setup():
-    grid = PeriodicGrid.line(32.0, 1024)
+    grid = PeriodicGrid(32.0, 1024)
     problem = SemiclassicalProblem(eps=1e-2, kappa=0.0,
                                    a0=gaussian_field(grid, 1.0, 1.0),
                                    potential=PotentialSpec.zero(),
@@ -32,8 +32,8 @@ class TestCoefficients:
     def test_constant_data_truncates_after_first_order(self):
         # gradients vanish, so the expansion collapses to the pointwise
         # oscillator phase -t c^2
-        grid = PeriodicGrid.line(32.0, 64)
-        c = ComplexField(grid, np.full(grid.shape, 0.7 + 0j))
+        grid = PeriodicGrid(32.0, 64)
+        c = ComplexField(grid, np.full(grid.size, 0.7 + 0j))
         coeffs = taylor.taylor_phase_coefficients(c, 3)
         assert np.max(np.abs(coeffs.phases[0].values + 0.49)) <= 1e-14
         for j in (1, 2):

@@ -13,7 +13,7 @@ from nlswkb import rays, wkb
 
 @pytest.fixture(scope="module")
 def eval_grid():
-    return PeriodicGrid.line(32.0, 256)
+    return PeriodicGrid(32.0, 256)
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +30,7 @@ def flat_case(eval_grid):
 @pytest.fixture(scope="module")
 def focusing_case():
     """V = 0 with phase -x^2/2: J = 1-t, labels y = x/(1-t)."""
-    markers = PeriodicGrid.line(128.0, 1024)
+    markers = PeriodicGrid(128.0, 1024)
     problem = SemiclassicalProblem(eps=1e-2, kappa=1.0,
                                    a0=gaussian_field(markers, 1.0, 1.0),
                                    potential=PotentialSpec.zero(),
@@ -42,14 +42,14 @@ def focusing_case():
 class TestTransportAmplitude:
     def test_focusing_profile(self, focusing_case, eval_grid):
         problem, bundle = focusing_case
-        x = eval_grid.nodes[0]
+        x = eval_grid.nodes
         amp = wkb.transport_amplitude(rays.invert_flow(bundle, 0.5, eval_grid), problem.a0)
         # a = a0(2x)/sqrt(1/2)
         exact = np.exp(-(2 * x) ** 2) * np.sqrt(2.0)
         assert np.max(np.abs(amp.values - exact)) <= 1e-12
 
     def test_harmonic_profile_at_pi_over_4(self, eval_grid):
-        markers = PeriodicGrid.line(128.0, 512)
+        markers = PeriodicGrid(128.0, 512)
         problem = SemiclassicalProblem(eps=1e-2, kappa=1.0,
                                        a0=gaussian_field(markers, 1.0, 1.0),
                                        potential=PotentialSpec.harmonic(1.0),
@@ -57,7 +57,7 @@ class TestTransportAmplitude:
         t = float(np.pi / 4)
         bundle = rays.integrate_flow(problem, markers, t, dt=1e-3)
         amp = wkb.transport_amplitude(rays.invert_flow(bundle, t, eval_grid), problem.a0)
-        x = eval_grid.nodes[0]
+        x = eval_grid.nodes
         # cos(pi/4) = 1/sqrt(2): a = a0(sqrt(2) x) * 2^(1/4)
         exact = np.exp(-2 * x ** 2) * 2.0 ** 0.25
         assert np.max(np.abs(amp.values - exact)) <= 1e-12
@@ -89,7 +89,7 @@ class TestSelfModulation:
 
     def test_focusing_flow_log_profile(self, focusing_case, eval_grid):
         problem, bundle = focusing_case
-        x = eval_grid.nodes[0]
+        x = eval_grid.nodes
         g = wkb.self_modulation_phase(rays.invert_flow(bundle, 0.5, eval_grid), problem.a0)
         # G = |a0(2x)|^2 * log(1-t) at t = 1/2
         exact = np.exp(-2 * (2 * x) ** 2) * np.log(0.5)
@@ -110,7 +110,7 @@ class TestSelfModulation:
         problem, _ = focusing_case
         bundle = rays.integrate_flow(problem, problem.grid, 0.95, dt=1e-3)
         assert abs(bundle.t_caustic - 0.9) <= 1e-6
-        grid = PeriodicGrid.line(4.0, 64)
+        grid = PeriodicGrid(4.0, 64)
         with pytest.raises(TypeError):
             wkb.self_modulation_phase(bundle, problem.a0, 0.95, grid)
         with pytest.raises(CausticError):
@@ -173,7 +173,7 @@ class TestSimpsonWeights:
 
 class TestSeparationProfile:
     def grid_data(self):
-        grid = PeriodicGrid.line(32.0, 256)
+        grid = PeriodicGrid(32.0, 256)
         a0 = gaussian_field(grid, 1.0, 1.0)
         b0 = gaussian_field(grid, 1.0, 1.0)
         return grid, a0, b0
@@ -199,6 +199,6 @@ class TestSeparationProfile:
 
     def test_grid_mismatch_rejected(self):
         _, a0, _ = self.grid_data()
-        other = gaussian_field(PeriodicGrid.line(32.0, 128), 1.0, 1.0)
+        other = gaussian_field(PeriodicGrid(32.0, 128), 1.0, 1.0)
         with pytest.raises(FieldError):
             wkb.separation_profile(a0, other, delta=0.1, eps=0.01, t=0.1)
