@@ -137,9 +137,19 @@ class TestHornerInterpolation:
 
 
 class TestSharedTransform:
-    def test_cached_first_derivative_multiplier(self, monkeypatch):
+    def test_cached_first_derivative_multiplier(self):
         grid = PeriodicGrid(32.0, 64)
         expected = 1j * grid.wavenumbers
+        expected[32] = 0.0
+        assert np.array_equal(grid.ik, expected)
+        assert grid.ik is grid.ik and not grid.ik.flags.writeable
+
+    # only the first-derivative multiplier ik is kept; higher orders are
+    # repeated applications of it or laplacian_values
+    @pytest.mark.parametrize("order", [1])
+    def test_every_order_is_cached_read_only(self, order, monkeypatch):
+        grid = PeriodicGrid(32.0, 64)
+        expected = (1j * grid.wavenumbers) ** order
         expected[32] = 0.0
         mult = grid.ik
         assert np.array_equal(mult, expected) and not mult.flags.writeable
