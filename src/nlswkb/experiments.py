@@ -243,9 +243,6 @@ class ExperimentConfig:
             if self.potential.kind != "zero" or self.phase.kind != "zero":
                 raise ConfigError(
                     f"{self.kind} runs require V=0 and zero initial phase")
-        if self.kind in ("instability", "odewindow"):
-            if not 1 <= self.instability.taylor_order <= taylor.MAX_ORDER:
-                raise ConfigError("taylor order out of range")
         if self.kind == "instability":
             self._validate_instability()
         if self.kind == "normgrowth":
@@ -260,6 +257,8 @@ class ExperimentConfig:
             flow_exponents(expo.n, expo.s, expo.k)
 
     def _validate_instability(self) -> None:
+        if not 1 <= self.instability.taylor_order <= taylor.MAX_ORDER:
+            raise ConfigError("taylor order out of range")
         b0 = self.data.b0
         if b0 is None:
             raise ConfigError("instability needs a b0 perturbation profile")
@@ -373,6 +372,14 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
     return out
 
 
+def _field_default(section, key: str):
+    """The default of field `key` of the dataclass instance `section`; a
+    default_factory field such as growth.exponents has no class attribute
+    to compare with."""
+    (spec,) = (f for f in fields(section) if f.name == key)
+    return spec.default if spec.default_factory is MISSING else spec.default_factory()
+
+
 # ---------------------------------------------------------------------------
 # run plan
 
@@ -392,6 +399,10 @@ _WKB_DRIVERS = ("wkb", "critical", "subcritical")
 # marches a0 alone); data.b0 is read by the instability driver only
 _A1_DRIVERS = ("supercritical_leading", "supercritical_corrector", "wkb", "nls",
                "grenier")
+# the drivers that read norms.sobolev_orders and output.dump_fields
+_SOBOLEV_DRIVERS = ("supercritical_leading", "supercritical_corrector",
+                    "skew_free", "instability")
+_DUMP_DRIVERS = ("wkb", "grenier", "nls")
 _INSTABILITY_OUTPUTS = 8
 
 
@@ -427,24 +438,35 @@ class Plan:
         the driver cannot run."""
         config.validate()
         driver, time = config.driver, config.time
-        # a time or data key the driver never reads must keep its default,
-        # so that setting it cannot look like it changed the run
+        # a key that only some drivers read must keep its default when this
+        # driver does not, so that setting it cannot look like it changed
+        # the run; every key not listed here is read by every driver
         grenier_limit = (driver, config.variant) == ("grenier", "limit")
-        reads = {("time", "final"): driver not in ("skew_free", "instability",
-                                                   "odewindow"),
-                 ("time", "factor"): time.rule != "fixed" and driver not in _MARCH_DT,
-                 ("time", "schedule"): driver in _DEFAULT_SCHEDULE,
-                 ("data", "a1"): driver in _A1_DRIVERS and not grenier_limit,
-                 ("data", "b0"): driver == "instability"}
-        for (section, key), read in reads.items():
-            values = getattr(config, section)
-            if not read and getattr(values, key) != getattr(type(values), key):
+        reads = {"time.final": driver not in ("skew_free", "instability",
+                                              "odewindow"),
+                 "time.factor": time.rule != "fixed" and driver not in _MARCH_DT,
+                 "time.schedule": driver in _DEFAULT_SCHEDULE,
+                 "data.a1": driver in _A1_DRIVERS and not grenier_limit,
+                 "data.b0": driver == "instability",
+                 "norms.sobolev_orders": driver in _SOBOLEV_DRIVERS,
+                 "norms.m_orders": driver == "normgrowth",
+                 **{f"instability.{f.name}": driver == "instability"
+                    for f in fields(InstabilityConfig)},
+                 "growth.resolution_const": driver == "normgrowth",
+                 "growth.exponents": driver == "normgrowth",
+                 "growth.max_resolution_doublings": driver == "instability",
+                 "variant": driver == "grenier",
+                 "output.dump_fields": driver in _DUMP_DRIVERS}
+        for path, read in reads.items():
+            *section, key = path.split(".")
+            owner = getattr(config, section[0]) if section else config
+            if not read and getattr(owner, key) != _field_default(owner, key):
                 why = f"by the {driver} driver"
                 if key == "factor" and time.rule == "fixed":
                     why = 'under time.rule "fixed"'
                 elif key == "a1" and grenier_limit:
                     why += ' under variant "limit"'
-                raise ConfigError(f"{section}.{key} is not read {why}; leave it out")
+                raise ConfigError(f"{path} is not read {why}; leave it out")
         schedule = None
         if driver in _DEFAULT_SCHEDULE:
             schedule = (_DEFAULT_SCHEDULE[driver] if time.schedule is None

@@ -96,6 +96,15 @@ def laplacian_values(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
     return out if np.iscomplexobj(values) else out.real
 
 
+def tail_fraction(spec: np.ndarray, band: np.ndarray) -> np.ndarray:
+    """Fraction of the power of each row of the spectrum `spec` that lies
+    in the modes `band` (a boolean mask); 0 for a row without power."""
+    power = spec.real ** 2 + spec.imag ** 2
+    total = power.sum(axis=-1)
+    tail = power[..., band].sum(axis=-1)
+    return np.divide(tail, total, out=np.zeros_like(total), where=total != 0)
+
+
 # ---------------------------------------------------------------------------
 # norms
 

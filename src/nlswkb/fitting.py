@@ -19,7 +19,6 @@ class PowerLawFit:
     slope: float
     intercept: float      # log of the prefactor
     r2: float
-    n_points: int
 
     @property
     def prefactor(self) -> float:
@@ -49,4 +48,4 @@ def fit_power_law(x, y, min_points: int = 3) -> PowerLawFit:
     ss_res = float(np.sum(resid**2))
     ss_tot = float(np.sum((ly - ly.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    return PowerLawFit(slope=slope, intercept=intercept, r2=r2, n_points=len(x))
+    return PowerLawFit(slope=slope, intercept=intercept, r2=r2)

@@ -27,9 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, ResolutionError
-from .fields import ComplexField, derivative_values
+from .fields import ComplexField, derivative_values, tail_fraction
 from .grids import PeriodicGrid
-from .problem import SemiclassicalProblem
+from .problem import SemiclassicalProblem, relative_drift, time_index
+
+TAIL_TOL = 1e-8   # largest power fraction an output keeps in the upper third
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,33 +43,17 @@ class NLSSolution:
     energy: np.ndarray
     dt: float
 
-    @property
-    def grid(self) -> PeriodicGrid:
-        return self.states[0].grid
-
     def final(self) -> ComplexField:
         return self.states[-1]
 
     def state_at(self, t: float) -> ComplexField:
-        idx = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[idx] - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError(f"t={t} not an output time (nearest {self.times[idx]})")
-        return self.states[idx]
+        return self.states[time_index(self.times, t)]
 
     def mass_drift(self) -> float:
-        ref = max(abs(self.mass[0]), 1e-300)
-        return float(np.abs(self.mass - self.mass[0]).max() / ref)
+        return relative_drift(self.mass)
 
     def energy_drift(self) -> float:
-        ref = max(abs(self.energy[0]), 1e-300)
-        return float(np.abs(self.energy - self.energy[0]).max() / ref)
-
-
-def _upper_third_tail(grid: PeriodicGrid, spec: np.ndarray) -> float:
-    total = np.sum(np.abs(spec) ** 2)
-    if total == 0:
-        return 0.0
-    return float(np.sum((np.abs(spec) ** 2)[~grid.dealias_mask]) / total)
+        return relative_drift(self.energy)
 
 
 def segment_steps(output_times, dt: float) -> list[int]:
@@ -133,36 +119,32 @@ def _step(u, uh, kinetic, scale, vphase, theta, scratch, rot) -> None:
 
 
 def solve_nls(problem: SemiclassicalProblem, t_final: float, dt: float | None = None,
-              output_times=None, tail_tol: float = 1e-8,
-              initial_state: ComplexField | None = None) -> NLSSolution:
+              output_times=None) -> NLSSolution:
     """Propagate the semiclassical equation to t_final.
 
     output_times must be strictly increasing and positive, ending at
     t_final (it is appended when missing).  Within each segment the step is
     shrunk to seg / ceil(seg / dt) so outputs land exactly on step
     boundaries (segment_steps); dt defaults to eps/50.  Raises
-    ResolutionError when an output state carries more than tail_tol of its
+    ResolutionError when an output state carries more than TAIL_TOL of its
     power in the upper third of the spectrum, and DivergenceError on
-    non-finite values; both carry the time and eps of the solve.
-    initial_state is read, never written.  This is the one-row call of
-    solve_nls_sweep.
+    non-finite values; both carry the time and eps of the solve.  This is
+    the one-row call of solve_nls_sweep.
     """
-    out = solve_nls_sweep([problem], t_final, [dt], output_times=output_times,
-                          tail_tol=tail_tol, initial_states=[initial_state])[0]
+    out = solve_nls_sweep([problem], t_final, [dt], output_times=output_times)[0]
     if isinstance(out, Exception):
         raise out
     return out
 
 
 def solve_nls_sweep(problems: list[SemiclassicalProblem], t_final: float, dts,
-                    output_times=None, tail_tol: float = 1e-8,
-                    initial_states=None
+                    output_times=None
                     ) -> list[NLSSolution | ResolutionError | DivergenceError]:
     """solve_nls for every problem at once, in one march.
 
     The problems share one grid, t_final and output times; dts[r] (None
-    for eps/50) and initial_states[r] (None for the problem's own) belong
-    to problems[r].  The states are the rows of one array, and every row
+    for eps/50) belongs to problems[r], which starts from its own initial
+    state.  The states are the rows of one array, and every row
     keeps its own step size, kinetic multipliers, phase scale and
     segment_steps count, so its arithmetic is that of its own solve.  Each
     loop pass advances every row by one step at a cost of two FFT calls,
@@ -175,9 +157,8 @@ def solve_nls_sweep(problems: list[SemiclassicalProblem], t_final: float, dts,
     """
     if t_final <= 0:
         raise ConfigError("t_final must be positive")
-    initial_states = initial_states or [None] * len(problems)
-    if not len(problems) == len(dts) == len(initial_states):
-        raise ConfigError("a sweep takes one dt and one initial state per problem")
+    if len(problems) != len(dts):
+        raise ConfigError("a sweep takes one dt per problem")
     dts = [p.eps / 50.0 if dt is None else dt for p, dt in zip(problems, dts)]
     if any(dt <= 0 for dt in dts):
         raise ConfigError("dt must be positive")
@@ -185,13 +166,7 @@ def solve_nls_sweep(problems: list[SemiclassicalProblem], t_final: float, dts,
     grid = problems[0].grid
     if any(p.grid != grid for p in problems):
         raise ConfigError("the problems of a sweep must share one grid")
-    starts = []
-    for problem, start in zip(problems, initial_states):
-        if start is None:
-            start = problem.initial_state()
-        elif start.grid != grid:
-            raise ConfigError("initial_state grid mismatch")
-        starts.append(start)
+    starts = [p.initial_state() for p in problems]
 
     # work buffers, one row per stacked problem: u in physical space, uh in
     # Fourier space, theta for the pointwise phase and rot for its rotation
@@ -244,10 +219,10 @@ def solve_nls_sweep(problems: list[SemiclassicalProblem], t_final: float, dts,
 
         # the rows at an output run the checks of their own solve there
         u[at] = np.fft.ifft(uh[at])
-        spec = np.fft.fft(u[at])
+        tails = tail_fraction(np.fft.fft(u[at]), ~grid.dealias_mask)
         done = np.zeros(len(rows), dtype=bool)
         passed = []
-        for r, row_spec in zip(np.flatnonzero(at), spec):
+        for r, tail in zip(np.flatnonzero(at), tails):
             i, t_cur = rows[r], bounds[segment[r] + 1]
             eps = problems[i].eps
             if not np.all(np.isfinite(u[r])):
@@ -255,10 +230,9 @@ def solve_nls_sweep(problems: list[SemiclassicalProblem], t_final: float, dts,
                     "reference solve hit non-finite values", time=t_cur, eps=eps)
                 done[r] = True
                 continue
-            tail = _upper_third_tail(grid, row_spec)
-            if tail > tail_tol:
+            if tail > TAIL_TOL:
                 outcomes[i] = ResolutionError(
-                    f"spectral tail fraction {tail:.3e} exceeds {tail_tol:.1e}; "
+                    f"spectral tail fraction {tail:.3e} exceeds {TAIL_TOL:.1e}; "
                     "increase the grid size", time=t_cur, eps=eps)
                 done[r] = True
                 continue

@@ -37,11 +37,13 @@ from functools import partial
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, ResolutionError
-from .fields import ComplexField, RealField, derivative_values
+from .fields import ComplexField, RealField, derivative_values, tail_fraction
 from .grids import PeriodicGrid
-from .problem import SemiclassicalProblem, march_steps
+from .problem import (SemiclassicalProblem, hermite, march_steps, relative_drift,
+                      time_index)
 
 VARIANTS = ("full", "skew_free", "limit")
+TAIL_TOL = 1e-8   # largest power fraction a state keeps in the kept band top
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,15 +83,10 @@ class GrenierTrajectory:
         return self.states[-1]
 
     def state_at(self, t: float) -> GrenierState:
-        times = self.times
-        idx = int(np.argmin(np.abs(times - t)))
-        if abs(times[idx] - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError(f"t={t} not stored (nearest {times[idx]})")
-        return self.states[idx]
+        return self.states[time_index(self.times, t)]
 
     def mass_drift(self) -> float:
-        ref = abs(self.mass[0])
-        return float(np.abs(self.mass - self.mass[0]).max() / max(ref, 1e-300))
+        return relative_drift(self.mass)
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,30 +218,20 @@ def _rk4(stages, phi, a, h, work) -> None:
     a += np.multiply(h / 6, sum_a, out=sum_a)
 
 
-def _kept_band_tail(grid: PeriodicGrid, spec: np.ndarray) -> np.ndarray:
-    """Energy fraction in the top third of the retained (dealiased) band,
-    one value per row of `spec`."""
-    power = spec.real ** 2 + spec.imag ** 2
-    total = power.sum(axis=-1)
-    tail = power[..., grid.kept_band_top].sum(axis=-1)
-    return np.divide(tail, total, out=np.zeros_like(total), where=total != 0)
-
-
 def solve_phase_amplitude(problem: SemiclassicalProblem, t_final: float, dt: float,
-                          variant: str = "full", store_every: int = 1,
-                          tail_tol: float = 1e-8) -> GrenierTrajectory:
+                          variant: str = "full", store_every: int = 1
+                          ) -> GrenierTrajectory:
     """March the phase-amplitude system to t_final.
 
     dt is adjusted so march_steps(t_final, dt) steps land exactly on
     t_final; negative t_final integrates backward.  States are stored every
     `store_every` steps (the final state always).  A ResolutionError is
-    raised when the amplitude spectrum fills the top of the retained band,
-    a DivergenceError on non-finite values.  This is the one-row call of
-    solve_phase_amplitude_sweep.
+    raised when more than TAIL_TOL of the amplitude's power lies in the top
+    third of the retained band, a DivergenceError on non-finite values.
+    This is the one-row call of solve_phase_amplitude_sweep.
     """
     out = solve_phase_amplitude_sweep([problem], t_final, dt, variant=variant,
-                                      store_every=store_every,
-                                      tail_tol=tail_tol)[0]
+                                      store_every=store_every)[0]
     if isinstance(out, Exception):
         raise out
     return out
@@ -252,8 +239,7 @@ def solve_phase_amplitude(problem: SemiclassicalProblem, t_final: float, dt: flo
 
 def solve_phase_amplitude_sweep(problems: list[SemiclassicalProblem],
                                 t_final: float, dt: float,
-                                variant: str = "full", store_every: int = 1,
-                                tail_tol: float = 1e-8
+                                variant: str = "full", store_every: int = 1
                                 ) -> list[GrenierTrajectory | ResolutionError
                                           | DivergenceError]:
     """solve_phase_amplitude for every problem at once, in one march.
@@ -269,10 +255,10 @@ def solve_phase_amplitude_sweep(problems: list[SemiclassicalProblem],
         raise ConfigError(f"variant must be one of {VARIANTS}, got {variant!r}")
     grid = problems[0].grid
     for problem in problems:
-        if problem.potential.kind == "harmonic":
+        if not problem.potential.periodic:
             raise ConfigError(
-                "the phase-amplitude solver runs on bounded potentials only; "
-                "harmonic confinement goes through the ray decomposition")
+                "the phase-amplitude solver runs on box-periodic potentials "
+                "only; harmonic confinement goes through the ray decomposition")
         if problem.grid != grid:
             raise ConfigError("the problems of a sweep must share one grid")
 
@@ -318,7 +304,7 @@ def solve_phase_amplitude_sweep(problems: list[SemiclassicalProblem],
         skew_phase, rhs.v = skew_phase[keep], rhs.v[keep]
         rows = [i for i, k in zip(rows, keep) if k]
 
-    store(0.0, phi, a, _kept_band_tail(grid, a_hat))
+    store(0.0, phi, a, tail_fraction(a_hat, grid.kept_band_top))
     stages = (rhs,) * 4
     for n in range(n_steps):
         if variant == "full":
@@ -335,12 +321,12 @@ def solve_phase_amplitude_sweep(problems: list[SemiclassicalProblem],
                 "phase-amplitude solve hit non-finite values",
                 time=t, eps=eps))
         if (n + 1) % store_every == 0 or n == n_steps - 1:
-            tail = _kept_band_tail(grid, a_hat)
-            unresolved = tail > tail_tol
+            tail = tail_fraction(a_hat, grid.kept_band_top)
+            unresolved = tail > TAIL_TOL
             if unresolved.any():
                 drop(unresolved, lambda r, eps: ResolutionError(
                     f"amplitude spectrum tail fraction {tail[r]:.3e} exceeds "
-                    f"{tail_tol:.1e}", time=t, eps=eps))
+                    f"{TAIL_TOL:.1e}", time=t, eps=eps))
                 tail = tail[~unresolved]
             store(t, np.fft.irfft(phi_hat, rhs.n), np.fft.ifft(a_hat), tail)
         if not rows:
@@ -402,14 +388,8 @@ class _HermiteCoeffs:
             return self.node(i + 1)[:2]
         phi0, a0, dphi0, da0 = self.node(i)
         phi1, a1, dphi1, da1 = self.node(i + 1)
-        h = self.h
-        h00 = 2 * u**3 - 3 * u**2 + 1
-        h10 = u**3 - 2 * u**2 + u
-        h01 = -2 * u**3 + 3 * u**2
-        h11 = u**3 - u**2
-        phi = h00 * phi0 + h10 * h * dphi0 + h01 * phi1 + h11 * h * dphi1
-        a = h00 * a0 + h10 * h * da0 + h01 * a1 + h11 * h * da1
-        return phi, a
+        return (hermite(u, self.h, phi0, phi1, dphi0, dphi1),
+                hermite(u, self.h, a0, a1, da0, da1))
 
 
 def solve_corrector(limit: GrenierTrajectory, a1: ComplexField | None = None,

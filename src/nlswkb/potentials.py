@@ -1,96 +1,62 @@
-"""External potentials and initial phases with pointwise evaluators.
+"""External potentials and initial phases as closed-form triples.
 
-Ray tracing needs V, its derivative and its second derivative at arbitrary
-points on the line, not just on the grid, so each kind carries closed-form
-evaluators.  They take an (M,) array of points and return (M,) arrays,
-the layout the ray bundle stores.  Supported potential kinds:
+Ray tracing reads V and phi0 only through their value, first and second
+derivative at arbitrary points on the line, so each spec is that triple of
+evaluators plus the flags the ray code reads.  The evaluators take an (M,)
+array of points (potentials also the time t first) and return (M,) arrays,
+the layout the ray bundle stores.  The flags:
 
-* ``zero``
-* ``harmonic``: V = omega^2 x^2 / 2 (sub-quadratic growth, the only
-  unbounded kind admitted)
-* ``bounded_periodic``: closed-form callables, e.g. ``cosine``
+* ``periodic``: the spec extends box-periodically, so the ray displacement
+  does too and labels may wrap;
+* ``quadratic`` (potentials): V'' is constant in space.  Both initial
+  phases are quadratic, so the ray map is then exactly affine in the labels.
 
-Initial phase kinds are ``zero`` and ``quadratic`` (phi0 = q y^2 / 2).
+Potentials: ``zero``, ``harmonic`` (V = omega^2 x^2 / 2, sub-quadratic
+growth, the only unbounded one admitted) and ``cosine`` (bounded and
+periodic).  Initial phases: ``zero`` and ``quadratic`` (phi0 = q y^2 / 2).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import FieldError
-from .fields import RealField
 from .grids import PeriodicGrid
 
-POTENTIAL_KINDS = ("zero", "harmonic", "bounded_periodic")
-PHASE_KINDS = ("zero", "quadratic")
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PotentialSpec:
-    kind: str
-    omega: float | None = None
-    callables: tuple | None = None  # (value, gradient, hessian), each f(t, x)
+    value: Callable        # f(t, x), each of the three
+    gradient: Callable
+    hessian: Callable
+    periodic: bool
+    quadratic: bool
 
     @classmethod
     def zero(cls) -> "PotentialSpec":
-        return cls("zero")
+        def zero(t, x):
+            return np.zeros_like(x)
+
+        return cls(zero, zero, zero, periodic=True, quadratic=True)
 
     @classmethod
     def harmonic(cls, omega: float) -> "PotentialSpec":
-        return cls("harmonic", omega=float(omega))
+        omega = float(omega)
+        return cls(lambda t, x: 0.5 * (omega * x) ** 2,
+                   lambda t, x: omega**2 * x,
+                   lambda t, x: np.full_like(x, omega**2),
+                   periodic=False, quadratic=True)
 
     @classmethod
     def cosine(cls, amplitude: float, length: float, cycles: int = 1) -> "PotentialSpec":
         """V(x) = A cos(2 pi m x / L): the stock bounded-periodic fixture."""
         kv = 2 * np.pi * cycles / length
-
-        def value(t, x):
-            return amplitude * np.cos(kv * x)
-
-        def gradient(t, x):
-            return -amplitude * kv * np.sin(kv * x)
-
-        def hessian(t, x):
-            return -amplitude * kv**2 * np.cos(kv * x)
-
-        return cls("bounded_periodic", callables=(value, gradient, hessian))
-
-    def __post_init__(self):
-        if self.kind not in POTENTIAL_KINDS:
-            raise FieldError(f"unknown potential kind {self.kind!r}")
-        if self.kind == "harmonic" and self.omega is None:
-            raise FieldError("harmonic potential needs a frequency")
-        if self.kind == "bounded_periodic" and self.callables is None:
-            raise FieldError("bounded_periodic potential needs callables")
-
-    # -- evaluators on (M,) points ------------------------------------------
-
-    def value(self, t: float, x: np.ndarray) -> np.ndarray:
-        if self.kind == "zero":
-            return np.zeros_like(x)
-        if self.kind == "harmonic":
-            return 0.5 * (self.omega * x) ** 2
-        return self.callables[0](t, x)
-
-    def gradient(self, t: float, x: np.ndarray) -> np.ndarray:
-        if self.kind == "zero":
-            return np.zeros_like(x)
-        if self.kind == "harmonic":
-            return self.omega**2 * x
-        return self.callables[1](t, x)
-
-    def hessian(self, t: float, x: np.ndarray) -> np.ndarray:
-        if self.kind == "zero":
-            return np.zeros_like(x)
-        if self.kind == "harmonic":
-            return np.full_like(x, self.omega**2)
-        return self.callables[2](t, x)
-
-    def sample_on(self, grid: PeriodicGrid, t: float = 0.0, role: str = "potential") -> RealField:
-        if self.kind == "zero":
-            return RealField.zeros(grid, role=role)
-        return RealField(grid, self.value(t, grid.nodes), role=role)
+        return cls(lambda t, x: amplitude * np.cos(kv * x),
+                   lambda t, x: -amplitude * kv * np.sin(kv * x),
+                   lambda t, x: -amplitude * kv**2 * np.cos(kv * x),
+                   periodic=True, quadratic=False)
 
     def subquadratic_bound(self, grid: PeriodicGrid, t: float = 0.0) -> float:
         """Max |V''| over the box; must be finite (admissibility)."""
@@ -100,62 +66,21 @@ class PotentialSpec:
         return bound
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InitialPhaseSpec:
-    kind: str
-    curvature: float | None = None  # q; phi0 = q y^2 / 2
+    value: Callable        # f(y), each of the three
+    gradient: Callable
+    hessian: Callable
+    periodic: bool
 
     @classmethod
     def zero(cls) -> "InitialPhaseSpec":
-        return cls("zero")
+        return cls(np.zeros_like, np.zeros_like, np.zeros_like, periodic=True)
 
     @classmethod
     def quadratic(cls, curvature: float) -> "InitialPhaseSpec":
-        return cls("quadratic", curvature=float(curvature))
-
-    def __post_init__(self):
-        if self.kind not in PHASE_KINDS:
-            raise FieldError(f"unknown phase kind {self.kind!r}")
-        if self.kind == "quadratic" and self.curvature is None:
-            raise FieldError("quadratic phase needs a curvature")
-
-    # -- evaluators on (M,) points ------------------------------------------
-
-    def value(self, y: np.ndarray) -> np.ndarray:
-        if self.kind == "zero":
-            return np.zeros_like(y)
-        return 0.5 * (y * self.curvature * y)
-
-    def gradient(self, y: np.ndarray) -> np.ndarray:
-        if self.kind == "zero":
-            return np.zeros_like(y)
-        return y * self.curvature
-
-    def hessian(self, y: np.ndarray) -> np.ndarray:
-        if self.kind == "zero":
-            return np.zeros_like(y)
-        return np.full_like(y, self.curvature)
-
-    def sample_on(self, grid: PeriodicGrid, role: str = "initial-phase") -> RealField:
-        if self.kind == "zero":
-            return RealField.zeros(grid, role=role)
-        return RealField(grid, self.value(grid.nodes), role=role)
-
-    def is_periodic_compatible(self) -> bool:
-        """True when the phase extends periodically (labels may wrap)."""
-        return self.kind != "quadratic"
-
-
-def potential_is_periodic_compatible(potential: PotentialSpec) -> bool:
-    """True when the ray displacement field inherits box periodicity."""
-    return potential.kind in ("zero", "bounded_periodic")
-
-
-def map_is_affine(potential: PotentialSpec, phase: InitialPhaseSpec) -> bool:
-    """True when the ray map is exactly affine in the labels.
-
-    Holds when both Hessians are constant in space: zero/harmonic potential
-    with zero/quadratic phase.  The variational matrix is then
-    label-independent and interpolation of the map is exact.
-    """
-    return potential.kind in ("zero", "harmonic") and phase.kind in ("zero", "quadratic")
+        q = float(curvature)
+        return cls(lambda y: 0.5 * (y * q * y),
+                   lambda y: y * q,
+                   lambda y: np.full_like(y, q),
+                   periodic=False)

@@ -1,4 +1,6 @@
-"""Problem container: one semiclassical Cauchy problem on a periodic box.
+"""Problem container: one semiclassical Cauchy problem on a periodic box,
+and the helpers that every solver shares (step counts, stored-time lookup,
+drift of a conserved series, the cubic Hermite basis).
 
 The equation solved throughout the package is
 
@@ -27,6 +29,33 @@ def march_steps(t_final: float, dt: float) -> int:
     |t_final| / dt, at least one.  The march steps t_final / steps, so it
     lands exactly on t_final."""
     return max(1, int(round(abs(t_final) / dt)))
+
+
+def time_index(times: np.ndarray, t: float) -> int:
+    """Index of the stored time nearest to t, which must lie within
+    1e-9 * max(1, |t|) of it (ValueError otherwise)."""
+    idx = int(np.argmin(np.abs(times - t)))
+    if abs(times[idx] - t) > 1e-9 * max(1.0, abs(t)):
+        raise ValueError(
+            f"t={t} is not a stored time node (nearest: {times[idx]}); "
+            "choose dt so targets land on nodes"
+        )
+    return idx
+
+
+def relative_drift(series: np.ndarray) -> float:
+    """Largest departure of a conserved series from its first value,
+    relative to that value."""
+    ref = max(abs(series[0]), 1e-300)
+    return float(np.abs(series - series[0]).max() / ref)
+
+
+def hermite(u, h, f0, f1, d0, d1):
+    """Cubic Hermite interpolant at the offset u in [0, 1] of a cell of
+    width h, from the end values f0, f1 and the end slopes d0, d1."""
+    u2, u3 = u * u, u * u * u
+    return ((2 * u3 - 3 * u2 + 1) * f0 + (u3 - 2 * u2 + u) * h * d0
+            + (-2 * u3 + 3 * u2) * f1 + (u3 - u2) * h * d1)
 
 
 def gaussian_field(grid: PeriodicGrid, width: float = 1.0, amplitude: float = 1.0,
@@ -74,7 +103,8 @@ class SemiclassicalProblem:
         return ComplexField(self.grid, vals, role="initial-amplitude")
 
     def initial_phase_field(self) -> RealField:
-        return self.phase.sample_on(self.grid)
+        return RealField(self.grid, self.phase.value(self.grid.nodes),
+                         role="initial-phase")
 
     def initial_state(self) -> ComplexField:
         phi0 = self.initial_phase_field()
@@ -82,4 +112,5 @@ class SemiclassicalProblem:
         return ComplexField(self.grid, u0, role="initial-state")
 
     def potential_field(self, t: float = 0.0) -> RealField:
-        return self.potential.sample_on(self.grid, t=t)
+        return RealField(self.grid, self.potential.value(t, self.grid.nodes),
+                         role="potential")

@@ -35,10 +35,11 @@ import numpy as np
 from .errors import CausticError, DivergenceError, InversionError
 from .fields import RealField, derivative_values, interpolate_periodic
 from .grids import PeriodicGrid
-from .potentials import map_is_affine, potential_is_periodic_compatible
-from .problem import SemiclassicalProblem, march_steps
+from .problem import SemiclassicalProblem, hermite, march_steps, time_index
 
 CAUSTIC_THRESHOLD = 0.1
+# the Hamilton-Jacobi residual is checked while min_y J stays above this
+RESIDUAL_MIN_JACOBIAN = 0.3
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,23 +60,19 @@ class RayBundle:
         return float(self.times[1] - self.times[0])
 
     def time_index(self, t: float) -> int:
-        idx = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[idx] - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError(
-                f"t={t} is not a stored time node (nearest: {self.times[idx]}); "
-                "choose dt so targets land on nodes"
-            )
-        return idx
+        return time_index(self.times, t)
 
     def min_jacobian(self) -> np.ndarray:
         return self.jac.min(axis=1)
 
     def is_periodic_compatible(self) -> bool:
-        return (potential_is_periodic_compatible(self.problem.potential)
-                and self.problem.phase.is_periodic_compatible())
+        """The ray displacement is box-periodic: labels may wrap."""
+        return self.problem.potential.periodic and self.problem.phase.periodic
 
     def is_affine(self) -> bool:
-        return map_is_affine(self.problem.potential, self.problem.phase)
+        """The ray map is affine in the labels: V'' is constant, and both
+        initial phases are quadratic."""
+        return self.problem.potential.quadratic
 
 
 def _ray_rhs(potential, t, x, xi, jac, xiv, s):
@@ -168,12 +165,6 @@ def caustic_time(bundle: RayBundle, threshold: float = CAUSTIC_THRESHOLD) -> flo
 # cubic Hermite machinery on the marker line
 
 
-def _hermite_eval(u, h, f0, f1, d0, d1):
-    u2, u3 = u * u, u * u * u
-    return ((2 * u3 - 3 * u2 + 1) * f0 + (u3 - 2 * u2 + u) * h * d0
-            + (-2 * u3 + 3 * u2) * f1 + (u3 - u2) * h * d1)
-
-
 def _hermite_deriv(u, h, f0, f1, d0, d1):
     u2 = u * u
     return ((6 * u2 - 6 * u) * f0 + (3 * u2 - 4 * u + 1) * h * d0
@@ -206,7 +197,7 @@ class LabelMap:
             values, slopes = np.append(values, values[0]), np.append(slopes, slopes[0])
         h = self.bundle.y[1] - self.bundle.y[0]
         c = self.cells
-        return _hermite_eval(self.u, h, values[c], values[c + 1], slopes[c], slopes[c + 1])
+        return hermite(self.u, h, values[c], values[c + 1], slopes[c], slopes[c + 1])
 
     def interp_series(self, series: np.ndarray) -> np.ndarray:
         """Per-marker scalar series evaluated at the labels.
@@ -273,7 +264,7 @@ def invert_flow(bundle: RayBundle, t: float, x_grid: PeriodicGrid) -> LabelMap:
     u = np.clip((reduced - f0) / np.where(f1 > f0, f1 - f0, 1.0), 0.0, 1.0)
     scale = max(1.0, np.abs(x).max())
     for _ in range(80):
-        val = _hermite_eval(u, h, f0, f1, d0, d1) - reduced
+        val = hermite(u, h, f0, f1, d0, d1) - reduced
         if np.all(np.abs(val) <= 1e-12 * scale):
             break
         pos = val > 0
@@ -284,7 +275,7 @@ def invert_flow(bundle: RayBundle, t: float, x_grid: PeriodicGrid) -> LabelMap:
         u_new = u - step
         bad = (u_new < lo) | (u_new > hi) | ~np.isfinite(u_new)
         u = np.where(bad, 0.5 * (lo + hi), u_new)
-    worst = float(np.abs(_hermite_eval(u, h, f0, f1, d0, d1) - reduced).max())
+    worst = float(np.abs(hermite(u, h, f0, f1, d0, d1) - reduced).max())
     if worst > 1e-10 * scale:
         raise InversionError(
             f"Newton inversion did not reach tolerance (worst residual "
@@ -337,12 +328,11 @@ def jacobian_consistency(bundle: RayBundle, t: float) -> float:
 
 
 def hamilton_jacobi_residual(bundle: RayBundle, x_grid: PeriodicGrid,
-                             gradient: str = "momentum",
-                             min_jacobian: float = 0.3) -> float:
+                             gradient: str = "momentum") -> float:
     """Sup-norm residual of d_t phi + |grad phi|^2/2 + V over checkable nodes.
 
     d_t uses a fourth-order centered stencil over stored nodes, so the check
-    runs on interior nodes whose min-Jacobian stays above `min_jacobian`;
+    runs on interior nodes whose min-Jacobian stays above RESIDUAL_MIN_JACOBIAN;
     closer to the caustic the time derivatives of the phase blow up and
     finite differencing is no longer meaningful.  `gradient` selects the
     transported momentum (valid for any fixture) or the spectral gradient
@@ -350,7 +340,8 @@ def hamilton_jacobi_residual(bundle: RayBundle, x_grid: PeriodicGrid,
     """
     if gradient not in ("momentum", "spectral"):
         raise ValueError(f"unknown gradient mode {gradient!r}")
-    horizon = _first_crossing(bundle.times, bundle.min_jacobian(), min_jacobian)
+    horizon = _first_crossing(bundle.times, bundle.min_jacobian(),
+                              RESIDUAL_MIN_JACOBIAN)
     tmax = horizon if horizon is not None else np.inf
     usable = np.nonzero(bundle.times < tmax)[0]
     if len(usable) < 5:

@@ -297,6 +297,25 @@ CONFIG_ERRORS = [
      "data.b0 is not read by the normgrowth driver; leave it out"),
     ("supercritical.json", ('data.b0={"amplitude": 0.5}',),
      "data.b0 is not read by the supercritical_leading driver"),
+    # plan: the keys of other sections that only some drivers read
+    ("critical.json", ("norms.sobolev_orders=[3]",),
+     "norms.sobolev_orders is not read by the critical driver"),
+    ("instability.json", ("norms.m_orders=[3]",),
+     "norms.m_orders is not read by the instability driver"),
+    ("critical.json", ("instability.alpha=0.3",),
+     "instability.alpha is not read by the critical driver; leave it out"),
+    ("odewindow.json", ("instability.taylor_order=3",),
+     "instability.taylor_order is not read by the odewindow driver"),
+    ("instability.json", ("growth.resolution_const=0.5",),
+     "growth.resolution_const is not read by the instability driver"),
+    ("instability.json", ('growth.exponents={"n": 4}',),
+     "growth.exponents is not read by the instability driver"),
+    ("critical.json", ("growth.max_resolution_doublings=5",),
+     "growth.max_resolution_doublings is not read by the critical driver"),
+    ("critical.json", ("variant=limit",),
+     "variant is not read by the critical driver"),
+    ("critical.json", ("output.dump_fields=true",),
+     "output.dump_fields is not read by the critical driver"),
     # plan
     ("skewfree.json", ("time.schedule=[]",), "time.schedule must not be empty"),
     ("skewfree.json", ("time.schedule=[0.0, 0.1]",),

@@ -1,6 +1,5 @@
 """Characteristic-flow oracles: closed-form rays, Jacobians, phases, caustics."""
 import dataclasses
-import re
 
 import numpy as np
 import pytest
@@ -217,25 +216,39 @@ class TestInversionGuards:
         assert caught.value.worst_residual > 1e-10 * 16.0
 
 
-class TestArgumentGuards:
-    @pytest.mark.parametrize("build, message", [
-        (lambda: PotentialSpec("bogus"), "unknown potential kind 'bogus'"),
-        (lambda: PotentialSpec("harmonic"), "harmonic potential needs a frequency"),
-        (lambda: PotentialSpec("bounded_periodic"),
-         "bounded_periodic potential needs callables"),
-        (lambda: InitialPhaseSpec("bogus"), "unknown phase kind 'bogus'"),
-        (lambda: InitialPhaseSpec("quadratic"), "quadratic phase needs a curvature"),
-    ], ids=["potential-kind", "frequency", "callables", "phase-kind", "curvature"])
-    def test_incomplete_specs_are_rejected(self, build, message):
-        with pytest.raises(FieldError, match=re.escape(message)):
-            build()
+class TestMapClass:
+    """The flags of the specs pick the label-map branch: affine when V'' is
+    constant, periodic-compatible when potential and phase both are."""
 
+    POTENTIALS = {"zero": PotentialSpec.zero(),
+                  "harmonic": PotentialSpec.harmonic(1.0),
+                  "cosine": PotentialSpec.cosine(0.5, 32.0, 1)}
+    PHASES = {"flat": InitialPhaseSpec.zero(),
+              "quadratic": InitialPhaseSpec.quadratic(0.2)}
+
+    @pytest.mark.parametrize("potential, phase, affine, periodic", [
+        ("zero", "flat", True, True),
+        ("zero", "quadratic", True, False),
+        ("harmonic", "flat", True, False),
+        ("harmonic", "quadratic", True, False),
+        ("cosine", "flat", False, True),
+        ("cosine", "quadratic", False, False),
+    ])
+    def test_affine_and_periodic_flags(self, potential, phase, affine, periodic):
+        problem, markers = make_problem(self.POTENTIALS[potential],
+                                        self.PHASES[phase], 32.0, 64)
+        bundle = rays.integrate_flow(problem, markers, 0.01, dt=1e-2)
+        assert bundle.is_affine() is affine
+        assert bundle.is_periodic_compatible() is periodic
+
+
+class TestArgumentGuards:
     def test_unbounded_hessian_is_not_admissible(self):
         def inf(t, x):
             return np.full_like(x, np.inf)
 
         problem, markers = make_problem(
-            PotentialSpec("bounded_periodic", callables=(inf, inf, inf)),
+            PotentialSpec(inf, inf, inf, periodic=True, quadratic=False),
             InitialPhaseSpec.zero(), 32.0, 64)
         with pytest.raises(FieldError, match="potential Hessian is not bounded"):
             rays.integrate_flow(problem, markers, 0.1, dt=1e-2)

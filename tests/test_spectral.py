@@ -10,7 +10,7 @@ from nlswkb.errors import FieldError, GridError
 from nlswkb.fields import (ComplexField, RealField, band_limited_interpolate,
                            derivative_values, interpolate_periodic,
                            l2_linf_norm, laplacian_values, lp_norm,
-                           sobolev_norm)
+                           sobolev_norm, tail_fraction)
 from nlswkb.grids import PeriodicGrid
 
 
@@ -181,6 +181,36 @@ class TestSharedTransform:
         expected = (k > (4.0 / 9.0) * kmax) & (k <= (2.0 / 3.0) * kmax)
         assert np.array_equal(grid.kept_band_top, expected)
         assert not grid.kept_band_top.flags.writeable
+
+
+class TestTailFraction:
+    """The spectral tail monitor shared by the NLS and phase-amplitude
+    solvers: one fraction per row."""
+
+    def test_row_without_power_gives_zero(self):
+        grid = PeriodicGrid(32.0, 64)
+        spec = np.zeros((2, 64), dtype=complex)
+        spec[1, 0] = 1.0
+        assert np.array_equal(tail_fraction(spec, grid.kept_band_top), [0.0, 0.0])
+
+    def test_power_all_in_the_band_gives_one(self):
+        grid = PeriodicGrid(32.0, 64)
+        band = ~grid.dealias_mask
+        spec = np.where(band, 1.0 - 2.0j, 0.0)
+        assert tail_fraction(spec[np.newaxis], band)[0] == 1.0
+
+    @pytest.mark.parametrize("band", ["kept_band_top", "aliased"])
+    def test_matches_the_per_row_modulus_formula(self, band):
+        grid = PeriodicGrid(32.0, 128)
+        mask = grid.kept_band_top if band == "kept_band_top" else ~grid.dealias_mask
+        rng = np.random.default_rng(7)
+        spec = rng.standard_normal((5, 128)) + 1j * rng.standard_normal((5, 128))
+        spec *= np.exp(-0.05 * np.arange(128))
+        got = tail_fraction(spec, mask)
+        assert got.shape == (5,)
+        for row, value in zip(spec, got):
+            power = np.abs(row) ** 2
+            assert abs(value - np.sum(power[mask]) / np.sum(power)) <= 1e-15
 
 
 class TestGridValidation:

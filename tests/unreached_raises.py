@@ -1,11 +1,15 @@
-"""List the `raise` statements of src/nlswkb that the test suite never runs.
+"""List the `raise` statements and the functions of src/nlswkb that the
+test suite never runs.
 
     PYTHONPATH=src python3 tests/unreached_raises.py [PYTEST ARGS ...]
 
 Runs pytest in this process (by default on tests/, quietly) under a stdlib
 `sys.settrace` line tracer that records the lines executed in src/nlswkb,
 then prints one `path:line: source` entry for each `raise` statement whose
-first line never ran, and their count.  Code run in subprocesses (the CLI
+first line never ran, and one `path:line: def name` entry for each function
+or method (nested ones included) whose body never ran, each list with its
+count.  Passing `tests/test_golden.py` as the pytest arguments lists the
+code that no shipped config reaches.  Code run in subprocesses (the CLI
 start-up probe) is not traced.  The file name keeps pytest from collecting
 it.  Expect the suite to take a few times longer than untraced.
 """
@@ -30,6 +34,32 @@ def raise_lines(path: Path) -> list[int]:
     tree = ast.parse(path.read_text(encoding="utf-8"))
     return sorted(node.lineno for node in ast.walk(tree)
                   if isinstance(node, ast.Raise))
+
+
+def compiles_to_code(stmt: ast.stmt) -> bool:
+    """False for a docstring, a global and a nonlocal statement, which
+    leave no line for the tracer to record."""
+    if isinstance(stmt, (ast.Global, ast.Nonlocal)):
+        return False
+    return not (isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant)
+                and isinstance(stmt.value.value, str))
+
+
+def function_bodies(path: Path) -> list[tuple[int, str, range]]:
+    """(def line, name, lines of the first body statement) of every
+    function and method in the module at `path`.  The body ran when any
+    line of its first statement that compiles to code did; a decorator
+    runs before its def line."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = next((stmt for stmt in node.body if compiles_to_code(stmt)),
+                         node.body[-1])
+            start = min([first.lineno] + [d.lineno for d in
+                                          getattr(first, "decorator_list", [])])
+            out.append((node.lineno, node.name, range(start, first.end_lineno + 1)))
+    return sorted(out)
 
 
 def run_traced(pytest_args: list[str]) -> tuple[int, set[tuple[str, int]]]:
@@ -63,15 +93,20 @@ def run_traced(pytest_args: list[str]) -> tuple[int, set[tuple[str, int]]]:
 def main(argv: list[str]) -> int:
     args = argv or [str(ROOT / "tests"), "-q", "-p", "no:cacheprovider"]
     code, executed = run_traced(args)
-    missed = []
+    missed, idle = [], []
     for path in sorted(SRC.glob("*.py")):
+        where = path.relative_to(ROOT)
         lines = path.read_text(encoding="utf-8").splitlines()
         for lineno in raise_lines(path):
             if (str(path), lineno) not in executed:
-                missed.append(f"{path.relative_to(ROOT)}:{lineno}: "
-                              f"{lines[lineno - 1].strip()}")
+                missed.append(f"{where}:{lineno}: {lines[lineno - 1].strip()}")
+        for lineno, name, body in function_bodies(path):
+            if not any((str(path), line) in executed for line in body):
+                idle.append(f"{where}:{lineno}: def {name}")
     print("\n".join(missed))
     print(f"{len(missed)} raise statement(s) never ran (pytest exit {code})")
+    print("\n".join(idle))
+    print(f"{len(idle)} function(s) whose body never ran")
     return int(code)
 
 
