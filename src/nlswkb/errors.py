@@ -28,11 +28,6 @@ class CausticError(_TimedError):
 class InversionError(_TimedError):
     """Ray-map inversion failed to converge or left the marker chart."""
 
-    def __init__(self, message: str, time: float | None = None,
-                 worst_residual: float | None = None):
-        super().__init__(message, time)
-        self.worst_residual = worst_residual
-
 
 class _SolverError(_TimedError):
     """A time integration stopped: carries the simulation time it reached

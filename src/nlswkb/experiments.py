@@ -622,16 +622,15 @@ def _run_supercritical(config: ExperimentConfig, plan: Plan) -> ExperimentResult
     orders = config.norms.sobolev_orders
     corrector_mode = config.driver == "supercritical_corrector"
 
-    # the corrector marches on the stored times of the limit; only the
-    # final states of the corrector and of the sweep are read
+    # only the final states of the limit (marched with its corrector in
+    # corrector mode) and of the sweep are read
     limit_problem = config.problem(config.eps[0])
-    limit = phase_amplitude.solve_phase_amplitude(
-        limit_problem, t, dt, variant="limit", store_every=1)
-    corr = None
     if corrector_mode:
-        corr = phase_amplitude.solve_corrector(limit, limit_problem.a1,
-                                               store_every=first.steps).final()
-    lim = limit.final()
+        lim = phase_amplitude.solve_corrector(limit_problem, t, dt,
+                                              store_every=first.steps).final()
+    else:
+        lim = phase_amplitude.solve_phase_amplitude(
+            limit_problem, t, dt, variant="limit", store_every=1).final()
 
     outcomes = phase_amplitude.solve_phase_amplitude_sweep(
         [config.problem(eps) for eps in config.eps], t, dt, variant="full",
@@ -641,7 +640,7 @@ def _run_supercritical(config: ExperimentConfig, plan: Plan) -> ExperimentResult
         st = traj.final()
         da, dphi = st.a - lim.a, st.phi.values - lim.phi.values
         if corrector_mode:
-            da, dphi = da - eps * corr.a1, dphi - eps * corr.phi1.values
+            da, dphi = da - eps * lim.a1, dphi - eps * lim.phi1.values
         dphi = RealField(st.grid, dphi, role="phase-gap")
         return {"eps": eps, "resolved": True, "mass_drift": traj.mass_drift(),
                 "errors": {s: {"a": sobolev_norm(da, s),

@@ -66,20 +66,20 @@ def segment_steps(output_times, dt: float) -> list[int]:
             for a, b in zip(bounds, bounds[1:])]
 
 
-def nls_energy(problem: SemiclassicalProblem, u: ComplexField, t: float = 0.0) -> float:
+def nls_energy(problem: SemiclassicalProblem, u: ComplexField) -> float:
     """Conserved Hamiltonian: (eps^2/2)|grad u|^2 + V|u|^2 + (eps^kappa/2)|u|^4."""
-    return _energies(u.grid, [problem], u.values[np.newaxis], [t])[0]
+    return _energies(u.grid, [problem], u.values[np.newaxis])[0]
 
 
-def _energies(grid: PeriodicGrid, problems, u: np.ndarray, times) -> list[float]:
-    """nls_energy of each row u[r] on grid, the state of problems[r] at
-    times[r]; one FFT pair covers every row."""
+def _energies(grid: PeriodicGrid, problems, u: np.ndarray) -> list[float]:
+    """nls_energy of each row u[r] on grid, a state of problems[r]; one FFT
+    pair covers every row."""
     grads = derivative_values(grid, u)
     energies = []
-    for problem, t, row, grad in zip(problems, times, u, grads):
+    for problem, row, grad in zip(problems, u, grads):
         eps = problem.eps
         kinetic = 0.5 * eps**2 * np.abs(grad) ** 2
-        vvals = problem.potential_field(t).values
+        vvals = problem.potential_field().values
         density = np.abs(row) ** 2
         quartic = 0.5 * eps**problem.kappa * density**2
         energies.append(grid.spacing
@@ -190,7 +190,7 @@ def solve_nls_sweep(problems: list[SemiclassicalProblem], t_final: float, dts,
     states = [[ComplexField(grid, s.values, role="reference-state")]
               for s in starts]
     mass = [[cell * float(np.sum(np.abs(s.values) ** 2))] for s in starts]
-    energy = [[e] for e in _energies(grid, problems, u, [0.0] * len(problems))]
+    energy = [[e] for e in _energies(grid, problems, u)]
     outcomes = [None] * len(problems)
 
     def begin(at):
@@ -219,7 +219,7 @@ def solve_nls_sweep(problems: list[SemiclassicalProblem], t_final: float, dts,
 
         # the rows at an output run the checks of their own solve there
         u[at] = np.fft.ifft(uh[at])
-        tails = tail_fraction(np.fft.fft(u[at]), ~grid.dealias_mask)
+        tails = tail_fraction(uh[at], ~grid.dealias_mask)
         done = np.zeros(len(rows), dtype=bool)
         passed = []
         for r, tail in zip(np.flatnonzero(at), tails):
@@ -240,9 +240,8 @@ def solve_nls_sweep(problems: list[SemiclassicalProblem], t_final: float, dts,
             states[i].append(ComplexField(grid, u[r], role="reference-state"))
             mass[i].append(cell * float(np.sum(np.abs(u[r]) ** 2)))
             passed.append(r)
-        energies = _energies(
-            grid, [problems[rows[r]] for r in passed], u[passed],
-            [times[rows[r]][-1] for r in passed]) if passed else []
+        energies = _energies(grid, [problems[rows[r]] for r in passed],
+                             u[passed]) if passed else []
         for r, e in zip(passed, energies):
             i = rows[r]
             energy[i].append(e)

@@ -25,9 +25,9 @@ axis) and takes every eps of a sweep as a row of one array: the skew step
 is a multiply by a per-row phase, and one transport right-hand side costs
 six transforms in four calls for all rows together.
 
-The corrector solve linearizes the system around the limit trajectory and
-carries the i/2 Lap a source plus the first data correction a1; pairing the
-limit with eps * corrector reproduces the full solve to O(eps^2).
+The corrector solve marches the limit together with its linearization,
+which carries the i/2 Lap a source plus the first data correction a1;
+pairing the limit with eps * corrector reproduces the full solve to O(eps^2).
 """
 from __future__ import annotations
 
@@ -91,7 +91,10 @@ class GrenierTrajectory:
 
 @dataclass(frozen=True, eq=False)
 class CorrectorState:
+    """The limit (phi, a) and its first-order corrector (phi1, a1)."""
     time: float
+    phi: RealField
+    a: ComplexField
     phi1: RealField
     a1: ComplexField
 
@@ -109,15 +112,20 @@ class CorrectorTrajectory:
 # spectral transport right-hand side and the batched march
 
 
-class _Spectral:
-    """Multipliers of the spectral state: phi_hat = rfft(phi) over the
-    N/2 + 1 non-negative modes, a_hat = fft(a) over all N, along the last
-    axis so that a stack of solves marches as rows of one array.  Also
-    holds the work arrays of a march, kept from call to call: a march then
+class _Transport:
+    """Dealiased pseudo-spectral RHS of the coupled transport system with
+    the potential values `vvals`, from spectral state to spectral rate in
+    six transforms in four calls whatever the number of rows.
+
+    The spectral state is phi_hat = rfft(phi) over the N/2 + 1 non-negative
+    modes and a_hat = fft(a) over all N, along the last axis so that a
+    stack of solves marches as rows of one array.  The object also holds
+    the work arrays of a march, kept from call to call: a march then
     allocates no large array per stage, so the heap neither grows nor
     returns pages to the system between stages."""
 
-    def __init__(self, grid: PeriodicGrid):
+    def __init__(self, grid: PeriodicGrid, vvals: np.ndarray):
+        self.v = vvals
         self.n = n = grid.size
         half = n // 2 + 1
         self.ik = grid.ik
@@ -153,16 +161,6 @@ class _Spectral:
         pair[0] = a_hat
         np.multiply(a_hat, self.ik, out=pair[1])
         return np.fft.ifft(pair, out=pair)
-
-
-class _Transport(_Spectral):
-    """Dealiased pseudo-spectral RHS of the coupled transport system, from
-    spectral state to spectral rate in six transforms in four calls
-    whatever the number of rows."""
-
-    def __init__(self, grid: PeriodicGrid, vvals: np.ndarray):
-        super().__init__(grid)
-        self.v = vvals
 
     def __call__(self, phi_hat: np.ndarray, a_hat: np.ndarray, out=None):
         """The rates (d_t phi_hat, d_t a_hat), written into the pair `out`
@@ -218,6 +216,20 @@ def _rk4(stages, phi, a, h, work) -> None:
     a += np.multiply(h / 6, sum_a, out=sum_a)
 
 
+def _potential_rows(problems: list[SemiclassicalProblem]) -> np.ndarray:
+    """V of each problem at the nodes of their one shared grid, one row
+    each; the march takes box-periodic potentials only."""
+    grid = problems[0].grid
+    for problem in problems:
+        if not problem.potential.periodic:
+            raise ConfigError(
+                "the phase-amplitude solver runs on box-periodic potentials "
+                "only; harmonic confinement goes through the ray decomposition")
+        if problem.grid != grid:
+            raise ConfigError("the problems of a sweep must share one grid")
+    return np.array([p.potential_field().values for p in problems])
+
+
 def solve_phase_amplitude(problem: SemiclassicalProblem, t_final: float, dt: float,
                           variant: str = "full", store_every: int = 1
                           ) -> GrenierTrajectory:
@@ -254,15 +266,7 @@ def solve_phase_amplitude_sweep(problems: list[SemiclassicalProblem],
     if variant not in VARIANTS:
         raise ConfigError(f"variant must be one of {VARIANTS}, got {variant!r}")
     grid = problems[0].grid
-    for problem in problems:
-        if not problem.potential.periodic:
-            raise ConfigError(
-                "the phase-amplitude solver runs on box-periodic potentials "
-                "only; harmonic confinement goes through the ray decomposition")
-        if problem.grid != grid:
-            raise ConfigError("the problems of a sweep must share one grid")
-
-    vvals = np.array([p.potential_field().values for p in problems])
+    vvals = _potential_rows(problems)
     if variant == "limit":
         a = np.array([p.a0.values for p in problems], dtype=complex)
     else:
@@ -344,95 +348,45 @@ def solve_phase_amplitude_sweep(problems: list[SemiclassicalProblem],
 # corrector
 
 
-class _HermiteCoeffs:
-    """Cubic Hermite time interpolation of the limit trajectory, in the
-    spectral state of the march.
-
-    Uses stored states and their exact PDE time derivatives, so the
-    interpolation error is O(h^4) and does not degrade the RK4 marching of
-    the corrector.  The corrector walks the nodes in time order, so each
-    node's spectral state and rate is computed once and only the two
-    nodes of the current interval are held.
-    """
-
-    def __init__(self, limit: GrenierTrajectory):
-        self.grid = limit.grid
-        times = limit.times
-        gaps = np.diff(times)
-        if len(gaps) == 0:
-            raise ConfigError("limit trajectory has a single state")
-        if np.abs(gaps - gaps[0]).max() > 1e-9 * max(1.0, abs(gaps[0])):
-            raise ConfigError("limit trajectory must be stored on a uniform time grid")
-        self.h = float(gaps[0])
-        self.times = times
-        self.states = limit.states
-        self.rhs = _Transport(self.grid, limit.problem.potential_field().values)
-        self.nodes = {}
-
-    def node(self, i: int):
-        """(phi_hat, a_hat, dphi_hat, da_hat) at stored state i."""
-        if i not in self.nodes:
-            st = self.states[i]
-            phi_hat, a_hat = np.fft.rfft(st.phi.values), np.fft.fft(st.a.values)
-            self.nodes = {j: n for j, n in self.nodes.items() if j == i - 1}
-            self.nodes[i] = (phi_hat, a_hat, *self.rhs(phi_hat, a_hat))
-        return self.nodes[i]
-
-    def __call__(self, t: float):
-        pos = (t - self.times[0]) / self.h
-        i = int(np.clip(np.floor(pos + 1e-12), 0, len(self.times) - 2))
-        u = pos - i
-        if abs(u) < 1e-12:
-            return self.node(i)[:2]
-        if abs(u - 1) < 1e-12:
-            return self.node(i + 1)[:2]
-        phi0, a0, dphi0, da0 = self.node(i)
-        phi1, a1, dphi1, da1 = self.node(i + 1)
-        return (hermite(u, self.h, phi0, phi1, dphi0, dphi1),
-                hermite(u, self.h, a0, a1, da0, da1))
-
-
-def solve_corrector(limit: GrenierTrajectory, a1: ComplexField | None = None,
+def solve_corrector(problem: SemiclassicalProblem, t_final: float, dt: float,
                     store_every: int = 1) -> CorrectorTrajectory:
-    """Linearized phase-amplitude flow around the limit trajectory.
+    """The limit march (variant="limit") together with its linearization,
 
         d_t phi1 + grad phi . grad phi1 + 2 Re(conj(a) a1) = 0,   phi1(0) = 0,
         d_t a1 + grad phi . grad a1 + grad phi1 . grad a
-               + a1 Lap phi / 2 + a Lap phi1 / 2 = (i/2) Lap a,   a1(0) = a1_data.
+               + a1 Lap phi / 2 + a Lap phi1 / 2 = (i/2) Lap a,   a1(0) = a1_data,
 
-    Marches RK4 on the stored time grid of `limit`, with the coefficient
-    pair (phi, a) Hermite-interpolated and transformed once per stage time
-    (the start, midpoint and end of each step).  Coefficients
-    and corrector live in the spectral state of the phase-amplitude march;
-    the (i/2) Lap a source is a spectral multiply.  With real a0 and
-    a1_data = 0, a1 stays purely imaginary and phi1 stays zero.
+    in one loop.  Each step advances the limit (phi, a) by one RK4 step of
+    the spectral march, then the corrector (phi1, a1) by one RK4 step that
+    reads the limit at the step's start, midpoint and end: the midpoint is
+    the cubic Hermite interpolant of the two end states and their exact
+    rates, so the interpolation error is O(h^4).  a1_data is problem.a1
+    (zero without one).  The limit is checked at every step as the sweep
+    checks a stored state (DivergenceError, ResolutionError); states are
+    stored every `store_every` steps (the final state always).  With real
+    a0 and a1_data = 0, a1 stays purely imaginary and phi1 stays zero.
     """
-    if limit.variant != "limit":
-        raise ConfigError("corrector must be driven by a variant='limit' trajectory")
-    grid = limit.grid
-    if a1 is not None and a1.grid != grid:
-        raise ConfigError("a1 data lives on a different grid than the trajectory")
-    coeffs = _HermiteCoeffs(limit)
-    h = coeffs.h
-    sp = _Spectral(grid)
-    half_lap = 0.5j * sp.lap
+    grid = problem.grid
+    rhs = _Transport(grid, _potential_rows([problem])[0])
+    half_lap = 0.5j * rhs.lap
+    n_steps = march_steps(t_final, dt)
+    h = t_final / n_steps
 
-    def limit_fields(t):
-        # what the right-hand side reads of the limit at time t: grad phi,
+    def coefficients(phi_hat, a_hat):
+        # what the corrector reads of the limit at one time: grad phi,
         # Lap phi, grad a, conj(a), a / 2 and the (i/2) Lap a source
-        phi_hat, a_hat = coeffs(t)
-        gphi, lphi = sp.phase_derivatives(phi_hat)
-        a, ga = sp.amplitude_and_gradient(a_hat)
+        gphi, lphi = rhs.phase_derivatives(phi_hat)
+        a, ga = rhs.amplitude_and_gradient(a_hat)
         return gphi, lphi, ga, np.conj(a), np.multiply(0.5, a), half_lap * a_hat
 
-    def rhs(fields, phi1_hat, a1_hat, out):
+    def corrector_rhs(fields, phi1_hat, a1_hat, out):
         gphi, lphi, ga, conj_a, half_a, source = fields
         shape = (2,) + a1_hat.shape
-        gphi1, lphi1 = sp.phase_derivatives(phi1_hat, out=sp.work("g", shape, float))
-        a1v, ga1 = sp.amplitude_and_gradient(a1_hat, out=sp.work("a", shape))
+        gphi1, lphi1 = rhs.phase_derivatives(phi1_hat, out=rhs.work("g", shape, float))
+        a1v, ga1 = rhs.amplitude_and_gradient(a1_hat, out=rhs.work("a", shape))
         # dphi1 = -(gphi gphi1 + 2 Re(conj(a) a1))
-        prod = np.multiply(conj_a, a1v, out=sp.work("product", a1_hat.shape))
-        dphi1 = np.multiply(gphi, gphi1, out=sp.work("dphi", a1_hat.shape, float))
+        prod = np.multiply(conj_a, a1v, out=rhs.work("product", a1_hat.shape))
+        dphi1 = np.multiply(gphi, gphi1, out=rhs.work("dphi", a1_hat.shape, float))
         dphi1 += np.multiply(2.0, prod.real, out=prod.real)
         np.negative(dphi1, out=dphi1)
         # da1 = -(gphi ga1 + gphi1 ga + (0.5 a1) lphi + (0.5 a) lphi1),
@@ -445,38 +399,53 @@ def solve_corrector(limit: GrenierTrajectory, a1: ComplexField | None = None,
         _negate(ga1)
         rate_phi = np.fft.rfft(dphi1, out=out[0])
         rate_a = np.fft.fft(ga1, out=out[1])
-        rate_phi *= sp.mask_half
+        rate_phi *= rhs.mask_half
         rate_a += source
-        rate_a *= sp.mask
+        rate_a *= rhs.mask
 
-    phi1 = np.zeros(grid.size)
-    a1v = (a1.values.copy() if a1 is not None
-           else np.zeros(grid.size, dtype=complex))
-    phi1_hat, a1_hat = np.fft.rfft(phi1), np.fft.fft(a1v)
-    states = [CorrectorState(float(coeffs.times[0]),
-                             RealField(grid, phi1, role="phase-corrector"),
-                             ComplexField(grid, a1v, role="amplitude-corrector"))]
+    def store(t, phi, a, phi1, a1):
+        states.append(CorrectorState(
+            t, RealField(grid, phi, role="phase"),
+            ComplexField(grid, a, role="amplitude"),
+            RealField(grid, phi1, role="phase-corrector"),
+            ComplexField(grid, a1, role="amplitude-corrector")))
 
-    # RK4 reads the limit at t, twice at t + h/2 and at t + h: each step
-    # evaluates it at its midpoint and end, and its end is the next step's
-    # start (carried by step, since t + h and the next stored time may
-    # differ in the last bit)
-    end = limit_fields(float(coeffs.times[0]))
-    for i in range(len(coeffs.times) - 1):
-        t = float(coeffs.times[i])
-        start, mid, end = end, limit_fields(t + 0.5 * h), limit_fields(t + h)
-        stages = [partial(rhs, fields) for fields in (start, mid, mid, end)]
-        _rk4(stages, phi1_hat, a1_hat, h, sp.work)
-        if not (np.all(np.isfinite(phi1_hat)) and np.all(np.isfinite(a1_hat))):
+    phi, a = problem.initial_phase_field().values, problem.a0.values
+    a1 = (problem.a1.values if problem.a1 is not None
+          else np.zeros(grid.size, dtype=complex))
+    phi_hat, a_hat = np.fft.rfft(phi), np.fft.fft(a)
+    phi1_hat, a1_hat = np.fft.rfft(np.zeros(grid.size)), np.fft.fft(a1)
+    states = []
+    store(0.0, phi, a, np.zeros(grid.size), a1)
+
+    # a Hermite node is the limit's spectral state and its rate
+    node = (phi_hat.copy(), a_hat.copy(), *rhs(phi_hat, a_hat))
+    end = coefficients(phi_hat, a_hat)
+    stages = (rhs,) * 4
+    for n in range(n_steps):
+        _rk4(stages, phi_hat, a_hat, h, rhs.work)
+        t = (n + 1) * h
+        if not (np.isfinite(phi_hat).all() and np.isfinite(a_hat).all()):
+            raise DivergenceError("phase-amplitude solve hit non-finite values",
+                                  time=t, eps=problem.eps)
+        tail = tail_fraction(a_hat, grid.kept_band_top)
+        if tail > TAIL_TOL:
+            raise ResolutionError(f"amplitude spectrum tail fraction {tail:.3e} "
+                                  f"exceeds {TAIL_TOL:.1e}", time=t, eps=problem.eps)
+        (p0, q0, dp0, dq0), node = node, (phi_hat.copy(), a_hat.copy(),
+                                          *rhs(phi_hat, a_hat))
+        p1, q1, dp1, dq1 = node
+        mid = coefficients(hermite(0.5, h, p0, p1, dp0, dp1),
+                           hermite(0.5, h, q0, q1, dq0, dq1))
+        start, end = end, coefficients(phi_hat, a_hat)
+        _rk4([partial(corrector_rhs, fields) for fields in (start, mid, mid, end)],
+             phi1_hat, a1_hat, h, rhs.work)
+        if not (np.isfinite(phi1_hat).all() and np.isfinite(a1_hat).all()):
             raise DivergenceError("corrector solve hit non-finite values",
-                                  time=t + h, eps=limit.problem.eps)
-        if (i + 1) % store_every == 0 or i == len(coeffs.times) - 2:
-            states.append(CorrectorState(
-                float(coeffs.times[i + 1]),
-                RealField(grid, np.fft.irfft(phi1_hat, sp.n),
-                          role="phase-corrector"),
-                ComplexField(grid, np.fft.ifft(a1_hat),
-                             role="amplitude-corrector")))
+                                  time=t, eps=problem.eps)
+        if (n + 1) % store_every == 0 or n == n_steps - 1:
+            store(t, np.fft.irfft(phi_hat, rhs.n), np.fft.ifft(a_hat),
+                  np.fft.irfft(phi1_hat, rhs.n), np.fft.ifft(a1_hat))
 
     return CorrectorTrajectory(states=tuple(states), dt=h)
 

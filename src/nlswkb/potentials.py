@@ -3,8 +3,8 @@
 Ray tracing reads V and phi0 only through their value, first and second
 derivative at arbitrary points on the line, so each spec is that triple of
 evaluators plus the flags the ray code reads.  The evaluators take an (M,)
-array of points (potentials also the time t first) and return (M,) arrays,
-the layout the ray bundle stores.  The flags:
+array of points and return (M,) arrays, the layout the ray bundle stores;
+every potential is time-independent.  The flags:
 
 * ``periodic``: the spec extends box-periodically, so the ray displacement
   does too and labels may wrap;
@@ -28,7 +28,7 @@ from .grids import PeriodicGrid
 
 @dataclass(frozen=True, eq=False)
 class PotentialSpec:
-    value: Callable        # f(t, x), each of the three
+    value: Callable        # f(x), each of the three
     gradient: Callable
     hessian: Callable
     periodic: bool
@@ -36,31 +36,29 @@ class PotentialSpec:
 
     @classmethod
     def zero(cls) -> "PotentialSpec":
-        def zero(t, x):
-            return np.zeros_like(x)
-
-        return cls(zero, zero, zero, periodic=True, quadratic=True)
+        return cls(np.zeros_like, np.zeros_like, np.zeros_like, periodic=True,
+                   quadratic=True)
 
     @classmethod
     def harmonic(cls, omega: float) -> "PotentialSpec":
         omega = float(omega)
-        return cls(lambda t, x: 0.5 * (omega * x) ** 2,
-                   lambda t, x: omega**2 * x,
-                   lambda t, x: np.full_like(x, omega**2),
+        return cls(lambda x: 0.5 * (omega * x) ** 2,
+                   lambda x: omega**2 * x,
+                   lambda x: np.full_like(x, omega**2),
                    periodic=False, quadratic=True)
 
     @classmethod
     def cosine(cls, amplitude: float, length: float, cycles: int = 1) -> "PotentialSpec":
         """V(x) = A cos(2 pi m x / L): the stock bounded-periodic fixture."""
         kv = 2 * np.pi * cycles / length
-        return cls(lambda t, x: amplitude * np.cos(kv * x),
-                   lambda t, x: -amplitude * kv * np.sin(kv * x),
-                   lambda t, x: -amplitude * kv**2 * np.cos(kv * x),
+        return cls(lambda x: amplitude * np.cos(kv * x),
+                   lambda x: -amplitude * kv * np.sin(kv * x),
+                   lambda x: -amplitude * kv**2 * np.cos(kv * x),
                    periodic=True, quadratic=False)
 
-    def subquadratic_bound(self, grid: PeriodicGrid, t: float = 0.0) -> float:
+    def subquadratic_bound(self, grid: PeriodicGrid) -> float:
         """Max |V''| over the box; must be finite (admissibility)."""
-        bound = float(np.abs(self.hessian(t, grid.nodes)).max())
+        bound = float(np.abs(self.hessian(grid.nodes)).max())
         if not np.isfinite(bound):
             raise FieldError("potential Hessian is not bounded on the box")
         return bound

@@ -111,6 +111,6 @@ class SemiclassicalProblem:
         u0 = self.initial_amplitude().values * np.exp(1j * phi0.values / self.eps)
         return ComplexField(self.grid, u0, role="initial-state")
 
-    def potential_field(self, t: float = 0.0) -> RealField:
-        return RealField(self.grid, self.potential.value(t, self.grid.nodes),
+    def potential_field(self) -> RealField:
+        return RealField(self.grid, self.potential.value(self.grid.nodes),
                          role="potential")

@@ -75,10 +75,10 @@ class RayBundle:
         return self.problem.potential.quadratic
 
 
-def _ray_rhs(potential, t, x, xi, jac, xiv, s):
+def _ray_rhs(potential, x, xi, jac, xiv, s):
     # s rides along: the action rate depends on (x, xi) only
-    return (xi, -potential.gradient(t, x), xiv,
-            -(potential.hessian(t, x) * jac), 0.5 * xi**2 - potential.value(t, x))
+    return (xi, -potential.gradient(x), xiv,
+            -(potential.hessian(x) * jac), 0.5 * xi**2 - potential.value(x))
 
 
 def integrate_ray_state(potential, x0, xi0, jac0, xiv0, s0, t0, t_final, dt):
@@ -101,14 +101,13 @@ def integrate_ray_state(potential, x0, xi0, jac0, xiv0, s0, t0, t_final, dt):
         out[0] = v
 
     for n in range(n_steps):
-        t = times[n]
-        k1 = _ray_rhs(potential, t, *state)
+        k1 = _ray_rhs(potential, *state)
         s2 = tuple(v + 0.5 * h * k for v, k in zip(state, k1))
-        k2 = _ray_rhs(potential, t + 0.5 * h, *s2)
+        k2 = _ray_rhs(potential, *s2)
         s3 = tuple(v + 0.5 * h * k for v, k in zip(state, k2))
-        k3 = _ray_rhs(potential, t + 0.5 * h, *s3)
+        k3 = _ray_rhs(potential, *s3)
         s4 = tuple(v + h * k for v, k in zip(state, k3))
-        k4 = _ray_rhs(potential, t + h, *s4)
+        k4 = _ray_rhs(potential, *s4)
         state = tuple(
             v + (h / 6.0) * (a + 2 * b + 2 * c + d)
             for v, a, b, c, d in zip(state, k1, k2, k3, k4)
@@ -279,7 +278,7 @@ def invert_flow(bundle: RayBundle, t: float, x_grid: PeriodicGrid) -> LabelMap:
     if worst > 1e-10 * scale:
         raise InversionError(
             f"Newton inversion did not reach tolerance (worst residual "
-            f"{worst:.3e})", time=t, worst_residual=worst)
+            f"{worst:.3e})", time=t)
     labels = y[cells] + u * h + (targets - reduced)
     return LabelMap(bundle=bundle, grid=x_grid, index=it, labels=labels,
                     cells=cells, u=u)
@@ -358,6 +357,7 @@ def hamilton_jacobi_residual(bundle: RayBundle, x_grid: PeriodicGrid,
     def phi(i: int) -> np.ndarray:
         return eikonal_phase(label_map(i)).values
 
+    vvals = bundle.problem.potential.value(x_grid.nodes)
     worst = 0.0
     for i in range(2, last - 1):
         dphi_dt = (-phi(i + 2) + 8 * phi(i + 1) - 8 * phi(i - 1) + phi(i - 2)) / (12 * h)
@@ -365,7 +365,6 @@ def hamilton_jacobi_residual(bundle: RayBundle, x_grid: PeriodicGrid,
             grad_sq = momentum_field(label_map(i)) ** 2
         else:
             grad_sq = derivative_values(x_grid, phi(i)) ** 2
-        vvals = bundle.problem.potential.value(float(bundle.times[i]), x_grid.nodes)
         res = np.abs(dphi_dt + 0.5 * grad_sq + vvals).max()
         worst = max(worst, float(res))
     return worst

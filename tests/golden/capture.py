@@ -1,6 +1,8 @@
-"""Capture the golden record of every shipped config.
+"""Capture the golden record of every shipped config, or compare a run
+with it.
 
     PYTHONPATH=src python3 tests/golden/capture.py [NAME.json ...]
+    PYTHONPATH=src python3 tests/golden/capture.py --compare [NAME.json ...]
 
 For each config under configs/ (or only the ones named) this writes
 tests/golden/<stem>.json with three parts:
@@ -15,6 +17,12 @@ tests/test_golden.py compares a run of the current code with these files.
 A change that moves a report number past the tolerance of
 `refcheck.compare` re-captures the file and names each moved number and
 its cause in CHANGES.md; verdicts never change.
+
+With --compare nothing is written: for each config (all, or the ones
+named) it runs the config, prints the largest relative change of any
+report leaf or errors.csv value against the stored summary (the `*drift`
+values and exact zeros left out) and the `refcheck.compare` mismatches,
+and exits 1 when any config mismatches.
 """
 from __future__ import annotations
 
@@ -22,6 +30,7 @@ import contextlib
 import importlib.util
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -87,8 +96,48 @@ def record(name: str) -> dict:
             "summary": refcheck.summarize(report, csv_text)}
 
 
-def main(names: list[str]) -> int:
-    for name in names or sorted(p.name for p in CONFIG_DIR.glob("*.json")):
+def _is_number(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def largest_change(run: dict, ref: dict) -> float:
+    """Largest relative change of a report leaf or errors.csv value of the
+    summary `run` against `ref`, leaving out the `*drift` values, the
+    non-numbers and the values that are exactly zero in both."""
+    pairs = [(run["leaves"][k], ref["leaves"][k], k)
+             for k in run["leaves"].keys() & ref["leaves"].keys()]
+    pairs += [(r[3], q[3], q[2]) for r, q in zip(run["csv"], ref["csv"])]
+    changes = [abs(a - b) / max(abs(a), abs(b)) for a, b, name in pairs
+               if not name.endswith("drift") and _is_number(a) and _is_number(b)
+               and (a or b)]
+    return max(changes, default=0.0)
+
+
+def compare(names: list[str]) -> int:
+    """Print each config's largest change and mismatches; 1 when any
+    config mismatches, else 0."""
+    mismatched = False
+    for name in names:
+        with open(GOLDEN_DIR / f"{Path(name).stem}.json", encoding="utf-8") as fh:
+            ref = json.load(fh)["summary"]
+        run = refcheck.summarize(*report_and_csv(run_config(name)))
+        mismatches = refcheck.compare(run, ref)
+        print(f"{name}: largest relative change {largest_change(run, ref):.3g}, "
+              f"{len(mismatches)} mismatches")
+        for line in mismatches:
+            print(f"  {line}")
+        mismatched = mismatched or bool(mismatches)
+    return int(mismatched)
+
+
+def main(args: list[str]) -> int:
+    comparing = args[:1] == ["--compare"]
+    names = args[1:] if comparing else args
+    names = names or sorted(p.name for p in CONFIG_DIR.glob("*.json"))
+    if comparing:
+        return compare(names)
+    for name in names:
         path = GOLDEN_DIR / f"{Path(name).stem}.json"
         text = json.dumps(record(name), indent=1, sort_keys=True)
         path.write_text(text + "\n", encoding="utf-8")

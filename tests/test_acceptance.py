@@ -115,9 +115,8 @@ def test_criterion_05_corrector_rate(corrector_result):
 
 
 def test_criterion_06_phase_shift_vanishes():
-    limit = phase_amplitude.solve_phase_amplitude(
-        flat_problem(1e-2), 0.2, 2e-3, variant="limit", store_every=5)
-    corr = phase_amplitude.solve_corrector(limit)
+    corr = phase_amplitude.solve_corrector(flat_problem(1e-2), 0.2, 2e-3,
+                                           store_every=5)
     worst = max(np.max(np.abs(st.phi1.values)) for st in corr.states)
     check(6, "phase_shift_vanishes", worst <= 1e-10,
           f"real data, no first-order correction: sup |phi1| = {worst:.2e}")

@@ -73,7 +73,8 @@ def hooked_calls():
                           nls.solve_nls(problem, 0.05, 0.01)),
         "phase_amplitude.solve_phase_amplitude": ((problem, 0.05, 0.01), limit),
         "phase_amplitude.solve_corrector": (
-            (limit,), phase_amplitude.solve_corrector(limit)),
+            (problem, 0.05, 0.01),
+            phase_amplitude.solve_corrector(problem, 0.05, 0.01)),
         "fields.band_limited_interpolate": (
             (problem.a0, points), band_limited_interpolate(problem.a0, points)),
     }

@@ -557,6 +557,7 @@ class TestPlannedSteps:
     @pytest.mark.parametrize("name, overrides", [
         ("grenier.json", ()),
         ("supercritical.json", ("eps=[0.1, 0.05]",)),
+        ("corrector.json", ("eps=[0.1, 0.05]",)),
         ("rays.json", ("time.rule=fixed", "time.final=0.2")),
     ])
     def test_planned_steps_are_the_steps_the_march_ran(self, name, overrides,
@@ -565,24 +566,34 @@ class TestPlannedSteps:
         [planned] = {e["steps"] for e in dry_run_plan(cfg)["plan"]}
         executed = []
         sweep, flow = phase_amplitude.solve_phase_amplitude_sweep, rays.integrate_flow
+        corrector = phase_amplitude.solve_corrector
 
         def recording_sweep(*args, **kwargs):
             # a march of n steps of h ends at n h
             outcomes = sweep(*args, **kwargs)
-            executed.extend(round(traj.times[-1] / traj.dt) for traj in outcomes)
+            executed.extend(("sweep", round(traj.times[-1] / traj.dt))
+                            for traj in outcomes)
             return outcomes
+
+        def recording_corrector(*args, **kwargs):
+            corr = corrector(*args, **kwargs)
+            executed.append(("corrector", round(corr.states[-1].time / corr.dt)))
+            return corr
 
         def recording_flow(*args, **kwargs):
             bundle = flow(*args, **kwargs)
-            executed.append(len(bundle.times) - 1)
+            executed.append(("flow", len(bundle.times) - 1))
             return bundle
 
         monkeypatch.setattr(phase_amplitude, "solve_phase_amplitude_sweep",
                             recording_sweep)
+        monkeypatch.setattr(phase_amplitude, "solve_corrector", recording_corrector)
         monkeypatch.setattr(rays, "integrate_flow", recording_flow)
         run_experiment(cfg)
         assert planned == 57
-        assert executed and set(executed) == {planned}
+        assert executed and {steps for _, steps in executed} == {planned}
+        marches = {march for march, _ in executed}
+        assert ("corrector" in marches) == (name == "corrector.json")
 
 
 class TestSweepOutcomes:

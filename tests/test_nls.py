@@ -181,6 +181,19 @@ class TestFusedStepper:
         assert np.array_equal(sol.states[0].values,
                               problem.initial_state().values)
 
+    def test_an_output_costs_four_transform_calls(self, fft_counter):
+        # 8 steps of 2 calls however t = 0.1 is split; each output adds the
+        # state's inverse transform, an energy pair and the next segment's
+        # opening transform
+        problem = make_problem(eps=0.05, size=256)
+        calls = {}
+        for n_outputs in (1, 2, 4):
+            fft_counter.reset()
+            solve_nls(problem, 0.1, dt=0.0125, output_times=[
+                0.1 * (j + 1) / n_outputs for j in range(n_outputs)])
+            calls[n_outputs] = fft_counter.calls
+        assert calls == {1: 22, 2: 26, 4: 34}
+
     def test_segment_steps_rule(self):
         assert segment_steps([0.5], 0.1) == [5]
         assert segment_steps([0.05, 0.1, 0.3], 0.02) == [3, 3, 10]

@@ -91,6 +91,8 @@ class TestGuards:
                                        phase=InitialPhaseSpec.zero())
         with pytest.raises(ConfigError):
             solve_phase_amplitude(problem, 0.1, 1e-3, variant="full")
+        with pytest.raises(ConfigError):
+            solve_corrector(problem, 0.1, 1e-3)
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ConfigError):
@@ -129,19 +131,14 @@ class TestCorrector:
     def test_real_data_keeps_phase_shift_zero(self):
         # real a0, no a1: the first-order phase stays identically zero and
         # the first-order amplitude is purely imaginary
-        problem = flat_problem()
-        limit = solve_phase_amplitude(problem, 0.2, 2e-3, variant="limit",
-                                      store_every=5)
-        corr = solve_corrector(limit)
+        corr = solve_corrector(flat_problem(), 0.2, 2e-3, store_every=5)
         for st in corr.states:
             assert np.max(np.abs(st.phi1.values)) <= 1e-10
             assert np.max(np.abs(st.a1.values.real)) <= 1e-10
 
     def test_correction_data_enters_linearly_at_t0(self):
         problem = flat_problem(a1="gaussian")
-        limit = solve_phase_amplitude(problem, 0.1, 2e-3, variant="limit",
-                                      store_every=5)
-        corr = solve_corrector(limit, a1=problem.a1)
+        corr = solve_corrector(problem, 0.1, 2e-3, store_every=5)
         first = corr.states[0]
         assert np.max(np.abs(first.a1.values - problem.a1.values)) <= 1e-12
         assert np.max(np.abs(first.phi1.values)) <= 1e-12
@@ -152,51 +149,58 @@ class TestCorrector:
         eps = 1e-2
         problem = flat_problem(eps=eps, a1="gaussian")
         full = solve_phase_amplitude(problem, 0.1, 1e-3, variant="full")
-        limit = solve_phase_amplitude(problem, 0.1, 1e-3, variant="limit",
-                                      store_every=10)
-        corr = solve_corrector(limit, a1=problem.a1)
-        fs, ls, cs = full.final(), limit.final(), corr.states[-1]
-        err_limit = sobolev_norm(fs.a - ls.a, 0)
-        corrected = ls.a.values + eps * cs.a1.values
-        err_corr = float(np.sqrt(limit.grid.spacing *
+        corr = solve_corrector(problem, 0.1, 1e-3, store_every=10)
+        fs, cs = full.final(), corr.final()
+        err_limit = sobolev_norm(fs.a - cs.a, 0)
+        corrected = cs.a.values + eps * cs.a1.values
+        err_corr = float(np.sqrt(problem.grid.spacing *
                                  np.sum(np.abs(fs.a.values - corrected) ** 2)))
         assert err_corr <= 0.05 * err_limit
+
+    @pytest.mark.parametrize("store_every", [1, 3])
+    def test_stored_limit_is_the_limit_march(self, store_every):
+        problem = sweep_problems(size=256)[0]
+        corr = solve_corrector(problem, 0.02, 2e-3, store_every=store_every)
+        limit = solve_phase_amplitude(problem, 0.02, 2e-3, variant="limit",
+                                      store_every=store_every)
+        assert corr.dt == limit.dt
+        assert [st.time for st in corr.states] == list(limit.times)
+        for got, ref in zip(corr.states, limit.states, strict=True):
+            assert np.array_equal(got.phi.values, ref.phi.values)
+            assert np.array_equal(got.a.values, ref.a.values)
 
     def test_divergence_carries_eps_and_time(self):
         # a1 data at the float ceiling overflows in the first RK4 step
         problem = flat_problem(eps=0.02, size=256)
-        limit = solve_phase_amplitude(problem, 0.02, 2e-3, variant="limit")
-        sign = (-1.0) ** np.arange(limit.grid.size)
-        huge = ComplexField(limit.grid, 1e307 * sign + 0j)
+        sign = (-1.0) ** np.arange(problem.grid.size)
+        huge = dataclasses.replace(
+            problem, a1=ComplexField(problem.grid, 1e307 * sign + 0j))
         with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(DivergenceError) as info:
-            solve_corrector(limit, a1=huge)
+                pytest.raises(DivergenceError, match="corrector") as info:
+            solve_corrector(huge, 0.02, 2e-3)
         assert info.value.eps == 0.02
         assert info.value.time == pytest.approx(2e-3)
 
-    def test_requires_limit_trajectory(self):
-        traj = solve_phase_amplitude(flat_problem(), 0.1, 2e-3, variant="full")
-        with pytest.raises(ConfigError):
-            solve_corrector(traj)
+    def test_limit_divergence_carries_eps_and_time(self):
+        # a0 at the float ceiling overflows the limit in its first step
+        grid = PeriodicGrid(32.0, 256)
+        problem = SemiclassicalProblem(
+            eps=0.02, kappa=0.0,
+            a0=ComplexField(grid, 1e307 * (-1.0) ** np.arange(grid.size) + 0j))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DivergenceError, match="phase-amplitude") as info:
+            solve_corrector(problem, 0.02, 2e-3)
+        assert (info.value.eps, info.value.time) == (0.02, pytest.approx(2e-3))
 
-    def test_limit_must_have_a_uniform_time_grid(self):
-        limit = solve_phase_amplitude(flat_problem(size=256), 0.02, 2e-3,
-                                      variant="limit", store_every=3)
-        # stored at steps 0, 3, 6, 9 and the final 10
-        assert len(limit.states) == 5
-        with pytest.raises(ConfigError, match="uniform time grid"):
-            solve_corrector(limit)
-        # no solve stores a single state; only a hand-built trajectory can
-        single = dataclasses.replace(limit, states=limit.states[:1])
-        with pytest.raises(ConfigError, match="single state"):
-            solve_corrector(single)
-
-    def test_a1_must_share_the_grid(self):
-        limit = solve_phase_amplitude(flat_problem(size=256), 0.01, 2e-3,
-                                      variant="limit")
-        other = gaussian_field(PeriodicGrid(32.0, 128), 1.5, 0.5)
-        with pytest.raises(ConfigError, match="different grid"):
-            solve_corrector(limit, a1=other)
+    def test_unresolved_limit_raises_at_every_step(self):
+        # the limit is checked after every step, whatever store_every says
+        problem = flat_problem(eps=0.03, size=64)
+        with pytest.raises(ResolutionError) as ref:
+            solve_phase_amplitude(problem, 0.1, 1e-3, variant="limit")
+        with pytest.raises(ResolutionError) as info:
+            solve_corrector(problem, 0.1, 1e-3, store_every=100)
+        assert str(info.value) == str(ref.value)
+        assert (info.value.eps, info.value.time) == (0.03, ref.value.time)
 
 
 def _rel(x, y):
@@ -373,38 +377,29 @@ def _spectral_transport(grid, v):
     return rhs
 
 
-def _stagewise_corrector(limit, a1_values):
-    """The corrector march that Hermite-interpolates the limit and
-    transforms it again at every RK4 stage, one transform per field: the
-    reference whose every stored state solve_corrector must reproduce
-    bit for bit."""
-    grid = limit.grid
+def _stagewise_rk4(rhs, p, q, h):
+    """One RK4 step of the spectral state with a fresh array for every
+    stage and sum; rhs(j, p, q) is the right-hand side of stage j."""
+    k1p, k1q = rhs(0, p, q)
+    k2p, k2q = rhs(1, p + 0.5 * h * k1p, q + 0.5 * h * k1q)
+    k3p, k3q = rhs(2, p + 0.5 * h * k2p, q + 0.5 * h * k2q)
+    k4p, k4q = rhs(3, p + h * k3p, q + h * k3q)
+    return (p + (h / 6) * (k1p + 2 * k2p + 2 * k3p + k4p),
+            q + (h / 6) * (k1q + 2 * k2q + 2 * k3q + k4q))
+
+
+def _stagewise_corrector(problem, t_final, dt, a1_values):
+    """The limit march and its corrector with a fresh array for every
+    operation and one transform per field, the limit transformed again at
+    every RK4 stage: the reference whose every state solve_corrector must
+    reproduce bit for bit."""
+    grid = problem.grid
     n, half = grid.size, grid.size // 2 + 1
     ik, lap, mask = grid.ik, -grid.wavenumber_sq, grid.dealias_mask
-    transport = _spectral_transport(grid, limit.problem.potential_field().values)
-    times = limit.times
-    h = float(times[1] - times[0])
-    nodes = []
-    for st in limit.states:
-        phi_hat, a_hat = np.fft.rfft(st.phi.values), np.fft.fft(st.a.values)
-        nodes.append((phi_hat, a_hat, *transport(phi_hat, a_hat)))
+    transport = _spectral_transport(grid, problem.potential_field().values)
 
-    def limit_at(t):
-        pos = (t - times[0]) / h
-        i = int(np.clip(np.floor(pos + 1e-12), 0, len(times) - 2))
-        u = pos - i
-        if abs(u) < 1e-12:
-            return nodes[i][:2]
-        if abs(u - 1) < 1e-12:
-            return nodes[i + 1][:2]
-        (p0, q0, dp0, dq0), (p1, q1, dp1, dq1) = nodes[i], nodes[i + 1]
-        h00, h10 = 2 * u**3 - 3 * u**2 + 1, u**3 - 2 * u**2 + u
-        h01, h11 = -2 * u**3 + 3 * u**2, u**3 - u**2
-        return (h00 * p0 + h10 * h * dp0 + h01 * p1 + h11 * h * dp1,
-                h00 * q0 + h10 * h * dq0 + h01 * q1 + h11 * h * dq1)
-
-    def rhs(t, phi1_hat, a1_hat):
-        phi_hat, a_hat = limit_at(t)
+    def rhs(limit, phi1_hat, a1_hat):
+        phi_hat, a_hat = limit
         gphi = np.fft.irfft(phi_hat * ik[:half], n)
         lphi = np.fft.irfft(phi_hat * lap[:half], n)
         a, ga = np.fft.ifft(a_hat), np.fft.ifft(a_hat * ik)
@@ -416,16 +411,21 @@ def _stagewise_corrector(limit, a1_values):
         return (np.fft.rfft(dphi1) * mask[:half],
                 (np.fft.fft(da1) + 0.5j * lap * a_hat) * mask)
 
+    n_steps = int(round(t_final / dt))
+    h = t_final / n_steps
+    p0 = np.fft.rfft(problem.initial_phase_field().values)
+    q0 = np.fft.fft(problem.a0.values.astype(complex))
     p, q = np.fft.rfft(np.zeros(n)), np.fft.fft(a1_values)
     states = [(np.zeros(n), a1_values)]
-    for i in range(len(times) - 1):
-        t = float(times[i])
-        k1p, k1q = rhs(t, p, q)
-        k2p, k2q = rhs(t + 0.5 * h, p + 0.5 * h * k1p, q + 0.5 * h * k1q)
-        k3p, k3q = rhs(t + 0.5 * h, p + 0.5 * h * k2p, q + 0.5 * h * k2q)
-        k4p, k4q = rhs(t + h, p + h * k3p, q + h * k3q)
-        p = p + (h / 6) * (k1p + 2 * k2p + 2 * k3p + k4p)
-        q = q + (h / 6) * (k1q + 2 * k2q + 2 * k3q + k4q)
+    for _ in range(n_steps):
+        p1, q1 = _stagewise_rk4(lambda j, p, q: transport(p, q), p0, q0, h)
+        (dp0, dq0), (dp1, dq1) = transport(p0, q0), transport(p1, q1)
+        # the cubic Hermite weights at u = 1/2
+        mid = (0.5 * p0 + 0.125 * h * dp0 + 0.5 * p1 - 0.125 * h * dp1,
+               0.5 * q0 + 0.125 * h * dq0 + 0.5 * q1 - 0.125 * h * dq1)
+        limits = ((p0, q0), mid, mid, (p1, q1))
+        p, q = _stagewise_rk4(lambda j, p, q: rhs(limits[j], p, q), p, q, h)
+        p0, q0 = p1, q1
         states.append((np.fft.irfft(p, n), np.fft.ifft(q)))
     return states
 
@@ -439,12 +439,7 @@ def _stagewise_march(problem, t_final, dt):
     n_steps = int(round(t_final / dt))
     h = t_final / n_steps
     for _ in range(n_steps):
-        k1p, k1q = rhs(p, q)
-        k2p, k2q = rhs(p + 0.5 * h * k1p, q + 0.5 * h * k1q)
-        k3p, k3q = rhs(p + 0.5 * h * k2p, q + 0.5 * h * k2q)
-        k4p, k4q = rhs(p + h * k3p, q + h * k3q)
-        p = p + (h / 6) * (k1p + 2 * k2p + 2 * k3p + k4p)
-        q = q + (h / 6) * (k1q + 2 * k2q + 2 * k3q + k4q)
+        p, q = _stagewise_rk4(lambda j, p, q: rhs(p, q), p, q, h)
     return np.fft.irfft(p, problem.grid.size), np.fft.ifft(q)
 
 
@@ -466,12 +461,12 @@ class TestLeanMarch:
         # the chirped a0 makes the corrector move without a1; the cosine
         # potential enters through the limit's Hermite node rates
         problem = sweep_problems(size=256)[0]
-        limit = solve_phase_amplitude(problem, 0.04, 2e-3, variant="limit")
-        a1 = problem.a1 if with_a1 else None
-        corr = solve_corrector(limit, a1=a1)
+        if not with_a1:
+            problem = dataclasses.replace(problem, a1=None)
+        corr = solve_corrector(problem, 0.04, 2e-3)
         start = (problem.a1.values if with_a1
                  else np.zeros(problem.grid.size, dtype=complex))
-        ref = _stagewise_corrector(limit, start)
+        ref = _stagewise_corrector(problem, 0.04, 2e-3, start)
         assert len(corr.states) == len(ref) == 21
         for st, (phi1, a1v) in zip(corr.states, ref):
             assert np.array_equal(st.phi1.values, phi1)
@@ -479,21 +474,20 @@ class TestLeanMarch:
         assert np.abs(ref[-1][0]).max() > 0
 
     def test_corrector_transform_calls_per_step_are_fixed(self, fft_counter):
-        # per step: the limit at the midpoint and at the end (2 paired calls
-        # each), one new Hermite node (2 transforms and one transport
-        # right-hand side, 4 calls), and four corrector right-hand sides
-        # of 4 calls; the end coefficients serve the next step's start
+        # per step: the limit's RK4 step (four transport right-hand sides
+        # of 4 calls), the rate of the new Hermite node (one more), the
+        # limit at the midpoint and at the end (2 paired calls each), and
+        # four corrector right-hand sides of 4 calls; the end coefficients
+        # serve the next step's start
         problem = sweep_problems(size=256)[0]
         calls, lines = {}, {}
         for steps in (4, 8, 16):
-            limit = solve_phase_amplitude(problem, steps * 2e-3, 2e-3,
-                                          variant="limit")
             fft_counter.reset()
-            solve_corrector(limit, a1=problem.a1, store_every=100)
+            solve_corrector(problem, steps * 2e-3, 2e-3, store_every=100)
             calls[steps], lines[steps] = fft_counter.calls, fft_counter.lines
         for fewer, more in ((4, 8), (8, 16)):
-            assert calls[more] - calls[fewer] == (more - fewer) * 26
-            assert lines[more] - lines[fewer] == (more - fewer) * 40
+            assert calls[more] - calls[fewer] == (more - fewer) * 40
+            assert lines[more] - lines[fewer] == (more - fewer) * 62
 
     @staticmethod
     def _peak_bytes(solve):
@@ -523,10 +517,8 @@ class TestLeanMarch:
 
     def test_corrector_memory_does_not_grow_with_steps(self):
         problem = sweep_problems(size=256)[0]
-        peaks = {}
-        for steps in (5, 50):
-            limit = solve_phase_amplitude(problem, steps * 2e-3, 2e-3,
-                                          variant="limit")
-            peaks[steps] = self._peak_bytes(
-                lambda: solve_corrector(limit, a1=problem.a1, store_every=100))
+        peaks = {steps: self._peak_bytes(
+            lambda: solve_corrector(problem, steps * 2e-3, 2e-3,
+                                    store_every=100))
+                 for steps in (5, 50)}
         assert abs(peaks[50] - peaks[5]) <= self.ALLOWANCE
