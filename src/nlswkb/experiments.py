@@ -742,10 +742,12 @@ def _run_profile(config: ExperimentConfig, plan: Plan) -> ExperimentResult:
     problems = [config.problem(eps) for eps in config.eps]
     # a, phi and G do not depend on eps: one bundle and one profile serve
     # every eps of the sweep.  They come first, so a profile that cannot be
-    # built fails before the NLS sweep runs; the bundle is not kept.
-    profile = wkb.build_approximant(
-        problems[0], rays.integrate_flow(problems[0], problems[0].a0.grid, t,
-                                         dt=plan.rows[0].ray_dt), t)
+    # built fails before the NLS sweep runs.  The profile reads the final
+    # ray node alone, so the bundle stores only that node and the first.
+    ray_dt = plan.rows[0].ray_dt
+    profile = wkb.build_approximant(problems[0], rays.integrate_flow(
+        problems[0], problems[0].a0.grid, t, dt=ray_dt,
+        store_every=march_steps(t, ray_dt)), t)
     solutions = nls.solve_nls_sweep(problems, t, plan.dts)
 
     def measure(eps, sol):
@@ -1002,8 +1004,7 @@ def _run_rays(config: ExperimentConfig, plan: Plan) -> ExperimentResult:
                  f"relative defect {consistency:.3e} <= 1e-6"),
     ]
     body = {"eps": eps, "caustic_time": bundle.t_caustic,
-            "min_jacobian": [float(bundle.jac[i].min())
-                             for i in range(len(bundle.times))][::10],
+            "min_jacobian": bundle.min_jacobian[::10].tolist(),
             "hamilton_jacobi_residual": residual,
             "jacobian_consistency": consistency}
     rows = [(eps, "", "hj_residual", residual),
@@ -1015,7 +1016,8 @@ def _run_wkb(config: ExperimentConfig, plan: Plan) -> ExperimentResult:
     [row] = plan.rows
     eps, t = row.eps, row.times[-1]
     problem = config.problem(eps)
-    bundle = rays.integrate_flow(problem, problem.a0.grid, t, dt=row.ray_dt)
+    bundle = rays.integrate_flow(problem, problem.a0.grid, t, dt=row.ray_dt,
+                                 store_every=march_steps(t, row.ray_dt))
     profile = wkb.build_approximant(problem, bundle, t)
     approx = profile.assemble(eps)
     sol = nls.solve_nls(problem, t, dt=row.dt)

@@ -216,6 +216,13 @@ def _rk4(stages, phi, a, h, work) -> None:
     a += np.multiply(h / 6, sum_a, out=sum_a)
 
 
+def _held_rates(rates, phi, a, out) -> None:
+    """A stage right-hand side whose rates at (phi, a) are already known:
+    it copies `rates` into the pair `out`."""
+    np.copyto(out[0], rates[0])
+    np.copyto(out[1], rates[1])
+
+
 def _potential_rows(problems: list[SemiclassicalProblem]) -> np.ndarray:
     """V of each problem at the nodes of their one shared grid, one row
     each; the march takes box-periodic potentials only."""
@@ -418,12 +425,13 @@ def solve_corrector(problem: SemiclassicalProblem, t_final: float, dt: float,
     states = []
     store(0.0, phi, a, np.zeros(grid.size), a1)
 
-    # a Hermite node is the limit's spectral state and its rate
+    # a Hermite node is the limit's spectral state and its rate; the rate
+    # is also the first RK4 stage of the step that starts there
     node = (phi_hat.copy(), a_hat.copy(), *rhs(phi_hat, a_hat))
     end = coefficients(phi_hat, a_hat)
-    stages = (rhs,) * 4
     for n in range(n_steps):
-        _rk4(stages, phi_hat, a_hat, h, rhs.work)
+        _rk4((partial(_held_rates, node[2:]), rhs, rhs, rhs),
+             phi_hat, a_hat, h, rhs.work)
         t = (n + 1) * h
         if not (np.isfinite(phi_hat).all() and np.isfinite(a_hat).all()):
             raise DivergenceError("phase-amplitude solve hit non-finite values",

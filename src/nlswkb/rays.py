@@ -15,6 +15,9 @@ and the action dS/dt = xi^2/2 - V, S(0) = phi0(y).  On the line every one
 of these is a scalar per ray.  The Jacobian J starts at 1; the first time
 min_y J crosses a positive threshold is the caustic horizon, beyond which
 the Eulerian phase stops existing and label inversion refuses to run.
+The march stores a node every `store_every` steps, but takes min_y J and
+the ray integral of 1/J (the self-modulation of the WKB phase) at every
+step, so a caller that reads the final node alone holds no trajectory.
 
 Inversion of the label-to-position map uses monotone bracketing plus
 safeguarded Newton on a cubic Hermite interpolant of the stored map (values
@@ -44,26 +47,36 @@ RESIDUAL_MIN_JACOBIAN = 0.3
 
 @dataclass(frozen=True, eq=False)
 class RayBundle:
+    """The marker rays, stored every `store_every` steps of `dt` (the first
+    and the final node always), with the two reductions the march takes
+    at every step: min_y J, and the integral of 1/J along each ray."""
     markers: PeriodicGrid
     y: np.ndarray        # (Nm,) labels: the marker nodes
-    times: np.ndarray    # (M+1,)
-    x: np.ndarray        # (M+1, Nm) positions
-    xi: np.ndarray       # (M+1, Nm) momenta
-    jac: np.ndarray      # (M+1, Nm) J = d_y x
-    xivar: np.ndarray    # (M+1, Nm) d_y xi
-    action: np.ndarray   # (M+1, Nm) S
+    times: np.ndarray    # (K,) stored times
+    x: np.ndarray        # (K, Nm) positions
+    xi: np.ndarray       # (K, Nm) momenta
+    jac: np.ndarray      # (K, Nm) J = d_y x
+    xivar: np.ndarray    # (K, Nm) d_y xi
+    action: np.ndarray   # (K, Nm) S
+    jac_inv_integral: np.ndarray  # (K, Nm) int_0^t 1/J ds
+    min_jacobian: np.ndarray      # (M+1,) min_y J at every step
+    dt: float            # the step
+    store_every: int
     problem: SemiclassicalProblem
-    t_caustic: float | None
 
     @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
+    def step_times(self) -> np.ndarray:
+        """The time of every step, the times of `min_jacobian`."""
+        return self.times[0] + self.dt * np.arange(len(self.min_jacobian))
+
+    @property
+    def t_caustic(self) -> float | None:
+        """The caustic horizon: caustic_time at CAUSTIC_THRESHOLD."""
+        return _first_crossing(self.step_times, self.min_jacobian,
+                               CAUSTIC_THRESHOLD)
 
     def time_index(self, t: float) -> int:
         return time_index(self.times, t)
-
-    def min_jacobian(self) -> np.ndarray:
-        return self.jac.min(axis=1)
 
     def is_periodic_compatible(self) -> bool:
         """The ray displacement is box-periodic: labels may wrap."""
@@ -81,60 +94,144 @@ def _ray_rhs(potential, x, xi, jac, xiv, s):
             -(potential.hessian(x) * jac), 0.5 * xi**2 - potential.value(x))
 
 
-def integrate_ray_state(potential, x0, xi0, jac0, xiv0, s0, t0, t_final, dt):
+def _simpson_weights(n: int) -> np.ndarray:
+    """Quadrature weights over n equal intervals: composite Simpson, with a
+    3/8 tail when the interval count is odd (keeps O(h^4) accuracy).
+    `_RunningSimpson` sums the same rule one node at a time."""
+    if n == 0:
+        return np.zeros(1)
+    if n == 1:
+        return np.array([0.5, 0.5])
+    w = np.zeros(n + 1)
+    if n % 2 == 0:
+        w[0] = w[n] = 1.0 / 3.0
+        w[1:n:2] = 4.0 / 3.0
+        w[2:n:2] = 2.0 / 3.0
+        return w
+    m = n - 3
+    if m > 0:
+        w[0] = 1.0 / 3.0
+        w[1:m:2] = 4.0 / 3.0
+        w[2:m:2] = 2.0 / 3.0
+        w[m] += 1.0 / 3.0
+    w[m] += 3.0 / 8.0
+    w[m + 1] += 9.0 / 8.0
+    w[m + 2] += 9.0 / 8.0
+    w[n] += 3.0 / 8.0
+    return w
+
+
+class _RunningSimpson:
+    """The `_simpson_weights` rule over samples f_0, ..., f_k of a per-ray
+    series taken every h, as the samples arrive.
+
+    It keeps f_0, the last four samples, the sums of the odd and of the even
+    interior samples, and the Simpson sums over [0, e] at the last two even
+    nodes e: its memory does not grow with k."""
+
+    def __init__(self, h: float, first: np.ndarray):
+        self.h = h
+        self.k = 0
+        self.first = first
+        self.recent = [first]              # f_(k-3), ..., f_k
+        self.odd = np.zeros_like(first)    # f_j over odd j, 0 < j < k
+        self.even = np.zeros_like(first)   # f_j over even j, 0 < j < k
+        self.heads = (0.0, 0.0)            # Simpson at the last two even nodes
+
+    def add(self, f: np.ndarray) -> None:
+        if self.k:
+            interior = self.odd if self.k % 2 else self.even
+            interior += self.recent[-1]
+        self.k += 1
+        self.recent = self.recent[-3:] + [f]
+        if self.k % 2 == 0:
+            head = ((1.0 / 3.0) * self.first + (4.0 / 3.0) * self.odd
+                    + (2.0 / 3.0) * self.even + (1.0 / 3.0) * f)
+            self.heads = (self.heads[1], head)
+
+    def integral(self) -> np.ndarray:
+        """h times the weighted sum of f_0, ..., f_k."""
+        k, f = self.k, self.recent
+        if k == 0:
+            return np.zeros_like(self.first)
+        if k == 1:
+            return self.h * (0.5 * f[0] + 0.5 * f[1])
+        if k % 2 == 0:
+            return self.h * self.heads[1]
+        # Simpson up to k - 3, then the 3/8 rule on the last three intervals
+        return self.h * (self.heads[0] + (3.0 / 8.0) * f[0] + (9.0 / 8.0) * f[1]
+                         + (9.0 / 8.0) * f[2] + (3.0 / 8.0) * f[3])
+
+
+def integrate_ray_state(potential, x0, xi0, jac0, xiv0, s0, t0, t_final, dt,
+                        store_every=1):
     """Classic RK4 on the ray + variational + action system, one (Nm,)
     array per variable.
 
-    Returns (times, x, xi, jac, xivar, action) with every step stored, each
-    of shape (M+1, Nm).  The step count is march_steps(t_final - t0, dt); dt
-    is adjusted so the last node lands exactly on t_final.  Negative spans
-    integrate backward.
+    Returns (times, x, xi, jac, xivar, action, jac_inv_integral,
+    min_jacobian).  The five states and the integral of 1/J from t0, each
+    of shape (K, Nm), are stored every `store_every` steps, the first and
+    the final node always; min_jacobian, of shape (M+1,), is min_y J at
+    every step.  With store_every >= M the march holds the first and the
+    final node alone.  The step count M is march_steps(t_final - t0, dt);
+    dt is adjusted so the last node lands exactly on t_final.  Negative
+    spans integrate backward.  Past a zero of J the integral means
+    nothing; nothing reads it there.
     """
     span = t_final - t0
     n_steps = march_steps(span, dt)
     h = span / n_steps
 
-    times = t0 + h * np.arange(n_steps + 1)
-    stored = tuple(np.empty((n_steps + 1, x0.shape[0])) for _ in range(5))
+    step_times = t0 + h * np.arange(n_steps + 1)
+    rows = n_steps // store_every + 1 + (n_steps % store_every > 0)
+    stored = tuple(np.empty((rows, x0.shape[0])) for _ in range(6))
+    kept = []   # the step of each stored node
+    mins = np.empty(n_steps + 1)
     state = (x0.copy(), xi0.copy(), jac0.copy(), xiv0.copy(), s0.copy())
-    for out, v in zip(stored, state):
-        out[0] = v
+    integral = _RunningSimpson(h, 1.0 / state[2])
 
+    def store(step):
+        for out, v in zip(stored, (*state, integral.integral())):
+            out[len(kept)] = v
+        kept.append(step)
+
+    store(0)
+    mins[0] = state[2].min()
     for n in range(n_steps):
-        k1 = _ray_rhs(potential, *state)
-        s2 = tuple(v + 0.5 * h * k for v, k in zip(state, k1))
-        k2 = _ray_rhs(potential, *s2)
-        s3 = tuple(v + 0.5 * h * k for v, k in zip(state, k2))
-        k3 = _ray_rhs(potential, *s3)
-        s4 = tuple(v + h * k for v, k in zip(state, k3))
-        k4 = _ray_rhs(potential, *s4)
-        state = tuple(
-            v + (h / 6.0) * (a + 2 * b + 2 * c + d)
-            for v, a, b, c, d in zip(state, k1, k2, k3, k4)
-        )
+        # k1 + 2 k2 + 2 k3 + k4, summed in that order as each stage ends,
+        # so a stage and its rates are dropped before the next one
+        k = _ray_rhs(potential, *state)
+        total = k
+        for c, w in ((0.5, 2), (0.5, 2), (1.0, 1)):
+            k = _ray_rhs(potential, *(v + c * h * r for v, r in zip(state, k)))
+            total = tuple(a + w * b for a, b in zip(total, k))
+        state = tuple(v + (h / 6.0) * a for v, a in zip(state, total))
         if not all(np.all(np.isfinite(v)) for v in state):
             raise DivergenceError("ray integration produced non-finite values",
-                                  time=float(times[n + 1]))
-        for out, v in zip(stored, state):
-            out[n + 1] = v
+                                  time=float(step_times[n + 1]))
+        mins[n + 1] = state[2].min()
+        integral.add(1.0 / state[2])
+        if (n + 1) % store_every == 0 or n == n_steps - 1:
+            store(n + 1)
 
-    return (times, *stored)
+    return (step_times[kept], *stored, mins)
 
 
 def integrate_flow(problem: SemiclassicalProblem, markers: PeriodicGrid,
-                   t_final: float, dt: float) -> RayBundle:
-    """Trace the marker-grid rays of `problem` up to t_final."""
+                   t_final: float, dt: float, store_every: int = 1) -> RayBundle:
+    """Trace the marker-grid rays of `problem` up to t_final, storing a node
+    every `store_every` steps (the first and the final node always)."""
     potential, phase = problem.potential, problem.phase
     potential.subquadratic_bound(markers)  # admissibility: finite Hessian on the box
 
     y = markers.nodes
-    times, xs, xis, jac, xivs, ss = integrate_ray_state(
+    times, xs, xis, jac, xivs, ss, integral, mins = integrate_ray_state(
         potential, y, phase.gradient(y), np.ones_like(y), phase.hessian(y),
-        phase.value(y), 0.0, t_final, dt)
-
-    t_caustic = _first_crossing(times, jac.min(axis=1), CAUSTIC_THRESHOLD)
+        phase.value(y), 0.0, t_final, dt, store_every)
     return RayBundle(markers=markers, y=y, times=times, x=xs, xi=xis, jac=jac,
-                     xivar=xivs, action=ss, problem=problem, t_caustic=t_caustic)
+                     xivar=xivs, action=ss, jac_inv_integral=integral,
+                     min_jacobian=mins, dt=t_final / march_steps(t_final, dt),
+                     store_every=store_every, problem=problem)
 
 
 def _first_crossing(times: np.ndarray, series: np.ndarray, threshold: float) -> float | None:
@@ -157,7 +254,7 @@ def caustic_time(bundle: RayBundle, threshold: float = CAUSTIC_THRESHOLD) -> flo
     """
     if not 0 < threshold < 1:
         raise ValueError(f"caustic threshold must lie in (0,1), got {threshold}")
-    return _first_crossing(bundle.times, bundle.min_jacobian(), threshold)
+    return _first_crossing(bundle.step_times, bundle.min_jacobian, threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -330,16 +427,22 @@ def hamilton_jacobi_residual(bundle: RayBundle, x_grid: PeriodicGrid,
                              gradient: str = "momentum") -> float:
     """Sup-norm residual of d_t phi + |grad phi|^2/2 + V over checkable nodes.
 
-    d_t uses a fourth-order centered stencil over stored nodes, so the check
-    runs on interior nodes whose min-Jacobian stays above RESIDUAL_MIN_JACOBIAN;
-    closer to the caustic the time derivatives of the phase blow up and
-    finite differencing is no longer meaningful.  `gradient` selects the
-    transported momentum (valid for any fixture) or the spectral gradient
-    of the phase field (valid when the phase is box-periodic).
+    d_t uses a fourth-order centered stencil over stored nodes one step
+    apart, so the bundle must store every step (ValueError otherwise).  The
+    check runs on interior nodes whose min-Jacobian stays above
+    RESIDUAL_MIN_JACOBIAN; closer to the caustic the time derivatives of
+    the phase blow up and finite differencing is no longer meaningful.
+    `gradient` selects the transported momentum (valid for any fixture) or
+    the spectral gradient of the phase field (valid when the phase is
+    box-periodic).
     """
     if gradient not in ("momentum", "spectral"):
         raise ValueError(f"unknown gradient mode {gradient!r}")
-    horizon = _first_crossing(bundle.times, bundle.min_jacobian(),
+    if len(bundle.times) != len(bundle.min_jacobian):
+        raise ValueError(
+            "the residual's time stencil needs a node at every step; this "
+            f"bundle stores one every {bundle.store_every} steps")
+    horizon = _first_crossing(bundle.times, bundle.min_jacobian,
                               RESIDUAL_MIN_JACOBIAN)
     tmax = horizon if horizon is not None else np.inf
     usable = np.nonzero(bundle.times < tmax)[0]

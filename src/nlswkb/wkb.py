@@ -31,32 +31,6 @@ from .rays import (LabelMap, RayBundle, eikonal_phase, invert_flow,
                    jacobian_at_labels)
 
 
-def _simpson_weights(n: int) -> np.ndarray:
-    """Quadrature weights over n equal intervals: composite Simpson, with a
-    3/8 tail when the interval count is odd (keeps O(h^4) accuracy)."""
-    if n == 0:
-        return np.zeros(1)
-    if n == 1:
-        return np.array([0.5, 0.5])
-    w = np.zeros(n + 1)
-    if n % 2 == 0:
-        w[0] = w[n] = 1.0 / 3.0
-        w[1:n:2] = 4.0 / 3.0
-        w[2:n:2] = 2.0 / 3.0
-        return w
-    m = n - 3
-    if m > 0:
-        w[0] = 1.0 / 3.0
-        w[1:m:2] = 4.0 / 3.0
-        w[2:m:2] = 2.0 / 3.0
-        w[m] += 1.0 / 3.0
-    w[m] += 3.0 / 8.0
-    w[m + 1] += 9.0 / 8.0
-    w[m + 2] += 9.0 / 8.0
-    w[n] += 3.0 / 8.0
-    return w
-
-
 def transport_amplitude(lmap: LabelMap, a0: ComplexField) -> ComplexField:
     """a(t, x) = a0(y(t, x)) / sqrt(J_t(y(t, x))), pre-caustic."""
     avals = interpolate_periodic(a0, lmap.labels)
@@ -70,14 +44,12 @@ def transport_amplitude(lmap: LabelMap, a0: ComplexField) -> ComplexField:
 def self_modulation_phase(lmap: LabelMap, a0: ComplexField) -> RealField:
     """G(t, x): minus the ray integral of |a0|^2 / J up to t.
 
-    The integral is evaluated per marker with composite Simpson over the
-    stored time nodes, then carried to the Eulerian grid through the label
-    map.  J > 0 on [0, t] holds because the map is pre-caustic.
+    The per-marker integral of 1/J is the one the ray march accumulates
+    (composite Simpson over every step), carried to the Eulerian grid
+    through the label map.  J > 0 on [0, t] holds because the map is
+    pre-caustic.
     """
-    bundle, it = lmap.bundle, lmap.index
-    weights = _simpson_weights(it)
-    integral = bundle.dt * np.tensordot(weights, 1.0 / bundle.jac[: it + 1], axes=(0, 0))
-    ivals = lmap.interp_series(integral)
+    ivals = lmap.interp_series(lmap.bundle.jac_inv_integral[lmap.index])
     amag = np.abs(interpolate_periodic(a0, lmap.labels)) ** 2
     return RealField(lmap.grid, -(amag * ivals), role="self-modulation")
 

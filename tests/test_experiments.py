@@ -21,7 +21,7 @@ from nlswkb.experiments import (apply_overrides, config_from_dict,
                                 dry_run_plan, flow_exponents, run_experiment)
 from nlswkb.fitting import fit_power_law
 from nlswkb.grids import PeriodicGrid
-from nlswkb.problem import SemiclassicalProblem
+from nlswkb.problem import SemiclassicalProblem, march_steps
 from nlswkb.reporting import (errors_csv_bytes, load_field_dump,
                               write_artifacts)
 
@@ -436,7 +436,10 @@ class TestDryRunPlan:
         cfg = config_from_dict(_shipped_raw(name))
         planned = {e["eps"]: e["ray_dt"] for e in dry_run_plan(cfg)["plan"]}
 
-        def stop(problem, markers, t_final, dt):
+        strides = []
+
+        def stop(problem, markers, t_final, dt, store_every=1):
+            strides.append((store_every, march_steps(t_final, dt)))
             raise _SolverReached([(problem.eps, dt)])
 
         monkeypatch.setattr(rays, "integrate_flow", stop)
@@ -444,6 +447,10 @@ class TestDryRunPlan:
             run_experiment(cfg)
         [(eps, dt)] = caught.value.pairs
         assert dt == planned[eps]
+        # the rays driver checks every step; a WKB profile reads the final
+        # node alone
+        [(store_every, steps)] = strides
+        assert store_every == (1 if name == "rays.json" else steps)
 
     def test_skew_free_keeps_every_schedule_time(self):
         # 0.075 is no multiple of the first time 0.05; the march must still

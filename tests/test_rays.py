@@ -1,6 +1,7 @@
 """Characteristic-flow oracles: closed-form rays, Jacobians, phases, caustics."""
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from nlswkb.errors import CausticError, FieldError, InversionError
 from nlswkb.grids import PeriodicGrid
 from nlswkb.potentials import InitialPhaseSpec, PotentialSpec
-from nlswkb.problem import SemiclassicalProblem, gaussian_field
+from nlswkb.problem import SemiclassicalProblem, gaussian_field, march_steps
 from nlswkb import rays
 
 
@@ -181,14 +182,83 @@ class TestIntegratorQuality:
         problem, markers = make_problem(PotentialSpec.harmonic(1.0),
                                         InitialPhaseSpec.zero(), 128.0, 512)
         y = markers.nodes
-        _, xs, xis, jacs, xivs, ss = rays.integrate_ray_state(
+        _, xs, xis, jacs, xivs, ss, *_ = rays.integrate_ray_state(
             problem.potential, y, np.zeros_like(y), np.ones_like(y),
             np.zeros_like(y), np.zeros_like(y), 0.0, 1.0, 1e-3)
-        _, xs2, _, _, _, ss2 = rays.integrate_ray_state(
+        _, xs2, _, _, _, ss2, *_ = rays.integrate_ray_state(
             problem.potential, xs[-1], xis[-1], jacs[-1], xivs[-1], ss[-1],
             1.0, 0.0, 1e-3)
         assert np.max(np.abs(xs2[-1] - y)) <= 1e-8
         assert np.max(np.abs(ss2[-1])) <= 1e-8
+
+
+class TestSparseStorage:
+    """A bundle stored every few steps holds the rows of the fully stored
+    bundle at its steps, and the march reduces min_y J and the integral
+    of 1/J at every step whatever it stores."""
+
+    @staticmethod
+    def cosine_problem(size=64):
+        # V'' varies with x, so 1/J differs from ray to ray
+        return make_problem(PotentialSpec.cosine(0.5, 32.0, 4),
+                            InitialPhaseSpec.quadratic(0.2), 32.0, size)
+
+    @pytest.mark.parametrize("steps", range(1, 9))
+    def test_integral_is_the_simpson_rule_at_every_node(self, steps):
+        # even step counts are pure Simpson, odd ones take the 3/8 tail,
+        # one step is the trapezoid
+        problem, markers = self.cosine_problem()
+        bundle = rays.integrate_flow(problem, markers, steps * 0.05, dt=0.05)
+        assert np.ptp(1.0 / bundle.jac[-1]) > 1e-4
+        for it in range(steps + 1):
+            want = bundle.dt * np.tensordot(rays._simpson_weights(it),
+                                            1.0 / bundle.jac[: it + 1], axes=(0, 0))
+            got = bundle.jac_inv_integral[it]
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("store_every", [3, 8, 20])
+    def test_sparse_rows_are_the_full_rows(self, store_every):
+        problem, markers = self.cosine_problem()
+        full = rays.integrate_flow(problem, markers, 0.4, dt=0.05)
+        sparse = rays.integrate_flow(problem, markers, 0.4, dt=0.05,
+                                     store_every=store_every)
+        steps = sorted({*range(0, 9, store_every), 8})
+        assert np.array_equal(sparse.times, full.times[steps])
+        for name in ("x", "xi", "jac", "xivar", "action", "jac_inv_integral"):
+            assert np.array_equal(getattr(sparse, name),
+                                  getattr(full, name)[steps]), name
+        assert np.array_equal(sparse.min_jacobian, full.min_jacobian)
+        assert sparse.dt == full.dt
+
+    def test_caustic_sees_every_step(self, harmonic_bundle):
+        sparse = rays.integrate_flow(harmonic_bundle.problem,
+                                     harmonic_bundle.markers, 1.8, dt=1e-3,
+                                     store_every=1800)
+        assert len(sparse.times) == 2
+        assert sparse.t_caustic == harmonic_bundle.t_caustic
+        for threshold in (1e-12, 0.5):
+            assert (rays.caustic_time(sparse, threshold)
+                    == rays.caustic_time(harmonic_bundle, threshold))
+
+    @staticmethod
+    def _peak_bytes(march):
+        # the first call fills the grid's cached arrays; trace a second
+        march()
+        tracemalloc.start()
+        try:
+            march()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_final_node_march_memory_does_not_grow_with_steps(self):
+        problem, markers = self.cosine_problem(size=1024)
+        peaks = {dt: self._peak_bytes(lambda: rays.integrate_flow(
+            problem, markers, 0.5, dt=dt, store_every=march_steps(0.5, dt)))
+            for dt in (1e-2, 1e-3)}
+        # storing all 501 steps would take 6 x 501 x 8 KiB, about 24 MiB
+        assert peaks[1e-2] < 0.5 * 2**20
+        assert peaks[1e-3] <= 1.2 * peaks[1e-2]
 
 
 class TestInversionGuards:
@@ -279,6 +349,16 @@ class TestArgumentGuards:
         short = rays.integrate_flow(problem, markers, 0.03, dt=1e-2)
         with pytest.raises(ValueError, match="not enough stored nodes"):
             rays.hamilton_jacobi_residual(short, eval_grid)
+
+    def test_residual_needs_a_node_at_every_step(self, eval_grid):
+        # the fourth-order time stencil assumes nodes dt apart
+        problem, markers = make_problem(PotentialSpec.cosine(0.5, 32.0, 1),
+                                        InitialPhaseSpec.zero(), 32.0, 64)
+        sparse = rays.integrate_flow(problem, markers, 0.3, dt=1e-2,
+                                     store_every=10)
+        with pytest.raises(ValueError, match="this bundle stores one every "
+                           "10 steps"):
+            rays.hamilton_jacobi_residual(sparse, eval_grid)
 
 
 class TestMarkerSeriesInterpolation:

@@ -167,7 +167,7 @@ class TestSimpsonWeights:
         # composite Simpson, with its 3/8 tail at odd n, is exact for cubics:
         # int_0^1 (1 - 2x + 3x^2 + 4x^3) dx = 2
         x = np.linspace(0.0, 1.0, n + 1)
-        got = np.dot(wkb._simpson_weights(n), 1 - 2 * x + 3 * x**2 + 4 * x**3) / n
+        got = np.dot(rays._simpson_weights(n), 1 - 2 * x + 3 * x**2 + 4 * x**3) / n
         assert abs(got - 2.0) <= 1e-14
 
 
