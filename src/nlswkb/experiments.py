@@ -630,7 +630,8 @@ def _run_supercritical(config: ExperimentConfig, plan: Plan) -> ExperimentResult
                                               store_every=first.steps).final()
     else:
         lim = phase_amplitude.solve_phase_amplitude(
-            limit_problem, t, dt, variant="limit", store_every=1).final()
+            limit_problem, t, dt, variant="limit",
+            store_every=first.steps).final()
 
     outcomes = phase_amplitude.solve_phase_amplitude_sweep(
         [config.problem(eps) for eps in config.eps], t, dt, variant="full",

@@ -25,22 +25,22 @@ axis) and takes every eps of a sweep as a row of one array: the skew step
 is a multiply by a per-row phase, and one transport right-hand side costs
 six transforms in four calls for all rows together.
 
-The corrector solve marches the limit together with its linearization,
-which carries the i/2 Lap a source plus the first data correction a1;
-pairing the limit with eps * corrector reproduces the full solve to O(eps^2).
+The corrector solve marches the limit and its linearization, which
+carries the i/2 Lap a source plus the first data correction a1, as one
+system: they are rows 0 and 1 of one spectral state, (phi, phi1) and
+(a, a1), and each RK4 stage transforms both rows together.  Pairing the
+limit with eps * corrector reproduces the full solve to O(eps^2).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, ResolutionError
 from .fields import ComplexField, RealField, derivative_values, tail_fraction
 from .grids import PeriodicGrid
-from .problem import (SemiclassicalProblem, hermite, march_steps, relative_drift,
-                      time_index)
+from .problem import SemiclassicalProblem, march_steps, relative_drift, time_index
 
 VARIANTS = ("full", "skew_free", "limit")
 TAIL_TOL = 1e-8   # largest power fraction a state keeps in the kept band top
@@ -146,30 +146,29 @@ class _Transport:
             buf = self._work[name] = np.empty(shape, dtype)
         return buf
 
-    def phase_derivatives(self, phi_hat: np.ndarray, out=None) -> np.ndarray:
+    def phase_derivatives(self, phi_hat: np.ndarray) -> np.ndarray:
         """grad phi and Lap phi at the nodes, stacked on a new first axis:
-        one transform of the pair."""
+        one transform of the pair, into a work array."""
         pair = self.work("phase pair", (2,) + phi_hat.shape)
         np.multiply(phi_hat, self.ik_half, out=pair[0])
         np.multiply(phi_hat, self.lap_half, out=pair[1])
+        out = self.work("g", pair.shape[:-1] + (self.n,), float)
         return np.fft.irfft(pair, self.n, out=out)
 
-    def amplitude_and_gradient(self, a_hat: np.ndarray, out=None) -> np.ndarray:
+    def amplitude_and_gradient(self, a_hat: np.ndarray) -> np.ndarray:
         """a and grad a at the nodes, stacked on a new first axis: one
-        transform of the pair, in place in `out` when given."""
-        pair = np.empty((2,) + a_hat.shape, dtype=complex) if out is None else out
+        transform of the pair, in place in a work array."""
+        pair = self.work("a", (2,) + a_hat.shape)
         pair[0] = a_hat
         np.multiply(a_hat, self.ik, out=pair[1])
         return np.fft.ifft(pair, out=pair)
 
-    def __call__(self, phi_hat: np.ndarray, a_hat: np.ndarray, out=None):
-        """The rates (d_t phi_hat, d_t a_hat), written into the pair `out`
-        when given and fresh arrays otherwise."""
-        shape = (2,) + a_hat.shape
-        gphi, lphi = self.phase_derivatives(phi_hat, out=self.work("g", shape, float))
-        a, ga = self.amplitude_and_gradient(a_hat, out=self.work("a", shape))
-        mod2 = np.square(a.real, out=self.work("mod2", a_hat.shape, float))
-        mod2 += np.square(a.imag, out=self.work("square", a_hat.shape, float))
+    def node_rates(self, gphi, lphi, a, ga) -> None:
+        """The transport rates at the nodes from grad phi, Lap phi, a and
+        grad a: d_t phi is written over lphi and d_t a over ga, and a is
+        overwritten."""
+        mod2 = np.square(a.real, out=self.work("mod2", a.shape, float))
+        mod2 += np.square(a.imag, out=self.work("square", a.shape, float))
         # da = -(gphi ga) - (0.5 a) lphi, in the ga buffer
         np.multiply(0.5, a, out=a)
         np.multiply(a, lphi, out=a)
@@ -180,12 +179,16 @@ class _Transport:
         dphi *= gphi
         dphi -= self.v
         dphi -= mod2
-        rate_phi, rate_a = (None, None) if out is None else out
-        rate_phi = np.fft.rfft(dphi, out=rate_phi)
-        rate_a = np.fft.fft(ga, out=rate_a)
+
+    def __call__(self, phi_hat: np.ndarray, a_hat: np.ndarray, out) -> None:
+        """The rates (d_t phi_hat, d_t a_hat), written into the pair `out`."""
+        gphi, lphi = self.phase_derivatives(phi_hat)
+        a, ga = self.amplitude_and_gradient(a_hat)
+        self.node_rates(gphi, lphi, a, ga)
+        rate_phi = np.fft.rfft(lphi, out=out[0])
+        rate_a = np.fft.fft(ga, out=out[1])
         rate_phi *= self.mask_half
         rate_a *= self.mask
-        return rate_phi, rate_a
 
 
 def _negate(z: np.ndarray) -> None:
@@ -194,18 +197,18 @@ def _negate(z: np.ndarray) -> None:
     np.negative(z.view(float), out=z.view(float))
 
 
-def _rk4(stages, phi, a, h, work) -> None:
-    """One classical RK4 step, written into phi and a.  stages[j] is the
-    right-hand side of stage j (the same callable four times for an
-    autonomous system); it writes its rates into the pair `out` it is
-    given.  The stage state, the stage rates and the weighted stage sum
-    k1 + 2 k2 + 2 k3 + k4, accumulated in that order, are `work` arrays."""
+def _rk4(rhs, phi, a, h, work) -> None:
+    """One classical RK4 step of the autonomous system whose right-hand
+    side rhs writes its rates into the pair `out` it is given, written
+    into phi and a.  The stage state, the stage rates and the weighted
+    stage sum k1 + 2 k2 + 2 k3 + k4, accumulated in that order, are `work`
+    arrays."""
     sum_phi, sum_a = work("sum phi", phi.shape), work("sum a", a.shape)
     k_phi, k_a = work("rate phi", phi.shape), work("rate a", a.shape)
     stage_phi, stage_a = work("stage phi", phi.shape), work("stage a", a.shape)
-    stages[0](phi, a, out=(sum_phi, sum_a))
+    rhs(phi, a, out=(sum_phi, sum_a))
     prev_phi, prev_a = sum_phi, sum_a
-    for rhs, c, w in zip(stages[1:], (0.5, 0.5, 1.0), (2, 2, 1)):
+    for c, w in ((0.5, 2), (0.5, 2), (1.0, 1)):
         np.add(phi, np.multiply(c * h, prev_phi, out=stage_phi), out=stage_phi)
         np.add(a, np.multiply(c * h, prev_a, out=stage_a), out=stage_a)
         rhs(stage_phi, stage_a, out=(k_phi, k_a))
@@ -214,13 +217,6 @@ def _rk4(stages, phi, a, h, work) -> None:
         prev_phi, prev_a = k_phi, k_a
     phi += np.multiply(h / 6, sum_phi, out=sum_phi)
     a += np.multiply(h / 6, sum_a, out=sum_a)
-
-
-def _held_rates(rates, phi, a, out) -> None:
-    """A stage right-hand side whose rates at (phi, a) are already known:
-    it copies `rates` into the pair `out`."""
-    np.copyto(out[0], rates[0])
-    np.copyto(out[1], rates[1])
 
 
 def _potential_rows(problems: list[SemiclassicalProblem]) -> np.ndarray:
@@ -245,8 +241,9 @@ def solve_phase_amplitude(problem: SemiclassicalProblem, t_final: float, dt: flo
     dt is adjusted so march_steps(t_final, dt) steps land exactly on
     t_final; negative t_final integrates backward.  States are stored every
     `store_every` steps (the final state always).  A ResolutionError is
-    raised when more than TAIL_TOL of the amplitude's power lies in the top
-    third of the retained band, a DivergenceError on non-finite values.
+    raised when, after any step, more than TAIL_TOL of the amplitude's
+    power lies in the top third of the retained band, a DivergenceError on
+    non-finite values.
     This is the one-row call of solve_phase_amplitude_sweep.
     """
     out = solve_phase_amplitude_sweep([problem], t_final, dt, variant=variant,
@@ -316,14 +313,13 @@ def solve_phase_amplitude_sweep(problems: list[SemiclassicalProblem],
         rows = [i for i, k in zip(rows, keep) if k]
 
     store(0.0, phi, a, tail_fraction(a_hat, grid.kept_band_top))
-    stages = (rhs,) * 4
     for n in range(n_steps):
         if variant == "full":
-            _rk4(stages, phi_hat, a_hat, 0.5 * h, rhs.work)
+            _rk4(rhs, phi_hat, a_hat, 0.5 * h, rhs.work)
             a_hat *= skew_phase
-            _rk4(stages, phi_hat, a_hat, 0.5 * h, rhs.work)
+            _rk4(rhs, phi_hat, a_hat, 0.5 * h, rhs.work)
         else:
-            _rk4(stages, phi_hat, a_hat, h, rhs.work)
+            _rk4(rhs, phi_hat, a_hat, h, rhs.work)
         t = (n + 1) * h
         finite = (np.isfinite(phi_hat).all(axis=-1)
                   & np.isfinite(a_hat).all(axis=-1))
@@ -331,17 +327,17 @@ def solve_phase_amplitude_sweep(problems: list[SemiclassicalProblem],
             drop(~finite, lambda r, eps: DivergenceError(
                 "phase-amplitude solve hit non-finite values",
                 time=t, eps=eps))
-        if (n + 1) % store_every == 0 or n == n_steps - 1:
-            tail = tail_fraction(a_hat, grid.kept_band_top)
-            unresolved = tail > TAIL_TOL
-            if unresolved.any():
-                drop(unresolved, lambda r, eps: ResolutionError(
-                    f"amplitude spectrum tail fraction {tail[r]:.3e} exceeds "
-                    f"{TAIL_TOL:.1e}", time=t, eps=eps))
-                tail = tail[~unresolved]
-            store(t, np.fft.irfft(phi_hat, rhs.n), np.fft.ifft(a_hat), tail)
+        tail = tail_fraction(a_hat, grid.kept_band_top)
+        unresolved = tail > TAIL_TOL
+        if unresolved.any():
+            drop(unresolved, lambda r, eps: ResolutionError(
+                f"amplitude spectrum tail fraction {tail[r]:.3e} exceeds "
+                f"{TAIL_TOL:.1e}", time=t, eps=eps))
+            tail = tail[~unresolved]
         if not rows:
             break
+        if (n + 1) % store_every == 0 or n == n_steps - 1:
+            store(t, np.fft.irfft(phi_hat, rhs.n), np.fft.ifft(a_hat), tail)
 
     for i in rows:
         outcomes[i] = GrenierTrajectory(
@@ -363,15 +359,17 @@ def solve_corrector(problem: SemiclassicalProblem, t_final: float, dt: float,
         d_t a1 + grad phi . grad a1 + grad phi1 . grad a
                + a1 Lap phi / 2 + a Lap phi1 / 2 = (i/2) Lap a,   a1(0) = a1_data,
 
-    in one loop.  Each step advances the limit (phi, a) by one RK4 step of
-    the spectral march, then the corrector (phi1, a1) by one RK4 step that
-    reads the limit at the step's start, midpoint and end: the midpoint is
-    the cubic Hermite interpolant of the two end states and their exact
-    rates, so the interpolation error is O(h^4).  a1_data is problem.a1
-    (zero without one).  The limit is checked at every step as the sweep
-    checks a stored state (DivergenceError, ResolutionError); states are
-    stored every `store_every` steps (the final state always).  With real
-    a0 and a1_data = 0, a1 stays purely imaginary and phi1 stays zero.
+    as one system.  The spectral state stacks the limit and the corrector
+    as rows 0 and 1 of (phi, phi1) and (a, a1), and every step is one RK4
+    step of the pair: each stage transforms both rows in four calls, takes
+    the limit rates of row 0 by the arithmetic of the limit march (so the
+    limit rows are the limit march's bit for bit) and the corrector rates
+    of row 1 from the row-0 fields of the same stage.  a1_data is
+    problem.a1 (zero without one).  The limit is checked at every step as
+    the sweep checks a row (DivergenceError, ResolutionError), then the
+    corrector for finite values; states are stored every `store_every`
+    steps (the final state always).  With real a0 and a1_data = 0, a1
+    stays purely imaginary and phi1 stays zero.
     """
     grid = problem.grid
     rhs = _Transport(grid, _potential_rows([problem])[0])
@@ -379,35 +377,35 @@ def solve_corrector(problem: SemiclassicalProblem, t_final: float, dt: float,
     n_steps = march_steps(t_final, dt)
     h = t_final / n_steps
 
-    def coefficients(phi_hat, a_hat):
-        # what the corrector reads of the limit at one time: grad phi,
-        # Lap phi, grad a, conj(a), a / 2 and the (i/2) Lap a source
-        gphi, lphi = rhs.phase_derivatives(phi_hat)
-        a, ga = rhs.amplitude_and_gradient(a_hat)
-        return gphi, lphi, ga, np.conj(a), np.multiply(0.5, a), half_lap * a_hat
-
-    def corrector_rhs(fields, phi1_hat, a1_hat, out):
-        gphi, lphi, ga, conj_a, half_a, source = fields
-        shape = (2,) + a1_hat.shape
-        gphi1, lphi1 = rhs.phase_derivatives(phi1_hat, out=rhs.work("g", shape, float))
-        a1v, ga1 = rhs.amplitude_and_gradient(a1_hat, out=rhs.work("a", shape))
-        # dphi1 = -(gphi gphi1 + 2 Re(conj(a) a1))
-        prod = np.multiply(conj_a, a1v, out=rhs.work("product", a1_hat.shape))
-        dphi1 = np.multiply(gphi, gphi1, out=rhs.work("dphi", a1_hat.shape, float))
-        dphi1 += np.multiply(2.0, prod.real, out=prod.real)
-        np.negative(dphi1, out=dphi1)
+    def rates(phi_hat, a_hat, out):
+        work = rhs.work
+        g = rhs.phase_derivatives(phi_hat)
+        fields = rhs.amplitude_and_gradient(a_hat)
+        (gphi, gphi1), (lphi, lphi1) = g
+        (a, a1), (ga, ga1) = fields
+        # the corrector rates first, as the limit rates are written over
+        # the limit fields; 2 Re(conj(a) a1) is held before a1 is scaled
+        prod = np.conjugate(a, out=work("product", a.shape))
+        prod *= a1
+        twice_re = np.multiply(2.0, prod.real, out=prod.real)
         # da1 = -(gphi ga1 + gphi1 ga + (0.5 a1) lphi + (0.5 a) lphi1),
         # built in the ga1 buffer
+        term = work("term", a.shape)
         np.multiply(gphi, ga1, out=ga1)
-        ga1 += np.multiply(gphi1, ga, out=prod)
-        np.multiply(0.5, a1v, out=a1v)
-        ga1 += np.multiply(a1v, lphi, out=a1v)
-        ga1 += np.multiply(half_a, lphi1, out=prod)
+        ga1 += np.multiply(gphi1, ga, out=term)
+        np.multiply(0.5, a1, out=a1)
+        ga1 += np.multiply(a1, lphi, out=a1)
+        ga1 += np.multiply(np.multiply(0.5, a, out=term), lphi1, out=term)
         _negate(ga1)
-        rate_phi = np.fft.rfft(dphi1, out=out[0])
-        rate_a = np.fft.fft(ga1, out=out[1])
+        # dphi1 = -(gphi gphi1 + 2 Re(conj(a) a1)), in the lphi1 buffer
+        dphi1 = np.multiply(gphi, gphi1, out=lphi1)
+        dphi1 += twice_re
+        np.negative(dphi1, out=dphi1)
+        rhs.node_rates(gphi, lphi, a, ga)
+        rate_phi = np.fft.rfft(g[1], out=out[0])
+        rate_a = np.fft.fft(fields[1], out=out[1])
+        rate_a[1] += np.multiply(half_lap, a_hat[0], out=term)
         rate_phi *= rhs.mask_half
-        rate_a += source
         rate_a *= rhs.mask
 
     def store(t, phi, a, phi1, a1):
@@ -420,40 +418,27 @@ def solve_corrector(problem: SemiclassicalProblem, t_final: float, dt: float,
     phi, a = problem.initial_phase_field().values, problem.a0.values
     a1 = (problem.a1.values if problem.a1 is not None
           else np.zeros(grid.size, dtype=complex))
-    phi_hat, a_hat = np.fft.rfft(phi), np.fft.fft(a)
-    phi1_hat, a1_hat = np.fft.rfft(np.zeros(grid.size)), np.fft.fft(a1)
+    phi_hat = np.fft.rfft(np.array([phi, np.zeros(grid.size)]))
+    a_hat = np.fft.fft(np.array([a, a1], dtype=complex))
     states = []
     store(0.0, phi, a, np.zeros(grid.size), a1)
 
-    # a Hermite node is the limit's spectral state and its rate; the rate
-    # is also the first RK4 stage of the step that starts there
-    node = (phi_hat.copy(), a_hat.copy(), *rhs(phi_hat, a_hat))
-    end = coefficients(phi_hat, a_hat)
     for n in range(n_steps):
-        _rk4((partial(_held_rates, node[2:]), rhs, rhs, rhs),
-             phi_hat, a_hat, h, rhs.work)
+        _rk4(rates, phi_hat, a_hat, h, rhs.work)
         t = (n + 1) * h
-        if not (np.isfinite(phi_hat).all() and np.isfinite(a_hat).all()):
+        if not (np.isfinite(phi_hat[0]).all() and np.isfinite(a_hat[0]).all()):
             raise DivergenceError("phase-amplitude solve hit non-finite values",
                                   time=t, eps=problem.eps)
-        tail = tail_fraction(a_hat, grid.kept_band_top)
+        tail = tail_fraction(a_hat[0], grid.kept_band_top)
         if tail > TAIL_TOL:
             raise ResolutionError(f"amplitude spectrum tail fraction {tail:.3e} "
                                   f"exceeds {TAIL_TOL:.1e}", time=t, eps=problem.eps)
-        (p0, q0, dp0, dq0), node = node, (phi_hat.copy(), a_hat.copy(),
-                                          *rhs(phi_hat, a_hat))
-        p1, q1, dp1, dq1 = node
-        mid = coefficients(hermite(0.5, h, p0, p1, dp0, dp1),
-                           hermite(0.5, h, q0, q1, dq0, dq1))
-        start, end = end, coefficients(phi_hat, a_hat)
-        _rk4([partial(corrector_rhs, fields) for fields in (start, mid, mid, end)],
-             phi1_hat, a1_hat, h, rhs.work)
-        if not (np.isfinite(phi1_hat).all() and np.isfinite(a1_hat).all()):
+        if not (np.isfinite(phi_hat[1]).all() and np.isfinite(a_hat[1]).all()):
             raise DivergenceError("corrector solve hit non-finite values",
                                   time=t, eps=problem.eps)
         if (n + 1) % store_every == 0 or n == n_steps - 1:
-            store(t, np.fft.irfft(phi_hat, rhs.n), np.fft.ifft(a_hat),
-                  np.fft.irfft(phi1_hat, rhs.n), np.fft.ifft(a1_hat))
+            (phi, phi1), (a, a1) = np.fft.irfft(phi_hat, rhs.n), np.fft.ifft(a_hat)
+            store(t, phi, a, phi1, a1)
 
     return CorrectorTrajectory(states=tuple(states), dt=h)
 

@@ -1,6 +1,6 @@
 """Problem container: one semiclassical Cauchy problem on a periodic box,
 and the helpers that every solver shares (step counts, stored-time lookup,
-drift of a conserved series, the cubic Hermite basis).
+drift of a conserved series).
 
 The equation solved throughout the package is
 
@@ -48,14 +48,6 @@ def relative_drift(series: np.ndarray) -> float:
     relative to that value."""
     ref = max(abs(series[0]), 1e-300)
     return float(np.abs(series - series[0]).max() / ref)
-
-
-def hermite(u, h, f0, f1, d0, d1):
-    """Cubic Hermite interpolant at the offset u in [0, 1] of a cell of
-    width h, from the end values f0, f1 and the end slopes d0, d1."""
-    u2, u3 = u * u, u * u * u
-    return ((2 * u3 - 3 * u2 + 1) * f0 + (u3 - 2 * u2 + u) * h * d0
-            + (-2 * u3 + 3 * u2) * f1 + (u3 - u2) * h * d1)
 
 
 def gaussian_field(grid: PeriodicGrid, width: float = 1.0, amplitude: float = 1.0,

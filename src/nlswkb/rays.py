@@ -11,13 +11,14 @@ together with the variational pair J = d_y x, Xi = d_y xi,
     dJ/dt = Xi,          J(0) = 1,
     dXi/dt = -V'' J,     Xi(0) = phi0''(y),
 
-and the action dS/dt = xi^2/2 - V, S(0) = phi0(y).  On the line every one
-of these is a scalar per ray.  The Jacobian J starts at 1; the first time
-min_y J crosses a positive threshold is the caustic horizon, beyond which
-the Eulerian phase stops existing and label inversion refuses to run.
-The march stores a node every `store_every` steps, but takes min_y J and
-the ray integral of 1/J (the self-modulation of the WKB phase) at every
-step, so a caller that reads the final node alone holds no trajectory.
+the action dS/dt = xi^2/2 - V, S(0) = phi0(y), and the ray integral of
+1/J that the self-modulation of the WKB phase reads, dg/dt = 1/J,
+g(0) = 0.  On the line every one of these is a scalar per ray.  The
+Jacobian J starts at 1; the first time min_y J crosses a positive
+threshold is the caustic horizon, beyond which the Eulerian phase stops
+existing and label inversion refuses to run.  The march stores a node
+every `store_every` steps but takes min_y J at every step, so a caller
+that reads the final node alone holds no trajectory.
 
 Inversion of the label-to-position map uses monotone bracketing plus
 safeguarded Newton on a cubic Hermite interpolant of the stored map (values
@@ -38,7 +39,7 @@ import numpy as np
 from .errors import CausticError, DivergenceError, InversionError
 from .fields import RealField, derivative_values, interpolate_periodic
 from .grids import PeriodicGrid
-from .problem import SemiclassicalProblem, hermite, march_steps, time_index
+from .problem import SemiclassicalProblem, march_steps, time_index
 
 CAUSTIC_THRESHOLD = 0.1
 # the Hamilton-Jacobi residual is checked while min_y J stays above this
@@ -48,8 +49,7 @@ RESIDUAL_MIN_JACOBIAN = 0.3
 @dataclass(frozen=True, eq=False)
 class RayBundle:
     """The marker rays, stored every `store_every` steps of `dt` (the first
-    and the final node always), with the two reductions the march takes
-    at every step: min_y J, and the integral of 1/J along each ray."""
+    and the final node always), and min_y J at every step."""
     markers: PeriodicGrid
     y: np.ndarray        # (Nm,) labels: the marker nodes
     times: np.ndarray    # (K,) stored times
@@ -88,95 +88,29 @@ class RayBundle:
         return self.problem.potential.quadratic
 
 
-def _ray_rhs(potential, x, xi, jac, xiv, s):
-    # s rides along: the action rate depends on (x, xi) only
+def _ray_rhs(potential, x, xi, jac, xiv, s, g):
+    # s and g ride along: the action rate depends on (x, xi) only, the
+    # rate of g = int 1/J on J only
     return (xi, -potential.gradient(x), xiv,
-            -(potential.hessian(x) * jac), 0.5 * xi**2 - potential.value(x))
-
-
-def _simpson_weights(n: int) -> np.ndarray:
-    """Quadrature weights over n equal intervals: composite Simpson, with a
-    3/8 tail when the interval count is odd (keeps O(h^4) accuracy).
-    `_RunningSimpson` sums the same rule one node at a time."""
-    if n == 0:
-        return np.zeros(1)
-    if n == 1:
-        return np.array([0.5, 0.5])
-    w = np.zeros(n + 1)
-    if n % 2 == 0:
-        w[0] = w[n] = 1.0 / 3.0
-        w[1:n:2] = 4.0 / 3.0
-        w[2:n:2] = 2.0 / 3.0
-        return w
-    m = n - 3
-    if m > 0:
-        w[0] = 1.0 / 3.0
-        w[1:m:2] = 4.0 / 3.0
-        w[2:m:2] = 2.0 / 3.0
-        w[m] += 1.0 / 3.0
-    w[m] += 3.0 / 8.0
-    w[m + 1] += 9.0 / 8.0
-    w[m + 2] += 9.0 / 8.0
-    w[n] += 3.0 / 8.0
-    return w
-
-
-class _RunningSimpson:
-    """The `_simpson_weights` rule over samples f_0, ..., f_k of a per-ray
-    series taken every h, as the samples arrive.
-
-    It keeps f_0, the last four samples, the sums of the odd and of the even
-    interior samples, and the Simpson sums over [0, e] at the last two even
-    nodes e: its memory does not grow with k."""
-
-    def __init__(self, h: float, first: np.ndarray):
-        self.h = h
-        self.k = 0
-        self.first = first
-        self.recent = [first]              # f_(k-3), ..., f_k
-        self.odd = np.zeros_like(first)    # f_j over odd j, 0 < j < k
-        self.even = np.zeros_like(first)   # f_j over even j, 0 < j < k
-        self.heads = (0.0, 0.0)            # Simpson at the last two even nodes
-
-    def add(self, f: np.ndarray) -> None:
-        if self.k:
-            interior = self.odd if self.k % 2 else self.even
-            interior += self.recent[-1]
-        self.k += 1
-        self.recent = self.recent[-3:] + [f]
-        if self.k % 2 == 0:
-            head = ((1.0 / 3.0) * self.first + (4.0 / 3.0) * self.odd
-                    + (2.0 / 3.0) * self.even + (1.0 / 3.0) * f)
-            self.heads = (self.heads[1], head)
-
-    def integral(self) -> np.ndarray:
-        """h times the weighted sum of f_0, ..., f_k."""
-        k, f = self.k, self.recent
-        if k == 0:
-            return np.zeros_like(self.first)
-        if k == 1:
-            return self.h * (0.5 * f[0] + 0.5 * f[1])
-        if k % 2 == 0:
-            return self.h * self.heads[1]
-        # Simpson up to k - 3, then the 3/8 rule on the last three intervals
-        return self.h * (self.heads[0] + (3.0 / 8.0) * f[0] + (9.0 / 8.0) * f[1]
-                         + (9.0 / 8.0) * f[2] + (3.0 / 8.0) * f[3])
+            -(potential.hessian(x) * jac), 0.5 * xi**2 - potential.value(x),
+            1.0 / jac)
 
 
 def integrate_ray_state(potential, x0, xi0, jac0, xiv0, s0, t0, t_final, dt,
                         store_every=1):
-    """Classic RK4 on the ray + variational + action system, one (Nm,)
-    array per variable.
+    """Classic RK4 on the ray + variational + action system and the
+    integral g of 1/J from t0 (rate 1/J, g(t0) = 0), one (Nm,) array per
+    variable.
 
     Returns (times, x, xi, jac, xivar, action, jac_inv_integral,
-    min_jacobian).  The five states and the integral of 1/J from t0, each
-    of shape (K, Nm), are stored every `store_every` steps, the first and
-    the final node always; min_jacobian, of shape (M+1,), is min_y J at
-    every step.  With store_every >= M the march holds the first and the
-    final node alone.  The step count M is march_steps(t_final - t0, dt);
-    dt is adjusted so the last node lands exactly on t_final.  Negative
-    spans integrate backward.  Past a zero of J the integral means
-    nothing; nothing reads it there.
+    min_jacobian).  The six variables, each of shape (K, Nm), are stored
+    every `store_every` steps, the first and the final node always;
+    min_jacobian, of shape (M+1,), is min_y J at every step.  With
+    store_every >= M the march holds the first and the final node alone.
+    The step count M is march_steps(t_final - t0, dt); dt is adjusted so
+    the last node lands exactly on t_final.  Negative spans integrate
+    backward.  The five ray variables must stay finite; past a zero of J
+    the integral means nothing, and nothing reads it there.
     """
     span = t_final - t0
     n_steps = march_steps(span, dt)
@@ -187,11 +121,11 @@ def integrate_ray_state(potential, x0, xi0, jac0, xiv0, s0, t0, t_final, dt,
     stored = tuple(np.empty((rows, x0.shape[0])) for _ in range(6))
     kept = []   # the step of each stored node
     mins = np.empty(n_steps + 1)
-    state = (x0.copy(), xi0.copy(), jac0.copy(), xiv0.copy(), s0.copy())
-    integral = _RunningSimpson(h, 1.0 / state[2])
+    state = (x0.copy(), xi0.copy(), jac0.copy(), xiv0.copy(), s0.copy(),
+             np.zeros_like(x0))
 
     def store(step):
-        for out, v in zip(stored, (*state, integral.integral())):
+        for out, v in zip(stored, state):
             out[len(kept)] = v
         kept.append(step)
 
@@ -206,11 +140,10 @@ def integrate_ray_state(potential, x0, xi0, jac0, xiv0, s0, t0, t_final, dt,
             k = _ray_rhs(potential, *(v + c * h * r for v, r in zip(state, k)))
             total = tuple(a + w * b for a, b in zip(total, k))
         state = tuple(v + (h / 6.0) * a for v, a in zip(state, total))
-        if not all(np.all(np.isfinite(v)) for v in state):
+        if not all(np.all(np.isfinite(v)) for v in state[:5]):
             raise DivergenceError("ray integration produced non-finite values",
                                   time=float(step_times[n + 1]))
         mins[n + 1] = state[2].min()
-        integral.add(1.0 / state[2])
         if (n + 1) % store_every == 0 or n == n_steps - 1:
             store(n + 1)
 
@@ -261,6 +194,14 @@ def caustic_time(bundle: RayBundle, threshold: float = CAUSTIC_THRESHOLD) -> flo
 # cubic Hermite machinery on the marker line
 
 
+def _hermite(u, h, f0, f1, d0, d1):
+    """Cubic Hermite interpolant at the offset u in [0, 1] of a cell of
+    width h, from the end values f0, f1 and the end slopes d0, d1."""
+    u2, u3 = u * u, u * u * u
+    return ((2 * u3 - 3 * u2 + 1) * f0 + (u3 - 2 * u2 + u) * h * d0
+            + (-2 * u3 + 3 * u2) * f1 + (u3 - u2) * h * d1)
+
+
 def _hermite_deriv(u, h, f0, f1, d0, d1):
     u2 = u * u
     return ((6 * u2 - 6 * u) * f0 + (3 * u2 - 4 * u + 1) * h * d0
@@ -293,7 +234,7 @@ class LabelMap:
             values, slopes = np.append(values, values[0]), np.append(slopes, slopes[0])
         h = self.bundle.y[1] - self.bundle.y[0]
         c = self.cells
-        return hermite(self.u, h, values[c], values[c + 1], slopes[c], slopes[c + 1])
+        return _hermite(self.u, h, values[c], values[c + 1], slopes[c], slopes[c + 1])
 
     def interp_series(self, series: np.ndarray) -> np.ndarray:
         """Per-marker scalar series evaluated at the labels.
@@ -360,7 +301,7 @@ def invert_flow(bundle: RayBundle, t: float, x_grid: PeriodicGrid) -> LabelMap:
     u = np.clip((reduced - f0) / np.where(f1 > f0, f1 - f0, 1.0), 0.0, 1.0)
     scale = max(1.0, np.abs(x).max())
     for _ in range(80):
-        val = hermite(u, h, f0, f1, d0, d1) - reduced
+        val = _hermite(u, h, f0, f1, d0, d1) - reduced
         if np.all(np.abs(val) <= 1e-12 * scale):
             break
         pos = val > 0
@@ -371,7 +312,7 @@ def invert_flow(bundle: RayBundle, t: float, x_grid: PeriodicGrid) -> LabelMap:
         u_new = u - step
         bad = (u_new < lo) | (u_new > hi) | ~np.isfinite(u_new)
         u = np.where(bad, 0.5 * (lo + hi), u_new)
-    worst = float(np.abs(hermite(u, h, f0, f1, d0, d1) - reduced).max())
+    worst = float(np.abs(_hermite(u, h, f0, f1, d0, d1) - reduced).max())
     if worst > 1e-10 * scale:
         raise InversionError(
             f"Newton inversion did not reach tolerance (worst residual "

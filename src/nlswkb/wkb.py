@@ -44,8 +44,8 @@ def transport_amplitude(lmap: LabelMap, a0: ComplexField) -> ComplexField:
 def self_modulation_phase(lmap: LabelMap, a0: ComplexField) -> RealField:
     """G(t, x): minus the ray integral of |a0|^2 / J up to t.
 
-    The per-marker integral of 1/J is the one the ray march accumulates
-    (composite Simpson over every step), carried to the Eulerian grid
+    The per-marker integral of 1/J is the one the ray march carries as a
+    variable of its RK4 step, carried to the Eulerian grid
     through the label map.  J > 0 on [0, t] holds because the map is
     pre-caustic.
     """

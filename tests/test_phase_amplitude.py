@@ -315,7 +315,8 @@ class TestSweep:
             eps=0.02, kappa=0.0, a0=good[0].a0,
             a1=ComplexField(grid, 1e307 * (-1.0) ** np.arange(grid.size)
                             + 0j), potential=good[0].potential)
-        # the diverging row leaves the stack before the unresolved one
+        # both fail in the first step; the diverging row leaves the stack
+        # before the unresolved one
         problems = [good[0], huge, noisy, good[1]]
         with np.errstate(over="ignore", invalid="ignore"):
             out = solve_phase_amplitude_sweep(problems, 0.1, 2e-3,
@@ -323,7 +324,7 @@ class TestSweep:
         assert isinstance(out[1], DivergenceError)
         assert (out[1].eps, out[1].time) == (0.02, pytest.approx(2e-3))
         assert isinstance(out[2], ResolutionError)
-        assert (out[2].eps, out[2].time) == (0.05, pytest.approx(1e-2))
+        assert (out[2].eps, out[2].time) == (0.05, pytest.approx(2e-3))
         for i in (1, 2):
             with np.errstate(over="ignore", invalid="ignore"), \
                     pytest.raises(type(out[i])) as single:
@@ -355,6 +356,20 @@ class TestSweep:
         for rows in (1, 7):
             assert lines[rows, 2] - lines[rows, 1] == rows * lines_per_step
 
+    def test_tail_is_checked_between_stored_nodes(self):
+        # N = 64 on L = 16 holds the width-1 profile at first; the limit
+        # passes TAIL_TOL at step 15, between the stored steps 12 and 16
+        grid = PeriodicGrid(16.0, 64)
+        problem = SemiclassicalProblem(eps=0.03, kappa=0.0,
+                                       a0=gaussian_field(grid, 1.0, 1.0))
+        out = solve_phase_amplitude_sweep([problem], 1.0, 2e-3,
+                                          variant="limit", store_every=4)[0]
+        assert isinstance(out, ResolutionError)
+        assert out.time == pytest.approx(0.03)
+        with pytest.raises(ResolutionError) as ref:
+            solve_phase_amplitude(problem, 1.0, 2e-3, variant="limit")
+        assert (str(out), out.time) == (str(ref.value), ref.value.time)
+
     def test_problems_must_share_one_grid(self):
         problems = [flat_problem(size=256), flat_problem(size=512)]
         with pytest.raises(ConfigError):
@@ -377,29 +392,28 @@ def _spectral_transport(grid, v):
     return rhs
 
 
-def _stagewise_rk4(rhs, p, q, h):
-    """One RK4 step of the spectral state with a fresh array for every
-    stage and sum; rhs(j, p, q) is the right-hand side of stage j."""
-    k1p, k1q = rhs(0, p, q)
-    k2p, k2q = rhs(1, p + 0.5 * h * k1p, q + 0.5 * h * k1q)
-    k3p, k3q = rhs(2, p + 0.5 * h * k2p, q + 0.5 * h * k2q)
-    k4p, k4q = rhs(3, p + h * k3p, q + h * k3q)
-    return (p + (h / 6) * (k1p + 2 * k2p + 2 * k3p + k4p),
-            q + (h / 6) * (k1q + 2 * k2q + 2 * k3q + k4q))
+def _stagewise_rk4(rhs, state, h):
+    """One RK4 step of a tuple of spectral fields with a fresh array for
+    every stage and sum."""
+    k1 = rhs(*state)
+    k2 = rhs(*(s + 0.5 * h * k for s, k in zip(state, k1)))
+    k3 = rhs(*(s + 0.5 * h * k for s, k in zip(state, k2)))
+    k4 = rhs(*(s + h * k for s, k in zip(state, k3)))
+    return tuple(s + (h / 6) * (a + 2 * b + 2 * c + d)
+                 for s, a, b, c, d in zip(state, k1, k2, k3, k4))
 
 
 def _stagewise_corrector(problem, t_final, dt, a1_values):
-    """The limit march and its corrector with a fresh array for every
-    operation and one transform per field, the limit transformed again at
-    every RK4 stage: the reference whose every state solve_corrector must
-    reproduce bit for bit."""
+    """The limit and its corrector marched as one system (phi, a, phi1, a1)
+    with a fresh array for every operation, one transform per field and
+    the limit rates of `_spectral_transport`: the reference whose every
+    state solve_corrector must reproduce bit for bit."""
     grid = problem.grid
     n, half = grid.size, grid.size // 2 + 1
     ik, lap, mask = grid.ik, -grid.wavenumber_sq, grid.dealias_mask
     transport = _spectral_transport(grid, problem.potential_field().values)
 
-    def rhs(limit, phi1_hat, a1_hat):
-        phi_hat, a_hat = limit
+    def rhs(phi_hat, a_hat, phi1_hat, a1_hat):
         gphi = np.fft.irfft(phi_hat * ik[:half], n)
         lphi = np.fft.irfft(phi_hat * lap[:half], n)
         a, ga = np.fft.ifft(a_hat), np.fft.ifft(a_hat * ik)
@@ -408,25 +422,20 @@ def _stagewise_corrector(problem, t_final, dt, a1_values):
         a1v, ga1 = np.fft.ifft(a1_hat), np.fft.ifft(a1_hat * ik)
         dphi1 = -(gphi * gphi1 + 2.0 * (np.conj(a) * a1v).real)
         da1 = -(gphi * ga1 + gphi1 * ga + 0.5 * a1v * lphi + 0.5 * a * lphi1)
-        return (np.fft.rfft(dphi1) * mask[:half],
+        return (*transport(phi_hat, a_hat), np.fft.rfft(dphi1) * mask[:half],
                 (np.fft.fft(da1) + 0.5j * lap * a_hat) * mask)
 
     n_steps = int(round(t_final / dt))
     h = t_final / n_steps
-    p0 = np.fft.rfft(problem.initial_phase_field().values)
-    q0 = np.fft.fft(problem.a0.values.astype(complex))
-    p, q = np.fft.rfft(np.zeros(n)), np.fft.fft(a1_values)
-    states = [(np.zeros(n), a1_values)]
+    phi, a = problem.initial_phase_field().values, problem.a0.values
+    state = (np.fft.rfft(phi), np.fft.fft(a), np.fft.rfft(np.zeros(n)),
+             np.fft.fft(a1_values))
+    states = [(phi, a, np.zeros(n), a1_values)]
     for _ in range(n_steps):
-        p1, q1 = _stagewise_rk4(lambda j, p, q: transport(p, q), p0, q0, h)
-        (dp0, dq0), (dp1, dq1) = transport(p0, q0), transport(p1, q1)
-        # the cubic Hermite weights at u = 1/2
-        mid = (0.5 * p0 + 0.125 * h * dp0 + 0.5 * p1 - 0.125 * h * dp1,
-               0.5 * q0 + 0.125 * h * dq0 + 0.5 * q1 - 0.125 * h * dq1)
-        limits = ((p0, q0), mid, mid, (p1, q1))
-        p, q = _stagewise_rk4(lambda j, p, q: rhs(limits[j], p, q), p, q, h)
-        p0, q0 = p1, q1
-        states.append((np.fft.irfft(p, n), np.fft.ifft(q)))
+        state = _stagewise_rk4(rhs, state, h)
+        phi, a, phi1, a1 = state
+        states.append((np.fft.irfft(phi, n), np.fft.ifft(a),
+                       np.fft.irfft(phi1, n), np.fft.ifft(a1)))
     return states
 
 
@@ -434,18 +443,18 @@ def _stagewise_march(problem, t_final, dt):
     """The skew-free RK4 march of the spectral state with a fresh array for
     every stage and sum."""
     rhs = _spectral_transport(problem.grid, problem.potential_field().values)
-    p = np.fft.rfft(problem.initial_phase_field().values)
-    q = np.fft.fft(problem.initial_amplitude().values)
+    state = (np.fft.rfft(problem.initial_phase_field().values),
+             np.fft.fft(problem.initial_amplitude().values))
     n_steps = int(round(t_final / dt))
     h = t_final / n_steps
     for _ in range(n_steps):
-        p, q = _stagewise_rk4(lambda j, p, q: rhs(p, q), p, q, h)
-    return np.fft.irfft(p, problem.grid.size), np.fft.ifft(q)
+        state = _stagewise_rk4(rhs, state, h)
+    return np.fft.irfft(state[0], problem.grid.size), np.fft.ifft(state[1])
 
 
 class TestLeanMarch:
-    """The paired transforms, in-place stages and once-per-stage-time
-    corrector coefficients do the arithmetic of the plain march exactly."""
+    """The paired transforms, the stacked limit and corrector rows and the
+    in-place stages do the arithmetic of the plain march exactly."""
 
     def test_sweep_rows_equal_the_stagewise_march(self):
         problems = sweep_problems()
@@ -459,7 +468,7 @@ class TestLeanMarch:
     @pytest.mark.parametrize("with_a1", [False, True])
     def test_corrector_equals_the_stagewise_march(self, with_a1):
         # the chirped a0 makes the corrector move without a1; the cosine
-        # potential enters through the limit's Hermite node rates
+        # potential enters through the limit rates
         problem = sweep_problems(size=256)[0]
         if not with_a1:
             problem = dataclasses.replace(problem, a1=None)
@@ -468,18 +477,17 @@ class TestLeanMarch:
                  else np.zeros(problem.grid.size, dtype=complex))
         ref = _stagewise_corrector(problem, 0.04, 2e-3, start)
         assert len(corr.states) == len(ref) == 21
-        for st, (phi1, a1v) in zip(corr.states, ref):
+        for st, (phi, a, phi1, a1v) in zip(corr.states, ref):
+            assert np.array_equal(st.phi.values, phi)
+            assert np.array_equal(st.a.values, a)
             assert np.array_equal(st.phi1.values, phi1)
             assert np.array_equal(st.a1.values, a1v)
-        assert np.abs(ref[-1][0]).max() > 0
+        assert np.abs(ref[-1][2]).max() > 0
 
     def test_corrector_transform_calls_per_step_are_fixed(self, fft_counter):
-        # per step: the limit's RK4 step (three transport right-hand sides
-        # of 4 calls; its first stage is the rate the Hermite node holds),
-        # the rate of the new Hermite node (one more), the limit at the
-        # midpoint and at the end (2 paired calls each), and four corrector
-        # right-hand sides of 4 calls; the end coefficients serve the next
-        # step's start
+        # per step: four stages of the joint right-hand side, each one
+        # inverse call per field pair (4 lines each: two rows of the field
+        # and of its derivative) and one forward call per field (2 lines)
         problem = sweep_problems(size=256)[0]
         calls, lines = {}, {}
         for steps in (4, 8, 16):
@@ -487,8 +495,8 @@ class TestLeanMarch:
             solve_corrector(problem, steps * 2e-3, 2e-3, store_every=100)
             calls[steps], lines[steps] = fft_counter.calls, fft_counter.lines
         for fewer, more in ((4, 8), (8, 16)):
-            assert calls[more] - calls[fewer] == (more - fewer) * 36
-            assert lines[more] - lines[fewer] == (more - fewer) * 56
+            assert calls[more] - calls[fewer] == (more - fewer) * 16
+            assert lines[more] - lines[fewer] == (more - fewer) * 48
 
     @staticmethod
     def _peak_bytes(solve):
@@ -503,7 +511,7 @@ class TestLeanMarch:
 
     # only the initial and final states are stored, so a buffer or memo
     # that grows every step shows as 45 steps' worth of it: a 7-row state
-    # is 28 KiB at N = 256, one corrector coefficient set 24 KiB.  The
+    # is 28 KiB at N = 256, the joint corrector state 12 KiB.  The
     # allowance covers a line tracer's own allocations (35 KiB seen).
     ALLOWANCE = 64 * 1024
 

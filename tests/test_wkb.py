@@ -161,16 +161,6 @@ class TestAssembly:
             wkb.build_approximant(strong, bundle, 0.3)
 
 
-class TestSimpsonWeights:
-    @pytest.mark.parametrize("n", [2, 4, 10, 3, 5, 9])
-    def test_integrate_a_cubic_exactly(self, n):
-        # composite Simpson, with its 3/8 tail at odd n, is exact for cubics:
-        # int_0^1 (1 - 2x + 3x^2 + 4x^3) dx = 2
-        x = np.linspace(0.0, 1.0, n + 1)
-        got = np.dot(rays._simpson_weights(n), 1 - 2 * x + 3 * x**2 + 4 * x**3) / n
-        assert abs(got - 2.0) <= 1e-14
-
-
 class TestSeparationProfile:
     def grid_data(self):
         grid = PeriodicGrid(32.0, 256)
