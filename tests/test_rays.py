@@ -206,14 +206,46 @@ class TestIntegratorQuality:
 
 class TestSparseStorage:
     """A bundle stored every few steps holds the rows of the fully stored
-    bundle at its steps, and the march reduces min_y J at every step
-    whatever it stores."""
+    bundle at its steps, and the march reduces min_y J and the integral
+    of 1/J at every step whatever it stores."""
 
     @staticmethod
     def cosine_problem(size=64):
         # V'' varies with x, so 1/J differs from ray to ray
         return make_problem(PotentialSpec.cosine(0.5, 32.0, 4),
                             InitialPhaseSpec.quadratic(0.2), 32.0, size)
+
+    @pytest.mark.parametrize("steps", range(1, 9))
+    def test_integral_is_the_simpson_rule_at_every_node(self, steps):
+        # V = 0 with a cosine phase: J = 1 + t phi0''(y) is affine in t and
+        # differs from ray to ray, so every RK4 stage sees the exact J and
+        # the marched integral of 1/J is composite Simpson on the steps
+        # and their midpoints
+        grid = PeriodicGrid(32.0, 64)
+        k = 2 * np.pi / grid.length
+        phase = InitialPhaseSpec(lambda y: 0.5 * np.cos(k * y),
+                                 lambda y: -0.5 * k * np.sin(k * y),
+                                 lambda y: -0.5 * k**2 * np.cos(k * y),
+                                 periodic=True)
+        problem = SemiclassicalProblem(eps=1e-2, kappa=0.0,
+                                       a0=gaussian_field(grid, 1.0, 1.0),
+                                       potential=PotentialSpec.zero(),
+                                       phase=phase)
+        t_final = steps * 0.5
+        bundle = rays.integrate_flow(problem, grid, t_final, dt=0.5)
+        assert np.ptp(1.0 / bundle.jac[-1]) > 1e-4
+        h, curv = bundle.dt, phase.hessian(grid.nodes)
+        nodes = 1.0 / (1.0 + h * np.arange(steps + 1)[:, None] * curv)
+        mids = 1.0 / (1.0 + h * (np.arange(steps)[:, None] + 0.5) * curv)
+        cells = (h / 6) * (nodes[:-1] + 4 * mids + nodes[1:])
+        for it in range(steps + 1):
+            want = cells[:it].sum(axis=0)
+            got = bundle.jac_inv_integral[it]
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.abs(want).max()
+        last = rays.integrate_flow(problem, grid, t_final, dt=0.5,
+                                   store_every=steps)
+        assert np.array_equal(last.jac_inv_integral[-1],
+                              bundle.jac_inv_integral[-1])
 
     @pytest.mark.parametrize("store_every", [3, 8, 20])
     def test_sparse_rows_are_the_full_rows(self, store_every):

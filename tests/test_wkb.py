@@ -161,6 +161,26 @@ class TestAssembly:
             wkb.build_approximant(strong, bundle, 0.3)
 
 
+class TestSimpsonWeights:
+    """RK4 puts Simpson's weights 1/6, 4/6, 1/6 on a rate that depends on
+    time alone, so the ray march integrates a cubic exactly at any step
+    count."""
+
+    @pytest.mark.parametrize("n", [2, 4, 10, 3, 5, 9])
+    def test_integrate_a_cubic_exactly(self, n):
+        # a force-free potential triple whose value is 1/2 - p: the ray from
+        # y = 0 at unit speed has x = t, so the action rate xi^2/2 - V is
+        # p(t), and int_0^1 (1 - 2t + 3t^2 + 4t^3) dt = 2
+        flat = PotentialSpec(
+            lambda x: 0.5 - (1 - 2 * x + 3 * x**2 + 4 * x**3),
+            np.zeros_like, np.zeros_like, periodic=False, quadratic=True)
+        zero, one = np.zeros(1), np.ones(1)
+        times, *_, action, _, _ = rays.integrate_ray_state(
+            flat, zero, one, one, zero, zero, 0.0, 1.0, 1.0 / n)
+        assert len(times) == n + 1
+        assert abs(action[-1, 0] - 2.0) <= 1e-14
+
+
 class TestSeparationProfile:
     def grid_data(self):
         grid = PeriodicGrid(32.0, 256)
