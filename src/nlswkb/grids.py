@@ -80,8 +80,7 @@ class PeriodicGrid:
 
     @cached_property
     def kept_band_top(self) -> np.ndarray:
-        """Top third of the dealiased band: (4/9) k_max < |k| <= (2/3) k_max,
-        the modes the phase-amplitude tail monitor watches."""
+        """Top third of the dealiased band: (4/9) k_max < |k| <= (2/3) k_max."""
         k = np.abs(self.wavenumbers)
         kept = (2.0 / 3.0) * k.max()
         return _frozen((k > (2.0 / 3.0) * kept) & self.dealias_mask)

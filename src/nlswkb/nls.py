@@ -13,7 +13,8 @@ kinetic step, so a step costs one forward and one inverse FFT.
 solve_nls_sweep marches the problems of a sweep (one grid, one set of
 output times) as rows of one array, each row at its own step size and step
 count; one step of every row costs the same two FFT calls, and each row's
-arithmetic is that of its own solve.  solve_nls is its one-row call.
+arithmetic is that of its own solve.  solve_nls is its one-row call.  The
+rows are a problem.RowStack, checked at each output (problem.TAIL_TOL).
 
 The solver is the measuring stick the asymptotic constructions are compared
 against, so its defaults are conservative: h = eps/50 resolves the fast
@@ -29,28 +30,22 @@ import numpy as np
 from .errors import ConfigError, DivergenceError, ResolutionError
 from .fields import ComplexField, derivative_values, tail_fraction
 from .grids import PeriodicGrid
-from .problem import SemiclassicalProblem, relative_drift, time_index
+from .problem import (RowCheck, RowStack, SemiclassicalProblem, StoredStates,
+                      relative_drift)
 
-TAIL_TOL = 1e-8   # largest power fraction an output keeps in the upper third
+_CHECK = RowCheck("reference solve hit non-finite values",
+                  "spectral tail fraction {tail:.3e} exceeds {tol:.1e}; "
+                  "increase the grid size")
 
 
 @dataclass(frozen=True, eq=False)
-class NLSSolution:
+class NLSSolution(StoredStates):
     problem: SemiclassicalProblem
     times: np.ndarray
     states: tuple[ComplexField, ...]
     mass: np.ndarray
     energy: np.ndarray
     dt: float
-
-    def final(self) -> ComplexField:
-        return self.states[-1]
-
-    def state_at(self, t: float) -> ComplexField:
-        return self.states[time_index(self.times, t)]
-
-    def mass_drift(self) -> float:
-        return relative_drift(self.mass)
 
     def energy_drift(self) -> float:
         return relative_drift(self.energy)
@@ -91,6 +86,8 @@ def _output_times(t_final: float, output_times) -> list[float]:
     if output_times is None:
         return [float(t_final)]
     outputs = [float(t) for t in output_times]
+    if not outputs:
+        raise ConfigError("output_times must name at least one time")
     if any(b <= a for a, b in zip(outputs, outputs[1:])) or outputs[0] <= 0:
         raise ConfigError("output_times must be strictly increasing and positive")
     if outputs[-1] < t_final - 1e-12:
@@ -125,11 +122,9 @@ def solve_nls(problem: SemiclassicalProblem, t_final: float, dt: float | None = 
     output_times must be strictly increasing and positive, ending at
     t_final (it is appended when missing).  Within each segment the step is
     shrunk to seg / ceil(seg / dt) so outputs land exactly on step
-    boundaries (segment_steps); dt defaults to eps/50.  Raises
-    ResolutionError when an output state carries more than TAIL_TOL of its
-    power in the upper third of the spectrum, and DivergenceError on
-    non-finite values; both carry the time and eps of the solve.  This is
-    the one-row call of solve_nls_sweep.
+    boundaries (segment_steps); dt defaults to eps/50.  An output that
+    fails its check (problem.TAIL_TOL) raises its ResolutionError or
+    DivergenceError.  This is the one-row call of solve_nls_sweep.
     """
     out = solve_nls_sweep([problem], t_final, [dt], output_times=output_times)[0]
     if isinstance(out, Exception):
@@ -143,17 +138,11 @@ def solve_nls_sweep(problems: list[SemiclassicalProblem], t_final: float, dts,
     """solve_nls for every problem at once, in one march.
 
     The problems share one grid, t_final and output times; dts[r] (None
-    for eps/50) belongs to problems[r], which starts from its own initial
-    state.  The states are the rows of one array, and every row
-    keeps its own step size, kinetic multipliers, phase scale and
-    segment_steps count, so its arithmetic is that of its own solve.  Each
-    loop pass advances every row by one step at a cost of two FFT calls,
-    however many rows there are.  A row that reaches an output closes its
-    step with a half kinetic multiplier and is checked there.  Returns one
-    outcome per problem, in order: its solution, or the ResolutionError or
-    DivergenceError its own solve would raise, with its eps and time.  A
-    row that fails, or is done, leaves the stack; the others march on
-    unchanged.
+    for eps/50) belongs to problems[r].  Every row keeps its own step
+    size, kinetic multipliers, phase scale and segment_steps count, so its
+    arithmetic is that of its own solve, and a step of all rows costs two
+    FFT calls.  A row that reaches an output closes its step with a half
+    kinetic multiplier and is checked there.  Returns RowStack.results.
     """
     if t_final <= 0:
         raise ConfigError("t_final must be positive")
@@ -163,112 +152,72 @@ def solve_nls_sweep(problems: list[SemiclassicalProblem], t_final: float, dts,
     if any(dt <= 0 for dt in dts):
         raise ConfigError("dt must be positive")
     outputs = _output_times(t_final, output_times)
+    st = RowStack(problems)
     grid = problems[0].grid
-    if any(p.grid != grid for p in problems):
-        raise ConfigError("the problems of a sweep must share one grid")
-    starts = [p.initial_state() for p in problems]
-
-    # work buffers, one row per stacked problem: u in physical space, uh in
-    # Fourier space, theta for the pointwise phase and rot for its rotation
-    # factor exp(i theta); per row, the kinetic multiplier of its next
-    # step, its closing half-step, and its potential phase and phase scale
-    shape = (len(problems), grid.size)
-    u, uh, rot, kinetic, half = np.empty((5,) + shape, dtype=complex)
-    theta, scratch, vphase = np.empty((3,) + shape)
-    u[:] = [s.values for s in starts]
-    scale = np.empty((len(problems), 1))
-    vvals = [p.potential_field().values for p in problems]
-    ksq = grid.wavenumber_sq
-    cell = grid.spacing
     bounds = [0.0] + outputs
     counts = [segment_steps(outputs, dt) for dt in dts]
 
-    rows = list(range(len(problems)))     # problem index of each stack row
-    segment = [0] * len(problems)         # output each stack row marches to
-    left = np.array([c[0] for c in counts])   # its steps left to get there
-    times = [[0.0] for _ in problems]
-    states = [[ComplexField(grid, s.values, role="reference-state")]
-              for s in starts]
-    mass = [[cell * float(np.sum(np.abs(s.values) ** 2))] for s in starts]
-    energy = [[e] for e in _energies(grid, problems, u)]
-    outcomes = [None] * len(problems)
+    # the stack's buffers: u and uh in physical and Fourier space, theta and
+    # rot = exp(i theta) for the pointwise phase; per row, the kinetic
+    # multiplier of its next step, its closing half-step, its potential
+    # phase and phase scale, its next output and its steps left to it
+    shape = (len(problems), grid.size)
+    st.u, st.uh, st.rot, st.kinetic, st.half = np.empty((5,) + shape, dtype=complex)
+    st.theta, st.scratch, st.vphase = np.empty((3,) + shape)
+    st.scale = np.empty((len(problems), 1))
+    st.segment = np.zeros(len(problems), dtype=int)
+    st.left = np.array([c[0] for c in counts])
+    st.u[:] = [p.initial_state().values for p in problems]
+    vvals = [p.potential_field().values for p in problems]
+    ksq = grid.wavenumber_sq
 
-    def begin(at):
-        # open the next segment of stack rows `at`, whose u rows hold the
-        # states at its start: kinetic half-step of the segment's h
+    def record(at):
+        # the nodes (time, state, mass, energy) of stack rows `at`
+        rows, values = [st.rows[r] for r in np.flatnonzero(at)], st.u[at]
+        energies = _energies(grid, [problems[i] for i in rows], values)
+        for i, k, row, e in zip(rows, st.segment[at], values, energies):
+            state = ComplexField(grid, row, role="reference-state")
+            st.nodes[i].append(
+                (bounds[k], state, grid.spacing * float(np.sum(np.abs(row) ** 2)), e))
+
+    at = np.ones(len(problems), dtype=bool)
+    record(at)
+    while st.rows:
+        # open the next segment of the stack rows `at`, whose u rows hold
+        # the states at its start: kinetic half-step of the segment's h
         for r in np.flatnonzero(at):
-            i, k = rows[r], segment[r]
+            i, k = st.rows[r], st.segment[r]
             eps, kappa = problems[i].eps, problems[i].kappa
             h = (bounds[k + 1] - bounds[k]) / counts[i][k]
-            half[r] = np.exp(-0.25j * eps * ksq * h)
-            kinetic[r] = np.exp(-0.5j * eps * ksq * h)
-            vphase[r] = -(h / eps) * vvals[i]
-            scale[r] = -(h / eps) * eps**kappa
-        uh[at] = np.fft.fft(u[at]) * half[at]
+            st.half[r] = np.exp(-0.25j * eps * ksq * h)
+            st.kinetic[r] = np.exp(-0.5j * eps * ksq * h)
+            st.vphase[r] = -(h / eps) * vvals[i]
+            st.scale[r] = -(h / eps) * eps**kappa
+        if at.any():
+            st.uh[at] = np.fft.fft(st.u[at]) * st.half[at]
 
-    begin(np.ones(len(rows), dtype=bool))
-    while rows:
-        n = int(left.min())
-        work = (u, uh, kinetic, scale, vphase, theta, scratch, rot)
+        n = int(st.left.min())
+        work = (st.u, st.uh, st.kinetic, st.scale, st.vphase, st.theta,
+                st.scratch, st.rot)
         for _ in range(n - 1):
             _step(*work)
-        at = left == n
-        kinetic[at] = half[at]
+        at = st.left == n
+        st.kinetic[at] = st.half[at]
         _step(*work)
-        left -= n
+        st.left -= n
 
         # the rows at an output run the checks of their own solve there
-        u[at] = np.fft.ifft(uh[at])
-        tails = tail_fraction(uh[at], ~grid.dealias_mask)
-        done = np.zeros(len(rows), dtype=bool)
-        passed = []
-        for r, tail in zip(np.flatnonzero(at), tails):
-            i, t_cur = rows[r], bounds[segment[r] + 1]
-            eps = problems[i].eps
-            if not np.all(np.isfinite(u[r])):
-                outcomes[i] = DivergenceError(
-                    "reference solve hit non-finite values", time=t_cur, eps=eps)
-                done[r] = True
-                continue
-            if tail > TAIL_TOL:
-                outcomes[i] = ResolutionError(
-                    f"spectral tail fraction {tail:.3e} exceeds {TAIL_TOL:.1e}; "
-                    "increase the grid size", time=t_cur, eps=eps)
-                done[r] = True
-                continue
-            times[i].append(t_cur)
-            states[i].append(ComplexField(grid, u[r], role="reference-state"))
-            mass[i].append(cell * float(np.sum(np.abs(u[r]) ** 2)))
-            passed.append(r)
-        energies = _energies(grid, [problems[rows[r]] for r in passed],
-                             u[passed]) if passed else []
-        for r, e in zip(passed, energies):
-            i = rows[r]
-            energy[i].append(e)
-            segment[r] += 1
-            if segment[r] == len(outputs):
-                outcomes[i] = NLSSolution(
-                    problem=problems[i], times=np.array(times[i]),
-                    states=tuple(states[i]), mass=np.array(mass[i]),
-                    energy=np.array(energy[i]), dt=dts[i])
-                done[r] = True
-            else:
-                left[r] = counts[i][segment[r]]
-
+        st.u[at] = np.fft.ifft(st.uh[at])
+        at = at[st.check(_CHECK, [bounds[k + 1] for k in st.segment[at]],
+                         tail_fraction(st.uh[at], ~grid.dealias_mask), [st.u], at)]
+        st.segment[at] += 1
+        if at.any():
+            record(at)
+        done = st.segment == len(outputs)
+        for r in np.flatnonzero(at & ~done):
+            st.left[r] = counts[st.rows[r]][st.segment[r]]
         if done.any():
-            # the kept rows move to the front of the buffers, which shrink
-            # to views of them, so a leaving row allocates nothing
-            keep = ~done
-            m = int(keep.sum())
-            for buf in (u, uh, kinetic, half, vphase, scale):
-                buf[:m] = buf[keep]
-            u, uh, rot, theta, scratch, kinetic, half, vphase, scale = (
-                buf[:m] for buf in (u, uh, rot, theta, scratch, kinetic,
-                                    half, vphase, scale))
-            left, at = left[keep], at[keep]
-            rows = [i for i, k in zip(rows, keep) if k]
-            segment = [k for k, kept in zip(segment, keep) if kept]
-        if rows and at.any():
-            begin(at)
-    return outcomes
-
+            at = at[st.drop(done)]
+    return st.results(lambda i, times, states, mass, energy: NLSSolution(
+        problem=problems[i], times=np.array(times), states=states,
+        mass=np.array(mass), energy=np.array(energy), dt=dts[i]))

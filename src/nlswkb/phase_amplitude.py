@@ -23,7 +23,8 @@ variants are solved here:
 The march holds phi and a in Fourier space (rfft and fft along the last
 axis) and takes every eps of a sweep as a row of one array: the skew step
 is a multiply by a per-row phase, and one transport right-hand side costs
-six transforms in four calls for all rows together.
+six transforms in four calls for all rows together.  The rows are a
+problem.RowStack, checked at every step (problem.TAIL_TOL).
 
 The corrector solve marches the limit and its linearization, which
 carries the i/2 Lap a source plus the first data correction a1, as one
@@ -40,10 +41,13 @@ import numpy as np
 from .errors import ConfigError, DivergenceError, ResolutionError
 from .fields import ComplexField, RealField, derivative_values, tail_fraction
 from .grids import PeriodicGrid
-from .problem import SemiclassicalProblem, march_steps, relative_drift, time_index
+from .problem import (RowCheck, RowStack, SemiclassicalProblem, StoredStates,
+                      StoreSchedule, march_steps)
 
 VARIANTS = ("full", "skew_free", "limit")
-TAIL_TOL = 1e-8   # largest power fraction a state keeps in the kept band top
+_CHECK = RowCheck("phase-amplitude solve hit non-finite values",
+                  "amplitude spectrum tail fraction {tail:.3e} exceeds {tol:.1e}")
+_CORRECTOR_CHECK = RowCheck("corrector solve hit non-finite values")
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,7 +67,7 @@ class GrenierState:
 
 
 @dataclass(frozen=True, eq=False)
-class GrenierTrajectory:
+class GrenierTrajectory(StoredStates):
     variant: str
     problem: SemiclassicalProblem
     dt: float
@@ -74,19 +78,6 @@ class GrenierTrajectory:
     @property
     def times(self) -> np.ndarray:
         return np.array([s.time for s in self.states])
-
-    @property
-    def grid(self) -> PeriodicGrid:
-        return self.states[0].grid
-
-    def final(self) -> GrenierState:
-        return self.states[-1]
-
-    def state_at(self, t: float) -> GrenierState:
-        return self.states[time_index(self.times, t)]
-
-    def mass_drift(self) -> float:
-        return relative_drift(self.mass)
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,12 +91,9 @@ class CorrectorState:
 
 
 @dataclass(frozen=True, eq=False)
-class CorrectorTrajectory:
+class CorrectorTrajectory(StoredStates):
     states: tuple[CorrectorState, ...]
     dt: float
-
-    def final(self) -> CorrectorState:
-        return self.states[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -220,16 +208,13 @@ def _rk4(rhs, phi, a, h, work) -> None:
 
 
 def _potential_rows(problems: list[SemiclassicalProblem]) -> np.ndarray:
-    """V of each problem at the nodes of their one shared grid, one row
-    each; the march takes box-periodic potentials only."""
-    grid = problems[0].grid
+    """V of each problem at the nodes of its grid, one row each; the march
+    takes box-periodic potentials only."""
     for problem in problems:
         if not problem.potential.periodic:
             raise ConfigError(
                 "the phase-amplitude solver runs on box-periodic potentials "
                 "only; harmonic confinement goes through the ray decomposition")
-        if problem.grid != grid:
-            raise ConfigError("the problems of a sweep must share one grid")
     return np.array([p.potential_field().values for p in problems])
 
 
@@ -239,11 +224,9 @@ def solve_phase_amplitude(problem: SemiclassicalProblem, t_final: float, dt: flo
     """March the phase-amplitude system to t_final.
 
     dt is adjusted so march_steps(t_final, dt) steps land exactly on
-    t_final; negative t_final integrates backward.  States are stored every
-    `store_every` steps (the final state always).  A ResolutionError is
-    raised when, after any step, more than TAIL_TOL of the amplitude's
-    power lies in the top third of the retained band, a DivergenceError on
-    non-finite values.
+    t_final; negative t_final integrates backward.  States are stored on
+    StoreSchedule(steps, store_every).  A step that fails its check
+    (problem.TAIL_TOL) raises its ResolutionError or DivergenceError.
     This is the one-row call of solve_phase_amplitude_sweep.
     """
     out = solve_phase_amplitude_sweep([problem], t_final, dt, variant=variant,
@@ -262,89 +245,57 @@ def solve_phase_amplitude_sweep(problems: list[SemiclassicalProblem],
 
     The problems share one grid, one dt and one t_final, so their spectral
     states are the rows of one array and every transform covers all rows.
-    Returns one outcome per problem, in order: its trajectory, or the
-    ResolutionError or DivergenceError its own solve would raise, with its
-    eps and time.  A row that fails leaves the stack; the others march on
-    unchanged.
+    Returns RowStack.results.
     """
     if variant not in VARIANTS:
         raise ConfigError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    st = RowStack(problems)
     grid = problems[0].grid
-    vvals = _potential_rows(problems)
+    st.v = _potential_rows(problems)
     if variant == "limit":
         a = np.array([p.a0.values for p in problems], dtype=complex)
     else:
         a = np.array([p.initial_amplitude().values for p in problems])
-    phi = np.array([p.initial_phase_field().values for p in problems],
-                   dtype=float)
+    phi = np.array([p.initial_phase_field().values for p in problems])
 
     n_steps = march_steps(t_final, dt)
+    schedule = StoreSchedule(n_steps, store_every)
     h = t_final / n_steps
-    phi_hat = np.fft.rfft(phi)
-    a_hat = np.fft.fft(a)
     eps = np.array([[p.eps] for p in problems])
-    skew_phase = np.exp(-0.5j * eps * grid.wavenumber_sq * h)
-    rhs = _Transport(grid, vvals)
-    cell = grid.spacing
-    rows = list(range(len(problems)))     # problem index of each stack row
-    states = [[] for _ in problems]
-    mass = [[] for _ in problems]
-    tails = [[] for _ in problems]
-    outcomes = [None] * len(problems)
+    st.phi_hat, st.a_hat = np.fft.rfft(phi), np.fft.fft(a)
+    st.skew_phase = np.exp(-0.5j * eps * grid.wavenumber_sq * h)
+    rhs = _Transport(grid, st.v)
 
     def store(t, phi, a, tail):
-        velocity = np.fft.irfft(phi_hat * rhs.ik_half, rhs.n)
-        for r, i in enumerate(rows):
-            states[i].append(GrenierState(
+        # the nodes (state, mass, tail fraction) of every stack row
+        velocity = np.fft.irfft(st.phi_hat * rhs.ik_half, rhs.n)
+        for r, i in enumerate(st.rows):
+            st.nodes[i].append((GrenierState(
                 t, RealField(grid, phi[r], role="phase"),
                 ComplexField(grid, a[r], role="amplitude"),
-                RealField(grid, velocity[r], role="velocity")))
-            mass[i].append(cell * float(np.sum(np.abs(a[r]) ** 2)))
-            tails[i].append(float(tail[r]))
+                RealField(grid, velocity[r], role="velocity")),
+                grid.spacing * float(np.sum(np.abs(a[r]) ** 2)), float(tail[r])))
 
-    def drop(failed, error):
-        # the outcome of each failed stack row r is error(r, its eps)
-        nonlocal phi_hat, a_hat, skew_phase, rows
-        for r in np.flatnonzero(failed):
-            outcomes[rows[r]] = error(r, problems[rows[r]].eps)
-        keep = ~failed
-        phi_hat, a_hat = phi_hat[keep], a_hat[keep]
-        skew_phase, rhs.v = skew_phase[keep], rhs.v[keep]
-        rows = [i for i, k in zip(rows, keep) if k]
-
-    store(0.0, phi, a, tail_fraction(a_hat, grid.kept_band_top))
+    store(0.0, phi, a, tail_fraction(st.a_hat, grid.kept_band_top))
     for n in range(n_steps):
         if variant == "full":
-            _rk4(rhs, phi_hat, a_hat, 0.5 * h, rhs.work)
-            a_hat *= skew_phase
-            _rk4(rhs, phi_hat, a_hat, 0.5 * h, rhs.work)
+            _rk4(rhs, st.phi_hat, st.a_hat, 0.5 * h, rhs.work)
+            st.a_hat *= st.skew_phase
+            _rk4(rhs, st.phi_hat, st.a_hat, 0.5 * h, rhs.work)
         else:
-            _rk4(rhs, phi_hat, a_hat, h, rhs.work)
+            _rk4(rhs, st.phi_hat, st.a_hat, h, rhs.work)
         t = (n + 1) * h
-        finite = (np.isfinite(phi_hat).all(axis=-1)
-                  & np.isfinite(a_hat).all(axis=-1))
-        if not finite.all():
-            drop(~finite, lambda r, eps: DivergenceError(
-                "phase-amplitude solve hit non-finite values",
-                time=t, eps=eps))
-        tail = tail_fraction(a_hat, grid.kept_band_top)
-        unresolved = tail > TAIL_TOL
-        if unresolved.any():
-            drop(unresolved, lambda r, eps: ResolutionError(
-                f"amplitude spectrum tail fraction {tail[r]:.3e} exceeds "
-                f"{TAIL_TOL:.1e}", time=t, eps=eps))
-            tail = tail[~unresolved]
-        if not rows:
+        tail = tail_fraction(st.a_hat, grid.kept_band_top)
+        tail = tail[st.check(_CHECK, [t] * len(st.rows), tail, [st.phi_hat, st.a_hat])]
+        rhs.v = st.v
+        if not st.rows:
             break
-        if (n + 1) % store_every == 0 or n == n_steps - 1:
-            store(t, np.fft.irfft(phi_hat, rhs.n), np.fft.ifft(a_hat), tail)
+        if schedule.stores(n + 1):
+            store(t, np.fft.irfft(st.phi_hat, rhs.n), np.fft.ifft(st.a_hat), tail)
 
-    for i in rows:
-        outcomes[i] = GrenierTrajectory(
-            variant=variant, problem=problems[i], dt=h,
-            states=tuple(states[i]), mass=np.array(mass[i]),
-            tail_fraction=np.array(tails[i]))
-    return outcomes
+    return st.results(lambda i, states, mass, tails: GrenierTrajectory(
+        variant=variant, problem=problems[i], dt=h, states=states,
+        mass=np.array(mass), tail_fraction=np.array(tails)))
 
 
 # ---------------------------------------------------------------------------
@@ -366,15 +317,15 @@ def solve_corrector(problem: SemiclassicalProblem, t_final: float, dt: float,
     limit rows are the limit march's bit for bit) and the corrector rates
     of row 1 from the row-0 fields of the same stage.  a1_data is
     problem.a1 (zero without one).  The limit is checked at every step as
-    the sweep checks a row (DivergenceError, ResolutionError), then the
-    corrector for finite values; states are stored every `store_every`
-    steps (the final state always).  With real a0 and a1_data = 0, a1
-    stays purely imaginary and phi1 stays zero.
+    the sweep checks a row, then the corrector for finite values; states
+    are stored on StoreSchedule(steps, store_every).  With real a0 and
+    a1_data = 0, a1 stays purely imaginary and phi1 stays zero.
     """
     grid = problem.grid
     rhs = _Transport(grid, _potential_rows([problem])[0])
     half_lap = 0.5j * rhs.lap
     n_steps = march_steps(t_final, dt)
+    schedule = StoreSchedule(n_steps, store_every)
     h = t_final / n_steps
 
     def rates(phi_hat, a_hat, out):
@@ -426,17 +377,12 @@ def solve_corrector(problem: SemiclassicalProblem, t_final: float, dt: float,
     for n in range(n_steps):
         _rk4(rates, phi_hat, a_hat, h, rhs.work)
         t = (n + 1) * h
-        if not (np.isfinite(phi_hat[0]).all() and np.isfinite(a_hat[0]).all()):
-            raise DivergenceError("phase-amplitude solve hit non-finite values",
-                                  time=t, eps=problem.eps)
-        tail = tail_fraction(a_hat[0], grid.kept_band_top)
-        if tail > TAIL_TOL:
-            raise ResolutionError(f"amplitude spectrum tail fraction {tail:.3e} "
-                                  f"exceeds {TAIL_TOL:.1e}", time=t, eps=problem.eps)
-        if not (np.isfinite(phi_hat[1]).all() and np.isfinite(a_hat[1]).all()):
-            raise DivergenceError("corrector solve hit non-finite values",
-                                  time=t, eps=problem.eps)
-        if (n + 1) % store_every == 0 or n == n_steps - 1:
+        error = (_CHECK.error(t, problem.eps, (phi_hat[0], a_hat[0]),
+                              tail_fraction(a_hat[0], grid.kept_band_top))
+                 or _CORRECTOR_CHECK.error(t, problem.eps, (phi_hat[1], a_hat[1])))
+        if error is not None:
+            raise error
+        if schedule.stores(n + 1):
             (phi, phi1), (a, a1) = np.fft.irfft(phi_hat, rhs.n), np.fft.ifft(a_hat)
             store(t, phi, a, phi1, a1)
 
@@ -450,7 +396,7 @@ def euler_residual(traj: GrenierTrajectory) -> dict[str, float]:
     stored nodes."""
     if traj.variant != "limit":
         raise ConfigError("Euler residual applies to the limit trajectory")
-    grid = traj.grid
+    grid = traj.problem.grid
     times = traj.times
     if len(times) < 3:
         raise ConfigError("need at least three stored states")

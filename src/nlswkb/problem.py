@@ -1,6 +1,7 @@
 """Problem container: one semiclassical Cauchy problem on a periodic box,
-and the helpers that every solver shares (step counts, stored-time lookup,
-drift of a conserved series).
+and the helpers that every solver shares: step counts, stored-time lookup,
+drift of a conserved series, and the row bookkeeping of the marches (the
+store schedule, the row check, and the stack of a sweep's rows).
 
 The equation solved throughout the package is
 
@@ -16,12 +17,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DivergenceError, ResolutionError
 from .fields import ComplexField, RealField
 from .grids import PeriodicGrid
 from .potentials import InitialPhaseSpec, PotentialSpec
 
 SUPPORTED_KAPPA = (0.0, 1.0, 2.0)
+
+TAIL_TOL = 1e-8
+"""The largest power fraction a checked state may keep in the band its
+march watches.  nls checks ~grid.dealias_mask, the upper third of the
+spectrum: the split-step march keeps every mode, so a fast phase that
+outruns the grid shows there first.  phase_amplitude checks
+grid.kept_band_top, the top third of the band its 2/3-rule dealiasing
+keeps: every stage zeroes the modes above that band."""
 
 
 def march_steps(t_final: float, dt: float) -> int:
@@ -48,6 +57,102 @@ def relative_drift(series: np.ndarray) -> float:
     relative to that value."""
     ref = max(abs(series[0]), 1e-300)
     return float(np.abs(series - series[0]).max() / ref)
+
+
+class StoredStates:
+    """The stored `states` of a march's solution: final() is the last one;
+    state_at(t) and mass_drift() read their `times` and `mass`."""
+
+    def final(self):
+        return self.states[-1]
+
+    def state_at(self, t: float):
+        return self.states[time_index(self.times, t)]
+
+    def mass_drift(self) -> float:
+        return relative_drift(self.mass)
+
+
+class StoreSchedule:
+    """The nodes an n_steps march stores: step 0, every `every`-th step
+    and the final step, each once; `nodes` counts them."""
+
+    def __init__(self, n_steps: int, every: int):
+        if every < 1:
+            raise ConfigError(f"store_every must be at least 1, got {every}")
+        self.n_steps, self.every = n_steps, every
+        self.nodes = n_steps // every + 1 + (n_steps % every > 0)
+
+    def stores(self, step: int) -> bool:
+        return step % self.every == 0 or step == self.n_steps
+
+
+@dataclass(frozen=True)
+class RowCheck:
+    """A march's check of one row of its state, the arrays `row`, in the
+    march's words: a non-finite row fails with DivergenceError(diverged),
+    else a row whose tail fraction exceeds TAIL_TOL with
+    ResolutionError(unresolved), its {tail} and {tol} fields filled in.
+    Both carry the eps and time."""
+    diverged: str
+    unresolved: str = ""
+
+    def error(self, time, eps, row, tail=0.0):
+        if not all(np.isfinite(v).all() for v in row):
+            return DivergenceError(self.diverged, time=time, eps=eps)
+        if tail > TAIL_TOL:
+            return ResolutionError(self.unresolved.format(tail=tail, tol=TAIL_TOL),
+                                   time=time, eps=eps)
+        return None
+
+
+class RowStack:
+    """The problems of a sweep, on one grid, as the rows of one stack:
+    `rows` holds the problem index of each stack row, `nodes` the tuples a
+    problem's march stores, `outcomes` the error of each problem whose row
+    failed, and each array attribute the march sets one stack row per
+    index of its first axis."""
+
+    def __init__(self, problems: list[SemiclassicalProblem]):
+        if any(p.grid != problems[0].grid for p in problems):
+            raise ConfigError("the problems of a sweep must share one grid")
+        self.problems = problems
+        self.rows = list(range(len(problems)))
+        self.nodes = [[] for _ in problems]
+        self.outcomes = [None] * len(problems)
+
+    def check(self, rule: RowCheck, times, tails, buffers, at=None) -> np.ndarray:
+        """Run `rule` on the stack rows `at` (a mask; all by default) of
+        `buffers`, with one item of times and tails each; record each
+        failure as its problem's outcome and drop its row.  Returns the
+        kept mask."""
+        checked = range(len(self.rows)) if at is None else np.flatnonzero(at)
+        failed = np.zeros(len(self.rows), dtype=bool)
+        for r, t, tail in zip(checked, times, tails):
+            i = self.rows[r]
+            self.outcomes[i] = rule.error(t, self.problems[i].eps,
+                                          [buf[r] for buf in buffers], tail)
+            failed[r] = self.outcomes[i] is not None
+        return self.drop(failed) if failed.any() else ~failed
+
+    def drop(self, leaving: np.ndarray) -> np.ndarray:
+        """Take the stack rows `leaving` (a mask) off the stack: the kept
+        rows move to the front of every buffer, which shrinks to a view of
+        them, so no buffer is allocated again.  Returns the kept mask."""
+        keep = ~leaving
+        m = int(keep.sum())
+        for name, buf in vars(self).items():
+            if isinstance(buf, np.ndarray):
+                buf[:m] = buf[keep]
+                vars(self)[name] = buf[:m]
+        self.rows = [i for i, k in zip(self.rows, keep) if k]
+        return keep
+
+    def results(self, build) -> list:
+        """One outcome per problem i: its error, or else build(i, *columns)
+        of the columns of its nodes."""
+        return [build(i, *zip(*self.nodes[i])) if out is None else out
+                for i, out in enumerate(self.outcomes)]
 
 
 def gaussian_field(grid: PeriodicGrid, width: float = 1.0, amplitude: float = 1.0,

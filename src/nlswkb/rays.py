@@ -16,9 +16,9 @@ the action dS/dt = xi^2/2 - V, S(0) = phi0(y), and the ray integral of
 g(0) = 0.  On the line every one of these is a scalar per ray.  The
 Jacobian J starts at 1; the first time min_y J crosses a positive
 threshold is the caustic horizon, beyond which the Eulerian phase stops
-existing and label inversion refuses to run.  The march stores a node
-every `store_every` steps but takes min_y J at every step, so a caller
-that reads the final node alone holds no trajectory.
+existing and label inversion refuses to run.  The march stores the nodes
+of problem.StoreSchedule(steps, store_every) but takes min_y J at every
+step, so a caller that reads the final node alone holds no trajectory.
 
 Inversion of the label-to-position map uses monotone bracketing plus
 safeguarded Newton on a cubic Hermite interpolant of the stored map (values
@@ -36,20 +36,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CausticError, DivergenceError, InversionError
+from .errors import CausticError, InversionError
 from .fields import RealField, derivative_values, interpolate_periodic
 from .grids import PeriodicGrid
-from .problem import SemiclassicalProblem, march_steps, time_index
+from .problem import (RowCheck, SemiclassicalProblem, StoreSchedule, march_steps,
+                      time_index)
 
 CAUSTIC_THRESHOLD = 0.1
 # the Hamilton-Jacobi residual is checked while min_y J stays above this
 RESIDUAL_MIN_JACOBIAN = 0.3
+_CHECK = RowCheck("ray integration produced non-finite values")
 
 
 @dataclass(frozen=True, eq=False)
 class RayBundle:
-    """The marker rays, stored every `store_every` steps of `dt` (the first
-    and the final node always), and min_y J at every step."""
+    """The marker rays at the nodes of StoreSchedule(steps, store_every),
+    steps of `dt`, and min_y J at every step."""
     markers: PeriodicGrid
     y: np.ndarray        # (Nm,) labels: the marker nodes
     times: np.ndarray    # (K,) stored times
@@ -104,9 +106,8 @@ def integrate_ray_state(potential, x0, xi0, jac0, xiv0, s0, t0, t_final, dt,
 
     Returns (times, x, xi, jac, xivar, action, jac_inv_integral,
     min_jacobian).  The six variables, each of shape (K, Nm), are stored
-    every `store_every` steps, the first and the final node always;
-    min_jacobian, of shape (M+1,), is min_y J at every step.  With
-    store_every >= M the march holds the first and the final node alone.
+    at the K nodes of StoreSchedule(M, store_every); min_jacobian, of
+    shape (M+1,), is min_y J at every step.
     The step count M is march_steps(t_final - t0, dt); dt is adjusted so
     the last node lands exactly on t_final.  Negative spans integrate
     backward.  The five ray variables must stay finite; past a zero of J
@@ -114,11 +115,11 @@ def integrate_ray_state(potential, x0, xi0, jac0, xiv0, s0, t0, t_final, dt,
     """
     span = t_final - t0
     n_steps = march_steps(span, dt)
+    schedule = StoreSchedule(n_steps, store_every)
     h = span / n_steps
 
     step_times = t0 + h * np.arange(n_steps + 1)
-    rows = n_steps // store_every + 1 + (n_steps % store_every > 0)
-    stored = tuple(np.empty((rows, x0.shape[0])) for _ in range(6))
+    stored = tuple(np.empty((schedule.nodes, x0.shape[0])) for _ in range(6))
     kept = []   # the step of each stored node
     mins = np.empty(n_steps + 1)
     state = (x0.copy(), xi0.copy(), jac0.copy(), xiv0.copy(), s0.copy(),
@@ -140,11 +141,11 @@ def integrate_ray_state(potential, x0, xi0, jac0, xiv0, s0, t0, t_final, dt,
             k = _ray_rhs(potential, *(v + c * h * r for v, r in zip(state, k)))
             total = tuple(a + w * b for a, b in zip(total, k))
         state = tuple(v + (h / 6.0) * a for v, a in zip(state, total))
-        if not all(np.all(np.isfinite(v)) for v in state[:5]):
-            raise DivergenceError("ray integration produced non-finite values",
-                                  time=float(step_times[n + 1]))
+        error = _CHECK.error(float(step_times[n + 1]), None, state[:5])
+        if error is not None:
+            raise error
         mins[n + 1] = state[2].min()
-        if (n + 1) % store_every == 0 or n == n_steps - 1:
+        if schedule.stores(n + 1):
             store(n + 1)
 
     return (step_times[kept], *stored, mins)
@@ -152,8 +153,7 @@ def integrate_ray_state(potential, x0, xi0, jac0, xiv0, s0, t0, t_final, dt,
 
 def integrate_flow(problem: SemiclassicalProblem, markers: PeriodicGrid,
                    t_final: float, dt: float, store_every: int = 1) -> RayBundle:
-    """Trace the marker-grid rays of `problem` up to t_final, storing a node
-    every `store_every` steps (the first and the final node always)."""
+    """Trace the marker-grid rays of `problem` up to t_final: integrate_ray_state."""
     potential, phase = problem.potential, problem.phase
     potential.subquadratic_bound(markers)  # admissibility: finite Hessian on the box
 

@@ -127,8 +127,9 @@ class TestStepping:
         ({"output_times": [0.0, 0.1]},
          "output_times must be strictly increasing and positive"),
         ({"output_times": [0.1, 0.3]}, "output_times may not pass t_final"),
+        ({"output_times": []}, "output_times must name at least one time"),
         ({"dt": 0.0}, "dt must be positive"),
-    ], ids=["decreasing", "zero", "past-t-final", "dt"])
+    ], ids=["decreasing", "zero", "past-t-final", "empty", "dt"])
     def test_argument_checks_fire(self, kwargs, message):
         with pytest.raises(ConfigError, match=message):
             solve_nls(make_problem(size=256), 0.2, **kwargs)

@@ -191,6 +191,11 @@ class TestCorrector:
                 pytest.raises(DivergenceError, match="phase-amplitude") as info:
             solve_corrector(problem, 0.02, 2e-3)
         assert (info.value.eps, info.value.time) == (0.02, pytest.approx(2e-3))
+        # the limit march words and times the failure the same way
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DivergenceError) as ref:
+            solve_phase_amplitude(problem, 0.02, 2e-3, variant="limit")
+        assert (str(info.value), info.value.time) == (str(ref.value), ref.value.time)
 
     def test_unresolved_limit_raises_at_every_step(self):
         # the limit is checked after every step, whatever store_every says
@@ -332,6 +337,7 @@ class TestSweep:
                                       store_every=5)
             assert (single.value.eps, single.value.time) == (
                 out[i].eps, out[i].time)
+            assert str(single.value) == str(out[i])
         for i in (0, 3):
             ref = solve_phase_amplitude(problems[i], 0.1, 2e-3,
                                         variant="full", store_every=5)
