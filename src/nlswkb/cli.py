@@ -12,21 +12,15 @@ import json
 import sys
 
 from .errors import NlswkbError
-from .experiments import (apply_overrides, config_from_dict, dry_run_plan,
-                          run_experiment)
+from .experiments import (DRIVERS, apply_overrides, config_from_dict,
+                          dry_run_plan, run_experiment)
 from .reporting import load_config_file, write_artifacts
 
-# subcommand -> (required config kind, forced solver for single runs)
-_SUBCOMMANDS = {
-    "rays": ("single", "rays"),
-    "wkb": ("single", "wkb"),
-    "grenier": ("single", "grenier"),
-    "nls": ("single", "nls"),
-    "converge": ("converge", None),
-    "instability": ("instability", None),
-    "normgrowth": ("normgrowth", None),
-    "odewindow": ("odewindow", None),
-}
+# subcommand -> (config kind, the key it sets to its own name or None): a
+# single-run driver has a subcommand of its own, other drivers their kind's
+_SUBCOMMANDS = {(name if d.single else d.kind):
+                (d.kind, d.selector if d.single else None)
+                for name, d in DRIVERS.items()}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -35,9 +29,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Semiclassical NLS: geometric-optics approximations "
                     "validated against a split-step spectral solver.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (kind, solver) in _SUBCOMMANDS.items():
+    for name, (kind, key) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=f"run a {kind} experiment"
-                           + (f" with the {solver} solver" if solver else ""))
+                           + (f" with the {name} {key}" if key else ""))
         p.add_argument("--config", required=True,
                        help="path to the JSON experiment config")
         p.add_argument("--output", default=None,
@@ -54,17 +48,17 @@ def build_parser() -> argparse.ArgumentParser:
 def _resolve_config(args) -> "ExperimentConfig":
     raw = load_config_file(args.config)
     raw = apply_overrides(raw, args.overrides)
-    kind, solver = _SUBCOMMANDS[args.command]
+    kind, key = _SUBCOMMANDS[args.command]
     raw.setdefault("kind", kind)
     if raw["kind"] != kind:
         raise NlswkbError(
             f"config kind {raw['kind']!r} does not match subcommand "
             f"{args.command!r} (expects {kind!r})")
-    if solver is not None:
-        raw.setdefault("solver", solver)
-        if raw["solver"] != solver:
+    if key is not None:
+        raw.setdefault(key, args.command)
+        if raw[key] != args.command:
             raise NlswkbError(
-                f"config solver {raw['solver']!r} does not match subcommand "
+                f"config {key} {raw[key]!r} does not match subcommand "
                 f"{args.command!r}")
     return config_from_dict(raw)
 

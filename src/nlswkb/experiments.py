@@ -21,8 +21,10 @@ and profile sweeps record an under-resolved eps and go on.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import (MISSING, asdict, dataclass, field, fields, is_dataclass,
                          replace)
+from functools import partial, reduce
 from itertools import chain
 from typing import Literal, get_args, get_origin, get_type_hints
 
@@ -35,13 +37,6 @@ from .fitting import fit_power_law
 from .grids import PeriodicGrid
 from .potentials import InitialPhaseSpec, PotentialSpec
 from .problem import SemiclassicalProblem, gaussian_field, march_steps
-
-KINDS = ("converge", "instability", "normgrowth", "odewindow", "single")
-# converge target -> the kappa it needs
-_TARGET_KAPPA = {"supercritical_leading": 0.0, "supercritical_corrector": 0.0,
-                 "critical": 1.0, "subcritical": 2.0, "skew_free": 0.0}
-CONVERGE_TARGETS = tuple(_TARGET_KAPPA)
-SINGLE_SOLVERS = ("rays", "wkb", "grenier", "nls")
 
 
 # ---------------------------------------------------------------------------
@@ -183,11 +178,11 @@ class ExperimentConfig:
     output: OutputConfig = field(default_factory=OutputConfig)
 
     @property
-    def driver(self) -> str:
-        """The solver of a single run, the target of a convergence run, and
-        the kind of every other run."""
-        return {"single": self.solver, "converge": self.target}.get(self.kind,
-                                                                     self.kind)
+    def driver(self) -> str | None:
+        """Its key in DRIVERS: the solver of a single run, the target of a
+        convergence run, the kind of any other run."""
+        key = _SELECTORS[self.kind]
+        return getattr(self, key) if key else self.kind
 
     def validate(self) -> None:
         eps = self.eps
@@ -221,63 +216,20 @@ class ExperimentConfig:
             if not orders or min(orders) < 0:
                 raise ConfigError(f"norms.{name} must be a non-empty list of "
                                   f"non-negative integers, got {list(orders)}")
-        if self.kind == "converge":
-            if self.target is None:
-                raise ConfigError(
-                    f"converge runs need a target, one of {CONVERGE_TARGETS}")
-            expected_kappa = _TARGET_KAPPA[self.target]
-            if self.kappa != expected_kappa:
-                raise ConfigError(
-                    f"target {self.target} requires kappa={expected_kappa}")
-            if self.target == "supercritical_corrector" and self.data.a1 is None:
-                raise ConfigError("corrector target needs a1 data")
-        if self.kind == "single":
-            if self.solver is None:
-                raise ConfigError(
-                    f"single runs need a solver, one of {SINGLE_SOLVERS}")
-            if len(eps) != 1:
-                raise ConfigError(f"single runs take one eps, got {len(eps)}")
-        if self.kind in ("instability", "normgrowth", "odewindow"):
-            if self.kappa != 0.0:
-                raise ConfigError(f"{self.kind} runs require kappa=0")
-            if self.potential.kind != "zero" or self.phase.kind != "zero":
-                raise ConfigError(
-                    f"{self.kind} runs require V=0 and zero initial phase")
-        if self.kind == "instability":
-            self._validate_instability()
-        if self.kind == "normgrowth":
-            needed = int(np.ceil(self.growth.resolution_const * self.grid.length
-                                 / min(eps)))
-            if self.grid.size < needed:
-                raise ConfigError(
-                    f"normgrowth at eps={min(eps)} needs grid size >= "
-                    f"{needed} (rule N >= {self.growth.resolution_const}*L/eps)")
-            # probe the exponent algebra arguments early
-            expo = self.growth.exponents
-            flow_exponents(expo.n, expo.s, expo.k)
-
-    def _validate_instability(self) -> None:
-        if not 1 <= self.instability.taylor_order <= taylor.MAX_ORDER:
-            raise ConfigError("taylor order out of range")
-        b0 = self.data.b0
-        if b0 is None:
-            raise ConfigError("instability needs a b0 perturbation profile")
-        order = self.instability.window_order
-        if order < 2:
-            raise ConfigError("window order must be >= 2")
-        if not 0 < self.instability.alpha <= 1.0 - 1.0 / order:
-            raise ConfigError(
-                "alpha must satisfy 0 < alpha <= 1 - 1/window_order so the "
-                "perturbation dominates the eps scale")
-        # on a doubled grid the nodes of this one are kept, so a perturbation
-        # polarized here stays polarized after every doubling
-        problem = self.problem(self.eps[0])
-        polar = (np.conj(problem.a0.values)
-                 * b0.build(problem.grid, role="perturbation").values).real
-        if np.abs(polar).max() < 1e-12:
-            raise ConfigError(
-                "perturbation is not polarized along a0 "
-                "(Re(conj(a0) b0) vanishes); no phase response expected")
+        key = _SELECTORS[self.kind]
+        if key and getattr(self, key) is None:
+            raise ConfigError(f"{self.kind} runs need a {key}, one of {_NAMED[key]}")
+        spec = DRIVERS[self.driver]
+        if spec.kappas is not None and self.kappa not in spec.kappas:
+            allowed = " or ".join(f"kappa={k!r}" for k in spec.kappas)
+            raise ConfigError(f"{key} {self.driver} requires {allowed}" if key
+                              else f"{self.kind} runs require {allowed}")
+        if spec.single and len(eps) != 1:
+            raise ConfigError(f"{self.kind} runs take one eps, got {len(eps)}")
+        if spec.flat and (self.potential.kind != "zero" or self.phase.kind != "zero"):
+            raise ConfigError(f"{self.kind} runs require V=0 and zero initial phase")
+        for check in spec.checks:
+            check(self)
 
     def problem(self, eps: float, size: int | None = None) -> SemiclassicalProblem:
         """The problem at `eps`, on the configured grid or on `size` nodes."""
@@ -289,6 +241,49 @@ class ExperimentConfig:
         return SemiclassicalProblem(eps=eps, kappa=self.kappa, a0=a0, a1=a1,
                                     potential=self.potential.build(self.grid.length),
                                     phase=self.phase.build())
+
+
+# Driver.checks: the checks of one driver's config
+
+
+def _needs_a1(config: ExperimentConfig) -> None:
+    if config.data.a1 is None:
+        raise ConfigError("corrector target needs a1 data")
+
+
+def _check_instability(config: ExperimentConfig) -> None:
+    if not 1 <= config.instability.taylor_order <= taylor.MAX_ORDER:
+        raise ConfigError("taylor order out of range")
+    b0 = config.data.b0
+    if b0 is None:
+        raise ConfigError("instability needs a b0 perturbation profile")
+    order = config.instability.window_order
+    if order < 2:
+        raise ConfigError("window order must be >= 2")
+    if not 0 < config.instability.alpha <= 1.0 - 1.0 / order:
+        raise ConfigError(
+            "alpha must satisfy 0 < alpha <= 1 - 1/window_order so the "
+            "perturbation dominates the eps scale")
+    # on a doubled grid the nodes of this one are kept, so a perturbation
+    # polarized here stays polarized after every doubling
+    problem = config.problem(config.eps[0])
+    polar = (np.conj(problem.a0.values)
+             * b0.build(problem.grid, role="perturbation").values).real
+    if np.abs(polar).max() < 1e-12:
+        raise ConfigError(
+            "perturbation is not polarized along a0 "
+            "(Re(conj(a0) b0) vanishes); no phase response expected")
+
+
+def _check_normgrowth(config: ExperimentConfig) -> None:
+    growth, eps = config.growth, min(config.eps)
+    needed = int(np.ceil(growth.resolution_const * config.grid.length / eps))
+    if config.grid.size < needed:
+        raise ConfigError(
+            f"normgrowth at eps={eps} needs grid size >= "
+            f"{needed} (rule N >= {growth.resolution_const}*L/eps)")
+    # probe the exponent algebra arguments early
+    flow_exponents(growth.exponents.n, growth.exponents.s, growth.exponents.k)
 
 
 _TYPE_NAMES = {float: "a number", int: "an integer", bool: "a boolean",
@@ -372,38 +367,33 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
     return out
 
 
-def _field_default(section, key: str):
-    """The default of field `key` of the dataclass instance `section`; a
-    default_factory field such as growth.exponents has no class attribute
-    to compare with."""
-    (spec,) = (f for f in fields(section) if f.name == key)
-    return spec.default if spec.default_factory is MISSING else spec.default_factory()
+# every key at its default; kind and eps have none, and every driver reads them
+_DEFAULTS = ExperimentConfig(kind=None, eps=())
 
 
 # ---------------------------------------------------------------------------
 # run plan
 
-# drivers whose solver steps at one eps-independent dt, with that dt when
-# time.rule is not "fixed"; every other driver runs the split-step NLS solve
-# at dt = eps / time.factor
-_MARCH_DT = {"rays": 1e-3, "grenier": 2e-3, "supercritical_leading": 2e-3,
-             "supercritical_corrector": 2e-3, "skew_free": 2.5e-3}
-# the drivers that read time.schedule, and its default when it is null:
-# the output times of skew_free, the eps-powers of the odewindow times
-_DEFAULT_SCHEDULE = {"skew_free": (0.05, 0.1, 0.2, 0.3),
-                     "odewindow": (0.6, 0.45, 0.3, 0.2)}
-# drivers that compare an NLS solve with a WKB approximant integrate their
-# rays to time.final in 64 steps, whatever the eps
-_WKB_DRIVERS = ("wkb", "critical", "subcritical")
-# the drivers that read data.a1 (grenier not under variant "limit", which
-# marches a0 alone); data.b0 is read by the instability driver only
-_A1_DRIVERS = ("supercritical_leading", "supercritical_corrector", "wkb", "nls",
-               "grenier")
-# the drivers that read norms.sobolev_orders and output.dump_fields
-_SOBOLEV_DRIVERS = ("supercritical_leading", "supercritical_corrector",
-                    "skew_free", "instability")
-_DUMP_DRIVERS = ("wkb", "grenier", "nls")
-_INSTABILITY_OUTPUTS = 8
+@dataclass(frozen=True)
+class Driver:
+    """One value of ExperimentConfig.driver: the function that runs it and
+    the rules that check its config and plan its run.  march_dt is the dt of
+    its one eps-independent march unless time.rule is "fixed" (None: the NLS
+    solve at eps / time.factor); times is "final", "schedule", "eps_powers"
+    (eps^p for the schedule's powers p) or "instability"; rays is "march"
+    (the rays are its march) or "wkb" (rays to t in 64 steps)."""
+    kind: str                           # the config kind that runs it
+    run: Callable                       # run(config, plan) -> ExperimentResult
+    kappas: tuple[float, ...] | None    # the kappa it accepts; None: unread
+    selector: str | None = None         # the config key naming it in its kind
+    single: bool = False                # one eps, and a CLI subcommand of its own
+    flat: bool = False                  # needs V=0 and zero initial phase
+    march_dt: float | None = None
+    times: str = "final"
+    schedule: tuple[float, ...] | None = None  # time.schedule default; None: unread
+    rays: str | None = None
+    keys: tuple[str, ...] = ()          # other keys it reads that some driver does not
+    checks: tuple[Callable, ...] = ()   # checks(config) of its own config
 
 
 @dataclass(frozen=True)
@@ -438,74 +428,65 @@ class Plan:
         the driver cannot run."""
         config.validate()
         driver, time = config.driver, config.time
+        spec = DRIVERS[driver]
         # a key that only some drivers read must keep its default when this
         # driver does not, so that setting it cannot look like it changed
-        # the run; every key not listed here is read by every driver
-        grenier_limit = (driver, config.variant) == ("grenier", "limit")
-        reads = {"time.final": driver not in ("skew_free", "instability",
-                                              "odewindow"),
-                 "time.factor": time.rule != "fixed" and driver not in _MARCH_DT,
-                 "time.schedule": driver in _DEFAULT_SCHEDULE,
-                 "data.a1": driver in _A1_DRIVERS and not grenier_limit,
-                 "data.b0": driver == "instability",
-                 "norms.sobolev_orders": driver in _SOBOLEV_DRIVERS,
-                 "norms.m_orders": driver == "normgrowth",
-                 **{f"instability.{f.name}": driver == "instability"
-                    for f in fields(InstabilityConfig)},
-                 "growth.resolution_const": driver == "normgrowth",
-                 "growth.exponents": driver == "normgrowth",
-                 "growth.max_resolution_doublings": driver == "instability",
-                 "variant": driver == "grenier",
-                 "output.dump_fields": driver in _DUMP_DRIVERS}
+        # the run; every key not listed here is read by every driver.  The
+        # march of variant "limit" marches a0 alone.
+        limit = "variant" in spec.keys and config.variant == "limit"
+        reads = {**{key: key in spec.keys
+                    for other in DRIVERS.values() for key in other.keys},
+                 "kappa": spec.kappas is not None,
+                 **{key: spec.selector == key for key in _NAMED},
+                 "time.final": spec.times == "final",
+                 "time.factor": time.rule != "fixed" and spec.march_dt is None,
+                 "time.schedule": spec.schedule is not None,
+                 "data.a1": "data.a1" in spec.keys and not limit}
         for path, read in reads.items():
-            *section, key = path.split(".")
-            owner = getattr(config, section[0]) if section else config
-            if not read and getattr(owner, key) != _field_default(owner, key):
+            value, default = (reduce(getattr, path.split("."), c)
+                              for c in (config, _DEFAULTS))
+            if not read and value != default:
                 why = f"by the {driver} driver"
-                if key == "factor" and time.rule == "fixed":
+                if path == "time.factor" and time.rule == "fixed":
                     why = 'under time.rule "fixed"'
-                elif key == "a1" and grenier_limit:
+                elif path == "data.a1" and limit:
                     why += ' under variant "limit"'
                 raise ConfigError(f"{path} is not read {why}; leave it out")
         schedule = None
-        if driver in _DEFAULT_SCHEDULE:
-            schedule = (_DEFAULT_SCHEDULE[driver] if time.schedule is None
-                        else time.schedule)
+        if spec.schedule is not None:
+            schedule = spec.schedule if time.schedule is None else time.schedule
             if not schedule:
                 raise ConfigError("time.schedule must not be empty")
         rows = []
         for eps in config.eps:
             scales = {}
-            if driver == "instability":
+            if spec.times == "instability":
                 delta = eps ** config.instability.alpha
                 t_eps = config.instability.time_factor * eps / delta
-                n = _INSTABILITY_OUTPUTS
-                times = tuple(t_eps * (j + 1) / n for j in range(n))
+                times = tuple(t_eps * (j + 1) / 8 for j in range(8))
                 scales = {"delta": delta, "t_eps": t_eps}
-            elif driver == "odewindow":
+            elif spec.times == "eps_powers":
                 times = tuple(eps**p for p in schedule)
-            elif driver == "skew_free":
+            elif spec.times == "schedule":
                 times = schedule
             else:
                 times = (time.final,)
             if times[0] <= 0 or any(b <= a for a, b in zip(times, times[1:])):
                 raise ConfigError(f"output times at eps={eps} must be positive "
                                   f"and strictly increasing, got {list(times)}")
-            dt = (time.dt if time.rule == "fixed"
-                  else _MARCH_DT.get(driver, eps / time.factor))
-            if driver == "skew_free":
-                for tt in times:
-                    if abs(tt / dt - round(tt / dt)) > 1e-9:
-                        raise ConfigError(
-                            f"dt {dt} does not divide schedule time {tt}")
-            if driver in _MARCH_DT:
-                # the march takes whole equal steps that land on times[-1]
+            dt = time.dt if time.rule == "fixed" else spec.march_dt or eps / time.factor
+            if spec.march_dt is None:
+                steps = sum(nls.segment_steps(times, dt))
+            else:
+                # a march keeps states at whole steps only, so dt must divide
+                # each of several output times; it lands on times[-1] in
+                # whole equal steps
+                off = [tt for tt in times if abs(tt / dt - round(tt / dt)) > 1e-9]
+                if len(times) > 1 and off:
+                    raise ConfigError(f"dt {dt} does not divide schedule time {off[0]}")
                 steps = march_steps(times[-1], dt)
                 dt = times[-1] / steps
-            else:
-                steps = sum(nls.segment_steps(times, dt))
-            ray_dt = (dt if driver == "rays" else
-                      time.final / 64 if driver in _WKB_DRIVERS else None)
+            ray_dt = {"march": dt, "wkb": times[-1] / 64}.get(spec.rays)
             rows.append(EpsPlan(eps=eps, dt=dt, grid_size=config.grid.size,
                                 times=times, steps=steps, ray_dt=ray_dt,
                                 **scales))
@@ -533,10 +514,12 @@ def _verdict(name: str, passed: bool, detail: str) -> dict:
 
 def _finish(config: ExperimentConfig, body: dict, verdicts: list[dict],
             rows: list, dumps: list = ()) -> ExperimentResult:
+    """The result of a run; its field dumps are kept under output.dump_fields."""
     report = {"kind": config.kind, "config": asdict(config), "verdicts": verdicts,
               "passed": all(v["passed"] for v in verdicts)}
     report.update(body)
-    return ExperimentResult(report=report, csv_rows=rows, field_dumps=list(dumps))
+    dumps = list(dumps) if config.output.dump_fields else []
+    return ExperimentResult(report=report, csv_rows=rows, field_dumps=dumps)
 
 
 def flow_exponents(n: int, s: float, k: float) -> dict:
@@ -612,15 +595,15 @@ def _slope_verdict(fits: dict, verdicts: list, key: str, x, y, expected: float,
 # convergence drivers
 
 
-def _run_supercritical(config: ExperimentConfig, plan: Plan) -> ExperimentResult:
-    """The full phase-amplitude sweep against the eps -> 0 limit
-    (supercritical_leading), or against the limit plus eps times its
-    first-order corrector (supercritical_corrector)."""
+def _run_supercritical(config: ExperimentConfig, plan: Plan,
+                       corrector_mode: bool = False) -> ExperimentResult:
+    """The full phase-amplitude sweep against the eps -> 0 limit, or in
+    corrector mode against the limit plus eps times its first-order
+    corrector."""
     # the march takes one dt for every eps
     first = plan.rows[0]
     t, dt = first.times[-1], first.dt
     orders = config.norms.sobolev_orders
-    corrector_mode = config.driver == "supercritical_corrector"
 
     # only the final states of the limit (marched with its corrector in
     # corrector mode) and of the sweep are read
@@ -653,18 +636,13 @@ def _run_supercritical(config: ExperimentConfig, plan: Plan) -> ExperimentResult
 
     verdicts = []
     fits = {}
-    csv_rows = []
     if corrector_mode:
         sums = [sum(r["errors"][s]["a"] + r["errors"][s]["phi"]
                     for s in orders) for r in resolved]
         _slope_verdict(fits, verdicts, "corrector_combined", eps_used, sums,
                        2.0, (1.7, 2.3), name="corrector_combined_slope")
-        for r in resolved:
-            for s in orders:
-                csv_rows.append((r["eps"], s, "corrector_a_H",
-                                 r["errors"][s]["a"]))
-                csv_rows.append((r["eps"], s, "corrector_phi_H",
-                                 r["errors"][s]["phi"]))
+        csv_rows = [(r["eps"], s, f"corrector_{part}_H", r["errors"][s][part])
+                    for r in resolved for s in orders for part in ("a", "phi")]
     else:
         for s in orders:
             _slope_verdict(fits, verdicts, f"a_H{s}", eps_used,
@@ -673,11 +651,9 @@ def _run_supercritical(config: ExperimentConfig, plan: Plan) -> ExperimentResult
             _slope_verdict(fits, verdicts, f"phi_H{s}_over_t", eps_used,
                            [r["errors"][s]["phi"] / t for r in resolved],
                            1.0, (0.8, 1.2), name=f"phase_H{s}_slope")
-        for r in resolved:
-            for s in orders:
-                csv_rows.append((r["eps"], s, "a_H", r["errors"][s]["a"]))
-                csv_rows.append((r["eps"], s, "phi_H_over_t",
-                                 r["errors"][s]["phi"] / t))
+        csv_rows = [row for r in resolved for s in orders for row in (
+            (r["eps"], s, "a_H", r["errors"][s]["a"]),
+            (r["eps"], s, "phi_H_over_t", r["errors"][s]["phi"] / t))]
     body = {"t": t, "dt": dt, "per_eps": rows, "fits": fits,
             "under_resolved": flagged}
     return _finish(config, body, verdicts + resolution, csv_rows)
@@ -724,12 +700,8 @@ def _run_skew_free(config: ExperimentConfig, plan: Plan) -> ExperimentResult:
                        times, [r["errors"][tt][orders[0]] for tt in times],
                        2.0, (1.7, 2.3), detail="t-slope {} in {window}",
                        min_points=min(4, len(times)))
-    csv_rows = []
-    for r in rows:
-        for tt in times:
-            for s in orders:
-                csv_rows.append((r["eps"], s, f"phi_gap_H_t{tt:g}",
-                                 r["errors"][tt][s]))
+    csv_rows = [(r["eps"], s, f"phi_gap_H_t{tt:g}", r["errors"][tt][s])
+                for r in rows for tt in times for s in orders]
     body = {"times": times, "dt": dt, "per_eps": rows, "fits": fits,
             "under_resolved": []}
     return _finish(config, body, verdicts, csv_rows)
@@ -739,7 +711,6 @@ def _run_profile(config: ExperimentConfig, plan: Plan) -> ExperimentResult:
     """Critical (kappa=1) and sub-critical (kappa=2) profile comparisons in
     the combined L2/Linf metric."""
     t = plan.rows[0].times[-1]
-    critical = config.driver == "critical"
     problems = [config.problem(eps) for eps in config.eps]
     # a, phi and G do not depend on eps: one bundle and one profile serve
     # every eps of the sweep.  They come first, so a profile that cannot be
@@ -749,6 +720,7 @@ def _run_profile(config: ExperimentConfig, plan: Plan) -> ExperimentResult:
     profile = wkb.build_approximant(problems[0], rays.integrate_flow(
         problems[0], problems[0].a0.grid, t, dt=ray_dt,
         store_every=march_steps(t, ray_dt)), t)
+    critical = profile.regime == "critical"
     solutions = nls.solve_nls_sweep(problems, t, plan.dts)
 
     def measure(eps, sol):
@@ -889,16 +861,11 @@ def _run_instability(config: ExperimentConfig, plan: Plan) -> ExperimentResult:
         f"relative gap to the analytic profile at t*delta/eps=O(1), "
         f"runs with delta <= 0.15: {agreements}"))
 
-    csv_rows = []
-    for r in rows:
-        csv_rows.append((r["eps"], "", "separation_final", r["separation_final"]))
-        csv_rows.append((r["eps"], "", "separation_sup", r["separation_sup"]))
-        for s in orders:
-            csv_rows.append((r["eps"], s, "initial_distance_H",
-                             r["initial_distances"][s]))
-            csv_rows.append((r["eps"], s, "blowup_ratio", r["ratios"][s]))
-        csv_rows.append((r["eps"], "", "prediction_agreement",
-                         r["prediction_agreement"]))
+    csv_rows = [(r["eps"], "", key, r[key]) for r in rows for key in
+                ("separation_final", "separation_sup", "prediction_agreement")]
+    csv_rows += [(r["eps"], s, metric, r[key][s]) for r in rows for s in orders
+                 for metric, key in (("initial_distance_H", "initial_distances"),
+                                     ("blowup_ratio", "ratios"))]
     body = {"per_eps": rows, "fits": fits,
             "window_flagged": [r["eps"] for r in rows if r["window_flagged"]]}
     return _finish(config, body, verdicts, csv_rows)
@@ -938,12 +905,10 @@ def _run_normgrowth(config: ExperimentConfig, plan: Plan) -> ExperimentResult:
 
     expo = config.growth.exponents
     exponents = flow_exponents(expo.n, expo.s, expo.k)
-    csv_rows = []
-    for r in rows:
-        for m in m_orders:
-            csv_rows.append((r["eps"], m, "Hdot_norm", r["norms"][m]))
-            csv_rows.append((r["eps"], m, "compensated", r["compensated"][m]))
-        csv_rows.append((r["eps"], "", "mass", r["mass"]))
+    csv_rows = [(r["eps"], "", "mass", r["mass"]) for r in rows]
+    csv_rows += [(r["eps"], m, metric, r[key][m]) for r in rows for m in m_orders
+                 for metric, key in (("Hdot_norm", "norms"),
+                                     ("compensated", "compensated"))]
     body = {"t": t, "per_eps": rows, "initial_norms": initial_norms,
             "spreads": spreads, "exponents": exponents}
     return _finish(config, body, verdicts, csv_rows)
@@ -979,10 +944,8 @@ def _run_odewindow(config: ExperimentConfig, plan: Plan) -> ExperimentResult:
         verdicts.append(_verdict(
             f"end_order_one_eps{r['eps']:g}", r["errors"][-1] >= 0.25 * ref_norm,
             f"error {r['errors'][-1]:.3e} at t=eps^{powers[-1]}"))
-    csv_rows = []
-    for r in rows:
-        for p, tt, err in zip(powers, r["times"], r["errors"]):
-            csv_rows.append((r["eps"], "", f"ode_error_p{p:g}", err))
+    csv_rows = [(r["eps"], "", f"ode_error_p{p:g}", err)
+                for r in rows for p, err in zip(powers, r["errors"])]
     body = {"powers": powers, "per_eps": rows}
     return _finish(config, body, verdicts, csv_rows)
 
@@ -1026,8 +989,7 @@ def _run_wkb(config: ExperimentConfig, plan: Plan) -> ExperimentResult:
     body = {"eps": eps, "t": t, "error_L2Linf": err,
             "regime": profile.regime, "horizon": profile.horizon,
             "mass_drift": sol.mass_drift()}
-    dumps = ([("wkb_approximant", approx, t), ("reference_state", sol.final(), t)]
-             if config.output.dump_fields else [])
+    dumps = [("wkb_approximant", approx, t), ("reference_state", sol.final(), t)]
     return _finish(config, body, [], [(eps, "", "profile_L2Linf", err)], dumps)
 
 
@@ -1046,8 +1008,7 @@ def _run_grenier(config: ExperimentConfig, plan: Plan) -> ExperimentResult:
     if config.variant == "limit":
         body["euler_residual"] = phase_amplitude.euler_residual(traj)
     st = traj.final()
-    dumps = ([("amplitude", st.a, st.time), ("phase", st.phi, st.time)]
-             if config.output.dump_fields else [])
+    dumps = [("amplitude", st.a, st.time), ("phase", st.phi, st.time)]
     return _finish(config, body, verdicts, [(eps, "", "mass_drift", drift)], dumps)
 
 
@@ -1065,24 +1026,59 @@ def _run_nls(config: ExperimentConfig, plan: Plan) -> ExperimentResult:
             "energy_drift": sol.energy_drift(), "dt": sol.dt}
     rows = [(eps, "", "mass_drift", sol.mass_drift()),
             (eps, "", "energy_drift", sol.energy_drift())]
-    dumps = ([("reference_state", sol.final(), t)]
-             if config.output.dump_fields else [])
-    return _finish(config, body, verdicts, rows, dumps)
+    return _finish(config, body, verdicts, rows, [("reference_state", sol.final(), t)])
 
 
-# one driver per value of ExperimentConfig.driver
-_DRIVERS = {"rays": _run_rays, "wkb": _run_wkb, "grenier": _run_grenier,
-            "nls": _run_nls,
-            "supercritical_leading": _run_supercritical,
-            "supercritical_corrector": _run_supercritical,
-            "critical": _run_profile, "subcritical": _run_profile,
-            "skew_free": _run_skew_free, "instability": _run_instability,
-            "normgrowth": _run_normgrowth, "odewindow": _run_odewindow}
+# ---------------------------------------------------------------------------
+# the drivers, one record per value of ExperimentConfig.driver; their order
+# is that of SINGLE_SOLVERS, CONVERGE_TARGETS and the CLI subcommands
+
+_single = partial(Driver, "single", selector="solver", single=True)
+_converge = partial(Driver, "converge", selector="target")
+
+DRIVERS = {
+    "rays": _single(_run_rays, None, march_dt=1e-3, rays="march"),
+    "wkb": _single(_run_wkb, (1.0, 2.0), rays="wkb",
+                   keys=("data.a1", "output.dump_fields")),
+    "grenier": _single(_run_grenier, (0.0,), march_dt=2e-3,
+                       keys=("data.a1", "variant", "output.dump_fields")),
+    "nls": _single(_run_nls, (0.0, 1.0, 2.0), keys=("data.a1", "output.dump_fields")),
+    "supercritical_leading": _converge(_run_supercritical, (0.0,), march_dt=2e-3,
+                                       keys=("data.a1", "norms.sobolev_orders")),
+    "supercritical_corrector": _converge(
+        partial(_run_supercritical, corrector_mode=True), (0.0,), march_dt=2e-3,
+        keys=("data.a1", "norms.sobolev_orders"), checks=(_needs_a1,)),
+    "critical": _converge(_run_profile, (1.0,), rays="wkb"),
+    "subcritical": _converge(_run_profile, (2.0,), rays="wkb"),
+    "skew_free": _converge(_run_skew_free, (0.0,), march_dt=2.5e-3, times="schedule",
+                           schedule=(0.05, 0.1, 0.2, 0.3),
+                           keys=("norms.sobolev_orders",)),
+    "instability": Driver(
+        "instability", _run_instability, (0.0,), times="instability",
+        keys=("data.b0", "norms.sobolev_orders", "growth.max_resolution_doublings",
+              *(f"instability.{f.name}" for f in fields(InstabilityConfig))),
+        flat=True, checks=(_check_instability,)),
+    "normgrowth": Driver(
+        "normgrowth", _run_normgrowth, (0.0,),
+        keys=("norms.m_orders", "growth.resolution_const", "growth.exponents"),
+        flat=True, checks=(_check_normgrowth,)),
+    "odewindow": Driver("odewindow", _run_odewindow, (0.0,), times="eps_powers",
+                        schedule=(0.6, 0.45, 0.3, 0.2), flat=True),
+}
+
+
+KINDS = tuple(sorted({d.kind for d in DRIVERS.values()}))
+# kind -> the key that selects its driver, None for a kind of one driver
+_SELECTORS = {d.kind: d.selector for d in DRIVERS.values()}
+# selector key -> the drivers it names, in table order
+_NAMED = {key: tuple(name for name, d in DRIVERS.items() if d.selector == key)
+          for key in _SELECTORS.values() if key}
+CONVERGE_TARGETS, SINGLE_SOLVERS = _NAMED["target"], _NAMED["solver"]
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Plan `config` and run its driver on the plan."""
-    return _DRIVERS[config.driver](config, Plan.build(config))
+    return DRIVERS[config.driver].run(config, Plan.build(config))
 
 
 def dry_run_plan(config: ExperimentConfig) -> dict:
@@ -1091,8 +1087,8 @@ def dry_run_plan(config: ExperimentConfig) -> dict:
     entries = []
     for row in Plan.build(config).rows:
         entry = {k: v for k, v in asdict(row).items() if v is not None}
-        # output times are printed where eps sets them: odewindow's powers
-        if config.kind != "odewindow":
+        # output times are printed where they are powers of eps
+        if DRIVERS[config.driver].times != "eps_powers":
             del entry["times"]
         entries.append(entry)
     return {"kind": config.kind, "target": config.target,

@@ -114,6 +114,8 @@ class RowStack:
     index of its first axis."""
 
     def __init__(self, problems: list[SemiclassicalProblem]):
+        if not problems:
+            raise ConfigError("a sweep needs at least one problem")
         if any(p.grid != problems[0].grid for p in problems):
             raise ConfigError("the problems of a sweep must share one grid")
         self.problems = problems

@@ -120,6 +120,9 @@ def load_config_file(path: str) -> dict:
         raise ConfigError(f"config file not found: {path}")
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be an object")
+    return raw

@@ -262,6 +262,8 @@ CONFIG_ERRORS = [
     ("nls.json", ("solver=null",), "single runs need a solver"),
     ("nls.json", ("eps=[0.1, 0.05]",), "single runs take one eps, got 2"),
     ("odewindow.json", ("kappa=1",), "odewindow runs require kappa=0"),
+    ("grenier.json", ("kappa=1",), "solver grenier requires kappa=0.0"),
+    ("wkb.json", ("kappa=0",), "solver wkb requires kappa=1.0 or kappa=2.0"),
     ("normgrowth.json", ("potential.kind=cosine",),
      "normgrowth runs require V=0 and zero initial phase"),
     ("instability.json", ("instability.taylor_order=0",), "taylor order out of range"),
@@ -316,6 +318,10 @@ CONFIG_ERRORS = [
      "variant is not read by the critical driver"),
     ("critical.json", ("output.dump_fields=true",),
      "output.dump_fields is not read by the critical driver"),
+    ("rays.json", ("kappa=1",), "kappa is not read by the rays driver"),
+    ("nls.json", ("target=critical",), "target is not read by the nls driver"),
+    ("instability.json", ("solver=nls",),
+     "solver is not read by the instability driver"),
     # plan
     ("skewfree.json", ("time.schedule=[]",), "time.schedule must not be empty"),
     ("skewfree.json", ("time.schedule=[0.0, 0.1]",),
@@ -782,6 +788,10 @@ class TestCli:
         assert main(["nls", "--config", str(path)]) == 2
         assert f"error: config file {path} is not valid JSON" in (
             capsys.readouterr().err)
+
+    def test_non_object_config_exits_2(self, tmp_path, capsys):
+        assert main(["nls", "--config", self.write(tmp_path, [1, 2])]) == 2
+        assert "error: config must be an object" in capsys.readouterr().err
 
     def test_dry_run_prints_plan_and_exits_0(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -5,6 +5,7 @@ import pytest
 
 from nlswkb.errors import ConfigError, DivergenceError, ResolutionError
 from nlswkb.grids import PeriodicGrid
+from nlswkb.nls import solve_nls_sweep
 from nlswkb.phase_amplitude import solve_corrector, solve_phase_amplitude_sweep
 from nlswkb.problem import (TAIL_TOL, RowCheck, RowStack, SemiclassicalProblem,
                             StoreSchedule, gaussian_field, march_steps)
@@ -126,3 +127,11 @@ class TestRowStack:
         st.nodes[3].append(("t3", 2))
         assert st.results(lambda i, names, values: (i, names, values)) == [
             (0, ("t0",), (1,)), st.outcomes[1], st.outcomes[2], (3, ("t3",), (2,))]
+
+    @pytest.mark.parametrize("sweep", [
+        lambda: solve_nls_sweep([], 0.1, []),
+        lambda: solve_phase_amplitude_sweep([], 0.1, 0.01),
+    ], ids=["nls", "phase_amplitude"])
+    def test_an_empty_sweep_is_refused(self, sweep):
+        with pytest.raises(ConfigError, match="a sweep needs at least one problem"):
+            sweep()

@@ -29,9 +29,9 @@ SRC = ROOT / "src" / "nlswkb"
 sys.path.insert(0, str(ROOT / "src"))
 
 
-def raise_lines(path: Path) -> list[int]:
-    """First line of every raise statement in the module at `path`."""
-    tree = ast.parse(path.read_text(encoding="utf-8"))
+def raise_lines(text: str) -> list[int]:
+    """First line of every raise statement in the module source `text`."""
+    tree = ast.parse(text)
     return sorted(node.lineno for node in ast.walk(tree)
                   if isinstance(node, ast.Raise))
 
@@ -45,12 +45,12 @@ def compiles_to_code(stmt: ast.stmt) -> bool:
                 and isinstance(stmt.value.value, str))
 
 
-def function_bodies(path: Path) -> list[tuple[int, str, range]]:
+def function_bodies(text: str) -> list[tuple[int, str, range]]:
     """(def line, name, lines of the first body statement) of every
-    function and method in the module at `path`.  The body ran when any
-    line of its first statement that compiles to code did; a decorator
+    function and method in the module source `text`.  The body ran when
+    any line of its first statement that compiles to code did; a decorator
     runs before its def line."""
-    tree = ast.parse(path.read_text(encoding="utf-8"))
+    tree = ast.parse(text)
     out = []
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -92,15 +92,19 @@ def run_traced(pytest_args: list[str]) -> tuple[int, set[tuple[str, int]]]:
 
 def main(argv: list[str]) -> int:
     args = argv or [str(ROOT / "tests"), "-q", "-p", "no:cacheprovider"]
+    # read the sources before pytest imports them, so that a file edited
+    # while the suite runs is still reported against the lines it ran
+    texts = {path: path.read_text(encoding="utf-8")
+             for path in sorted(SRC.glob("*.py"))}
     code, executed = run_traced(args)
     missed, idle = [], []
-    for path in sorted(SRC.glob("*.py")):
+    for path, text in texts.items():
         where = path.relative_to(ROOT)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        for lineno in raise_lines(path):
+        lines = text.splitlines()
+        for lineno in raise_lines(text):
             if (str(path), lineno) not in executed:
                 missed.append(f"{where}:{lineno}: {lines[lineno - 1].strip()}")
-        for lineno, name, body in function_bodies(path):
+        for lineno, name, body in function_bodies(text):
             if not any((str(path), line) in executed for line in body):
                 idle.append(f"{where}:{lineno}: def {name}")
     print("\n".join(missed))
