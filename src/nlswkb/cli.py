@@ -1,9 +1,9 @@
 """Command-line entry point.
 
 Eight subcommands share one workflow: load a JSON config, apply --set
-overrides, validate and plan it, optionally print the plan (--dry-run),
-run the matching driver, write artifacts, and exit 0 on all-verdicts-pass,
-1 on a verdict failure, 2 on configuration or runtime errors.
+overrides, validate and plan it, then print the plan (--dry-run) or run the
+matching driver on that plan, write artifacts, and exit 0 when every verdict
+passes, 1 on a verdict failure, 2 on configuration or runtime errors.
 """
 from __future__ import annotations
 
@@ -12,9 +12,8 @@ import json
 import sys
 
 from .errors import NlswkbError
-from .experiments import (DRIVERS, apply_overrides, config_from_dict,
-                          dry_run_plan, run_experiment)
-from .reporting import load_config_file, write_artifacts
+from .experiments import DRIVERS, Plan, apply_overrides, config_from_dict, plan_json
+from .reporting import check_output_dir, load_config_file, write_artifacts
 
 # subcommand -> (config kind, the key it sets to its own name or None): a
 # single-run driver has a subcommand of its own, other drivers their kind's
@@ -68,9 +67,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _resolve_config(args)
-        # the plan makes every check a run makes before its first solve, so
-        # --dry-run and the run reject the same configs
-        plan = dry_run_plan(config)
+        # the one plan of the run: building it makes every check the run
+        # makes before its first solve, and --dry-run prints what would run
+        plan = Plan.build(config)
+        out_dir = args.output or config.output.dir or f"runs/{args.command}"
+        check_output_dir(out_dir)
     except NlswkbError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(f"usage: see `nlswkb {args.command} --help` and the config "
@@ -78,11 +79,11 @@ def main(argv=None) -> int:
         return 2
 
     if args.dry_run:
-        print(json.dumps(plan, indent=2, sort_keys=True))
+        print(json.dumps(plan_json(config, plan), indent=2, sort_keys=True))
         return 0
 
     try:
-        result = run_experiment(config)
+        result = DRIVERS[config.driver].run(config, plan)
     except NlswkbError as exc:
         # solver and ray failures carry the simulation time they stopped
         # at, solver failures also the eps of the solve (one ray profile
@@ -94,7 +95,6 @@ def main(argv=None) -> int:
         print(f"error: {type(exc).__name__}{at}:{which} {exc}", file=sys.stderr)
         return 2
 
-    out_dir = args.output or config.output.dir or f"runs/{args.command}"
     paths = write_artifacts(result, out_dir)
     for verdict in result.report["verdicts"]:
         status = "PASS" if verdict["passed"] else "FAIL"

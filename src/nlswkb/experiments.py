@@ -6,10 +6,10 @@ A JSON config loads into nested frozen dataclasses that mirror its
 sections (ExperimentConfig); `config_from_dict` rejects unknown keys and
 mistyped values at every level, then validates.  `Plan.build` works out,
 per eps, the dt, output times and step count of the driver's time
-stepper, the ray dt and the instability scales, and makes the checks a
-run makes before its first solve.  `run_experiment` builds that plan and
-hands it to the one driver of `config.driver`, which takes its steps from
-it; --dry-run prints it, so the two cannot disagree.
+stepper, the ray dt and the instability scales and grid ladder, and makes
+the checks a run makes before its first solve.  The CLI builds it once and
+prints it (--dry-run, through `plan_json`) or hands that same object to the
+one driver of `config.driver`, which takes its steps from it.
 
 Every driver returns an ExperimentResult holding a JSON-ready report,
 plot-ready CSV rows, and optional field dumps, and never touches the
@@ -257,6 +257,9 @@ def _check_instability(config: ExperimentConfig) -> None:
     b0 = config.data.b0
     if b0 is None:
         raise ConfigError("instability needs a b0 perturbation profile")
+    if config.growth.max_resolution_doublings < 0:
+        raise ConfigError("growth.max_resolution_doublings must be non-negative, "
+                          f"got {config.growth.max_resolution_doublings}")
     order = config.instability.window_order
     if order < 2:
         raise ConfigError("window order must be >= 2")
@@ -407,13 +410,14 @@ class EpsPlan:
     ray_dt: float | None = None     # dt of the ray integration, if any
     delta: float | None = None      # instability: perturbation size eps^alpha
     t_eps: float | None = None      # instability: final time c eps / delta
+    grid_ladder: tuple[int, ...] | None = None  # instability: grid_size and its doublings
 
 
 @dataclass(frozen=True)
 class Plan:
     """The steps of a whole run, one EpsPlan per eps in config order, worked
-    out before any solve.  Every driver reads its dt, output times and
-    scales from it, and --dry-run prints it."""
+    out before any solve.  Every driver reads its dt, output times, scales
+    and grids from it, and --dry-run prints it."""
     rows: tuple[EpsPlan, ...]
     # time.schedule or its default; None for drivers that do not read it
     schedule: tuple[float, ...] | None = None
@@ -464,7 +468,9 @@ class Plan:
                 delta = eps ** config.instability.alpha
                 t_eps = config.instability.time_factor * eps / delta
                 times = tuple(t_eps * (j + 1) / 8 for j in range(8))
-                scales = {"delta": delta, "t_eps": t_eps}
+                ladder = tuple(config.grid.size << k for k in
+                               range(config.growth.max_resolution_doublings + 1))
+                scales = {"delta": delta, "t_eps": t_eps, "grid_ladder": ladder}
             elif spec.times == "eps_powers":
                 times = tuple(eps**p for p in schedule)
             elif spec.times == "schedule":
@@ -774,10 +780,7 @@ def _run_instability(config: ExperimentConfig, plan: Plan) -> ExperimentResult:
         eps, delta, t_eps, dt = row.eps, row.delta, row.t_eps, row.dt
         outputs = list(row.times)
         horizon = taylor.validity_horizon(eps, config.instability.taylor_order)
-        flagged = bool(t_eps >= horizon)
-        size = row.grid_size
-        attempt = 0
-        while True:
+        for size in row.grid_ladder:
             base = config.problem(eps, size)
             b0 = config.data.b0.build(base.grid, role="perturbation")
             a_tilde = ComplexField(base.grid, base.a0.values + delta * b0.values,
@@ -786,21 +789,17 @@ def _run_instability(config: ExperimentConfig, plan: Plan) -> ExperimentResult:
                                        [dt, dt], output_times=outputs)
             try:
                 _raise_failed(pair)
-            except ResolutionError as exc:
-                attempt += 1
-                if attempt > config.growth.max_resolution_doublings:
-                    raise ResolutionError(
-                        f"instability run still under-resolved at N={size}: "
-                        f"{exc}", time=exc.time, eps=eps) from exc
-                size *= 2
-            else:
                 break
+            except ResolutionError as exc:
+                failure = exc
+        else:
+            raise ResolutionError(
+                f"instability run still under-resolved at N={size}: {failure}",
+                time=failure.time, eps=eps) from failure
         sol_u, sol_v = pair
 
-        separations = []
-        for tt in outputs:
-            diff = sol_u.state_at(tt) - sol_v.state_at(tt)
-            separations.append(lp_norm(diff, 2))
+        separations = [lp_norm(sol_u.state_at(tt) - sol_v.state_at(tt), 2)
+                       for tt in outputs]
         data_gap = ComplexField(base.grid, delta * b0.values, role="data-gap")
         distances = {s: sobolev_norm(data_gap, s) for s in orders}
         sup_sep = max(separations)
@@ -815,7 +814,7 @@ def _run_instability(config: ExperimentConfig, plan: Plan) -> ExperimentResult:
         agreement = abs(meas - pred_norm) / meas if meas > 0 else np.inf
 
         return {"eps": eps, "delta": delta, "t_eps": t_eps,
-                "window_horizon": horizon, "window_flagged": flagged,
+                "window_horizon": horizon, "window_flagged": bool(t_eps >= horizon),
                 "grid_size_used": size, "output_times": outputs,
                 "separations": separations, "separation_final": separations[-1],
                 "separation_sup": sup_sep, "initial_distances": distances,
@@ -1081,15 +1080,17 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     return DRIVERS[config.driver].run(config, Plan.build(config))
 
 
-def dry_run_plan(config: ExperimentConfig) -> dict:
-    """The plan a run of `config` executes, for --dry-run: it makes every
-    check the run makes before its first solve, and solves nothing."""
-    entries = []
-    for row in Plan.build(config).rows:
-        entry = {k: v for k, v in asdict(row).items() if v is not None}
-        # output times are printed where they are powers of eps
-        if DRIVERS[config.driver].times != "eps_powers":
-            del entry["times"]
-        entries.append(entry)
+def plan_json(config: ExperimentConfig, plan: Plan) -> dict:
+    """`plan`, the plan of `config`, as --dry-run prints it."""
+    # output times are printed where they are powers of eps
+    show_times = DRIVERS[config.driver].times == "eps_powers"
+    entries = [{k: v for k, v in asdict(row).items()
+                if v is not None and (show_times or k != "times")}
+               for row in plan.rows]
     return {"kind": config.kind, "target": config.target,
             "solver": config.solver, "config": asdict(config), "plan": entries}
+
+
+def dry_run_plan(config: ExperimentConfig) -> dict:
+    """plan_json of the plan of `config`: every pre-solve check, no solve."""
+    return plan_json(config, Plan.build(config))

@@ -34,6 +34,7 @@ limit with eps * corrector reproduces the full solve to O(eps^2).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,11 +128,13 @@ class _Transport:
         self._work = {}
 
     def work(self, name: str, shape: tuple, dtype=complex) -> np.ndarray:
-        """The work array `name`, allocated again only when its shape
-        changes (a sweep drops a failed row)."""
+        """The work array `name`.  It is allocated once; when a sweep drops
+        a failed row, the smaller array is a leading view of that first
+        allocation, contiguous like it."""
         buf = self._work.get(name)
         if buf is None or buf.shape != shape:
-            buf = self._work[name] = np.empty(shape, dtype)
+            first = np.empty(math.prod(shape), dtype) if buf is None else buf.base
+            buf = self._work[name] = first[:math.prod(shape)].reshape(shape)
         return buf
 
     def phase_derivatives(self, phi_hat: np.ndarray) -> np.ndarray:

@@ -85,6 +85,17 @@ def load_field_dump(base_path: str):
     return RealField(grid, vals.real, role=meta["role"]), meta
 
 
+def check_output_dir(out_dir: str) -> None:
+    """Refuse an artifact directory that write_artifacts could not make:
+    one that is, or lies under, an existing path that is no directory."""
+    path = os.path.abspath(out_dir)
+    while not os.path.lexists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ConfigError(f"output directory {out_dir} cannot be made: "
+                          f"{path} is not a directory")
+
+
 def write_artifacts(result, out_dir: str, stamp: bool = True) -> dict:
     """Write report.json, errors.csv and any field dumps under out_dir.
 

@@ -5,7 +5,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +17,7 @@ from nlswkb import nls, phase_amplitude, rays, wkb
 from nlswkb.cli import main
 from nlswkb.errors import (ConfigError, DivergenceError, FieldError,
                            GridError, ResolutionError)
-from nlswkb.experiments import (apply_overrides, config_from_dict,
+from nlswkb.experiments import (DRIVERS, Plan, apply_overrides, config_from_dict,
                                 dry_run_plan, flow_exponents, run_experiment)
 from nlswkb.fitting import fit_power_law
 from nlswkb.grids import PeriodicGrid
@@ -314,6 +314,8 @@ CONFIG_ERRORS = [
      "growth.exponents is not read by the instability driver"),
     ("critical.json", ("growth.max_resolution_doublings=5",),
      "growth.max_resolution_doublings is not read by the critical driver"),
+    ("instability.json", ("growth.max_resolution_doublings=-1",),
+     "growth.max_resolution_doublings must be non-negative, got -1"),
     ("critical.json", ("variant=limit",),
      "variant is not read by the critical driver"),
     ("critical.json", ("output.dump_fields=true",),
@@ -491,6 +493,20 @@ class TestDryRunPlan:
         assert entry["dt"] == pytest.approx(0.001)
         assert entry["steps"] == 50
 
+    def test_instability_plan_lists_its_grid_ladder(self, capsys):
+        # grid.size, then each of growth.max_resolution_doublings doublings;
+        # no other driver plans one
+        for path in sorted(CONFIG_DIR.glob("*.json")):
+            raw = _shipped_raw(path.name)
+            command = raw["solver"] if raw["kind"] == "single" else raw["kind"]
+            assert main([command, "--config", str(path), "--dry-run"]) == 0
+            ladders = [e.get("grid_ladder")
+                       for e in json.loads(capsys.readouterr().out)["plan"]]
+            if path.name == "instability.json":
+                assert ladders == [[2048, 4096, 8192]] * 7
+            else:
+                assert ladders == [None] * len(raw["eps"])
+
     def test_instability_plan_reports_scales(self):
         raw = {"kind": "instability", "eps": [0.01], "kappa": 0.0,
                "data": {"b0": {"shape": "gaussian"}}}
@@ -533,6 +549,15 @@ class TestInstabilityDoubling:
         assert (caught.value.eps, caught.value.time) == (0.1, single.value.time)
         assert str(caught.value) == (
             f"instability run still under-resolved at N=128: {single.value}")
+
+
+    def test_the_doubled_grid_is_a_rung_of_the_planned_ladder(self):
+        cfg = config_from_dict(_shipped_raw("instability.json",
+                                            ("eps=[0.1]", "grid.size=256")))
+        [entry] = dry_run_plan(cfg)["plan"]
+        assert entry["grid_ladder"] == (256, 512, 1024)
+        [row] = run_experiment(cfg).report["per_eps"]
+        assert row["grid_size_used"] in entry["grid_ladder"]
 
 
 class TestPlannedSteps:
@@ -792,6 +817,51 @@ class TestCli:
     def test_non_object_config_exits_2(self, tmp_path, capsys):
         assert main(["nls", "--config", self.write(tmp_path, [1, 2])]) == 2
         assert "error: config must be an object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry-run"])
+    def test_a_run_builds_one_plan_and_runs_it(self, tmp_path, capsys,
+                                               monkeypatch, dry_run):
+        built, ran = [], []
+        build, driver = Plan.build, DRIVERS["nls"]
+
+        def counting(config):
+            built.append(build(config))
+            return built[-1]
+
+        def run(config, plan):
+            ran.append(plan)
+            return driver.run(config, plan)
+
+        monkeypatch.setattr(Plan, "build", staticmethod(counting))
+        monkeypatch.setitem(DRIVERS, "nls", replace(driver, run=run))
+        args = ["nls", "--config", self.write(tmp_path, cheap_nls_raw()),
+                "--output", str(tmp_path / "out")]
+        assert main(args + ["--dry-run"] * dry_run) == 0
+        assert len(built) == 1
+        if dry_run:
+            printed = json.loads(capsys.readouterr().out)
+            assert printed["plan"][0]["steps"] == built[0].rows[0].steps == 50
+            assert ran == []
+        else:
+            assert len(ran) == 1 and ran[0] is built[0]
+
+    @pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry-run"])
+    def test_an_output_path_under_a_file_exits_2_before_solving(
+            self, tmp_path, capsys, monkeypatch, dry_run):
+        taken = tmp_path / "taken"
+        taken.write_text("kept")
+
+        def solve(config, plan):
+            pytest.fail("the run solved before it checked its output path")
+
+        monkeypatch.setitem(DRIVERS, "nls", replace(DRIVERS["nls"], run=solve))
+        for out in (taken, taken / "sub"):
+            args = ["nls", "--config", str(CONFIG_DIR / "nls.json"),
+                    "--output", str(out)]
+            assert main(args + ["--dry-run"] * dry_run) == 2
+            assert (f"error: output directory {out} cannot be made: {taken} "
+                    "is not a directory") in capsys.readouterr().err
+        assert taken.read_text() == "kept"
 
     def test_dry_run_prints_plan_and_exits_0(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

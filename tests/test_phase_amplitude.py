@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from nlswkb import phase_amplitude
 from nlswkb.errors import ConfigError, DivergenceError, ResolutionError
 from nlswkb.fields import ComplexField, derivative_values, sobolev_norm
 from nlswkb.grids import PeriodicGrid
@@ -503,6 +504,41 @@ class TestLeanMarch:
         for fewer, more in ((4, 8), (8, 16)):
             assert calls[more] - calls[fewer] == (more - fewer) * 16
             assert lines[more] - lines[fewer] == (more - fewer) * 48
+
+    def test_a_dropped_row_leaves_the_work_arrays_in_place(self, monkeypatch):
+        # the march works in 11 arrays; after the diverging row leaves, it
+        # works in leading views of them instead of allocating them again
+        good = sweep_problems(eps_list=(0.1, 0.01))
+        grid = good[0].grid
+        huge = SemiclassicalProblem(
+            eps=0.02, kappa=0.0, a0=good[0].a0,
+            a1=ComplexField(grid, 1e307 * (-1.0) ** np.arange(grid.size) + 0j),
+            potential=good[0].potential)
+        problems = [good[0], huge, good[1]]
+        owners = {}
+        work = phase_amplitude._Transport.work
+
+        def counting(self, name, shape, dtype=complex):
+            buf = work(self, name, shape, dtype)
+            owner = buf if buf.base is None else buf.base
+            owners[id(owner)] = owner
+            return buf
+
+        monkeypatch.setattr(phase_amplitude._Transport, "work", counting)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = solve_phase_amplitude_sweep(problems, 0.1, 2e-3,
+                                              variant="full", store_every=5)
+        assert isinstance(out[1], DivergenceError)
+        assert len(owners) == 11
+        for i in (0, 2):
+            ref = solve_phase_amplitude(problems[i], 0.1, 2e-3, variant="full",
+                                        store_every=5)
+            assert len(out[i].states) == len(ref.states) == 11
+            for got, want in zip(out[i].states, ref.states):
+                for part in ("phi", "a", "v"):
+                    assert np.array_equal(getattr(got, part).values,
+                                          getattr(want, part).values)
+            assert np.array_equal(out[i].mass, ref.mass)
 
     @staticmethod
     def _peak_bytes(solve):

@@ -8,8 +8,9 @@ Runs pytest in this process (by default on tests/, quietly) under a stdlib
 then prints one `path:line: source` entry for each `raise` statement whose
 first line never ran, and one `path:line: def name` entry for each function
 or method (nested ones included) whose body never ran, each list with its
-count.  Passing `tests/test_golden.py` as the pytest arguments lists the
-code that no shipped config reaches.  Code run in subprocesses (the CLI
+count.  It exits with pytest's exit code when that is not 0, else with 1
+when it lists any entry.  Passing `tests/test_golden.py` as the pytest
+arguments lists the code that no shipped config reaches.  Code run in subprocesses (the CLI
 start-up probe) is not traced.  The file name keeps pytest from collecting
 it.  Expect the suite to take a few times longer than untraced.
 """
@@ -111,7 +112,7 @@ def main(argv: list[str]) -> int:
     print(f"{len(missed)} raise statement(s) never ran (pytest exit {code})")
     print("\n".join(idle))
     print(f"{len(idle)} function(s) whose body never ran")
-    return int(code)
+    return int(code) or int(bool(missed or idle))
 
 
 if __name__ == "__main__":
