@@ -120,9 +120,8 @@ class PhaseConfig:
 class TimeConfig:
     final: float = 0.2
     schedule: tuple[float, ...] | None = None
-    dt: float | None = None
-    rule: Literal["eps_over", "fixed"] = "eps_over"
-    factor: float = 50.0
+    dt: float | None = None     # the step at every eps; None: the driver's rule
+    factor: float = nls.STEPS_PER_EPS
 
 
 @dataclass(frozen=True)
@@ -181,7 +180,7 @@ class ExperimentConfig:
     def driver(self) -> str | None:
         """Its key in DRIVERS: the solver of a single run, the target of a
         convergence run, the kind of any other run."""
-        key = _SELECTORS[self.kind]
+        key = SELECTORS.get(self.kind)
         return getattr(self, key) if key else self.kind
 
     def validate(self) -> None:
@@ -203,11 +202,9 @@ class ExperimentConfig:
             if spec is not None:
                 spec.validate(f"data.{label}")
         time = self.time
-        if time.rule == "fixed" and (time.dt is None or time.dt <= 0):
-            raise ConfigError("fixed dt rule needs a positive dt")
-        if time.rule != "fixed" and time.dt is not None:
-            raise ConfigError(f'time.dt needs time.rule "fixed", got {time.rule!r}')
-        if time.rule == "eps_over" and time.factor <= 0:
+        if time.dt is not None and time.dt <= 0:
+            raise ConfigError(f"time.dt must be positive, got {time.dt}")
+        if time.factor <= 0:
             raise ConfigError("dt factor must be positive")
         if time.final <= 0:
             raise ConfigError("t_final must be positive")
@@ -216,7 +213,7 @@ class ExperimentConfig:
             if not orders or min(orders) < 0:
                 raise ConfigError(f"norms.{name} must be a non-empty list of "
                                   f"non-negative integers, got {list(orders)}")
-        key = _SELECTORS[self.kind]
+        key = SELECTORS.get(self.kind)
         if key and getattr(self, key) is None:
             raise ConfigError(f"{self.kind} runs need a {key}, one of {_NAMED[key]}")
         spec = DRIVERS[self.driver]
@@ -224,7 +221,7 @@ class ExperimentConfig:
             allowed = " or ".join(f"kappa={k!r}" for k in spec.kappas)
             raise ConfigError(f"{key} {self.driver} requires {allowed}" if key
                               else f"{self.kind} runs require {allowed}")
-        if spec.single and len(eps) != 1:
+        if self.kind == "single" and len(eps) != 1:
             raise ConfigError(f"{self.kind} runs take one eps, got {len(eps)}")
         if spec.flat and (self.potential.kind != "zero" or self.phase.kind != "zero"):
             raise ConfigError(f"{self.kind} runs require V=0 and zero initial phase")
@@ -381,15 +378,13 @@ _DEFAULTS = ExperimentConfig(kind=None, eps=())
 class Driver:
     """One value of ExperimentConfig.driver: the function that runs it and
     the rules that check its config and plan its run.  march_dt is the dt of
-    its one eps-independent march unless time.rule is "fixed" (None: the NLS
+    its one eps-independent march unless time.dt is given (None: the NLS
     solve at eps / time.factor); times is "final", "schedule", "eps_powers"
     (eps^p for the schedule's powers p) or "instability"; rays is "march"
     (the rays are its march) or "wkb" (rays to t in 64 steps)."""
     kind: str                           # the config kind that runs it
     run: Callable                       # run(config, plan) -> ExperimentResult
     kappas: tuple[float, ...] | None    # the kappa it accepts; None: unread
-    selector: str | None = None         # the config key naming it in its kind
-    single: bool = False                # one eps, and a CLI subcommand of its own
     flat: bool = False                  # needs V=0 and zero initial phase
     march_dt: float | None = None
     times: str = "final"
@@ -441,9 +436,9 @@ class Plan:
         reads = {**{key: key in spec.keys
                     for other in DRIVERS.values() for key in other.keys},
                  "kappa": spec.kappas is not None,
-                 **{key: spec.selector == key for key in _NAMED},
+                 **{key: spec.kind == kind for kind, key in SELECTORS.items()},
                  "time.final": spec.times == "final",
-                 "time.factor": time.rule != "fixed" and spec.march_dt is None,
+                 "time.factor": time.dt is None and spec.march_dt is None,
                  "time.schedule": spec.schedule is not None,
                  "data.a1": "data.a1" in spec.keys and not limit}
         for path, read in reads.items():
@@ -451,8 +446,8 @@ class Plan:
                               for c in (config, _DEFAULTS))
             if not read and value != default:
                 why = f"by the {driver} driver"
-                if path == "time.factor" and time.rule == "fixed":
-                    why = 'under time.rule "fixed"'
+                if path == "time.factor" and time.dt is not None:
+                    why = "when time.dt is given"
                 elif path == "data.a1" and limit:
                     why += ' under variant "limit"'
                 raise ConfigError(f"{path} is not read {why}; leave it out")
@@ -480,7 +475,7 @@ class Plan:
             if times[0] <= 0 or any(b <= a for a, b in zip(times, times[1:])):
                 raise ConfigError(f"output times at eps={eps} must be positive "
                                   f"and strictly increasing, got {list(times)}")
-            dt = time.dt if time.rule == "fixed" else spec.march_dt or eps / time.factor
+            dt = time.dt or spec.march_dt or eps / time.factor
             if spec.march_dt is None:
                 steps = sum(nls.segment_steps(times, dt))
             else:
@@ -1032,26 +1027,25 @@ def _run_nls(config: ExperimentConfig, plan: Plan) -> ExperimentResult:
 # the drivers, one record per value of ExperimentConfig.driver; their order
 # is that of SINGLE_SOLVERS, CONVERGE_TARGETS and the CLI subcommands
 
-_single = partial(Driver, "single", selector="solver", single=True)
-_converge = partial(Driver, "converge", selector="target")
-
 DRIVERS = {
-    "rays": _single(_run_rays, None, march_dt=1e-3, rays="march"),
-    "wkb": _single(_run_wkb, (1.0, 2.0), rays="wkb",
-                   keys=("data.a1", "output.dump_fields")),
-    "grenier": _single(_run_grenier, (0.0,), march_dt=2e-3,
-                       keys=("data.a1", "variant", "output.dump_fields")),
-    "nls": _single(_run_nls, (0.0, 1.0, 2.0), keys=("data.a1", "output.dump_fields")),
-    "supercritical_leading": _converge(_run_supercritical, (0.0,), march_dt=2e-3,
-                                       keys=("data.a1", "norms.sobolev_orders")),
-    "supercritical_corrector": _converge(
-        partial(_run_supercritical, corrector_mode=True), (0.0,), march_dt=2e-3,
-        keys=("data.a1", "norms.sobolev_orders"), checks=(_needs_a1,)),
-    "critical": _converge(_run_profile, (1.0,), rays="wkb"),
-    "subcritical": _converge(_run_profile, (2.0,), rays="wkb"),
-    "skew_free": _converge(_run_skew_free, (0.0,), march_dt=2.5e-3, times="schedule",
-                           schedule=(0.05, 0.1, 0.2, 0.3),
-                           keys=("norms.sobolev_orders",)),
+    "rays": Driver("single", _run_rays, None, march_dt=1e-3, rays="march"),
+    "wkb": Driver("single", _run_wkb, (1.0, 2.0), rays="wkb",
+                  keys=("data.a1", "output.dump_fields")),
+    "grenier": Driver("single", _run_grenier, (0.0,), march_dt=2e-3,
+                      keys=("data.a1", "variant", "output.dump_fields")),
+    "nls": Driver("single", _run_nls, (0.0, 1.0, 2.0),
+                  keys=("data.a1", "output.dump_fields")),
+    "supercritical_leading": Driver(
+        "converge", _run_supercritical, (0.0,), march_dt=2e-3,
+        keys=("data.a1", "norms.sobolev_orders")),
+    "supercritical_corrector": Driver(
+        "converge", partial(_run_supercritical, corrector_mode=True), (0.0,),
+        march_dt=2e-3, keys=("data.a1", "norms.sobolev_orders"), checks=(_needs_a1,)),
+    "critical": Driver("converge", _run_profile, (1.0,), rays="wkb"),
+    "subcritical": Driver("converge", _run_profile, (2.0,), rays="wkb"),
+    "skew_free": Driver("converge", _run_skew_free, (0.0,), march_dt=2.5e-3,
+                        times="schedule", schedule=(0.05, 0.1, 0.2, 0.3),
+                        keys=("norms.sobolev_orders",)),
     "instability": Driver(
         "instability", _run_instability, (0.0,), times="instability",
         keys=("data.b0", "norms.sobolev_orders", "growth.max_resolution_doublings",
@@ -1067,11 +1061,11 @@ DRIVERS = {
 
 
 KINDS = tuple(sorted({d.kind for d in DRIVERS.values()}))
-# kind -> the key that selects its driver, None for a kind of one driver
-_SELECTORS = {d.kind: d.selector for d in DRIVERS.values()}
+# kind -> the key that selects its driver; a kind of one driver has none
+SELECTORS = {"single": "solver", "converge": "target"}
 # selector key -> the drivers it names, in table order
-_NAMED = {key: tuple(name for name, d in DRIVERS.items() if d.selector == key)
-          for key in _SELECTORS.values() if key}
+_NAMED = {key: tuple(name for name, d in DRIVERS.items() if d.kind == kind)
+          for kind, key in SELECTORS.items()}
 CONVERGE_TARGETS, SINGLE_SOLVERS = _NAMED["target"], _NAMED["solver"]
 
 

@@ -101,7 +101,8 @@ def tail_fraction(spec: np.ndarray, band: np.ndarray) -> np.ndarray:
     in the modes `band` (a boolean mask); 0 for a row without power."""
     power = spec.real ** 2 + spec.imag ** 2
     total = power.sum(axis=-1)
-    tail = power[..., band].sum(axis=-1)
+    # masked, so that a row sums in one order whether stacked or not
+    tail = np.sum(power, axis=-1, where=band)
     return np.divide(tail, total, out=np.zeros_like(total), where=total != 0)
 
 
@@ -111,11 +112,11 @@ def tail_fraction(spec: np.ndarray, band: np.ndarray) -> np.ndarray:
 
 def lp_norm(f: _Field, p: float = 2) -> float:
     """Quadrature L^p norm over the box; p = inf gives the node maximum."""
+    if p <= 0:
+        raise FieldError(f"p must be positive, got {p}")
     mags = np.abs(f.values)
     if np.isinf(p):
         return float(mags.max())
-    if p <= 0:
-        raise FieldError(f"p must be positive, got {p}")
     return float((f.grid.spacing * np.sum(mags**p)) ** (1.0 / p))
 
 

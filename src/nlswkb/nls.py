@@ -17,9 +17,9 @@ arithmetic is that of its own solve.  solve_nls is its one-row call.  The
 rows are a problem.RowStack, checked at each output (problem.TAIL_TOL).
 
 The solver is the measuring stick the asymptotic constructions are compared
-against, so its defaults are conservative: h = eps/50 resolves the fast
-phase, and segments between requested output times are subdivided so every
-output lands exactly on a step boundary.
+against, so its defaults are conservative: h = eps / STEPS_PER_EPS = eps/50
+resolves the fast phase, and segments between requested output times are
+subdivided so every output lands exactly on a step boundary.
 """
 from __future__ import annotations
 
@@ -32,6 +32,8 @@ from .fields import ComplexField, derivative_values, tail_fraction
 from .grids import PeriodicGrid
 from .problem import (RowCheck, RowStack, SemiclassicalProblem, StoredStates,
                       relative_drift)
+
+STEPS_PER_EPS = 50.0
 
 _CHECK = RowCheck("reference solve hit non-finite values",
                   "spectral tail fraction {tail:.3e} exceeds {tol:.1e}; "
@@ -121,10 +123,10 @@ def solve_nls(problem: SemiclassicalProblem, t_final: float, dt: float | None = 
 
     output_times must be strictly increasing and positive, ending at
     t_final (it is appended when missing).  Within each segment the step is
-    shrunk to seg / ceil(seg / dt) so outputs land exactly on step
-    boundaries (segment_steps); dt defaults to eps/50.  An output that
-    fails its check (problem.TAIL_TOL) raises its ResolutionError or
-    DivergenceError.  This is the one-row call of solve_nls_sweep.
+    shrunk to seg / ceil(seg / dt) so outputs land exactly on step boundaries
+    (segment_steps); dt defaults to eps / STEPS_PER_EPS.  An output that fails
+    its check (problem.TAIL_TOL) raises its ResolutionError or DivergenceError.
+    This is the one-row call of solve_nls_sweep.
     """
     out = solve_nls_sweep([problem], t_final, [dt], output_times=output_times)[0]
     if isinstance(out, Exception):
@@ -138,17 +140,17 @@ def solve_nls_sweep(problems: list[SemiclassicalProblem], t_final: float, dts,
     """solve_nls for every problem at once, in one march.
 
     The problems share one grid, t_final and output times; dts[r] (None
-    for eps/50) belongs to problems[r].  Every row keeps its own step
-    size, kinetic multipliers, phase scale and segment_steps count, so its
-    arithmetic is that of its own solve, and a step of all rows costs two
-    FFT calls.  A row that reaches an output closes its step with a half
+    for eps / STEPS_PER_EPS) belongs to problems[r].  Every row keeps its
+    own step size, kinetic multipliers, phase scale and segment_steps count,
+    so its arithmetic is that of its own solve, and a step of all rows costs
+    two FFT calls.  A row that reaches an output closes its step with a half
     kinetic multiplier and is checked there.  Returns RowStack.results.
     """
     if t_final <= 0:
         raise ConfigError("t_final must be positive")
     if len(problems) != len(dts):
         raise ConfigError("a sweep takes one dt per problem")
-    dts = [p.eps / 50.0 if dt is None else dt for p, dt in zip(problems, dts)]
+    dts = [p.eps / STEPS_PER_EPS if dt is None else dt for p, dt in zip(problems, dts)]
     if any(dt <= 0 for dt in dts):
         raise ConfigError("dt must be positive")
     outputs = _output_times(t_final, output_times)

@@ -13,15 +13,16 @@ tests/golden/<stem>.json with three parts:
 - `summary`: `perfbench/refcheck.summarize` of the run's report.json and
   errors.csv (verdicts, numeric report leaves, errors.csv rows).
 
-tests/test_golden.py compares a run of the current code with these files.
-A change that moves a report number past the tolerance of
-`refcheck.compare` re-captures the file and names each moved number and
-its cause in CHANGES.md; verdicts never change.
+`compare_record` compares a run with its record: `dry_run` and `config`
+exactly, `summary` by `refcheck.compare`.  tests/test_golden.py and
+--compare both call it.  A change that moves a report number past the
+tolerance of `refcheck.compare` re-captures the file and names each moved
+number and its cause in CHANGES.md; verdicts never change.
 
 With --compare nothing is written: for each config (all, or the ones
 named) it runs the config, prints the largest relative change of any
 report leaf or errors.csv value against the stored summary (the `*drift`
-values and exact zeros left out) and the `refcheck.compare` mismatches,
+values and exact zeros left out) and the mismatches of `compare_record`,
 and exits 1 when any config mismatches.
 """
 from __future__ import annotations
@@ -32,6 +33,7 @@ import io
 import json
 import math
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -54,6 +56,11 @@ refcheck = _load_refcheck()
 def load_raw(name: str) -> dict:
     with open(CONFIG_DIR / name, encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def canonical(obj) -> str:
+    """`obj` in the CLI's own JSON layout; it tells 1 from 1.0."""
+    return json.dumps(obj, indent=2, sort_keys=True)
 
 
 def subcommand(raw: dict) -> str:
@@ -114,16 +121,39 @@ def largest_change(run: dict, ref: dict) -> float:
     return max(changes, default=0.0)
 
 
+def _first_difference(part: str, run: str, ref: str) -> list[str]:
+    """One line naming the first line where the texts differ; none if equal."""
+    for i, (a, b) in enumerate(zip_longest(run.splitlines(), ref.splitlines())):
+        if a != b:
+            return [f"{part} line {i + 1}: run {a!r}, record {b!r}"]
+    return []
+
+
+def compare_record(name: str, result) -> tuple[list[str], float]:
+    """The mismatches of `result`, a run of configs/<name>, against the
+    golden record of <name>, and the largest change of its summary.  The
+    --dry-run output and the config echo must match exactly, the summary
+    by `refcheck.compare` (verdicts exactly, numbers to its tolerance)."""
+    with open(GOLDEN_DIR / f"{Path(name).stem}.json", encoding="utf-8") as fh:
+        golden = json.load(fh)
+    report, csv_text = report_and_csv(result)
+    run = refcheck.summarize(report, csv_text)
+    mismatches = [
+        *_first_difference("dry_run", dry_run_text(name),
+                           canonical(golden["dry_run"]) + "\n"),
+        *_first_difference("config", canonical(report["config"]),
+                           canonical(golden["config"])),
+        *refcheck.compare(run, golden["summary"])]
+    return mismatches, largest_change(run, golden["summary"])
+
+
 def compare(names: list[str]) -> int:
     """Print each config's largest change and mismatches; 1 when any
     config mismatches, else 0."""
     mismatched = False
     for name in names:
-        with open(GOLDEN_DIR / f"{Path(name).stem}.json", encoding="utf-8") as fh:
-            ref = json.load(fh)["summary"]
-        run = refcheck.summarize(*report_and_csv(run_config(name)))
-        mismatches = refcheck.compare(run, ref)
-        print(f"{name}: largest relative change {largest_change(run, ref):.3g}, "
+        mismatches, change = compare_record(name, run_config(name))
+        print(f"{name}: largest relative change {change:.3g}, "
               f"{len(mismatches)} mismatches")
         for line in mismatches:
             print(f"  {line}")

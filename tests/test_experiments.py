@@ -222,6 +222,7 @@ CONFIG_ERRORS = [
     ("nls.json", ("typo=1",), "unknown keys in config: ['typo']"),
     ("nls.json", ("growth.exponents.p=1",),
      "unknown keys in growth.exponents: ['p']"),
+    ("nls.json", ("time.rule=fixed",), "unknown keys in time: ['rule']"),
     ("nls.json", ("norms.m_orders=[1, 1.5]",),
      "norms.m_orders[1] must be an integer, got 1.5"),
     ("nls.json", ("output.dir=3",), "output.dir must be a string, got 3"),
@@ -232,7 +233,6 @@ CONFIG_ERRORS = [
     ("nls.json", ("potential.kind=harmonic",),
      "potential.kind must be one of ('zero', 'cosine'), got 'harmonic'"),
     ("nls.json", ("phase.kind=cubic",), "phase.kind must be one of ('zero', "),
-    ("nls.json", ("time.rule=adaptive",), "time.rule must be one of ('eps_over', "),
     ("grenier.json", ("variant=bogus",), "variant must be one of ('full', "),
     ("critical.json", ("target=critcal",), "target must be one of ("),
     ("nls.json", ("solver=spectral",), "solver must be one of ('rays', "),
@@ -247,9 +247,7 @@ CONFIG_ERRORS = [
     ("nls.json", ("kappa=0.5",), "kappa must be 0, 1 or 2"),
     ("nls.json", ("grid.size=4",), "grid must have positive length and size >= 8"),
     ("nls.json", ("grid.size=300",), "grid size must be a power of two"),
-    ("nls.json", ("time.rule=fixed",), "fixed dt rule needs a positive dt"),
-    ("critical.json", ("time.dt=0.001",),
-     'time.dt needs time.rule "fixed", got \'eps_over\''),
+    ("nls.json", ("time.dt=0",), "time.dt must be positive, got 0"),
     ("nls.json", ("time.factor=0",), "dt factor must be positive"),
     ("nls.json", ("time.final=0",), "t_final must be positive"),
     ("nls.json", ("norms.sobolev_orders=[]",),
@@ -283,8 +281,8 @@ CONFIG_ERRORS = [
     ("odewindow.json", ("time.final=0.3",),
      "time.final is not read by the odewindow driver"),
     ("supercritical.json", ("time.factor=7",),
-     'time.factor is not read under time.rule "fixed"'),
-    ("grenier.json", ("time.rule=eps_over", "time.dt=null", "time.factor=7"),
+     "time.factor is not read when time.dt is given"),
+    ("grenier.json", ("time.dt=null", "time.factor=7"),
      "time.factor is not read by the grenier driver"),
     ("critical.json", ("time.schedule=[0.1]",),
      "time.schedule is not read by the critical driver"),
@@ -348,9 +346,9 @@ def test_every_config_check_fires(raw, overrides, message):
 
 class TestOverrides:
     def test_dotted_path_updates_nested_value(self):
-        raw = {"time": {"final": 0.2, "rule": "fixed"}}
+        raw = {"time": {"final": 0.2, "dt": 0.002}}
         out = apply_overrides(raw, ["time.final=0.3"])
-        assert out["time"] == {"final": 0.3, "rule": "fixed"}
+        assert out["time"] == {"final": 0.3, "dt": 0.002}
         assert raw["time"]["final"] == 0.2
 
     def test_missing_intermediate_nodes_created(self):
@@ -409,8 +407,8 @@ def test_drivers_that_read_a1_accept_it(name, overrides):
 class TestDryRunPlan:
     @pytest.mark.parametrize("name, overrides", [
         *[(p.name, ()) for p in sorted(CONFIG_DIR.glob("*.json"))],
-        ("skewfree.json", ("time.rule=eps_over", "time.dt=null")),
-        ("grenier.json", ("time.rule=eps_over", "time.dt=null")),
+        ("skewfree.json", ("time.dt=null",)),
+        ("grenier.json", ("time.dt=null",)),
     ])
     def test_planned_dt_is_the_dt_the_driver_runs(self, name, overrides,
                                                    monkeypatch):
@@ -430,6 +428,15 @@ class TestDryRunPlan:
         assert caught.value.pairs
         for eps, dt in caught.value.pairs:
             assert dt == planned[eps]
+
+    @pytest.mark.parametrize("name", ["corrector.json", "grenier.json",
+                                      "skewfree.json", "supercritical.json"])
+    def test_a_shipped_dt_is_the_march_dt_of_its_driver(self, name):
+        # without time.dt the march steps at the driver's own dt
+        cfg = config_from_dict(_shipped_raw(name))
+        ruled = config_from_dict(_shipped_raw(name, ("time.dt=null",)))
+        assert cfg.time.dt == DRIVERS[cfg.driver].march_dt
+        assert dry_run_plan(ruled)["plan"] == dry_run_plan(cfg)["plan"]
 
     RAY_CONFIGS = ("critical.json", "rays.json", "subcritical.json", "wkb.json")
 
@@ -566,8 +573,8 @@ class TestPlannedSteps:
         ("odewindow.json", ()),
         # 0.07 / 0.01 is one ulp above 7: ceil without the solver's
         # tolerance plans 8 steps where the solver runs 7
-        ("nls.json", ("eps=[0.1]", "time.final=0.07", "time.rule=fixed",
-                      "time.dt=0.01", "grid.size=256")),
+        ("nls.json", ("eps=[0.1]", "time.final=0.07", "time.dt=0.01",
+                      "grid.size=256")),
     ])
     def test_planned_steps_are_the_steps_run(self, name, overrides,
                                              monkeypatch):
@@ -596,7 +603,7 @@ class TestPlannedSteps:
         ("grenier.json", ()),
         ("supercritical.json", ("eps=[0.1, 0.05]",)),
         ("corrector.json", ("eps=[0.1, 0.05]",)),
-        ("rays.json", ("time.rule=fixed", "time.final=0.2")),
+        ("rays.json", ("time.final=0.2",)),
     ])
     def test_planned_steps_are_the_steps_the_march_ran(self, name, overrides,
                                                       monkeypatch):
@@ -968,8 +975,11 @@ class TestCli:
          "output times at eps=0.05 must be positive and strictly increasing"),
         ("grenier", "grenier.json", "variant=bogus",
          "variant must be one of ('full', 'skew_free', 'limit'), got 'bogus'"),
+        # time.rule is gone: a given time.dt alone asks for a fixed step
+        ("grenier", "grenier.json", "time.rule=fixed",
+         "unknown keys in time: ['rule']"),
     ], ids=["skewfree-decreasing", "skewfree-indivisible",
-            "odewindow-increasing-powers", "grenier-variant"])
+            "odewindow-increasing-powers", "grenier-variant", "time-rule"])
     def test_dry_run_makes_the_checks_of_the_run(self, tmp_path, capsys,
                                                  command, name, override,
                                                  message):
@@ -1020,7 +1030,7 @@ class TestCli:
                "eps": [0.1, 0.05, 0.02], "kappa": 0.0,
                "grid": {"size": 256},
                "data": {"a0": {"shape": "gaussian", "chirp": 0.5}},
-               "time": {"schedule": [0.02, 0.04], "dt": 0.01, "rule": "fixed"}}
+               "time": {"schedule": [0.02, 0.04], "dt": 0.01}}
         code = main(["converge", "--config", self.write(tmp_path, raw),
                      "--output", str(tmp_path / "out")])
         assert code == 1

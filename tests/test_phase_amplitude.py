@@ -221,8 +221,8 @@ def _assert_same_trajectory(got, ref, tol=1e-12):
         assert _rel(sg.a.values, sr.a.values) <= tol
         assert _rel(sg.v.values, sr.v.values) <= tol
     assert _rel(got.mass, ref.mass) <= tol
-    assert np.allclose(got.tail_fraction, ref.tail_fraction, rtol=tol,
-                       atol=1e-300)
+    # a row's tail sums run in the same order stacked or alone
+    assert np.array_equal(got.tail_fraction, ref.tail_fraction)
 
 
 def sweep_problems(eps_list=(0.1, 0.03, 0.01), size=256):

@@ -240,13 +240,16 @@ def _other_grid_sum(grid):
 
 @pytest.mark.parametrize("call, message", [
     (lambda grid: lp_norm(RealField.zeros(grid), 0), "p must be positive, got 0"),
+    # checked before the p = inf branch
+    (lambda grid: lp_norm(RealField.zeros(grid), -np.inf),
+     "p must be positive, got -inf"),
     (lambda grid: band_limited_interpolate(RealField.zeros(grid),
                                            np.array([16.5])),
      "interpolation points outside the periodic box"),
     (lambda grid: RealField(grid, np.full(64, np.nan), role="probe"),
      "non-finite samples in field role='probe'"),
     (_other_grid_sum, "fields live on different grids"),
-], ids=["lp-exponent", "outside-box", "non-finite", "two-grids"])
+], ids=["lp-exponent", "lp-exponent-minus-inf", "outside-box", "non-finite", "two-grids"])
 def test_field_guard_fires(call, message):
     with pytest.raises(FieldError, match=re.escape(message)):
         call(PeriodicGrid(32.0, 64))
