@@ -12,15 +12,13 @@ import json
 import sys
 
 from .errors import NlswkbError
-from .experiments import (DRIVERS, SELECTORS, Plan, apply_overrides, config_from_dict,
-                          plan_json)
+from .experiments import DRIVERS, Plan, apply_overrides, config_from_dict, plan_json
 from .reporting import check_output_dir, load_config_file, write_artifacts
 
 # subcommand -> (config kind, the key it sets to its own name or None): a
 # single-run driver has a subcommand of its own, other drivers their kind's
-_SUBCOMMANDS = {(name if d.kind == "single" else d.kind):
-                (d.kind, SELECTORS[d.kind] if d.kind == "single" else None)
-                for name, d in DRIVERS.items()}
+_SUBCOMMANDS = dict((name, (d.kind, "solver")) if d.kind == "single"
+                    else (d.kind, (d.kind, None)) for name, d in DRIVERS.items())
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -123,10 +123,12 @@ def largest_change(run: dict, ref: dict) -> float:
 
 def _first_difference(part: str, run: str, ref: str) -> list[str]:
     """One line naming the first line where the texts differ; none if equal."""
+    if run == ref:
+        return []
     for i, (a, b) in enumerate(zip_longest(run.splitlines(), ref.splitlines())):
         if a != b:
             return [f"{part} line {i + 1}: run {a!r}, record {b!r}"]
-    return []
+    return [f"{part}: texts differ only in line endings"]
 
 
 def compare_record(name: str, result) -> tuple[list[str], float]:

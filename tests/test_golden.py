@@ -25,3 +25,12 @@ NAMES = sorted(p.name for p in capture.CONFIG_DIR.glob("*.json"))
 def test_shipped_config_matches_its_golden_record(name, shipped_result):
     mismatches, _ = capture.compare_record(name, shipped_result(name))
     assert mismatches == []
+
+
+@pytest.mark.parametrize("run, ref, expected", [
+    ("a\nb\n", "a\nb\n", []),
+    ("a\nc\n", "a\nb\n", ["part line 2: run 'c', record 'b'"]),
+    ("a\nb", "a\nb\n", ["part: texts differ only in line endings"]),
+])
+def test_first_difference_reports_every_unequal_text(run, ref, expected):
+    assert capture._first_difference("part", run, ref) == expected
