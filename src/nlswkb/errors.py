@@ -29,6 +29,10 @@ class InversionError(_TimedError):
     """Ray-map inversion failed to converge or left the marker chart."""
 
 
+class StencilError(_TimedError):
+    """Too few stored time nodes for a finite-difference time stencil."""
+
+
 class _SolverError(_TimedError):
     """A time integration stopped: carries the simulation time it reached
     and the eps of the solve."""

@@ -121,7 +121,6 @@ class TimeConfig:
     final: float = 0.2
     schedule: tuple[float, ...] | None = None
     dt: float | None = None     # the step at every eps; None: the driver's rule
-    factor: float = nls.STEPS_PER_EPS
 
 
 @dataclass(frozen=True)
@@ -147,9 +146,7 @@ class ExponentsConfig:
 
 @dataclass(frozen=True)
 class GrowthConfig:
-    resolution_const: float = 0.25
     exponents: ExponentsConfig = field(default_factory=ExponentsConfig)
-    max_resolution_doublings: int = 2
 
 
 @dataclass(frozen=True)
@@ -204,8 +201,6 @@ class ExperimentConfig:
         time = self.time
         if time.dt is not None and time.dt <= 0:
             raise ConfigError(f"time.dt must be positive, got {time.dt}")
-        if time.factor <= 0:
-            raise ConfigError("dt factor must be positive")
         if time.final <= 0:
             raise ConfigError("t_final must be positive")
         for name in ("sobolev_orders", "m_orders"):
@@ -240,7 +235,9 @@ class ExperimentConfig:
                                     phase=self.phase.build())
 
 
-# Driver.checks: the checks of one driver's config
+# Driver.checks: the checks of one driver's config; the rules of the method
+NORMGROWTH_RESOLUTION = 0.25  # a normgrowth grid needs N >= this * L / min(eps)
+INSTABILITY_DOUBLINGS = 2     # the grid doublings an instability eps may move to
 
 
 def _needs_a1(config: ExperimentConfig) -> None:
@@ -254,9 +251,6 @@ def _check_instability(config: ExperimentConfig) -> None:
     b0 = config.data.b0
     if b0 is None:
         raise ConfigError("instability needs a b0 perturbation profile")
-    if config.growth.max_resolution_doublings < 0:
-        raise ConfigError("growth.max_resolution_doublings must be non-negative, "
-                          f"got {config.growth.max_resolution_doublings}")
     order = config.instability.window_order
     if order < 2:
         raise ConfigError("window order must be >= 2")
@@ -277,11 +271,11 @@ def _check_instability(config: ExperimentConfig) -> None:
 
 def _check_normgrowth(config: ExperimentConfig) -> None:
     growth, eps = config.growth, min(config.eps)
-    needed = int(np.ceil(growth.resolution_const * config.grid.length / eps))
+    needed = int(np.ceil(NORMGROWTH_RESOLUTION * config.grid.length / eps))
     if config.grid.size < needed:
         raise ConfigError(
             f"normgrowth at eps={eps} needs grid size >= "
-            f"{needed} (rule N >= {growth.resolution_const}*L/eps)")
+            f"{needed} (rule N >= {NORMGROWTH_RESOLUTION}*L/eps)")
     # probe the exponent algebra arguments early
     flow_exponents(growth.exponents.n, growth.exponents.s, growth.exponents.k)
 
@@ -294,8 +288,8 @@ def _load(tp, value, path: str):
     """Build a value of the annotated type `tp` from parsed JSON; `path`
     names it in errors.  A dataclass comes from an object whose keys are
     its fields, a tuple from a list, a Literal from one of its values, and
-    `X | None` also from null.  An integer may stand for a float; every
-    other mismatch is a ConfigError."""
+    `X | None` also from null.  An integer may stand for a float, and a
+    float must be finite; every other mismatch is a ConfigError."""
     if type(None) in get_args(tp):
         if value is None:
             return None
@@ -326,6 +320,8 @@ def _load(tp, value, path: str):
         return float(value)
     if type(value) is not tp:
         raise ConfigError(f"{path} must be {_TYPE_NAMES[tp]}, got {value!r}")
+    if tp is float and not math.isfinite(value):   # json reads NaN, Infinity
+        raise ConfigError(f"{path} must be a finite number, got {value}")
     return value
 
 
@@ -379,7 +375,7 @@ class Driver:
     """One value of ExperimentConfig.driver: the function that runs it and
     the rules that check its config and plan its run.  march_dt is the dt of
     its one eps-independent march unless time.dt is given (None: the NLS
-    solve at eps / time.factor); times is "final", "schedule", "eps_powers"
+    solve at eps / nls.STEPS_PER_EPS); times is "final", "schedule", "eps_powers"
     (eps^p for the schedule's powers p) or "instability"; rays is "march"
     (the rays are its march) or "wkb" (rays to t in 64 steps)."""
     kind: str                           # the config kind that runs it
@@ -423,9 +419,8 @@ class Plan:
 
     @classmethod
     def build(cls, config: ExperimentConfig) -> Plan:
-        """Validate `config` and plan it; raises ConfigError for a schedule
-        the driver cannot run."""
-        config.validate()
+        """Plan `config`, a config from `config_from_dict`; raises ConfigError
+        for a key the driver does not read or a schedule it cannot run."""
         driver, time = config.driver, config.time
         spec = DRIVERS[driver]
         # a key that only some drivers read must keep its default when this
@@ -438,7 +433,6 @@ class Plan:
                  "kappa": spec.kappas is not None,
                  **{key: spec.kind == kind for kind, key in SELECTORS.items()},
                  "time.final": spec.times == "final",
-                 "time.factor": time.dt is None and spec.march_dt is None,
                  "time.schedule": spec.schedule is not None,
                  "data.a1": "data.a1" in spec.keys and not limit}
         for path, read in reads.items():
@@ -446,9 +440,7 @@ class Plan:
                               for c in (config, _DEFAULTS))
             if not read and value != default:
                 why = f"by the {driver} driver"
-                if path == "time.factor" and time.dt is not None:
-                    why = "when time.dt is given"
-                elif path == "data.a1" and limit:
+                if path == "data.a1" and limit:
                     why += ' under variant "limit"'
                 raise ConfigError(f"{path} is not read {why}; leave it out")
         schedule = None
@@ -463,8 +455,8 @@ class Plan:
                 delta = eps ** config.instability.alpha
                 t_eps = config.instability.time_factor * eps / delta
                 times = tuple(t_eps * (j + 1) / 8 for j in range(8))
-                ladder = tuple(config.grid.size << k for k in
-                               range(config.growth.max_resolution_doublings + 1))
+                ladder = tuple(config.grid.size << k
+                               for k in range(INSTABILITY_DOUBLINGS + 1))
                 scales = {"delta": delta, "t_eps": t_eps, "grid_ladder": ladder}
             elif spec.times == "eps_powers":
                 times = tuple(eps**p for p in schedule)
@@ -475,7 +467,7 @@ class Plan:
             if times[0] <= 0 or any(b <= a for a, b in zip(times, times[1:])):
                 raise ConfigError(f"output times at eps={eps} must be positive "
                                   f"and strictly increasing, got {list(times)}")
-            dt = time.dt or spec.march_dt or eps / time.factor
+            dt = time.dt or spec.march_dt or eps / nls.STEPS_PER_EPS
             if spec.march_dt is None:
                 steps = sum(nls.segment_steps(times, dt))
             else:
@@ -1048,12 +1040,12 @@ DRIVERS = {
                         keys=("norms.sobolev_orders",)),
     "instability": Driver(
         "instability", _run_instability, (0.0,), times="instability",
-        keys=("data.b0", "norms.sobolev_orders", "growth.max_resolution_doublings",
+        keys=("data.b0", "norms.sobolev_orders",
               *(f"instability.{f.name}" for f in fields(InstabilityConfig))),
         flat=True, checks=(_check_instability,)),
     "normgrowth": Driver(
         "normgrowth", _run_normgrowth, (0.0,),
-        keys=("norms.m_orders", "growth.resolution_const", "growth.exponents"),
+        keys=("norms.m_orders", "growth.exponents"),
         flat=True, checks=(_check_normgrowth,)),
     "odewindow": Driver("odewindow", _run_odewindow, (0.0,), times="eps_powers",
                         schedule=(0.6, 0.45, 0.3, 0.2), flat=True),
@@ -1070,7 +1062,7 @@ CONVERGE_TARGETS, SINGLE_SOLVERS = _NAMED["target"], _NAMED["solver"]
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Plan `config` and run its driver on the plan."""
+    """Plan `config`, a config from `config_from_dict`, and run its driver."""
     return DRIVERS[config.driver].run(config, Plan.build(config))
 
 

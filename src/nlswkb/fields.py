@@ -112,7 +112,7 @@ def tail_fraction(spec: np.ndarray, band: np.ndarray) -> np.ndarray:
 
 def lp_norm(f: _Field, p: float = 2) -> float:
     """Quadrature L^p norm over the box; p = inf gives the node maximum."""
-    if p <= 0:
+    if not p > 0:
         raise FieldError(f"p must be positive, got {p}")
     mags = np.abs(f.values)
     if np.isinf(p):

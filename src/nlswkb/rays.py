@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CausticError, InversionError
+from .errors import CausticError, InversionError, StencilError
 from .fields import RealField, derivative_values, interpolate_periodic
 from .grids import PeriodicGrid
 from .problem import (RowCheck, SemiclassicalProblem, StoreSchedule, march_steps,
@@ -369,9 +369,10 @@ def hamilton_jacobi_residual(bundle: RayBundle, x_grid: PeriodicGrid,
     """Sup-norm residual of d_t phi + |grad phi|^2/2 + V over checkable nodes.
 
     d_t uses a fourth-order centered stencil over stored nodes one step
-    apart, so the bundle must store every step (ValueError otherwise).  The
-    check runs on interior nodes whose min-Jacobian stays above
-    RESIDUAL_MIN_JACOBIAN; closer to the caustic the time derivatives of
+    apart, so the bundle must store every step (ValueError otherwise) and
+    5 nodes before the min-Jacobian falls to RESIDUAL_MIN_JACOBIAN
+    (StencilError otherwise).  The check runs on interior nodes whose
+    min-Jacobian stays above it; closer to the caustic the time derivatives of
     the phase blow up and finite differencing is no longer meaningful.
     `gradient` selects the transported momentum (valid for any fixture) or
     the spectral gradient of the phase field (valid when the phase is
@@ -387,9 +388,11 @@ def hamilton_jacobi_residual(bundle: RayBundle, x_grid: PeriodicGrid,
                               RESIDUAL_MIN_JACOBIAN)
     tmax = horizon if horizon is not None else np.inf
     usable = np.nonzero(bundle.times < tmax)[0]
-    if len(usable) < 5:
-        raise ValueError("not enough stored nodes below the Jacobian floor")
     last = usable[-1]
+    if len(usable) < 5:
+        raise StencilError("not enough stored nodes below the Jacobian floor: "
+                           f"{len(usable)}, the time stencil needs 5",
+                           time=float(bundle.times[last]))
 
     h = bundle.dt
 

@@ -17,11 +17,12 @@ from nlswkb import nls, phase_amplitude, rays, wkb
 from nlswkb.cli import main
 from nlswkb.errors import (ConfigError, DivergenceError, FieldError,
                            GridError, ResolutionError)
-from nlswkb.experiments import (DRIVERS, Plan, apply_overrides, config_from_dict,
-                                dry_run_plan, flow_exponents, run_experiment)
+from nlswkb.experiments import (DRIVERS, ExperimentConfig, Plan, apply_overrides,
+                                config_from_dict, dry_run_plan, flow_exponents,
+                                run_experiment)
+from nlswkb.fields import ComplexField
 from nlswkb.fitting import fit_power_law
-from nlswkb.grids import PeriodicGrid
-from nlswkb.problem import SemiclassicalProblem, march_steps
+from nlswkb.problem import march_steps
 from nlswkb.reporting import (errors_csv_bytes, load_field_dump,
                               write_artifacts)
 
@@ -102,6 +103,24 @@ class TestConfigSchema:
         again = config_from_dict(asdict(cfg))
         assert again == cfg
         json.dumps(asdict(cfg))
+
+    def test_readme_schema_lists_every_key(self):
+        # the jsonc block of README.md "Config schema", comments stripped,
+        # against the config echo of a default config
+        text = (CONFIG_DIR.parent / "README.md").read_text(encoding="utf-8")
+        block = text.split("## Config schema", 1)[1]
+        block = block.split("```jsonc\n", 1)[1].split("```", 1)[0]
+        schema = json.loads(re.sub(r"//[^\n]*", "", block))
+
+        def keys(node, prefix=""):
+            if not isinstance(node, dict):
+                return set()
+            return {prefix + k for k in node}.union(
+                *(keys(v, f"{prefix}{k}.") for k, v in node.items()))
+
+        default = config_from_dict({"kind": "single", "solver": "nls",
+                                    "eps": [0.1]})
+        assert keys(schema) == keys(asdict(default))
 
     def test_chirp_survives_serialization(self):
         raw = cheap_nls_raw(data={"a0": {"shape": "gaussian", "chirp": 0.5}})
@@ -223,9 +242,25 @@ CONFIG_ERRORS = [
     ("nls.json", ("growth.exponents.p=1",),
      "unknown keys in growth.exponents: ['p']"),
     ("nls.json", ("time.rule=fixed",), "unknown keys in time: ['rule']"),
+    # the NLS step, the normgrowth grid rule and the instability ladder are
+    # constants, not keys
+    ("nls.json", ("time.factor=50",), "unknown keys in time: ['factor']"),
+    ("normgrowth.json", ("growth.resolution_const=0.25",),
+     "unknown keys in growth: ['resolution_const']"),
+    ("instability.json", ("growth.max_resolution_doublings=2",),
+     "unknown keys in growth: ['max_resolution_doublings']"),
     ("nls.json", ("norms.m_orders=[1, 1.5]",),
      "norms.m_orders[1] must be an integer, got 1.5"),
     ("nls.json", ("output.dir=3",), "output.dir must be a string, got 3"),
+    # loader: json reads NaN, Infinity and -Infinity as numbers
+    ("nls.json", ("time.final=NaN",), "time.final must be a finite number, got nan"),
+    ("nls.json", ("eps=[NaN]",), "eps[0] must be a finite number, got nan"),
+    ("nls.json", ("grid.length=NaN",), "grid.length must be a finite number, got nan"),
+    ("nls.json", ("data.a0.amplitude=NaN",),
+     "data.a0.amplitude must be a finite number, got nan"),
+    ("nls.json", ("data.a0.width=NaN",),
+     "data.a0.width must be a finite number, got nan"),
+    ("nls.json", ("time.dt=Infinity",), "time.dt must be a finite number, got inf"),
     # loader, Literal fields
     ({"kind": "bogus", "eps": [0.1]}, (), "kind must be one of ('converge', "),
     ("nls.json", ("data.a0.shape=square",),
@@ -248,7 +283,6 @@ CONFIG_ERRORS = [
     ("nls.json", ("grid.size=4",), "grid must have positive length and size >= 8"),
     ("nls.json", ("grid.size=300",), "grid size must be a power of two"),
     ("nls.json", ("time.dt=0",), "time.dt must be positive, got 0"),
-    ("nls.json", ("time.factor=0",), "dt factor must be positive"),
     ("nls.json", ("time.final=0",), "t_final must be positive"),
     ("nls.json", ("norms.sobolev_orders=[]",),
      "norms.sobolev_orders must be a non-empty list"),
@@ -280,10 +314,6 @@ CONFIG_ERRORS = [
      "time.final is not read by the instability driver"),
     ("odewindow.json", ("time.final=0.3",),
      "time.final is not read by the odewindow driver"),
-    ("supercritical.json", ("time.factor=7",),
-     "time.factor is not read when time.dt is given"),
-    ("grenier.json", ("time.dt=null", "time.factor=7"),
-     "time.factor is not read by the grenier driver"),
     ("critical.json", ("time.schedule=[0.1]",),
      "time.schedule is not read by the critical driver"),
     # plan: data profiles the driver never reads
@@ -306,14 +336,8 @@ CONFIG_ERRORS = [
      "instability.alpha is not read by the critical driver; leave it out"),
     ("odewindow.json", ("instability.taylor_order=3",),
      "instability.taylor_order is not read by the odewindow driver"),
-    ("instability.json", ("growth.resolution_const=0.5",),
-     "growth.resolution_const is not read by the instability driver"),
     ("instability.json", ('growth.exponents={"n": 4}',),
      "growth.exponents is not read by the instability driver"),
-    ("critical.json", ("growth.max_resolution_doublings=5",),
-     "growth.max_resolution_doublings is not read by the critical driver"),
-    ("instability.json", ("growth.max_resolution_doublings=-1",),
-     "growth.max_resolution_doublings must be non-negative, got -1"),
     ("critical.json", ("variant=limit",),
      "variant is not read by the critical driver"),
     ("critical.json", ("output.dump_fields=true",),
@@ -501,8 +525,8 @@ class TestDryRunPlan:
         assert entry["steps"] == 50
 
     def test_instability_plan_lists_its_grid_ladder(self, capsys):
-        # grid.size, then each of growth.max_resolution_doublings doublings;
-        # no other driver plans one
+        # grid.size, then each of its INSTABILITY_DOUBLINGS doublings; no
+        # other driver plans one
         for path in sorted(CONFIG_DIR.glob("*.json")):
             raw = _shipped_raw(path.name)
             command = raw["solver"] if raw["kind"] == "single" else raw["kind"]
@@ -541,22 +565,28 @@ class TestInstabilityDoubling:
         assert doubled == self._run("grid.size=1024").report["per_eps"]
 
     def test_exhausted_doublings_raise_the_first_failure_of_the_pair(self):
+        # a 256 start ends on 1024, so each rung of 128, 256, 512 fails
         with pytest.raises(ResolutionError) as caught:
-            self._run("grid.size=128", "growth.max_resolution_doublings=0")
-        # the base row fails first; its own solve raises the same error
-        cfg = config_from_dict(_shipped_raw("instability.json", ("eps=[0.1]",)))
+            self._run("grid.size=128")
+        cfg = config_from_dict(_shipped_raw("instability.json",
+                                            ("eps=[0.1]", "grid.size=128")))
         entry = dry_run_plan(cfg)["plan"][0]
-        grid = PeriodicGrid(cfg.grid.length, 128)
-        base = SemiclassicalProblem(
-            eps=0.1, kappa=0.0, a0=cfg.data.a0.build(grid, role="initial-amplitude"))
+        assert entry["grid_ladder"] == (128, 256, 512)
+        # on the last rung the base row runs through and the perturbed row
+        # fails; its own solve raises the same error
+        base = cfg.problem(0.1, 512)
+        b0 = cfg.data.b0.build(base.grid, role="perturbation")
+        perturbed = replace(base, a0=ComplexField(
+            base.grid, base.a0.values + entry["delta"] * b0.values,
+            role="perturbed-amplitude"))
         t_eps = entry["t_eps"]
+        outputs = [t_eps * (j + 1) / 8 for j in range(8)]
+        nls.solve_nls(base, t_eps, dt=entry["dt"], output_times=outputs)
         with pytest.raises(ResolutionError) as single:
-            nls.solve_nls(base, t_eps, dt=entry["dt"],
-                          output_times=[t_eps * (j + 1) / 8 for j in range(8)])
+            nls.solve_nls(perturbed, t_eps, dt=entry["dt"], output_times=outputs)
         assert (caught.value.eps, caught.value.time) == (0.1, single.value.time)
         assert str(caught.value) == (
-            f"instability run still under-resolved at N=128: {single.value}")
-
+            f"instability run still under-resolved at N=512: {single.value}")
 
     def test_the_doubled_grid_is_a_rung_of_the_planned_ladder(self):
         cfg = config_from_dict(_shipped_raw("instability.json",
@@ -852,6 +882,28 @@ class TestCli:
         else:
             assert len(ran) == 1 and ran[0] is built[0]
 
+    @pytest.mark.parametrize("command, name, dry_run", [
+        ("nls", None, False),
+        ("nls", None, True),
+        # the instability check builds the eps[0] problem and its b0 profile
+        ("instability", "instability.json", True),
+    ], ids=["nls-run", "nls-dry-run", "instability-dry-run"])
+    def test_a_run_validates_its_config_once(self, tmp_path, capsys, monkeypatch,
+                                             command, name, dry_run):
+        calls = []
+        validate = ExperimentConfig.validate
+
+        def counting(config):
+            calls.append(config)
+            return validate(config)
+
+        monkeypatch.setattr(ExperimentConfig, "validate", counting)
+        path = (str(CONFIG_DIR / name) if name
+                else self.write(tmp_path, cheap_nls_raw()))
+        args = [command, "--config", path, "--output", str(tmp_path / "out")]
+        assert main(args + ["--dry-run"] * dry_run) == 0
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry-run"])
     def test_an_output_path_under_a_file_exits_2_before_solving(
             self, tmp_path, capsys, monkeypatch, dry_run):
@@ -941,7 +993,12 @@ class TestCli:
                              "time.final=2.4"),
          "InversionError at t=2.4: the stored ray map is not strictly "
          "increasing"),
-    ], ids=["ray-divergence", "folded-ray-map"])
+        # three steps of 1e-3 store four nodes, one short of the residual's
+        # time stencil
+        ("rays", "rays.json", ("time.final=0.003",),
+         "StencilError at t=0.003: not enough stored nodes below the Jacobian "
+         "floor"),
+    ], ids=["ray-divergence", "folded-ray-map", "short-ray-run"])
     def test_ray_guard_rails_exit_2(self, tmp_path, capsys, command, name,
                                     overrides, message):
         args = [command, "--config", str(CONFIG_DIR / name),
@@ -978,8 +1035,22 @@ class TestCli:
         # time.rule is gone: a given time.dt alone asks for a fixed step
         ("grenier", "grenier.json", "time.rule=fixed",
          "unknown keys in time: ['rule']"),
+        # the NLS step, the normgrowth grid rule and the instability ladder
+        # are constants
+        ("nls", "nls.json", "time.factor=50", "unknown keys in time: ['factor']"),
+        ("normgrowth", "normgrowth.json", "growth.resolution_const=0",
+         "unknown keys in growth: ['resolution_const']"),
+        ("instability", "instability.json", "growth.max_resolution_doublings=0",
+         "unknown keys in growth: ['max_resolution_doublings']"),
+        # an infinite dt would solve and then fail to write its report
+        ("nls", "nls.json", "time.dt=Infinity",
+         "time.dt must be a finite number, got inf"),
+        ("nls", "nls.json", "time.final=NaN",
+         "time.final must be a finite number, got nan"),
     ], ids=["skewfree-decreasing", "skewfree-indivisible",
-            "odewindow-increasing-powers", "grenier-variant", "time-rule"])
+            "odewindow-increasing-powers", "grenier-variant", "time-rule",
+            "time-factor", "growth-resolution-const",
+            "growth-max-resolution-doublings", "dt-infinite", "final-nan"])
     def test_dry_run_makes_the_checks_of_the_run(self, tmp_path, capsys,
                                                  command, name, override,
                                                  message):

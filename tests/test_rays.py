@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nlswkb.errors import CausticError, FieldError, InversionError
+from nlswkb.errors import CausticError, FieldError, InversionError, StencilError
 from nlswkb.grids import PeriodicGrid
 from nlswkb.potentials import InitialPhaseSpec, PotentialSpec
 from nlswkb.problem import SemiclassicalProblem, gaussian_field, march_steps
@@ -378,8 +378,9 @@ class TestArgumentGuards:
         problem, markers = make_problem(PotentialSpec.zero(),
                                         InitialPhaseSpec.zero(), 32.0, 64)
         short = rays.integrate_flow(problem, markers, 0.03, dt=1e-2)
-        with pytest.raises(ValueError, match="not enough stored nodes"):
+        with pytest.raises(StencilError, match="not enough stored nodes") as caught:
             rays.hamilton_jacobi_residual(short, eval_grid)
+        assert caught.value.time == pytest.approx(0.03, abs=1e-12)
 
     def test_residual_needs_a_node_at_every_step(self, eval_grid):
         # the fourth-order time stencil assumes nodes dt apart

@@ -243,13 +243,17 @@ def _other_grid_sum(grid):
     # checked before the p = inf branch
     (lambda grid: lp_norm(RealField.zeros(grid), -np.inf),
      "p must be positive, got -inf"),
+    # nan fails every comparison, so the guard is written to catch it
+    (lambda grid: lp_norm(RealField.zeros(grid), np.nan),
+     "p must be positive, got nan"),
     (lambda grid: band_limited_interpolate(RealField.zeros(grid),
                                            np.array([16.5])),
      "interpolation points outside the periodic box"),
     (lambda grid: RealField(grid, np.full(64, np.nan), role="probe"),
      "non-finite samples in field role='probe'"),
     (_other_grid_sum, "fields live on different grids"),
-], ids=["lp-exponent", "lp-exponent-minus-inf", "outside-box", "non-finite", "two-grids"])
+], ids=["lp-exponent", "lp-exponent-minus-inf", "lp-exponent-nan", "outside-box",
+        "non-finite", "two-grids"])
 def test_field_guard_fires(call, message):
     with pytest.raises(FieldError, match=re.escape(message)):
         call(PeriodicGrid(32.0, 64))
