@@ -12,7 +12,9 @@ import json
 import sys
 
 from .errors import NlswkbError
-from .experiments import DRIVERS, Plan, apply_overrides, config_from_dict, plan_json
+from .config import ExperimentConfig, apply_overrides, config_from_dict
+from .experiments import DRIVERS, run_experiment
+from .plan import Plan, plan_json
 from .reporting import check_output_dir, load_config_file, write_artifacts
 
 # subcommand -> (config kind, the key it sets to its own name or None): a
@@ -43,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_config(args) -> "ExperimentConfig":
+def _resolve_config(args) -> ExperimentConfig:
     raw = load_config_file(args.config)
     raw = apply_overrides(raw, args.overrides)
     kind, key = _SUBCOMMANDS[args.command]
@@ -82,7 +84,7 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        result = DRIVERS[config.driver].run(config, plan)
+        result = run_experiment(config, plan)
     except NlswkbError as exc:
         # solver and ray failures carry the simulation time they stopped
         # at, solver failures also the eps of the solve (one ray profile

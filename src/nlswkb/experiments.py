@@ -1,32 +1,26 @@
-"""Config schema, run plan and experiment drivers: convergence sweeps, the
-instability demonstration, norm-growth tracking, the small-time ODE window,
-and one-shot solver runs.
+"""Experiment drivers: convergence sweeps, the instability demonstration,
+norm-growth tracking, the small-time ODE window, and one-shot solver runs.
 
-A JSON config loads into nested frozen dataclasses that mirror its
-sections (ExperimentConfig); `config_from_dict` rejects unknown keys and
-mistyped values at every level, then validates.  `Plan.build` works out,
-per eps, the dt, output times and step count of the driver's time
-stepper, the ray dt and the instability scales and grid ladder, and makes
-the checks a run makes before its first solve.  The CLI builds it once and
-prints it (--dry-run, through `plan_json`) or hands that same object to the
-one driver of `config.driver`, which takes its steps from it.
+The table `DRIVERS` holds one `Driver` record per value of
+ExperimentConfig.driver.  The config schema (config.py) and the run plan
+(plan.py) derive their rules from it, so this module imports neither.
+`run_experiment(config, plan)` runs the driver of a config on the plan that
+`Plan.build` made of it.
 
-Every driver returns an ExperimentResult holding a JSON-ready report,
-plot-ready CSV rows, and optional field dumps, and never touches the
-filesystem itself; artifact writing lives in the reporting module so a
-failed run leaves no partial output behind.  Sweeps run their eps values
-in config order; a failed solve is raised, except that the supercritical
-and profile sweeps record an under-resolved eps and go on.
+A run returns an ExperimentResult holding a JSON-ready report, plot-ready
+CSV rows, and optional field dumps, and never touches the filesystem
+itself; artifact writing lives in the reporting module so a failed run
+leaves no partial output behind.  Sweeps run their eps values in config
+order; a failed solve is raised, except that the supercritical and profile
+sweeps record an under-resolved eps and go on.
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import (MISSING, asdict, dataclass, field, fields, is_dataclass,
-                         replace)
-from functools import partial, reduce
+from dataclasses import asdict, dataclass, replace
+from functools import partial
 from itertools import chain
-from typing import Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -34,210 +28,10 @@ from . import nls, phase_amplitude, rays, taylor, wkb
 from .errors import ConfigError, ResolutionError
 from .fields import ComplexField, RealField, l2_linf_norm, lp_norm, sobolev_norm
 from .fitting import fit_power_law
-from .grids import PeriodicGrid
-from .potentials import InitialPhaseSpec, PotentialSpec
-from .problem import SemiclassicalProblem, gaussian_field, march_steps
-
-
-# ---------------------------------------------------------------------------
-# configuration: one frozen dataclass per JSON section; a Literal field
-# takes only the values it lists
-
-
-@dataclass(frozen=True)
-class FieldSpecConfig:
-    """Selector for one profile of initial data."""
-    shape: Literal["gaussian", "constant", "zero"] = "gaussian"
-    amplitude: float = 1.0
-    width: float = 1.0
-    center: float = 0.0
-    imaginary: bool = False
-    chirp: float = 0.0
-
-    def validate(self, label: str) -> None:
-        if self.shape == "gaussian" and self.width <= 0:
-            raise ConfigError(f"{label}.width must be positive")
-        # an unenveloped quadratic phase is not periodic on the box
-        if self.chirp != 0.0 and self.shape != "gaussian":
-            raise ConfigError(f"{label}.chirp needs a gaussian envelope")
-
-    def build(self, grid: PeriodicGrid, role: str) -> ComplexField:
-        if self.shape == "zero":
-            return ComplexField.zeros(grid, role=role)
-        if self.shape == "constant":
-            vals = np.full(grid.size, complex(self.amplitude))
-        else:
-            vals = gaussian_field(grid, width=self.width, amplitude=self.amplitude,
-                                  center=self.center, role=role).values.astype(complex)
-            if self.chirp != 0.0:
-                arg = (grid.nodes - self.center) ** 2
-                vals = vals * np.exp(1j * self.chirp * arg)
-        if self.imaginary:
-            vals = 1j * vals
-        return ComplexField(grid, vals, role=role)
-
-
-@dataclass(frozen=True)
-class GridConfig:
-    length: float = 32.0
-    size: int = 1024
-
-    def build(self, size: int | None = None) -> PeriodicGrid:
-        return PeriodicGrid(self.length, size or self.size)
-
-
-@dataclass(frozen=True)
-class DataConfig:
-    a0: FieldSpecConfig = field(default_factory=FieldSpecConfig)
-    a1: FieldSpecConfig | None = None     # first-order data correction
-    b0: FieldSpecConfig | None = None     # instability perturbation
-
-
-@dataclass(frozen=True)
-class PotentialConfig:
-    kind: Literal["zero", "cosine"] = "zero"
-    amplitude: float = 0.0
-    cycles: int = 1
-
-    def build(self, length: float) -> PotentialSpec:
-        if self.kind == "zero":
-            return PotentialSpec.zero()
-        return PotentialSpec.cosine(self.amplitude, length, self.cycles)
-
-
-@dataclass(frozen=True)
-class PhaseConfig:
-    kind: Literal["zero", "quadratic"] = "zero"
-    curvature: float = 0.0
-
-    def build(self) -> InitialPhaseSpec:
-        if self.kind == "zero":
-            return InitialPhaseSpec.zero()
-        return InitialPhaseSpec.quadratic(self.curvature)
-
-
-@dataclass(frozen=True)
-class TimeConfig:
-    final: float = 0.2
-    schedule: tuple[float, ...] | None = None
-    dt: float | None = None     # the step at every eps; None: the driver's rule
-
-
-@dataclass(frozen=True)
-class NormsConfig:
-    sobolev_orders: tuple[int, ...] = (0, 1, 2)
-    m_orders: tuple[int, ...] = (1, 2)
-
-
-@dataclass(frozen=True)
-class InstabilityConfig:
-    alpha: float = 0.5
-    time_factor: float = 2.0
-    window_order: int = 2
-    taylor_order: int = 2
-
-
-@dataclass(frozen=True)
-class ExponentsConfig:
-    n: int = 3
-    s: float = 0.25
-    k: float = 0.25
-
-
-@dataclass(frozen=True)
-class GrowthConfig:
-    exponents: ExponentsConfig = field(default_factory=ExponentsConfig)
-
-
-@dataclass(frozen=True)
-class OutputConfig:
-    dir: str | None = None
-    dump_fields: bool = False
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    kind: Literal[KINDS]
-    eps: tuple[float, ...]
-    kappa: float = 0.0
-    grid: GridConfig = field(default_factory=GridConfig)
-    data: DataConfig = field(default_factory=DataConfig)
-    potential: PotentialConfig = field(default_factory=PotentialConfig)
-    phase: PhaseConfig = field(default_factory=PhaseConfig)
-    time: TimeConfig = field(default_factory=TimeConfig)
-    norms: NormsConfig = field(default_factory=NormsConfig)
-    instability: InstabilityConfig = field(default_factory=InstabilityConfig)
-    growth: GrowthConfig = field(default_factory=GrowthConfig)
-    target: Literal[CONVERGE_TARGETS] | None = None
-    solver: Literal[SINGLE_SOLVERS] | None = None
-    variant: Literal[phase_amplitude.VARIANTS] = "full"   # single grenier runs
-    output: OutputConfig = field(default_factory=OutputConfig)
-
-    @property
-    def driver(self) -> str | None:
-        """Its key in DRIVERS: the solver of a single run, the target of a
-        convergence run, the kind of any other run."""
-        key = SELECTORS.get(self.kind)
-        return getattr(self, key) if key else self.kind
-
-    def validate(self) -> None:
-        eps = self.eps
-        if not eps:
-            raise ConfigError("eps list is empty")
-        if any(e <= 0 or e > 1 for e in eps):
-            raise ConfigError("eps values must lie in (0, 1]")
-        if any(b >= a for a, b in zip(eps, eps[1:])):
-            raise ConfigError("eps list must be strictly decreasing")
-        if self.kappa not in (0.0, 1.0, 2.0):
-            raise ConfigError("kappa must be 0, 1 or 2")
-        if self.grid.length <= 0 or self.grid.size < 8:
-            raise ConfigError("grid must have positive length and size >= 8")
-        if self.grid.size & (self.grid.size - 1):
-            raise ConfigError("grid size must be a power of two")
-        for label in ("a0", "a1", "b0"):
-            spec = getattr(self.data, label)
-            if spec is not None:
-                spec.validate(f"data.{label}")
-        time = self.time
-        if time.dt is not None and time.dt <= 0:
-            raise ConfigError(f"time.dt must be positive, got {time.dt}")
-        if time.final <= 0:
-            raise ConfigError("t_final must be positive")
-        for name in ("sobolev_orders", "m_orders"):
-            orders = getattr(self.norms, name)
-            if not orders or min(orders) < 0:
-                raise ConfigError(f"norms.{name} must be a non-empty list of "
-                                  f"non-negative integers, got {list(orders)}")
-        key = SELECTORS.get(self.kind)
-        if key and getattr(self, key) is None:
-            raise ConfigError(f"{self.kind} runs need a {key}, one of {_NAMED[key]}")
-        spec = DRIVERS[self.driver]
-        if spec.kappas is not None and self.kappa not in spec.kappas:
-            allowed = " or ".join(f"kappa={k!r}" for k in spec.kappas)
-            raise ConfigError(f"{key} {self.driver} requires {allowed}" if key
-                              else f"{self.kind} runs require {allowed}")
-        if self.kind == "single" and len(eps) != 1:
-            raise ConfigError(f"{self.kind} runs take one eps, got {len(eps)}")
-        if spec.flat and (self.potential.kind != "zero" or self.phase.kind != "zero"):
-            raise ConfigError(f"{self.kind} runs require V=0 and zero initial phase")
-        for check in spec.checks:
-            check(self)
-
-    def problem(self, eps: float, size: int | None = None) -> SemiclassicalProblem:
-        """The problem at `eps`, on the configured grid or on `size` nodes."""
-        grid = self.grid.build(size)
-        a0 = self.data.a0.build(grid, role="initial-amplitude")
-        a1 = None
-        if self.data.a1 is not None:
-            a1 = self.data.a1.build(grid, role="amplitude-correction-1")
-        return SemiclassicalProblem(eps=eps, kappa=self.kappa, a0=a0, a1=a1,
-                                    potential=self.potential.build(self.grid.length),
-                                    phase=self.phase.build())
-
+from .problem import march_steps
 
 # Driver.checks: the checks of one driver's config; the rules of the method
 NORMGROWTH_RESOLUTION = 0.25  # a normgrowth grid needs N >= this * L / min(eps)
-INSTABILITY_DOUBLINGS = 2     # the grid doublings an instability eps may move to
 
 
 def _needs_a1(config: ExperimentConfig) -> None:
@@ -270,220 +64,37 @@ def _check_instability(config: ExperimentConfig) -> None:
 
 
 def _check_normgrowth(config: ExperimentConfig) -> None:
-    growth, eps = config.growth, min(config.eps)
+    eps = min(config.eps)
     needed = int(np.ceil(NORMGROWTH_RESOLUTION * config.grid.length / eps))
     if config.grid.size < needed:
         raise ConfigError(
             f"normgrowth at eps={eps} needs grid size >= "
             f"{needed} (rule N >= {NORMGROWTH_RESOLUTION}*L/eps)")
     # probe the exponent algebra arguments early
-    flow_exponents(growth.exponents.n, growth.exponents.s, growth.exponents.k)
+    flow_exponents(**asdict(config.growth.exponents))
 
-
-_TYPE_NAMES = {float: "a number", int: "an integer", bool: "a boolean",
-               str: "a string"}
-
-
-def _load(tp, value, path: str):
-    """Build a value of the annotated type `tp` from parsed JSON; `path`
-    names it in errors.  A dataclass comes from an object whose keys are
-    its fields, a tuple from a list, a Literal from one of its values, and
-    `X | None` also from null.  An integer may stand for a float, and a
-    float must be finite; every other mismatch is a ConfigError."""
-    if type(None) in get_args(tp):
-        if value is None:
-            return None
-        (tp,) = (a for a in get_args(tp) if a is not type(None))
-    if get_origin(tp) is Literal:
-        if value not in get_args(tp):
-            raise ConfigError(f"{path} must be one of {get_args(tp)}, got {value!r}")
-        return value
-    if is_dataclass(tp):
-        if not isinstance(value, dict):
-            raise ConfigError(f"{path or 'config'} must be an object")
-        hints = get_type_hints(tp)
-        unknown = set(value) - set(hints)
-        if unknown:
-            raise ConfigError(f"unknown keys in {path or 'config'}: {sorted(unknown)}")
-        missing = [f.name for f in fields(tp) if f.name not in value
-                   and f.default is MISSING and f.default_factory is MISSING]
-        if missing:
-            raise ConfigError(f"config is missing {missing[0]!r}")
-        return tp(**{key: _load(hints[key], item, f"{path}.{key}" if path else key)
-                     for key, item in value.items()})
-    if get_origin(tp) is tuple:
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{path} must be a list")
-        return tuple(_load(get_args(tp)[0], item, f"{path}[{i}]")
-                     for i, item in enumerate(value))
-    if tp is float and type(value) is int:
-        return float(value)
-    if type(value) is not tp:
-        raise ConfigError(f"{path} must be {_TYPE_NAMES[tp]}, got {value!r}")
-    if tp is float and not math.isfinite(value):   # json reads NaN, Infinity
-        raise ConfigError(f"{path} must be a finite number, got {value}")
-    return value
-
-
-def config_from_dict(raw: dict) -> ExperimentConfig:
-    """Load the nested JSON schema and validate it; unknown keys and
-    mistyped values are rejected at every level, so a typo cannot silently
-    disable a knob."""
-    config = _load(ExperimentConfig, raw, "")
-    config.validate()
-    return config
-
-
-def apply_overrides(raw: dict, overrides: list[str]) -> dict:
-    """Apply CLI --set key.path=value pairs onto the raw config dict.
-
-    Values parse as JSON when possible and fall back to plain strings, so
-    --set time.final=0.3 and --set target=critical both work.
-    """
-    import json
-
-    out = {k: v for k, v in raw.items()}
-    for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"override {item!r} is not of the form key=value")
-        path, text = item.split("=", 1)
-        try:
-            value = json.loads(text)
-        except json.JSONDecodeError:
-            value = text
-        keys = path.split(".")
-        node = out
-        for k in keys[:-1]:
-            nxt = node.get(k)
-            if not isinstance(nxt, dict):
-                nxt = {}
-            node[k] = dict(nxt)
-            node = node[k]
-        node[keys[-1]] = value
-    return out
-
-
-# every key at its default; kind and eps have none, and every driver reads them
-_DEFAULTS = ExperimentConfig(kind=None, eps=())
-
-
-# ---------------------------------------------------------------------------
-# run plan
 
 @dataclass(frozen=True)
 class Driver:
     """One value of ExperimentConfig.driver: the function that runs it and
-    the rules that check its config and plan its run.  march_dt is the dt of
+    the rules that check its config and plan its run.  run(config, plan)
+    returns the report body, verdicts, csv rows and field dumps of which
+    run_experiment makes its result.  march_dt is the dt of
     its one eps-independent march unless time.dt is given (None: the NLS
     solve at eps / nls.STEPS_PER_EPS); times is "final", "schedule", "eps_powers"
     (eps^p for the schedule's powers p) or "instability"; rays is "march"
     (the rays are its march) or "wkb" (rays to t in 64 steps)."""
     kind: str                           # the config kind that runs it
-    run: Callable                       # run(config, plan) -> ExperimentResult
+    run: Callable
     kappas: tuple[float, ...] | None    # the kappa it accepts; None: unread
     flat: bool = False                  # needs V=0 and zero initial phase
     march_dt: float | None = None
     times: str = "final"
     schedule: tuple[float, ...] | None = None  # time.schedule default; None: unread
     rays: str | None = None
-    keys: tuple[str, ...] = ()          # other keys it reads that some driver does not
+    # other keys it reads that some driver does not; a section: its fields
+    keys: tuple[str, ...] = ()
     checks: tuple[Callable, ...] = ()   # checks(config) of its own config
-
-
-@dataclass(frozen=True)
-class EpsPlan:
-    """What a run does at one eps."""
-    eps: float
-    dt: float                       # dt of the driver's time stepper
-    grid_size: int                  # the grid it starts on
-    times: tuple[float, ...]        # output times; the solve stops at the last
-    steps: int                      # steps the stepper takes to times[-1]
-    ray_dt: float | None = None     # dt of the ray integration, if any
-    delta: float | None = None      # instability: perturbation size eps^alpha
-    t_eps: float | None = None      # instability: final time c eps / delta
-    grid_ladder: tuple[int, ...] | None = None  # instability: grid_size and its doublings
-
-
-@dataclass(frozen=True)
-class Plan:
-    """The steps of a whole run, one EpsPlan per eps in config order, worked
-    out before any solve.  Every driver reads its dt, output times, scales
-    and grids from it, and --dry-run prints it."""
-    rows: tuple[EpsPlan, ...]
-    # time.schedule or its default; None for drivers that do not read it
-    schedule: tuple[float, ...] | None = None
-
-    @property
-    def dts(self) -> list[float]:
-        return [row.dt for row in self.rows]
-
-    @classmethod
-    def build(cls, config: ExperimentConfig) -> Plan:
-        """Plan `config`, a config from `config_from_dict`; raises ConfigError
-        for a key the driver does not read or a schedule it cannot run."""
-        driver, time = config.driver, config.time
-        spec = DRIVERS[driver]
-        # a key that only some drivers read must keep its default when this
-        # driver does not, so that setting it cannot look like it changed
-        # the run; every key not listed here is read by every driver.  The
-        # march of variant "limit" marches a0 alone.
-        limit = "variant" in spec.keys and config.variant == "limit"
-        reads = {**{key: key in spec.keys
-                    for other in DRIVERS.values() for key in other.keys},
-                 "kappa": spec.kappas is not None,
-                 **{key: spec.kind == kind for kind, key in SELECTORS.items()},
-                 "time.final": spec.times == "final",
-                 "time.schedule": spec.schedule is not None,
-                 "data.a1": "data.a1" in spec.keys and not limit}
-        for path, read in reads.items():
-            value, default = (reduce(getattr, path.split("."), c)
-                              for c in (config, _DEFAULTS))
-            if not read and value != default:
-                why = f"by the {driver} driver"
-                if path == "data.a1" and limit:
-                    why += ' under variant "limit"'
-                raise ConfigError(f"{path} is not read {why}; leave it out")
-        schedule = None
-        if spec.schedule is not None:
-            schedule = spec.schedule if time.schedule is None else time.schedule
-            if not schedule:
-                raise ConfigError("time.schedule must not be empty")
-        rows = []
-        for eps in config.eps:
-            scales = {}
-            if spec.times == "instability":
-                delta = eps ** config.instability.alpha
-                t_eps = config.instability.time_factor * eps / delta
-                times = tuple(t_eps * (j + 1) / 8 for j in range(8))
-                ladder = tuple(config.grid.size << k
-                               for k in range(INSTABILITY_DOUBLINGS + 1))
-                scales = {"delta": delta, "t_eps": t_eps, "grid_ladder": ladder}
-            elif spec.times == "eps_powers":
-                times = tuple(eps**p for p in schedule)
-            elif spec.times == "schedule":
-                times = schedule
-            else:
-                times = (time.final,)
-            if times[0] <= 0 or any(b <= a for a, b in zip(times, times[1:])):
-                raise ConfigError(f"output times at eps={eps} must be positive "
-                                  f"and strictly increasing, got {list(times)}")
-            dt = time.dt or spec.march_dt or eps / nls.STEPS_PER_EPS
-            if spec.march_dt is None:
-                steps = sum(nls.segment_steps(times, dt))
-            else:
-                # a march keeps states at whole steps only, so dt must divide
-                # each of several output times; it lands on times[-1] in
-                # whole equal steps
-                off = [tt for tt in times if abs(tt / dt - round(tt / dt)) > 1e-9]
-                if len(times) > 1 and off:
-                    raise ConfigError(f"dt {dt} does not divide schedule time {off[0]}")
-                steps = march_steps(times[-1], dt)
-                dt = times[-1] / steps
-            ray_dt = {"march": dt, "wkb": times[-1] / 64}.get(spec.rays)
-            rows.append(EpsPlan(eps=eps, dt=dt, grid_size=config.grid.size,
-                                times=times, steps=steps, ray_dt=ray_dt,
-                                **scales))
-        return cls(tuple(rows), schedule)
 
 
 # ---------------------------------------------------------------------------
@@ -505,16 +116,6 @@ def _verdict(name: str, passed: bool, detail: str) -> dict:
     return {"name": name, "passed": bool(passed), "detail": detail}
 
 
-def _finish(config: ExperimentConfig, body: dict, verdicts: list[dict],
-            rows: list, dumps: list = ()) -> ExperimentResult:
-    """The result of a run; its field dumps are kept under output.dump_fields."""
-    report = {"kind": config.kind, "config": asdict(config), "verdicts": verdicts,
-              "passed": all(v["passed"] for v in verdicts)}
-    report.update(body)
-    dumps = list(dumps) if config.output.dump_fields else []
-    return ExperimentResult(report=report, csv_rows=rows, field_dumps=dumps)
-
-
 def flow_exponents(n: int, s: float, k: float) -> dict:
     """Growth exponent of compensated Sobolev norms under the oscillatory
     rescaling: e(n, s, k) = s - k - k(n/2 - 1 - s), computed in the factored
@@ -529,8 +130,8 @@ def flow_exponents(n: int, s: float, k: float) -> dict:
     half = n / 2 - s
     k_lower = s / half
     exponent = s - k * half
-    diverges = bool(exponent < 0 and k_lower < k <= s)
-    return {"exponent": float(exponent), "diverges": diverges,
+    return {"exponent": float(exponent),
+            "diverges": bool(exponent < 0 and k_lower < k <= s),
             "k_lower": float(k_lower)}
 
 
@@ -589,7 +190,7 @@ def _slope_verdict(fits: dict, verdicts: list, key: str, x, y, expected: float,
 
 
 def _run_supercritical(config: ExperimentConfig, plan: Plan,
-                       corrector_mode: bool = False) -> ExperimentResult:
+                       corrector_mode: bool = False) -> tuple:
     """The full phase-amplitude sweep against the eps -> 0 limit, or in
     corrector mode against the limit plus eps times its first-order
     corrector."""
@@ -627,8 +228,7 @@ def _run_supercritical(config: ExperimentConfig, plan: Plan,
     resolved = [r for r in rows if r["resolved"]]
     eps_used = [r["eps"] for r in resolved]
 
-    verdicts = []
-    fits = {}
+    verdicts, fits = [], {}
     if corrector_mode:
         sums = [sum(r["errors"][s]["a"] + r["errors"][s]["phi"]
                     for s in orders) for r in resolved]
@@ -649,10 +249,10 @@ def _run_supercritical(config: ExperimentConfig, plan: Plan,
             (r["eps"], s, "phi_H_over_t", r["errors"][s]["phi"] / t))]
     body = {"t": t, "dt": dt, "per_eps": rows, "fits": fits,
             "under_resolved": flagged}
-    return _finish(config, body, verdicts + resolution, csv_rows)
+    return body, verdicts + resolution, csv_rows, ()
 
 
-def _run_skew_free(config: ExperimentConfig, plan: Plan) -> ExperimentResult:
+def _run_skew_free(config: ExperimentConfig, plan: Plan) -> tuple:
     """The phase gap between the full and the skew-free phase-amplitude
     sweeps, against eps and against t."""
     # one dt and one schedule for every eps; the plan checked that dt
@@ -674,8 +274,7 @@ def _run_skew_free(config: ExperimentConfig, plan: Plan) -> ExperimentResult:
     for eps, full, free in zip(config.eps, fulls, frees):
         errors = {}
         for tt in times:
-            sf = full.state_at(tt)
-            sk = free.state_at(tt)
+            sf, sk = full.state_at(tt), free.state_at(tt)
             gap = RealField(sf.grid, sf.phi.values - sk.phi.values,
                             role="phase-gap")
             errors[tt] = {s: sobolev_norm(gap, s) for s in orders}
@@ -683,8 +282,7 @@ def _run_skew_free(config: ExperimentConfig, plan: Plan) -> ExperimentResult:
     eps_used = [r["eps"] for r in rows]
     t_ref = times[-1]
 
-    fits = {}
-    verdicts = []
+    verdicts, fits = [], {}
     for s in orders:
         _slope_verdict(fits, verdicts, f"eps_slope_H{s}", eps_used,
                        [r["errors"][t_ref][s] for r in rows], 1.0, (0.8, 1.2))
@@ -697,10 +295,10 @@ def _run_skew_free(config: ExperimentConfig, plan: Plan) -> ExperimentResult:
                 for r in rows for tt in times for s in orders]
     body = {"times": times, "dt": dt, "per_eps": rows, "fits": fits,
             "under_resolved": []}
-    return _finish(config, body, verdicts, csv_rows)
+    return body, verdicts, csv_rows, ()
 
 
-def _run_profile(config: ExperimentConfig, plan: Plan) -> ExperimentResult:
+def _run_profile(config: ExperimentConfig, plan: Plan) -> tuple:
     """Critical (kappa=1) and sub-critical (kappa=2) profile comparisons in
     the combined L2/Linf metric."""
     t = plan.rows[0].times[-1]
@@ -714,7 +312,7 @@ def _run_profile(config: ExperimentConfig, plan: Plan) -> ExperimentResult:
         problems[0], problems[0].a0.grid, t, dt=ray_dt,
         store_every=march_steps(t, ray_dt)), t)
     critical = profile.regime == "critical"
-    solutions = nls.solve_nls_sweep(problems, t, plan.dts)
+    solutions = nls.solve_nls_sweep(problems, t, [row.dt for row in plan.rows])
 
     def measure(eps, sol):
         approx = profile.assemble(eps, include_modulation=critical)
@@ -752,14 +350,14 @@ def _run_profile(config: ExperimentConfig, plan: Plan) -> ExperimentResult:
                      for r in resolved]
     body = {"t": t, "per_eps": rows, "reference_norm": ref_norm,
             "fits": {}, "under_resolved": flagged}
-    return _finish(config, body, verdicts + resolution, csv_rows)
+    return body, verdicts + resolution, csv_rows, ()
 
 
 # ---------------------------------------------------------------------------
 # instability, norm growth and ODE window drivers
 
 
-def _run_instability(config: ExperimentConfig, plan: Plan) -> ExperimentResult:
+def _run_instability(config: ExperimentConfig, plan: Plan) -> tuple:
     c = config.instability.time_factor
     orders = config.norms.sobolev_orders
 
@@ -854,17 +452,17 @@ def _run_instability(config: ExperimentConfig, plan: Plan) -> ExperimentResult:
                                      ("blowup_ratio", "ratios"))]
     body = {"per_eps": rows, "fits": fits,
             "window_flagged": [r["eps"] for r in rows if r["window_flagged"]]}
-    return _finish(config, body, verdicts, csv_rows)
+    return body, verdicts, csv_rows, ()
 
 
-def _run_normgrowth(config: ExperimentConfig, plan: Plan) -> ExperimentResult:
+def _run_normgrowth(config: ExperimentConfig, plan: Plan) -> tuple:
     t = plan.rows[0].times[-1]
     m_orders = config.norms.m_orders
     problems = [config.problem(eps) for eps in config.eps]
     initial_norms = {m: sobolev_norm(problems[0].a0, m, homogeneous=True)
                      for m in m_orders}
 
-    solutions = nls.solve_nls_sweep(problems, t, plan.dts)
+    solutions = nls.solve_nls_sweep(problems, t, [row.dt for row in plan.rows])
     _raise_failed(solutions)
     rows = []
     for eps, sol in zip(config.eps, solutions):
@@ -877,8 +475,7 @@ def _run_normgrowth(config: ExperimentConfig, plan: Plan) -> ExperimentResult:
     spreads = {}
     for m in m_orders:
         vals = [r["compensated"][m] for r in rows]
-        spread = max(vals) / min(vals)
-        spreads[m] = spread
+        spreads[m] = spread = max(vals) / min(vals)
         verdicts.append(_verdict(
             f"compensated_spread_m{m}", spread <= 4.0,
             f"eps^{m}*Hdot^{m} ratios {vals}, max/min {spread:.3f} <= 4"))
@@ -889,18 +486,17 @@ def _run_normgrowth(config: ExperimentConfig, plan: Plan) -> ExperimentResult:
         "mass_eps_independent", mass_spread <= 1e-10 * max(masses),
         f"L2 at probe time across eps: spread {mass_spread:.3e}"))
 
-    expo = config.growth.exponents
-    exponents = flow_exponents(expo.n, expo.s, expo.k)
+    exponents = flow_exponents(**asdict(config.growth.exponents))
     csv_rows = [(r["eps"], "", "mass", r["mass"]) for r in rows]
     csv_rows += [(r["eps"], m, metric, r[key][m]) for r in rows for m in m_orders
                  for metric, key in (("Hdot_norm", "norms"),
                                      ("compensated", "compensated"))]
     body = {"t": t, "per_eps": rows, "initial_norms": initial_norms,
             "spreads": spreads, "exponents": exponents}
-    return _finish(config, body, verdicts, csv_rows)
+    return body, verdicts, csv_rows, ()
 
 
-def _run_odewindow(config: ExperimentConfig, plan: Plan) -> ExperimentResult:
+def _run_odewindow(config: ExperimentConfig, plan: Plan) -> tuple:
     powers = list(plan.schedule)
     a0 = config.problem(config.eps[0]).a0
     ref_norm = lp_norm(a0, 2)
@@ -933,14 +529,14 @@ def _run_odewindow(config: ExperimentConfig, plan: Plan) -> ExperimentResult:
     csv_rows = [(r["eps"], "", f"ode_error_p{p:g}", err)
                 for r in rows for p, err in zip(powers, r["errors"])]
     body = {"powers": powers, "per_eps": rows}
-    return _finish(config, body, verdicts, csv_rows)
+    return body, verdicts, csv_rows, ()
 
 
 # ---------------------------------------------------------------------------
 # single-run drivers: one eps, one solver
 
 
-def _run_rays(config: ExperimentConfig, plan: Plan) -> ExperimentResult:
+def _run_rays(config: ExperimentConfig, plan: Plan) -> tuple:
     [row] = plan.rows
     eps, t = row.eps, row.times[-1]
     problem = config.problem(eps)
@@ -959,10 +555,10 @@ def _run_rays(config: ExperimentConfig, plan: Plan) -> ExperimentResult:
             "jacobian_consistency": consistency}
     rows = [(eps, "", "hj_residual", residual),
             (eps, "", "jacobian_consistency", consistency)]
-    return _finish(config, body, verdicts, rows)
+    return body, verdicts, rows, ()
 
 
-def _run_wkb(config: ExperimentConfig, plan: Plan) -> ExperimentResult:
+def _run_wkb(config: ExperimentConfig, plan: Plan) -> tuple:
     [row] = plan.rows
     eps, t = row.eps, row.times[-1]
     problem = config.problem(eps)
@@ -976,10 +572,10 @@ def _run_wkb(config: ExperimentConfig, plan: Plan) -> ExperimentResult:
             "regime": profile.regime, "horizon": profile.horizon,
             "mass_drift": sol.mass_drift()}
     dumps = [("wkb_approximant", approx, t), ("reference_state", sol.final(), t)]
-    return _finish(config, body, [], [(eps, "", "profile_L2Linf", err)], dumps)
+    return body, [], [(eps, "", "profile_L2Linf", err)], dumps
 
 
-def _run_grenier(config: ExperimentConfig, plan: Plan) -> ExperimentResult:
+def _run_grenier(config: ExperimentConfig, plan: Plan) -> tuple:
     [row] = plan.rows
     eps, t = row.eps, row.times[-1]
     traj = phase_amplitude.solve_phase_amplitude(
@@ -995,10 +591,10 @@ def _run_grenier(config: ExperimentConfig, plan: Plan) -> ExperimentResult:
         body["euler_residual"] = phase_amplitude.euler_residual(traj)
     st = traj.final()
     dumps = [("amplitude", st.a, st.time), ("phase", st.phi, st.time)]
-    return _finish(config, body, verdicts, [(eps, "", "mass_drift", drift)], dumps)
+    return body, verdicts, [(eps, "", "mass_drift", drift)], dumps
 
 
-def _run_nls(config: ExperimentConfig, plan: Plan) -> ExperimentResult:
+def _run_nls(config: ExperimentConfig, plan: Plan) -> tuple:
     [row] = plan.rows
     eps, t = row.eps, row.times[-1]
     sol = nls.solve_nls(config.problem(eps), t, dt=row.dt)
@@ -1012,12 +608,12 @@ def _run_nls(config: ExperimentConfig, plan: Plan) -> ExperimentResult:
             "energy_drift": sol.energy_drift(), "dt": sol.dt}
     rows = [(eps, "", "mass_drift", sol.mass_drift()),
             (eps, "", "energy_drift", sol.energy_drift())]
-    return _finish(config, body, verdicts, rows, [("reference_state", sol.final(), t)])
+    return body, verdicts, rows, [("reference_state", sol.final(), t)]
 
 
 # ---------------------------------------------------------------------------
 # the drivers, one record per value of ExperimentConfig.driver; their order
-# is that of SINGLE_SOLVERS, CONVERGE_TARGETS and the CLI subcommands
+# is that of the solvers and targets in NAMED and of the CLI subcommands
 
 DRIVERS = {
     "rays": Driver("single", _run_rays, None, march_dt=1e-3, rays="march"),
@@ -1040,8 +636,7 @@ DRIVERS = {
                         keys=("norms.sobolev_orders",)),
     "instability": Driver(
         "instability", _run_instability, (0.0,), times="instability",
-        keys=("data.b0", "norms.sobolev_orders",
-              *(f"instability.{f.name}" for f in fields(InstabilityConfig))),
+        keys=("data.b0", "norms.sobolev_orders", "instability"),
         flat=True, checks=(_check_instability,)),
     "normgrowth": Driver(
         "normgrowth", _run_normgrowth, (0.0,),
@@ -1056,27 +651,16 @@ KINDS = tuple(sorted({d.kind for d in DRIVERS.values()}))
 # kind -> the key that selects its driver; a kind of one driver has none
 SELECTORS = {"single": "solver", "converge": "target"}
 # selector key -> the drivers it names, in table order
-_NAMED = {key: tuple(name for name, d in DRIVERS.items() if d.kind == kind)
-          for kind, key in SELECTORS.items()}
-CONVERGE_TARGETS, SINGLE_SOLVERS = _NAMED["target"], _NAMED["solver"]
+NAMED = {key: tuple(name for name, d in DRIVERS.items() if d.kind == kind)
+         for kind, key in SELECTORS.items()}
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Plan `config`, a config from `config_from_dict`, and run its driver."""
-    return DRIVERS[config.driver].run(config, Plan.build(config))
-
-
-def plan_json(config: ExperimentConfig, plan: Plan) -> dict:
-    """`plan`, the plan of `config`, as --dry-run prints it."""
-    # output times are printed where they are powers of eps
-    show_times = DRIVERS[config.driver].times == "eps_powers"
-    entries = [{k: v for k, v in asdict(row).items()
-                if v is not None and (show_times or k != "times")}
-               for row in plan.rows]
-    return {"kind": config.kind, "target": config.target,
-            "solver": config.solver, "config": asdict(config), "plan": entries}
-
-
-def dry_run_plan(config: ExperimentConfig) -> dict:
-    """plan_json of the plan of `config`: every pre-solve check, no solve."""
-    return plan_json(config, Plan.build(config))
+def run_experiment(config: ExperimentConfig, plan: Plan) -> ExperimentResult:
+    """Run the driver of `config`, a config from `config_from_dict`, on
+    `plan`, which `Plan.build` made of it; the field dumps are kept under
+    output.dump_fields."""
+    body, verdicts, rows, dumps = DRIVERS[config.driver].run(config, plan)
+    report = {"kind": config.kind, "config": asdict(config), "verdicts": verdicts,
+              "passed": all(v["passed"] for v in verdicts), **body}
+    dumps = list(dumps) if config.output.dump_fields else []
+    return ExperimentResult(report=report, csv_rows=rows, field_dumps=dumps)

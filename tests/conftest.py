@@ -6,10 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nlswkb.experiments import config_from_dict, run_experiment
+from nlswkb.config import config_from_dict
+from nlswkb.experiments import run_experiment
 from nlswkb.fitting import fit_power_law
 from nlswkb.grids import PeriodicGrid
 from nlswkb.nls import solve_nls_sweep
+from nlswkb.plan import Plan
 from nlswkb.problem import SemiclassicalProblem, gaussian_field
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -69,7 +71,8 @@ def shipped_result():
     def get(name):
         if name not in results:
             with open(CONFIG_DIR / name, encoding="utf-8") as fh:
-                results[name] = run_experiment(config_from_dict(json.load(fh)))
+                config = config_from_dict(json.load(fh))
+            results[name] = run_experiment(config, Plan.build(config))
         return results[name]
     return get
 

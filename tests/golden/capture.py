@@ -91,9 +91,12 @@ def report_and_csv(result) -> tuple[dict, str]:
 
 
 def run_config(name: str):
-    from nlswkb.experiments import config_from_dict, run_experiment
+    from nlswkb.config import config_from_dict
+    from nlswkb.experiments import run_experiment
+    from nlswkb.plan import Plan
 
-    return run_experiment(config_from_dict(load_raw(name)))
+    config = config_from_dict(load_raw(name))
+    return run_experiment(config, Plan.build(config))
 
 
 def record(name: str) -> dict:

@@ -17,16 +17,21 @@ from nlswkb import nls, phase_amplitude, rays, wkb
 from nlswkb.cli import main
 from nlswkb.errors import (ConfigError, DivergenceError, FieldError,
                            GridError, ResolutionError)
-from nlswkb.experiments import (DRIVERS, ExperimentConfig, Plan, apply_overrides,
-                                config_from_dict, dry_run_plan, flow_exponents,
-                                run_experiment)
+from nlswkb.config import ExperimentConfig, apply_overrides, config_from_dict
+from nlswkb.experiments import DRIVERS, flow_exponents, run_experiment
 from nlswkb.fields import ComplexField
 from nlswkb.fitting import fit_power_law
+from nlswkb.plan import Plan, plan_json
 from nlswkb.problem import march_steps
 from nlswkb.reporting import (errors_csv_bytes, load_field_dump,
                               write_artifacts)
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+
+def run_config(cfg):
+    """The result of `cfg` run on its plan, as the CLI runs it."""
+    return run_experiment(cfg, Plan.build(cfg))
 
 
 def cheap_nls_raw(**extra):
@@ -365,7 +370,7 @@ def test_every_config_check_fires(raw, overrides, message):
     if isinstance(raw, str):
         raw = _shipped_raw(raw, overrides)
     with pytest.raises(ConfigError, match=re.escape(message)):
-        dry_run_plan(config_from_dict(raw))
+        Plan.build(config_from_dict(raw))
 
 
 class TestOverrides:
@@ -425,7 +430,7 @@ def _shipped_raw(name, overrides=()):
 ])
 def test_drivers_that_read_a1_accept_it(name, overrides):
     raw = _shipped_raw(name, overrides + ('data.a1={"amplitude": 0.5}',))
-    dry_run_plan(config_from_dict(raw))
+    Plan.build(config_from_dict(raw))
 
 
 class TestDryRunPlan:
@@ -437,7 +442,7 @@ class TestDryRunPlan:
     def test_planned_dt_is_the_dt_the_driver_runs(self, name, overrides,
                                                    monkeypatch):
         cfg = config_from_dict(_shipped_raw(name, overrides))
-        planned = {e["eps"]: e["dt"] for e in dry_run_plan(cfg)["plan"]}
+        planned = {row.eps: row.dt for row in Plan.build(cfg).rows}
         module, fn, pos = _solver_entry(cfg)
 
         def stop(problem, *args, **kwargs):
@@ -448,7 +453,7 @@ class TestDryRunPlan:
 
         monkeypatch.setattr(module, fn, stop)
         with pytest.raises(_SolverReached) as caught:
-            run_experiment(cfg)
+            run_config(cfg)
         assert caught.value.pairs
         for eps, dt in caught.value.pairs:
             assert dt == planned[eps]
@@ -460,20 +465,20 @@ class TestDryRunPlan:
         cfg = config_from_dict(_shipped_raw(name))
         ruled = config_from_dict(_shipped_raw(name, ("time.dt=null",)))
         assert cfg.time.dt == DRIVERS[cfg.driver].march_dt
-        assert dry_run_plan(ruled)["plan"] == dry_run_plan(cfg)["plan"]
+        assert Plan.build(ruled) == Plan.build(cfg)
 
     RAY_CONFIGS = ("critical.json", "rays.json", "subcritical.json", "wkb.json")
 
     def test_ray_dt_is_planned_for_the_configs_that_integrate_rays(self):
         planned = {p.name for p in sorted(CONFIG_DIR.glob("*.json"))
-                   if all("ray_dt" in e for e in dry_run_plan(
-                       config_from_dict(_shipped_raw(p.name)))["plan"])}
+                   if all(row.ray_dt is not None for row in Plan.build(
+                       config_from_dict(_shipped_raw(p.name))).rows)}
         assert planned == set(self.RAY_CONFIGS)
 
     @pytest.mark.parametrize("name", RAY_CONFIGS)
     def test_planned_ray_dt_is_the_dt_the_rays_run(self, name, monkeypatch):
         cfg = config_from_dict(_shipped_raw(name))
-        planned = {e["eps"]: e["ray_dt"] for e in dry_run_plan(cfg)["plan"]}
+        planned = {row.eps: row.ray_dt for row in Plan.build(cfg).rows}
 
         strides = []
 
@@ -483,7 +488,7 @@ class TestDryRunPlan:
 
         monkeypatch.setattr(rays, "integrate_flow", stop)
         with pytest.raises(_SolverReached) as caught:
-            run_experiment(cfg)
+            run_config(cfg)
         [(eps, dt)] = caught.value.pairs
         assert dt == planned[eps]
         # the rays driver checks every step; a WKB profile reads the final
@@ -497,7 +502,7 @@ class TestDryRunPlan:
         def errors(schedule):
             raw = _shipped_raw("skewfree.json",
                                ("eps=[0.1]", f"time.schedule={schedule}"))
-            return run_experiment(config_from_dict(raw)).report["per_eps"][0]["errors"]
+            return run_config(config_from_dict(raw)).report["per_eps"][0]["errors"]
 
         three = errors("[0.05, 0.075, 0.1]")
         assert list(three) == [0.05, 0.075, 0.1]
@@ -506,18 +511,19 @@ class TestDryRunPlan:
 
     def test_skew_free_steps_run_to_the_last_schedule_time(self):
         raw = _shipped_raw("skewfree.json", ("time.schedule=[0.05, 0.1]",))
-        entry = dry_run_plan(config_from_dict(raw))["plan"][0]
-        assert entry["steps"] == round(0.1 / entry["dt"])
+        row = Plan.build(config_from_dict(raw)).rows[0]
+        assert row.steps == round(0.1 / row.dt)
 
     def test_planned_march_dt_is_the_dt_reported(self):
         # 0.2 / 0.0035 is 57.1: the march takes 57 steps of 0.2 / 57, and
         # the plan prints that step, not the dt asked for
         cfg = config_from_dict(_shipped_raw("grenier.json", ("time.dt=0.0035",)))
-        [entry] = dry_run_plan(cfg)["plan"]
-        assert entry["dt"] == run_experiment(cfg).report["dt"] == 0.2 / 57
+        [row] = Plan.build(cfg).rows
+        assert row.dt == run_config(cfg).report["dt"] == 0.2 / 57
 
     def test_single_plan_counts_steps(self):
-        plan = dry_run_plan(config_from_dict(cheap_nls_raw()))
+        cfg = config_from_dict(cheap_nls_raw())
+        plan = plan_json(cfg, Plan.build(cfg))
         assert plan["kind"] == "single"
         entry = plan["plan"][0]
         assert entry["eps"] == 0.05
@@ -541,9 +547,9 @@ class TestDryRunPlan:
     def test_instability_plan_reports_scales(self):
         raw = {"kind": "instability", "eps": [0.01], "kappa": 0.0,
                "data": {"b0": {"shape": "gaussian"}}}
-        entry = dry_run_plan(config_from_dict(raw))["plan"][0]
-        assert entry["delta"] == pytest.approx(0.1)
-        assert entry["t_eps"] == pytest.approx(2.0 * 0.01 / 0.1)
+        row = Plan.build(config_from_dict(raw)).rows[0]
+        assert row.delta == pytest.approx(0.1)
+        assert row.t_eps == pytest.approx(2.0 * 0.01 / 0.1)
 
 
 def _executed_nls_steps(sol):
@@ -557,7 +563,7 @@ def _executed_nls_steps(sol):
 class TestInstabilityDoubling:
     def _run(self, *overrides):
         raw = _shipped_raw("instability.json", ("eps=[0.1]",) + overrides)
-        return run_experiment(config_from_dict(raw))
+        return run_config(config_from_dict(raw))
 
     def test_doubled_run_equals_a_run_started_on_the_final_grid(self):
         doubled = self._run("grid.size=256").report["per_eps"]
@@ -570,20 +576,20 @@ class TestInstabilityDoubling:
             self._run("grid.size=128")
         cfg = config_from_dict(_shipped_raw("instability.json",
                                             ("eps=[0.1]", "grid.size=128")))
-        entry = dry_run_plan(cfg)["plan"][0]
-        assert entry["grid_ladder"] == (128, 256, 512)
+        row = Plan.build(cfg).rows[0]
+        assert row.grid_ladder == (128, 256, 512)
         # on the last rung the base row runs through and the perturbed row
         # fails; its own solve raises the same error
         base = cfg.problem(0.1, 512)
         b0 = cfg.data.b0.build(base.grid, role="perturbation")
         perturbed = replace(base, a0=ComplexField(
-            base.grid, base.a0.values + entry["delta"] * b0.values,
+            base.grid, base.a0.values + row.delta * b0.values,
             role="perturbed-amplitude"))
-        t_eps = entry["t_eps"]
+        t_eps = row.t_eps
         outputs = [t_eps * (j + 1) / 8 for j in range(8)]
-        nls.solve_nls(base, t_eps, dt=entry["dt"], output_times=outputs)
+        nls.solve_nls(base, t_eps, dt=row.dt, output_times=outputs)
         with pytest.raises(ResolutionError) as single:
-            nls.solve_nls(perturbed, t_eps, dt=entry["dt"], output_times=outputs)
+            nls.solve_nls(perturbed, t_eps, dt=row.dt, output_times=outputs)
         assert (caught.value.eps, caught.value.time) == (0.1, single.value.time)
         assert str(caught.value) == (
             f"instability run still under-resolved at N=512: {single.value}")
@@ -591,10 +597,10 @@ class TestInstabilityDoubling:
     def test_the_doubled_grid_is_a_rung_of_the_planned_ladder(self):
         cfg = config_from_dict(_shipped_raw("instability.json",
                                             ("eps=[0.1]", "grid.size=256")))
-        [entry] = dry_run_plan(cfg)["plan"]
-        assert entry["grid_ladder"] == (256, 512, 1024)
-        [row] = run_experiment(cfg).report["per_eps"]
-        assert row["grid_size_used"] in entry["grid_ladder"]
+        [planned] = Plan.build(cfg).rows
+        assert planned.grid_ladder == (256, 512, 1024)
+        [row] = run_config(cfg).report["per_eps"]
+        assert row["grid_size_used"] in planned.grid_ladder
 
 
 class TestPlannedSteps:
@@ -609,7 +615,7 @@ class TestPlannedSteps:
     def test_planned_steps_are_the_steps_run(self, name, overrides,
                                              monkeypatch):
         cfg = config_from_dict(_shipped_raw(name, overrides))
-        planned = {e["eps"]: e["steps"] for e in dry_run_plan(cfg)["plan"]}
+        planned = {row.eps: row.steps for row in Plan.build(cfg).rows}
         executed = []
         solve = nls.solve_nls_sweep
 
@@ -622,7 +628,7 @@ class TestPlannedSteps:
             return outcomes
 
         monkeypatch.setattr(nls, "solve_nls_sweep", recording)
-        run_experiment(cfg)
+        run_config(cfg)
         assert {eps for eps, _ in executed} == set(planned)
         assert all(steps == planned[eps] for eps, steps in executed), (
             executed, planned)
@@ -638,7 +644,7 @@ class TestPlannedSteps:
     def test_planned_steps_are_the_steps_the_march_ran(self, name, overrides,
                                                       monkeypatch):
         cfg = config_from_dict(_shipped_raw(name, overrides + ("time.dt=0.0035",)))
-        [planned] = {e["steps"] for e in dry_run_plan(cfg)["plan"]}
+        [planned] = {row.steps for row in Plan.build(cfg).rows}
         executed = []
         sweep, flow = phase_amplitude.solve_phase_amplitude_sweep, rays.integrate_flow
         corrector = phase_amplitude.solve_corrector
@@ -664,7 +670,7 @@ class TestPlannedSteps:
                             recording_sweep)
         monkeypatch.setattr(phase_amplitude, "solve_corrector", recording_corrector)
         monkeypatch.setattr(rays, "integrate_flow", recording_flow)
-        run_experiment(cfg)
+        run_config(cfg)
         assert planned == 57
         assert executed and {steps for _, steps in executed} == {planned}
         marches = {march for march, _ in executed}
@@ -702,7 +708,7 @@ class TestSweepOutcomes:
                     for p, out in zip(problems, outcomes)]
 
         monkeypatch.setattr(module, fn, failing)
-        return run_experiment(config_from_dict(_shipped_raw(name, overrides)))
+        return run_config(config_from_dict(_shipped_raw(name, overrides)))
 
     @pytest.mark.parametrize("driver", list(DRIVERS))
     def test_a_failed_solve_is_raised(self, driver, monkeypatch):
@@ -748,7 +754,7 @@ class TestOneProfilePerSweep:
                            (rays, "invert_flow"), (wkb, "invert_flow")):
             count(module, fn)
         raw = _shipped_raw(name, ("eps=[0.1, 0.05, 0.025]",))
-        rows = run_experiment(config_from_dict(raw)).report["per_eps"]
+        rows = run_config(config_from_dict(raw)).report["per_eps"]
         assert [r["resolved"] for r in rows] == [True] * 3
         assert sorted(calls) == ["build_approximant", "integrate_flow", "invert_flow"]
 
@@ -756,7 +762,7 @@ class TestOneProfilePerSweep:
 class TestArtifacts:
     def test_reports_are_byte_deterministic(self, tmp_path):
         cfg = config_from_dict(cheap_nls_raw())
-        paths = [write_artifacts(run_experiment(cfg), str(tmp_path / d),
+        paths = [write_artifacts(run_config(cfg), str(tmp_path / d),
                                  stamp=False) for d in ("a", "b")]
         for name in ("report.json", "errors.csv"):
             with open(paths[0][name], "rb") as fh:
@@ -767,7 +773,7 @@ class TestArtifacts:
 
     def test_stamped_report_carries_timestamp(self, tmp_path):
         cfg = config_from_dict(cheap_nls_raw())
-        paths = write_artifacts(run_experiment(cfg), str(tmp_path / "out"))
+        paths = write_artifacts(run_config(cfg), str(tmp_path / "out"))
         with open(paths["report.json"], encoding="utf-8") as fh:
             report = json.load(fh)
         assert report["meta"]["format"] == "nlswkb-report-v1"
@@ -786,7 +792,7 @@ class TestArtifacts:
 
     def test_field_dump_round_trip(self, tmp_path):
         cfg = config_from_dict(cheap_nls_raw(output={"dump_fields": True}))
-        result = run_experiment(cfg)
+        result = run_config(cfg)
         assert [d[0] for d in result.field_dumps] == ["reference_state"]
         paths = write_artifacts(result, str(tmp_path / "out"))
         base = paths["reference_state.bin"][:-len(".bin")]
@@ -797,7 +803,7 @@ class TestArtifacts:
 
     def test_truncated_field_dump_is_refused(self, tmp_path):
         cfg = config_from_dict(cheap_nls_raw(output={"dump_fields": True}))
-        paths = write_artifacts(run_experiment(cfg), str(tmp_path / "out"))
+        paths = write_artifacts(run_config(cfg), str(tmp_path / "out"))
         dump = Path(paths["reference_state.bin"])
         dump.write_bytes(dump.read_bytes()[:-16])
         with pytest.raises(FieldError, match="has 510 scalars, expected 512"):
@@ -807,7 +813,7 @@ class TestArtifacts:
         # a grid is one length and one size: the loader, where a grid comes
         # from outside the program, refuses a sidecar of another dimension
         cfg = config_from_dict(cheap_nls_raw(output={"dump_fields": True}))
-        paths = write_artifacts(run_experiment(cfg), str(tmp_path / "out"))
+        paths = write_artifacts(run_config(cfg), str(tmp_path / "out"))
         sidecar = Path(paths["reference_state.json"])
         meta = json.loads(sidecar.read_text())
         meta["grid"]["lengths"] = [32.0, 32.0]
