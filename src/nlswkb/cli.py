@@ -63,6 +63,17 @@ def _resolve_config(args) -> ExperimentConfig:
     return config_from_dict(raw)
 
 
+def _failure(exc: NlswkbError) -> str:
+    """The error line of a failed run.  Solver and ray failures carry the
+    simulation time they stopped at, solver failures also the eps of the
+    solve (one ray profile serves every eps)."""
+    when = getattr(exc, "time", None)
+    eps = getattr(exc, "eps", None)
+    at = f" at t={when:g}" if when is not None else ""
+    which = f" eps={eps:g}:" if eps is not None else ""
+    return f"error: {type(exc).__name__}{at}:{which} {exc}"
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -74,7 +85,9 @@ def main(argv=None) -> int:
         out_dir = args.output or config.output.dir or f"runs/{args.command}"
         check_output_dir(out_dir)
     except NlswkbError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a failure of the run that the plan foresees reads as the run's
+        print(_failure(exc) if hasattr(exc, "time") else f"error: {exc}",
+              file=sys.stderr)
         print(f"usage: see `nlswkb {args.command} --help` and the config "
               "schema in README.md", file=sys.stderr)
         return 2
@@ -86,14 +99,7 @@ def main(argv=None) -> int:
     try:
         result = run_experiment(config, plan)
     except NlswkbError as exc:
-        # solver and ray failures carry the simulation time they stopped
-        # at, solver failures also the eps of the solve (one ray profile
-        # serves every eps)
-        when = getattr(exc, "time", None)
-        eps = getattr(exc, "eps", None)
-        at = f" at t={when:g}" if when is not None else ""
-        which = f" eps={eps:g}:" if eps is not None else ""
-        print(f"error: {type(exc).__name__}{at}:{which} {exc}", file=sys.stderr)
+        print(_failure(exc), file=sys.stderr)
         return 2
 
     paths = write_artifacts(result, out_dir)

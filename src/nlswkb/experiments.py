@@ -116,6 +116,12 @@ def _verdict(name: str, passed: bool, detail: str) -> dict:
     return {"name": name, "passed": bool(passed), "detail": detail}
 
 
+def _data_verdict(name: str, data: list, passed: bool, detail: str) -> dict:
+    """The verdict `name` on `data`; with no data it fails, with detail
+    "no data", whatever `passed` says of the empty list."""
+    return _verdict(name, passed, detail) if data else _verdict(name, False, "no data")
+
+
 def flow_exponents(n: int, s: float, k: float) -> dict:
     """Growth exponent of compensated Sobolev norms under the oscillatory
     rescaling: e(n, s, k) = s - k - k(n/2 - 1 - s), computed in the factored
@@ -332,8 +338,8 @@ def _run_profile(config: ExperimentConfig, plan: Plan) -> tuple:
 
     verdicts = []
     monotone = all(b < a for a, b in zip(errors, errors[1:]))
-    verdicts.append(_verdict("error_decreases", monotone,
-                             f"errors across eps grid: {errors}"))
+    verdicts.append(_data_verdict("error_decreases", errors, monotone,
+                                  f"errors across eps grid: {errors}"))
     threshold = 0.05 * ref_norm
     small = bool(errors and errors[-1] < threshold)
     verdicts.append(_verdict(
@@ -341,8 +347,8 @@ def _run_profile(config: ExperimentConfig, plan: Plan) -> tuple:
         f"error {errors[-1] if errors else None} vs 0.05*|a0| = {threshold}"))
     if not critical:
         budget_ok = all(r["modulation_size"] <= r["error"] for r in resolved)
-        verdicts.append(_verdict(
-            "modulation_below_error", budget_ok,
+        verdicts.append(_data_verdict(
+            "modulation_below_error", resolved, budget_ok,
             "slow-phase correction stays below the measured error"))
     csv_rows = [(r["eps"], "", "profile_L2Linf", r["error"]) for r in resolved]
     if not critical:
@@ -440,8 +446,8 @@ def _run_instability(config: ExperimentConfig, plan: Plan) -> tuple:
     small = [r for r in rows if r["delta"] <= 0.15]
     agreements = [r["prediction_agreement"] for r in small]
     agree_ok = all(a <= 0.2 for a in agreements)
-    verdicts.append(_verdict(
-        "prediction_agreement", agree_ok,
+    verdicts.append(_data_verdict(
+        "prediction_agreement", agreements, agree_ok,
         f"relative gap to the analytic profile at t*delta/eps=O(1), "
         f"runs with delta <= 0.15: {agreements}"))
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, fields, is_dataclass
 from functools import reduce
 
-from . import nls
+from . import nls, rays
 from .config import DEFAULTS, ExperimentConfig
 from .errors import ConfigError
 from .experiments import DRIVERS, SELECTORS
@@ -53,7 +53,8 @@ class Plan:
     @classmethod
     def build(cls, config: ExperimentConfig) -> Plan:
         """Plan `config`, a config from `config_from_dict`; raises ConfigError
-        for a key the driver does not read or a schedule it cannot run."""
+        for a key the driver does not read or a schedule it cannot run, and
+        StencilError for a ray march too short for its residual."""
         driver, time = config.driver, config.time
         spec = DRIVERS[driver]
         # a key that only some drivers read must keep its default when this
@@ -113,6 +114,9 @@ class Plan:
                 steps = march_steps(times[-1], dt)
                 dt = times[-1] / steps
             ray_dt = {"march": dt, "wkb": times[-1] / 64}.get(spec.rays)
+            if spec.rays == "march":
+                # the residual of rays that are the march reads its every node
+                rays.check_residual_nodes(steps + 1, times[-1])
             rows.append(EpsPlan(eps=eps, dt=dt, grid_size=config.grid.size,
                                 times=times, steps=steps, ray_dt=ray_dt,
                                 **scales))

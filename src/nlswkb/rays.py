@@ -45,6 +45,8 @@ from .problem import (RowCheck, SemiclassicalProblem, StoreSchedule, march_steps
 CAUSTIC_THRESHOLD = 0.1
 # the Hamilton-Jacobi residual is checked while min_y J stays above this
 RESIDUAL_MIN_JACOBIAN = 0.3
+# the stored nodes its fourth-order d_t stencil spans
+RESIDUAL_STENCIL_NODES = 5
 _CHECK = RowCheck("ray integration produced non-finite values")
 
 
@@ -364,16 +366,26 @@ def jacobian_consistency(bundle: RayBundle, t: float) -> float:
     return float(np.abs(jac_fd - bundle.jac[it]).max() / max(ref, 1e-30))
 
 
+def check_residual_nodes(nodes: int, time: float) -> None:
+    """Raise StencilError at `time` when `nodes`, the stored nodes below
+    the Jacobian floor, are fewer than the residual's time stencil spans."""
+    if nodes < RESIDUAL_STENCIL_NODES:
+        raise StencilError(
+            f"not enough stored nodes below the Jacobian floor: {nodes}, "
+            f"the time stencil needs {RESIDUAL_STENCIL_NODES}", time=time)
+
+
 def hamilton_jacobi_residual(bundle: RayBundle, x_grid: PeriodicGrid,
                              gradient: str = "momentum") -> float:
     """Sup-norm residual of d_t phi + |grad phi|^2/2 + V over checkable nodes.
 
     d_t uses a fourth-order centered stencil over stored nodes one step
     apart, so the bundle must store every step (ValueError otherwise) and
-    5 nodes before the min-Jacobian falls to RESIDUAL_MIN_JACOBIAN
-    (StencilError otherwise).  The check runs on interior nodes whose
-    min-Jacobian stays above it; closer to the caustic the time derivatives of
-    the phase blow up and finite differencing is no longer meaningful.
+    RESIDUAL_STENCIL_NODES nodes before the min-Jacobian falls to
+    RESIDUAL_MIN_JACOBIAN (StencilError otherwise).  The check runs on
+    interior nodes whose min-Jacobian stays above it; closer to the caustic
+    the time derivatives of the phase blow up and finite differencing is no
+    longer meaningful.
     `gradient` selects the transported momentum (valid for any fixture) or
     the spectral gradient of the phase field (valid when the phase is
     box-periodic).
@@ -389,10 +401,7 @@ def hamilton_jacobi_residual(bundle: RayBundle, x_grid: PeriodicGrid,
     tmax = horizon if horizon is not None else np.inf
     usable = np.nonzero(bundle.times < tmax)[0]
     last = usable[-1]
-    if len(usable) < 5:
-        raise StencilError("not enough stored nodes below the Jacobian floor: "
-                           f"{len(usable)}, the time stencil needs 5",
-                           time=float(bundle.times[last]))
+    check_residual_nodes(len(usable), float(bundle.times[last]))
 
     h = bundle.dt
 

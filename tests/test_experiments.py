@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlswkb import nls, phase_amplitude, rays, wkb
+from nlswkb import cli, nls, phase_amplitude, rays, wkb
 from nlswkb.cli import main
 from nlswkb.errors import (ConfigError, DivergenceError, FieldError,
                            GridError, ResolutionError)
@@ -594,6 +594,13 @@ class TestInstabilityDoubling:
         assert str(caught.value) == (
             f"instability run still under-resolved at N=512: {single.value}")
 
+    def test_prediction_agreement_without_a_small_delta_fails(self):
+        # delta = 0.1^0.5 is above the 0.15 the analytic profile needs
+        [verdict] = [v for v in self._run("grid.size=1024").report["verdicts"]
+                     if v["name"] == "prediction_agreement"]
+        assert verdict == {"name": "prediction_agreement", "passed": False,
+                           "detail": "no data"}
+
     def test_the_doubled_grid_is_a_rung_of_the_planned_ladder(self):
         cfg = config_from_dict(_shipped_raw("instability.json",
                                             ("eps=[0.1]", "grid.size=256")))
@@ -1053,10 +1060,16 @@ class TestCli:
          "time.dt must be a finite number, got inf"),
         ("nls", "nls.json", "time.final=NaN",
          "time.final must be a finite number, got nan"),
+        # three steps of 1e-3 store four ray nodes, one short of the
+        # residual's time stencil: the plan fails as the run did
+        ("rays", "rays.json", "time.final=0.003",
+         "StencilError at t=0.003: not enough stored nodes below the Jacobian "
+         "floor: 4, the time stencil needs 5"),
     ], ids=["skewfree-decreasing", "skewfree-indivisible",
             "odewindow-increasing-powers", "grenier-variant", "time-rule",
             "time-factor", "growth-resolution-const",
-            "growth-max-resolution-doublings", "dt-infinite", "final-nan"])
+            "growth-max-resolution-doublings", "dt-infinite", "final-nan",
+            "short-ray-march"])
     def test_dry_run_makes_the_checks_of_the_run(self, tmp_path, capsys,
                                                  command, name, override,
                                                  message):
@@ -1099,6 +1112,35 @@ class TestCli:
         assert "[PASS] mass_conservation" in capsys.readouterr().out
         assert (out_dir / "report.json").is_file()
         assert (out_dir / "errors.csv").is_file()
+
+    def test_a_run_calls_run_experiment_once(self, tmp_path, monkeypatch):
+        # the one run entry, which the benchmark tracer times as the driver
+        calls = []
+
+        def counting(config, plan):
+            calls.append(config.driver)
+            return run_experiment(config, plan)
+
+        monkeypatch.setattr(cli, "run_experiment", counting)
+        assert main(["nls", "--config", self.write(tmp_path, cheap_nls_raw()),
+                     "--output", str(tmp_path / "out")]) == 0
+        assert calls == ["nls"]
+
+    @pytest.mark.parametrize("name, failed", [
+        ("critical.json", ["error_decreases"]),
+        ("subcritical.json", ["error_decreases", "modulation_below_error"]),
+    ])
+    def test_a_verdict_on_no_data_fails(self, tmp_path, capsys, name, failed):
+        # 64 nodes hold no eps of the chirped profile: every eps is flagged
+        # under-resolved, and the verdicts over the resolved ones have none
+        code = main(["converge", "--config", str(CONFIG_DIR / name),
+                     "--set", "grid.size=64", "--set", "data.a0.chirp=-2",
+                     "--output", str(tmp_path / "out")])
+        assert code == 1
+        out = capsys.readouterr().out
+        for verdict in failed:
+            assert f"[FAIL] {verdict}: no data" in out
+        assert "[PASS]" not in out
 
     def test_failing_verdict_exits_1(self, tmp_path, capsys):
         # three eps points cannot support the four-point slope fit, so the
