@@ -53,7 +53,8 @@ class FieldSpecConfig:
             vals = gaussian_field(grid, width=self.width, amplitude=self.amplitude,
                                   center=self.center, role=role).values.astype(complex)
             if self.chirp != 0.0:
-                vals = vals * np.exp(1j * self.chirp * (grid.nodes - self.center) ** 2)
+                arg = (grid.nodes - self.center) ** 2
+                vals = vals * np.exp(1j * self.chirp * arg)
         if self.imaginary:
             vals = 1j * vals
         return ComplexField(grid, vals, role=role)
@@ -82,8 +83,9 @@ class PotentialConfig:
     cycles: int = 1
 
     def build(self, length: float) -> PotentialSpec:
-        return (PotentialSpec.zero() if self.kind == "zero"
-                else PotentialSpec.cosine(self.amplitude, length, self.cycles))
+        if self.kind == "zero":
+            return PotentialSpec.zero()
+        return PotentialSpec.cosine(self.amplitude, length, self.cycles)
 
 
 @dataclass(frozen=True)
@@ -92,8 +94,9 @@ class PhaseConfig:
     curvature: float = 0.0
 
     def build(self) -> InitialPhaseSpec:
-        return (InitialPhaseSpec.zero() if self.kind == "zero"
-                else InitialPhaseSpec.quadratic(self.curvature))
+        if self.kind == "zero":
+            return InitialPhaseSpec.zero()
+        return InitialPhaseSpec.quadratic(self.curvature)
 
 
 @dataclass(frozen=True)
@@ -207,8 +210,9 @@ class ExperimentConfig:
         """The problem at `eps`, on the configured grid or on `size` nodes."""
         grid = self.grid.build(size)
         a0 = self.data.a0.build(grid, role="initial-amplitude")
-        a1 = (None if self.data.a1 is None
-              else self.data.a1.build(grid, role="amplitude-correction-1"))
+        a1 = None
+        if self.data.a1 is not None:
+            a1 = self.data.a1.build(grid, role="amplitude-correction-1")
         return SemiclassicalProblem(eps=eps, kappa=self.kappa, a0=a0, a1=a1,
                                     potential=self.potential.build(self.grid.length),
                                     phase=self.phase.build())
@@ -275,7 +279,7 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
     Values parse as JSON when possible and fall back to plain strings, so
     --set time.final=0.3 and --set target=critical both work.
     """
-    out = dict(raw)
+    out = {k: v for k, v in raw.items()}
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form key=value")
@@ -287,7 +291,10 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
         keys = path.split(".")
         node = out
         for k in keys[:-1]:
-            node[k] = dict(node[k]) if isinstance(node.get(k), dict) else {}
+            nxt = node.get(k)
+            if not isinstance(nxt, dict):
+                nxt = {}
+            node[k] = dict(nxt)
             node = node[k]
         node[keys[-1]] = value
     return out

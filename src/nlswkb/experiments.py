@@ -64,14 +64,14 @@ def _check_instability(config: ExperimentConfig) -> None:
 
 
 def _check_normgrowth(config: ExperimentConfig) -> None:
-    eps = min(config.eps)
+    growth, eps = config.growth, min(config.eps)
     needed = int(np.ceil(NORMGROWTH_RESOLUTION * config.grid.length / eps))
     if config.grid.size < needed:
         raise ConfigError(
             f"normgrowth at eps={eps} needs grid size >= "
             f"{needed} (rule N >= {NORMGROWTH_RESOLUTION}*L/eps)")
     # probe the exponent algebra arguments early
-    flow_exponents(**asdict(config.growth.exponents))
+    flow_exponents(growth.exponents.n, growth.exponents.s, growth.exponents.k)
 
 
 @dataclass(frozen=True)
@@ -136,8 +136,8 @@ def flow_exponents(n: int, s: float, k: float) -> dict:
     half = n / 2 - s
     k_lower = s / half
     exponent = s - k * half
-    return {"exponent": float(exponent),
-            "diverges": bool(exponent < 0 and k_lower < k <= s),
+    diverges = bool(exponent < 0 and k_lower < k <= s)
+    return {"exponent": float(exponent), "diverges": diverges,
             "k_lower": float(k_lower)}
 
 
@@ -234,7 +234,8 @@ def _run_supercritical(config: ExperimentConfig, plan: Plan,
     resolved = [r for r in rows if r["resolved"]]
     eps_used = [r["eps"] for r in resolved]
 
-    verdicts, fits = [], {}
+    verdicts = []
+    fits = {}
     if corrector_mode:
         sums = [sum(r["errors"][s]["a"] + r["errors"][s]["phi"]
                     for s in orders) for r in resolved]
@@ -280,7 +281,8 @@ def _run_skew_free(config: ExperimentConfig, plan: Plan) -> tuple:
     for eps, full, free in zip(config.eps, fulls, frees):
         errors = {}
         for tt in times:
-            sf, sk = full.state_at(tt), free.state_at(tt)
+            sf = full.state_at(tt)
+            sk = free.state_at(tt)
             gap = RealField(sf.grid, sf.phi.values - sk.phi.values,
                             role="phase-gap")
             errors[tt] = {s: sobolev_norm(gap, s) for s in orders}
@@ -288,7 +290,8 @@ def _run_skew_free(config: ExperimentConfig, plan: Plan) -> tuple:
     eps_used = [r["eps"] for r in rows]
     t_ref = times[-1]
 
-    verdicts, fits = [], {}
+    fits = {}
+    verdicts = []
     for s in orders:
         _slope_verdict(fits, verdicts, f"eps_slope_H{s}", eps_used,
                        [r["errors"][t_ref][s] for r in rows], 1.0, (0.8, 1.2))
@@ -318,7 +321,7 @@ def _run_profile(config: ExperimentConfig, plan: Plan) -> tuple:
         problems[0], problems[0].a0.grid, t, dt=ray_dt,
         store_every=march_steps(t, ray_dt)), t)
     critical = profile.regime == "critical"
-    solutions = nls.solve_nls_sweep(problems, t, [row.dt for row in plan.rows])
+    solutions = nls.solve_nls_sweep(problems, t, plan.dts)
 
     def measure(eps, sol):
         approx = profile.assemble(eps, include_modulation=critical)
@@ -468,7 +471,7 @@ def _run_normgrowth(config: ExperimentConfig, plan: Plan) -> tuple:
     initial_norms = {m: sobolev_norm(problems[0].a0, m, homogeneous=True)
                      for m in m_orders}
 
-    solutions = nls.solve_nls_sweep(problems, t, [row.dt for row in plan.rows])
+    solutions = nls.solve_nls_sweep(problems, t, plan.dts)
     _raise_failed(solutions)
     rows = []
     for eps, sol in zip(config.eps, solutions):
@@ -481,7 +484,8 @@ def _run_normgrowth(config: ExperimentConfig, plan: Plan) -> tuple:
     spreads = {}
     for m in m_orders:
         vals = [r["compensated"][m] for r in rows]
-        spreads[m] = spread = max(vals) / min(vals)
+        spread = max(vals) / min(vals)
+        spreads[m] = spread
         verdicts.append(_verdict(
             f"compensated_spread_m{m}", spread <= 4.0,
             f"eps^{m}*Hdot^{m} ratios {vals}, max/min {spread:.3f} <= 4"))
@@ -492,7 +496,8 @@ def _run_normgrowth(config: ExperimentConfig, plan: Plan) -> tuple:
         "mass_eps_independent", mass_spread <= 1e-10 * max(masses),
         f"L2 at probe time across eps: spread {mass_spread:.3e}"))
 
-    exponents = flow_exponents(**asdict(config.growth.exponents))
+    expo = config.growth.exponents
+    exponents = flow_exponents(expo.n, expo.s, expo.k)
     csv_rows = [(r["eps"], "", "mass", r["mass"]) for r in rows]
     csv_rows += [(r["eps"], m, metric, r[key][m]) for r in rows for m in m_orders
                  for metric, key in (("Hdot_norm", "norms"),

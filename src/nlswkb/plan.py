@@ -50,6 +50,10 @@ class Plan:
     # time.schedule or its default; None for drivers that do not read it
     schedule: tuple[float, ...] | None = None
 
+    @property
+    def dts(self) -> list[float]:
+        return [row.dt for row in self.rows]
+
     @classmethod
     def build(cls, config: ExperimentConfig) -> Plan:
         """Plan `config`, a config from `config_from_dict`; raises ConfigError
