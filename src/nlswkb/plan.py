@@ -119,7 +119,7 @@ class Plan:
                 dt = times[-1] / steps
             ray_dt = {"march": dt, "wkb": times[-1] / 64}.get(spec.rays)
             if spec.rays == "march":
-                # the residual of rays that are the march reads its every node
+                # the residual of a ray march reads every node it stores
                 rays.check_residual_nodes(steps + 1, times[-1])
             rows.append(EpsPlan(eps=eps, dt=dt, grid_size=config.grid.size,
                                 times=times, steps=steps, ray_dt=ray_dt,
