@@ -300,5 +300,7 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
     return out
 
 
-# every key at its default; kind and eps have none, and every driver reads them
+# every key at its default; kind and eps have none, and every driver reads
+# them.  Plan.build compares a config with it to find a key set that its
+# driver does not read.
 DEFAULTS = ExperimentConfig(kind=None, eps=())

@@ -58,7 +58,9 @@ class Plan:
     def build(cls, config: ExperimentConfig) -> Plan:
         """Plan `config`, a config from `config_from_dict`; raises ConfigError
         for a key the driver does not read or a schedule it cannot run, and
-        StencilError for a ray march too short for its residual."""
+        StencilError for a ray march that stores fewer nodes than its
+        residual's time stencil spans.  A caustic before that many nodes
+        is left to the run, which alone traces the rays."""
         driver, time = config.driver, config.time
         spec = DRIVERS[driver]
         # a key that only some drivers read must keep its default when this
