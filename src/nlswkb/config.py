@@ -21,7 +21,9 @@ from .experiments import DRIVERS, KINDS, NAMED, SELECTORS
 from .fields import ComplexField
 from .grids import PeriodicGrid
 from .potentials import InitialPhaseSpec, PotentialSpec
-from .problem import SemiclassicalProblem, gaussian_field
+from .problem import SUPPORTED_KAPPA, SemiclassicalProblem, gaussian_field
+
+GRID_LENGTH = 32.0     # the box [-16, 16) that stands in for the line
 
 # one frozen dataclass per JSON section; a Literal field takes only the
 # values it lists
@@ -62,11 +64,10 @@ class FieldSpecConfig:
 
 @dataclass(frozen=True)
 class GridConfig:
-    length: float = 32.0
     size: int = 1024
 
     def build(self, size: int | None = None) -> PeriodicGrid:
-        return PeriodicGrid(self.length, size or self.size)
+        return PeriodicGrid(GRID_LENGTH, size or self.size)
 
 
 @dataclass(frozen=True)
@@ -107,17 +108,9 @@ class TimeConfig:
 
 
 @dataclass(frozen=True)
-class NormsConfig:
-    sobolev_orders: tuple[int, ...] = (0, 1, 2)
-    m_orders: tuple[int, ...] = (1, 2)
-
-
-@dataclass(frozen=True)
 class InstabilityConfig:
     alpha: float = 0.5
     time_factor: float = 2.0
-    window_order: int = 2
-    taylor_order: int = 2
 
 
 @dataclass(frozen=True)
@@ -148,7 +141,6 @@ class ExperimentConfig:
     potential: PotentialConfig = field(default_factory=PotentialConfig)
     phase: PhaseConfig = field(default_factory=PhaseConfig)
     time: TimeConfig = field(default_factory=TimeConfig)
-    norms: NormsConfig = field(default_factory=NormsConfig)
     instability: InstabilityConfig = field(default_factory=InstabilityConfig)
     growth: GrowthConfig = field(default_factory=GrowthConfig)
     target: Literal[NAMED["target"]] | None = None
@@ -171,12 +163,11 @@ class ExperimentConfig:
             raise ConfigError("eps values must lie in (0, 1]")
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ConfigError("eps list must be strictly decreasing")
-        if self.kappa not in (0.0, 1.0, 2.0):
+        if self.kappa not in SUPPORTED_KAPPA:
             raise ConfigError("kappa must be 0, 1 or 2")
-        if self.grid.length <= 0 or self.grid.size < 8:
-            raise ConfigError("grid must have positive length and size >= 8")
-        if self.grid.size & (self.grid.size - 1):
-            raise ConfigError("grid size must be a power of two")
+        size = self.grid.size
+        if size < 8 or size & (size - 1):
+            raise ConfigError(f"grid size must be a power of two >= 8, got {size}")
         for label in ("a0", "a1", "b0"):
             spec = getattr(self.data, label)
             if spec is not None:
@@ -186,11 +177,6 @@ class ExperimentConfig:
             raise ConfigError(f"time.dt must be positive, got {time.dt}")
         if time.final <= 0:
             raise ConfigError("t_final must be positive")
-        for name in ("sobolev_orders", "m_orders"):
-            orders = getattr(self.norms, name)
-            if not orders or min(orders) < 0:
-                raise ConfigError(f"norms.{name} must be a non-empty list of "
-                                  f"non-negative integers, got {list(orders)}")
         key = SELECTORS.get(self.kind)
         if key and getattr(self, key) is None:
             raise ConfigError(f"{self.kind} runs need a {key}, one of {NAMED[key]}")
@@ -214,7 +200,7 @@ class ExperimentConfig:
         if self.data.a1 is not None:
             a1 = self.data.a1.build(grid, role="amplitude-correction-1")
         return SemiclassicalProblem(eps=eps, kappa=self.kappa, a0=a0, a1=a1,
-                                    potential=self.potential.build(self.grid.length),
+                                    potential=self.potential.build(grid.length),
                                     phase=self.phase.build())
 
 

@@ -28,10 +28,12 @@ from . import nls, phase_amplitude, rays, taylor, wkb
 from .errors import ConfigError, ResolutionError
 from .fields import ComplexField, RealField, l2_linf_norm, lp_norm, sobolev_norm
 from .fitting import fit_power_law
-from .problem import march_steps
+from .problem import SUPPORTED_KAPPA, march_steps
 
 # Driver.checks: the checks of one driver's config; the rules of the method
 NORMGROWTH_RESOLUTION = 0.25  # a normgrowth grid needs N >= this * L / min(eps)
+SOBOLEV_ORDERS = (0, 1, 2)    # the H^s norms of the convergence and instability runs
+NORMGROWTH_ORDERS = (1, 2)    # the orders m of the normgrowth Hdot^m norms
 
 
 def _needs_a1(config: ExperimentConfig) -> None:
@@ -40,18 +42,13 @@ def _needs_a1(config: ExperimentConfig) -> None:
 
 
 def _check_instability(config: ExperimentConfig) -> None:
-    if not 1 <= config.instability.taylor_order <= taylor.MAX_ORDER:
-        raise ConfigError("taylor order out of range")
     b0 = config.data.b0
     if b0 is None:
         raise ConfigError("instability needs a b0 perturbation profile")
-    order = config.instability.window_order
-    if order < 2:
-        raise ConfigError("window order must be >= 2")
-    if not 0 < config.instability.alpha <= 1.0 - 1.0 / order:
-        raise ConfigError(
-            "alpha must satisfy 0 < alpha <= 1 - 1/window_order so the "
-            "perturbation dominates the eps scale")
+    # 0.5 = 1 - 1/2, the bound of the window of order 2
+    if not 0 < config.instability.alpha <= 0.5:
+        raise ConfigError("alpha must satisfy 0 < alpha <= 0.5 so the "
+                          "perturbation dominates the eps scale")
     # on a doubled grid the nodes of this one are kept, so a perturbation
     # polarized here stays polarized after every doubling
     problem = config.problem(config.eps[0])
@@ -65,7 +62,7 @@ def _check_instability(config: ExperimentConfig) -> None:
 
 def _check_normgrowth(config: ExperimentConfig) -> None:
     growth, eps = config.growth, min(config.eps)
-    needed = int(np.ceil(NORMGROWTH_RESOLUTION * config.grid.length / eps))
+    needed = int(np.ceil(NORMGROWTH_RESOLUTION * config.grid.build().length / eps))
     if config.grid.size < needed:
         raise ConfigError(
             f"normgrowth at eps={eps} needs grid size >= "
@@ -203,7 +200,6 @@ def _run_supercritical(config: ExperimentConfig, plan: Plan,
     # the march takes one dt for every eps
     first = plan.rows[0]
     t, dt = first.times[-1], first.dt
-    orders = config.norms.sobolev_orders
 
     # only the final states of the limit (marched with its corrector in
     # corrector mode) and of the sweep are read
@@ -227,8 +223,8 @@ def _run_supercritical(config: ExperimentConfig, plan: Plan,
             da, dphi = da - eps * lim.a1, dphi - eps * lim.phi1.values
         dphi = RealField(st.grid, dphi, role="phase-gap")
         return {"eps": eps, "resolved": True, "mass_drift": traj.mass_drift(),
-                "errors": {s: {"a": sobolev_norm(da, s),
-                               "phi": sobolev_norm(dphi, s)} for s in orders}}
+                "errors": {s: {"a": sobolev_norm(da, s), "phi": sobolev_norm(dphi, s)}
+                           for s in SOBOLEV_ORDERS}}
 
     rows, flagged, resolution = _flag_unresolved(config.eps, outcomes, measure)
     resolved = [r for r in rows if r["resolved"]]
@@ -238,20 +234,21 @@ def _run_supercritical(config: ExperimentConfig, plan: Plan,
     fits = {}
     if corrector_mode:
         sums = [sum(r["errors"][s]["a"] + r["errors"][s]["phi"]
-                    for s in orders) for r in resolved]
+                    for s in SOBOLEV_ORDERS) for r in resolved]
         _slope_verdict(fits, verdicts, "corrector_combined", eps_used, sums,
                        2.0, (1.7, 2.3), name="corrector_combined_slope")
         csv_rows = [(r["eps"], s, f"corrector_{part}_H", r["errors"][s][part])
-                    for r in resolved for s in orders for part in ("a", "phi")]
+                    for r in resolved for s in SOBOLEV_ORDERS
+                    for part in ("a", "phi")]
     else:
-        for s in orders:
+        for s in SOBOLEV_ORDERS:
             _slope_verdict(fits, verdicts, f"a_H{s}", eps_used,
                            [r["errors"][s]["a"] for r in resolved],
                            1.0, (0.8, 1.2), name=f"amplitude_H{s}_slope")
             _slope_verdict(fits, verdicts, f"phi_H{s}_over_t", eps_used,
                            [r["errors"][s]["phi"] / t for r in resolved],
                            1.0, (0.8, 1.2), name=f"phase_H{s}_slope")
-        csv_rows = [row for r in resolved for s in orders for row in (
+        csv_rows = [row for r in resolved for s in SOBOLEV_ORDERS for row in (
             (r["eps"], s, "a_H", r["errors"][s]["a"]),
             (r["eps"], s, "phi_H_over_t", r["errors"][s]["phi"] / t))]
     body = {"t": t, "dt": dt, "per_eps": rows, "fits": fits,
@@ -268,7 +265,6 @@ def _run_skew_free(config: ExperimentConfig, plan: Plan) -> tuple:
     first = plan.rows[0]
     times, dt = list(first.times), first.dt
     stride = math.gcd(*(round(tt / dt) for tt in times))
-    orders = config.norms.sobolev_orders
 
     problems = [config.problem(eps) for eps in config.eps]
     fulls = phase_amplitude.solve_phase_amplitude_sweep(
@@ -285,23 +281,23 @@ def _run_skew_free(config: ExperimentConfig, plan: Plan) -> tuple:
             sk = free.state_at(tt)
             gap = RealField(sf.grid, sf.phi.values - sk.phi.values,
                             role="phase-gap")
-            errors[tt] = {s: sobolev_norm(gap, s) for s in orders}
+            errors[tt] = {s: sobolev_norm(gap, s) for s in SOBOLEV_ORDERS}
         rows.append({"eps": eps, "errors": errors})
     eps_used = [r["eps"] for r in rows]
     t_ref = times[-1]
 
     fits = {}
     verdicts = []
-    for s in orders:
+    for s in SOBOLEV_ORDERS:
         _slope_verdict(fits, verdicts, f"eps_slope_H{s}", eps_used,
                        [r["errors"][t_ref][s] for r in rows], 1.0, (0.8, 1.2))
     for r in rows:
-        _slope_verdict(fits, verdicts, f"t_slope_H{orders[0]}_eps{r['eps']:g}",
-                       times, [r["errors"][tt][orders[0]] for tt in times],
+        _slope_verdict(fits, verdicts, f"t_slope_H0_eps{r['eps']:g}",
+                       times, [r["errors"][tt][0] for tt in times],
                        2.0, (1.7, 2.3), detail="t-slope {} in {window}",
                        min_points=min(4, len(times)))
     csv_rows = [(r["eps"], s, f"phi_gap_H_t{tt:g}", r["errors"][tt][s])
-                for r in rows for tt in times for s in orders]
+                for r in rows for tt in times for s in SOBOLEV_ORDERS]
     body = {"times": times, "dt": dt, "per_eps": rows, "fits": fits,
             "under_resolved": []}
     return body, verdicts, csv_rows, ()
@@ -368,12 +364,11 @@ def _run_profile(config: ExperimentConfig, plan: Plan) -> tuple:
 
 def _run_instability(config: ExperimentConfig, plan: Plan) -> tuple:
     c = config.instability.time_factor
-    orders = config.norms.sobolev_orders
 
     def one(row):
         eps, delta, t_eps, dt = row.eps, row.delta, row.t_eps, row.dt
         outputs = list(row.times)
-        horizon = taylor.validity_horizon(eps, config.instability.taylor_order)
+        horizon = taylor.validity_horizon(eps, 2)    # the Taylor window of order 2
         for size in row.grid_ladder:
             base = config.problem(eps, size)
             b0 = config.data.b0.build(base.grid, role="perturbation")
@@ -395,7 +390,7 @@ def _run_instability(config: ExperimentConfig, plan: Plan) -> tuple:
         separations = [lp_norm(sol_u.state_at(tt) - sol_v.state_at(tt), 2)
                        for tt in outputs]
         data_gap = ComplexField(base.grid, delta * b0.values, role="data-gap")
-        distances = {s: sobolev_norm(data_gap, s) for s in orders}
+        distances = {s: sobolev_norm(data_gap, s) for s in SOBOLEV_ORDERS}
         sup_sep = max(separations)
         ratios = {s: sup_sep / distances[s] for s in distances}
 
@@ -427,20 +422,19 @@ def _run_instability(config: ExperimentConfig, plan: Plan) -> tuple:
         "separation_persists", stays_up,
         f"separations {finals} vs 0.5x largest-eps value {floor}"))
 
-    s_ref = 1 if 1 in orders else orders[0]
-    dists = [r["initial_distances"][s_ref] for r in rows]
+    # the data distance and the blow-up ratio are read in H^1
+    dists = [r["initial_distances"][1] for r in rows]
     alpha = config.instability.alpha
     fits = {}
-    _slope_verdict(fits, verdicts, f"distance_H{s_ref}", eps_list, dists, alpha,
-                   (alpha - 0.05, alpha + 0.05),
-                   name=f"data_distance_H{s_ref}_slope",
-                   detail=f"H^{s_ref} distance slope {{}} vs {alpha} +- 0.05")
+    _slope_verdict(fits, verdicts, "distance_H1", eps_list, dists, alpha,
+                   (alpha - 0.05, alpha + 0.05), name="data_distance_H1_slope",
+                   detail=f"H^1 distance slope {{}} vs {alpha} +- 0.05")
 
-    ratio_rows = [r["ratios"][s_ref] for r in rows]
+    ratio_rows = [r["ratios"][1] for r in rows]
     ratio_monotone = all(b > a for a, b in zip(ratio_rows, ratio_rows[1:]))
     verdicts.append(_verdict(
         "blowup_ratio_monotone", ratio_monotone,
-        f"sup-separation / H^{s_ref} data distance: {ratio_rows}"))
+        f"sup-separation / H^1 data distance: {ratio_rows}"))
 
     # two gaps separate the run from the analytic profile: a bounded shape
     # mismatch (the profile's sin(theta) vs the exact 2 sin(theta/2), about
@@ -456,7 +450,8 @@ def _run_instability(config: ExperimentConfig, plan: Plan) -> tuple:
 
     csv_rows = [(r["eps"], "", key, r[key]) for r in rows for key in
                 ("separation_final", "separation_sup", "prediction_agreement")]
-    csv_rows += [(r["eps"], s, metric, r[key][s]) for r in rows for s in orders
+    csv_rows += [(r["eps"], s, metric, r[key][s])
+                 for r in rows for s in SOBOLEV_ORDERS
                  for metric, key in (("initial_distance_H", "initial_distances"),
                                      ("blowup_ratio", "ratios"))]
     body = {"per_eps": rows, "fits": fits,
@@ -466,23 +461,23 @@ def _run_instability(config: ExperimentConfig, plan: Plan) -> tuple:
 
 def _run_normgrowth(config: ExperimentConfig, plan: Plan) -> tuple:
     t = plan.rows[0].times[-1]
-    m_orders = config.norms.m_orders
     problems = [config.problem(eps) for eps in config.eps]
     initial_norms = {m: sobolev_norm(problems[0].a0, m, homogeneous=True)
-                     for m in m_orders}
+                     for m in NORMGROWTH_ORDERS}
 
     solutions = nls.solve_nls_sweep(problems, t, plan.dts)
     _raise_failed(solutions)
     rows = []
     for eps, sol in zip(config.eps, solutions):
         state = sol.final()
-        norms = {m: sobolev_norm(state, m, homogeneous=True) for m in m_orders}
+        norms = {m: sobolev_norm(state, m, homogeneous=True)
+                 for m in NORMGROWTH_ORDERS}
         rows.append({"eps": eps, "norms": norms,
                      "compensated": {m: eps**m * norms[m] for m in norms},
                      "mass": lp_norm(state, 2), "mass_drift": sol.mass_drift()})
     verdicts = []
     spreads = {}
-    for m in m_orders:
+    for m in NORMGROWTH_ORDERS:
         vals = [r["compensated"][m] for r in rows]
         spread = max(vals) / min(vals)
         spreads[m] = spread
@@ -499,7 +494,8 @@ def _run_normgrowth(config: ExperimentConfig, plan: Plan) -> tuple:
     expo = config.growth.exponents
     exponents = flow_exponents(expo.n, expo.s, expo.k)
     csv_rows = [(r["eps"], "", "mass", r["mass"]) for r in rows]
-    csv_rows += [(r["eps"], m, metric, r[key][m]) for r in rows for m in m_orders
+    csv_rows += [(r["eps"], m, metric, r[key][m])
+                 for r in rows for m in NORMGROWTH_ORDERS
                  for metric, key in (("Hdot_norm", "norms"),
                                      ("compensated", "compensated"))]
     body = {"t": t, "per_eps": rows, "initial_norms": initial_norms,
@@ -632,26 +628,25 @@ DRIVERS = {
                   keys=("data.a1", "output.dump_fields")),
     "grenier": Driver("single", _run_grenier, (0.0,), march_dt=2e-3,
                       keys=("data.a1", "variant", "output.dump_fields")),
-    "nls": Driver("single", _run_nls, (0.0, 1.0, 2.0),
+    "nls": Driver("single", _run_nls, SUPPORTED_KAPPA,
                   keys=("data.a1", "output.dump_fields")),
     "supercritical_leading": Driver(
         "converge", _run_supercritical, (0.0,), march_dt=2e-3,
-        keys=("data.a1", "norms.sobolev_orders")),
+        keys=("data.a1",)),
     "supercritical_corrector": Driver(
         "converge", partial(_run_supercritical, corrector_mode=True), (0.0,),
-        march_dt=2e-3, keys=("data.a1", "norms.sobolev_orders"), checks=(_needs_a1,)),
+        march_dt=2e-3, keys=("data.a1",), checks=(_needs_a1,)),
     "critical": Driver("converge", _run_profile, (1.0,), rays="wkb"),
     "subcritical": Driver("converge", _run_profile, (2.0,), rays="wkb"),
     "skew_free": Driver("converge", _run_skew_free, (0.0,), march_dt=2.5e-3,
-                        times="schedule", schedule=(0.05, 0.1, 0.2, 0.3),
-                        keys=("norms.sobolev_orders",)),
+                        times="schedule", schedule=(0.05, 0.1, 0.2, 0.3)),
     "instability": Driver(
         "instability", _run_instability, (0.0,), times="instability",
-        keys=("data.b0", "norms.sobolev_orders", "instability"),
+        keys=("data.b0", "instability"),
         flat=True, checks=(_check_instability,)),
     "normgrowth": Driver(
         "normgrowth", _run_normgrowth, (0.0,),
-        keys=("norms.m_orders", "growth.exponents"),
+        keys=("growth.exponents",),
         flat=True, checks=(_check_normgrowth,)),
     "odewindow": Driver("odewindow", _run_odewindow, (0.0,), times="eps_powers",
                         schedule=(0.6, 0.45, 0.3, 0.2), flat=True),

@@ -14,7 +14,8 @@ solve_nls_sweep marches the problems of a sweep (one grid, one set of
 output times) as rows of one array, each row at its own step size and step
 count; one step of every row costs the same two FFT calls, and each row's
 arithmetic is that of its own solve.  solve_nls is its one-row call.  The
-rows are a problem.RowStack, checked at each output (problem.TAIL_TOL).
+rows are a problem.RowStack, checked at t = 0 and at each output
+(problem.TAIL_TOL).
 
 The solver is the measuring stick the asymptotic constructions are compared
 against, so its defaults are conservative: h = eps / STEPS_PER_EPS = eps/50
@@ -124,8 +125,9 @@ def solve_nls(problem: SemiclassicalProblem, t_final: float, dt: float | None = 
     output_times must be strictly increasing and positive, ending at
     t_final (it is appended when missing).  Within each segment the step is
     shrunk to seg / ceil(seg / dt) so outputs land exactly on step boundaries
-    (segment_steps); dt defaults to eps / STEPS_PER_EPS.  An output that fails
-    its check (problem.TAIL_TOL) raises its ResolutionError or DivergenceError.
+    (segment_steps); dt defaults to eps / STEPS_PER_EPS.  The initial state
+    and every output are checked (problem.TAIL_TOL); the first that fails
+    raises its ResolutionError or DivergenceError.
     This is the one-row call of solve_nls_sweep.
     """
     out = solve_nls_sweep([problem], t_final, [dt], output_times=output_times)[0]
@@ -143,8 +145,9 @@ def solve_nls_sweep(problems: list[SemiclassicalProblem], t_final: float, dts,
     for eps / STEPS_PER_EPS) belongs to problems[r].  Every row keeps its
     own step size, kinetic multipliers, phase scale and segment_steps count,
     so its arithmetic is that of its own solve, and a step of all rows costs
-    two FFT calls.  A row that reaches an output closes its step with a half
-    kinetic multiplier and is checked there.  Returns RowStack.results.
+    two FFT calls.  Every row is checked at t = 0, and a row that reaches an
+    output closes its step with a half kinetic multiplier and is checked
+    there.  Returns RowStack.results.
     """
     if t_final <= 0:
         raise ConfigError("t_final must be positive")
@@ -182,7 +185,10 @@ def solve_nls_sweep(problems: list[SemiclassicalProblem], t_final: float, dts,
             st.nodes[i].append(
                 (bounds[k], state, grid.spacing * float(np.sum(np.abs(row) ** 2)), e))
 
-    at = np.ones(len(problems), dtype=bool)
+    # a row whose initial state fails the check of an output leaves at t = 0
+    st.check(_CHECK, [0.0] * len(problems),
+             tail_fraction(np.fft.fft(st.u), ~grid.dealias_mask), [st.u])
+    at = np.ones(len(st.rows), dtype=bool)
     record(at)
     while st.rows:
         # open the next segment of the stack rows `at`, whose u rows hold

@@ -24,7 +24,7 @@ The march holds phi and a in Fourier space (rfft and fft along the last
 axis) and takes every eps of a sweep as a row of one array: the skew step
 is a multiply by a per-row phase, and one transport right-hand side costs
 six transforms in four calls for all rows together.  The rows are a
-problem.RowStack, checked at every step (problem.TAIL_TOL).
+problem.RowStack, checked at t = 0 and at every step (problem.TAIL_TOL).
 
 The corrector solve marches the limit and its linearization, which
 carries the i/2 Lap a source plus the first data correction a1, as one
@@ -228,8 +228,9 @@ def solve_phase_amplitude(problem: SemiclassicalProblem, t_final: float, dt: flo
 
     dt is adjusted so march_steps(t_final, dt) steps land exactly on
     t_final; negative t_final integrates backward.  States are stored on
-    StoreSchedule(steps, store_every).  A step that fails its check
-    (problem.TAIL_TOL) raises its ResolutionError or DivergenceError.
+    StoreSchedule(steps, store_every).  The initial state and every step
+    are checked (problem.TAIL_TOL); the first that fails raises its
+    ResolutionError or DivergenceError.
     This is the one-row call of solve_phase_amplitude_sweep.
     """
     out = solve_phase_amplitude_sweep([problem], t_final, dt, variant=variant,
@@ -267,6 +268,9 @@ def solve_phase_amplitude_sweep(problems: list[SemiclassicalProblem],
     eps = np.array([[p.eps] for p in problems])
     st.phi_hat, st.a_hat = np.fft.rfft(phi), np.fft.fft(a)
     st.skew_phase = np.exp(-0.5j * eps * grid.wavenumber_sq * h)
+    # a row whose initial state fails the check of a step leaves at t = 0
+    tail = tail_fraction(st.a_hat, grid.kept_band_top)
+    keep = st.check(_CHECK, [0.0] * len(problems), tail, [st.phi_hat, st.a_hat])
     rhs = _Transport(grid, st.v)
 
     def store(t, phi, a, tail):
@@ -279,8 +283,8 @@ def solve_phase_amplitude_sweep(problems: list[SemiclassicalProblem],
                 RealField(grid, velocity[r], role="velocity")),
                 grid.spacing * float(np.sum(np.abs(a[r]) ** 2)), float(tail[r])))
 
-    store(0.0, phi, a, tail_fraction(st.a_hat, grid.kept_band_top))
-    for n in range(n_steps):
+    store(0.0, phi[keep], a[keep], tail[keep])
+    for n in range(n_steps if st.rows else 0):
         if variant == "full":
             _rk4(rhs, st.phi_hat, st.a_hat, 0.5 * h, rhs.work)
             st.a_hat *= st.skew_phase
@@ -319,8 +323,9 @@ def solve_corrector(problem: SemiclassicalProblem, t_final: float, dt: float,
     the limit rates of row 0 by the arithmetic of the limit march (so the
     limit rows are the limit march's bit for bit) and the corrector rates
     of row 1 from the row-0 fields of the same stage.  a1_data is
-    problem.a1 (zero without one).  The limit is checked at every step as
-    the sweep checks a row, then the corrector for finite values; states
+    problem.a1 (zero without one).  At t = 0 and at every step the limit is
+    checked as the sweep checks a row, then the corrector for finite values,
+    and the first failure is raised; states
     are stored on StoreSchedule(steps, store_every).  With real a0 and
     a1_data = 0, a1 stays purely imaginary and phi1 stays zero.
     """
@@ -375,16 +380,20 @@ def solve_corrector(problem: SemiclassicalProblem, t_final: float, dt: float,
     phi_hat = np.fft.rfft(np.array([phi, np.zeros(grid.size)]))
     a_hat = np.fft.fft(np.array([a, a1], dtype=complex))
     states = []
-    store(0.0, phi, a, np.zeros(grid.size), a1)
 
-    for n in range(n_steps):
-        _rk4(rates, phi_hat, a_hat, h, rhs.work)
-        t = (n + 1) * h
+    def check(t):
         error = (_CHECK.error(t, problem.eps, (phi_hat[0], a_hat[0]),
                               tail_fraction(a_hat[0], grid.kept_band_top))
                  or _CORRECTOR_CHECK.error(t, problem.eps, (phi_hat[1], a_hat[1])))
         if error is not None:
             raise error
+
+    check(0.0)
+    store(0.0, phi, a, np.zeros(grid.size), a1)
+    for n in range(n_steps):
+        _rk4(rates, phi_hat, a_hat, h, rhs.work)
+        t = (n + 1) * h
+        check(t)
         if schedule.stores(n + 1):
             (phi, phi1), (a, a1) = np.fft.irfft(phi_hat, rhs.n), np.fft.ifft(a_hat)
             store(t, phi, a, phi1, a1)

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from nlswkb import nls
 from nlswkb.errors import ConfigError, DivergenceError, ResolutionError
 from nlswkb.fields import ComplexField, lp_norm
 from nlswkb.grids import PeriodicGrid
@@ -17,6 +18,14 @@ def make_problem(eps=1e-2, kappa=1.0, size=1024, a0=None, potential=None):
         a0=a0 if a0 is not None else gaussian_field(grid, 1.0, 1.0),
         potential=potential or PotentialSpec.zero(),
         phase=InitialPhaseSpec.zero())
+
+
+def chirp_probe(size=64):
+    # the chirp exp(-2i x^2) of the data outruns 64 nodes on L = 32
+    grid = PeriodicGrid(32.0, size)
+    chirp = np.exp(-2j * grid.nodes ** 2)
+    return make_problem(size=size, a0=ComplexField(
+        grid, gaussian_field(grid, 1.0, 1.0).values * chirp))
 
 
 class TestExactSolutions:
@@ -185,7 +194,7 @@ class TestFusedStepper:
     def test_an_output_costs_four_transform_calls(self, fft_counter):
         # 8 steps of 2 calls however t = 0.1 is split; each output adds the
         # state's inverse transform, an energy pair and the next segment's
-        # opening transform
+        # opening transform; the check of the initial state adds one
         problem = make_problem(eps=0.05, size=256)
         calls = {}
         for n_outputs in (1, 2, 4):
@@ -193,7 +202,7 @@ class TestFusedStepper:
             solve_nls(problem, 0.1, dt=0.0125, output_times=[
                 0.1 * (j + 1) / n_outputs for j in range(n_outputs)])
             calls[n_outputs] = fft_counter.calls
-        assert calls == {1: 22, 2: 26, 4: 34}
+        assert calls == {1: 23, 2: 27, 4: 35}
 
     def test_segment_steps_rule(self):
         assert segment_steps([0.5], 0.1) == [5]
@@ -304,6 +313,18 @@ class TestSweep:
         # and each call transforms every row once
         assert lines[5, 5e-3] - lines[5, 1e-2] == 5 * 20
 
+    def test_a_row_unresolved_at_t0_leaves_before_the_first_step(self):
+        # a width-2 profile fits 64 nodes; the chirped one fails at t = 0
+        probe = chirp_probe()
+        wide = make_problem(eps=0.1, size=64,
+                            a0=gaussian_field(probe.grid, 2.0, 1.0))
+        out = solve_nls_sweep([probe, wide], 0.1, [None, None],
+                              output_times=self.OUTPUTS)
+        assert isinstance(out[0], ResolutionError)
+        assert (out[0].eps, out[0].time) == (0.01, 0.0)
+        _assert_same_solution(out[1], solve_nls(wide, 0.1,
+                                                output_times=self.OUTPUTS))
+
     def test_problems_must_share_one_grid(self):
         problems = [make_problem(size=256), make_problem(size=512)]
         with pytest.raises(ConfigError):
@@ -329,6 +350,13 @@ class TestSweep:
 
 
 class TestResolutionAlarm:
+    def test_an_unresolved_initial_state_fails_at_t0(self, monkeypatch):
+        monkeypatch.setattr(nls, "_step",
+                            lambda *args: pytest.fail("the march took a step"))
+        with pytest.raises(ResolutionError) as caught:
+            solve_nls(chirp_probe(), 0.2)
+        assert (caught.value.eps, caught.value.time) == (0.01, 0.0)
+
     def test_eps_oscillation_outruns_the_grid(self):
         # strong coupling writes wavenumbers ~ t/eps; N = 128 holds only
         # |k| <= 12.6, so the tail monitor must abort the run

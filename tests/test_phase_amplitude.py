@@ -105,6 +105,19 @@ class TestGuards:
             solve_phase_amplitude(flat_problem(size=64), 0.1, 1e-3,
                                   variant="limit")
 
+    @pytest.mark.parametrize("solve", [solve_phase_amplitude, solve_corrector])
+    def test_an_unresolved_initial_state_fails_at_t0(self, solve, monkeypatch):
+        # the chirp exp(-2i x^2) of the data outruns 64 nodes on L = 32
+        problem = flat_problem(size=64)
+        x = problem.grid.nodes
+        chirped = dataclasses.replace(problem, a0=ComplexField(
+            problem.grid, problem.a0.values * np.exp(-2j * x ** 2)))
+        monkeypatch.setattr(phase_amplitude, "_rk4",
+                            lambda *args: pytest.fail("the march took a step"))
+        with pytest.raises(ResolutionError) as info:
+            solve(chirped, 0.2, 2e-3)
+        assert (info.value.eps, info.value.time) == (0.01, 0.0)
+
 
 class TestEulerResidual:
     def test_residual_refines_second_order(self):
@@ -171,11 +184,11 @@ class TestCorrector:
             assert np.array_equal(got.a.values, ref.a.values)
 
     def test_divergence_carries_eps_and_time(self):
-        # a1 data at the float ceiling overflows in the first RK4 step
+        # a1 data near the float ceiling has a finite transform, and the
+        # corrector rates overflow in the first RK4 step
         problem = flat_problem(eps=0.02, size=256)
-        sign = (-1.0) ** np.arange(problem.grid.size)
         huge = dataclasses.replace(
-            problem, a1=ComplexField(problem.grid, 1e307 * sign + 0j))
+            problem, a1=ComplexField(problem.grid, 1e306 * problem.a0.values))
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(DivergenceError, match="corrector") as info:
             solve_corrector(huge, 0.02, 2e-3)
@@ -183,11 +196,12 @@ class TestCorrector:
         assert info.value.time == pytest.approx(2e-3)
 
     def test_limit_divergence_carries_eps_and_time(self):
-        # a0 at the float ceiling overflows the limit in its first step
+        # a0 near the float ceiling has a finite transform, and |a|^2
+        # overflows the limit in its first step
         grid = PeriodicGrid(32.0, 256)
         problem = SemiclassicalProblem(
             eps=0.02, kappa=0.0,
-            a0=ComplexField(grid, 1e307 * (-1.0) ** np.arange(grid.size) + 0j))
+            a0=ComplexField(grid, 1e305 * (-1.0) ** np.arange(grid.size) + 0j))
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(DivergenceError, match="phase-amplitude") as info:
             solve_corrector(problem, 0.02, 2e-3)
@@ -321,8 +335,8 @@ class TestSweep:
             eps=0.02, kappa=0.0, a0=good[0].a0,
             a1=ComplexField(grid, 1e307 * (-1.0) ** np.arange(grid.size)
                             + 0j), potential=good[0].potential)
-        # both fail in the first step; the diverging row leaves the stack
-        # before the unresolved one
+        # the unresolved row fails its check at t = 0 and leaves the stack
+        # before the first step, in which the diverging row fails
         problems = [good[0], huge, noisy, good[1]]
         with np.errstate(over="ignore", invalid="ignore"):
             out = solve_phase_amplitude_sweep(problems, 0.1, 2e-3,
@@ -330,7 +344,7 @@ class TestSweep:
         assert isinstance(out[1], DivergenceError)
         assert (out[1].eps, out[1].time) == (0.02, pytest.approx(2e-3))
         assert isinstance(out[2], ResolutionError)
-        assert (out[2].eps, out[2].time) == (0.05, pytest.approx(2e-3))
+        assert (out[2].eps, out[2].time) == (0.05, 0.0)
         for i in (1, 2):
             with np.errstate(over="ignore", invalid="ignore"), \
                     pytest.raises(type(out[i])) as single:
@@ -364,15 +378,15 @@ class TestSweep:
             assert lines[rows, 2] - lines[rows, 1] == rows * lines_per_step
 
     def test_tail_is_checked_between_stored_nodes(self):
-        # N = 64 on L = 16 holds the width-1 profile at first; the limit
-        # passes TAIL_TOL at step 15, between the stored steps 12 and 16
+        # N = 64 on L = 16 holds the width-1.1 profile at first; the limit
+        # passes TAIL_TOL at step 17, between the stored steps 16 and 20
         grid = PeriodicGrid(16.0, 64)
         problem = SemiclassicalProblem(eps=0.03, kappa=0.0,
-                                       a0=gaussian_field(grid, 1.0, 1.0))
+                                       a0=gaussian_field(grid, 1.1, 1.0))
         out = solve_phase_amplitude_sweep([problem], 1.0, 2e-3,
                                           variant="limit", store_every=4)[0]
         assert isinstance(out, ResolutionError)
-        assert out.time == pytest.approx(0.03)
+        assert out.time == pytest.approx(0.034)
         with pytest.raises(ResolutionError) as ref:
             solve_phase_amplitude(problem, 1.0, 2e-3, variant="limit")
         assert (str(out), out.time) == (str(ref.value), ref.value.time)
