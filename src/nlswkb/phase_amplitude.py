@@ -43,7 +43,7 @@ from .errors import ConfigError, DivergenceError, ResolutionError
 from .fields import ComplexField, RealField, derivative_values, tail_fraction
 from .grids import PeriodicGrid
 from .problem import (RowCheck, RowStack, SemiclassicalProblem, StoredStates,
-                      StoreSchedule, march_steps)
+                      StoreSchedule, march_steps, rk4)
 
 VARIANTS = ("full", "skew_free", "limit")
 _CHECK = RowCheck("phase-amplitude solve hit non-finite values",
@@ -94,7 +94,9 @@ class CorrectorState:
 @dataclass(frozen=True, eq=False)
 class CorrectorTrajectory(StoredStates):
     states: tuple[CorrectorState, ...]
+    mass: np.ndarray       # integral of |a|^2 of the limit at stored times
     dt: float
+    times = GrenierTrajectory.times
 
 
 # ---------------------------------------------------------------------------
@@ -188,26 +190,9 @@ def _negate(z: np.ndarray) -> None:
     np.negative(z.view(float), out=z.view(float))
 
 
-def _rk4(rhs, phi, a, h, work) -> None:
-    """One classical RK4 step of the autonomous system whose right-hand
-    side rhs writes its rates into the pair `out` it is given, written
-    into phi and a.  The stage state, the stage rates and the weighted
-    stage sum k1 + 2 k2 + 2 k3 + k4, accumulated in that order, are `work`
-    arrays."""
-    sum_phi, sum_a = work("sum phi", phi.shape), work("sum a", a.shape)
-    k_phi, k_a = work("rate phi", phi.shape), work("rate a", a.shape)
-    stage_phi, stage_a = work("stage phi", phi.shape), work("stage a", a.shape)
-    rhs(phi, a, out=(sum_phi, sum_a))
-    prev_phi, prev_a = sum_phi, sum_a
-    for c, w in ((0.5, 2), (0.5, 2), (1.0, 1)):
-        np.add(phi, np.multiply(c * h, prev_phi, out=stage_phi), out=stage_phi)
-        np.add(a, np.multiply(c * h, prev_a, out=stage_a), out=stage_a)
-        rhs(stage_phi, stage_a, out=(k_phi, k_a))
-        sum_phi += np.multiply(w, k_phi, out=stage_phi)
-        sum_a += np.multiply(w, k_a, out=stage_a)
-        prev_phi, prev_a = k_phi, k_a
-    phi += np.multiply(h / 6, sum_phi, out=sum_phi)
-    a += np.multiply(h / 6, sum_a, out=sum_a)
+def _mass(grid: PeriodicGrid, a: np.ndarray) -> float:
+    """The integral of |a|^2 over the box, the mass a march stores."""
+    return grid.spacing * float(np.sum(np.abs(a) ** 2))
 
 
 def _potential_rows(problems: list[SemiclassicalProblem]) -> np.ndarray:
@@ -281,16 +266,16 @@ def solve_phase_amplitude_sweep(problems: list[SemiclassicalProblem],
                 t, RealField(grid, phi[r], role="phase"),
                 ComplexField(grid, a[r], role="amplitude"),
                 RealField(grid, velocity[r], role="velocity")),
-                grid.spacing * float(np.sum(np.abs(a[r]) ** 2)), float(tail[r])))
+                _mass(grid, a[r]), float(tail[r])))
 
     store(0.0, phi[keep], a[keep], tail[keep])
     for n in range(n_steps if st.rows else 0):
         if variant == "full":
-            _rk4(rhs, st.phi_hat, st.a_hat, 0.5 * h, rhs.work)
+            rk4(rhs, (st.phi_hat, st.a_hat), 0.5 * h, rhs.work)
             st.a_hat *= st.skew_phase
-            _rk4(rhs, st.phi_hat, st.a_hat, 0.5 * h, rhs.work)
+            rk4(rhs, (st.phi_hat, st.a_hat), 0.5 * h, rhs.work)
         else:
-            _rk4(rhs, st.phi_hat, st.a_hat, h, rhs.work)
+            rk4(rhs, (st.phi_hat, st.a_hat), h, rhs.work)
         t = (n + 1) * h
         tail = tail_fraction(st.a_hat, grid.kept_band_top)
         tail = tail[st.check(_CHECK, [t] * len(st.rows), tail, [st.phi_hat, st.a_hat])]
@@ -373,13 +358,14 @@ def solve_corrector(problem: SemiclassicalProblem, t_final: float, dt: float,
             ComplexField(grid, a, role="amplitude"),
             RealField(grid, phi1, role="phase-corrector"),
             ComplexField(grid, a1, role="amplitude-corrector")))
+        mass.append(_mass(grid, a))
 
     phi, a = problem.initial_phase_field().values, problem.a0.values
     a1 = (problem.a1.values if problem.a1 is not None
           else np.zeros(grid.size, dtype=complex))
     phi_hat = np.fft.rfft(np.array([phi, np.zeros(grid.size)]))
     a_hat = np.fft.fft(np.array([a, a1], dtype=complex))
-    states = []
+    states, mass = [], []
 
     def check(t):
         error = (_CHECK.error(t, problem.eps, (phi_hat[0], a_hat[0]),
@@ -391,14 +377,14 @@ def solve_corrector(problem: SemiclassicalProblem, t_final: float, dt: float,
     check(0.0)
     store(0.0, phi, a, np.zeros(grid.size), a1)
     for n in range(n_steps):
-        _rk4(rates, phi_hat, a_hat, h, rhs.work)
+        rk4(rates, (phi_hat, a_hat), h, rhs.work)
         t = (n + 1) * h
         check(t)
         if schedule.stores(n + 1):
             (phi, phi1), (a, a1) = np.fft.irfft(phi_hat, rhs.n), np.fft.ifft(a_hat)
             store(t, phi, a, phi1, a1)
 
-    return CorrectorTrajectory(states=tuple(states), dt=h)
+    return CorrectorTrajectory(states=tuple(states), mass=np.array(mass), dt=h)
 
 
 def euler_residual(traj: GrenierTrajectory) -> dict[str, float]:

@@ -1,7 +1,8 @@
 """Problem container: one semiclassical Cauchy problem on a periodic box,
-and the helpers that every solver shares: step counts, stored-time lookup,
-drift of a conserved series, and the row bookkeeping of the marches (the
-store schedule, the row check, and the stack of a sweep's rows).
+and the helpers that every solver shares: step counts, the one in-place
+RK4 step of the ray and phase-amplitude marches, stored-time lookup, drift
+of a conserved series, and the row bookkeeping of the marches (the store
+schedule, the row check, and the stack of a sweep's rows).
 
 The equation solved throughout the package is
 
@@ -38,6 +39,30 @@ def march_steps(t_final: float, dt: float) -> int:
     |t_final| / dt, at least one.  The march steps t_final / steps, so it
     lands exactly on t_final."""
     return max(1, int(round(abs(t_final) / dt)))
+
+
+def rk4(rhs, state, h, work) -> None:
+    """One classical RK4 step, written into the tuple of arrays `state`, of
+    the autonomous system whose right-hand side rhs(*state, out=rates)
+    writes its rates into the arrays `rates`.  Each stage state is
+    v + (c h) k; the weighted sum k1 + 2 k2 + 2 k3 + k4 is accumulated in
+    that order as each stage ends, and v += (h/6) sum.  The stage states,
+    the stage rates and the sums are work(name, shape, dtype) arrays, so a
+    march that keeps them allocates no array per step."""
+    total, k, stage = (tuple(work(f"{role} {i}", v.shape, v.dtype)
+                             for i, v in enumerate(state))
+                       for role in ("sum", "rate", "stage"))
+    rhs(*state, out=total)
+    prev = total
+    for c, w in ((0.5, 2), (0.5, 2), (1.0, 1)):
+        for v, s, r in zip(state, stage, prev):
+            np.add(v, np.multiply(c * h, r, out=s), out=s)
+        rhs(*stage, out=k)
+        for t, s, r in zip(total, stage, k):
+            t += np.multiply(w, r, out=s)
+        prev = k
+    for v, t in zip(state, total):
+        v += np.multiply(h / 6, t, out=t)
 
 
 def time_index(times: np.ndarray, t: float) -> int:

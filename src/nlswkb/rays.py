@@ -37,10 +37,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CausticError, InversionError, StencilError
-from .fields import RealField, derivative_values, interpolate_periodic
+from .fields import RealField, interpolate_periodic
 from .grids import PeriodicGrid
 from .problem import (RowCheck, SemiclassicalProblem, StoreSchedule, march_steps,
-                      time_index)
+                      rk4, time_index)
 
 CAUSTIC_THRESHOLD = 0.1
 # the Hamilton-Jacobi residual is checked while min_y J stays above this
@@ -92,12 +92,16 @@ class RayBundle:
         return self.problem.potential.quadratic
 
 
-def _ray_rhs(potential, x, xi, jac, xiv, s, g):
+def _ray_rhs(potential, x, xi, jac, xiv, s, g, out):
     # s and g ride along: the action rate depends on (x, xi) only, the
     # rate of g = int 1/J on J only
-    return (xi, -potential.gradient(x), xiv,
-            -(potential.hessian(x) * jac), 0.5 * xi**2 - potential.value(x),
-            1.0 / jac)
+    dx, dxi, djac, dxiv, ds, dg = out
+    np.copyto(dx, xi)
+    np.negative(potential.gradient(x), out=dxi)
+    np.copyto(djac, xiv)
+    np.negative(np.multiply(potential.hessian(x), jac, out=dxiv), out=dxiv)
+    np.subtract(0.5 * xi**2, potential.value(x), out=ds)
+    np.divide(1.0, jac, out=dg)
 
 
 def integrate_ray_state(potential, x0, xi0, jac0, xiv0, s0, t0, t_final, dt,
@@ -112,8 +116,10 @@ def integrate_ray_state(potential, x0, xi0, jac0, xiv0, s0, t0, t_final, dt,
     shape (M+1,), is min_y J at every step.
     The step count M is march_steps(t_final - t0, dt); dt is adjusted so
     the last node lands exactly on t_final.  Negative spans integrate
-    backward.  The five ray variables must stay finite; past a zero of J
-    the integral means nothing, and nothing reads it there.
+    backward.  Each step is problem.rk4 in place.  The five ray variables
+    must stay finite: the initial state and every step are checked, and
+    the first that fails raises DivergenceError at its time.  Past a zero
+    of J the integral means nothing, and nothing reads it there.
     """
     span = t_final - t0
     n_steps = march_steps(span, dt)
@@ -126,29 +132,21 @@ def integrate_ray_state(potential, x0, xi0, jac0, xiv0, s0, t0, t_final, dt,
     mins = np.empty(n_steps + 1)
     state = (x0.copy(), xi0.copy(), jac0.copy(), xiv0.copy(), s0.copy(),
              np.zeros_like(x0))
+    rhs = functools.partial(_ray_rhs, potential)
+    # one array per work name, allocated at the first step of the march
+    work = functools.cache(lambda name, shape, dtype: np.empty(shape, dtype))
 
-    def store(step):
-        for out, v in zip(stored, state):
-            out[len(kept)] = v
-        kept.append(step)
-
-    store(0)
-    mins[0] = state[2].min()
-    for n in range(n_steps):
-        # k1 + 2 k2 + 2 k3 + k4, summed in that order as each stage ends,
-        # so a stage and its rates are dropped before the next one
-        k = _ray_rhs(potential, *state)
-        total = k
-        for c, w in ((0.5, 2), (0.5, 2), (1.0, 1)):
-            k = _ray_rhs(potential, *(v + c * h * r for v, r in zip(state, k)))
-            total = tuple(a + w * b for a, b in zip(total, k))
-        state = tuple(v + (h / 6.0) * a for v, a in zip(state, total))
-        error = _CHECK.error(float(step_times[n + 1]), None, state[:5])
+    for n in range(n_steps + 1):
+        if n:
+            rk4(rhs, state, h, work)
+        error = _CHECK.error(float(step_times[n]), None, state[:5])
         if error is not None:
             raise error
-        mins[n + 1] = state[2].min()
-        if schedule.stores(n + 1):
-            store(n + 1)
+        mins[n] = state[2].min()
+        if schedule.stores(n):
+            for out, v in zip(stored, state):
+                out[len(kept)] = v
+            kept.append(n)
 
     return (step_times[kept], *stored, mins)
 
@@ -375,8 +373,7 @@ def check_residual_nodes(nodes: int, time: float) -> None:
             f"the time stencil needs {RESIDUAL_STENCIL_NODES}", time=time)
 
 
-def hamilton_jacobi_residual(bundle: RayBundle, x_grid: PeriodicGrid,
-                             gradient: str = "momentum") -> float:
+def hamilton_jacobi_residual(bundle: RayBundle, x_grid: PeriodicGrid) -> float:
     """Sup-norm residual of d_t phi + |grad phi|^2/2 + V over checkable nodes.
 
     d_t uses a fourth-order centered stencil over stored nodes one step
@@ -385,13 +382,8 @@ def hamilton_jacobi_residual(bundle: RayBundle, x_grid: PeriodicGrid,
     RESIDUAL_MIN_JACOBIAN (StencilError otherwise).  The check runs on
     interior nodes whose min-Jacobian stays above it; closer to the caustic
     the time derivatives of the phase blow up and finite differencing is no
-    longer meaningful.
-    `gradient` selects the transported momentum (valid for any fixture) or
-    the spectral gradient of the phase field (valid when the phase is
-    box-periodic).
+    longer meaningful.  grad phi is the transported momentum.
     """
-    if gradient not in ("momentum", "spectral"):
-        raise ValueError(f"unknown gradient mode {gradient!r}")
     if len(bundle.times) != len(bundle.min_jacobian):
         raise ValueError(
             "the residual's time stencil needs a node at every step; this "
@@ -417,10 +409,7 @@ def hamilton_jacobi_residual(bundle: RayBundle, x_grid: PeriodicGrid,
     worst = 0.0
     for i in range(2, last - 1):
         dphi_dt = (-phi(i + 2) + 8 * phi(i + 1) - 8 * phi(i - 1) + phi(i - 2)) / (12 * h)
-        if gradient == "momentum":
-            grad_sq = momentum_field(label_map(i)) ** 2
-        else:
-            grad_sq = derivative_values(x_grid, phi(i)) ** 2
+        grad_sq = momentum_field(label_map(i)) ** 2
         res = np.abs(dphi_dt + 0.5 * grad_sq + vvals).max()
         worst = max(worst, float(res))
     return worst

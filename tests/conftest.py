@@ -1,5 +1,5 @@
-"""Fixtures shared by the solver tests, and the shipped-config runs shared
-by the acceptance and golden tests."""
+"""Fixtures and the reference RK4 step shared by the solver tests, and the
+shipped-config runs shared by the acceptance and golden tests."""
 import json
 from pathlib import Path
 
@@ -37,6 +37,18 @@ class FFTCounter:
             self.lines += int(np.prod(np.shape(a)[:-1]))
             return fn(a, *args, **kwargs)
         return counted
+
+
+def stagewise_rk4(rhs, state, h):
+    """One RK4 step of a tuple of arrays with a fresh array for every
+    stage and sum: the reference whose arithmetic problem.rk4 must
+    reproduce bit for bit."""
+    k1 = rhs(*state)
+    k2 = rhs(*(s + 0.5 * h * k for s, k in zip(state, k1)))
+    k3 = rhs(*(s + 0.5 * h * k for s, k in zip(state, k2)))
+    k4 = rhs(*(s + h * k for s, k in zip(state, k3)))
+    return tuple(s + (h / 6) * (a + 2 * b + 2 * c + d)
+                 for s, a, b, c, d in zip(state, k1, k2, k3, k4))
 
 
 @pytest.fixture

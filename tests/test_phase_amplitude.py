@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import stagewise_rk4
 
 from nlswkb import phase_amplitude
 from nlswkb.errors import ConfigError, DivergenceError, ResolutionError
@@ -112,7 +113,7 @@ class TestGuards:
         x = problem.grid.nodes
         chirped = dataclasses.replace(problem, a0=ComplexField(
             problem.grid, problem.a0.values * np.exp(-2j * x ** 2)))
-        monkeypatch.setattr(phase_amplitude, "_rk4",
+        monkeypatch.setattr(phase_amplitude, "rk4",
                             lambda *args: pytest.fail("the march took a step"))
         with pytest.raises(ResolutionError) as info:
             solve(chirped, 0.2, 2e-3)
@@ -182,6 +183,19 @@ class TestCorrector:
         for got, ref in zip(corr.states, limit.states, strict=True):
             assert np.array_equal(got.phi.values, ref.phi.values)
             assert np.array_equal(got.a.values, ref.a.values)
+
+    def test_lookup_and_mass_drift_are_the_limit_march(self):
+        # the stored limit rows are the limit march's bit for bit, so the
+        # stored times, the state lookup and the mass drift are too
+        problem = sweep_problems(size=256)[0]
+        corr = solve_corrector(problem, 0.2, 2e-3, store_every=10)
+        limit = solve_phase_amplitude(problem, 0.2, 2e-3, variant="limit",
+                                      store_every=10)
+        assert np.array_equal(corr.times, limit.times)
+        got, want = corr.state_at(0.1), limit.state_at(0.1)
+        assert np.array_equal(got.phi.values, want.phi.values)
+        assert np.array_equal(got.a.values, want.a.values)
+        assert corr.mass_drift() == limit.mass_drift() > 0
 
     def test_divergence_carries_eps_and_time(self):
         # a1 data near the float ceiling has a finite transform, and the
@@ -413,17 +427,6 @@ def _spectral_transport(grid, v):
     return rhs
 
 
-def _stagewise_rk4(rhs, state, h):
-    """One RK4 step of a tuple of spectral fields with a fresh array for
-    every stage and sum."""
-    k1 = rhs(*state)
-    k2 = rhs(*(s + 0.5 * h * k for s, k in zip(state, k1)))
-    k3 = rhs(*(s + 0.5 * h * k for s, k in zip(state, k2)))
-    k4 = rhs(*(s + h * k for s, k in zip(state, k3)))
-    return tuple(s + (h / 6) * (a + 2 * b + 2 * c + d)
-                 for s, a, b, c, d in zip(state, k1, k2, k3, k4))
-
-
 def _stagewise_corrector(problem, t_final, dt, a1_values):
     """The limit and its corrector marched as one system (phi, a, phi1, a1)
     with a fresh array for every operation, one transform per field and
@@ -453,7 +456,7 @@ def _stagewise_corrector(problem, t_final, dt, a1_values):
              np.fft.fft(a1_values))
     states = [(phi, a, np.zeros(n), a1_values)]
     for _ in range(n_steps):
-        state = _stagewise_rk4(rhs, state, h)
+        state = stagewise_rk4(rhs, state, h)
         phi, a, phi1, a1 = state
         states.append((np.fft.irfft(phi, n), np.fft.ifft(a),
                        np.fft.irfft(phi1, n), np.fft.ifft(a1)))
@@ -469,7 +472,7 @@ def _stagewise_march(problem, t_final, dt):
     n_steps = int(round(t_final / dt))
     h = t_final / n_steps
     for _ in range(n_steps):
-        state = _stagewise_rk4(rhs, state, h)
+        state = stagewise_rk4(rhs, state, h)
     return np.fft.irfft(state[0], problem.grid.size), np.fft.ifft(state[1])
 
 

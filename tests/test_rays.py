@@ -5,8 +5,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import stagewise_rk4
 
-from nlswkb.errors import CausticError, FieldError, InversionError, StencilError
+from nlswkb.errors import (CausticError, DivergenceError, FieldError, InversionError,
+                           StencilError)
 from nlswkb.grids import PeriodicGrid
 from nlswkb.potentials import InitialPhaseSpec, PotentialSpec
 from nlswkb.problem import SemiclassicalProblem, gaussian_field, march_steps
@@ -158,13 +160,9 @@ class TestEikonalResidual:
         rays.hamilton_jacobi_residual(free_bundle, eval_grid)
         assert times and len(times) == len(set(times))
 
-    def test_cosine_fixture_both_gradient_modes(self, cosine_bundle, eval_grid):
+    def test_cosine_fixture(self, cosine_bundle, eval_grid):
         assert cosine_bundle.is_periodic_compatible()
-        res_m = rays.hamilton_jacobi_residual(cosine_bundle, eval_grid)
-        res_s = rays.hamilton_jacobi_residual(cosine_bundle, eval_grid,
-                                              gradient="spectral")
-        assert res_m <= 1e-6
-        assert res_s <= 1e-6
+        assert rays.hamilton_jacobi_residual(cosine_bundle, eval_grid) <= 1e-6
 
 
 class TestIntegratorQuality:
@@ -189,6 +187,35 @@ class TestIntegratorQuality:
         assert len(bundle.times) == 1201
         assert np.all(np.abs(bundle.jac_inv_integral - want)
                       <= 1e-12 * np.abs(want))
+
+    @pytest.mark.parametrize("potential", [
+        PotentialSpec.harmonic(1.0), PotentialSpec.cosine(0.5, 32.0, 4),
+    ], ids=["harmonic", "cosine"])
+    @pytest.mark.parametrize("t0, t_final", [(0.0, 1.0), (1.0, 0.0)],
+                             ids=["forward", "backward"])
+    def test_march_is_the_stagewise_rk4(self, potential, t0, t_final):
+        # the in-place stages and rates do the arithmetic of a fresh-array
+        # RK4 of the same rates exactly, backward steps included
+        def rates(x, xi, jac, xiv, s, g):
+            return (xi, -potential.gradient(x), xiv, -(potential.hessian(x) * jac),
+                    0.5 * xi**2 - potential.value(x), 1.0 / jac)
+
+        y = PeriodicGrid(32.0, 64).nodes
+        phase = InitialPhaseSpec.quadratic(0.2)
+        start = (y, phase.gradient(y), np.ones_like(y), phase.hessian(y),
+                 phase.value(y))
+        _, *stored, _ = rays.integrate_ray_state(potential, *start, t0,
+                                                 t_final, 1e-2)
+        steps = march_steps(t_final - t0, 1e-2)
+        state = (*start, np.zeros_like(y))
+        want = [state]
+        for _ in range(steps):
+            state = stagewise_rk4(rates, state, (t_final - t0) / steps)
+            want.append(state)
+        assert len(stored) == 6
+        for got, ref in zip(stored, zip(*want)):
+            assert got.shape == (steps + 1, y.size)
+            assert np.array_equal(got, np.array(ref))
 
     def test_time_reversal(self):
         problem, markers = make_problem(PotentialSpec.harmonic(1.0),
@@ -371,16 +398,24 @@ class TestArgumentGuards:
             lmap.interp_series(free_bundle.action[lmap.index])
         assert caught.value.time == pytest.approx(0.5, abs=1e-12)
 
-    def test_residual_arguments(self, cosine_bundle, eval_grid):
-        with pytest.raises(ValueError, match="unknown gradient mode 'finite'"):
-            rays.hamilton_jacobi_residual(cosine_bundle, eval_grid,
-                                          gradient="finite")
+    def test_residual_arguments(self, eval_grid):
         problem, markers = make_problem(PotentialSpec.zero(),
                                         InitialPhaseSpec.zero(), 32.0, 64)
         short = rays.integrate_flow(problem, markers, 0.03, dt=1e-2)
         with pytest.raises(StencilError, match="not enough stored nodes") as caught:
             rays.hamilton_jacobi_residual(short, eval_grid)
         assert caught.value.time == pytest.approx(0.03, abs=1e-12)
+
+    def test_a_non_finite_initial_state_fails_at_t0(self, monkeypatch):
+        # the curvature 1e308 overflows the initial momentum q y
+        problem, markers = make_problem(PotentialSpec.zero(),
+                                        InitialPhaseSpec.quadratic(1e308), 32.0, 64)
+        monkeypatch.setattr(rays, "rk4",
+                            lambda *args: pytest.fail("the march took a step"))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DivergenceError, match="non-finite") as caught:
+            rays.integrate_flow(problem, markers, 0.1, dt=0.01)
+        assert caught.value.time == 0.0
 
     def test_residual_needs_a_node_at_every_step(self, eval_grid):
         # the fourth-order time stencil assumes nodes dt apart
