@@ -28,7 +28,7 @@ from . import nls, phase_amplitude, rays, taylor, wkb
 from .errors import ConfigError, ResolutionError
 from .fields import ComplexField, RealField, l2_linf_norm, lp_norm, sobolev_norm
 from .fitting import fit_power_law
-from .problem import SUPPORTED_KAPPA, march_steps
+from .problem import SUPPORTED_KAPPA, March
 
 # Driver.checks: the checks of one driver's config; the rules of the method
 NORMGROWTH_RESOLUTION = 0.25  # a normgrowth grid needs N >= this * L / min(eps)
@@ -315,7 +315,7 @@ def _run_profile(config: ExperimentConfig, plan: Plan) -> tuple:
     ray_dt = plan.rows[0].ray_dt
     profile = wkb.build_approximant(problems[0], rays.integrate_flow(
         problems[0], problems[0].a0.grid, t, dt=ray_dt,
-        store_every=march_steps(t, ray_dt)), t)
+        store_every=March(t, ray_dt).steps), t)
     critical = profile.regime == "critical"
     solutions = nls.solve_nls_sweep(problems, t, plan.dts)
 
@@ -570,7 +570,7 @@ def _run_wkb(config: ExperimentConfig, plan: Plan) -> tuple:
     eps, t = row.eps, row.times[-1]
     problem = config.problem(eps)
     bundle = rays.integrate_flow(problem, problem.a0.grid, t, dt=row.ray_dt,
-                                 store_every=march_steps(t, row.ray_dt))
+                                 store_every=March(t, row.ray_dt).steps)
     profile = wkb.build_approximant(problem, bundle, t)
     approx = profile.assemble(eps)
     sol = nls.solve_nls(problem, t, dt=row.dt)

@@ -42,8 +42,8 @@ import numpy as np
 from .errors import ConfigError, DivergenceError, ResolutionError
 from .fields import ComplexField, RealField, derivative_values, tail_fraction
 from .grids import PeriodicGrid
-from .problem import (RowCheck, RowStack, SemiclassicalProblem, StoredStates,
-                      StoreSchedule, march_steps, rk4)
+from .problem import (March, RowCheck, RowStack, SemiclassicalProblem, StoredStates,
+                      rk4)
 
 VARIANTS = ("full", "skew_free", "limit")
 _CHECK = RowCheck("phase-amplitude solve hit non-finite values",
@@ -211,9 +211,9 @@ def solve_phase_amplitude(problem: SemiclassicalProblem, t_final: float, dt: flo
                           ) -> GrenierTrajectory:
     """March the phase-amplitude system to t_final.
 
-    dt is adjusted so march_steps(t_final, dt) steps land exactly on
-    t_final; negative t_final integrates backward.  States are stored on
-    StoreSchedule(steps, store_every).  The initial state and every step
+    The march takes the steps of March(t_final, dt, store_every), whose
+    size lands it exactly on t_final (backward for negative t_final), and
+    keeps the states of its stored steps.  The initial state and every step
     are checked (problem.TAIL_TOL); the first that fails raises its
     ResolutionError or DivergenceError.
     This is the one-row call of solve_phase_amplitude_sweep.
@@ -247,46 +247,47 @@ def solve_phase_amplitude_sweep(problems: list[SemiclassicalProblem],
         a = np.array([p.initial_amplitude().values for p in problems])
     phi = np.array([p.initial_phase_field().values for p in problems])
 
-    n_steps = march_steps(t_final, dt)
-    schedule = StoreSchedule(n_steps, store_every)
-    h = t_final / n_steps
+    march = March(t_final, dt, store_every)
     eps = np.array([[p.eps] for p in problems])
     st.phi_hat, st.a_hat = np.fft.rfft(phi), np.fft.fft(a)
-    st.skew_phase = np.exp(-0.5j * eps * grid.wavenumber_sq * h)
-    # a row whose initial state fails the check of a step leaves at t = 0
-    tail = tail_fraction(st.a_hat, grid.kept_band_top)
-    keep = st.check(_CHECK, [0.0] * len(problems), tail, [st.phi_hat, st.a_hat])
+    st.skew_phase = np.exp(-0.5j * eps * grid.wavenumber_sq * march.h)
     rhs = _Transport(grid, st.v)
 
-    def store(t, phi, a, tail):
-        # the nodes (state, mass, tail fraction) of every stack row
+    def step():
+        if variant == "full":
+            rk4(rhs, (st.phi_hat, st.a_hat), 0.5 * march.h, rhs.work)
+            st.a_hat *= st.skew_phase
+            rk4(rhs, (st.phi_hat, st.a_hat), 0.5 * march.h, rhs.work)
+        else:
+            rk4(rhs, (st.phi_hat, st.a_hat), march.h, rhs.work)
+
+    def check(n):
+        # a row that fails, its initial state included, leaves the stack
+        # and so takes its tail fraction off st.tail
+        st.tail = tail_fraction(st.a_hat, grid.kept_band_top)
+        st.check(_CHECK, [march.time(n)] * len(st.rows), st.tail,
+                 [st.phi_hat, st.a_hat])
+        rhs.v = st.v
+        return bool(st.rows)
+
+    def store(n):
+        # the nodes (state, mass, tail fraction) of every stack row; those
+        # of t = 0 from the initial arrays
+        if n:
+            phi_n, a_n = np.fft.irfft(st.phi_hat, rhs.n), np.fft.ifft(st.a_hat)
+        else:
+            phi_n, a_n = phi[st.rows], a[st.rows]
         velocity = np.fft.irfft(st.phi_hat * rhs.ik_half, rhs.n)
         for r, i in enumerate(st.rows):
             st.nodes[i].append((GrenierState(
-                t, RealField(grid, phi[r], role="phase"),
-                ComplexField(grid, a[r], role="amplitude"),
+                march.time(n), RealField(grid, phi_n[r], role="phase"),
+                ComplexField(grid, a_n[r], role="amplitude"),
                 RealField(grid, velocity[r], role="velocity")),
-                _mass(grid, a[r]), float(tail[r])))
+                _mass(grid, a_n[r]), float(st.tail[r])))
 
-    store(0.0, phi[keep], a[keep], tail[keep])
-    for n in range(n_steps if st.rows else 0):
-        if variant == "full":
-            rk4(rhs, (st.phi_hat, st.a_hat), 0.5 * h, rhs.work)
-            st.a_hat *= st.skew_phase
-            rk4(rhs, (st.phi_hat, st.a_hat), 0.5 * h, rhs.work)
-        else:
-            rk4(rhs, (st.phi_hat, st.a_hat), h, rhs.work)
-        t = (n + 1) * h
-        tail = tail_fraction(st.a_hat, grid.kept_band_top)
-        tail = tail[st.check(_CHECK, [t] * len(st.rows), tail, [st.phi_hat, st.a_hat])]
-        rhs.v = st.v
-        if not st.rows:
-            break
-        if schedule.stores(n + 1):
-            store(t, np.fft.irfft(st.phi_hat, rhs.n), np.fft.ifft(st.a_hat), tail)
-
+    march.run(step, check, store)
     return st.results(lambda i, states, mass, tails: GrenierTrajectory(
-        variant=variant, problem=problems[i], dt=h, states=states,
+        variant=variant, problem=problems[i], dt=march.h, states=states,
         mass=np.array(mass), tail_fraction=np.array(tails)))
 
 
@@ -310,16 +311,14 @@ def solve_corrector(problem: SemiclassicalProblem, t_final: float, dt: float,
     of row 1 from the row-0 fields of the same stage.  a1_data is
     problem.a1 (zero without one).  At t = 0 and at every step the limit is
     checked as the sweep checks a row, then the corrector for finite values,
-    and the first failure is raised; states
-    are stored on StoreSchedule(steps, store_every).  With real a0 and
+    and the first failure is raised; the states of the stored steps of
+    March(t_final, dt, store_every) are kept.  With real a0 and
     a1_data = 0, a1 stays purely imaginary and phi1 stays zero.
     """
     grid = problem.grid
     rhs = _Transport(grid, _potential_rows([problem])[0])
     half_lap = 0.5j * rhs.lap
-    n_steps = march_steps(t_final, dt)
-    schedule = StoreSchedule(n_steps, store_every)
-    h = t_final / n_steps
+    march = March(t_final, dt, store_every)
 
     def rates(phi_hat, a_hat, out):
         work = rhs.work
@@ -352,39 +351,37 @@ def solve_corrector(problem: SemiclassicalProblem, t_final: float, dt: float,
         rate_phi *= rhs.mask_half
         rate_a *= rhs.mask
 
-    def store(t, phi, a, phi1, a1):
-        states.append(CorrectorState(
-            t, RealField(grid, phi, role="phase"),
-            ComplexField(grid, a, role="amplitude"),
-            RealField(grid, phi1, role="phase-corrector"),
-            ComplexField(grid, a1, role="amplitude-corrector")))
-        mass.append(_mass(grid, a))
-
-    phi, a = problem.initial_phase_field().values, problem.a0.values
     a1 = (problem.a1.values if problem.a1 is not None
           else np.zeros(grid.size, dtype=complex))
-    phi_hat = np.fft.rfft(np.array([phi, np.zeros(grid.size)]))
-    a_hat = np.fft.fft(np.array([a, a1], dtype=complex))
+    # the initial (phi, a, phi1, a1): the t = 0 node stores these arrays
+    start = (problem.initial_phase_field().values, problem.a0.values,
+             np.zeros(grid.size), a1)
+    phi_hat = np.fft.rfft(np.array(start[::2]))
+    a_hat = np.fft.fft(np.array(start[1::2], dtype=complex))
     states, mass = [], []
 
-    def check(t):
+    def check(n):
+        t = march.time(n)
         error = (_CHECK.error(t, problem.eps, (phi_hat[0], a_hat[0]),
                               tail_fraction(a_hat[0], grid.kept_band_top))
                  or _CORRECTOR_CHECK.error(t, problem.eps, (phi_hat[1], a_hat[1])))
         if error is not None:
             raise error
+        return True
 
-    check(0.0)
-    store(0.0, phi, a, np.zeros(grid.size), a1)
-    for n in range(n_steps):
-        rk4(rates, (phi_hat, a_hat), h, rhs.work)
-        t = (n + 1) * h
-        check(t)
-        if schedule.stores(n + 1):
+    def store(n):
+        phi, a, phi1, a1 = start
+        if n:
             (phi, phi1), (a, a1) = np.fft.irfft(phi_hat, rhs.n), np.fft.ifft(a_hat)
-            store(t, phi, a, phi1, a1)
+        states.append(CorrectorState(
+            march.time(n), RealField(grid, phi, role="phase"),
+            ComplexField(grid, a, role="amplitude"),
+            RealField(grid, phi1, role="phase-corrector"),
+            ComplexField(grid, a1, role="amplitude-corrector")))
+        mass.append(_mass(grid, a))
 
-    return CorrectorTrajectory(states=tuple(states), mass=np.array(mass), dt=h)
+    march.run(lambda: rk4(rates, (phi_hat, a_hat), march.h, rhs.work), check, store)
+    return CorrectorTrajectory(states=tuple(states), mass=np.array(mass), dt=march.h)
 
 
 def euler_residual(traj: GrenierTrajectory) -> dict[str, float]:

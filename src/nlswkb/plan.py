@@ -14,7 +14,7 @@ from . import nls, rays
 from .config import DEFAULTS, ExperimentConfig
 from .errors import ConfigError
 from .experiments import DRIVERS, SELECTORS
-from .problem import march_steps
+from .problem import March
 
 INSTABILITY_DOUBLINGS = 2     # the grid doublings an instability eps may move to
 
@@ -117,8 +117,8 @@ class Plan:
                 off = [tt for tt in times if abs(tt / dt - round(tt / dt)) > 1e-9]
                 if len(times) > 1 and off:
                     raise ConfigError(f"dt {dt} does not divide schedule time {off[0]}")
-                steps = march_steps(times[-1], dt)
-                dt = times[-1] / steps
+                march = March(times[-1], dt)
+                steps, dt = march.steps, march.h
             ray_dt = {"march": dt, "wkb": times[-1] / 64}.get(spec.rays)
             if spec.rays == "march":
                 # the residual of a ray march reads every node it stores

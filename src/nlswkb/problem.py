@@ -1,8 +1,8 @@
 """Problem container: one semiclassical Cauchy problem on a periodic box,
-and the helpers that every solver shares: step counts, the one in-place
-RK4 step of the ray and phase-amplitude marches, stored-time lookup, drift
-of a conserved series, and the row bookkeeping of the marches (the store
-schedule, the row check, and the stack of a sweep's rows).
+and the helpers that every solver shares: the fixed-step march (its step
+count, store schedule and checked loop) and its one in-place RK4 step,
+stored-time lookup, drift of a conserved series, and the row bookkeeping
+of the marches (the row check and the stack of a sweep's rows).
 
 The equation solved throughout the package is
 
@@ -14,6 +14,7 @@ with kappa in {0, 1, 2} selecting the coupling regime.  Fractional kappa in
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,11 +35,39 @@ grid.kept_band_top, the top third of the band its 2/3-rule dealiasing
 keeps: every stage zeroes the modes above that band."""
 
 
-def march_steps(t_final: float, dt: float) -> int:
-    """Steps of a fixed-dt march to t_final: the whole number nearest to
-    |t_final| / dt, at least one.  The march steps t_final / steps, so it
-    lands exactly on t_final."""
-    return max(1, int(round(abs(t_final) / dt)))
+class March:
+    """A fixed-step march over `span`: `steps` steps of h = span / steps,
+    where steps is the whole number nearest to |span| / dt, at least one,
+    so it lands exactly on span (backward for a negative span).  It stores
+    step 0, every `store_every`-th step and the last step, each once;
+    `nodes` counts them."""
+
+    def __init__(self, span: float, dt: float, store_every: int = 1):
+        if not (math.isfinite(dt) and dt > 0):
+            raise ConfigError(f"dt must be positive, got {dt}")
+        if store_every < 1:
+            raise ConfigError(f"store_every must be at least 1, got {store_every}")
+        self.steps = max(1, int(round(abs(span) / dt)))
+        self.h, self.every = span / self.steps, store_every
+        self.nodes = self.steps // store_every + 1 + (self.steps % store_every > 0)
+
+    def time(self, n: int, start: float = 0.0) -> float:
+        """The time of step n from `start`; the added start keeps the first
+        node of a backward march at +0.0, where n h alone is -0.0."""
+        return start + n * self.h
+
+    def run(self, step, check, store) -> None:
+        """The march: check(0), then per step n = 1, ..., steps step() and
+        check(n), and store(n) after the check of each stored step.  A
+        check raises its error, or returns False once no sweep row is left,
+        which ends the march."""
+        for n in range(self.steps + 1):
+            if n:
+                step()
+            if not check(n):
+                return
+            if n % self.every == 0 or n == self.steps:
+                store(n)
 
 
 def rk4(rhs, state, h, work) -> None:
@@ -96,20 +125,6 @@ class StoredStates:
 
     def mass_drift(self) -> float:
         return relative_drift(self.mass)
-
-
-class StoreSchedule:
-    """The nodes an n_steps march stores: step 0, every `every`-th step
-    and the final step, each once; `nodes` counts them."""
-
-    def __init__(self, n_steps: int, every: int):
-        if every < 1:
-            raise ConfigError(f"store_every must be at least 1, got {every}")
-        self.n_steps, self.every = n_steps, every
-        self.nodes = n_steps // every + 1 + (n_steps % every > 0)
-
-    def stores(self, step: int) -> bool:
-        return step % self.every == 0 or step == self.n_steps
 
 
 @dataclass(frozen=True)

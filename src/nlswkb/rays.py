@@ -17,8 +17,8 @@ g(0) = 0.  On the line every one of these is a scalar per ray.  The
 Jacobian J starts at 1; the first time min_y J crosses a positive
 threshold is the caustic horizon, beyond which the Eulerian phase stops
 existing and label inversion refuses to run.  The march stores the nodes
-of problem.StoreSchedule(steps, store_every) but takes min_y J at every
-step, so a caller that reads the final node alone holds no trajectory.
+of problem.March(span, dt, store_every) but takes min_y J at every step,
+so a caller that reads the final node alone holds no trajectory.
 
 Inversion of the label-to-position map uses monotone bracketing plus
 safeguarded Newton on a cubic Hermite interpolant of the stored map (values
@@ -39,8 +39,7 @@ import numpy as np
 from .errors import CausticError, InversionError, StencilError
 from .fields import RealField, interpolate_periodic
 from .grids import PeriodicGrid
-from .problem import (RowCheck, SemiclassicalProblem, StoreSchedule, march_steps,
-                      rk4, time_index)
+from .problem import March, RowCheck, SemiclassicalProblem, rk4, time_index
 
 CAUSTIC_THRESHOLD = 0.1
 # the Hamilton-Jacobi residual is checked while min_y J stays above this
@@ -52,8 +51,8 @@ _CHECK = RowCheck("ray integration produced non-finite values")
 
 @dataclass(frozen=True, eq=False)
 class RayBundle:
-    """The marker rays at the nodes of StoreSchedule(steps, store_every),
-    steps of `dt`, and min_y J at every step."""
+    """The marker rays at the nodes of March(t_final, dt, store_every),
+    steps of `dt` (its h), and min_y J at every step."""
     markers: PeriodicGrid
     y: np.ndarray        # (Nm,) labels: the marker nodes
     times: np.ndarray    # (K,) stored times
@@ -112,43 +111,38 @@ def integrate_ray_state(potential, x0, xi0, jac0, xiv0, s0, t0, t_final, dt,
 
     Returns (times, x, xi, jac, xivar, action, jac_inv_integral,
     min_jacobian).  The six variables, each of shape (K, Nm), are stored
-    at the K nodes of StoreSchedule(M, store_every); min_jacobian, of
-    shape (M+1,), is min_y J at every step.
-    The step count M is march_steps(t_final - t0, dt); dt is adjusted so
-    the last node lands exactly on t_final.  Negative spans integrate
-    backward.  Each step is problem.rk4 in place.  The five ray variables
-    must stay finite: the initial state and every step are checked, and
-    the first that fails raises DivergenceError at its time.  Past a zero
-    of J the integral means nothing, and nothing reads it there.
+    at the K nodes of March(t_final - t0, dt, store_every); min_jacobian,
+    of shape (M+1,), is min_y J at step 0 and at each of its M steps,
+    whose size lands the last node exactly on t_final.  Negative spans
+    integrate backward.  Each step is problem.rk4 in place.  The five ray
+    variables must stay finite: the initial state and every step are
+    checked, and the first that fails raises DivergenceError at its time.
+    Past a zero of J the integral means nothing, and nothing reads it there.
     """
-    span = t_final - t0
-    n_steps = march_steps(span, dt)
-    schedule = StoreSchedule(n_steps, store_every)
-    h = span / n_steps
-
-    step_times = t0 + h * np.arange(n_steps + 1)
-    stored = tuple(np.empty((schedule.nodes, x0.shape[0])) for _ in range(6))
-    kept = []   # the step of each stored node
-    mins = np.empty(n_steps + 1)
+    march = March(t_final - t0, dt, store_every)
+    stored = tuple(np.empty((march.nodes, x0.shape[0])) for _ in range(6))
+    times = []
+    mins = np.empty(march.steps + 1)
     state = (x0.copy(), xi0.copy(), jac0.copy(), xiv0.copy(), s0.copy(),
              np.zeros_like(x0))
     rhs = functools.partial(_ray_rhs, potential)
     # one array per work name, allocated at the first step of the march
     work = functools.cache(lambda name, shape, dtype: np.empty(shape, dtype))
 
-    for n in range(n_steps + 1):
-        if n:
-            rk4(rhs, state, h, work)
-        error = _CHECK.error(float(step_times[n]), None, state[:5])
+    def check(n):
+        error = _CHECK.error(march.time(n, t0), None, state[:5])
         if error is not None:
             raise error
         mins[n] = state[2].min()
-        if schedule.stores(n):
-            for out, v in zip(stored, state):
-                out[len(kept)] = v
-            kept.append(n)
+        return True
 
-    return (step_times[kept], *stored, mins)
+    def store(n):
+        for out, v in zip(stored, state):
+            out[len(times)] = v
+        times.append(march.time(n, t0))
+
+    march.run(lambda: rk4(rhs, state, march.h, work), check, store)
+    return (np.array(times), *stored, mins)
 
 
 def integrate_flow(problem: SemiclassicalProblem, markers: PeriodicGrid,
@@ -163,7 +157,7 @@ def integrate_flow(problem: SemiclassicalProblem, markers: PeriodicGrid,
         phase.value(y), 0.0, t_final, dt, store_every)
     return RayBundle(markers=markers, y=y, times=times, x=xs, xi=xis, jac=jac,
                      xivar=xivs, action=ss, jac_inv_integral=integral,
-                     min_jacobian=mins, dt=t_final / march_steps(t_final, dt),
+                     min_jacobian=mins, dt=March(t_final, dt).h,
                      store_every=store_every, problem=problem)
 
 

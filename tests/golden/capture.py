@@ -24,6 +24,10 @@ named) it runs the config, prints the largest relative change of any
 report leaf or errors.csv value against the stored summary (the `*drift`
 values and exact zeros left out) and the mismatches of `compare_record`,
 and exits 1 when any config mismatches.
+
+Every name is checked against configs/*.json before anything runs or is
+written: one that names no shipped config (an option such as --help
+included) exits 2 with the valid names listed.
 """
 from __future__ import annotations
 
@@ -168,8 +172,13 @@ def compare(names: list[str]) -> int:
 
 def main(args: list[str]) -> int:
     comparing = args[:1] == ["--compare"]
-    names = args[1:] if comparing else args
-    names = names or sorted(p.name for p in CONFIG_DIR.glob("*.json"))
+    shipped = sorted(p.name for p in CONFIG_DIR.glob("*.json"))
+    names = (args[1:] if comparing else args) or shipped
+    unknown = [name for name in names if name not in shipped]
+    if unknown:
+        print(f"error: no shipped config {', '.join(unknown)}; the configs "
+              f"are {', '.join(shipped)}", file=sys.stderr)
+        return 2
     if comparing:
         return compare(names)
     for name in names:

@@ -22,7 +22,7 @@ from nlswkb.experiments import DRIVERS, flow_exponents, run_experiment
 from nlswkb.fields import ComplexField
 from nlswkb.fitting import fit_power_law
 from nlswkb.plan import Plan, plan_json
-from nlswkb.problem import march_steps
+from nlswkb.problem import March
 from nlswkb.reporting import (errors_csv_bytes, load_field_dump,
                               write_artifacts)
 
@@ -487,7 +487,7 @@ class TestDryRunPlan:
         strides = []
 
         def stop(problem, markers, t_final, dt, store_every=1):
-            strides.append((store_every, march_steps(t_final, dt)))
+            strides.append((store_every, March(t_final, dt).steps))
             raise _SolverReached([(problem.eps, dt)])
 
         monkeypatch.setattr(rays, "integrate_flow", stop)

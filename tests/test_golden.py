@@ -34,3 +34,22 @@ def test_shipped_config_matches_its_golden_record(name, shipped_result):
 ])
 def test_first_difference_reports_every_unequal_text(run, ref, expected):
     assert capture._first_difference("part", run, ref) == expected
+
+
+@pytest.mark.parametrize("args", [
+    ["--help"],
+    ["--compare", "critical"],
+    # a bad later name: the earlier record is not rewritten
+    ["wkb.json", "critical"],
+])
+def test_a_name_of_no_shipped_config_exits_2_before_any_run(args, monkeypatch,
+                                                             capsys):
+    def no_run(name):
+        pytest.fail(f"ran {name}")
+
+    monkeypatch.setattr(capture, "run_config", no_run)
+    monkeypatch.setattr(capture, "record", no_run)
+    assert capture.main(args) == 2
+    err = capsys.readouterr().err
+    assert f"no shipped config {args[-1]};" in err
+    assert ", ".join(NAMES) in err

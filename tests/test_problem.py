@@ -1,15 +1,39 @@
-"""The problem container's checks, the step rule of the fixed-dt marches,
-and the row bookkeeping they share: store schedule, row check, row stack."""
+"""The problem container's checks, the fixed-step march (its step count,
+store schedule and checked loop) and the row bookkeeping the marches
+share: row check, row stack."""
+import math
+
 import numpy as np
 import pytest
 
 from nlswkb.errors import ConfigError, DivergenceError, ResolutionError
+from nlswkb.fields import ComplexField
 from nlswkb.grids import PeriodicGrid
 from nlswkb.nls import solve_nls_sweep
 from nlswkb.phase_amplitude import solve_corrector, solve_phase_amplitude_sweep
-from nlswkb.problem import (TAIL_TOL, RowCheck, RowStack, SemiclassicalProblem,
-                            StoreSchedule, gaussian_field, march_steps)
+from nlswkb.potentials import InitialPhaseSpec
+from nlswkb.problem import (TAIL_TOL, March, RowCheck, RowStack, SemiclassicalProblem,
+                            gaussian_field)
 from nlswkb.rays import integrate_flow
+
+
+def resolved_problem(**kwargs):
+    return SemiclassicalProblem(eps=0.1, kappa=0.0,
+                                a0=gaussian_field(PeriodicGrid(32.0, 256)), **kwargs)
+
+
+def march_call(march, problem, t_final, dt=0.01, store_every=1):
+    """A call of the ray march, the phase-amplitude sweep (its one row) or
+    the corrector, by `march`, on `problem`."""
+    return {"integrate_flow": lambda: integrate_flow(
+                problem, problem.grid, t_final, dt, store_every=store_every),
+            "phase_amplitude_sweep": lambda: solve_phase_amplitude_sweep(
+                [problem], t_final, dt, store_every=store_every)[0],
+            "corrector": lambda: solve_corrector(
+                problem, t_final, dt, store_every=store_every)}[march]
+
+
+MARCHES = ["integrate_flow", "phase_amplitude_sweep", "corrector"]
 
 
 class TestMarchSteps:
@@ -21,7 +45,8 @@ class TestMarchSteps:
         (0.001, 0.5, 1),        # at least one step
     ])
     def test_nearest_whole_number_of_steps(self, t_final, dt, steps):
-        assert march_steps(t_final, dt) == steps
+        march = March(t_final, dt)
+        assert (march.steps, march.h) == (steps, t_final / steps)
 
 
 class TestProblemChecks:
@@ -46,32 +71,102 @@ class TestProblemChecks:
             self.problem(a1=gaussian_field(other))
 
 
+def run_recorded(march, stop_at=None, fail_at=None, calls=None) -> list:
+    """The calls March.run makes of its step, check and store, in order,
+    appended to `calls`; the check returns False at step stop_at and
+    raises at step fail_at."""
+    calls = [] if calls is None else calls
+
+    def check(n):
+        calls.append(("check", n))
+        if n == fail_at:
+            raise DivergenceError("failed", time=march.time(n))
+        return n != stop_at
+
+    march.run(lambda: calls.append(("step",)), check,
+              lambda n: calls.append(("store", n)))
+    return calls
+
+
 class TestStoreSchedule:
     @pytest.mark.parametrize("n_steps", range(1, 13))
     def test_stored_steps_and_their_count(self, n_steps):
         for every in range(1, 16):
-            schedule = StoreSchedule(n_steps, every)
-            stored = [0] + [s for s in range(1, n_steps + 1) if schedule.stores(s)]
+            march = March(float(n_steps), 1.0, every)
+            stored = [c[1] for c in run_recorded(march) if c[0] == "store"]
             assert stored == sorted({*range(0, n_steps + 1, every), n_steps})
-            assert len(stored) == schedule.nodes
+            assert len(stored) == march.nodes
             if every >= n_steps:
                 assert stored == [0, n_steps]
 
-    @pytest.mark.parametrize("store_every", [0, -1])
-    @pytest.mark.parametrize("march", ["integrate_flow", "phase_amplitude_sweep",
-                                       "corrector"])
-    def test_store_every_below_one_is_refused(self, march, store_every):
-        # resolved data, so that only store_every can stop these marches
-        problem = SemiclassicalProblem(eps=0.1, kappa=0.0,
-                                       a0=gaussian_field(PeriodicGrid(32.0, 256)))
-        run = {"integrate_flow": lambda: integrate_flow(
-                   problem, problem.grid, 0.1, 0.01, store_every=store_every),
-               "phase_amplitude_sweep": lambda: solve_phase_amplitude_sweep(
-                   [problem], 0.1, 0.01, store_every=store_every),
-               "corrector": lambda: solve_corrector(
-                   problem, 0.1, 0.01, store_every=store_every)}[march]
-        with pytest.raises(ConfigError, match="store_every must be at least 1"):
+    @pytest.mark.parametrize("bad, message", [
+        pytest.param({"store_every": 0}, "store_every must be at least 1, got 0", id="0"),
+        pytest.param({"store_every": -1}, "store_every must be at least 1, got -1",
+                     id="-1"),
+        # a negative dt ran as one step of the span, a zero one divided by
+        # zero, a nan one failed to round
+        pytest.param({"dt": -0.01}, "dt must be positive, got -0.01", id="dt-negative"),
+        pytest.param({"dt": 0.0}, "dt must be positive, got 0.0", id="dt-zero"),
+        pytest.param({"dt": float("nan")}, "dt must be positive, got nan", id="dt-nan"),
+    ])
+    @pytest.mark.parametrize("march", MARCHES)
+    def test_store_every_below_one_is_refused(self, march, bad, message):
+        # resolved data, so that only the bad step or schedule can stop
+        # these marches
+        run = march_call(march, resolved_problem(), 0.1, **bad)
+        with pytest.raises(ConfigError, match=f"^{message}$"):
             run()
+
+
+class TestMarch:
+    def test_each_check_comes_before_its_step_and_store(self):
+        assert run_recorded(March(0.5, 0.1, store_every=2)) == [
+            ("check", 0), ("store", 0),
+            ("step",), ("check", 1),
+            ("step",), ("check", 2), ("store", 2),
+            ("step",), ("check", 3),
+            ("step",), ("check", 4), ("store", 4),
+            ("step",), ("check", 5), ("store", 5)]
+
+    @pytest.mark.parametrize("stop_at", [0, 2, 3])
+    def test_a_false_check_ends_the_march(self, stop_at):
+        calls = run_recorded(March(0.5, 0.1, store_every=2), stop_at=stop_at)
+        assert calls[-1] == ("check", stop_at)
+        assert calls.count(("step",)) == stop_at
+
+    def test_a_raising_check_ends_the_march(self):
+        march, calls = March(-0.5, 0.1), []
+        with pytest.raises(DivergenceError) as caught:
+            run_recorded(march, fail_at=3, calls=calls)
+        assert caught.value.time == march.time(3) == 3 * (-0.5 / 5)
+        assert calls[-2:] == [("step",), ("check", 3)]
+
+    @pytest.mark.parametrize("march", MARCHES)
+    def test_a_backward_march_starts_at_plus_zero(self, march):
+        out = march_call(march, resolved_problem(), -0.1, store_every=3)()
+        times = out.times
+        assert math.copysign(1.0, times[0]) == 1.0 and times[0] == 0.0
+        assert times[-1] == -0.1
+        assert len(times) == 5   # steps 0, 3, 6, 9 and 10
+
+    @pytest.mark.parametrize("march", MARCHES)
+    def test_a_backward_march_fails_at_plus_zero(self, march):
+        if march == "integrate_flow":
+            # the curvature 1e308 overflows the initial momentum of the rays
+            unresolved = resolved_problem(phase=InitialPhaseSpec.quadratic(1e308))
+        else:
+            # the chirp exp(-2i x^2) of the data outruns 64 nodes on L = 32
+            grid = PeriodicGrid(32.0, 64)
+            x = grid.nodes
+            unresolved = SemiclassicalProblem(eps=0.1, kappa=0.0, a0=ComplexField(
+                grid, np.exp(-x ** 2 - 2j * x ** 2)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                error = march_call(march, unresolved, -0.1)()
+            except (DivergenceError, ResolutionError) as raised:
+                error = raised
+        assert isinstance(error, (DivergenceError, ResolutionError))
+        assert error.time == 0.0 and math.copysign(1.0, error.time) == 1.0
 
 
 class TestRowCheck:

@@ -11,7 +11,7 @@ from nlswkb.errors import (CausticError, DivergenceError, FieldError, InversionE
                            StencilError)
 from nlswkb.grids import PeriodicGrid
 from nlswkb.potentials import InitialPhaseSpec, PotentialSpec
-from nlswkb.problem import SemiclassicalProblem, gaussian_field, march_steps
+from nlswkb.problem import March, SemiclassicalProblem, gaussian_field
 from nlswkb import rays
 
 
@@ -206,7 +206,7 @@ class TestIntegratorQuality:
                  phase.value(y))
         _, *stored, _ = rays.integrate_ray_state(potential, *start, t0,
                                                  t_final, 1e-2)
-        steps = march_steps(t_final - t0, 1e-2)
+        steps = March(t_final - t0, 1e-2).steps
         state = (*start, np.zeros_like(y))
         want = [state]
         for _ in range(steps):
@@ -312,7 +312,7 @@ class TestSparseStorage:
     def test_final_node_march_memory_does_not_grow_with_steps(self):
         problem, markers = self.cosine_problem(size=1024)
         peaks = {dt: self._peak_bytes(lambda: rays.integrate_flow(
-            problem, markers, 0.5, dt=dt, store_every=march_steps(0.5, dt)))
+            problem, markers, 0.5, dt=dt, store_every=March(0.5, dt).steps))
             for dt in (1e-2, 1e-3)}
         # storing all 501 steps would take 6 x 501 x 8 KiB, about 24 MiB
         assert peaks[1e-2] < 0.5 * 2**20
