@@ -1,9 +1,13 @@
 """Command-line entry point.
 
 Eight subcommands share one workflow: load a JSON config, apply --set
-overrides, validate and plan it, then print the plan (--dry-run) or run the
-matching driver on that plan, write artifacts, and exit 0 when every verdict
-passes, 1 on a verdict failure, 2 on configuration or runtime errors.
+overrides, validate and plan it, then print the plan (--dry-run) or hand
+that plan to `run_experiment`, the runner of the matching driver's stages,
+write artifacts, and exit 0 when every verdict passes, 1 on a verdict
+failure, 2 on configuration or runtime errors.  The error line of a failed
+plan or run ends with the stage it failed in, ` (stage plan)` for a check
+of `Plan.build` and the driver's stage (`rays`, `solve`, `measure`) for a
+run.
 """
 from __future__ import annotations
 
@@ -63,15 +67,17 @@ def _resolve_config(args) -> ExperimentConfig:
     return config_from_dict(raw)
 
 
-def _failure(exc: NlswkbError) -> str:
-    """The error line of a failed run.  Solver and ray failures carry the
-    simulation time they stopped at, solver failures also the eps of the
-    solve (one ray profile serves every eps)."""
+def _failure(exc: NlswkbError, named: bool = True) -> str:
+    """The error line of a failed plan or run: the error's type (unless not
+    `named`) and message, and the stage it left.  Solver and ray failures
+    carry the simulation time they stopped at, solver failures also the eps
+    of the solve (one ray profile serves every eps)."""
     when = getattr(exc, "time", None)
     eps = getattr(exc, "eps", None)
     at = f" at t={when:g}" if when is not None else ""
     which = f" eps={eps:g}:" if eps is not None else ""
-    return f"error: {type(exc).__name__}{at}:{which} {exc}"
+    line = f"error: {type(exc).__name__}{at}:{which} {exc}" if named else f"error: {exc}"
+    return line + (f" (stage {exc.stage})" if exc.stage else "")
 
 
 def main(argv=None) -> int:
@@ -86,8 +92,7 @@ def main(argv=None) -> int:
         check_output_dir(out_dir)
     except NlswkbError as exc:
         # a failure of the run that the plan foresees reads as the run's
-        print(_failure(exc) if hasattr(exc, "time") else f"error: {exc}",
-              file=sys.stderr)
+        print(_failure(exc, named=hasattr(exc, "time")), file=sys.stderr)
         print(f"usage: see `nlswkb {args.command} --help` and the config "
               "schema in README.md", file=sys.stderr)
         return 2

@@ -1,8 +1,22 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the stage an error
+names."""
+from contextlib import contextmanager
 
 
 class NlswkbError(Exception):
-    """Base class for package errors."""
+    """Base class for package errors.  `stage` names the stage of the plan
+    or run it left, if any."""
+    stage: str | None = None
+
+
+@contextmanager
+def stage(name: str):
+    """Name `name` as the stage of any NlswkbError that leaves the body."""
+    try:
+        yield
+    except NlswkbError as exc:
+        exc.stage = name
+        raise
 
 
 class GridError(NlswkbError):

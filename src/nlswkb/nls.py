@@ -32,7 +32,7 @@ from .errors import ConfigError, DivergenceError, ResolutionError
 from .fields import ComplexField, derivative_values, tail_fraction
 from .grids import PeriodicGrid
 from .problem import (RowCheck, RowStack, SemiclassicalProblem, StoredStates,
-                      relative_drift)
+                      check_dt, relative_drift)
 
 STEPS_PER_EPS = 50.0
 
@@ -154,8 +154,8 @@ def solve_nls_sweep(problems: list[SemiclassicalProblem], t_final: float, dts,
     if len(problems) != len(dts):
         raise ConfigError("a sweep takes one dt per problem")
     dts = [p.eps / STEPS_PER_EPS if dt is None else dt for p, dt in zip(problems, dts)]
-    if any(dt <= 0 for dt in dts):
-        raise ConfigError("dt must be positive")
+    for dt in dts:
+        check_dt(dt)
     outputs = _output_times(t_final, output_times)
     st = RowStack(problems)
     grid = problems[0].grid

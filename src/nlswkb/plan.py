@@ -12,7 +12,7 @@ from functools import reduce
 
 from . import nls, rays
 from .config import DEFAULTS, ExperimentConfig
-from .errors import ConfigError
+from .errors import ConfigError, stage
 from .experiments import DRIVERS, SELECTORS
 from .problem import March
 
@@ -55,12 +55,14 @@ class Plan:
         return [row.dt for row in self.rows]
 
     @classmethod
+    @stage("plan")
     def build(cls, config: ExperimentConfig) -> Plan:
         """Plan `config`, a config from `config_from_dict`; raises ConfigError
         for a key the driver does not read or a schedule it cannot run, and
         StencilError for a ray march that stores fewer nodes than its
-        residual's time stencil spans.  A caustic before that many nodes
-        is left to the run, which alone traces the rays."""
+        residual's time stencil spans, each of stage "plan".  A caustic
+        before that many nodes is left to the run, which alone traces the
+        rays."""
         driver, time = config.driver, config.time
         spec = DRIVERS[driver]
         # a key that only some drivers read must keep its default when this

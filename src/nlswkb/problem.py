@@ -1,8 +1,9 @@
 """Problem container: one semiclassical Cauchy problem on a periodic box,
-and the helpers that every solver shares: the fixed-step march (its step
-count, store schedule and checked loop) and its one in-place RK4 step,
-stored-time lookup, drift of a conserved series, and the row bookkeeping
-of the marches (the row check and the stack of a sweep's rows).
+and the helpers that every solver shares: the check of a time step, the
+fixed-step march (its step count, store schedule and checked loop) and
+its one in-place RK4 step, stored-time lookup, drift of a conserved
+series, and the row bookkeeping of the marches (the row check and the
+stack of a sweep's rows).
 
 The equation solved throughout the package is
 
@@ -35,6 +36,12 @@ grid.kept_band_top, the top third of the band its 2/3-rule dealiasing
 keeps: every stage zeroes the modes above that band."""
 
 
+def check_dt(dt: float) -> None:
+    """Refuse a time step that is not positive and finite (nan included)."""
+    if not (math.isfinite(dt) and dt > 0):
+        raise ConfigError(f"dt must be positive, got {dt}")
+
+
 class March:
     """A fixed-step march over `span`: `steps` steps of h = span / steps,
     where steps is the whole number nearest to |span| / dt, at least one,
@@ -43,8 +50,7 @@ class March:
     `nodes` counts them."""
 
     def __init__(self, span: float, dt: float, store_every: int = 1):
-        if not (math.isfinite(dt) and dt > 0):
-            raise ConfigError(f"dt must be positive, got {dt}")
+        check_dt(dt)
         if store_every < 1:
             raise ConfigError(f"store_every must be at least 1, got {store_every}")
         self.steps = max(1, int(round(abs(span) / dt)))

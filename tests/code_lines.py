@@ -1,4 +1,5 @@
-"""Count the code lines of each module of src/nlswkb and their total.
+"""Count the code lines and the raw lines of each module of src/nlswkb and
+their totals, and hold every module to MAX_MODULE_LINES raw lines.
 
     python3 tests/code_lines.py
 
@@ -7,8 +8,10 @@ lines and the lines of docstrings do not count.  `tokenize` finds the
 lines that hold tokens other than comments and line breaks; `ast` finds
 the docstrings, the string statements that open a module, class or
 function body.  A line that holds code and a trailing comment counts.
-Prints one `path: count` line per module and a `total` line.  The file
-name keeps pytest from collecting it.
+A raw line is any line of the file.  Prints one
+`path: <code> code, <raw> raw` line per module and a `total` line, and
+exits 1, naming each one, when a module has more than MAX_MODULE_LINES
+raw lines.  The file name keeps pytest from collecting it.
 """
 from __future__ import annotations
 
@@ -18,6 +21,7 @@ import sys
 import tokenize
 from pathlib import Path
 
+MAX_MODULE_LINES = 450   # raw lines a module of src/nlswkb may hold
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "nlswkb"
 NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
@@ -45,12 +49,20 @@ def code_lines(text: str) -> int:
 
 
 def main() -> int:
-    total = 0
+    total = raw_total = 0
+    over = []
     for path in sorted(SRC.glob("*.py")):
-        count = code_lines(path.read_text(encoding="utf-8"))
+        text = path.read_text(encoding="utf-8")
+        count, raw = code_lines(text), len(text.splitlines())
         total += count
-        print(f"{path.relative_to(ROOT)}: {count}")
-    print(f"total: {total}")
+        raw_total += raw
+        print(f"{path.relative_to(ROOT)}: {count} code, {raw} raw")
+        if raw > MAX_MODULE_LINES:
+            over.append(f"{path.relative_to(ROOT)} ({raw})")
+    print(f"total: {total} code, {raw_total} raw")
+    if over:
+        print(f"over {MAX_MODULE_LINES} raw lines: {', '.join(over)}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -34,6 +34,11 @@ def run_config(cfg):
     return run_experiment(cfg, Plan.build(cfg))
 
 
+def error_line(err: str) -> str:
+    """The error line the CLI printed to standard error."""
+    return next(line for line in err.splitlines() if line.startswith("error: "))
+
+
 def cheap_nls_raw(**extra):
     raw = {"kind": "single", "solver": "nls", "eps": [0.05], "kappa": 1.0,
            "grid": {"size": 256}, "time": {"final": 0.05}}
@@ -882,12 +887,12 @@ class TestCli:
             built.append(build(config))
             return built[-1]
 
-        def run(config, plan):
+        def record(config, plan, run):
             ran.append(plan)
-            return driver.run(config, plan)
 
         monkeypatch.setattr(Plan, "build", staticmethod(counting))
-        monkeypatch.setitem(DRIVERS, "nls", replace(driver, run=run))
+        monkeypatch.setitem(DRIVERS, "nls", replace(
+            driver, stages=(("record", record),) + driver.stages))
         args = ["nls", "--config", self.write(tmp_path, cheap_nls_raw()),
                 "--output", str(tmp_path / "out")]
         assert main(args + ["--dry-run"] * dry_run) == 0
@@ -927,10 +932,11 @@ class TestCli:
         taken = tmp_path / "taken"
         taken.write_text("kept")
 
-        def solve(config, plan):
+        def solve(config, plan, run):
             pytest.fail("the run solved before it checked its output path")
 
-        monkeypatch.setitem(DRIVERS, "nls", replace(DRIVERS["nls"], run=solve))
+        monkeypatch.setitem(DRIVERS, "nls", replace(DRIVERS["nls"],
+                                                    stages=(("solve", solve),)))
         for out in (taken, taken / "sub"):
             args = ["nls", "--config", str(CONFIG_DIR / "nls.json"),
                     "--output", str(out)]
@@ -962,32 +968,37 @@ class TestCli:
     # fails at t = 0, before the first step
     CHIRP_PROBE = ("grid.size=64", "data.a0.chirp=-2")
 
-    @pytest.mark.parametrize("command, name, overrides, message", [
+    @pytest.mark.parametrize("command, name, overrides, message, stage", [
         ("nls", "nls.json", ("grid.size=128",),
-         "ResolutionError at t=0.2: eps=0.01: spectral tail fraction"),
+         "ResolutionError at t=0.2: eps=0.01: spectral tail fraction", "solve"),
         ("grenier", "grenier.json", ("grid.size=128", "data.a0.width=1.2"),
-         "ResolutionError at t=0.044: eps=0.01: amplitude spectrum tail"),
+         "ResolutionError at t=0.044: eps=0.01: amplitude spectrum tail", "solve"),
         ("nls", "nls.json", CHIRP_PROBE,
-         "ResolutionError at t=0: eps=0.01: spectral tail fraction"),
+         "ResolutionError at t=0: eps=0.01: spectral tail fraction", "solve"),
         ("grenier", "grenier.json", CHIRP_PROBE,
-         "ResolutionError at t=0: eps=0.01: amplitude spectrum tail"),
+         "ResolutionError at t=0: eps=0.01: amplitude spectrum tail", "solve"),
         ("converge", "corrector.json", CHIRP_PROBE,
-         "ResolutionError at t=0: eps=0.1: amplitude spectrum tail"),
+         "ResolutionError at t=0: eps=0.1: amplitude spectrum tail", "solve"),
     ], ids=["nls", "grenier", "nls-t0", "grenier-t0", "corrector-t0"])
     def test_runtime_error_exit_names_the_eps(self, tmp_path, capsys, command,
-                                              name, overrides, message):
+                                              name, overrides, message, stage):
         args = [command, "--config", str(CONFIG_DIR / name),
                 "--output", str(tmp_path / "out")]
         for item in overrides:
             args += ["--set", item]
         code = main(args)
         assert code == 2
-        assert f"error: {message}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert error_line(err).endswith(f" (stage {stage})")
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("name", ["critical.json", "subcritical.json"])
+    @pytest.mark.parametrize("name, stage", [
+        ("critical.json", "rays"),
+        ("subcritical.json", "rays"),
+    ], ids=["critical.json", "subcritical.json"])
     def test_focusing_phase_fails_before_the_nls_sweep(self, tmp_path, capsys,
-                                                       monkeypatch, name):
+                                                       monkeypatch, name, stage):
         # the problem grid is the marker grid, and a focusing phase pulls
         # the ray map off its edges: the profile fails, so no eps is solved
         sweeps = []
@@ -1007,13 +1018,14 @@ class TestCli:
         assert ("error: InversionError at t=0.5: the stored ray map covers "
                 "[-12, 11.9766], short of the grid [-16, 15.9688]") in err
         assert "use the problem grid as the marker grid" in err
+        assert error_line(err).endswith(f" (stage {stage})")
         assert sweeps == []
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command, name, overrides, message", [
+    @pytest.mark.parametrize("command, name, overrides, message, stage", [
         ("rays", "rays.json", ("potential.amplitude=1e300",),
          "DivergenceError at t=0.001: ray integration produced non-finite "
-         "values"),
+         "values", "rays"),
         # eight markers, one per period of the potential: rays cross between
         # markers while the Jacobian at every marker stays above the caustic
         # threshold
@@ -1022,22 +1034,40 @@ class TestCli:
                              "phase.kind=quadratic", "phase.curvature=-0.3",
                              "time.final=2.4"),
          "InversionError at t=2.4: the stored ray map is not strictly "
-         "increasing"),
+         "increasing", "rays"),
         # three steps of 1e-3 store four nodes, one short of the residual's
         # time stencil
         ("rays", "rays.json", ("time.final=0.003",),
          "StencilError at t=0.003: not enough stored nodes below the Jacobian "
-         "floor"),
+         "floor", "plan"),
     ], ids=["ray-divergence", "folded-ray-map", "short-ray-run"])
     def test_ray_guard_rails_exit_2(self, tmp_path, capsys, command, name,
-                                    overrides, message):
+                                    overrides, message, stage):
         args = [command, "--config", str(CONFIG_DIR / name),
                 "--output", str(tmp_path / "out")]
         for item in overrides:
             args += ["--set", item]
         with np.errstate(over="ignore", invalid="ignore"):
             assert main(args) == 2
-        assert f"error: {message}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert error_line(err).endswith(f" (stage {stage})")
+        assert not (tmp_path / "out").exists()
+
+    def test_an_error_in_a_stage_names_the_stage(self, tmp_path, capsys,
+                                                 monkeypatch):
+        def measure(config, plan, run):
+            raise FieldError("injected")
+
+        driver = DRIVERS["nls"]
+        monkeypatch.setitem(DRIVERS, "nls", replace(
+            driver, stages=driver.stages[:-1] + (("measure", measure),)))
+        code = main(["nls", "--config", self.write(tmp_path, cheap_nls_raw()),
+                     "--output", str(tmp_path / "out")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: FieldError: injected (stage measure)\n"
+        assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
     def test_cli_import_loads_no_scipy(self):
@@ -1141,16 +1171,26 @@ class TestCli:
                      "--output", str(tmp_path / "out")]) == 0
         assert calls == ["nls"]
 
-    @pytest.mark.parametrize("name, failed", [
-        ("critical.json", ["error_decreases"]),
-        ("subcritical.json", ["error_decreases", "modulation_below_error"]),
-    ])
-    def test_a_verdict_on_no_data_fails(self, tmp_path, capsys, name, failed):
-        # 64 nodes hold no eps of the chirped profile: every eps is flagged
-        # under-resolved, and the verdicts over the resolved ones have none
-        code = main(["converge", "--config", str(CONFIG_DIR / name),
-                     "--set", "grid.size=64", "--set", "data.a0.chirp=-2",
-                     "--output", str(tmp_path / "out")])
+    @pytest.mark.parametrize("name, overrides, failed", [
+        ("critical.json", ("data.a0.chirp=-2",),
+         ["error_decreases", "final_error_small"]),
+        ("subcritical.json", ("data.a0.chirp=-2",),
+         ["error_decreases", "final_error_small", "modulation_below_error"]),
+        ("critical.json", (), ["error_decreases", "final_error_small"]),
+        ("subcritical.json", (), ["error_decreases", "final_error_small",
+                                  "modulation_below_error"]),
+    ], ids=["critical.json-failed0", "subcritical.json-failed1",
+            "critical.json-unchirped", "subcritical.json-unchirped"])
+    def test_a_verdict_on_no_data_fails(self, tmp_path, capsys, name, overrides,
+                                        failed):
+        # 64 nodes hold no eps of the chirped profile, nor of the shipped
+        # one: every eps is flagged under-resolved, and the verdicts over
+        # the resolved ones have none
+        args = ["converge", "--config", str(CONFIG_DIR / name),
+                "--set", "grid.size=64", "--output", str(tmp_path / "out")]
+        for item in overrides:
+            args += ["--set", item]
+        code = main(args)
         assert code == 1
         out = capsys.readouterr().out
         for verdict in failed:

@@ -138,7 +138,11 @@ class TestStepping:
         ({"output_times": [0.1, 0.3]}, "output_times may not pass t_final"),
         ({"output_times": []}, "output_times must name at least one time"),
         ({"dt": 0.0}, "dt must be positive"),
-    ], ids=["decreasing", "zero", "past-t-final", "empty", "dt"])
+        ({"dt": -1.0}, "dt must be positive, got -1.0"),
+        ({"dt": float("nan")}, "dt must be positive, got nan"),
+        ({"dt": float("inf")}, "dt must be positive, got inf"),
+    ], ids=["decreasing", "zero", "past-t-final", "empty", "dt", "dt-negative",
+            "dt-nan", "dt-inf"])
     def test_argument_checks_fire(self, kwargs, message):
         with pytest.raises(ConfigError, match=message):
             solve_nls(make_problem(size=256), 0.2, **kwargs)
