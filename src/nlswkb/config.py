@@ -103,26 +103,12 @@ class PhaseConfig:
 @dataclass(frozen=True)
 class TimeConfig:
     final: float = 0.2
-    schedule: tuple[float, ...] | None = None
     dt: float | None = None     # the step at every eps; None: the driver's rule
 
 
 @dataclass(frozen=True)
 class InstabilityConfig:
     alpha: float = 0.5
-    time_factor: float = 2.0
-
-
-@dataclass(frozen=True)
-class ExponentsConfig:
-    n: int = 3
-    s: float = 0.25
-    k: float = 0.25
-
-
-@dataclass(frozen=True)
-class GrowthConfig:
-    exponents: ExponentsConfig = field(default_factory=ExponentsConfig)
 
 
 @dataclass(frozen=True)
@@ -142,7 +128,6 @@ class ExperimentConfig:
     phase: PhaseConfig = field(default_factory=PhaseConfig)
     time: TimeConfig = field(default_factory=TimeConfig)
     instability: InstabilityConfig = field(default_factory=InstabilityConfig)
-    growth: GrowthConfig = field(default_factory=GrowthConfig)
     target: Literal[NAMED["target"]] | None = None
     solver: Literal[NAMED["solver"]] | None = None
     variant: Literal[phase_amplitude.VARIANTS] = "full"   # single grenier runs

@@ -27,7 +27,8 @@ import numpy as np
 
 from . import instability, stages
 from .errors import ConfigError, stage
-from .instability import flow_exponents
+from .fields import sobolev_norm
+from .instability import NORMGROWTH_ORDERS
 from .problem import SUPPORTED_KAPPA
 from .stages import _flag_unresolved, _raise_failed, _verdict
 
@@ -60,14 +61,17 @@ def _check_instability(config: ExperimentConfig) -> None:
 
 
 def _check_normgrowth(config: ExperimentConfig) -> None:
-    growth, eps = config.growth, min(config.eps)
+    eps = min(config.eps)
     needed = int(np.ceil(NORMGROWTH_RESOLUTION * config.grid.build().length / eps))
     if config.grid.size < needed:
         raise ConfigError(
             f"normgrowth at eps={eps} needs grid size >= "
             f"{needed} (rule N >= {NORMGROWTH_RESOLUTION}*L/eps)")
-    # probe the exponent algebra arguments early
-    flow_exponents(growth.exponents.n, growth.exponents.s, growth.exponents.k)
+    # each compensated spread divides by these norms
+    a0 = config.problem(eps).a0
+    if not all(sobolev_norm(a0, m, homogeneous=True) for m in NORMGROWTH_ORDERS):
+        raise ConfigError("normgrowth needs a nonconstant a0: the Hdot^m norms of a "
+                          "zero or constant profile vanish")
 
 
 @dataclass(frozen=True)
@@ -93,9 +97,9 @@ class Driver:
     flat: bool = False                  # needs V=0 and zero initial phase
     march_dt: float | None = None
     times: str = "final"
-    schedule: tuple[float, ...] | None = None  # time.schedule default; None: unread
+    schedule: tuple[float, ...] | None = None  # "schedule" times, "eps_powers" powers
     rays: str | None = None
-    # other keys it reads that some driver does not; a section: its fields
+    # other keys it reads that some driver does not
     keys: tuple[str, ...] = ()
     checks: tuple[Callable, ...] = ()   # checks(config) of its own config
 
@@ -165,14 +169,14 @@ DRIVERS = {
                         csv=(("phi_gap_H_t{:g}", "errors.*.*"),)),
     "instability": Driver(
         "instability", instability.INSTABILITY, (0.0,), times="instability",
-        keys=("data.b0", "instability"), flat=True, checks=(_check_instability,),
+        keys=("data.b0", "instability.alpha"), flat=True, checks=(_check_instability,),
         csv=(("separation_final", "separation_final"),
              ("separation_sup", "separation_sup"),
              ("prediction_agreement", "prediction_agreement"),
              ("initial_distance_H", "initial_distances.*"), ("blowup_ratio", "ratios.*"))),
     "normgrowth": Driver(
-        "normgrowth", instability.NORMGROWTH, (0.0,), keys=("growth.exponents",),
-        flat=True, checks=(_check_normgrowth,),
+        "normgrowth", instability.NORMGROWTH, (0.0,), flat=True,
+        checks=(_check_normgrowth,),
         csv=(("mass", "mass"), ("Hdot_norm", "norms.*"), ("compensated", "compensated.*"))),
     "odewindow": Driver("odewindow", instability.ODEWINDOW, (0.0,), times="eps_powers",
                         schedule=(0.6, 0.45, 0.3, 0.2), flat=True),

@@ -17,6 +17,8 @@ from .stages import (SOBOLEV_ORDERS, _data_verdict, _nls_sweep_solve, _raise_fai
                      _slope_verdict, _verdict)
 
 NORMGROWTH_ORDERS = (1, 2)    # the orders m of the normgrowth Hdot^m norms
+NORMGROWTH_EXPONENTS = (3, 0.25, 0.25)  # the (n, s, k) of its reported flow exponent
+INSTABILITY_TIME_FACTOR = 2.0  # the instability horizon t_eps is this * eps / delta
 
 
 def flow_exponents(n: int, s: float, k: float) -> dict:
@@ -75,8 +77,6 @@ def _instability_solve(config, plan, run) -> None:
 def _instability_measure(config, plan, run) -> None:
     """The separation of each pair against its data distance, and against
     the analytic profile where the phase argument is O(1)."""
-    c = config.instability.time_factor
-
     def one(row, base, b0, a_tilde, size, separations, mass_drift):
         eps, delta, t_eps = row.eps, row.delta, row.t_eps
         outputs = list(row.times)
@@ -87,7 +87,7 @@ def _instability_measure(config, plan, run) -> None:
         ratios = {s: sup_sep / distances[s] for s in distances}
 
         # analytic prediction, compared where the phase argument is O(1)
-        cal_idx = max(0, int(round(len(outputs) / (2 * c))) - 1)
+        cal_idx = max(0, round(len(outputs) / (2 * INSTABILITY_TIME_FACTOR)) - 1)
         t_cal = outputs[cal_idx]
         pred = wkb.separation_profile(base.a0, a_tilde, delta, eps, t_cal)
         pred_norm = lp_norm(pred, 2)
@@ -169,10 +169,9 @@ def _normgrowth_measure(config, plan, run) -> None:
         "mass_eps_independent", mass_spread <= 1e-10 * max(masses),
         f"L2 at probe time across eps: spread {mass_spread:.3e}"))
 
-    expo = config.growth.exponents
     run.body = {"t": plan.rows[0].times[-1], "per_eps": rows,
                 "initial_norms": initial_norms, "spreads": spreads,
-                "exponents": flow_exponents(expo.n, expo.s, expo.k)}
+                "exponents": flow_exponents(*NORMGROWTH_EXPONENTS)}
 
 
 NORMGROWTH = (("solve", _nls_sweep_solve), ("measure", _normgrowth_measure))

@@ -32,7 +32,7 @@ from .errors import ConfigError, DivergenceError, ResolutionError
 from .fields import ComplexField, derivative_values, tail_fraction
 from .grids import PeriodicGrid
 from .problem import (RowCheck, RowStack, SemiclassicalProblem, StoredStates,
-                      check_dt, relative_drift)
+                      check_dt, grid_mass, relative_drift)
 
 STEPS_PER_EPS = 50.0
 
@@ -182,8 +182,7 @@ def solve_nls_sweep(problems: list[SemiclassicalProblem], t_final: float, dts,
         energies = _energies(grid, [problems[i] for i in rows], values)
         for i, k, row, e in zip(rows, st.segment[at], values, energies):
             state = ComplexField(grid, row, role="reference-state")
-            st.nodes[i].append(
-                (bounds[k], state, grid.spacing * float(np.sum(np.abs(row) ** 2)), e))
+            st.nodes[i].append((bounds[k], state, grid_mass(grid, row), e))
 
     # a row whose initial state fails the check of an output leaves at t = 0
     st.check(_CHECK, [0.0] * len(problems),

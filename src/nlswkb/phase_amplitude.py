@@ -43,7 +43,7 @@ from .errors import ConfigError, DivergenceError, ResolutionError
 from .fields import ComplexField, RealField, derivative_values, tail_fraction
 from .grids import PeriodicGrid
 from .problem import (March, RowCheck, RowStack, SemiclassicalProblem, StoredStates,
-                      rk4)
+                      grid_mass, rk4)
 
 VARIANTS = ("full", "skew_free", "limit")
 _CHECK = RowCheck("phase-amplitude solve hit non-finite values",
@@ -190,11 +190,6 @@ def _negate(z: np.ndarray) -> None:
     np.negative(z.view(float), out=z.view(float))
 
 
-def _mass(grid: PeriodicGrid, a: np.ndarray) -> float:
-    """The integral of |a|^2 over the box, the mass a march stores."""
-    return grid.spacing * float(np.sum(np.abs(a) ** 2))
-
-
 def _potential_rows(problems: list[SemiclassicalProblem]) -> np.ndarray:
     """V of each problem at the nodes of its grid, one row each; the march
     takes box-periodic potentials only."""
@@ -283,7 +278,7 @@ def solve_phase_amplitude_sweep(problems: list[SemiclassicalProblem],
                 march.time(n), RealField(grid, phi_n[r], role="phase"),
                 ComplexField(grid, a_n[r], role="amplitude"),
                 RealField(grid, velocity[r], role="velocity")),
-                _mass(grid, a_n[r]), float(st.tail[r])))
+                grid_mass(grid, a_n[r]), float(st.tail[r])))
 
     march.run(step, check, store)
     return st.results(lambda i, states, mass, tails: GrenierTrajectory(
@@ -378,7 +373,7 @@ def solve_corrector(problem: SemiclassicalProblem, t_final: float, dt: float,
             ComplexField(grid, a, role="amplitude"),
             RealField(grid, phi1, role="phase-corrector"),
             ComplexField(grid, a1, role="amplitude-corrector")))
-        mass.append(_mass(grid, a))
+        mass.append(grid_mass(grid, a))
 
     march.run(lambda: rk4(rates, (phi_hat, a_hat), march.h, rhs.work), check, store)
     return CorrectorTrajectory(states=tuple(states), mass=np.array(mass), dt=march.h)

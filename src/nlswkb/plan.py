@@ -7,24 +7,17 @@ makes before its first solve.  The CLI builds it once and prints it
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields, is_dataclass
+from dataclasses import asdict, dataclass
 from functools import reduce
 
 from . import nls, rays
 from .config import DEFAULTS, ExperimentConfig
 from .errors import ConfigError, stage
 from .experiments import DRIVERS, SELECTORS
+from .instability import INSTABILITY_TIME_FACTOR
 from .problem import March
 
 INSTABILITY_DOUBLINGS = 2     # the grid doublings an instability eps may move to
-
-
-def _field_paths(key: str) -> list[str]:
-    """The config paths of a Driver.keys entry: a top-level section stands
-    for each of its fields, so an unread one is named field by field."""
-    section = getattr(DEFAULTS, key, None)
-    return ([f"{key}.{f.name}" for f in fields(section)] if is_dataclass(section)
-            else [key])
 
 
 @dataclass(frozen=True)
@@ -37,7 +30,7 @@ class EpsPlan:
     steps: int                      # steps the stepper takes to times[-1]
     ray_dt: float | None = None     # dt of the ray integration, if any
     delta: float | None = None      # instability: perturbation size eps^alpha
-    t_eps: float | None = None      # instability: final time c eps / delta
+    t_eps: float | None = None      # instability: final time 2 eps / delta
     grid_ladder: tuple[int, ...] | None = None  # instability: grid_size and its doublings
 
 
@@ -47,7 +40,7 @@ class Plan:
     out before any solve.  Every driver reads its dt, output times, scales
     and grids from it, and --dry-run prints it."""
     rows: tuple[EpsPlan, ...]
-    # time.schedule or its default; None for drivers that do not read it
+    # the driver's Driver.schedule; None for drivers without one
     schedule: tuple[float, ...] | None = None
 
     @property
@@ -58,7 +51,7 @@ class Plan:
     @stage("plan")
     def build(cls, config: ExperimentConfig) -> Plan:
         """Plan `config`, a config from `config_from_dict`; raises ConfigError
-        for a key the driver does not read or a schedule it cannot run, and
+        for a key the driver does not read or output times it cannot run, and
         StencilError for a ray march that stores fewer nodes than its
         residual's time stencil spans, each of stage "plan".  A caustic
         before that many nodes is left to the run, which alone traces the
@@ -70,12 +63,11 @@ class Plan:
         # the run; every key not listed here is read by every driver.  The
         # march of variant "limit" marches a0 alone.
         limit = "variant" in spec.keys and config.variant == "limit"
-        reads = {**{path: key in spec.keys for other in DRIVERS.values()
-                    for key in other.keys for path in _field_paths(key)},
+        reads = {**{key: key in spec.keys for other in DRIVERS.values()
+                    for key in other.keys},
                  "kappa": spec.kappas is not None,
                  **{key: spec.kind == kind for kind, key in SELECTORS.items()},
                  "time.final": spec.times == "final",
-                 "time.schedule": spec.schedule is not None,
                  "data.a1": "data.a1" in spec.keys and not limit}
         for path, read in reads.items():
             value, default = (reduce(getattr, path.split("."), c)
@@ -85,30 +77,25 @@ class Plan:
                 if path == "data.a1" and limit:
                     why += ' under variant "limit"'
                 raise ConfigError(f"{path} is not read {why}; leave it out")
-        schedule = None
-        if spec.schedule is not None:
-            schedule = spec.schedule if time.schedule is None else time.schedule
-            if not schedule:
-                raise ConfigError("time.schedule must not be empty")
         rows = []
         for eps in config.eps:
             scales = {}
             if spec.times == "instability":
                 delta = eps ** config.instability.alpha
-                t_eps = config.instability.time_factor * eps / delta
+                t_eps = INSTABILITY_TIME_FACTOR * eps / delta
                 times = tuple(t_eps * (j + 1) / 8 for j in range(8))
                 ladder = tuple(config.grid.size << k
                                for k in range(INSTABILITY_DOUBLINGS + 1))
                 scales = {"delta": delta, "t_eps": t_eps, "grid_ladder": ladder}
             elif spec.times == "eps_powers":
-                times = tuple(eps**p for p in schedule)
+                times = tuple(eps**p for p in spec.schedule)
             elif spec.times == "schedule":
-                times = schedule
+                times = spec.schedule
             else:
                 times = (time.final,)
-            if times[0] <= 0 or any(b <= a for a, b in zip(times, times[1:])):
-                raise ConfigError(f"output times at eps={eps} must be positive "
-                                  f"and strictly increasing, got {list(times)}")
+            if any(b <= a for a, b in zip(times, times[1:])):
+                raise ConfigError(f"output times at eps={eps} must be strictly "
+                                  f"increasing, got {list(times)}")
             dt = time.dt or spec.march_dt or eps / nls.STEPS_PER_EPS
             if spec.march_dt is None:
                 steps = sum(nls.segment_steps(times, dt))
@@ -128,7 +115,7 @@ class Plan:
             rows.append(EpsPlan(eps=eps, dt=dt, grid_size=config.grid.size,
                                 times=times, steps=steps, ray_dt=ray_dt,
                                 **scales))
-        return cls(tuple(rows), schedule)
+        return cls(tuple(rows), spec.schedule)
 
 
 def plan_json(config: ExperimentConfig, plan: Plan) -> dict:

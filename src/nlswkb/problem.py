@@ -112,6 +112,11 @@ def time_index(times: np.ndarray, t: float) -> int:
     return idx
 
 
+def grid_mass(grid: PeriodicGrid, values: np.ndarray) -> float:
+    """The integral of |values|^2 over the box, the mass a march stores."""
+    return grid.spacing * float(np.sum(np.abs(values) ** 2))
+
+
 def relative_drift(series: np.ndarray) -> float:
     """Largest departure of a conserved series from its first value,
     relative to that value."""

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from nlswkb import phase_amplitude, rays, taylor
-from nlswkb.experiments import flow_exponents
 from nlswkb.fitting import fit_power_law
 from nlswkb.grids import PeriodicGrid
+from nlswkb.instability import flow_exponents
 from nlswkb.nls import solve_nls
 from nlswkb.potentials import InitialPhaseSpec, PotentialSpec
 from nlswkb.problem import SemiclassicalProblem, gaussian_field

@@ -5,8 +5,9 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 import pytest
@@ -18,9 +19,10 @@ from nlswkb.cli import main
 from nlswkb.errors import (ConfigError, DivergenceError, FieldError,
                            GridError, ResolutionError)
 from nlswkb.config import ExperimentConfig, apply_overrides, config_from_dict
-from nlswkb.experiments import DRIVERS, flow_exponents, run_experiment
+from nlswkb.experiments import DRIVERS, run_experiment
 from nlswkb.fields import ComplexField
 from nlswkb.fitting import fit_power_law
+from nlswkb.instability import flow_exponents
 from nlswkb.plan import Plan, plan_json
 from nlswkb.problem import March
 from nlswkb.reporting import (errors_csv_bytes, load_field_dump,
@@ -114,6 +116,20 @@ class TestConfigSchema:
         assert again == cfg
         json.dumps(asdict(cfg))
 
+    def test_settable_values(self):
+        # every leaf field of the schema, the six fields of each optional
+        # profile included; a rule of the method is a constant, not a value
+        def count(tp):
+            total, hints = 0, get_type_hints(tp)
+            for f in fields(tp):
+                hint, args = hints[f.name], get_args(hints[f.name])
+                if type(None) in args:
+                    (hint,) = (a for a in args if a is not type(None))
+                total += count(hint) if is_dataclass(hint) else 1
+            return total
+
+        assert count(ExperimentConfig) == 35
+
     def test_readme_schema_lists_every_key(self):
         # the jsonc block of README.md "Config schema", comments stripped,
         # against the config echo of a default config
@@ -148,7 +164,7 @@ class TestConfigSchema:
                 data={"a0": {"shape": "gaussian", "sigma": 2.0}}))
         with pytest.raises(ConfigError):
             config_from_dict(cheap_nls_raw(
-                growth={"exponents": {"n": 3, "p": 1}}))
+                growth={"exponents": {"n": 3, "s": 0.25, "k": 0.25}}))
 
     def test_eps_list_discipline(self):
         with pytest.raises(ConfigError):
@@ -249,16 +265,15 @@ CONFIG_ERRORS = [
     ("nls.json", ("time=0.2",), "time must be an object"),
     ("nls.json", ("data.a0=null",), "data.a0 must be an object"),
     ("nls.json", ("typo=1",), "unknown keys in config: ['typo']"),
-    ("nls.json", ("growth.exponents.p=1",),
-     "unknown keys in growth.exponents: ['p']"),
+    ("nls.json", ("data.a0.sigma=2",), "unknown keys in data.a0: ['sigma']"),
     ("nls.json", ("time.rule=fixed",), "unknown keys in time: ['rule']"),
     # the NLS step, the normgrowth grid rule and the instability ladder are
     # constants, not keys
     ("nls.json", ("time.factor=50",), "unknown keys in time: ['factor']"),
     ("normgrowth.json", ("growth.resolution_const=0.25",),
-     "unknown keys in growth: ['resolution_const']"),
+     "unknown keys in config: ['growth']"),
     ("instability.json", ("growth.max_resolution_doublings=2",),
-     "unknown keys in growth: ['max_resolution_doublings']"),
+     "unknown keys in config: ['growth']"),
     # the box length, the norm orders and the instability window and Taylor
     # orders are constants, not keys
     ("nls.json", ("grid.length=32",), "unknown keys in grid: ['length']"),
@@ -270,8 +285,15 @@ CONFIG_ERRORS = [
      "unknown keys in instability: ['window_order']"),
     ("instability.json", ("instability.taylor_order=2",),
      "unknown keys in instability: ['taylor_order']"),
-    ("skewfree.json", ("time.schedule=[0.05, 0.1, 0.2, \"0.3\"]",),
-     "time.schedule[3] must be a number, got '0.3'"),
+    # the output schedules, the instability time factor and the norm-growth
+    # exponents are constants, not keys
+    ("skewfree.json", ("time.schedule=[0.05, 0.1, 0.2, 0.3]",),
+     "unknown keys in time: ['schedule']"),
+    ("instability.json", ("instability.time_factor=2.0",),
+     "unknown keys in instability: ['time_factor']"),
+    ("normgrowth.json", ('growth.exponents={"n": 3, "s": 0.25, "k": 0.25}',),
+     "unknown keys in config: ['growth']"),
+    ("nls.json", ('eps=[0.1, "0.05"]',), "eps[1] must be a number, got '0.05'"),
     ("nls.json", ("output.dir=3",), "output.dir must be a string, got 3"),
     # loader: json reads NaN, Infinity and -Infinity as numbers
     ("nls.json", ("time.final=NaN",), "time.final must be a finite number, got nan"),
@@ -320,7 +342,11 @@ CONFIG_ERRORS = [
     ("instability.json", ("data.b0.imaginary=true",),
      "perturbation is not polarized along a0"),
     ("normgrowth.json", ("grid.size=1024",), "needs grid size >= 1600"),
-    ("normgrowth.json", ("growth.exponents.n=2",), "dimension n must be an integer"),
+    # the compensated spreads divide by the Hdot^m norms
+    *[("normgrowth.json", (override,),
+       "the Hdot^m norms of a zero or constant profile vanish")
+      for override in ("data.a0.shape=zero", "data.a0.shape=constant",
+                       "data.a0.amplitude=0")],
     # plan: time keys the driver never reads
     ("skewfree.json", ("time.final=5",),
      "time.final is not read by the skew_free driver"),
@@ -328,8 +354,6 @@ CONFIG_ERRORS = [
      "time.final is not read by the instability driver"),
     ("odewindow.json", ("time.final=0.3",),
      "time.final is not read by the odewindow driver"),
-    ("critical.json", ("time.schedule=[0.1]",),
-     "time.schedule is not read by the critical driver"),
     # plan: data profiles the driver never reads
     ("critical.json", ('data.a1={"amplitude": 0.5}',),
      "data.a1 is not read by the critical driver; leave it out"),
@@ -342,16 +366,12 @@ CONFIG_ERRORS = [
     ("supercritical.json", ('data.b0={"amplitude": 0.5}',),
      "data.b0 is not read by the supercritical_leading driver"),
     # plan: the keys of other sections that only some drivers read
-    ("critical.json", ('growth.exponents={"n": 4}',),
-     "growth.exponents is not read by the critical driver"),
     ("instability.json", ("output.dump_fields=true",),
      "output.dump_fields is not read by the instability driver"),
     ("critical.json", ("instability.alpha=0.3",),
      "instability.alpha is not read by the critical driver; leave it out"),
-    ("odewindow.json", ("instability.time_factor=3",),
-     "instability.time_factor is not read by the odewindow driver"),
-    ("instability.json", ('growth.exponents={"n": 4}',),
-     "growth.exponents is not read by the instability driver"),
+    ("odewindow.json", ("instability.alpha=0.3",),
+     "instability.alpha is not read by the odewindow driver"),
     ("critical.json", ("variant=limit",),
      "variant is not read by the critical driver"),
     ("critical.json", ("output.dump_fields=true",),
@@ -361,14 +381,9 @@ CONFIG_ERRORS = [
     ("instability.json", ("solver=nls",),
      "solver is not read by the instability driver"),
     # plan
-    ("skewfree.json", ("time.schedule=[]",), "time.schedule must not be empty"),
-    ("skewfree.json", ("time.schedule=[0.0, 0.1]",),
-     "output times at eps=0.1 must be positive and strictly increasing, "
-     "got [0.0, 0.1]"),
-    ("skewfree.json", ("time.schedule=[0.05, 0.101]",),
-     "dt 0.0025 does not divide schedule time 0.101"),
-    ("odewindow.json", ("time.schedule=[0.2, 0.6]",),
-     "output times at eps=0.05 must be positive and strictly increasing"),
+    ("skewfree.json", ("time.dt=0.003",), "dt 0.003 does not divide schedule time 0.05"),
+    ("odewindow.json", ("eps=[1.0]",),
+     "output times at eps=1.0 must be strictly increasing, got [1.0, 1.0, 1.0, 1.0]"),
 ]
 
 
@@ -505,22 +520,28 @@ class TestDryRunPlan:
         [(store_every, steps)] = strides
         assert store_every == (1 if name == "rays.json" else steps)
 
-    def test_skew_free_keeps_every_schedule_time(self):
+    @staticmethod
+    def skew_free_schedule(monkeypatch, schedule):
+        """Give the skew_free driver the output times `schedule`."""
+        monkeypatch.setitem(DRIVERS, "skew_free",
+                            replace(DRIVERS["skew_free"], schedule=schedule))
+
+    def test_skew_free_keeps_every_schedule_time(self, monkeypatch):
         # 0.075 is no multiple of the first time 0.05; the march must still
         # store a state there, and the shared times must not move
         def errors(schedule):
-            raw = _shipped_raw("skewfree.json",
-                               ("eps=[0.1]", f"time.schedule={schedule}"))
+            self.skew_free_schedule(monkeypatch, schedule)
+            raw = _shipped_raw("skewfree.json", ("eps=[0.1]",))
             return run_config(config_from_dict(raw)).report["per_eps"][0]["errors"]
 
-        three = errors("[0.05, 0.075, 0.1]")
+        three = errors((0.05, 0.075, 0.1))
         assert list(three) == [0.05, 0.075, 0.1]
-        two = errors("[0.05, 0.1]")
+        two = errors((0.05, 0.1))
         assert {t: three[t] for t in two} == two
 
-    def test_skew_free_steps_run_to_the_last_schedule_time(self):
-        raw = _shipped_raw("skewfree.json", ("time.schedule=[0.05, 0.1]",))
-        row = Plan.build(config_from_dict(raw)).rows[0]
+    def test_skew_free_steps_run_to_the_last_schedule_time(self, monkeypatch):
+        self.skew_free_schedule(monkeypatch, (0.05, 0.1))
+        row = Plan.build(config_from_dict(_shipped_raw("skewfree.json"))).rows[0]
         assert row.steps == round(0.1 / row.dt)
 
     def test_planned_march_dt_is_the_dt_reported(self):
@@ -1083,13 +1104,10 @@ class TestCli:
         assert out.stdout.strip() == "[]"
 
     @pytest.mark.parametrize("command, name, override, message", [
-        ("converge", "skewfree.json", "time.schedule=[0.3,0.1]",
-         "output times at eps=0.1 must be positive and strictly increasing, "
-         "got [0.3, 0.1]"),
-        ("converge", "skewfree.json", "time.schedule=[0.05,0.101]",
-         "dt 0.0025 does not divide schedule time 0.101"),
-        ("odewindow", "odewindow.json", "time.schedule=[0.2,0.6]",
-         "output times at eps=0.05 must be positive and strictly increasing"),
+        ("converge", "skewfree.json", "time.dt=0.003",
+         "dt 0.003 does not divide schedule time 0.05"),
+        ("odewindow", "odewindow.json", "eps=[1.0]",
+         "output times at eps=1.0 must be strictly increasing"),
         ("grenier", "grenier.json", "variant=bogus",
          "variant must be one of ('full', 'skew_free', 'limit'), got 'bogus'"),
         # time.rule is gone: a given time.dt alone asks for a fixed step
@@ -1099,9 +1117,9 @@ class TestCli:
         # are constants
         ("nls", "nls.json", "time.factor=50", "unknown keys in time: ['factor']"),
         ("normgrowth", "normgrowth.json", "growth.resolution_const=0",
-         "unknown keys in growth: ['resolution_const']"),
+         "unknown keys in config: ['growth']"),
         ("instability", "instability.json", "growth.max_resolution_doublings=0",
-         "unknown keys in growth: ['max_resolution_doublings']"),
+         "unknown keys in config: ['growth']"),
         # so are the box length, the norm orders and the instability window
         # and Taylor orders
         ("nls", "nls.json", "grid.length=32", "unknown keys in grid: ['length']"),
@@ -1113,6 +1131,17 @@ class TestCli:
          "unknown keys in instability: ['window_order']"),
         ("instability", "instability.json", "instability.taylor_order=2",
          "unknown keys in instability: ['taylor_order']"),
+        # and so are the output schedules, the instability time factor and
+        # the norm-growth exponents
+        ("converge", "skewfree.json", "time.schedule=[0.05,0.1,0.2,0.3]",
+         "unknown keys in time: ['schedule']"),
+        ("instability", "instability.json", "instability.time_factor=2.0",
+         "unknown keys in instability: ['time_factor']"),
+        ("normgrowth", "normgrowth.json", "growth.exponents.n=3",
+         "unknown keys in config: ['growth']"),
+        # the compensated spreads divide by the Hdot^m norms
+        ("normgrowth", "normgrowth.json", "data.a0.shape=constant",
+         "normgrowth needs a nonconstant a0"),
         # an infinite dt would solve and then fail to write its report
         ("nls", "nls.json", "time.dt=Infinity",
          "time.dt must be a finite number, got inf"),
@@ -1123,13 +1152,14 @@ class TestCli:
         ("rays", "rays.json", "time.final=0.003",
          "StencilError at t=0.003: not enough stored nodes below the Jacobian "
          "floor: 4, the time stencil needs 5"),
-    ], ids=["skewfree-decreasing", "skewfree-indivisible",
+    ], ids=["skewfree-indivisible",
             "odewindow-increasing-powers", "grenier-variant", "time-rule",
             "time-factor", "growth-resolution-const",
             "growth-max-resolution-doublings", "grid-length",
             "norms-sobolev-orders", "norms-m-orders", "instability-window-order",
-            "instability-taylor-order", "dt-infinite", "final-nan",
-            "short-ray-march"])
+            "instability-taylor-order", "time-schedule", "instability-time-factor",
+            "growth-exponents", "normgrowth-constant-a0", "dt-infinite",
+            "final-nan", "short-ray-march"])
     def test_dry_run_makes_the_checks_of_the_run(self, tmp_path, capsys,
                                                  command, name, override,
                                                  message):
@@ -1197,14 +1227,17 @@ class TestCli:
             assert f"[FAIL] {verdict}: no data" in out
         assert "[PASS]" not in out
 
-    def test_failing_verdict_exits_1(self, tmp_path, capsys):
+    def test_failing_verdict_exits_1(self, tmp_path, capsys, monkeypatch):
         # three eps points cannot support the four-point slope fit, so the
-        # convergence verdicts must fail while the run itself completes
+        # convergence verdicts must fail while the run itself completes; two
+        # short output times keep the 256-node run resolved
+        monkeypatch.setitem(DRIVERS, "skew_free",
+                            replace(DRIVERS["skew_free"], schedule=(0.02, 0.04)))
         raw = {"kind": "converge", "target": "skew_free",
                "eps": [0.1, 0.05, 0.02], "kappa": 0.0,
                "grid": {"size": 256},
                "data": {"a0": {"shape": "gaussian", "chirp": 0.5}},
-               "time": {"schedule": [0.02, 0.04], "dt": 0.01}}
+               "time": {"dt": 0.01}}
         code = main(["converge", "--config", self.write(tmp_path, raw),
                      "--output", str(tmp_path / "out")])
         assert code == 1

@@ -7,11 +7,16 @@ for the invariant drifts).  The records are written by
 tests/golden/capture.py; its docstring says when to re-capture.
 """
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
+from nlswkb.cli import main
+from nlswkb.config import GRID_LENGTH
+
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+PERFBENCH_DIR = GOLDEN_DIR.parents[1] / "perfbench"
 
 _spec = importlib.util.spec_from_file_location("_golden_capture",
                                                GOLDEN_DIR / "capture.py")
@@ -25,6 +30,26 @@ NAMES = sorted(p.name for p in capture.CONFIG_DIR.glob("*.json"))
 def test_shipped_config_matches_its_golden_record(name, shipped_result):
     mismatches, _ = capture.compare_record(name, shipped_result(name))
     assert mismatches == []
+
+
+def test_a_shifted_benchmark_run_matches_the_golden_record(tmp_path, monkeypatch):
+    # perfbench shifts the data of each run by a seed's whole number of
+    # cells; with V = 0 and zero initial phase the run is shift-equivariant,
+    # so a shifted run must still match the record of the unshifted one
+    monkeypatch.syspath_prepend(str(PERFBENCH_DIR))    # run.py imports refcheck
+    spec = importlib.util.spec_from_file_location("_perfbench_run",
+                                                  PERFBENCH_DIR / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    assert bench.GRID_LENGTH == GRID_LENGTH
+    seed = 2
+    assert bench.shift_cells(seed) == -7
+    monkeypatch.chdir(capture.ROOT)    # the workload names its config by a relative path
+    out = tmp_path / "out"
+    assert main(bench.cli_args("strong_corrector", seed) + ["--output", str(out)]) == 0
+    golden = json.loads((GOLDEN_DIR / "corrector.json").read_text(encoding="utf-8"))
+    assert capture.refcheck.compare(capture.refcheck.load_run(str(out)),
+                                    golden["summary"]) == []
 
 
 @pytest.mark.parametrize("run, ref, expected", [
