@@ -293,6 +293,7 @@ CONFIG_ERRORS = [
      "unknown keys in instability: ['time_factor']"),
     ("normgrowth.json", ('growth.exponents={"n": 3, "s": 0.25, "k": 0.25}',),
      "unknown keys in config: ['growth']"),
+    # loader: a list element of the wrong type
     ("nls.json", ('eps=[0.1, "0.05"]',), "eps[1] must be a number, got '0.05'"),
     ("nls.json", ("output.dir=3",), "output.dir must be a string, got 3"),
     # loader: json reads NaN, Infinity and -Infinity as numbers
