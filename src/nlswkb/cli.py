@@ -39,8 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True,
                        help="path to the JSON experiment config")
         p.add_argument("--output", default=None,
-                       help="artifact directory (defaults to config output.dir "
-                            "or runs/<command>)")
+                       help="artifact directory (defaults to runs/<command>)")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VAL",
                        dest="overrides",
                        help="override a config field, e.g. time.final=0.3")
@@ -88,7 +87,7 @@ def main(argv=None) -> int:
         # the one plan of the run: building it makes every check the run
         # makes before its first solve, and --dry-run prints what would run
         plan = Plan.build(config)
-        out_dir = args.output or config.output.dir or f"runs/{args.command}"
+        out_dir = args.output or f"runs/{args.command}"
         check_output_dir(out_dir)
     except NlswkbError as exc:
         # a failure of the run that the plan foresees reads as the run's

@@ -15,7 +15,6 @@ from typing import Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from . import phase_amplitude
 from .errors import ConfigError
 from .experiments import DRIVERS, KINDS, NAMED, SELECTORS
 from .fields import ComplexField
@@ -27,6 +26,22 @@ GRID_LENGTH = 32.0     # the box [-16, 16) that stands in for the line
 
 # one frozen dataclass per JSON section; a Literal field takes only the
 # values it lists
+
+
+def _refuse_unread(section, label: str, selector: str, reads: dict) -> None:
+    """Refuse a field of `section`, the config section `label`, that is off
+    its default but not read under the value of its `selector` field, so
+    that setting it cannot look like it changed the run.  `reads` maps a
+    value to the fields it reads; a value it does not list reads them all."""
+    choice = getattr(section, selector)
+    if choice not in reads:
+        return
+    default = type(section)()
+    for f in fields(section):
+        if (f.name not in (selector, *reads[choice])
+                and getattr(section, f.name) != getattr(default, f.name)):
+            raise ConfigError(f'{label}.{f.name} is not read under {label}.{selector} '
+                              f'"{choice}"; leave it out')
 
 
 @dataclass(frozen=True)
@@ -45,6 +60,8 @@ class FieldSpecConfig:
         # an unenveloped quadratic phase is not periodic on the box
         if self.chirp != 0.0 and self.shape != "gaussian":
             raise ConfigError(f"{label}.chirp needs a gaussian envelope")
+        _refuse_unread(self, label, "shape", {"constant": ("amplitude", "imaginary"),
+                                              "zero": ()})
 
     def build(self, grid: PeriodicGrid, role: str) -> ComplexField:
         if self.shape == "zero":
@@ -103,7 +120,6 @@ class PhaseConfig:
 @dataclass(frozen=True)
 class TimeConfig:
     final: float = 0.2
-    dt: float | None = None     # the step at every eps; None: the driver's rule
 
 
 @dataclass(frozen=True)
@@ -113,7 +129,6 @@ class InstabilityConfig:
 
 @dataclass(frozen=True)
 class OutputConfig:
-    dir: str | None = None
     dump_fields: bool = False
 
 
@@ -130,7 +145,6 @@ class ExperimentConfig:
     instability: InstabilityConfig = field(default_factory=InstabilityConfig)
     target: Literal[NAMED["target"]] | None = None
     solver: Literal[NAMED["solver"]] | None = None
-    variant: Literal[phase_amplitude.VARIANTS] = "full"   # single grenier runs
     output: OutputConfig = field(default_factory=OutputConfig)
 
     @property
@@ -157,10 +171,9 @@ class ExperimentConfig:
             spec = getattr(self.data, label)
             if spec is not None:
                 spec.validate(f"data.{label}")
-        time = self.time
-        if time.dt is not None and time.dt <= 0:
-            raise ConfigError(f"time.dt must be positive, got {time.dt}")
-        if time.final <= 0:
+        _refuse_unread(self.potential, "potential", "kind", {"zero": ()})
+        _refuse_unread(self.phase, "phase", "kind", {"zero": ()})
+        if self.time.final <= 0:
             raise ConfigError("t_final must be positive")
         key = SELECTORS.get(self.kind)
         if key and getattr(self, key) is None:
@@ -190,8 +203,7 @@ class ExperimentConfig:
 
 
 
-_TYPE_NAMES = {float: "a number", int: "an integer", bool: "a boolean",
-               str: "a string"}
+_TYPE_NAMES = {float: "a number", int: "an integer", bool: "a boolean"}
 
 
 def _load(tp, value, path: str):

@@ -84,11 +84,12 @@ class Driver:
     failure rule to its sweeps, and a "measure" stage.  flags: the failure
     rule records an under-resolved eps instead of raising its error.  csv:
     the errors.csv rows that the runner reads off the report body, as
-    (label, body path) pairs (see _csv_rows).  march_dt is the dt of
-    its one eps-independent march unless time.dt is given (None: the NLS
-    solve at eps / nls.STEPS_PER_EPS); times is "final", "schedule", "eps_powers"
-    (eps^p for the schedule's powers p) or "instability"; rays is "march"
-    (the rays are its march) or "wkb" (rays to t in 64 steps)."""
+    (label, body path) pairs (see _csv_rows).  march_dt is the dt of its
+    one eps-independent march, which divides each time of its schedule
+    (None: the NLS solve at eps / nls.STEPS_PER_EPS); times is "final",
+    "schedule", "eps_powers" (eps^p for the schedule's powers p) or
+    "instability"; rays is "march" (the rays are its march) or "wkb" (rays
+    to t in 64 steps)."""
     kind: str                           # the config kind that runs it
     stages: tuple[tuple[str, Callable], ...]
     kappas: tuple[float, ...] | None    # the kappa it accepts; None: unread
@@ -148,7 +149,7 @@ DRIVERS = {
                   keys=("data.a1", "output.dump_fields")),
     "grenier": Driver("single", stages.GRENIER, (0.0,), march_dt=2e-3,
                       csv=(("mass_drift", "mass_drift"),),
-                      keys=("data.a1", "variant", "output.dump_fields")),
+                      keys=("output.dump_fields",)),
     "nls": Driver("single", stages.NLS, SUPPORTED_KAPPA,
                   csv=(("mass_drift", "mass_drift"), ("energy_drift", "energy_drift")),
                   keys=("data.a1", "output.dump_fields")),

@@ -56,27 +56,22 @@ class Plan:
         residual's time stencil spans, each of stage "plan".  A caustic
         before that many nodes is left to the run, which alone traces the
         rays."""
-        driver, time = config.driver, config.time
+        driver = config.driver
         spec = DRIVERS[driver]
         # a key that only some drivers read must keep its default when this
         # driver does not, so that setting it cannot look like it changed
-        # the run; every key not listed here is read by every driver.  The
-        # march of variant "limit" marches a0 alone.
-        limit = "variant" in spec.keys and config.variant == "limit"
+        # the run; every key not listed here is read by every driver
         reads = {**{key: key in spec.keys for other in DRIVERS.values()
                     for key in other.keys},
                  "kappa": spec.kappas is not None,
                  **{key: spec.kind == kind for kind, key in SELECTORS.items()},
-                 "time.final": spec.times == "final",
-                 "data.a1": "data.a1" in spec.keys and not limit}
+                 "time.final": spec.times == "final"}
         for path, read in reads.items():
             value, default = (reduce(getattr, path.split("."), c)
                               for c in (config, DEFAULTS))
             if not read and value != default:
-                why = f"by the {driver} driver"
-                if path == "data.a1" and limit:
-                    why += ' under variant "limit"'
-                raise ConfigError(f"{path} is not read {why}; leave it out")
+                raise ConfigError(f"{path} is not read by the {driver} driver; "
+                                  "leave it out")
         rows = []
         for eps in config.eps:
             scales = {}
@@ -92,20 +87,15 @@ class Plan:
             elif spec.times == "schedule":
                 times = spec.schedule
             else:
-                times = (time.final,)
+                times = (config.time.final,)
             if any(b <= a for a, b in zip(times, times[1:])):
                 raise ConfigError(f"output times at eps={eps} must be strictly "
                                   f"increasing, got {list(times)}")
-            dt = time.dt or spec.march_dt or eps / nls.STEPS_PER_EPS
+            dt = spec.march_dt or eps / nls.STEPS_PER_EPS
             if spec.march_dt is None:
                 steps = sum(nls.segment_steps(times, dt))
             else:
-                # a march keeps states at whole steps only, so dt must divide
-                # each of several output times; it lands on times[-1] in
-                # whole equal steps
-                off = [tt for tt in times if abs(tt / dt - round(tt / dt)) > 1e-9]
-                if len(times) > 1 and off:
-                    raise ConfigError(f"dt {dt} does not divide schedule time {off[0]}")
+                # a march lands on times[-1] in whole equal steps
                 march = March(times[-1], dt)
                 steps, dt = march.steps, march.h
             ray_dt = {"march": dt, "wkb": times[-1] / 64}.get(spec.rays)

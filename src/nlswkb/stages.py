@@ -165,8 +165,8 @@ SUPERCRITICAL = (("solve", _supercritical_solve), ("measure", _supercritical_mea
 
 def _skew_free_solve(config, plan, run) -> None:
     """The full and the skew-free phase-amplitude sweeps.  One dt and one
-    schedule serve every eps; the plan checked that dt divides each
-    schedule time, so storing every `stride` steps keeps a state at each."""
+    schedule serve every eps; the driver's dt divides each schedule time,
+    so storing every `stride` steps keeps a state at each."""
     first = plan.rows[0]
     times, dt = first.times, first.dt
     stride = math.gcd(*(round(tt / dt) for tt in times))
@@ -322,22 +322,22 @@ WKB = (("rays", _profile_rays), ("solve", _nls_solve), ("measure", _wkb_measure)
 
 
 def _grenier_solve(config, plan, run) -> None:
+    """The eps -> 0 limit march of the phase-amplitude system."""
     [row] = plan.rows
     run.trajectory = phase_amplitude.solve_phase_amplitude(
-        config.problem(row.eps), row.times[-1], row.dt, variant=config.variant)
+        config.problem(row.eps), row.times[-1], row.dt, variant="limit")
 
 
 def _grenier_measure(config, plan, run) -> None:
+    """The mass drift of the limit march and its Euler residual."""
     traj = run.trajectory
     drift = traj.mass_drift()
-    tol = 1e-8 if config.variant != "full" else 1e-6
-    run.verdicts.append(_verdict("mass_conservation", drift <= tol,
-                                 f"relative drift {drift:.3e} <= {tol:g}"))
-    run.body = {"eps": plan.rows[0].eps, "variant": config.variant, "dt": traj.dt,
+    run.verdicts.append(_verdict("mass_conservation", drift <= 1e-8,
+                                 f"relative drift {drift:.3e} <= 1e-08"))
+    run.body = {"eps": plan.rows[0].eps, "variant": "limit", "dt": traj.dt,
                 "mass_drift": drift,
-                "tail_fraction_max": float(traj.tail_fraction.max())}
-    if config.variant == "limit":
-        run.body["euler_residual"] = phase_amplitude.euler_residual(traj)
+                "tail_fraction_max": float(traj.tail_fraction.max()),
+                "euler_residual": phase_amplitude.euler_residual(traj)}
     st = traj.final()
     run.dumps = [("amplitude", st.a, st.time), ("phase", st.phi, st.time)]
 

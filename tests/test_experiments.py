@@ -128,7 +128,7 @@ class TestConfigSchema:
                 total += count(hint) if is_dataclass(hint) else 1
             return total
 
-        assert count(ExperimentConfig) == 35
+        assert count(ExperimentConfig) == 32
 
     def test_readme_schema_lists_every_key(self):
         # the jsonc block of README.md "Config schema", comments stripped,
@@ -293,9 +293,13 @@ CONFIG_ERRORS = [
      "unknown keys in instability: ['time_factor']"),
     ("normgrowth.json", ('growth.exponents={"n": 3, "s": 0.25, "k": 0.25}',),
      "unknown keys in config: ['growth']"),
+    # each march steps at its driver's dt, grenier always marches the limit,
+    # and --output names the artifact directory: none of them is a key
+    ("corrector.json", ("time.dt=0.002",), "unknown keys in time: ['dt']"),
+    ("grenier.json", ("variant=limit",), "unknown keys in config: ['variant']"),
+    ("nls.json", ('output.dir="runs/nls"',), "unknown keys in output: ['dir']"),
     # loader: a list element of the wrong type
     ("nls.json", ('eps=[0.1, "0.05"]',), "eps[1] must be a number, got '0.05'"),
-    ("nls.json", ("output.dir=3",), "output.dir must be a string, got 3"),
     # loader: json reads NaN, Infinity and -Infinity as numbers
     ("nls.json", ("time.final=NaN",), "time.final must be a finite number, got nan"),
     ("nls.json", ("eps=[NaN]",), "eps[0] must be a finite number, got nan"),
@@ -303,7 +307,8 @@ CONFIG_ERRORS = [
      "data.a0.amplitude must be a finite number, got nan"),
     ("nls.json", ("data.a0.width=NaN",),
      "data.a0.width must be a finite number, got nan"),
-    ("nls.json", ("time.dt=Infinity",), "time.dt must be a finite number, got inf"),
+    ("nls.json", ("time.final=Infinity",),
+     "time.final must be a finite number, got inf"),
     # loader, Literal fields
     ({"kind": "bogus", "eps": [0.1]}, (), "kind must be one of ('converge', "),
     ("nls.json", ("data.a0.shape=square",),
@@ -311,13 +316,23 @@ CONFIG_ERRORS = [
     ("nls.json", ("potential.kind=harmonic",),
      "potential.kind must be one of ('zero', 'cosine'), got 'harmonic'"),
     ("nls.json", ("phase.kind=cubic",), "phase.kind must be one of ('zero', "),
-    ("grenier.json", ("variant=bogus",), "variant must be one of ('full', "),
     ("critical.json", ("target=critcal",), "target must be one of ("),
     ("nls.json", ("solver=spectral",), "solver must be one of ('rays', "),
     # profiles
     ("nls.json", ("data.a1.width=0",), "data.a1.width must be positive"),
     ("nls.json", ("data.b0.shape=zero", "data.b0.chirp=0.5"),
      "data.b0.chirp needs a gaussian envelope"),
+    # a field that its profile's shape or its section's kind does not read
+    ("nls.json", ("data.a0.shape=constant", "data.a0.width=2"),
+     'data.a0.width is not read under data.a0.shape "constant"; leave it out'),
+    ("nls.json", ("data.a1.shape=zero", "data.a1.amplitude=0.5"),
+     'data.a1.amplitude is not read under data.a1.shape "zero"'),
+    ("nls.json", ("potential.amplitude=0.5",),
+     'potential.amplitude is not read under potential.kind "zero"; leave it out'),
+    ("nls.json", ("potential.cycles=2",),
+     'potential.cycles is not read under potential.kind "zero"'),
+    ("nls.json", ("phase.curvature=-0.3",),
+     'phase.curvature is not read under phase.kind "zero"; leave it out'),
     # validation
     ("nls.json", ("eps=[]",), "eps list is empty"),
     ("nls.json", ("eps=[1.5]",), "eps values must lie in (0, 1]"),
@@ -325,7 +340,6 @@ CONFIG_ERRORS = [
     ("nls.json", ("kappa=0.5",), "kappa must be 0, 1 or 2"),
     ("nls.json", ("grid.size=4",), "grid size must be a power of two >= 8, got 4"),
     ("nls.json", ("grid.size=300",), "grid size must be a power of two"),
-    ("nls.json", ("time.dt=0",), "time.dt must be positive, got 0"),
     ("nls.json", ("time.final=0",), "t_final must be positive"),
     ("critical.json", ("target=null",), "converge runs need a target"),
     ("critical.json", ("kappa=2",), "target critical requires kappa=1.0"),
@@ -361,7 +375,7 @@ CONFIG_ERRORS = [
     ("instability.json", ('data.a1={"amplitude": 0.5}',),
      "data.a1 is not read by the instability driver"),
     ("grenier.json", ('data.a1={"amplitude": 0.5}',),
-     'data.a1 is not read by the grenier driver under variant "limit"'),
+     "data.a1 is not read by the grenier driver; leave it out"),
     ("normgrowth.json", ('data.b0={"amplitude": 0.5}',),
      "data.b0 is not read by the normgrowth driver; leave it out"),
     ("supercritical.json", ('data.b0={"amplitude": 0.5}',),
@@ -373,8 +387,6 @@ CONFIG_ERRORS = [
      "instability.alpha is not read by the critical driver; leave it out"),
     ("odewindow.json", ("instability.alpha=0.3",),
      "instability.alpha is not read by the odewindow driver"),
-    ("critical.json", ("variant=limit",),
-     "variant is not read by the critical driver"),
     ("critical.json", ("output.dump_fields=true",),
      "output.dump_fields is not read by the critical driver"),
     ("rays.json", ("kappa=1",), "kappa is not read by the rays driver"),
@@ -382,7 +394,6 @@ CONFIG_ERRORS = [
     ("instability.json", ("solver=nls",),
      "solver is not read by the instability driver"),
     # plan
-    ("skewfree.json", ("time.dt=0.003",), "dt 0.003 does not divide schedule time 0.05"),
     ("odewindow.json", ("eps=[1.0]",),
      "output times at eps=1.0 must be strictly increasing, got [1.0, 1.0, 1.0, 1.0]"),
 ]
@@ -400,10 +411,10 @@ def test_every_config_check_fires(raw, overrides, message):
 
 class TestOverrides:
     def test_dotted_path_updates_nested_value(self):
-        raw = {"time": {"final": 0.2, "dt": 0.002}}
-        out = apply_overrides(raw, ["time.final=0.3"])
-        assert out["time"] == {"final": 0.3, "dt": 0.002}
-        assert raw["time"]["final"] == 0.2
+        raw = {"potential": {"kind": "cosine", "amplitude": 0.5}}
+        out = apply_overrides(raw, ["potential.amplitude=0.3"])
+        assert out["potential"] == {"kind": "cosine", "amplitude": 0.3}
+        assert raw["potential"]["amplitude"] == 0.5
 
     def test_missing_intermediate_nodes_created(self):
         out = apply_overrides({}, ["grid.size=512"])
@@ -451,7 +462,6 @@ def _shipped_raw(name, overrides=()):
 @pytest.mark.parametrize("name, overrides", [
     ("wkb.json", ()),
     ("nls.json", ()),
-    ("grenier.json", ("variant=full",)),
 ])
 def test_drivers_that_read_a1_accept_it(name, overrides):
     raw = _shipped_raw(name, overrides + ('data.a1={"amplitude": 0.5}',))
@@ -461,8 +471,6 @@ def test_drivers_that_read_a1_accept_it(name, overrides):
 class TestDryRunPlan:
     @pytest.mark.parametrize("name, overrides", [
         *[(p.name, ()) for p in sorted(CONFIG_DIR.glob("*.json"))],
-        ("skewfree.json", ("time.dt=null",)),
-        ("grenier.json", ("time.dt=null",)),
     ])
     def test_planned_dt_is_the_dt_the_driver_runs(self, name, overrides,
                                                    monkeypatch):
@@ -486,11 +494,10 @@ class TestDryRunPlan:
     @pytest.mark.parametrize("name", ["corrector.json", "grenier.json",
                                       "skewfree.json", "supercritical.json"])
     def test_a_shipped_dt_is_the_march_dt_of_its_driver(self, name):
-        # without time.dt the march steps at the driver's own dt
+        # each march steps at its driver's own dt, which divides the final
+        # time of every shipped march config
         cfg = config_from_dict(_shipped_raw(name))
-        ruled = config_from_dict(_shipped_raw(name, ("time.dt=null",)))
-        assert cfg.time.dt == DRIVERS[cfg.driver].march_dt
-        assert Plan.build(ruled) == Plan.build(cfg)
+        assert Plan.build(cfg).dts == [DRIVERS[cfg.driver].march_dt] * len(cfg.eps)
 
     RAY_CONFIGS = ("critical.json", "rays.json", "subcritical.json", "wkb.json")
 
@@ -540,15 +547,29 @@ class TestDryRunPlan:
         two = errors((0.05, 0.1))
         assert {t: three[t] for t in two} == two
 
+    def test_a_march_dt_divides_each_time_of_its_schedule(self):
+        # a march stores states at whole steps only: a driver's dt that
+        # divides each schedule time lets _skew_free_solve's gcd stride land
+        # a stored node on every one
+        marched = {name: d for name, d in DRIVERS.items()
+                   if d.schedule is not None and d.march_dt is not None}
+        assert "skew_free" in marched
+        for name, d in marched.items():
+            for tt in d.schedule:
+                steps = tt / d.march_dt
+                assert abs(steps - round(steps)) <= 1e-9, (name, tt)
+
     def test_skew_free_steps_run_to_the_last_schedule_time(self, monkeypatch):
         self.skew_free_schedule(monkeypatch, (0.05, 0.1))
         row = Plan.build(config_from_dict(_shipped_raw("skewfree.json"))).rows[0]
         assert row.steps == round(0.1 / row.dt)
 
-    def test_planned_march_dt_is_the_dt_reported(self):
+    def test_planned_march_dt_is_the_dt_reported(self, monkeypatch):
         # 0.2 / 0.0035 is 57.1: the march takes 57 steps of 0.2 / 57, and
-        # the plan prints that step, not the dt asked for
-        cfg = config_from_dict(_shipped_raw("grenier.json", ("time.dt=0.0035",)))
+        # the plan prints that step, not the driver's dt
+        monkeypatch.setitem(DRIVERS, "grenier",
+                            replace(DRIVERS["grenier"], march_dt=0.0035))
+        cfg = config_from_dict(_shipped_raw("grenier.json"))
         [row] = Plan.build(cfg).rows
         assert row.dt == run_config(cfg).report["dt"] == 0.2 / 57
 
@@ -645,10 +666,9 @@ class TestPlannedSteps:
     @pytest.mark.parametrize("name, overrides", [
         ("instability.json", ()),
         ("odewindow.json", ()),
-        # 0.07 / 0.01 is one ulp above 7: ceil without the solver's
+        # 0.07 / (0.5 / 50) is one ulp above 7: ceil without the solver's
         # tolerance plans 8 steps where the solver runs 7
-        ("nls.json", ("eps=[0.1]", "time.final=0.07", "time.dt=0.01",
-                      "grid.size=256")),
+        ("nls.json", ("eps=[0.5]", "time.final=0.07", "grid.size=256")),
     ])
     def test_planned_steps_are_the_steps_run(self, name, overrides,
                                              monkeypatch):
@@ -671,8 +691,8 @@ class TestPlannedSteps:
         assert all(steps == planned[eps] for eps, steps in executed), (
             executed, planned)
 
-    # 0.2 / 0.0035 is 57.1: the marches run 57 steps of 0.2 / 57, where a
-    # ceiling would plan 58
+    # 0.2 / 0.0035 is 57.1: marches of that dt run 57 steps of 0.2 / 57,
+    # where a ceiling would plan 58
     @pytest.mark.parametrize("name, overrides", [
         ("grenier.json", ()),
         ("supercritical.json", ("eps=[0.1, 0.05]",)),
@@ -681,7 +701,9 @@ class TestPlannedSteps:
     ])
     def test_planned_steps_are_the_steps_the_march_ran(self, name, overrides,
                                                       monkeypatch):
-        cfg = config_from_dict(_shipped_raw(name, overrides + ("time.dt=0.0035",)))
+        cfg = config_from_dict(_shipped_raw(name, overrides))
+        monkeypatch.setitem(DRIVERS, cfg.driver,
+                            replace(DRIVERS[cfg.driver], march_dt=0.0035))
         [planned] = {row.steps for row in Plan.build(cfg).rows}
         executed = []
         sweep, flow = phase_amplitude.solve_phase_amplitude_sweep, rays.integrate_flow
@@ -1105,13 +1127,14 @@ class TestCli:
         assert out.stdout.strip() == "[]"
 
     @pytest.mark.parametrize("command, name, override, message", [
-        ("converge", "skewfree.json", "time.dt=0.003",
-         "dt 0.003 does not divide schedule time 0.05"),
         ("odewindow", "odewindow.json", "eps=[1.0]",
          "output times at eps=1.0 must be strictly increasing"),
-        ("grenier", "grenier.json", "variant=bogus",
-         "variant must be one of ('full', 'skew_free', 'limit'), got 'bogus'"),
-        # time.rule is gone: a given time.dt alone asks for a fixed step
+        # each march steps at its driver's dt, grenier always marches the
+        # limit, and --output names the artifact directory
+        ("grenier", "grenier.json", "variant=limit",
+         "unknown keys in config: ['variant']"),
+        ("converge", "corrector.json", "time.dt=0.002", "unknown keys in time: ['dt']"),
+        ("nls", "nls.json", "output.dir=runs/nls", "unknown keys in output: ['dir']"),
         ("grenier", "grenier.json", "time.rule=fixed",
          "unknown keys in time: ['rule']"),
         # the NLS step, the normgrowth grid rule and the instability ladder
@@ -1143,9 +1166,8 @@ class TestCli:
         # the compensated spreads divide by the Hdot^m norms
         ("normgrowth", "normgrowth.json", "data.a0.shape=constant",
          "normgrowth needs a nonconstant a0"),
-        # an infinite dt would solve and then fail to write its report
-        ("nls", "nls.json", "time.dt=Infinity",
-         "time.dt must be a finite number, got inf"),
+        ("nls", "nls.json", "time.final=Infinity",
+         "time.final must be a finite number, got inf"),
         ("nls", "nls.json", "time.final=NaN",
          "time.final must be a finite number, got nan"),
         # three steps of 1e-3 store four ray nodes, one short of the
@@ -1153,14 +1175,22 @@ class TestCli:
         ("rays", "rays.json", "time.final=0.003",
          "StencilError at t=0.003: not enough stored nodes below the Jacobian "
          "floor: 4, the time stencil needs 5"),
-    ], ids=["skewfree-indivisible",
-            "odewindow-increasing-powers", "grenier-variant", "time-rule",
+        # a field that its section's kind or its profile's shape does not read
+        ("nls", "nls.json", "phase.curvature=-0.3",
+         'phase.curvature is not read under phase.kind "zero"; leave it out'),
+        ("nls", "nls.json", "potential.amplitude=0.5",
+         'potential.amplitude is not read under potential.kind "zero"'),
+        ("converge", "corrector.json", "data.a1.shape=constant",
+         'data.a1.width is not read under data.a1.shape "constant"'),
+    ], ids=["odewindow-increasing-powers", "grenier-variant", "time-dt",
+            "output-dir", "time-rule",
             "time-factor", "growth-resolution-const",
             "growth-max-resolution-doublings", "grid-length",
             "norms-sobolev-orders", "norms-m-orders", "instability-window-order",
             "instability-taylor-order", "time-schedule", "instability-time-factor",
-            "growth-exponents", "normgrowth-constant-a0", "dt-infinite",
-            "final-nan", "short-ray-march"])
+            "growth-exponents", "normgrowth-constant-a0", "final-infinite",
+            "final-nan", "short-ray-march", "phase-curvature",
+            "potential-amplitude", "a1-width"])
     def test_dry_run_makes_the_checks_of_the_run(self, tmp_path, capsys,
                                                  command, name, override,
                                                  message):
@@ -1188,6 +1218,16 @@ class TestCli:
         assert "[PASS] mass_conservation" in capsys.readouterr().out
         assert (out_dir / "report.json").is_file()
         assert (out_dir / "errors.csv").is_file()
+
+    def test_a_run_without_output_writes_under_runs(self, tmp_path, monkeypatch,
+                                                     capsys):
+        # without --output the artifacts go to runs/<subcommand>
+        monkeypatch.chdir(tmp_path)
+        assert main(["nls", "--config", self.write(tmp_path, cheap_nls_raw())]) == 0
+        out = tmp_path / "runs" / "nls"
+        assert f"report: {Path('runs', 'nls', 'report.json')}" in capsys.readouterr().out
+        assert (out / "report.json").is_file()
+        assert (out / "errors.csv").is_file()
 
     def test_a_run_calls_run_experiment_once(self, tmp_path, monkeypatch):
         # the one run entry, which the benchmark tracer times as the driver
@@ -1237,8 +1277,7 @@ class TestCli:
         raw = {"kind": "converge", "target": "skew_free",
                "eps": [0.1, 0.05, 0.02], "kappa": 0.0,
                "grid": {"size": 256},
-               "data": {"a0": {"shape": "gaussian", "chirp": 0.5}},
-               "time": {"dt": 0.01}}
+               "data": {"a0": {"shape": "gaussian", "chirp": 0.5}}}
         code = main(["converge", "--config", self.write(tmp_path, raw),
                      "--output", str(tmp_path / "out")])
         assert code == 1
