@@ -100,7 +100,7 @@ class Plan:
                 steps, dt = march.steps, march.h
             ray_dt = {"march": dt, "wkb": times[-1] / 64}.get(spec.rays)
             if spec.rays == "march":
-                # the residual of a ray march reads every node it stores
+                # the residual of a ray march reads every node of the march
                 rays.check_residual_nodes(steps + 1, times[-1])
             rows.append(EpsPlan(eps=eps, dt=dt, grid_size=config.grid.size,
                                 times=times, steps=steps, ray_dt=ray_dt,

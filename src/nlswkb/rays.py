@@ -18,7 +18,9 @@ Jacobian J starts at 1; the first time min_y J crosses a positive
 threshold is the caustic horizon, beyond which the Eulerian phase stops
 existing and label inversion refuses to run.  The march stores the nodes
 of problem.March(span, dt, store_every) but takes min_y J at every step,
-so a caller that reads the final node alone holds no trajectory.
+so a caller that reads the final node alone holds no trajectory; a
+`HamiltonJacobiResidual` takes the eikonal residual in the same pass, from
+every node the march hands it.
 
 Inversion of the label-to-position map uses monotone bracketing plus
 safeguarded Newton on a cubic Hermite interpolant of the stored map (values
@@ -32,6 +34,7 @@ xi(t, y(t, x)).
 from __future__ import annotations
 
 import functools
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +47,7 @@ from .problem import March, RowCheck, SemiclassicalProblem, rk4, time_index
 CAUSTIC_THRESHOLD = 0.1
 # the Hamilton-Jacobi residual is checked while min_y J stays above this
 RESIDUAL_MIN_JACOBIAN = 0.3
-# the stored nodes its fourth-order d_t stencil spans
+# the nodes its fourth-order d_t stencil spans
 RESIDUAL_STENCIL_NODES = 5
 _CHECK = RowCheck("ray integration produced non-finite values")
 
@@ -64,7 +67,6 @@ class RayBundle:
     jac_inv_integral: np.ndarray  # (K, Nm) int_0^t 1/J ds
     min_jacobian: np.ndarray      # (M+1,) min_y J at every step
     dt: float            # the step
-    store_every: int
     problem: SemiclassicalProblem
 
     @property
@@ -104,7 +106,7 @@ def _ray_rhs(potential, x, xi, jac, xiv, s, g, out):
 
 
 def integrate_ray_state(potential, x0, xi0, jac0, xiv0, s0, t0, t_final, dt,
-                        store_every=1):
+                        store_every=1, visit=None):
     """Classic RK4 on the ray + variational + action system and the
     integral g of 1/J from t0 (rate 1/J, g(t0) = 0), one (Nm,) array per
     variable.
@@ -118,6 +120,9 @@ def integrate_ray_state(potential, x0, xi0, jac0, xiv0, s0, t0, t_final, dt,
     variables must stay finite: the initial state and every step are
     checked, and the first that fails raises DivergenceError at its time.
     Past a zero of J the integral means nothing, and nothing reads it there.
+    visit(t, state), if given, gets the time and the six state arrays of
+    step 0 and of every step right after its check; the arrays are the
+    march's own, which the next step overwrites.
     """
     march = March(t_final - t0, dt, store_every)
     stored = tuple(np.empty((march.nodes, x0.shape[0])) for _ in range(6))
@@ -134,6 +139,8 @@ def integrate_ray_state(potential, x0, xi0, jac0, xiv0, s0, t0, t_final, dt,
         if error is not None:
             raise error
         mins[n] = state[2].min()
+        if visit is not None:
+            visit(march.time(n, t0), state)
         return True
 
     def store(n):
@@ -146,19 +153,28 @@ def integrate_ray_state(potential, x0, xi0, jac0, xiv0, s0, t0, t_final, dt,
 
 
 def integrate_flow(problem: SemiclassicalProblem, markers: PeriodicGrid,
-                   t_final: float, dt: float, store_every: int = 1) -> RayBundle:
-    """Trace the marker-grid rays of `problem` up to t_final: integrate_ray_state."""
+                   t_final: float, dt: float, store_every: int = 1,
+                   visit=None) -> RayBundle:
+    """Trace the marker-grid rays of `problem` up to t_final: integrate_ray_state.
+
+    visit(node), if given, gets every step of the march, step 0 included,
+    right after its check, as a one-node RayBundle whose arrays are views
+    of the march state: they hold the node only during the call.
+    """
     potential, phase = problem.potential, problem.phase
     potential.subquadratic_bound(markers)  # admissibility: finite Hessian on the box
 
-    y = markers.nodes
-    times, xs, xis, jac, xivs, ss, integral, mins = integrate_ray_state(
+    y, h = markers.nodes, March(t_final, dt).h
+
+    def node(t, state):
+        visit(RayBundle(markers, y, np.array([t]), *(v[None] for v in state),
+                        state[2].min(keepdims=True), h, problem))
+
+    times, *stored, mins = integrate_ray_state(
         potential, y, phase.gradient(y), np.ones_like(y), phase.hessian(y),
-        phase.value(y), 0.0, t_final, dt, store_every)
-    return RayBundle(markers=markers, y=y, times=times, x=xs, xi=xis, jac=jac,
-                     xivar=xivs, action=ss, jac_inv_integral=integral,
-                     min_jacobian=mins, dt=March(t_final, dt).h,
-                     store_every=store_every, problem=problem)
+        phase.value(y), 0.0, t_final, dt, store_every,
+        None if visit is None else node)
+    return RayBundle(markers, y, times, *stored, mins, h, problem)
 
 
 def _first_crossing(times: np.ndarray, series: np.ndarray, threshold: float) -> float | None:
@@ -359,7 +375,7 @@ def jacobian_consistency(bundle: RayBundle, t: float) -> float:
 
 
 def check_residual_nodes(nodes: int, time: float) -> None:
-    """Raise StencilError at `time` when `nodes`, the stored nodes below
+    """Raise StencilError at `time` when `nodes`, the march nodes above
     the Jacobian floor, are fewer than the residual's time stencil spans."""
     if nodes < RESIDUAL_STENCIL_NODES:
         raise StencilError(
@@ -367,43 +383,42 @@ def check_residual_nodes(nodes: int, time: float) -> None:
             f"the time stencil needs {RESIDUAL_STENCIL_NODES}", time=time)
 
 
-def hamilton_jacobi_residual(bundle: RayBundle, x_grid: PeriodicGrid) -> float:
-    """Sup-norm residual of d_t phi + |grad phi|^2/2 + V over checkable nodes.
+class HamiltonJacobiResidual:
+    """Sup-norm residual of d_t phi + |grad phi|^2/2 + V on `x_grid`, taken
+    during the ray march of `problem`: pass `add` as the `visit` of
+    integrate_flow, then read `value()`.
 
-    d_t uses a fourth-order centered stencil over stored nodes one step
-    apart, so the bundle must store every step (ValueError otherwise) and
-    RESIDUAL_STENCIL_NODES nodes before the min-Jacobian falls to
-    RESIDUAL_MIN_JACOBIAN (StencilError otherwise).  The check runs on
-    interior nodes whose min-Jacobian stays above it; closer to the caustic
-    the time derivatives of the phase blow up and finite differencing is no
-    longer meaningful.  grad phi is the transported momentum.
+    d_t phi is the fourth-order centred stencil over RESIDUAL_STENCIL_NODES
+    consecutive nodes, one step apart, and grad phi is the transported
+    momentum.  The check runs while min_y J stays above
+    RESIDUAL_MIN_JACOBIAN and stops at the first node at or below it:
+    closer to the caustic the time derivatives of the phase blow up and
+    finite differencing is no longer meaningful.  The window holds the
+    phase and momentum of the last nodes, values computed as each node
+    arrives, never the nodes, whose arrays the march overwrites.
     """
-    if len(bundle.times) != len(bundle.min_jacobian):
-        raise ValueError(
-            "the residual's time stencil needs a node at every step; this "
-            f"bundle stores one every {bundle.store_every} steps")
-    horizon = _first_crossing(bundle.times, bundle.min_jacobian,
-                              RESIDUAL_MIN_JACOBIAN)
-    tmax = horizon if horizon is not None else np.inf
-    usable = np.nonzero(bundle.times < tmax)[0]
-    last = usable[-1]
-    check_residual_nodes(len(usable), float(bundle.times[last]))
 
-    h = bundle.dt
+    def __init__(self, problem: SemiclassicalProblem, x_grid: PeriodicGrid):
+        self.grid, self.vvals = x_grid, problem.potential.value(x_grid.nodes)
+        self.window = deque(maxlen=RESIDUAL_STENCIL_NODES)
+        self.nodes, self.time, self.worst, self.floor = 0, None, 0.0, False
 
-    @functools.cache
-    def label_map(i: int) -> LabelMap:
-        return invert_flow(bundle, float(bundle.times[i]), x_grid)
+    def add(self, node: RayBundle) -> None:
+        """Take one march node, a one-node bundle."""
+        if self.floor or node.min_jacobian[0] <= RESIDUAL_MIN_JACOBIAN:
+            self.floor = True
+            return
+        self.nodes, self.time = self.nodes + 1, float(node.times[0])
+        lmap = invert_flow(node, self.time, self.grid)
+        self.window.append((eikonal_phase(lmap).values, momentum_field(lmap)))
+        if len(self.window) == RESIDUAL_STENCIL_NODES:
+            (p0, _), (p1, _), (_, mom), (p3, _), (p4, _) = self.window
+            dphi_dt = (-p4 + 8 * p3 - 8 * p1 + p0) / (12 * node.dt)
+            res = np.abs(dphi_dt + 0.5 * mom ** 2 + self.vvals).max()
+            self.worst = max(self.worst, float(res))
 
-    @functools.cache
-    def phi(i: int) -> np.ndarray:
-        return eikonal_phase(label_map(i)).values
-
-    vvals = bundle.problem.potential.value(x_grid.nodes)
-    worst = 0.0
-    for i in range(2, last - 1):
-        dphi_dt = (-phi(i + 2) + 8 * phi(i + 1) - 8 * phi(i - 1) + phi(i - 2)) / (12 * h)
-        grad_sq = momentum_field(label_map(i)) ** 2
-        res = np.abs(dphi_dt + 0.5 * grad_sq + vvals).max()
-        worst = max(worst, float(res))
-    return worst
+    def value(self) -> float:
+        """The residual over the nodes taken; StencilError, at the last of
+        them, when they are fewer than RESIDUAL_STENCIL_NODES."""
+        check_residual_nodes(self.nodes, self.time)
+        return self.worst

@@ -273,17 +273,22 @@ PROFILE = (("rays", _profile_rays), ("solve", _nls_sweep_solve),
 
 
 def _ray_march(config, plan, run) -> None:
+    """The march of the rays, which takes the eikonal residual node by node
+    and stores only its first and final nodes."""
     [row] = plan.rows
     problem = config.problem(row.eps)
-    run.grid = problem.a0.grid
-    run.bundle = rays.integrate_flow(problem, run.grid, row.times[-1], dt=row.dt)
+    run.residual = rays.HamiltonJacobiResidual(problem, problem.a0.grid)
+    run.bundle = rays.integrate_flow(problem, problem.a0.grid, row.times[-1],
+                                     dt=row.dt, store_every=row.steps,
+                                     visit=run.residual.add)
 
 
 def _rays_measure(config, plan, run) -> None:
-    """The eikonal residual and the Jacobian consistency of the rays."""
+    """The eikonal residual of the march and the Jacobian consistency of
+    its final node."""
     [row] = plan.rows
     bundle = run.bundle
-    residual = rays.hamilton_jacobi_residual(bundle, run.grid)
+    residual = run.residual.value()
     consistency = rays.jacobian_consistency(bundle, row.times[-1])
     run.verdicts += [
         _verdict("eikonal_residual", residual <= 1e-6,
@@ -334,7 +339,7 @@ def _grenier_measure(config, plan, run) -> None:
     drift = traj.mass_drift()
     run.verdicts.append(_verdict("mass_conservation", drift <= 1e-8,
                                  f"relative drift {drift:.3e} <= 1e-08"))
-    run.body = {"eps": plan.rows[0].eps, "variant": "limit", "dt": traj.dt,
+    run.body = {"eps": plan.rows[0].eps, "dt": traj.dt,
                 "mass_drift": drift,
                 "tail_fraction_max": float(traj.tail_fraction.max()),
                 "euler_residual": phase_amplitude.euler_residual(traj)}

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import asdict, fields, is_dataclass, replace
 from pathlib import Path
 from typing import get_args, get_type_hints
@@ -468,6 +469,36 @@ def test_drivers_that_read_a1_accept_it(name, overrides):
     Plan.build(config_from_dict(raw))
 
 
+def test_grenier_report_names_no_variant(shipped_result):
+    # grenier always marches the limit, so its report holds no variant
+    assert "variant" not in shipped_result("grenier.json").report
+
+
+def test_rays_driver_memory_is_bounded():
+    # the residual is taken during the march, which stores its first and
+    # final nodes alone, so the driver holds O(N) ray memory: its
+    # tracemalloc peak does not grow with time.final and grows at most
+    # linearly with grid.size; storing every node took 24 MiB at
+    # N = 1024, twice that at time.final 0.6, and 95 MiB at N = 4096
+    def peak(size, final):
+        cfg = config_from_dict(_shipped_raw(
+            "rays.json", (f"grid.size={size}", f"time.final={final}")))
+        plan = Plan.build(cfg)
+        tracemalloc.start()
+        try:
+            run_experiment(cfg, plan)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    for size in (1024, 4096):
+        peak(size, 0.01)  # fills the caches a first run of each size fills
+    short, long, fine = peak(1024, 0.3), peak(1024, 0.6), peak(4096, 0.3)
+    assert long <= 1.2 * short
+    assert fine <= 4 * short
+    assert fine < 20 * 2**20
+
+
 class TestDryRunPlan:
     @pytest.mark.parametrize("name, overrides", [
         *[(p.name, ()) for p in sorted(CONFIG_DIR.glob("*.json"))],
@@ -514,7 +545,7 @@ class TestDryRunPlan:
 
         strides = []
 
-        def stop(problem, markers, t_final, dt, store_every=1):
+        def stop(problem, markers, t_final, dt, store_every=1, visit=None):
             strides.append((store_every, March(t_final, dt).steps))
             raise _SolverReached([(problem.eps, dt)])
 
@@ -523,10 +554,10 @@ class TestDryRunPlan:
             run_config(cfg)
         [(eps, dt)] = caught.value.pairs
         assert dt == planned[eps]
-        # the rays driver checks every step; a WKB profile reads the final
-        # node alone
+        # the rays driver takes its residual during the march, and a WKB
+        # profile reads the final node alone: neither stores the steps between
         [(store_every, steps)] = strides
-        assert store_every == (1 if name == "rays.json" else steps)
+        assert store_every == steps
 
     @staticmethod
     def skew_free_schedule(monkeypatch, schedule):
@@ -723,7 +754,7 @@ class TestPlannedSteps:
 
         def recording_flow(*args, **kwargs):
             bundle = flow(*args, **kwargs)
-            executed.append(("flow", len(bundle.times) - 1))
+            executed.append(("flow", round(bundle.times[-1] / bundle.dt)))
             return bundle
 
         monkeypatch.setattr(phase_amplitude, "solve_phase_amplitude_sweep",
@@ -1079,12 +1110,18 @@ class TestCli:
                              "time.final=2.4"),
          "InversionError at t=2.4: the stored ray map is not strictly "
          "increasing", "rays"),
+        # the rays driver inverts each node as its march reaches it, so a
+        # focusing phase fails at the first step, in the rays stage
+        ("rays", "rays.json", ("phase.kind=quadratic", "phase.curvature=-0.5"),
+         "InversionError at t=0.001: the stored ray map covers [-15.992, "
+         "15.9608], short of the grid", "rays"),
         # three steps of 1e-3 store four nodes, one short of the residual's
         # time stencil
         ("rays", "rays.json", ("time.final=0.003",),
          "StencilError at t=0.003: not enough stored nodes below the Jacobian "
          "floor", "plan"),
-    ], ids=["ray-divergence", "folded-ray-map", "short-ray-run"])
+    ], ids=["ray-divergence", "folded-ray-map", "focusing-ray-march",
+            "short-ray-run"])
     def test_ray_guard_rails_exit_2(self, tmp_path, capsys, command, name,
                                     overrides, message, stage):
         args = [command, "--config", str(CONFIG_DIR / name),

@@ -22,31 +22,47 @@ def make_problem(potential, phase, marker_length, marker_size):
                                 potential=potential, phase=phase), grid
 
 
-@pytest.fixture(scope="module")
-def harmonic_bundle():
+def harmonic_march():
     # markers on a wider box than the evaluation window: labels y = x/cos(t)
     # swing far outside [-16, 16) before the caustic
     problem, markers = make_problem(PotentialSpec.harmonic(1.0),
                                     InitialPhaseSpec.zero(), 128.0, 512)
-    return rays.integrate_flow(problem, markers, 1.8, dt=1e-3)
+    return problem, markers, 1.8, 1e-3
 
 
-@pytest.fixture(scope="module")
-def free_bundle():
+def free_march():
     # V=0 with concave quadratic phase -x^2/2: focusing free flow
     problem, markers = make_problem(PotentialSpec.zero(),
                                     InitialPhaseSpec.quadratic(-1.0), 128.0, 1024)
-    return rays.integrate_flow(problem, markers, 0.6, dt=1e-3)
+    return problem, markers, 0.6, 1e-3
 
 
-@pytest.fixture(scope="module")
-def cosine_bundle():
+def cosine_march():
     grid = PeriodicGrid(32.0, 256)
     problem = SemiclassicalProblem(eps=1e-2, kappa=0.0,
                                    a0=gaussian_field(grid, 1.0, 1.0),
                                    potential=PotentialSpec.cosine(0.5, 32.0, 1),
                                    phase=InitialPhaseSpec.zero())
-    return rays.integrate_flow(problem, grid, 0.3, dt=1e-3)
+    return problem, grid, 0.3, 1e-3
+
+
+# the (problem, markers, t_final, dt) of each fixture march
+MARCHES = {"harmonic": harmonic_march, "free": free_march, "cosine": cosine_march}
+
+
+@pytest.fixture(scope="module")
+def harmonic_bundle():
+    return rays.integrate_flow(*harmonic_march())
+
+
+@pytest.fixture(scope="module")
+def free_bundle():
+    return rays.integrate_flow(*free_march())
+
+
+@pytest.fixture(scope="module")
+def cosine_bundle():
+    return rays.integrate_flow(*cosine_march())
 
 
 @pytest.fixture(scope="module")
@@ -137,17 +153,56 @@ class TestFreeFlowOracle:
         assert free_bundle.t_caustic is None
 
 
+def streamed_residual(march, x_grid):
+    """The residual on `x_grid` of the fixture march `march`, taken during
+    the march as the rays driver takes it: storing the first and final
+    nodes alone."""
+    problem, markers, t_final, dt = march
+    residual = rays.HamiltonJacobiResidual(problem, x_grid)
+    rays.integrate_flow(problem, markers, t_final, dt,
+                        store_every=March(t_final, dt).steps, visit=residual.add)
+    return residual.value()
+
+
+def stored_residual(bundle, x_grid):
+    """The reference: the residual of a bundle that stores every step, by a
+    second pass over its stored nodes.  The nodes before the interpolated
+    crossing of RESIDUAL_MIN_JACOBIAN are checked, each inverted once, and
+    the stencil runs over every centre with two checked nodes on each side."""
+    horizon = rays._first_crossing(bundle.times, bundle.min_jacobian,
+                                   rays.RESIDUAL_MIN_JACOBIAN)
+    usable = np.nonzero(bundle.times < (np.inf if horizon is None else horizon))[0]
+    last = usable[-1]
+    rays.check_residual_nodes(len(usable), float(bundle.times[last]))
+    h = bundle.dt
+    maps = [rays.invert_flow(bundle, float(bundle.times[i]), x_grid)
+            for i in range(last + 1)]
+    phi = [rays.eikonal_phase(lmap).values for lmap in maps]
+    vvals = bundle.problem.potential.value(x_grid.nodes)
+    worst = 0.0
+    for i in range(2, last - 1):
+        dphi_dt = (-phi[i + 2] + 8 * phi[i + 1] - 8 * phi[i - 1] + phi[i - 2]) / (12 * h)
+        grad_sq = rays.momentum_field(maps[i]) ** 2
+        worst = max(worst, float(np.abs(dphi_dt + 0.5 * grad_sq + vvals).max()))
+    return worst
+
+
+@pytest.fixture(scope="module")
+def streamed_residuals(eval_grid):
+    return {name: streamed_residual(march(), eval_grid)
+            for name, march in MARCHES.items()}
+
+
 class TestEikonalResidual:
     """The phase solves d_t phi + |grad phi|^2/2 + V = 0 on every fixture."""
 
-    def test_free_fixture(self, free_bundle, eval_grid):
-        assert rays.hamilton_jacobi_residual(free_bundle, eval_grid) <= 1e-6
+    def test_free_fixture(self, streamed_residuals):
+        assert streamed_residuals["free"] <= 1e-6
 
-    def test_harmonic_fixture(self, harmonic_bundle, eval_grid):
-        assert rays.hamilton_jacobi_residual(harmonic_bundle, eval_grid) <= 1e-6
+    def test_harmonic_fixture(self, streamed_residuals):
+        assert streamed_residuals["harmonic"] <= 1e-6
 
-    def test_each_node_is_inverted_once(self, free_bundle, eval_grid,
-                                        monkeypatch):
+    def test_each_node_is_inverted_once(self, eval_grid, monkeypatch):
         # the phase stencil and the momentum share one label map per node
         times = []
         invert = rays.invert_flow
@@ -157,12 +212,21 @@ class TestEikonalResidual:
             return invert(bundle, t, x_grid)
 
         monkeypatch.setattr(rays, "invert_flow", recording)
-        rays.hamilton_jacobi_residual(free_bundle, eval_grid)
+        streamed_residual(free_march(), eval_grid)
         assert times and len(times) == len(set(times))
 
-    def test_cosine_fixture(self, cosine_bundle, eval_grid):
+    def test_cosine_fixture(self, cosine_bundle, streamed_residuals):
         assert cosine_bundle.is_periodic_compatible()
-        assert rays.hamilton_jacobi_residual(cosine_bundle, eval_grid) <= 1e-6
+        assert streamed_residuals["cosine"] <= 1e-6
+
+    @pytest.mark.parametrize("name", list(MARCHES))
+    def test_streamed_residual_is_the_stored_bundle_residual(
+            self, name, streamed_residuals, eval_grid, request):
+        # the same nodes, centres and float order as the second pass over a
+        # fully stored bundle, bit for bit; the harmonic march crosses the
+        # Jacobian floor (cos t = 0.3) before its final time
+        bundle = request.getfixturevalue(f"{name}_bundle")
+        assert streamed_residuals[name] == stored_residual(bundle, eval_grid)
 
 
 class TestIntegratorQuality:
@@ -401,9 +465,10 @@ class TestArgumentGuards:
     def test_residual_arguments(self, eval_grid):
         problem, markers = make_problem(PotentialSpec.zero(),
                                         InitialPhaseSpec.zero(), 32.0, 64)
-        short = rays.integrate_flow(problem, markers, 0.03, dt=1e-2)
+        residual = rays.HamiltonJacobiResidual(problem, eval_grid)
+        rays.integrate_flow(problem, markers, 0.03, dt=1e-2, visit=residual.add)
         with pytest.raises(StencilError, match="not enough stored nodes") as caught:
-            rays.hamilton_jacobi_residual(short, eval_grid)
+            residual.value()
         assert caught.value.time == pytest.approx(0.03, abs=1e-12)
 
     def test_a_non_finite_initial_state_fails_at_t0(self, monkeypatch):
@@ -416,16 +481,6 @@ class TestArgumentGuards:
                 pytest.raises(DivergenceError, match="non-finite") as caught:
             rays.integrate_flow(problem, markers, 0.1, dt=0.01)
         assert caught.value.time == 0.0
-
-    def test_residual_needs_a_node_at_every_step(self, eval_grid):
-        # the fourth-order time stencil assumes nodes dt apart
-        problem, markers = make_problem(PotentialSpec.cosine(0.5, 32.0, 1),
-                                        InitialPhaseSpec.zero(), 32.0, 64)
-        sparse = rays.integrate_flow(problem, markers, 0.3, dt=1e-2,
-                                     store_every=10)
-        with pytest.raises(ValueError, match="this bundle stores one every "
-                           "10 steps"):
-            rays.hamilton_jacobi_residual(sparse, eval_grid)
 
 
 class TestMarkerSeriesInterpolation:
