@@ -8,6 +8,12 @@ failure, 2 on configuration or runtime errors.  The error line of a failed
 plan or run ends with the stage it failed in, ` (stage plan)` for a check
 of `Plan.build` and the driver's stage (`rays`, `solve`, `measure`) for a
 run.
+
+A config names its driver, a key of `experiments.DRIVERS`, and
+`SUBCOMMAND` maps each driver to the subcommand that runs it: a single
+run's driver has a subcommand of its own name, and every other driver
+runs under its kind (`converge`, `instability`, ...).  A subcommand of
+one driver fills in the config's driver when it names none.
 """
 from __future__ import annotations
 
@@ -15,16 +21,14 @@ import argparse
 import json
 import sys
 
-from .errors import NlswkbError
+from .errors import ConfigError, NlswkbError
 from .config import ExperimentConfig, apply_overrides, config_from_dict
 from .experiments import DRIVERS, run_experiment
 from .plan import Plan, plan_json
 from .reporting import check_output_dir, load_config_file, write_artifacts
 
-# subcommand -> (config kind, the key it sets to its own name or None): a
-# single-run driver has a subcommand of its own, other drivers their kind's
-_SUBCOMMANDS = dict((name, (d.kind, "solver")) if d.kind == "single"
-                    else (d.kind, (d.kind, None)) for name, d in DRIVERS.items())
+# driver -> the subcommand that runs it
+SUBCOMMAND = {name: name if d.kind == "single" else d.kind for name, d in DRIVERS.items()}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -33,9 +37,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Semiclassical NLS: geometric-optics approximations "
                     "validated against a split-step spectral solver.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (kind, key) in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=f"run a {kind} experiment"
-                           + (f" with the {name} {key}" if key else ""))
+    for command in dict.fromkeys(SUBCOMMAND.values()):
+        drivers = [name for name, c in SUBCOMMAND.items() if c == command]
+        p = sub.add_parser(command, help=f"run the driver {' | '.join(drivers)}")
+        p.set_defaults(drivers=drivers)
         p.add_argument("--config", required=True,
                        help="path to the JSON experiment config")
         p.add_argument("--output", default=None,
@@ -49,21 +54,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args) -> ExperimentConfig:
-    raw = load_config_file(args.config)
-    raw = apply_overrides(raw, args.overrides)
-    kind, key = _SUBCOMMANDS[args.command]
-    raw.setdefault("kind", kind)
-    if raw["kind"] != kind:
-        raise NlswkbError(
-            f"config kind {raw['kind']!r} does not match subcommand "
-            f"{args.command!r} (expects {kind!r})")
-    if key is not None:
-        raw.setdefault(key, args.command)
-        if raw[key] != args.command:
-            raise NlswkbError(
-                f"config {key} {raw[key]!r} does not match subcommand "
-                f"{args.command!r}")
-    return config_from_dict(raw)
+    """The config file of `args` with its --set overrides, and the driver of
+    the subcommand if it runs one alone and the config names none; a driver
+    that runs under another subcommand is refused."""
+    raw = apply_overrides(load_config_file(args.config), args.overrides)
+    if len(args.drivers) == 1:
+        raw.setdefault("driver", *args.drivers)
+    config = config_from_dict(raw)
+    if config.driver not in args.drivers:
+        raise ConfigError(f"driver {config.driver!r} runs under subcommand "
+                          f"{SUBCOMMAND[config.driver]!r}, not {args.command!r}")
+    return config
 
 
 def _failure(exc: NlswkbError, named: bool = True) -> str:

@@ -2,8 +2,8 @@
 that builds them from parsed JSON, --set overrides, and validation.
 
 `config_from_dict` rejects unknown keys and mistyped values at every
-level, then validates.  The kinds, targets and solvers a config may name,
-the kappa each driver accepts and each driver's own checks come from the
+level, then validates.  The drivers a config may name (its `driver` key),
+the kappa each accepts and each driver's own checks come from the
 `DRIVERS` table of the experiments module.
 """
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Literal, get_args, get_origin, get_type_hints
 import numpy as np
 
 from .errors import ConfigError
-from .experiments import DRIVERS, KINDS, NAMED, SELECTORS
+from .experiments import DRIVERS
 from .fields import ComplexField
 from .grids import PeriodicGrid
 from .potentials import InitialPhaseSpec, PotentialSpec
@@ -134,7 +134,7 @@ class OutputConfig:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    kind: Literal[KINDS]
+    driver: Literal[tuple(DRIVERS)]
     eps: tuple[float, ...]
     kappa: float = 0.0
     grid: GridConfig = field(default_factory=GridConfig)
@@ -143,16 +143,7 @@ class ExperimentConfig:
     phase: PhaseConfig = field(default_factory=PhaseConfig)
     time: TimeConfig = field(default_factory=TimeConfig)
     instability: InstabilityConfig = field(default_factory=InstabilityConfig)
-    target: Literal[NAMED["target"]] | None = None
-    solver: Literal[NAMED["solver"]] | None = None
     output: OutputConfig = field(default_factory=OutputConfig)
-
-    @property
-    def driver(self) -> str | None:
-        """Its key in DRIVERS: the solver of a single run, the target of a
-        convergence run, the kind of any other run."""
-        key = SELECTORS.get(self.kind)
-        return getattr(self, key) if key else self.kind
 
     def validate(self) -> None:
         eps = self.eps
@@ -175,18 +166,14 @@ class ExperimentConfig:
         _refuse_unread(self.phase, "phase", "kind", {"zero": ()})
         if self.time.final <= 0:
             raise ConfigError("t_final must be positive")
-        key = SELECTORS.get(self.kind)
-        if key and getattr(self, key) is None:
-            raise ConfigError(f"{self.kind} runs need a {key}, one of {NAMED[key]}")
         spec = DRIVERS[self.driver]
         if spec.kappas is not None and self.kappa not in spec.kappas:
             allowed = " or ".join(f"kappa={k!r}" for k in spec.kappas)
-            raise ConfigError(f"{key} {self.driver} requires {allowed}" if key
-                              else f"{self.kind} runs require {allowed}")
-        if self.kind == "single" and len(eps) != 1:
-            raise ConfigError(f"{self.kind} runs take one eps, got {len(eps)}")
+            raise ConfigError(f"{self.driver} runs require {allowed}")
+        if spec.kind == "single" and len(eps) != 1:
+            raise ConfigError(f"{self.driver} runs take one eps, got {len(eps)}")
         if spec.flat and (self.potential.kind != "zero" or self.phase.kind != "zero"):
-            raise ConfigError(f"{self.kind} runs require V=0 and zero initial phase")
+            raise ConfigError(f"{self.driver} runs require V=0 and zero initial phase")
         for check in spec.checks:
             check(self)
 
@@ -260,7 +247,7 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
     """Apply CLI --set key.path=value pairs onto the raw config dict.
 
     Values parse as JSON when possible and fall back to plain strings, so
-    --set time.final=0.3 and --set target=critical both work.
+    --set time.final=0.3 and --set driver=critical both work.
     """
     out = {k: v for k, v in raw.items()}
     for item in overrides:
@@ -283,7 +270,7 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
     return out
 
 
-# every key at its default; kind and eps have none, and every driver reads
+# every key at its default; driver and eps have none, and every driver reads
 # them.  Plan.build compares a config with it to find a key set that its
 # driver does not read.
-DEFAULTS = ExperimentConfig(kind=None, eps=())
+DEFAULTS = ExperimentConfig(driver=None, eps=())

@@ -1,9 +1,10 @@
 """Experiment drivers: convergence sweeps, the instability demonstration,
 norm-growth tracking, the small-time ODE window, and one-shot solver runs.
 
-The table `DRIVERS` holds one `Driver` record per value of
-ExperimentConfig.driver.  The config schema (config.py) and the run plan
-(plan.py) derive their rules from it, so this module imports neither.
+The table `DRIVERS` holds one `Driver` record per value of a config's
+`driver` key.  The config schema (config.py), the run plan (plan.py) and
+the CLI subcommands (cli.py) derive their rules from it, so this module
+imports none of them.
 A driver is an ordered tuple of named stages, whose bodies live in
 stages.py and instability.py.  `run_experiment(config, plan)`, the one
 runner, calls them in order on the plan that `Plan.build` made of the
@@ -90,7 +91,7 @@ class Driver:
     "schedule", "eps_powers" (eps^p for the schedule's powers p) or
     "instability"; rays is "march" (the rays are its march) or "wkb" (rays
     to t in 64 steps)."""
-    kind: str                           # the config kind that runs it
+    kind: str                           # report.json's "kind"; "single": one eps
     stages: tuple[tuple[str, Callable], ...]
     kappas: tuple[float, ...] | None    # the kappa it accepts; None: unread
     csv: tuple[tuple[str, str], ...] = ()
@@ -138,7 +139,7 @@ def _csv_rows(body: dict, table) -> list:
 
 # ---------------------------------------------------------------------------
 # the drivers, one record per value of ExperimentConfig.driver; their order
-# is that of the solvers and targets in NAMED and of the CLI subcommands
+# is that of the CLI subcommands
 
 DRIVERS = {
     "rays": Driver("single", stages.RAYS, None, march_dt=1e-3, rays="march",
@@ -184,14 +185,6 @@ DRIVERS = {
 }
 
 
-KINDS = tuple(sorted({d.kind for d in DRIVERS.values()}))
-# kind -> the key that selects its driver; a kind of one driver has none
-SELECTORS = {"single": "solver", "converge": "target"}
-# selector key -> the drivers it names, in table order
-NAMED = {key: tuple(name for name, d in DRIVERS.items() if d.kind == kind)
-         for kind, key in SELECTORS.items()}
-
-
 def run_experiment(config: ExperimentConfig, plan: Plan) -> ExperimentResult:
     """Run the driver of `config`, a config from `config_from_dict`, on
     `plan`, which `Plan.build` made of it: call the bodies of its stages in
@@ -200,8 +193,8 @@ def run_experiment(config: ExperimentConfig, plan: Plan) -> ExperimentResult:
     the runner applies the failure rule to the outcomes of its sweeps: it
     raises the first failed one in config order, or for a driver that
     flags, records each under-resolved eps, which adds a failed
-    "resolution" verdict.  The field dumps are kept under
-    output.dump_fields."""
+    "resolution" verdict.  A report passes when it has verdicts and every
+    one passes.  The field dumps are kept under output.dump_fields."""
     driver = DRIVERS[config.driver]
     run = SimpleNamespace(sweeps=(), flagged=[], verdicts=[], fits={}, csv_rows=[], dumps=())
     for name, body in driver.stages:
@@ -214,8 +207,9 @@ def run_experiment(config: ExperimentConfig, plan: Plan) -> ExperimentResult:
     if run.flagged:
         run.verdicts.append(_verdict("resolution", False,
                                      f"under-resolved eps excluded: {run.flagged}"))
-    report = {"kind": config.kind, "config": asdict(config), "verdicts": run.verdicts,
-              "passed": all(v["passed"] for v in run.verdicts), **run.body}
+    report = {"kind": driver.kind, "config": asdict(config), "verdicts": run.verdicts,
+              "passed": bool(run.verdicts) and all(v["passed"] for v in run.verdicts),
+              **run.body}
     rows = _csv_rows(run.body, driver.csv) + run.csv_rows
     dumps = list(run.dumps) if config.output.dump_fields else []
     return ExperimentResult(report=report, csv_rows=rows, field_dumps=dumps)

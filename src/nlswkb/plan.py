@@ -13,7 +13,7 @@ from functools import reduce
 from . import nls, rays
 from .config import DEFAULTS, ExperimentConfig
 from .errors import ConfigError, stage
-from .experiments import DRIVERS, SELECTORS
+from .experiments import DRIVERS
 from .instability import INSTABILITY_TIME_FACTOR
 from .problem import March
 
@@ -52,10 +52,9 @@ class Plan:
     def build(cls, config: ExperimentConfig) -> Plan:
         """Plan `config`, a config from `config_from_dict`; raises ConfigError
         for a key the driver does not read or output times it cannot run, and
-        StencilError for a ray march that stores fewer nodes than its
-        residual's time stencil spans, each of stage "plan".  A caustic
-        before that many nodes is left to the run, which alone traces the
-        rays."""
+        StencilError for a ray march of fewer nodes than its residual's
+        time stencil spans, each of stage "plan".  A caustic before that
+        many nodes is left to the run, which alone traces the rays."""
         driver = config.driver
         spec = DRIVERS[driver]
         # a key that only some drivers read must keep its default when this
@@ -64,7 +63,6 @@ class Plan:
         reads = {**{key: key in spec.keys for other in DRIVERS.values()
                     for key in other.keys},
                  "kappa": spec.kappas is not None,
-                 **{key: spec.kind == kind for kind, key in SELECTORS.items()},
                  "time.final": spec.times == "final"}
         for path, read in reads.items():
             value, default = (reduce(getattr, path.split("."), c)
@@ -115,5 +113,4 @@ def plan_json(config: ExperimentConfig, plan: Plan) -> dict:
     entries = [{k: v for k, v in asdict(row).items()
                 if v is not None and (show_times or k != "times")}
                for row in plan.rows]
-    return {"kind": config.kind, "target": config.target,
-            "solver": config.solver, "config": asdict(config), "plan": entries}
+    return {"driver": config.driver, "config": asdict(config), "plan": entries}

@@ -379,7 +379,7 @@ def check_residual_nodes(nodes: int, time: float) -> None:
     the Jacobian floor, are fewer than the residual's time stencil spans."""
     if nodes < RESIDUAL_STENCIL_NODES:
         raise StencilError(
-            f"not enough stored nodes below the Jacobian floor: {nodes}, "
+            f"not enough march nodes above the Jacobian floor: {nodes}, "
             f"the time stencil needs {RESIDUAL_STENCIL_NODES}", time=time)
 
 

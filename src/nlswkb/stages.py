@@ -43,6 +43,16 @@ def _data_verdict(name: str, data: list, passed: bool, detail: str) -> dict:
     return _verdict(name, passed, detail) if data else _verdict(name, False, "no data")
 
 
+def _final_error_verdict(errors: list, ref_norm: float) -> dict:
+    """The verdict that the last of the WKB `errors` lies below 0.05 times
+    `ref_norm`, the L2/Linf norm of a0."""
+    threshold = 0.05 * ref_norm
+    return _data_verdict("final_error_small", errors,
+                         bool(errors and errors[-1] < threshold),
+                         f"error {errors[-1] if errors else None} vs "
+                         f"0.05*|a0| = {threshold}")
+
+
 def _raise_failed(*sweeps) -> None:
     """Raise the first error among the outcomes of sweeps over the same eps:
     eps by eps in config order, and at one eps in the order the sweeps are
@@ -108,7 +118,7 @@ def _supercritical_solve(config, plan, run) -> None:
     first = plan.rows[0]
     t, dt = first.times[-1], first.dt
     limit_problem = config.problem(config.eps[0])
-    if config.target == "supercritical_corrector":
+    if config.driver == "supercritical_corrector":
         run.limit = phase_amplitude.solve_corrector(limit_problem, t, dt,
                                                     store_every=first.steps).final()
     else:
@@ -124,7 +134,7 @@ def _supercritical_measure(config, plan, run) -> None:
     """The sweep against the limit, or in corrector mode against the limit
     plus eps times its corrector."""
     t, dt = plan.rows[0].times[-1], plan.rows[0].dt
-    corrector_mode = config.target == "supercritical_corrector"
+    corrector_mode = config.driver == "supercritical_corrector"
     lim = run.limit
 
     def measure(eps, traj):
@@ -247,14 +257,10 @@ def _profile_measure(config, plan, run) -> None:
     ref_norm = l2_linf_norm(run.problems[0].a0)
 
     monotone = all(b < a for a, b in zip(errors, errors[1:]))
-    threshold = 0.05 * ref_norm
-    small = bool(errors and errors[-1] < threshold)
     run.verdicts += [
         _data_verdict("error_decreases", errors, monotone,
                       f"errors across eps grid: {errors}"),
-        _data_verdict("final_error_small", errors, small,
-                      f"error {errors[-1] if errors else None} vs "
-                      f"0.05*|a0| = {threshold}")]
+        _final_error_verdict(errors, ref_norm)]
     if not critical:
         budget_ok = all(r["modulation_size"] <= r["error"] for r in resolved)
         run.verdicts.append(_data_verdict(
@@ -311,12 +317,14 @@ def _nls_solve(config, plan, run) -> None:
 
 
 def _wkb_measure(config, plan, run) -> None:
-    """The NLS solution against the WKB approximant."""
+    """The NLS solution against the WKB approximant, with the final-error
+    verdict of the convergence drivers."""
     [row] = plan.rows
     eps, t = row.eps, row.times[-1]
     profile, sol = run.profile, run.solution
     approx = profile.assemble(eps)
     err = l2_linf_norm(sol.final() - approx)
+    run.verdicts.append(_final_error_verdict([err], l2_linf_norm(sol.problem.a0)))
     run.body = {"eps": eps, "t": t, "error_L2Linf": err,
                 "regime": profile.regime, "horizon": profile.horizon,
                 "mass_drift": sol.mass_drift()}

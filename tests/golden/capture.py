@@ -67,18 +67,13 @@ def canonical(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
-def subcommand(raw: dict) -> str:
-    """The CLI subcommand that runs a config."""
-    return raw["solver"] if raw["kind"] == "single" else raw["kind"]
-
-
 def dry_run_text(name: str) -> str:
     """Standard output of the CLI's --dry-run for configs/<name>."""
-    from nlswkb.cli import main
+    from nlswkb.cli import SUBCOMMAND, main
 
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main([subcommand(load_raw(name)), "--config",
+        code = main([SUBCOMMAND[load_raw(name)["driver"]], "--config",
                      str(CONFIG_DIR / name), "--dry-run"])
     if code != 0:
         raise RuntimeError(f"--dry-run of {name} exited {code}")

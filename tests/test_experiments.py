@@ -43,7 +43,7 @@ def error_line(err: str) -> str:
 
 
 def cheap_nls_raw(**extra):
-    raw = {"kind": "single", "solver": "nls", "eps": [0.05], "kappa": 1.0,
+    raw = {"driver": "nls", "eps": [0.05], "kappa": 1.0,
            "grid": {"size": 256}, "time": {"final": 0.05}}
     raw.update(extra)
     return raw
@@ -129,7 +129,7 @@ class TestConfigSchema:
                 total += count(hint) if is_dataclass(hint) else 1
             return total
 
-        assert count(ExperimentConfig) == 32
+        assert count(ExperimentConfig) == 30
 
     def test_readme_schema_lists_every_key(self):
         # the jsonc block of README.md "Config schema", comments stripped,
@@ -145,8 +145,7 @@ class TestConfigSchema:
             return {prefix + k for k in node}.union(
                 *(keys(v, f"{prefix}{k}.") for k, v in node.items()))
 
-        default = config_from_dict({"kind": "single", "solver": "nls",
-                                    "eps": [0.1]})
+        default = config_from_dict({"driver": "nls", "eps": [0.1]})
         assert keys(schema) == keys(asdict(default))
 
     def test_chirp_survives_serialization(self):
@@ -184,8 +183,7 @@ class TestConfigSchema:
             config_from_dict(cheap_nls_raw(grid={"size": 300}))
 
     def test_converge_target_fixes_kappa(self):
-        raw = {"kind": "converge", "target": "critical", "eps": [0.1, 0.05],
-               "kappa": 0.0}
+        raw = {"driver": "critical", "eps": [0.1, 0.05], "kappa": 0.0}
         with pytest.raises(ConfigError):
             config_from_dict(raw)
 
@@ -196,7 +194,7 @@ class TestConfigSchema:
             config_from_dict(raw)
 
     def instability_raw(self, alpha):
-        return {"kind": "instability", "eps": [0.01], "kappa": 0.0,
+        return {"driver": "instability", "eps": [0.01], "kappa": 0.0,
                 "data": {"b0": {"shape": "gaussian"}},
                 "instability": {"alpha": alpha}}
 
@@ -208,7 +206,7 @@ class TestConfigSchema:
             config_from_dict(self.instability_raw(0.0))
 
     def test_normgrowth_resolution_rule(self):
-        raw = {"kind": "normgrowth", "eps": [0.1, 0.05, 0.02, 0.01, 0.005],
+        raw = {"driver": "normgrowth", "eps": [0.1, 0.05, 0.02, 0.01, 0.005],
                "kappa": 0.0, "grid": {"size": 1024}}
         with pytest.raises(ConfigError, match="grid size >= 1600"):
             config_from_dict(raw)
@@ -261,7 +259,7 @@ class TestTypedLoading:
 CONFIG_ERRORS = [
     # loader
     ([], (), "config must be an object"),
-    ({"eps": [0.1]}, (), "config is missing 'kind'"),
+    ({"eps": [0.1]}, (), "config is missing 'driver'"),
     ("nls.json", ("eps=0.1",), "eps must be a list"),
     ("nls.json", ("time=0.2",), "time must be an object"),
     ("nls.json", ("data.a0=null",), "data.a0 must be an object"),
@@ -311,14 +309,13 @@ CONFIG_ERRORS = [
     ("nls.json", ("time.final=Infinity",),
      "time.final must be a finite number, got inf"),
     # loader, Literal fields
-    ({"kind": "bogus", "eps": [0.1]}, (), "kind must be one of ('converge', "),
+    ({"driver": "bogus", "eps": [0.1]}, (), "driver must be one of ('rays', "),
     ("nls.json", ("data.a0.shape=square",),
      "data.a0.shape must be one of ('gaussian', 'constant', 'zero'), got 'square'"),
     ("nls.json", ("potential.kind=harmonic",),
      "potential.kind must be one of ('zero', 'cosine'), got 'harmonic'"),
     ("nls.json", ("phase.kind=cubic",), "phase.kind must be one of ('zero', "),
-    ("critical.json", ("target=critcal",), "target must be one of ("),
-    ("nls.json", ("solver=spectral",), "solver must be one of ('rays', "),
+    ("critical.json", ("driver=critcal",), "driver must be one of ("),
     # profiles
     ("nls.json", ("data.a1.width=0",), "data.a1.width must be positive"),
     ("nls.json", ("data.b0.shape=zero", "data.b0.chirp=0.5"),
@@ -342,14 +339,12 @@ CONFIG_ERRORS = [
     ("nls.json", ("grid.size=4",), "grid size must be a power of two >= 8, got 4"),
     ("nls.json", ("grid.size=300",), "grid size must be a power of two"),
     ("nls.json", ("time.final=0",), "t_final must be positive"),
-    ("critical.json", ("target=null",), "converge runs need a target"),
-    ("critical.json", ("kappa=2",), "target critical requires kappa=1.0"),
+    ("critical.json", ("kappa=2",), "critical runs require kappa=1.0"),
     ("corrector.json", ("data.a1=null",), "corrector target needs a1 data"),
-    ("nls.json", ("solver=null",), "single runs need a solver"),
-    ("nls.json", ("eps=[0.1, 0.05]",), "single runs take one eps, got 2"),
+    ("nls.json", ("eps=[0.1, 0.05]",), "nls runs take one eps, got 2"),
     ("odewindow.json", ("kappa=1",), "odewindow runs require kappa=0"),
-    ("grenier.json", ("kappa=1",), "solver grenier requires kappa=0.0"),
-    ("wkb.json", ("kappa=0",), "solver wkb requires kappa=1.0 or kappa=2.0"),
+    ("grenier.json", ("kappa=1",), "grenier runs require kappa=0.0"),
+    ("wkb.json", ("kappa=0",), "wkb runs require kappa=1.0 or kappa=2.0"),
     ("normgrowth.json", ("potential.kind=cosine",),
      "normgrowth runs require V=0 and zero initial phase"),
     ("instability.json", ("data.b0=null",),
@@ -391,9 +386,9 @@ CONFIG_ERRORS = [
     ("critical.json", ("output.dump_fields=true",),
      "output.dump_fields is not read by the critical driver"),
     ("rays.json", ("kappa=1",), "kappa is not read by the rays driver"),
-    ("nls.json", ("target=critical",), "target is not read by the nls driver"),
-    ("instability.json", ("solver=nls",),
-     "solver is not read by the instability driver"),
+    # the keys that named a driver before `driver` did
+    ("nls.json", ("target=critical",), "unknown keys in config: ['target']"),
+    ("instability.json", ("solver=nls",), "unknown keys in config: ['solver']"),
     # plan
     ("odewindow.json", ("eps=[1.0]",),
      "output times at eps=1.0 must be strictly increasing, got [1.0, 1.0, 1.0, 1.0]"),
@@ -422,9 +417,9 @@ class TestOverrides:
         assert out == {"grid": {"size": 512}}
 
     def test_values_parse_as_json_with_string_fallback(self):
-        out = apply_overrides({}, ["eps=[0.1, 0.05]", "target=critical"])
+        out = apply_overrides({}, ["eps=[0.1, 0.05]", "driver=critical"])
         assert out["eps"] == [0.1, 0.05]
-        assert out["target"] == "critical"
+        assert out["driver"] == "critical"
 
     def test_malformed_override_rejected(self):
         with pytest.raises(ConfigError):
@@ -445,11 +440,10 @@ def _solver_entry(cfg):
     Every phase-amplitude and NLS solve goes through a sweep, whose first
     argument is the list of problems; the NLS sweep takes one dt per
     problem."""
-    if (cfg.kind, cfg.solver) == ("single", "rays"):
+    if cfg.driver == "rays":
         return rays, "integrate_flow", 3
-    if ((cfg.kind, cfg.solver) == ("single", "grenier")
-            or cfg.target in ("supercritical_leading",
-                              "supercritical_corrector", "skew_free")):
+    if cfg.driver in ("grenier", "supercritical_leading",
+                      "supercritical_corrector", "skew_free"):
         return phase_amplitude, "solve_phase_amplitude_sweep", 2
     return nls, "solve_nls_sweep", 2
 
@@ -457,6 +451,13 @@ def _solver_entry(cfg):
 def _shipped_raw(name, overrides=()):
     with open(CONFIG_DIR / name, encoding="utf-8") as fh:
         return apply_overrides(json.load(fh), list(overrides))
+
+
+def _shipped_path(driver):
+    """The shipped config of `driver`; each driver has exactly one."""
+    [path] = [p for p in sorted(CONFIG_DIR.glob("*.json"))
+              if _shipped_raw(p.name)["driver"] == driver]
+    return path
 
 
 # the supercritical targets read a1 in their golden configs
@@ -607,7 +608,7 @@ class TestDryRunPlan:
     def test_single_plan_counts_steps(self):
         cfg = config_from_dict(cheap_nls_raw())
         plan = plan_json(cfg, Plan.build(cfg))
-        assert plan["kind"] == "single"
+        assert plan["driver"] == "nls"
         entry = plan["plan"][0]
         assert entry["eps"] == 0.05
         assert entry["dt"] == pytest.approx(0.001)
@@ -618,7 +619,7 @@ class TestDryRunPlan:
         # other driver plans one
         for path in sorted(CONFIG_DIR.glob("*.json")):
             raw = _shipped_raw(path.name)
-            command = raw["solver"] if raw["kind"] == "single" else raw["kind"]
+            command = cli.SUBCOMMAND[raw["driver"]]
             assert main([command, "--config", str(path), "--dry-run"]) == 0
             ladders = [e.get("grid_ladder")
                        for e in json.loads(capsys.readouterr().out)["plan"]]
@@ -628,7 +629,7 @@ class TestDryRunPlan:
                 assert ladders == [None] * len(raw["eps"])
 
     def test_instability_plan_reports_scales(self):
-        raw = {"kind": "instability", "eps": [0.01], "kappa": 0.0,
+        raw = {"driver": "instability", "eps": [0.01], "kappa": 0.0,
                "data": {"b0": {"shape": "gaussian"}}}
         row = Plan.build(config_from_dict(raw)).rows[0]
         assert row.delta == pytest.approx(0.1)
@@ -929,21 +930,79 @@ class TestCli:
         assert not (tmp_path / "runs").exists()
 
     def test_kind_mismatch_exits_2(self, tmp_path, capsys):
-        raw = {"kind": "converge", "target": "critical",
-               "eps": [0.1, 0.05], "kappa": 1.0}
+        # a convergence driver under a single-run subcommand
+        raw = {"driver": "critical", "eps": [0.1, 0.05], "kappa": 1.0}
         code = main(["nls", "--config", self.write(tmp_path, raw)])
         assert code == 2
-        assert ("error: config kind 'converge' does not match subcommand "
-                "'nls' (expects 'single')") in capsys.readouterr().err
-        # a single-run config of another solver
+        assert ("error: driver 'critical' runs under subcommand 'converge', "
+                "not 'nls'") in capsys.readouterr().err
+        # a single-run config of another driver
         code = main(["rays", "--config", str(CONFIG_DIR / "wkb.json")])
         assert code == 2
-        assert ("error: config solver 'wkb' does not match subcommand "
+        assert ("error: driver 'wkb' runs under subcommand 'wkb', not "
                 "'rays'") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("driver", DRIVERS)
+    def test_each_subcommand_runs_exactly_its_drivers(self, tmp_path, capsys,
+                                                      driver):
+        path = _shipped_path(driver)
+        runs_it = cli.SUBCOMMAND[driver]
+        for command in dict.fromkeys(cli.SUBCOMMAND.values()):
+            code = main([command, "--config", str(path), "--dry-run"])
+            out, err = capsys.readouterr()
+            if command == runs_it:
+                assert code == 0 and json.loads(out)["driver"] == driver
+            else:
+                assert code == 2 and out == ""
+                assert error_line(err) == (f"error: driver {driver!r} runs under "
+                                           f"subcommand {runs_it!r}, not {command!r}")
+        # without its driver key, the config runs under a subcommand of one
+        # driver, which fills it in; a subcommand of several cannot
+        raw = {k: v for k, v in _shipped_raw(path.name).items() if k != "driver"}
+        code = main([runs_it, "--config", self.write(tmp_path, raw), "--dry-run"])
+        out, err = capsys.readouterr()
+        if list(cli.SUBCOMMAND.values()).count(runs_it) == 1:
+            assert code == 0 and json.loads(out)["driver"] == driver
+        else:
+            assert code == 2 and out == ""
+            assert error_line(err) == "error: config is missing 'driver'"
+
+    @pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry-run"])
+    @pytest.mark.parametrize("command, name, old", [
+        ("converge", "critical.json", {"kind": "converge", "target": "critical"}),
+        ("nls", "nls.json", {"kind": "single", "solver": "nls"}),
+        ("instability", "instability.json", {"kind": "instability"}),
+    ], ids=["kind-target", "kind-solver", "kind"])
+    def test_old_schema_configs_exit_2(self, tmp_path, capsys, command, name,
+                                       old, dry_run):
+        # a shipped config that names its driver by the keys before `driver`
+        raw = {k: v for k, v in _shipped_raw(name).items() if k != "driver"}
+        args = [command, "--config", self.write(tmp_path, {**old, **raw}),
+                "--output", str(tmp_path / "out")]
+        assert main(args + ["--dry-run"] * dry_run) == 2
+        out, err = capsys.readouterr()
+        assert error_line(err) == f"error: unknown keys in config: {sorted(old)}"
+        assert out == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_a_report_without_verdicts_fails(self, tmp_path, capsys, monkeypatch):
+        # a measure stage that sets the report body and adds no verdict
+        def measure(config, plan, run):
+            run.body = {"eps": plan.rows[0].eps}
+
+        nls_driver = DRIVERS["nls"]
+        monkeypatch.setitem(DRIVERS, "nls", replace(
+            nls_driver, stages=(nls_driver.stages[0], ("measure", measure))))
+        out_dir = tmp_path / "out"
+        code = main(["nls", "--config", self.write(tmp_path, cheap_nls_raw()),
+                     "--output", str(out_dir)])
+        assert code == 1
+        report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
+        assert report["verdicts"] == [] and report["passed"] is False
 
     def test_invalid_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
-        path.write_text('{"kind": "single",')
+        path.write_text('{"driver": "nls",')
         assert main(["nls", "--config", str(path)]) == 2
         assert f"error: config file {path} is not valid JSON" in (
             capsys.readouterr().err)
@@ -1115,10 +1174,10 @@ class TestCli:
         ("rays", "rays.json", ("phase.kind=quadratic", "phase.curvature=-0.5"),
          "InversionError at t=0.001: the stored ray map covers [-15.992, "
          "15.9608], short of the grid", "rays"),
-        # three steps of 1e-3 store four nodes, one short of the residual's
+        # three steps of 1e-3 march four nodes, one short of the residual's
         # time stencil
         ("rays", "rays.json", ("time.final=0.003",),
-         "StencilError at t=0.003: not enough stored nodes below the Jacobian "
+         "StencilError at t=0.003: not enough march nodes above the Jacobian "
          "floor", "plan"),
     ], ids=["ray-divergence", "folded-ray-map", "focusing-ray-march",
             "short-ray-run"])
@@ -1207,10 +1266,10 @@ class TestCli:
          "time.final must be a finite number, got inf"),
         ("nls", "nls.json", "time.final=NaN",
          "time.final must be a finite number, got nan"),
-        # three steps of 1e-3 store four ray nodes, one short of the
+        # three steps of 1e-3 march four ray nodes, one short of the
         # residual's time stencil: the plan fails as the run did
         ("rays", "rays.json", "time.final=0.003",
-         "StencilError at t=0.003: not enough stored nodes below the Jacobian "
+         "StencilError at t=0.003: not enough march nodes above the Jacobian "
          "floor: 4, the time stencil needs 5"),
         # a field that its section's kind or its profile's shape does not read
         ("nls", "nls.json", "phase.curvature=-0.3",
@@ -1311,7 +1370,7 @@ class TestCli:
         # short output times keep the 256-node run resolved
         monkeypatch.setitem(DRIVERS, "skew_free",
                             replace(DRIVERS["skew_free"], schedule=(0.02, 0.04)))
-        raw = {"kind": "converge", "target": "skew_free",
+        raw = {"driver": "skew_free",
                "eps": [0.1, 0.05, 0.02], "kappa": 0.0,
                "grid": {"size": 256},
                "data": {"a0": {"shape": "gaussian", "chirp": 0.5}}}

@@ -467,7 +467,7 @@ class TestArgumentGuards:
                                         InitialPhaseSpec.zero(), 32.0, 64)
         residual = rays.HamiltonJacobiResidual(problem, eval_grid)
         rays.integrate_flow(problem, markers, 0.03, dt=1e-2, visit=residual.add)
-        with pytest.raises(StencilError, match="not enough stored nodes") as caught:
+        with pytest.raises(StencilError, match="not enough march nodes above the Jacobian floor") as caught:
             residual.value()
         assert caught.value.time == pytest.approx(0.03, abs=1e-12)
 
