@@ -18,9 +18,10 @@ rows are a problem.RowStack, checked at t = 0 and at each output
 (problem.TAIL_TOL).
 
 The solver is the measuring stick the asymptotic constructions are compared
-against, so its defaults are conservative: h = eps / STEPS_PER_EPS = eps/50
-resolves the fast phase, and segments between requested output times are
-subdivided so every output lands exactly on a step boundary.
+against, so its defaults are conservative: dt = eps / STEPS_PER_EPS = eps/50
+resolves the fast phase, and each segment between requested output times
+is a problem.March of that dt: its step count is rounded up, so every
+output lands exactly on a step boundary and no step is longer than dt.
 """
 from __future__ import annotations
 
@@ -31,8 +32,8 @@ import numpy as np
 from .errors import ConfigError, DivergenceError, ResolutionError
 from .fields import ComplexField, derivative_values, tail_fraction
 from .grids import PeriodicGrid
-from .problem import (RowCheck, RowStack, SemiclassicalProblem, StoredStates,
-                      check_dt, grid_mass, relative_drift)
+from .problem import (March, RowCheck, RowStack, SemiclassicalProblem, StoredStates,
+                      grid_mass, relative_drift)
 
 STEPS_PER_EPS = 50.0
 
@@ -52,16 +53,6 @@ class NLSSolution(StoredStates):
 
     def energy_drift(self) -> float:
         return relative_drift(self.energy)
-
-
-def segment_steps(output_times, dt: float) -> list[int]:
-    """Step count of each output segment [0, t_1], [t_1, t_2], ...: a
-    segment of length seg is split into max(1, ceil(seg/dt)) equal steps
-    (seg/dt within 1e-12 above an integer rounds down), so every output
-    lands exactly on a step boundary."""
-    bounds = [0.0] + [float(t) for t in output_times]
-    return [max(1, int(np.ceil((b - a) / dt - 1e-12)))
-            for a, b in zip(bounds, bounds[1:])]
 
 
 def nls_energy(problem: SemiclassicalProblem, u: ComplexField) -> float:
@@ -123,11 +114,12 @@ def solve_nls(problem: SemiclassicalProblem, t_final: float, dt: float | None = 
     """Propagate the semiclassical equation to t_final.
 
     output_times must be strictly increasing and positive, ending at
-    t_final (it is appended when missing).  Within each segment the step is
-    shrunk to seg / ceil(seg / dt) so outputs land exactly on step boundaries
-    (segment_steps); dt defaults to eps / STEPS_PER_EPS.  The initial state
-    and every output are checked (problem.TAIL_TOL); the first that fails
-    raises its ResolutionError or DivergenceError.
+    t_final (it is appended when missing).  Each segment takes the steps
+    of March(seg, dt): seg / dt rounded up, so outputs land exactly on step
+    boundaries and no step is longer than dt; dt defaults to
+    eps / STEPS_PER_EPS.  The initial state and every output are checked
+    (problem.TAIL_TOL); the first that fails raises its ResolutionError or
+    DivergenceError.
     This is the one-row call of solve_nls_sweep.
     """
     out = solve_nls_sweep([problem], t_final, [dt], output_times=output_times)[0]
@@ -143,9 +135,9 @@ def solve_nls_sweep(problems: list[SemiclassicalProblem], t_final: float, dts,
 
     The problems share one grid, t_final and output times; dts[r] (None
     for eps / STEPS_PER_EPS) belongs to problems[r].  Every row keeps its
-    own step size, kinetic multipliers, phase scale and segment_steps count,
-    so its arithmetic is that of its own solve, and a step of all rows costs
-    two FFT calls.  Every row is checked at t = 0, and a row that reaches an
+    own segment marches, kinetic multipliers and phase scale, so its
+    arithmetic is that of its own solve, and a step of all rows costs two
+    FFT calls.  Every row is checked at t = 0, and a row that reaches an
     output closes its step with a half kinetic multiplier and is checked
     there.  Returns RowStack.results.
     """
@@ -154,13 +146,12 @@ def solve_nls_sweep(problems: list[SemiclassicalProblem], t_final: float, dts,
     if len(problems) != len(dts):
         raise ConfigError("a sweep takes one dt per problem")
     dts = [p.eps / STEPS_PER_EPS if dt is None else dt for p, dt in zip(problems, dts)]
-    for dt in dts:
-        check_dt(dt)
     outputs = _output_times(t_final, output_times)
+    bounds = [0.0] + outputs
+    # marches[r][k]: the steps of row r over the segment that ends at outputs[k]
+    marches = [[March(b - a, dt) for a, b in zip(bounds, outputs)] for dt in dts]
     st = RowStack(problems)
     grid = problems[0].grid
-    bounds = [0.0] + outputs
-    counts = [segment_steps(outputs, dt) for dt in dts]
 
     # the stack's buffers: u and uh in physical and Fourier space, theta and
     # rot = exp(i theta) for the pointwise phase; per row, the kinetic
@@ -171,7 +162,7 @@ def solve_nls_sweep(problems: list[SemiclassicalProblem], t_final: float, dts,
     st.theta, st.scratch, st.vphase = np.empty((3,) + shape)
     st.scale = np.empty((len(problems), 1))
     st.segment = np.zeros(len(problems), dtype=int)
-    st.left = np.array([c[0] for c in counts])
+    st.left = np.array([m[0].steps for m in marches])
     st.u[:] = [p.initial_state().values for p in problems]
     vvals = [p.potential_field().values for p in problems]
     ksq = grid.wavenumber_sq
@@ -195,7 +186,7 @@ def solve_nls_sweep(problems: list[SemiclassicalProblem], t_final: float, dts,
         for r in np.flatnonzero(at):
             i, k = st.rows[r], st.segment[r]
             eps, kappa = problems[i].eps, problems[i].kappa
-            h = (bounds[k + 1] - bounds[k]) / counts[i][k]
+            h = marches[i][k].h
             st.half[r] = np.exp(-0.25j * eps * ksq * h)
             st.kinetic[r] = np.exp(-0.5j * eps * ksq * h)
             st.vphase[r] = -(h / eps) * vvals[i]
@@ -222,7 +213,7 @@ def solve_nls_sweep(problems: list[SemiclassicalProblem], t_final: float, dts,
             record(at)
         done = st.segment == len(outputs)
         for r in np.flatnonzero(at & ~done):
-            st.left[r] = counts[st.rows[r]][st.segment[r]]
+            st.left[r] = marches[st.rows[r]][st.segment[r]].steps
         if done.any():
             at = at[st.drop(done)]
     return st.results(lambda i, times, states, mass, energy: NLSSolution(

@@ -206,11 +206,12 @@ def solve_phase_amplitude(problem: SemiclassicalProblem, t_final: float, dt: flo
                           ) -> GrenierTrajectory:
     """March the phase-amplitude system to t_final.
 
-    The march takes the steps of March(t_final, dt, store_every), whose
-    size lands it exactly on t_final (backward for negative t_final), and
-    keeps the states of its stored steps.  The initial state and every step
-    are checked (problem.TAIL_TOL); the first that fails raises its
-    ResolutionError or DivergenceError.
+    The march takes the steps of March(t_final, dt, store_every), t_final
+    over dt rounded up, so it lands exactly on t_final (backward for
+    negative t_final) in steps never longer than dt, and keeps the states
+    of its stored steps.  The initial state and every step are checked
+    (problem.TAIL_TOL); the first that fails raises its ResolutionError or
+    DivergenceError.
     This is the one-row call of solve_phase_amplitude_sweep.
     """
     out = solve_phase_amplitude_sweep([problem], t_final, dt, variant=variant,
@@ -307,8 +308,9 @@ def solve_corrector(problem: SemiclassicalProblem, t_final: float, dt: float,
     problem.a1 (zero without one).  At t = 0 and at every step the limit is
     checked as the sweep checks a row, then the corrector for finite values,
     and the first failure is raised; the states of the stored steps of
-    March(t_final, dt, store_every) are kept.  With real a0 and
-    a1_data = 0, a1 stays purely imaginary and phi1 stays zero.
+    March(t_final, dt, store_every), whose steps are never longer than dt,
+    are kept.  With real a0 and a1_data = 0, a1 stays purely imaginary and
+    phi1 stays zero.
     """
     grid = problem.grid
     rhs = _Transport(grid, _potential_rows([problem])[0])

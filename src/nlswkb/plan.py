@@ -24,7 +24,10 @@ INSTABILITY_DOUBLINGS = 2     # the grid doublings an instability eps may move t
 class EpsPlan:
     """What a run does at one eps."""
     eps: float
-    dt: float                       # dt of the driver's time stepper
+    # the stepper's dt: a march's own step h, the final time over its
+    # steps rounded up from the driver's dt, so never above it; or the NLS
+    # dt, eps / STEPS_PER_EPS, which no output segment's step exceeds
+    dt: float
     grid_size: int                  # the grid it starts on
     times: tuple[float, ...]        # output times; the solve stops at the last
     steps: int                      # steps the stepper takes to times[-1]
@@ -54,7 +57,9 @@ class Plan:
         for a key the driver does not read or output times it cannot run, and
         StencilError for a ray march of fewer nodes than its residual's
         time stencil spans, each of stage "plan".  A caustic before that
-        many nodes is left to the run, which alone traces the rays."""
+        many nodes is left to the run, which alone traces the rays.  Every
+        step count is that of a problem.March, a span over dt rounded up,
+        so no planned step is longer than its dt."""
         driver = config.driver
         spec = DRIVERS[driver]
         # a key that only some drivers read must keep its default when this
@@ -89,12 +94,15 @@ class Plan:
             if any(b <= a for a, b in zip(times, times[1:])):
                 raise ConfigError(f"output times at eps={eps} must be strictly "
                                   f"increasing, got {list(times)}")
-            dt = spec.march_dt or eps / nls.STEPS_PER_EPS
             if spec.march_dt is None:
-                steps = sum(nls.segment_steps(times, dt))
+                # the NLS solve marches each segment between outputs at dt
+                dt = eps / nls.STEPS_PER_EPS
+                steps = sum(March(b - a, dt).steps
+                            for a, b in zip((0.0, *times), times))
             else:
-                # a march lands on times[-1] in whole equal steps
-                march = March(times[-1], dt)
+                # a march lands on times[-1] in steps of its h, at most
+                # the driver's dt
+                march = March(times[-1], spec.march_dt)
                 steps, dt = march.steps, march.h
             ray_dt = {"march": dt, "wkb": times[-1] / 64}.get(spec.rays)
             if spec.rays == "march":

@@ -44,16 +44,19 @@ def check_dt(dt: float) -> None:
 
 class March:
     """A fixed-step march over `span`: `steps` steps of h = span / steps,
-    where steps is the whole number nearest to |span| / dt, at least one,
-    so it lands exactly on span (backward for a negative span).  It stores
-    step 0, every `store_every`-th step and the last step, each once;
-    `nodes` counts them."""
+    where steps is |span| / dt rounded up, at least one, so the march
+    lands exactly on span (backward for a negative span) in steps never
+    longer than dt.  A ratio within 1e-12 above a whole number rounds
+    down, the one slack of that bound, so a dt that divides the span up
+    to roundoff keeps its own count.  Every solver takes its step count
+    and step from here.  It stores step 0, every `store_every`-th step and
+    the last step, each once; `nodes` counts them."""
 
     def __init__(self, span: float, dt: float, store_every: int = 1):
         check_dt(dt)
         if store_every < 1:
             raise ConfigError(f"store_every must be at least 1, got {store_every}")
-        self.steps = max(1, int(round(abs(span) / dt)))
+        self.steps = max(1, math.ceil(abs(span) / dt - 1e-12))
         self.h, self.every = span / self.steps, store_every
         self.nodes = self.steps // store_every + 1 + (self.steps % store_every > 0)
 

@@ -16,11 +16,11 @@ the action dS/dt = xi^2/2 - V, S(0) = phi0(y), and the ray integral of
 g(0) = 0.  On the line every one of these is a scalar per ray.  The
 Jacobian J starts at 1; the first time min_y J crosses a positive
 threshold is the caustic horizon, beyond which the Eulerian phase stops
-existing and label inversion refuses to run.  The march stores the nodes
-of problem.March(span, dt, store_every) but takes min_y J at every step,
-so a caller that reads the final node alone holds no trajectory; a
-`HamiltonJacobiResidual` takes the eikonal residual in the same pass, from
-every node the march hands it.
+existing and label inversion refuses to run.  The march takes the steps
+of problem.March(span, dt, store_every), never longer than dt, and stores
+its nodes but takes min_y J at every step, so a caller that reads the
+final node alone holds no trajectory; a `HamiltonJacobiResidual` takes the
+eikonal residual in the same pass, from every node the march hands it.
 
 Inversion of the label-to-position map uses monotone bracketing plus
 safeguarded Newton on a cubic Hermite interpolant of the stored map (values
@@ -55,7 +55,8 @@ _CHECK = RowCheck("ray integration produced non-finite values")
 @dataclass(frozen=True, eq=False)
 class RayBundle:
     """The marker rays at the nodes of March(t_final, dt, store_every),
-    steps of `dt` (its h), and min_y J at every step."""
+    whose steps are `dt` (its h, never longer than the dt asked for), and
+    min_y J at every step."""
     markers: PeriodicGrid
     y: np.ndarray        # (Nm,) labels: the marker nodes
     times: np.ndarray    # (K,) stored times
@@ -105,26 +106,26 @@ def _ray_rhs(potential, x, xi, jac, xiv, s, g, out):
     np.divide(1.0, jac, out=dg)
 
 
-def integrate_ray_state(potential, x0, xi0, jac0, xiv0, s0, t0, t_final, dt,
-                        store_every=1, visit=None):
+def integrate_ray_state(potential, x0, xi0, jac0, xiv0, s0, t0, march: March,
+                        visit=None):
     """Classic RK4 on the ray + variational + action system and the
     integral g of 1/J from t0 (rate 1/J, g(t0) = 0), one (Nm,) array per
     variable.
 
     Returns (times, x, xi, jac, xivar, action, jac_inv_integral,
     min_jacobian).  The six variables, each of shape (K, Nm), are stored
-    at the K nodes of March(t_final - t0, dt, store_every); min_jacobian,
-    of shape (M+1,), is min_y J at step 0 and at each of its M steps,
-    whose size lands the last node exactly on t_final.  Negative spans
-    integrate backward.  Each step is problem.rk4 in place.  The five ray
-    variables must stay finite: the initial state and every step are
-    checked, and the first that fails raises DivergenceError at its time.
+    at the K nodes of `march`, a problem.March of the span from t0;
+    min_jacobian, of shape (M+1,), is min_y J at step 0 and at each of
+    its M steps, which land the last node exactly on the end of the span.
+    A negative span integrates backward.  Each step is problem.rk4 in
+    place.  The five ray variables must stay finite: the initial state and
+    every step are checked, and the first that fails raises DivergenceError
+    at its time.
     Past a zero of J the integral means nothing, and nothing reads it there.
     visit(t, state), if given, gets the time and the six state arrays of
     step 0 and of every step right after its check; the arrays are the
     march's own, which the next step overwrites.
     """
-    march = March(t_final - t0, dt, store_every)
     stored = tuple(np.empty((march.nodes, x0.shape[0])) for _ in range(6))
     times = []
     mins = np.empty(march.steps + 1)
@@ -155,7 +156,9 @@ def integrate_ray_state(potential, x0, xi0, jac0, xiv0, s0, t0, t_final, dt,
 def integrate_flow(problem: SemiclassicalProblem, markers: PeriodicGrid,
                    t_final: float, dt: float, store_every: int = 1,
                    visit=None) -> RayBundle:
-    """Trace the marker-grid rays of `problem` up to t_final: integrate_ray_state.
+    """Trace the marker-grid rays of `problem` up to t_final: integrate_ray_state
+    of March(t_final, dt, store_every), whose steps, t_final over dt
+    rounded up, are never longer than dt.
 
     visit(node), if given, gets every step of the march, step 0 included,
     right after its check, as a one-node RayBundle whose arrays are views
@@ -164,17 +167,16 @@ def integrate_flow(problem: SemiclassicalProblem, markers: PeriodicGrid,
     potential, phase = problem.potential, problem.phase
     potential.subquadratic_bound(markers)  # admissibility: finite Hessian on the box
 
-    y, h = markers.nodes, March(t_final, dt).h
+    y, march = markers.nodes, March(t_final, dt, store_every)
 
     def node(t, state):
         visit(RayBundle(markers, y, np.array([t]), *(v[None] for v in state),
-                        state[2].min(keepdims=True), h, problem))
+                        state[2].min(keepdims=True), march.h, problem))
 
     times, *stored, mins = integrate_ray_state(
         potential, y, phase.gradient(y), np.ones_like(y), phase.hessian(y),
-        phase.value(y), 0.0, t_final, dt, store_every,
-        None if visit is None else node)
-    return RayBundle(markers, y, times, *stored, mins, h, problem)
+        phase.value(y), 0.0, march, None if visit is None else node)
+    return RayBundle(markers, y, times, *stored, mins, march.h, problem)
 
 
 def _first_crossing(times: np.ndarray, series: np.ndarray, threshold: float) -> float | None:

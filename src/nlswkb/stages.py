@@ -179,7 +179,7 @@ def _skew_free_solve(config, plan, run) -> None:
     so storing every `stride` steps keeps a state at each."""
     first = plan.rows[0]
     times, dt = first.times, first.dt
-    stride = math.gcd(*(round(tt / dt) for tt in times))
+    stride = math.gcd(*(March(tt, dt).steps for tt in times))
     problems = [config.problem(eps) for eps in config.eps]
     run.sweeps = tuple(phase_amplitude.solve_phase_amplitude_sweep(
         problems, times[-1], dt, variant=variant, store_every=stride)

@@ -19,6 +19,11 @@ exactly, `summary` by `refcheck.compare`.  tests/test_golden.py and
 tolerance of `refcheck.compare` re-captures the file and names each moved
 number and its cause in CHANGES.md; verdicts never change.
 
+A capture rewrites only the parts of a record that differ: it keeps the
+stored `summary` when `refcheck.compare` finds the fresh one within its
+tolerance, so the floating-point noise of another host never enters the
+record, and it leaves a file whose text would not change untouched.
+
 With --compare nothing is written: for each config (all, or the ones
 named) it runs the config, prints the largest relative change of any
 report leaf or errors.csv value against the stored summary (the `*drift`
@@ -105,6 +110,18 @@ def record(name: str) -> dict:
             "summary": refcheck.summarize(report, csv_text)}
 
 
+def captured(name: str, fresh: dict) -> dict:
+    """`fresh`, a new record of configs/<name>, with the stored summary in
+    place of its own when `refcheck.compare` finds no mismatch between
+    them."""
+    path = GOLDEN_DIR / f"{Path(name).stem}.json"
+    if path.exists():
+        stored = json.loads(path.read_text(encoding="utf-8"))["summary"]
+        if not refcheck.compare(fresh["summary"], stored):
+            fresh["summary"] = stored
+    return fresh
+
+
 def _is_number(value) -> bool:
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
             and math.isfinite(value))
@@ -178,9 +195,12 @@ def main(args: list[str]) -> int:
         return compare(names)
     for name in names:
         path = GOLDEN_DIR / f"{Path(name).stem}.json"
-        text = json.dumps(record(name), indent=1, sort_keys=True)
-        path.write_text(text + "\n", encoding="utf-8")
-        print(f"wrote {path.relative_to(ROOT)}")
+        text = json.dumps(captured(name, record(name)), indent=1, sort_keys=True) + "\n"
+        if path.exists() and path.read_text(encoding="utf-8") == text:
+            print(f"kept {path}")
+            continue
+        path.write_text(text, encoding="utf-8")
+        print(f"wrote {path}")
     return 0
 
 

@@ -1,6 +1,5 @@
 """Config schema, fits, exponent algebra, artifacts, and the CLI contract."""
 import json
-import math
 import os
 import re
 import subprocess
@@ -597,13 +596,26 @@ class TestDryRunPlan:
         assert row.steps == round(0.1 / row.dt)
 
     def test_planned_march_dt_is_the_dt_reported(self, monkeypatch):
-        # 0.2 / 0.0035 is 57.1: the march takes 57 steps of 0.2 / 57, and
+        # 0.2 / 0.0035 is 57.1: the march takes 58 steps of 0.2 / 58, and
         # the plan prints that step, not the driver's dt
         monkeypatch.setitem(DRIVERS, "grenier",
                             replace(DRIVERS["grenier"], march_dt=0.0035))
         cfg = config_from_dict(_shipped_raw("grenier.json"))
         [row] = Plan.build(cfg).rows
-        assert row.dt == run_config(cfg).report["dt"] == 0.2 / 57
+        assert row.dt == run_config(cfg).report["dt"] == 0.2 / 58
+
+    def test_a_march_never_steps_past_its_dt(self, capsys, tmp_path):
+        # 0.2009 / 0.002 is 100.45: the nearest whole number, 100, would
+        # step 0.002009; the march takes 101 steps of 0.2009 / 101
+        args = ["grenier", "--config", str(CONFIG_DIR / "grenier.json"),
+                "--set", "time.final=0.2009"]
+        assert main(args + ["--dry-run"]) == 0
+        [entry] = json.loads(capsys.readouterr().out)["plan"]
+        assert (entry["steps"], entry["dt"]) == (101, 0.2009 / 101)
+        assert entry["dt"] <= 0.002
+        assert main(args + ["--output", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+        assert report["dt"] == entry["dt"]
 
     def test_single_plan_counts_steps(self):
         cfg = config_from_dict(cheap_nls_raw())
@@ -637,11 +649,10 @@ class TestDryRunPlan:
 
 
 def _executed_nls_steps(sol):
-    # the solver's rule, read back from its output: each output segment is
-    # split into max(1, ceil(seg/dt - 1e-12)) equal steps
+    # the solver's rule, read back from its output: each output segment
+    # takes the steps of a March of its dt
     times = [float(t) for t in sol.times]
-    return sum(max(1, math.ceil((b - a) / sol.dt - 1e-12))
-               for a, b in zip(times, times[1:]))
+    return sum(March(b - a, sol.dt).steps for a, b in zip(times, times[1:]))
 
 
 class TestInstabilityDoubling:
@@ -723,8 +734,8 @@ class TestPlannedSteps:
         assert all(steps == planned[eps] for eps, steps in executed), (
             executed, planned)
 
-    # 0.2 / 0.0035 is 57.1: marches of that dt run 57 steps of 0.2 / 57,
-    # where a ceiling would plan 58
+    # 0.2 / 0.0035 is 57.1: marches of that dt run 58 steps of 0.2 / 58,
+    # where the nearest whole number would step past the dt
     @pytest.mark.parametrize("name, overrides", [
         ("grenier.json", ()),
         ("supercritical.json", ("eps=[0.1, 0.05]",)),
@@ -763,7 +774,7 @@ class TestPlannedSteps:
         monkeypatch.setattr(phase_amplitude, "solve_corrector", recording_corrector)
         monkeypatch.setattr(rays, "integrate_flow", recording_flow)
         run_config(cfg)
-        assert planned == 57
+        assert planned == 58
         assert executed and {steps for _, steps in executed} == {planned}
         marches = {march for march, _ in executed}
         assert ("corrector" in marches) == (name == "corrector.json")

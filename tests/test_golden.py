@@ -52,6 +52,29 @@ def test_a_shifted_benchmark_run_matches_the_golden_record(tmp_path, monkeypatch
                                     golden["summary"]) == []
 
 
+@pytest.mark.parametrize("shift, rewritten", [(1e-12, False), (1e-3, True)])
+def test_a_capture_keeps_a_summary_within_tolerance(shift, rewritten, tmp_path,
+                                                    monkeypatch, shipped_result):
+    # a stored summary that the fresh run matches to refcheck's tolerance
+    # stays byte for byte; one that it does not is rewritten
+    golden = json.loads((GOLDEN_DIR / "grenier.json").read_text(encoding="utf-8"))
+    stored = json.loads(json.dumps(golden))
+    stored["summary"]["leaves"]["euler_residual.max"] *= 1 + shift
+    path = tmp_path / "grenier.json"
+    path.write_text(json.dumps(stored, indent=1, sort_keys=True) + "\n",
+                    encoding="utf-8")
+    before = path.read_bytes()
+    monkeypatch.setattr(capture, "GOLDEN_DIR", tmp_path)
+    monkeypatch.setattr(capture, "run_config", shipped_result)
+    fresh = capture.record("grenier.json")["summary"]
+    assert capture.main(["grenier.json"]) == 0
+    after = json.loads(path.read_text(encoding="utf-8"))
+    assert (path.read_bytes() != before) == rewritten
+    assert after["summary"] == (fresh if rewritten else stored["summary"])
+    assert {k: after[k] for k in ("dry_run", "config")} == {
+        k: golden[k] for k in ("dry_run", "config")}
+
+
 @pytest.mark.parametrize("run, ref, expected", [
     ("a\nb\n", "a\nb\n", []),
     ("a\nc\n", "a\nb\n", ["part line 2: run 'c', record 'b'"]),

@@ -6,9 +6,9 @@ from nlswkb import nls
 from nlswkb.errors import ConfigError, DivergenceError, ResolutionError
 from nlswkb.fields import ComplexField, lp_norm
 from nlswkb.grids import PeriodicGrid
-from nlswkb.nls import nls_energy, segment_steps, solve_nls, solve_nls_sweep
+from nlswkb.nls import nls_energy, solve_nls, solve_nls_sweep
 from nlswkb.potentials import InitialPhaseSpec, PotentialSpec
-from nlswkb.problem import SemiclassicalProblem, gaussian_field
+from nlswkb.problem import March, SemiclassicalProblem, gaussian_field
 
 
 def make_problem(eps=1e-2, kappa=1.0, size=1024, a0=None, potential=None):
@@ -148,6 +148,13 @@ class TestStepping:
             solve_nls(make_problem(size=256), 0.2, **kwargs)
 
 
+def segment_steps(outputs, dt):
+    """The step count of each output segment [0, t_1], [t_1, t_2], ...: that
+    of a problem.March of dt over it."""
+    bounds = [0.0, *outputs]
+    return [March(b - a, dt).steps for a, b in zip(bounds, outputs)]
+
+
 def strang_reference(problem, outputs, dt):
     """Plain Strang splitting, four FFTs per step: kinetic half-step,
     potential-plus-nonlinear phase, kinetic half-step."""
@@ -209,6 +216,7 @@ class TestFusedStepper:
         assert calls == {1: 23, 2: 27, 4: 35}
 
     def test_segment_steps_rule(self):
+        # seg / dt rounded up: 0.05 / 0.02 = 2.5 takes 3 steps
         assert segment_steps([0.5], 0.1) == [5]
         assert segment_steps([0.05, 0.1, 0.3], 0.02) == [3, 3, 10]
         assert segment_steps([1e-4], 0.1) == [1]

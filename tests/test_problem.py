@@ -2,10 +2,14 @@
 store schedule and checked loop) and the row bookkeeping the marches
 share: row check, row stack."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nlswkb import nls
 from nlswkb.errors import ConfigError, DivergenceError, ResolutionError
 from nlswkb.fields import ComplexField
 from nlswkb.grids import PeriodicGrid
@@ -39,14 +43,49 @@ MARCHES = ["integrate_flow", "phase_amplitude_sweep", "corrector"]
 class TestMarchSteps:
     @pytest.mark.parametrize("t_final, dt, steps", [
         (0.2, 0.002, 100),      # divides exactly
-        (0.2, 0.0035, 57),      # 57.1: rounds down, where a ceiling gives 58
+        (0.2, 0.0035, 58),      # 57.1: rounds up, so no step exceeds dt
         (0.3, 0.0035, 86),      # 85.7: rounds up
+        (0.07, 0.01, 7),        # one ulp above 7: within the 1e-12 slack
         (-0.2, 0.002, 100),     # backward
         (0.001, 0.5, 1),        # at least one step
     ])
-    def test_nearest_whole_number_of_steps(self, t_final, dt, steps):
+    def test_whole_number_of_steps_rounded_up(self, t_final, dt, steps):
         march = March(t_final, dt)
         assert (march.steps, march.h) == (steps, t_final / steps)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(steps=st.integers(1, 10**6), dt=st.floats(1e-6, 10.0),
+           frac=st.sampled_from([0.0, 1e-13, 1e-9, 0.5, 1 - 1e-9]) | st.floats(0, 1),
+           sign=st.sampled_from([-1.0, 1.0]))
+    def test_no_step_is_longer_than_dt(self, steps, dt, frac, sign):
+        # a span of a whole or a fractional number of dt, either way
+        span = sign * (steps + frac) * dt
+        march = March(span, dt)
+        assert abs(march.h) <= dt * (1 + 1e-12)
+        assert march.steps * march.h == pytest.approx(span, rel=1e-12, abs=0)
+        # one step fewer would be longer than dt (compared exactly)
+        assert Fraction(abs(span)) > (march.steps - 1) * Fraction(dt)
+
+    @settings(max_examples=12, derandomize=True, deadline=None)
+    @given(steps=st.integers(1, 12), dt=st.floats(2e-3, 1e-2),
+           frac=st.sampled_from([0.0, 1e-13, 0.5]) | st.floats(0, 1),
+           sign=st.sampled_from([-1.0, 1.0]))
+    def test_every_march_ends_on_its_final_time(self, steps, dt, frac, sign):
+        # each solver takes exactly the steps of its March to its final
+        # time; a solve stores every step, and NLS, which runs forward
+        # only, is counted by its step calls
+        span = sign * (steps + frac) * dt
+        march = March(span, dt)
+        for name in MARCHES:
+            times = march_call(name, resolved_problem(), span, dt)().times
+            assert len(times) == march.steps + 1
+            assert times[-1] == pytest.approx(span, rel=1e-12, abs=0)
+        calls, step = [], nls._step
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nls, "_step", lambda *work: calls.append(step(*work)))
+            [sol] = solve_nls_sweep([resolved_problem()], abs(span), [dt])
+        assert len(calls) == March(abs(span), dt).steps
+        assert sol.times[-1] == abs(span)
 
 
 class TestProblemChecks:

@@ -268,9 +268,9 @@ class TestIntegratorQuality:
         phase = InitialPhaseSpec.quadratic(0.2)
         start = (y, phase.gradient(y), np.ones_like(y), phase.hessian(y),
                  phase.value(y))
-        _, *stored, _ = rays.integrate_ray_state(potential, *start, t0,
-                                                 t_final, 1e-2)
-        steps = March(t_final - t0, 1e-2).steps
+        march = March(t_final - t0, 1e-2)
+        _, *stored, _ = rays.integrate_ray_state(potential, *start, t0, march)
+        steps = march.steps
         state = (*start, np.zeros_like(y))
         want = [state]
         for _ in range(steps):
@@ -287,10 +287,10 @@ class TestIntegratorQuality:
         y = markers.nodes
         _, xs, xis, jacs, xivs, ss, *_ = rays.integrate_ray_state(
             problem.potential, y, np.zeros_like(y), np.ones_like(y),
-            np.zeros_like(y), np.zeros_like(y), 0.0, 1.0, 1e-3)
+            np.zeros_like(y), np.zeros_like(y), 0.0, March(1.0, 1e-3))
         _, xs2, _, _, _, ss2, *_ = rays.integrate_ray_state(
             problem.potential, xs[-1], xis[-1], jacs[-1], xivs[-1], ss[-1],
-            1.0, 0.0, 1e-3)
+            1.0, March(-1.0, 1e-3))
         assert np.max(np.abs(xs2[-1] - y)) <= 1e-8
         assert np.max(np.abs(ss2[-1])) <= 1e-8
 

@@ -7,7 +7,7 @@ import pytest
 from nlswkb.errors import CausticError, FieldError
 from nlswkb.grids import PeriodicGrid
 from nlswkb.potentials import InitialPhaseSpec, PotentialSpec
-from nlswkb.problem import SemiclassicalProblem, gaussian_field
+from nlswkb.problem import March, SemiclassicalProblem, gaussian_field
 from nlswkb import rays, wkb
 
 
@@ -176,7 +176,7 @@ class TestSimpsonWeights:
             np.zeros_like, np.zeros_like, periodic=False, quadratic=True)
         zero, one = np.zeros(1), np.ones(1)
         times, *_, action, _, _ = rays.integrate_ray_state(
-            flat, zero, one, one, zero, zero, 0.0, 1.0, 1.0 / n)
+            flat, zero, one, one, zero, zero, 0.0, March(1.0, 1.0 / n))
         assert len(times) == n + 1
         assert abs(action[-1, 0] - 2.0) <= 1e-14
 
