@@ -453,10 +453,10 @@ def _shipped_raw(name, overrides=()):
 
 
 def _shipped_path(driver):
-    """The shipped config of `driver`; each driver has exactly one."""
-    [path] = [p for p in sorted(CONFIG_DIR.glob("*.json"))
-              if _shipped_raw(p.name)["driver"] == driver]
-    return path
+    """The first shipped config of `driver` by name; each driver has at
+    least one."""
+    return next(p for p in sorted(CONFIG_DIR.glob("*.json"))
+                if _shipped_raw(p.name)["driver"] == driver)
 
 
 # the supercritical targets read a1 in their golden configs
@@ -530,7 +530,8 @@ class TestDryRunPlan:
         cfg = config_from_dict(_shipped_raw(name))
         assert Plan.build(cfg).dts == [DRIVERS[cfg.driver].march_dt] * len(cfg.eps)
 
-    RAY_CONFIGS = ("critical.json", "rays.json", "subcritical.json", "wkb.json")
+    RAY_CONFIGS = ("critical.json", "critical_cosine.json", "rays.json",
+                   "subcritical.json", "wkb.json")
 
     def test_ray_dt_is_planned_for_the_configs_that_integrate_rays(self):
         planned = {p.name for p in sorted(CONFIG_DIR.glob("*.json"))

@@ -1,4 +1,9 @@
 """Direct split-step solver: exact solutions, invariants, scaling law."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -227,6 +232,88 @@ class TestFusedStepper:
             solve_nls(problem, 0.2)
         assert caught.value.eps == 0.01
         assert caught.value.time == pytest.approx(0.2)
+
+
+def step_rotation(half):
+    """The rotation one nls._step applies at the half-angles `half`: the
+    constant state 1, no nonlinear phase (scale 0) and the potential phase
+    `half`, read back from the step's rot buffer."""
+    half = np.array(half, dtype=float).reshape(1, -1)
+    uh = np.zeros(half.shape, dtype=complex)
+    uh[0, 0] = half.size    # the Fourier coefficients of the constant 1
+    u, rot = np.empty_like(uh), np.empty_like(uh)
+    nls._step(u, uh, np.ones_like(uh), np.zeros((1, 1)), half,
+              np.empty_like(half), np.empty_like(half), rot)
+    return rot[0]
+
+
+class TestHalfAngleRotation:
+    """The step turns theta into exp(i theta) from t = tan(theta/2) alone:
+    (1 - t^2 + 2it)/(1 + t^2).  The test below reruns this class with
+    numpy's AVX-512 loops disabled, so the scalar tan is covered too."""
+
+    def test_zero_phase_is_exactly_one(self):
+        rot = step_rotation([0.0, -0.0])
+        assert np.all(rot.real == 1.0) and np.all(rot.imag == 0.0)
+
+    def test_a_half_turn_is_minus_one(self):
+        # tan of the closest floats to +-pi/2 is about +-1.6e16
+        rot = step_rotation([np.pi / 2, -np.pi / 2])
+        assert np.max(np.abs(rot + 1)) <= 1e-15
+
+    def test_matches_exp_to_an_ulp(self):
+        theta = np.concatenate([np.linspace(-np.pi, np.pi, 4001),
+                                np.linspace(-1e3, 1e3, 20001)])
+        rot = step_rotation(theta / 2)
+        assert np.max(np.abs(rot - np.exp(1j * theta))) <= 1e-15
+        assert np.max(np.abs(np.abs(rot) - 1)) <= 1e-15
+
+    def test_a_non_finite_phase_gives_a_non_finite_rotation(self):
+        # so the divergence check of the march still fires
+        with np.errstate(invalid="ignore"):
+            rot = step_rotation([np.inf, -np.inf, np.nan])
+        assert not np.any(np.isfinite(rot))
+
+    def test_a_march_past_a_half_turn_matches_the_strang_loop(self):
+        # at kappa = 0 and dt = eps/50 the per-step phase is (V + |u|^2)/50,
+        # which passes pi where the amplitude passes 12.5
+        grid = PeriodicGrid(32.0, 1024)
+        potential = PotentialSpec.cosine(0.5, 32.0)
+        problem = make_problem(eps=0.1, kappa=0.0, size=1024,
+                               a0=gaussian_field(grid, 2.0, 13.0),
+                               potential=potential)
+        dt = problem.eps / nls.STEPS_PER_EPS
+        phase = (dt / problem.eps) * (problem.potential_field().values
+                                      + np.abs(problem.a0.values) ** 2)
+        assert phase.max() > np.pi
+        outputs = [0.01, 0.02]
+        sol = solve_nls(problem, outputs[-1], dt=dt, output_times=outputs)
+        expected = strang_reference(problem, outputs, dt)
+        for state, ref in zip(sol.states[1:], expected, strict=True):
+            gap = np.linalg.norm(state.values - ref) / np.linalg.norm(ref)
+            assert gap <= 1e-10
+
+
+def test_the_rotation_oracle_holds_without_avx512():
+    # numpy's float64 tan is a SIMD loop under its AVX-512 targets and a
+    # scalar one without them; disable every AVX-512 target numpy would
+    # dispatch here and rerun the oracle in a fresh process
+    from numpy._core import _multiarray_umath as umath
+    disabled = [name for name in umath.__cpu_dispatch__
+                if (name.startswith("AVX512") or name == "X86_V4")
+                and umath.__cpu_features__.get(name)]
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(disabled),
+               PYTHONPATH=os.pathsep.join(
+                   p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p))
+    probe = ("import sys, pytest; from numpy._core import _multiarray_umath as m; "
+             "on = [f for f in sys.argv[1:] if m.__cpu_features__.get(f)]; "
+             "assert not on, on; "
+             "sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', "
+             "'tests/test_nls.py::TestHalfAngleRotation']))")
+    out = subprocess.run([sys.executable, "-c", probe, *disabled], env=env,
+                         cwd=root, capture_output=True, text=True)
+    assert out.returncode == 0, out.stdout + out.stderr
 
 
 def sweep_problems(eps_kappa=((0.1, 0.0), (0.05, 1.0), (0.03, 1.0)),
